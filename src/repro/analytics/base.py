@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.client import TwitterApiClient
-from ..api.crawler import Crawler
+from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..api.endpoints import UserObject
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import SimClock, Stopwatch
@@ -30,7 +30,7 @@ from ..faults.retry import RetryPolicy
 from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
 from ..twitter.population import World
-from ..twitter.tweet import Tweet
+from ..twitter.timeline import TimelineBlock
 from .criteria import (
     Criteria,
     EngineInfo,
@@ -567,14 +567,14 @@ class CommercialAnalytic:
         sample_part = (min(1.0, len(users) / expected_sample)
                        if expected_sample > 0 else 1.0)
         self._last_completeness = frame_part * sample_part
-        timelines: Optional[List[List[Tweet]]] = None
+        timelines: Optional[List[TimelineBlock]] = None
         if with_timelines:
             yield
             ids_of = getattr(users, "user_ids", None)
             sample_user_ids = (ids_of() if ids_of is not None
                                else [user.user_id for user in users])
             by_id = self._crawler.fetch_timelines(
-                sample_user_ids, per_user=200)
+                sample_user_ids, per_user=TIMELINE_PAGE)
             timelines = [by_id[uid] for uid in sample_user_ids]
             if users:
                 # Degraded-to-empty timelines silently bias activity

@@ -325,7 +325,7 @@ class SampleBlock:
         return self.np.maximum(0.0, now - self.last_status_at)
 
     def timeline_stats(self):
-        """The one-pass timeline fraction columns (class-B sweep)."""
+        """The timeline fraction columns, from flag and body-key columns."""
         if self._timeline_stats is None:
             if self._timelines is None:
                 raise ConfigurationError(

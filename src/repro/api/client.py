@@ -36,7 +36,7 @@ from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, RetryState
 from ..obs.metrics import LATENCY_BUCKETS, WAIT_BUCKETS
 from ..obs.runtime import get_observability
 from ..twitter.population import World
-from ..twitter.tweet import Tweet
+from ..twitter.timeline import TimelineBlock
 from .endpoints import ApiCall, CallLog, IdsPage, UserObject
 from .ratelimit import DEFAULT_POLICIES, RateLimiter, RateLimitPolicy
 
@@ -539,11 +539,14 @@ class TwitterApiClient:
 
     # -- timelines ---------------------------------------------------------------
 
-    def user_timeline(self, user_id: int, count: Optional[int] = None) -> List[Tweet]:
+    def user_timeline(self, user_id: int,
+                      count: Optional[int] = None) -> TimelineBlock:
         """``GET statuses/user_timeline`` — recent tweets, newest first.
 
         At most 200 per request; overall timeline depth is capped at
         3200 by the service (enforced by the world's timeline model).
+        The world's :class:`~repro.twitter.timeline.TimelineBlock` is
+        passed through unrendered.
         """
         policy = self._limiter.policy("statuses/user_timeline")
         page = policy.elements_per_request if count is None else count
@@ -555,7 +558,7 @@ class TwitterApiClient:
             hit = self._acq_cache.get_timeline(user_id, page)
             if hit is not None:
                 self._acq_hit("statuses/user_timeline")
-                return list(hit)
+                return hit
         completed, fault = self._request("statuses/user_timeline", page)
         now = (self._observe_at if self._observe_at is not None
                else completed)

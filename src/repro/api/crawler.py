@@ -16,11 +16,15 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ConfigurationError, RetryableApiError
 from ..obs.runtime import get_observability
-from ..twitter.tweet import Tweet
+from ..twitter.timeline import TimelineBlock
 from .client import DEFAULT_REQUEST_LATENCY, TwitterApiClient
 from .endpoints import UserObject
 from .frame import IdFrame
 from .ratelimit import DEFAULT_POLICIES, RateLimitPolicy
+
+#: Tweets per fetched timeline: one full ``statuses/user_timeline``
+#: page, the depth every timeline-reading audit pulls per follower.
+TIMELINE_PAGE = 200
 
 
 @dataclass(frozen=True)
@@ -294,11 +298,12 @@ class Crawler:
         return users
 
     def fetch_timelines(self, user_ids: Sequence[int],
-                        per_user: int = 200) -> Dict[int, List[Tweet]]:
+                        per_user: int = TIMELINE_PAGE
+                        ) -> Dict[int, TimelineBlock]:
         """Pull one timeline page per user (up to 200 recent tweets)."""
         with self._tracer.span("crawl.timelines", self._client.clock,
                                users=len(user_ids)) as span:
-            timelines: Dict[int, List[Tweet]] = {}
+            timelines: Dict[int, TimelineBlock] = {}
             shortfall = 0
             for uid in user_ids:
                 try:
@@ -308,7 +313,7 @@ class Crawler:
                     # Keep the key so callers can still index by user;
                     # an empty timeline reads as "never tweeted", the
                     # conservative degradation for inactivity rules.
-                    timelines[uid] = []
+                    timelines[uid] = TimelineBlock.empty(uid)
                     shortfall += 1
             if shortfall:
                 span.set_attribute("degraded", True)

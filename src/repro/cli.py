@@ -101,36 +101,60 @@ def _run_monitor_demo(*, seed: int, days: int) -> str:
     return "\n\n".join(sections)
 
 
+#: ``repro monitor`` options of each mode, with their defaults.  The
+#: parser leaves them out of the namespace unless typed, so a typed
+#: option of the other mode can be rejected instead of ignored.
+_DEMO_DEFAULTS = {"days": 21}
+_FLEET_DEFAULTS = {
+    "accounts": 3, "slo": 0.98, "dashboard": False, "cadence": 50,
+    "alerts_out": None, "snapshots_out": None, "provenance": False,
+    "columnar": False, "delta": False, "reaudit_every": 0,
+}
+
+
+def _check_monitor_mode(parser: argparse.ArgumentParser, args) -> None:
+    """Reject ``repro monitor`` options the selected mode would ignore."""
+    fleet = args.ticks is not None
+    if fleet and args.ticks < 1:
+        parser.error("monitor --ticks must be at least 1")
+    needs = ("only applies to the demo, not with --ticks" if fleet
+             else "only applies to the fleet run; add --ticks N")
+    for dest in (_DEMO_DEFAULTS if fleet else _FLEET_DEFAULTS):
+        if hasattr(args, dest):
+            parser.error(f"monitor --{dest.replace('_', '-')} {needs}")
+
+
 def _run_monitor_fleet(args, seed: int) -> str:
     """The fleet mode of ``repro monitor`` (``--ticks`` given)."""
+    option = {**_FLEET_DEFAULTS, **vars(args)}
     spec = FleetSpec(
         seed=seed,
-        accounts=args.accounts,
+        accounts=option["accounts"],
         ticks=args.ticks,
-        slo_objective=args.slo,
+        slo_objective=option["slo"],
         serial=getattr(args, "serial", False),
-        provenance=getattr(args, "provenance", False),
-        columnar=getattr(args, "columnar", False),
-        delta=getattr(args, "delta", False),
-        reaudit_every=getattr(args, "reaudit_every", 0) or 0,
+        provenance=option["provenance"],
+        columnar=option["columnar"],
+        delta=option["delta"],
+        reaudit_every=option["reaudit_every"],
     )
     result = run_monitor_fleet(spec)
     lines = []
-    if args.dashboard:
-        cadence = max(1, args.cadence)
+    if option["dashboard"]:
+        cadence = max(1, option["cadence"])
         shown = [frame for index, frame in enumerate(result.frames)
                  if index % cadence == 0 or index == len(result.frames) - 1]
         lines.extend("\n".join(shown).splitlines())
         lines.append("")
     lines.append(result.summary())
-    if args.alerts_out:
-        result.alerts.write(args.alerts_out)
-        lines.append(f"alert log written to {args.alerts_out}")
-    if args.snapshots_out:
-        with open(args.snapshots_out, "w", encoding="utf-8") as handle:
+    if option["alerts_out"]:
+        result.alerts.write(option["alerts_out"])
+        lines.append(f"alert log written to {option['alerts_out']}")
+    if option["snapshots_out"]:
+        with open(option["snapshots_out"], "w", encoding="utf-8") as handle:
             for snapshot in result.snapshots:
                 handle.write(snapshot_to_json(snapshot) + "\n")
-        lines.append(f"snapshots written to {args.snapshots_out}")
+        lines.append(f"snapshots written to {option['snapshots_out']}")
     return "\n".join(lines)
 
 
@@ -292,43 +316,54 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor = sub.add_parser(
         "monitor", help="daily growth monitoring with burst detection; "
                         "--ticks switches to the live-telemetry fleet")
-    monitor.add_argument("--days", type=int, default=21,
+    # Demo-only and fleet-only options default to SUPPRESS, so the
+    # namespace holds them only when typed; main() rejects any typed in
+    # the wrong mode (see _check_monitor_mode).
+    monitor.add_argument("--days", type=int, default=argparse.SUPPRESS,
                          help="days of daily polling in the two-account "
                               "demo (default: 21)")
     monitor.add_argument("--ticks", type=int, default=None, metavar="N",
                          help="run the multi-account fleet with streaming "
                               "telemetry for N simulated days instead of "
                               "the demo")
-    monitor.add_argument("--accounts", type=int, default=3, metavar="K",
+    monitor.add_argument("--accounts", type=int, default=argparse.SUPPRESS,
+                         metavar="K",
                          help="fleet size in fleet mode (default: 3)")
-    monitor.add_argument("--slo", type=float, default=0.98,
+    monitor.add_argument("--slo", type=float, default=argparse.SUPPRESS,
                          metavar="OBJECTIVE",
                          help="poll-success SLO objective in fleet mode "
                               "(default: 0.98)")
     monitor.add_argument("--dashboard", action="store_true",
+                         default=argparse.SUPPRESS,
                          help="print fleet-health dashboard frames")
-    monitor.add_argument("--cadence", type=int, default=50, metavar="N",
+    monitor.add_argument("--cadence", type=int, default=argparse.SUPPRESS,
+                         metavar="N",
                          help="with --dashboard, print every Nth frame "
                               "(default: 50)")
-    monitor.add_argument("--alerts-out", metavar="FILE.jsonl", default=None,
+    monitor.add_argument("--alerts-out", metavar="FILE.jsonl",
+                         default=argparse.SUPPRESS,
                          help="write the fleet's alert log as JSON lines")
     monitor.add_argument("--snapshots-out", metavar="FILE.jsonl",
-                         default=None,
+                         default=argparse.SUPPRESS,
                          help="write every dashboard snapshot as JSON lines")
     monitor.add_argument("--provenance", action="store_true",
+                         default=argparse.SUPPRESS,
                          help="in fleet mode, record rule-level provenance "
                               "on alert-triggered audits and add rule-drift "
                               "panels to the dashboard")
     monitor.add_argument("--columnar", action="store_true",
+                         default=argparse.SUPPRESS,
                          help="in fleet mode, run the fleet on the lazy "
                               "columnar substrate with batched "
                               "users/lookup polling (required for "
                               "thousand-account fleets)")
     monitor.add_argument("--delta", action="store_true",
+                         default=argparse.SUPPRESS,
                          help="in fleet mode, audit alerted accounts with "
                               "watermarked delta re-audits instead of full "
                               "audits")
-    monitor.add_argument("--reaudit-every", type=int, default=0,
+    monitor.add_argument("--reaudit-every", type=int,
+                         default=argparse.SUPPRESS,
                          metavar="N", dest="reaudit_every",
                          help="in fleet mode, re-audit every previously "
                               "alerted handle every N ticks (default: 0, "
@@ -452,6 +487,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     seed = args.seed
 
+    if args.command == "monitor":
+        _check_monitor_mode(parser, args)
     if args.trace_out:
         _check_writable(parser, args.trace_out, "--trace-out")
     if args.metrics_out:
@@ -703,7 +740,8 @@ def _dispatch(args, seed: int):
         if getattr(args, "ticks", None):
             rendered = _run_monitor_fleet(args, seed)
         else:
-            rendered = _run_monitor_demo(seed=seed, days=args.days)
+            option = {**_DEMO_DEFAULTS, **vars(args)}
+            rendered = _run_monitor_demo(seed=seed, days=option["days"])
     elif args.command == "stats":
         rendered = _run_stats(args)
     elif args.command == "validate":

@@ -140,21 +140,26 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
     :class:`~repro.analytics.criteria.SampleBlock` field views) is
     timed inside the columnar side; object materialisation happens at
     acquisition time on both paths and is timed in neither.
-    Socialbakers reads timelines, so its rows carry short timelines;
-    the other two classify profiles only.  On a NumPy-less host only
-    the scalar timings are recorded.
+    Socialbakers reads timelines, so its rows carry production-depth
+    (:data:`~repro.api.crawler.TIMELINE_PAGE`) timelines: the columnar
+    side reads their flag columns, while the scalar side classifies the
+    same tweets pre-rendered (rendering is timed in neither, as
+    acquisition is not).  The other two classify profiles only.  On a
+    NumPy-less host only the scalar timings are recorded.
     """
     from ..analytics.criteria import build_sample_block, numpy_available
     from ..analytics.statuspeople import StatusPeopleCriteria
     from ..analytics.twitteraudit import TwitterauditCriteria
+    from ..api.crawler import TIMELINE_PAGE
     from ..fc.dataset import build_gold_standard
     from ..fc.rulesets import SocialbakersCriteria
 
     population = build_gold_standard(
         n_fake=rows - rows // 2, n_genuine=rows // 2, seed=seed + 211,
-        timeline_depth=5)
+        timeline_depth=TIMELINE_PAGE)
     users = population.users()
     timelines = population.timelines()
+    rendered = [timeline.tweets() for timeline in timelines]
     now = population.now
     doc: Dict[str, object] = {
         "engine_rows": int(rows),
@@ -172,7 +177,8 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
     )
     for prefix, criteria, tls in cases:
         scalar_seconds = round(measure_wallclock(
-            lambda c=criteria, t=tls: c.classify_all(users, t, now),
+            lambda c=criteria, t=tls: c.classify_all(
+                users, None if t is None else rendered, now),
             repeats), 6)
         doc[f"{prefix}_scalar_seconds"] = scalar_seconds
         if block_users is None:

@@ -8,8 +8,8 @@ replaces both with columnar work over the whole sample:
 
 * :func:`extract_feature_matrix` materialises the design matrix in one
   pass — class-A profile features as vectorized operations over
-  column arrays, class-B timeline features as a single pass per
-  timeline computing every fraction at once;
+  column arrays, class-B timeline features from the timelines' flag
+  and body-key columns (:func:`repro.api.columns.timeline_stat_columns`);
 * :class:`FlatTree` / :class:`FlatForest` evaluate a fitted tree or
   forest over the whole matrix with masked array descent (at most
   ``max_depth`` vectorized steps) instead of per-row recursion;
@@ -38,16 +38,15 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from ..api.columns import timeline_stat_columns
 from ..core.errors import ConfigurationError, TrainingError
 from ..core.timeutil import DAY
 from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
 from ..twitter.names import digit_fraction
-from ..twitter.tweet import (SPAM_PHRASES, _HASHTAG_RE, _MENTION_RE,
-                             _RETWEET_RE, _URL_RE)
 from .features import FeatureSet
 from .forest import RandomForest
 from .training import TrainedDetector
@@ -83,10 +82,8 @@ _PROFILE_FIELDS = operator.attrgetter(
     "last_status_at", "description", "location", "url", "name",
     "default_profile_image", "screen_name")
 
-#: Official clients, as in the scalar ``_automation_fraction``.
-_HUMAN_SOURCES = ("web", "Twitter for iPhone", "Twitter for Android")
-
-#: Index of each class-B feature in a :func:`_timeline_fractions` tuple.
+#: Column of each class-B feature in
+#: :class:`~repro.api.columns.TimelineStatColumns`.
 _TIMELINE_FRACTION_INDEX = {
     "retweet_fraction": 0,
     "link_fraction": 1,
@@ -96,55 +93,6 @@ _TIMELINE_FRACTION_INDEX = {
     "automation_fraction": 5,
     "duplicate_fraction": 6,
 }
-
-
-def _timeline_fractions(timeline) -> Tuple[float, ...]:
-    """All seven class-B fractions of one timeline, in a single pass.
-
-    Each fraction is ``count / len(timeline)`` on Python ints — the
-    same exact division the scalar ``_fraction`` helper performs — so
-    the values are bit-identical while the timeline is walked once
-    instead of seven times.  The per-tweet predicates are the
-    :class:`~repro.twitter.tweet.Tweet` method bodies inlined over one
-    ``text`` read; mention/hashtag counting uses regex *presence*
-    (``search``), which matches ``frozenset(findall)`` truthiness
-    exactly because every match captures at least one ``\\w``, behind
-    an exact C-level prefilter (a match requires the literal ``@``
-    or ``#``).
-    """
-    n = len(timeline)
-    if n == 0:
-        return (0.0,) * 7
-    retweets = links = spam = mentions = hashtags = automation = 0
-    body_list: List[str] = []
-    append_body = body_list.append
-    is_retweet = _RETWEET_RE.match
-    has_link = _URL_RE.search
-    has_mention = _MENTION_RE.search
-    has_hashtag = _HASHTAG_RE.search
-    strip_retweet = _RETWEET_RE.sub
-    for tweet in timeline:
-        text = tweet.text
-        if is_retweet(text):
-            retweets += 1
-        if has_link(text):
-            links += 1
-        lowered = text.lower()
-        for phrase in SPAM_PHRASES:
-            if phrase in lowered:
-                spam += 1
-                break
-        if "@" in text and has_mention(text) is not None:
-            mentions += 1
-        if "#" in text and has_hashtag(text) is not None:
-            hashtags += 1
-        if tweet.source not in _HUMAN_SOURCES:
-            automation += 1
-        append_body(strip_retweet("", text).strip())
-    bodies: Counter = Counter(body_list)
-    duplicated = sum(1 for body in body_list if bodies[body] > 3)
-    return (retweets / n, links / n, spam / n, mentions / n,
-            hashtags / n, automation / n, duplicated / n)
 
 
 class _ExtractContext:
@@ -181,25 +129,19 @@ class _ExtractContext:
         return self._age_days
 
     @property
-    def fractions(self) -> List[Tuple[float, ...]]:
-        """Per-user class-B fraction tuples (computed once, lazily)."""
+    def fractions(self):
+        """Class-B fraction columns from the timelines' flag and key
+        columns (computed once, lazily)."""
         if self._fractions is None:
-            if self.timelines is None:
+            if self.timelines is None or any(
+                    timeline is None for timeline in self.timelines):
                 raise ConfigurationError(
                     "class-B features need timelines (cost class B)")
-            fractions = []
-            for timeline in self.timelines:
-                if timeline is None:
-                    raise ConfigurationError(
-                        "class-B features need timelines (cost class B)")
-                fractions.append(_timeline_fractions(timeline))
-            self._fractions = fractions
+            self._fractions = timeline_stat_columns(self.np, self.timelines)
         return self._fractions
 
     def fraction_column(self, index: int):
-        np = self.np
-        return np.array([row[index] for row in self.fractions],
-                        dtype=np.float64)
+        return self.fractions.column(index)
 
 
 # Log-count columns stay per-element ``math.log1p`` calls: the scalar
@@ -359,8 +301,8 @@ def extract_feature_matrix(np, feature_set: FeatureSet, users,
     """Columnar twin of :meth:`FeatureSet.extract_matrix`, bit-identical.
 
     Builds the whole design matrix column by column over one attribute
-    sweep of the profiles (and one pass per timeline for class-B
-    features) instead of dispatching every feature per row.
+    sweep of the profiles (class-B features from the timelines' flag
+    and body-key columns) instead of dispatching every feature per row.
     """
     if timelines is not None and len(timelines) != len(users):
         raise ConfigurationError("users and timelines length mismatch")

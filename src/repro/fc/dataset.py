@@ -6,8 +6,10 @@ genuine accounts were a priori known" (paper, Section III) — built from
 verified human volunteers and fake followers *actually purchased* from
 sellers.  Our substrate equivalent samples accounts straight from the
 persona library, so labels are known a priori by construction, and
-renders each account's recent timeline exactly as a crawler would
-retrieve it.
+generates each account's recent timeline exactly as a crawler would
+retrieve it (a lazily rendered
+:class:`~repro.twitter.timeline.TimelineBlock`, so profile-only
+training never pays for tweet text).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class GoldExample:
     """One labelled account with its retrievable timeline."""
 
     user: UserObject
-    timeline: Tuple[Tweet, ...]
+    timeline: Sequence[Tweet]
     label: Label
 
     @property
@@ -81,7 +83,7 @@ class GoldStandard:
         """The examples' public profile objects."""
         return [e.user for e in self._examples]
 
-    def timelines(self) -> List[Tuple[Tweet, ...]]:
+    def timelines(self) -> List[Sequence[Tweet]]:
         """The examples' retrievable timelines."""
         return [e.timeline for e in self._examples]
 
@@ -157,11 +159,9 @@ def build_gold_standard(
             user_id = (7 << 56) | (len(examples) + 1)
             account = persona.sample(
                 rng, user_id, f"gold_{tag}_{index}", now)
-            timeline = tuple(
-                timelines.recent_tweets(account, timeline_depth))
             examples.append(GoldExample(
                 user=UserObject.from_account(account),
-                timeline=timeline,
+                timeline=timelines.recent_tweets(account, timeline_depth),
                 label=persona.label,
             ))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..api.client import TwitterApiClient
-from ..api.crawler import Crawler
+from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import SimClock, Stopwatch
 from ..core.errors import ConfigurationError, RetryableApiError
@@ -386,7 +386,7 @@ class FakeClassifierEngine:
         if self._detector.needs_timeline:
             yield
             by_id = self._crawler.fetch_timelines(
-                [user.user_id for user in users], per_user=200)
+                [user.user_id for user in users], per_user=TIMELINE_PAGE)
             timelines = [by_id[user.user_id] for user in users]
             if users:
                 timeline_part = (

@@ -29,7 +29,7 @@ import numpy as np
 from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
-from ..twitter.tweet import Tweet
+from ..twitter.tweet import HUMAN_SOURCES, Tweet
 
 #: Crawling-cost classes.
 CLASS_A = "A"
@@ -157,8 +157,7 @@ def _hashtag_fraction(user, timeline, now):
 
 
 def _automation_fraction(user, timeline, now):
-    human = ("web", "Twitter for iPhone", "Twitter for Android")
-    return _fraction(timeline, lambda t: t.source not in human)
+    return _fraction(timeline, lambda t: t.source not in HUMAN_SOURCES)
 
 
 def _duplicate_fraction(user, timeline, now):

@@ -270,8 +270,9 @@ class SocialbakersCriteria(RuleSet):
         """Columnar three-way classification over a sample block.
 
         The eight published criteria become weighted boolean masks;
-        the one-pass timeline fraction columns replace the five
-        per-rule timeline walks of the scalar path.  All weights are
+        the timeline fraction columns (read off the timelines' flag
+        and body-key columns) replace the five per-rule timeline walks
+        of the scalar path.  All weights are
         exact multiples of 0.25 and skipped rules contribute an exact
         ``0.0``, so the mask-weighted score equals the scalar
         ``sum(WEIGHTS[label] for label in fired)`` bit for bit — both

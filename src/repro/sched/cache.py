@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 from ..api.endpoints import IdsPage, UserObject
 from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
+from ..twitter.timeline import TimelineBlock
 
 
 class AcquisitionCache:
@@ -40,10 +41,11 @@ class AcquisitionCache:
       exactly the tuple a paged ``followers/ids`` request names;
     * **timelines** — by ``(user_id, count)``.
 
-    All values are immutable (frozen dataclasses, tuples), so handing
-    the same object to several engines is safe.  Metric series
-    (``acq_cache_events_total``) are created lazily on first use so
-    runs that never touch a scheduler export byte-identical metrics.
+    All values are immutable (frozen dataclasses, tuples, timeline
+    blocks), so handing the same object to several engines is safe.
+    Metric series (``acq_cache_events_total``) are created lazily on
+    first use so runs that never touch a scheduler export
+    byte-identical metrics.
     """
 
     def __init__(self, name: str = "acquisition") -> None:
@@ -126,8 +128,15 @@ class AcquisitionCache:
         return timeline
 
     def put_timeline(self, user_id: int, count: int, timeline) -> None:
-        """Store one fetched timeline (kept as an immutable tuple)."""
-        self._timelines[(user_id, count)] = tuple(timeline)
+        """Store one fetched timeline.
+
+        A :class:`~repro.twitter.timeline.TimelineBlock` is already
+        immutable and is kept as is — copying it would render every
+        tweet; any other sequence is frozen into a tuple.
+        """
+        if not isinstance(timeline, TimelineBlock):
+            timeline = tuple(timeline)
+        self._timelines[(user_id, count)] = timeline
 
     # -- derived caches -------------------------------------------------------
 

@@ -32,7 +32,11 @@ back to a full audit on any of:
 * **head-walk faults** — a degraded or fault-bitten walk can silently
   truncate the prefix, so it is never trusted;
 * **oversized delta** — more new arrivals than the engine would even
-  sample in a full audit: a fresh audit is cheaper *and* better.
+  sample in a full audit: a fresh audit is cheaper *and* better;
+* **count mismatch** — the head walk found a different number of new
+  arrivals than the follower counter grew by: a counted follower left
+  (net growth hides the departure), so the baseline counts include a
+  verdict that no longer belongs to the frame.
 
 A successful merge refreshes the watermark (new anchor, merged counts,
 merged report) **only when the delta classified completely**; partial
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..api.crawler import Crawler
+from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import Stopwatch
 from ..core.errors import ConfigurationError, RetryableApiError
@@ -263,10 +267,10 @@ class DeltaAuditor:
         if not walk.anchored:
             return (yield from self._full(request, as_of, "anchor_lost"))
         new_ids = walk.new_ids
-        if not new_ids and target.followers_count == watermark.followers_count:
+        if len(new_ids) != expected_new:
+            return (yield from self._full(request, as_of, "count_mismatch"))
+        if not new_ids:
             return self._serve_unchanged(watermark)
-        if len(new_ids) > cap:
-            return (yield from self._full(request, as_of, "delta_too_large"))
         yield
 
         # Classify *every* new arrival (a delta census — no sampling,
@@ -284,7 +288,8 @@ class DeltaAuditor:
             yield
             from ..analytics.base import _sample_user_ids
             sample_ids = _sample_user_ids(users)
-            by_id = self._crawler.fetch_timelines(sample_ids, per_user=200)
+            by_id = self._crawler.fetch_timelines(
+                sample_ids, per_user=TIMELINE_PAGE)
             timelines = [by_id[uid] for uid in sample_ids]
             if users:
                 completeness *= (
@@ -353,7 +358,8 @@ class DeltaAuditor:
     #: ``head_walk_fault`` carry no such evidence, so they keep the
     #: engine's authentic caching behaviour.
     _FORCED_FALLBACKS = frozenset(
-        {"ttl_expired", "count_shrunk", "anchor_lost", "delta_too_large"})
+        {"ttl_expired", "count_shrunk", "anchor_lost", "delta_too_large",
+         "count_mismatch"})
 
     def _full(self, request: AuditRequest, as_of: float,
               reason: Optional[str]):

@@ -53,8 +53,7 @@ from .population import (
     tilted_segments,
     uniform_segments,
 )
-from .textgen import TweetTextGenerator
-from .timeline import TIMELINE_CAP, TimelineGenerator
+from .timeline import TIMELINE_CAP, TimelineBlock, TimelineGenerator
 from .tweet import SPAM_PHRASES, Tweet
 from .workload import ArrivalSchedule, SegmentWindow, even_schedule
 
@@ -85,10 +84,10 @@ __all__ = [
     "SyntheticWorld",
     "TIMELINE_CAP",
     "TargetSpec",
+    "TimelineBlock",
     "TimelineGenerator",
     "Tweet",
     "TweetingProcess",
-    "TweetTextGenerator",
     "World",
     "add_simple_target",
     "ambient_id",

@@ -18,6 +18,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from ..core.errors import (
     DuplicateAccountError,
     GraphError,
@@ -25,8 +27,7 @@ from ..core.errors import (
 )
 from .account import Account
 from .population import World
-from .timeline import TimelineGenerator
-from .tweet import Tweet
+from .timeline import TimelineBlock, TimelineGenerator
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,10 @@ class SocialGraph(World):
         self._require(user_id)
         return self._friends[user_id].ids_until(now)[start:stop]
 
-    def timeline(self, user_id: int, count: int, now: float) -> List[Tweet]:
+    def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         """The account's recent tweets visible at ``now``, newest first."""
         account = self.account_by_id(user_id, now)
-        tweets = self._timelines.recent_tweets(account, count)
-        return [tweet for tweet in tweets if tweet.created_at <= now]
+        block = self._timelines.recent_tweets(account, count)
+        # Newest first, so the tweets visible at ``now`` are a suffix.
+        hidden = int(np.count_nonzero(block.created_at > now))
+        return block[hidden:]

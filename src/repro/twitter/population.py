@@ -48,8 +48,7 @@ from .streams import (
     follower_persona_rng,
     friends_rng,
 )
-from .timeline import TimelineGenerator
-from .tweet import Tweet
+from .timeline import TimelineBlock, TimelineGenerator
 from .workload import ArrivalSchedule, SegmentWindow
 
 _NAMESPACE_SHIFT = 60
@@ -533,7 +532,7 @@ class World:
         """Chronological slice ``[start, stop)`` of followed ids at ``now``."""
         raise NotImplementedError
 
-    def timeline(self, user_id: int, count: int, now: float) -> List[Tweet]:
+    def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         """The user's recent tweets at ``now``, newest first."""
         raise NotImplementedError
 
@@ -710,6 +709,6 @@ class SyntheticWorld(World):
         indices = rng.sample(range(AMBIENT_POOL_SIZE), count)
         return [ambient_id(index) for index in indices[start:stop]]
 
-    def timeline(self, user_id: int, count: int, now: float) -> List[Tweet]:
+    def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         account = self.account_by_id(user_id, now)
         return self._timelines.recent_tweets(account, count)

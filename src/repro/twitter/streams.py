@@ -1,8 +1,9 @@
 """The single documented stream-split for synthetic-world randomness.
 
 Every stochastic draw in a synthetic world is made from a
-``random.Random`` derived from the world's master seed plus a *stream
-path* — a short label tuple hashed by :func:`repro.core.rng.derive_seed`.
+``random.Random`` (or, for timelines, a ``numpy.random.Generator``)
+derived from the world's master seed plus a *stream path* — a short
+label tuple hashed by :func:`repro.core.rng.derive_seed`.
 Historically each call site re-derived its stream inline with ad-hoc
 ``make_rng(seed, ...)`` calls, which made it easy for two code paths
 that must consume *identical* random streams (the object-per-account
@@ -24,7 +25,7 @@ follower account          ``("account", ordinal, position)``
 composition sampling      ``("composition", sample_seed)``
 ambient pool account      ``("ambient", index)``
 friends/ids shuffle       ``("friends", user_id)``
-timeline synthesis        ``("timeline", user_id)``
+timeline synthesis        ``("timeline", user_id)`` (NumPy PCG64)
 explicit-graph builder    ``("graph", screen_name)``
 ========================  ============================================
 
@@ -39,7 +40,9 @@ from __future__ import annotations
 
 import random
 
-from ..core.rng import make_rng
+import numpy as np
+
+from ..core.rng import derive_seed, make_rng
 
 
 def follower_persona_rng(seed: int, ordinal: int, position: int) -> random.Random:
@@ -67,9 +70,14 @@ def friends_rng(seed: int, user_id: int) -> random.Random:
     return make_rng(seed, "friends", user_id)
 
 
-def timeline_rng(seed: int, user_id: int) -> random.Random:
-    """Stream synthesising a user's recent timeline."""
-    return make_rng(seed, "timeline", user_id)
+def timeline_generator(seed: int, user_id: int) -> np.random.Generator:
+    """Stream synthesising a user's recent timeline.
+
+    A NumPy generator, because timelines are drawn as whole columns
+    (see :class:`repro.twitter.timeline.TimelineGenerator`).
+    """
+    return np.random.Generator(
+        np.random.PCG64(derive_seed(seed, "timeline", user_id)))
 
 
 def graph_rng(seed: int, screen_name: str) -> random.Random:

@@ -30,6 +30,9 @@ SPAM_PHRASES = (
     "miracle cure",
 )
 
+#: The official clients; any other ``source`` is an automation tool.
+HUMAN_SOURCES = ("web", "Twitter for iPhone", "Twitter for Android")
+
 _URL_RE = re.compile(r"https?://\S+")
 _MENTION_RE = re.compile(r"(?<!\w)@(\w{1,15})")
 _HASHTAG_RE = re.compile(r"(?<!\w)#(\w+)")

@@ -2,9 +2,10 @@
 
 The :class:`~repro.sched.incremental.DeltaAuditor` contract under test:
 
-* cold start, TTL expiry, shrinking counts, a lost anchor and an
-  oversized delta all degrade to a full audit (and leave a fresh
-  watermark behind);
+* cold start, TTL expiry, shrinking counts, a lost anchor, an
+  oversized delta and a head walk whose arrivals disagree with the
+  counter all degrade to a full audit (and leave a fresh watermark
+  behind);
 * an unchanged account is answered from the watermark in O(anchor
   depth) API calls with the baseline report *verbatim*;
 * a merge over a census frame reproduces a fresh full audit's report
@@ -20,7 +21,7 @@ from dataclasses import replace
 
 from repro.api.crawler import AnchoredHeadWalk
 from repro.audit import AuditRequest, build_engines
-from repro.core import DAY, PAPER_EPOCH, SimClock
+from repro.core import DAY, PAPER_EPOCH, YEAR, SimClock
 from repro.faults.plan import FaultPlan, InjectorSpec
 from repro.sched import (
     BatchAuditScheduler,
@@ -28,7 +29,15 @@ from repro.sched import (
     DeltaAuditor,
     WatermarkStore,
 )
-from repro.twitter import add_simple_target, build_world, fake_purchase_burst
+from repro.twitter import (
+    Account,
+    Label,
+    SocialGraph,
+    add_simple_target,
+    build_world,
+    fake_purchase_burst,
+    populate_graph,
+)
 
 T0 = PAPER_EPOCH
 HANDLE = "deltacase"
@@ -150,6 +159,38 @@ def test_oversized_delta_prefers_full_audit():
     auditor.audit(delta_request())
     auditor.audit(delta_request(as_of=T0 + DAY))  # ~40 new > max_delta
     assert auditor.fallbacks == {"cold_start": 1, "delta_too_large": 1}
+
+
+def test_net_growth_hiding_a_counted_departure_falls_back():
+    """Arrivals outnumber the counter's growth: a counted follower left.
+
+    The account grows by two on net, but one of the baseline's counted
+    followers unfollowed while three new ones arrived.  Merging the
+    three arrivals into the baseline counts would keep the departed
+    follower's verdict (and count 303 followers of a 302-follower
+    account), so the head walk's arrival count must match the counter.
+    """
+    graph = SocialGraph(seed=3)
+    target = Account(user_id=1000, screen_name=HANDLE,
+                     created_at=T0 - 4 * YEAR, statuses_count=100,
+                     last_tweet_at=T0 - DAY)
+    baseline_ids = populate_graph(
+        graph, target, [Label.GENUINE] * 200 + [Label.FAKE] * 100,
+        seed=4, ref_time=T0)
+    auditor = make_auditor(graph)
+    auditor.audit(delta_request())
+    graph.unfollow(baseline_ids[0], target.user_id)
+    populate_graph(graph, target, [Label.FAKE] * 3, seed=5,
+                   ref_time=T0 + DAY, follow_window_years=0.5 / 365)
+
+    report = auditor.audit(delta_request(as_of=T0 + 2 * DAY))
+    assert auditor.fallbacks == {"cold_start": 1, "count_mismatch": 1}
+    assert auditor.merged == 0
+    assert "mode" not in report.details
+    assert report.followers_count == report.sample_size == 302
+    watermark = auditor.store.get("statuspeople", HANDLE)
+    assert sum(watermark.verdict_counts.values()) == 302
+    assert watermark.as_of == T0 + 2 * DAY
 
 
 def test_degraded_head_walk_is_never_trusted(monkeypatch):

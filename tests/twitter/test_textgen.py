@@ -1,16 +1,25 @@
-"""Unit tests for the tweet-text generator."""
+"""Unit tests for the tweet text rendered from generated timelines.
+
+Timelines are generated as class-flag columns and rendered to text
+lazily; these tests check the rendered text, re-detected by the
+``Tweet`` predicates, against the behaviour profile that drove the
+flags.
+"""
 
 from collections import Counter
 
-from repro.core import make_rng
-from repro.twitter import BehaviorProfile, Tweet, TweetTextGenerator
+from repro.core import DAY, PAPER_EPOCH, YEAR
+from repro.twitter import Account, BehaviorProfile, TimelineGenerator
+from repro.twitter.tweet import HUMAN_SOURCES
 
 
 def generate(profile, n=300, seed=1):
-    gen = TweetTextGenerator(make_rng(seed), profile)
-    return [Tweet(tweet_id=i, user_id=1, created_at=1e9,
-                  text=gen.next_text(), source=gen.next_source())
-            for i in range(n)]
+    account = Account(
+        user_id=1, screen_name="renderer", created_at=PAPER_EPOCH - 3 * YEAR,
+        statuses_count=n, last_tweet_at=PAPER_EPOCH - DAY, behavior=profile)
+    tweets = TimelineGenerator(seed).recent_tweets(account, n)
+    assert len(tweets) == n
+    return list(tweets)
 
 
 class TestContentRates:
@@ -54,27 +63,22 @@ class TestDuplicatePool:
         tweets = generate(
             BehaviorProfile(duplicate_pool=1, retweet_ratio=0.5), n=50)
         assert len({t.body() for t in tweets}) == 1
+        assert len({t.text for t in tweets}) > 1
 
 
 class TestSources:
     def test_automation_ratio_one(self):
-        gen = TweetTextGenerator(
-            make_rng(2), BehaviorProfile(api_source_ratio=1.0))
-        human = ("web", "Twitter for iPhone", "Twitter for Android")
-        assert all(gen.next_source() not in human for _ in range(50))
+        tweets = generate(BehaviorProfile(api_source_ratio=1.0), n=50, seed=2)
+        assert all(t.source not in HUMAN_SOURCES for t in tweets)
 
     def test_automation_ratio_zero(self):
-        gen = TweetTextGenerator(
-            make_rng(3), BehaviorProfile(api_source_ratio=0.0))
-        human = ("web", "Twitter for iPhone", "Twitter for Android")
-        assert all(gen.next_source() in human for _ in range(50))
+        tweets = generate(BehaviorProfile(api_source_ratio=0.0), n=50, seed=3)
+        assert all(t.source in HUMAN_SOURCES for t in tweets)
 
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
         profile = BehaviorProfile(link_ratio=0.5, spam_ratio=0.3)
-        first = [TweetTextGenerator(make_rng(9), profile).next_text()
-                 for _ in range(1)]
-        second = [TweetTextGenerator(make_rng(9), profile).next_text()
-                  for _ in range(1)]
+        first = [t.text for t in generate(profile, n=20, seed=9)]
+        second = [t.text for t in generate(profile, n=20, seed=9)]
         assert first == second
