@@ -1,4 +1,4 @@
-"""Wall-clock benchmarks: scalar vs columnar rule-based engines.
+"""Wall-clock benchmarks: per-account loop vs columnar rule-based engines.
 
 The batch-criteria claim, measured per engine at the paper's own
 scale: StatusPeople and Twitteraudit classify a 9604-row sample
@@ -8,12 +8,12 @@ parity first — a fast wrong answer is worthless — then its speedup
 floor, and writes the measured numbers to
 ``benchmarks/results/BENCH_<engine>_columnar.json``.
 
-The columnar side classifies from a
+The columnar side is ``classify_all`` on a
 :class:`~repro.twitter.columnar.schema.UserRowBlock` (the shape
-acquisition hands the batch path on a columnar world), with
+acquisition hands the engines on a columnar world), with
 :class:`~repro.analytics.criteria.SampleBlock` construction timed
-inside; the scalar side classifies the user objects materialised from
-the same rows.  Socialbakers' timelines have the production depth
+inside; the scalar side is the per-account reference loop, one
+``classify`` call per user object materialised from the same rows.  Socialbakers' timelines have the production depth
 (:data:`~repro.api.crawler.TIMELINE_PAGE`): the columnar side reads
 their flag and body-key columns, the scalar side walks the tweets,
 which the parity pass has already rendered (rendering is timed in
@@ -33,11 +33,7 @@ import json
 import os
 import pathlib
 
-from repro.analytics import (
-    StatusPeopleCriteria,
-    TwitterauditCriteria,
-    build_sample_block,
-)
+from repro.analytics import StatusPeopleCriteria, TwitterauditCriteria
 from repro.analytics.socialbakers import SB_SAMPLE
 from repro.api.crawler import TIMELINE_PAGE
 from repro.fc import FC_SAMPLE_SIZE, build_gold_standard
@@ -68,19 +64,20 @@ def _bench_criteria(name, criteria, rows, timeline_depth, min_speedup,
     assert len(users) == rows
     block_users = UserRowBlock.from_users(users)
 
-    # Parity before speed: identical verdicts, counts and extras.
-    scalar = criteria.classify_all(users, timelines, now)
-    batch = criteria.classify_block(
-        build_sample_block(block_users, timelines), now)
-    assert list(batch.codes) == list(scalar.codes)
-    assert batch.counts() == scalar.counts()
-    assert batch.extras == scalar.extras
+    pairs = list(zip(users, timelines if timelines is not None
+                     else [None] * rows))
 
-    scalar_seconds = measure_wallclock(
-        lambda: criteria.classify_all(users, timelines, now), REPEATS)
+    def per_account():
+        return [criteria.classify(user, timeline, now)
+                for user, timeline in pairs]
+
+    # Parity before speed: identical verdicts, account by account.
+    batch = criteria.classify_all(block_users, timelines, now)
+    assert [criteria.labels[code] for code in batch.codes] == per_account()
+
+    scalar_seconds = measure_wallclock(per_account, REPEATS)
     batch_seconds = measure_wallclock(
-        lambda: criteria.classify_block(
-            build_sample_block(block_users, timelines), now), REPEATS)
+        lambda: criteria.classify_all(block_users, timelines, now), REPEATS)
     speedup = scalar_seconds / batch_seconds
 
     doc = {

@@ -41,7 +41,6 @@ def test_columnar_speedup_on_a_full_sample(detector, save_result):
     assert len(users) == rows
 
     classifier = batch_classifier(detector)
-    assert classifier is not None
 
     # Parity before speed: the fast path must be numerically identical.
     scalar_matrix = detector.feature_set.extract_matrix(users, None, now)

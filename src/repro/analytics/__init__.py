@@ -12,7 +12,6 @@ from .criteria import (
     SampleBlock,
     VerdictArray,
     build_sample_block,
-    scalar_classify,
 )
 from .socialbakers import (
     SB_DAILY_QUOTA,
@@ -76,6 +75,5 @@ __all__ = [
     "is_spam",
     "percentages",
     "real_score",
-    "scalar_classify",
     "spam_score",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.client import TwitterApiClient
 from ..api.crawler import TIMELINE_PAGE, Crawler
@@ -31,13 +31,7 @@ from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
 from ..twitter.population import World
 from ..twitter.timeline import TimelineBlock
-from .criteria import (
-    Criteria,
-    EngineInfo,
-    VerdictArray,
-    build_sample_block,
-    numpy_available,
-)
+from .criteria import Criteria, EngineInfo, VerdictArray
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class AnalysisOutcome:
 
     ``completeness`` and ``errors_seen`` describe how cleanly the
     acquisition went (see :class:`~repro.audit.AuditReport`); subclass
-    ``_analyze`` hooks leave them at their defaults and the audit
+    ``_analyze_steps`` hooks leave them at their defaults and the audit
     wrapper fills them in from the client's fault accounting.
     """
 
@@ -184,12 +178,6 @@ class CommercialAnalytic:
         of Table II's repeat audits).
     processing_seconds:
         Fixed post-crawl computation time added to fresh analyses.
-    batch:
-        Columnar classification knob, mirroring the FC engine's:
-        ``"auto"`` (default) and ``True`` classify through the
-        criteria's NumPy mask pipeline when available, ``False`` forces
-        the scalar per-user loop.  Verdicts are bit-identical either
-        way — only the wall clock differs.
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceCollector`.
         When set, every fresh classification records which criteria
@@ -215,12 +203,8 @@ class CommercialAnalytic:
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  acquisition_cache=None,
-                 batch: Union[bool, str] = "auto",
                  provenance=None,
                  seed: int = 99) -> None:
-        if batch not in (True, False, "auto"):
-            raise ConfigurationError(
-                f"batch must be True, False or 'auto': {batch!r}")
         self._clock = clock
         self._client = TwitterApiClient(
             world, clock,
@@ -242,7 +226,6 @@ class CommercialAnalytic:
         self._audit_counter = 0
         self._last_completeness = 1.0
         self._active_request: Optional[AuditRequest] = None
-        self._batch_mode = batch
         #: Raw verdict counts of the most recent classification; the
         #: delta auditor reads these to seed a watermark, since reports
         #: only carry rounded percentages.
@@ -254,8 +237,8 @@ class CommercialAnalytic:
         self._last_provenance = None
         self._obs.register_engine(self)
         #: The engine's classification criteria; concrete tools set
-        #: this in their constructors (``None`` keeps legacy
-        #: ``_analyze`` subclasses working without one).
+        #: this in their constructors (``None`` for subclasses that
+        #: classify inside ``_analyze_steps`` themselves).
         self._criteria: Optional[Criteria] = None
 
     @property
@@ -270,8 +253,8 @@ class CommercialAnalytic:
 
     @property
     def criteria(self) -> Optional[Criteria]:
-        """The engine's classification criteria (``None`` for legacy
-        subclasses that classify inside ``_analyze`` directly)."""
+        """The engine's classification criteria (``None`` for
+        subclasses that classify inside ``_analyze_steps`` directly)."""
         return self._criteria
 
     @property
@@ -287,16 +270,8 @@ class CommercialAnalytic:
             frame_policy=self.frame_policy,
             criteria_id=criteria.name if criteria is not None else "custom",
             reports_inactive=self.reports_inactive,
-            batch_capable=bool(criteria is not None
-                               and criteria.batch_capable),
+            batch_capable=criteria is not None,
         )
-
-    def batch_active(self) -> bool:
-        """Whether classifications run on the columnar mask pipeline."""
-        return (self._batch_mode is not False
-                and self._criteria is not None
-                and self._criteria.batch_capable
-                and numpy_available())
 
     # -- public API -----------------------------------------------------------
 
@@ -359,20 +334,14 @@ class CommercialAnalytic:
     def _admit(self, request: AuditRequest) -> None:
         """Admission hook run before any audit work (quota checks)."""
 
-    def _analyze(self, screen_name: str) -> AnalysisOutcome:
-        """Run a fresh analysis, charging all API costs to the clock."""
-        raise NotImplementedError
-
     def _analyze_steps(self, screen_name: str):
-        """Generator hook: the analysis split at acquisition phases.
+        """Generator hook: one fresh analysis, split at acquisition phases.
 
-        The bundled tools override this with ``yield from
-        self._fetch_head_sample(...)``; the default delegates to the
-        legacy one-shot :meth:`_analyze` so external subclasses that
-        never heard of resumable audits keep working unchanged.
+        Every tool implements this as a generator that acquires with
+        ``yield from self._fetch_head_sample(...)``, classifies, and
+        *returns* its :class:`AnalysisOutcome`.
         """
-        return self._analyze(screen_name)
-        yield  # pragma: no cover - marks this function as a generator
+        raise NotImplementedError
 
     # -- the resumable audit pipeline -------------------------------------------
 
@@ -456,15 +425,13 @@ class CommercialAnalytic:
         return pinned if pinned is not None else self._clock.now()
 
     def _classify_sample(self, users, timelines, now: float) -> VerdictArray:
-        """Classify one sample through the criteria's best path.
+        """Classify one sample through the criteria's columnar path.
 
         The single code path shared by all the rule-based engines:
-        under ``batch=True``/``"auto"`` the sample is packed into a
-        :class:`~repro.analytics.criteria.SampleBlock` and classified
-        by the criteria's columnar mask pipeline; ``batch=False``, a
-        NumPy-less host, or criteria without a columnar path all fall
-        back to the scalar per-user loop.  Verdicts are bit-identical
-        across paths by contract.
+        ``classify_all`` packs the sample into a
+        :class:`~repro.analytics.criteria.SampleBlock` and runs the
+        criteria's mask pipeline.  With a provenance collector attached
+        the per-rule fire masks are recorded too.
         """
         criteria = self._criteria
         if criteria is None:
@@ -475,14 +442,7 @@ class CommercialAnalytic:
         if self._provenance is not None and criteria.rule_ids:
             from ..obs.provenance import ProvenanceSink  # deferred: cycle
             sink = ProvenanceSink()
-        verdicts = None
-        if self._batch_mode is not False and criteria.batch_capable:
-            block = build_sample_block(users, timelines)
-            if block is not None:
-                verdicts = criteria.classify_block(block, now, sink=sink)
-        if verdicts is None:
-            verdicts = criteria.classify_all(users, timelines, now,
-                                             sink=sink)
+        verdicts = criteria.classify_all(users, timelines, now, sink=sink)
         if sink is not None:
             request = self._active_request
             target = request.target if request is not None else ""
@@ -498,8 +458,7 @@ class CommercialAnalytic:
         """Classify an ad-hoc sample through the engine's verdict path.
 
         Public entry point for the delta auditor: identical to the
-        classification phase of a full audit (columnar masks under
-        ``batch``, scalar fallback otherwise), with the raw counts
+        classification phase of a full audit, with the raw counts
         recorded in :attr:`last_verdict_counts`; only acquisition is
         the caller's business.
         """
@@ -548,15 +507,10 @@ class CommercialAnalytic:
             sampled_ids = rng.sample(head_ids, sample)
         else:
             sampled_ids = list(head_ids)
-        if self.batch_active():
-            # Columnar classification ahead: ask for the sample as a
-            # row block so a columnar world can skip per-user object
-            # construction entirely.  Falls back to the object list on
-            # object worlds and cached acquisitions; either shape
-            # classifies identically.
-            users = self._crawler.lookup_users_block(sampled_ids)
-        else:
-            users = self._crawler.lookup_users(sampled_ids)
+        # A row block lets a columnar world skip per-user object
+        # construction; object worlds and cached acquisitions hand back
+        # the object list, which classifies identically.
+        users = self._crawler.lookup_users_block(sampled_ids)
         # Completeness = frame completeness x sample completeness: how
         # much of the intended head frame was paged in, times how much
         # of the intended within-frame sample actually resolved.

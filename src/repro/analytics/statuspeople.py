@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Optional
+import numpy as np
 
 from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError
@@ -92,17 +92,16 @@ def is_inactive(user: UserObject, now: float) -> bool:
 class StatusPeopleCriteria(Criteria):
     """The Fakers spam/inactivity rules behind the batch-criteria API.
 
-    Scalar classification delegates to the module-level rule functions
-    (the historical behaviour); the columnar path expresses the same
-    four spam predicates as weighted boolean masks.  Point weights are
-    exact multiples of 0.5 with sums well under 2^53, so the
-    mask-weighted sum is bit-identical to the scalar accumulation.
+    The per-account spec delegates to the module-level rule functions;
+    the columnar path expresses the same four spam predicates as
+    weighted boolean masks.  Point weights are exact multiples of 0.5
+    with sums well under 2^53, so the mask-weighted sum is
+    bit-identical to the per-account accumulation.
     """
 
     name = "sp-spam-points"
     needs_timeline = False
     labels = ("fake", "inactive", "good")
-    batch_capable = True
     rule_ids = (
         "sp.few_followers",
         "sp.few_tweets",
@@ -136,8 +135,7 @@ class StatusPeopleCriteria(Criteria):
         return self.classify(user, timeline, now), tuple(fired)
 
     def classify_block(self, block: SampleBlock, now: float,
-                       sink=None) -> Optional[VerdictArray]:
-        np = block.np
+                       sink=None) -> VerdictArray:
         few_followers = block.followers <= 25
         few_tweets = block.statuses <= 20
         mass_following = block.friends >= 150

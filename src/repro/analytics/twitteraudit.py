@@ -20,7 +20,8 @@ Distinctive observable behaviours reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+
+import numpy as np
 
 from ..api.endpoints import UserObject
 from ..core.timeutil import DAY
@@ -109,19 +110,18 @@ def _ta_fired(user: UserObject, now: float):
 class TwitterauditCriteria(Criteria):
     """The 3-criterion RealScore rules behind the batch-criteria API.
 
-    Both paths carry the audit's chart aggregates in the verdict
-    array's ``extras``: the 0-5 real-points histogram, the quality
-    decile histogram, and the running quality sum (accumulated in user
-    order on *both* paths — a NumPy pairwise sum would round
-    differently).  All point values are multiples of 0.25, so the
-    columnar nested-``where`` scoring is bit-identical to the scalar
-    branch ladder.
+    The verdict array's ``extras`` carry the audit's chart aggregates:
+    the 0-5 real-points histogram, the quality decile histogram, and
+    the running quality sum (accumulated in user order, as summing
+    :func:`real_score` qualities one account at a time would — a NumPy
+    pairwise sum would round differently).  All point values are
+    multiples of 0.25, so the columnar nested-``where`` scoring is
+    bit-identical to :func:`real_score`'s branch ladder.
     """
 
     name = "ta-real-points"
     needs_timeline = False
     labels = ("fake", "not sure", "real")
-    batch_capable = True
     #: Deficiency rules: each names a way a follower *loses* real
     #: points (the audit penalises absences, unlike the spam-points
     #: engines which accumulate positives).
@@ -148,42 +148,8 @@ class TwitterauditCriteria(Criteria):
     def explain(self, user: UserObject, timeline, now: float):
         return self.classify(user, timeline, now), _ta_fired(user, now)
 
-    def classify_all(self, users, timelines, now: float,
-                     sink=None) -> VerdictArray:
-        histogram: Dict[int, int] = {points: 0 for points in range(6)}
-        quality_histogram: Dict[int, int] = {decile: 0
-                                             for decile in range(10)}
-        quality_sum = 0.0
-        codes = []
-        fires = ({rule: [] for rule in self.rule_ids}
-                 if sink is not None else None)
-        for user in users:
-            score = real_score(user, now)
-            histogram[min(5, int(score.total))] += 1
-            quality_histogram[min(9, int(score.quality * 10))] += 1
-            quality_sum += score.quality
-            if score.total < self._fake_threshold:
-                codes.append(0)
-            elif score.total < self._fake_threshold + 1.0:
-                codes.append(1)
-            else:
-                codes.append(2)
-            if fires is not None:
-                fired = set(_ta_fired(user, now))
-                for rule in self.rule_ids:
-                    fires[rule].append(rule in fired)
-        if fires is not None:
-            for rule in self.rule_ids:
-                sink.add(rule, fires[rule])
-        return VerdictArray(labels=self.labels, codes=codes, extras={
-            "real_points_histogram": histogram,
-            "quality_histogram": quality_histogram,
-            "quality_sum": quality_sum,
-        })
-
     def classify_block(self, block: SampleBlock, now: float,
-                       sink=None) -> Optional[VerdictArray]:
-        np = block.np
+                       sink=None) -> VerdictArray:
         statuses = block.statuses
         tweets = np.where(statuses >= 50, 1.5,
                           np.where(statuses >= 5, 0.75, 0.0))
@@ -206,14 +172,14 @@ class TwitterauditCriteria(Criteria):
                      block.never_tweeted | (age > 180 * DAY))
             sink.add("ta.ratio_over_1", ratio > 1.0)
             sink.add("ta.ratio_over_5", ratio > 5.0)
-        # Left-associated like RealScore.total's scalar sum.
+        # Left-associated like RealScore.total's sum.
         total = (tweets + recency) + ratio_points
         quality = total / TA_MAX_POINTS
         buckets = np.minimum(5, total.astype(np.int64))
         deciles = np.minimum(9, (quality * 10.0).astype(np.int64))
         bucket_counts = np.bincount(buckets, minlength=6)
         decile_counts = np.bincount(deciles, minlength=10)
-        # Ordered accumulation on Python floats, matching the scalar
+        # Ordered accumulation on Python floats, matching a
         # ``quality_sum += score.quality`` loop bit for bit.
         quality_sum = 0.0
         for value in quality.tolist():

@@ -24,7 +24,7 @@ been removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - Protocol is stdlib from 3.8 on
     from typing import Protocol, runtime_checkable
@@ -240,7 +240,6 @@ def build_engines(world, clock, detector=None, seed: int = 5, *,
                   acquisition_cache=None,
                   sb_daily_quota: Optional[int] = None,
                   sp_config=None,
-                  batch: Union[bool, str] = "auto",
                   provenance=None) -> Dict[str, "Auditor"]:
     """Build the paper's audit engines over one world and one clock.
 
@@ -253,9 +252,7 @@ def build_engines(world, clock, detector=None, seed: int = 5, *,
     overrides Socialbakers' free-tier quota (experiment runners lift it
     to ``10**9`` because they do in one session what the authors spread
     over days); ``sp_config`` selects a StatusPeople sampling
-    configuration; ``batch`` sets every engine's columnar-classification
-    knob (``"auto"``/``True``/``False`` — verdicts are bit-identical
-    either way, only the wall clock differs); ``provenance`` hands one
+    configuration; ``provenance`` hands one
     :class:`repro.obs.provenance.ProvenanceCollector` to every engine
     so fresh classifications record which rules fired (pure
     observation — verdict bytes never change).  Imports are deferred
@@ -273,7 +270,7 @@ def build_engines(world, clock, detector=None, seed: int = 5, *,
         raise ConfigurationError(
             f"unknown engines: {sorted(unknown)!r}; "
             f"choose from {ENGINE_NAMES}")
-    common = dict(faults=faults, retry=retry, seed=seed, batch=batch,
+    common = dict(faults=faults, retry=retry, seed=seed,
                   provenance=provenance)
     if acquisition_cache is not None:
         common["acquisition_cache"] = acquisition_cache

@@ -21,8 +21,11 @@ Examples
     repro run chaos              # alias form: run <experiment>
     repro all                    # everything, one report
 
-Any experiment accepts ``--faults SCENARIO`` (plus ``--fault-seed``) to
-rerun it under deterministic injected API failures; see docs/faults.md.
+``table2``, ``table3``, ``explain``, ``batch-audit`` and ``chaos``
+accept ``--faults SCENARIO`` (plus ``--fault-seed``) to rerun them under
+deterministic injected API failures; see docs/faults.md.  An option the
+selected command would ignore is a usage error (exit 2), never silently
+dropped.
 """
 
 from __future__ import annotations
@@ -108,8 +111,16 @@ _DEMO_DEFAULTS = {"days": 21}
 _FLEET_DEFAULTS = {
     "accounts": 3, "slo": 0.98, "dashboard": False, "cadence": 50,
     "alerts_out": None, "snapshots_out": None, "provenance": False,
-    "columnar": False, "delta": False, "reaudit_every": 0,
+    "columnar": False, "delta": False, "reaudit_every": 0, "serial": False,
 }
+
+#: Subcommands that run under injected API faults (``--faults``).
+_FAULT_COMMANDS = frozenset({"table2", "table3", "explain", "batch-audit",
+                             "chaos"})
+#: Experiments ``repro run`` can hand ``--serial`` to.
+_SERIAL_COMMANDS = frozenset({"table2", "table3", "batch-audit", "chaos"})
+#: Seed of the fault plan when ``--fault-seed`` is not given.
+_DEFAULT_FAULT_SEED = 7
 
 
 def _check_monitor_mode(parser: argparse.ArgumentParser, args) -> None:
@@ -132,7 +143,7 @@ def _run_monitor_fleet(args, seed: int) -> str:
         accounts=option["accounts"],
         ticks=args.ticks,
         slo_objective=option["slo"],
-        serial=getattr(args, "serial", False),
+        serial=option["serial"],
         provenance=option["provenance"],
         columnar=option["columnar"],
         delta=option["delta"],
@@ -196,9 +207,11 @@ def _add_obs_flags(parser: argparse.ArgumentParser, *,
                              "(enables observability)")
 
 
-def _add_serial_flag(parser: argparse.ArgumentParser) -> None:
+def _add_serial_flag(parser: argparse.ArgumentParser, *,
+                     suppress: bool = False) -> None:
     """Attach ``--serial``: fall back to the legacy one-at-a-time loop."""
     parser.add_argument("--serial", action="store_true",
+                        default=argparse.SUPPRESS if suppress else False,
                         help="run audits one at a time (the paper's serial "
                              "methodology) instead of the batch scheduler")
 
@@ -213,9 +226,9 @@ def _add_fault_flags(parser: argparse.ArgumentParser, *,
                         help="inject deterministic API faults from a named "
                              f"scenario ({', '.join(sorted(SCENARIOS))})")
     parser.add_argument("--fault-seed", type=int, metavar="N",
-                        default=argparse.SUPPRESS if suppress else 7,
+                        default=argparse.SUPPRESS if suppress else None,
                         help="seed of the fault plan's random stream "
-                             "(default: 7)")
+                             f"(default: {_DEFAULT_FAULT_SEED})")
 
 
 def _fault_plan(args):
@@ -368,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="in fleet mode, re-audit every previously "
                               "alerted handle every N ticks (default: 0, "
                               "never)")
-    _add_serial_flag(monitor)
+    _add_serial_flag(monitor, suppress=True)
 
     stats = sub.add_parser(
         "stats", help="digest trace JSONL files (tolerates the truncated "
@@ -473,6 +486,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject options the selected command would silently ignore."""
+    command = args.experiment if args.command == "run" else args.command
+    if args.command == "run" and args.serial \
+            and command not in _SERIAL_COMMANDS:
+        parser.error(f"--serial does not apply to {command}")
+    if args.command == "monitor":
+        _check_monitor_mode(parser, args)
+    if args.faults is not None and command not in _FAULT_COMMANDS:
+        parser.error(f"--faults does not apply to {command}; it applies "
+                     f"to {', '.join(sorted(_FAULT_COMMANDS))}")
+    if args.fault_seed is not None and args.faults is None \
+            and command != "chaos":
+        parser.error("--fault-seed needs --faults")
+    if command == "batch-audit" and args.serial and args.compare_serial:
+        parser.error("batch-audit --compare-serial compares the scheduler "
+                     "with a serial run; drop --serial")
+    if args.fault_seed is None:
+        args.fault_seed = _DEFAULT_FAULT_SEED
+
+
 def _check_writable(parser: argparse.ArgumentParser, path: str,
                     flag: str) -> None:
     """Fail fast on an unwritable output path, before the run starts."""
@@ -487,8 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     seed = args.seed
 
-    if args.command == "monitor":
-        _check_monitor_mode(parser, args)
+    _check_flags(parser, args)
     if args.trace_out:
         _check_writable(parser, args.trace_out, "--trace-out")
     if args.metrics_out:

@@ -107,52 +107,50 @@ def measure_fc_wallclock(*, rows: int = WALLCLOCK_ROWS,
     now = population.now
     scalar_seconds = measure_wallclock(
         lambda: detector.predict(users, timelines, now), repeats)
+    classifier = batch_classifier(detector)
+    batch_seconds = round(measure_wallclock(
+        lambda: classifier.predict(users, timelines, now), repeats), 6)
     doc: Dict[str, object] = {
         "fc_rows": int(rows),
         "repeats": int(repeats),
         "fc_scalar_seconds": round(scalar_seconds, 6),
+        "fc_batch_seconds": batch_seconds,
     }
-    classifier = batch_classifier(detector)
-    if classifier is not None:
-        batch_seconds = round(measure_wallclock(
-            lambda: classifier.predict(users, timelines, now), repeats), 6)
-        doc["fc_batch_seconds"] = batch_seconds
-        # Derived from the *stored* (rounded) values so the document is
-        # self-consistent for any reader recomputing the ratio.
-        doc["fc_batch_speedup"] = round(
-            doc["fc_scalar_seconds"] / batch_seconds, 6) \
-            if batch_seconds else 0.0
+    # Derived from the *stored* (rounded) values so the document is
+    # self-consistent for any reader recomputing the ratio.
+    doc["fc_batch_speedup"] = round(
+        doc["fc_scalar_seconds"] / batch_seconds, 6) \
+        if batch_seconds else 0.0
     return doc
 
 
 def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
                              repeats: int = WALLCLOCK_REPEATS,
                              seed: int = 0) -> Dict[str, object]:
-    """Per-engine criteria timings: scalar loop vs columnar masks.
+    """Per-engine criteria timings: per-account loop vs columnar masks.
 
     One generated population classified by each rule-based engine's
-    criteria both ways, timed like :func:`measure_fc_wallclock` —
-    through the inputs each path really receives on the columnar
-    substrate: acquisition hands the batch path a
+    criteria both ways, timed like :func:`measure_fc_wallclock`.  The
+    scalar side is the per-account reference loop (one ``classify``
+    call per user object); the batch side is ``classify_all`` on the
+    input the engines really receive on the columnar substrate, a
     :class:`~repro.twitter.columnar.schema.UserRowBlock` of structured
-    rows, while the scalar path classifies the user objects
-    materialised from those same rows.  Block construction (the
+    rows, so block construction (the
     :class:`~repro.analytics.criteria.SampleBlock` field views) is
-    timed inside the columnar side; object materialisation happens at
-    acquisition time on both paths and is timed in neither.
-    Socialbakers reads timelines, so its rows carry production-depth
+    timed inside it.  Object materialisation happens at acquisition
+    time and is timed in neither.  Socialbakers reads timelines, so
+    its rows carry production-depth
     (:data:`~repro.api.crawler.TIMELINE_PAGE`) timelines: the columnar
     side reads their flag columns, while the scalar side classifies the
     same tweets pre-rendered (rendering is timed in neither, as
-    acquisition is not).  The other two classify profiles only.  On a
-    NumPy-less host only the scalar timings are recorded.
+    acquisition is not).  The other two classify profiles only.
     """
-    from ..analytics.criteria import build_sample_block, numpy_available
     from ..analytics.statuspeople import StatusPeopleCriteria
     from ..analytics.twitteraudit import TwitterauditCriteria
     from ..api.crawler import TIMELINE_PAGE
     from ..fc.dataset import build_gold_standard
     from ..fc.rulesets import SocialbakersCriteria
+    from ..twitter.columnar.schema import UserRowBlock
 
     population = build_gold_standard(
         n_fake=rows - rows // 2, n_genuine=rows // 2, seed=seed + 211,
@@ -165,27 +163,22 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
         "engine_rows": int(rows),
         "repeats": int(repeats),
     }
-    block_users = None
-    if numpy_available():
-        from ..twitter.columnar.schema import UserRowBlock
-
-        block_users = UserRowBlock.from_users(users)
+    block_users = UserRowBlock.from_users(users)
     cases = (
         ("sp", StatusPeopleCriteria(), None),
         ("sb", SocialbakersCriteria(), timelines),
         ("ta", TwitterauditCriteria(), None),
     )
     for prefix, criteria, tls in cases:
+        pairs = list(zip(users, rendered if tls is not None
+                         else [None] * len(users)))
         scalar_seconds = round(measure_wallclock(
-            lambda c=criteria, t=tls: c.classify_all(
-                users, None if t is None else rendered, now),
+            lambda c=criteria, p=pairs: [c.classify(user, timeline, now)
+                                         for user, timeline in p],
             repeats), 6)
         doc[f"{prefix}_scalar_seconds"] = scalar_seconds
-        if block_users is None:
-            continue
         batch_seconds = round(measure_wallclock(
-            lambda c=criteria, t=tls: c.classify_block(
-                build_sample_block(block_users, t), now),
+            lambda c=criteria, t=tls: c.classify_all(block_users, t, now),
             repeats), 6)
         doc[f"{prefix}_batch_seconds"] = batch_seconds
         doc[f"{prefix}_batch_speedup"] = round(

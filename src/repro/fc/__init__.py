@@ -7,7 +7,6 @@ from .columnar import (
     FlatTree,
     batch_classifier,
     extract_feature_matrix,
-    numpy_available,
 )
 from .cost import (
     CandidateCost,
@@ -105,7 +104,6 @@ __all__ = [
     "evaluate_ruleset",
     "extract_feature_matrix",
     "feature_crawl_cost",
-    "numpy_available",
     "optimize_detector",
     "rank_by_cost",
     "select_under_budget",

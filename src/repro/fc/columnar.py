@@ -28,10 +28,6 @@ same per-tree probabilities with the same ``vstack(...).mean(axis=0)``
 — so classifications and report digests are byte-identical to the
 scalar path (enforced by the parity property tests in
 ``tests/fc/test_columnar.py``).
-
-NumPy is imported lazily through :func:`_import_numpy`; when it is
-unavailable, :func:`batch_classifier` returns ``None`` and the engine
-falls back to the scalar path automatically.
 """
 
 from __future__ import annotations
@@ -40,6 +36,8 @@ import math
 import operator
 from collections import OrderedDict
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..api.columns import timeline_stat_columns
 from ..core.errors import ConfigurationError, TrainingError
@@ -51,25 +49,6 @@ from .features import FeatureSet
 from .forest import RandomForest
 from .training import TrainedDetector
 from .tree import DecisionTree
-
-
-def _import_numpy():
-    """Resolve NumPy, or ``None`` when the import fails.
-
-    The single seam the fallback path hangs on: tests monkeypatch this
-    to simulate a NumPy-less host, and :func:`batch_classifier` turns
-    ``None`` into a silent scalar fallback.
-    """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - the substrate bundles numpy
-        return None
-    return numpy
-
-
-def numpy_available() -> bool:
-    """Whether the columnar fast path can run at all."""
-    return _import_numpy() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +567,21 @@ class BatchClassifier:
 
 def batch_classifier(detector: TrainedDetector, *,
                      feature_cache: Optional[FeatureCache] = None,
-                     clock=None) -> Optional[BatchClassifier]:
-    """Build the columnar classifier for ``detector``, or ``None``.
+                     clock=None) -> BatchClassifier:
+    """Build the columnar classifier for ``detector``.
 
-    ``None`` means "use the scalar path": NumPy failed to import, the
-    underlying model is not a known tree/forest, or the model is
-    unfitted.  Callers treat it as an automatic, silent fallback.
+    Raises :class:`~repro.core.errors.ConfigurationError` when the
+    underlying model is not a decision tree or random forest, and
+    :class:`~repro.core.errors.TrainingError` when it is unfitted.
     """
-    np = _import_numpy()
-    if np is None:
-        return None
     model = detector.model
-    try:
-        if isinstance(model, RandomForest):
-            flat = FlatForest(np, model)
-        elif isinstance(model, DecisionTree):
-            flat = FlatTree(np, model)
-        else:
-            return None
-    except TrainingError:
-        return None
+    if isinstance(model, RandomForest):
+        flat = FlatForest(np, model)
+    elif isinstance(model, DecisionTree):
+        flat = FlatTree(np, model)
+    else:
+        raise ConfigurationError(
+            f"no columnar classifier for {type(model).__name__} models; "
+            f"train a tree or forest")
     return BatchClassifier(np, detector, flat,
                            feature_cache=feature_cache, clock=clock)

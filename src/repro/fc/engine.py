@@ -15,7 +15,10 @@ By contrast to the surveyed commercial tools, the FC engine:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional
+
+import numpy as np
 
 from ..api.client import TwitterApiClient
 from ..api.crawler import TIMELINE_PAGE, Crawler
@@ -26,9 +29,11 @@ from ..core.rng import make_rng
 from ..core.timeutil import DAY
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..obs.provenance import ProvenanceSink
 from ..obs.runtime import get_observability
 from ..stats.estimation import ProportionEstimate
 from ..twitter.population import World
+from .columnar import BatchClassifier, FeatureCache, batch_classifier
 from .dataset import build_gold_standard
 from .training import TrainedDetector, train_detector
 
@@ -58,27 +63,28 @@ class DetectorCriteria:
     The adapter that puts the FC engine on the same
     :class:`~repro.analytics.criteria.Criteria` protocol as the
     rule-based engines.  ``classify_all`` replicates the engine's
-    historical flow exactly — partition by the 90-day inactivity
-    horizon, then one bulk ``predict`` over the active accounts — with
-    the prediction function injectable so the engine can route it
-    through its columnar :class:`~repro.fc.columnar.BatchClassifier`.
-    Imports of :mod:`repro.analytics.criteria` are deferred: the
-    analytics package imports this package at module load.
+    published flow — partition by the 90-day inactivity horizon, then
+    one bulk prediction over the active accounts through the columnar
+    :class:`~repro.fc.columnar.BatchClassifier`, which is built on
+    first use with a feature cache from ``feature_cache`` (a zero-arg
+    factory).
     """
 
     labels = ("fake", "inactive", "genuine")
-    #: The engine's columnar path lives in the batch classifier rather
-    #: than a mask pipeline, but the capability fact is the same.
-    batch_capable = True
     #: The pipeline's two decision stages as provenance rules: the
     #: 90-day horizon partition, then the trained classifier's fake
     #: call on the active partition.
     rule_ids = ("fc.inactive_90d", "fc.classifier_fake")
 
     def __init__(self, detector: TrainedDetector,
-                 horizon: float = FC_INACTIVITY_HORIZON) -> None:
+                 horizon: float = FC_INACTIVITY_HORIZON, *,
+                 feature_cache: Callable[[], FeatureCache] = FeatureCache,
+                 clock=None) -> None:
         self._detector = detector
         self._horizon = horizon
+        self._feature_cache = feature_cache
+        self._clock = clock
+        self._classifier: Optional[BatchClassifier] = None
 
     @property
     def name(self) -> str:
@@ -90,40 +96,23 @@ class DetectorCriteria:
         """Whether the detector reads timelines (class-B features)."""
         return self._detector.needs_timeline
 
-    def classify(self, user, timeline, now: float) -> str:
-        """Three-way verdict for one account (inactivity rule first)."""
-        age = user.last_status_age(now)
-        if age is None or age > self._horizon:
-            return "inactive"
-        verdict = self._detector.predict(
-            [user], [timeline] if timeline is not None else None, now)
-        return "fake" if int(verdict[0]) else "genuine"
+    @property
+    def classifier(self) -> BatchClassifier:
+        """The columnar classifier, built on the first classification."""
+        if self._classifier is None:
+            self._classifier = batch_classifier(
+                self._detector, feature_cache=self._feature_cache(),
+                clock=self._clock)
+        return self._classifier
 
-    def explain(self, user, timeline, now: float):
-        """One account's verdict plus the decision-stage rules."""
-        label = self.classify(user, timeline, now)
-        if label == "inactive":
-            return label, ("fc.inactive_90d",)
-        if label == "fake":
-            return label, ("fc.classifier_fake",)
-        return label, ()
-
-    def classify_all(self, users, timelines, now: float, *, predict=None,
-                     sink=None):
+    def classify_all(self, users, timelines, now: float, sink=None):
         """Whole-sample verdicts: horizon partition + one bulk predict.
 
-        ``predict`` substitutes the prediction function (the engine
-        passes its columnar batch classifier's); ``None`` uses the
-        detector's scalar ``predict``.  Both scalar and columnar
-        invocations funnel through this one method, so provenance is
-        path-invariant by construction: the ``sink`` masks are derived
-        from the final ``codes``, after prediction.
+        Provenance is derived from the final ``codes``, after
+        prediction: the ``sink`` masks mark the two decision stages.
         """
         from ..analytics.criteria import VerdictArray  # deferred: cycle
 
-        if predict is None:
-            predict = self._detector.predict
-        codes = [1] * len(users)
         active_indices = []
         active_users = []
         active_timelines = []
@@ -135,16 +124,17 @@ class DetectorCriteria:
             active_users.append(user)
             if timelines is not None:
                 active_timelines.append(timelines[index])
-        verdicts = predict(
+        predicted = self.classifier.predict(
             active_users,
             active_timelines if timelines is not None else None,
             now,
         )
-        for slot, index in enumerate(active_indices):
-            codes[index] = 0 if int(verdicts[slot]) else 2
+        codes = np.ones(len(users), dtype=np.int64)
+        codes[np.asarray(active_indices, dtype=np.int64)] = np.where(
+            predicted != 0, 0, 2)
         if sink is not None:
-            sink.add("fc.inactive_90d", [code == 1 for code in codes])
-            sink.add("fc.classifier_fake", [code == 0 for code in codes])
+            sink.add("fc.inactive_90d", codes == 1)
+            sink.add("fc.classifier_fake", codes == 0)
         return VerdictArray(labels=self.labels, codes=codes)
 
 
@@ -162,14 +152,10 @@ class FakeClassifierEngine:
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  acquisition_cache=None,
-                 batch: Union[bool, str] = "auto",
                  provenance=None,
                  seed: int = 0) -> None:
         if sample_size < 1:
             raise ConfigurationError(f"sample_size must be >= 1: {sample_size!r}")
-        if batch not in (True, False, "auto"):
-            raise ConfigurationError(
-                f"batch must be True, False or 'auto': {batch!r}")
         self._clock = clock
         self._client = TwitterApiClient(
             world, clock,
@@ -183,15 +169,18 @@ class FakeClassifierEngine:
         self._obs = get_observability()
         self._tracer = self._obs.tracer
         self._detector = detector if detector is not None else default_detector(seed)
-        self._criteria = DetectorCriteria(self._detector)
+        feature_cache = FeatureCache
+        if acquisition_cache is not None and hasattr(acquisition_cache,
+                                                     "feature_cache"):
+            # Scheduler lanes share one feature cache per batch.
+            feature_cache = partial(acquisition_cache.feature_cache,
+                                    FeatureCache)
+        self._criteria = DetectorCriteria(
+            self._detector, feature_cache=feature_cache, clock=clock)
         self._sample_size = sample_size
         self._processing_seconds = processing_seconds
         self._seed = seed
         self._audit_counter = 0
-        self._acquisition_cache = acquisition_cache
-        self._batch_mode = batch
-        self._batch_classifier = None
-        self._batch_resolved = False
         self._provenance = provenance
         #: Raw verdict counts of the most recent classification (full
         #: audit or ad-hoc :meth:`classify_sample`); the delta auditor
@@ -215,49 +204,18 @@ class FakeClassifierEngine:
         """The fixed uniform sample size (9604 by default)."""
         return self._sample_size
 
-    def _batch(self):
-        """The columnar classifier, or ``None`` for the scalar path.
-
-        Resolved lazily on the first classification so a NumPy-less
-        host (or ``batch=False``) costs nothing.  ``batch=True`` and
-        ``batch="auto"`` both fall back silently to the scalar path
-        when the columnar module cannot run — the verdicts are
-        identical either way, only the wall clock differs.
-        """
-        if not self._batch_resolved:
-            self._batch_resolved = True
-            if self._batch_mode is not False:
-                from .columnar import FeatureCache, batch_classifier
-                classifier = batch_classifier(
-                    self._detector, clock=self._clock)
-                if classifier is not None:
-                    acq = self._acquisition_cache
-                    if acq is not None and hasattr(acq, "feature_cache"):
-                        classifier.use_cache(acq.feature_cache(FeatureCache))
-                    else:
-                        classifier.use_cache(FeatureCache())
-                    self._batch_classifier = classifier
-        return self._batch_classifier
-
-    def batch_active(self) -> bool:
-        """Whether classifications run on the columnar fast path."""
-        return self._batch() is not None
-
-    def classify_sample(self, users, timelines, now: float):
+    def classify_sample(self, users, timelines, now: float, sink=None):
         """Classify an ad-hoc sample through the engine's verdict path.
 
-        The delta auditor's entry point: the same criteria, the same
-        columnar batch classifier and the same verdict-count
-        bookkeeping as a full audit's classification phase, but the
+        The delta auditor's entry point, and the classification phase
+        of a full audit: the same criteria, the same columnar batch
+        classifier and the same verdict-count bookkeeping, but the
         caller owns acquisition.  Returns the
         :class:`~repro.analytics.criteria.VerdictArray`; the raw
         counts land in :attr:`last_verdict_counts`.
         """
-        classifier = self._batch()
-        predict = (classifier.predict if classifier is not None
-                   else self._detector.predict)
-        verdicts = self._criteria.classify_all(
-            users, timelines, now, predict=predict)
+        verdicts = self._criteria.classify_all(users, timelines, now,
+                                               sink=sink)
         counts = verdicts.counts()
         self.last_verdict_counts = dict(counts)
         if self._obs.enabled:
@@ -394,24 +352,14 @@ class FakeClassifierEngine:
 
         pinned = self._client.observed_at
         now = pinned if pinned is not None else self._clock.now()
-        classifier = self._batch()
-        predict = (classifier.predict if classifier is not None
-                   else self._detector.predict)
-        sink = None
-        if self._provenance is not None:
-            from ..obs.provenance import ProvenanceSink
-            sink = ProvenanceSink()
-        verdicts = self._criteria.classify_all(
-            users, timelines, now, predict=predict, sink=sink)
+        sink = ProvenanceSink() if self._provenance is not None else None
+        verdicts = self.classify_sample(users, timelines, now, sink=sink)
         provenance_record = None
         if sink is not None:
             provenance_record = self._provenance.record(
                 self.name, screen_name, verdicts, sink,
                 [user.user_id for user in users], now)
         counts = verdicts.counts()
-        self.last_verdict_counts = dict(counts)
-        if self._obs.enabled:
-            self._obs.note_verdicts(self.name, counts)
         fake = counts["fake"]
         inactive = counts["inactive"]
         genuine = counts["genuine"]

@@ -150,10 +150,8 @@ class SocialbakersCriteria(RuleSet):
     name = "socialbakers"
     needs_timeline = True
     #: Batch-criteria protocol: verdict vocabulary of :meth:`classify`
-    #: (the engine maps ``genuine`` onto its report's ``good`` class)
-    #: and the static columnar-capability fact.
+    #: (the engine maps ``genuine`` onto its report's ``good`` class).
     labels = ("fake", "inactive", "genuine")
-    batch_capable = True
     #: Stable rule registry: the eight published suspicion criteria
     #: (the ``sb.``-prefixed WEIGHTS keys) plus the two inactivity
     #: rules.  Renaming one breaks goldens — see docs/observability.md.
@@ -261,10 +259,11 @@ class SocialbakersCriteria(RuleSet):
     # -- the batch-criteria protocol -------------------------------------------
 
     def classify_all(self, users, timelines, now: float, sink=None):
-        """Scalar classification of a whole sample, as a verdict array."""
-        from ..analytics.criteria import scalar_classify  # deferred: cycle
+        """Classify a whole sample: build its block, run the masks."""
+        from ..analytics.criteria import build_sample_block  # deferred: cycle
 
-        return scalar_classify(self, users, timelines, now, sink=sink)
+        return self.classify_block(build_sample_block(users, timelines),
+                                   now, sink=sink)
 
     def classify_block(self, block, now: float, sink=None):
         """Columnar three-way classification over a sample block.
@@ -272,15 +271,14 @@ class SocialbakersCriteria(RuleSet):
         The eight published criteria become weighted boolean masks;
         the timeline fraction columns (read off the timelines' flag
         and body-key columns) replace the five per-rule timeline walks
-        of the scalar path.  All weights are
-        exact multiples of 0.25 and skipped rules contribute an exact
-        ``0.0``, so the mask-weighted score equals the scalar
+        of :meth:`evaluate`.  All weights are exact multiples of 0.25
+        and skipped rules contribute an exact ``0.0``, so the
+        mask-weighted score equals :meth:`evaluate`'s
         ``sum(WEIGHTS[label] for label in fired)`` bit for bit — both
-        paths then compare it against the same ``threshold`` constant.
+        then compare it against the same ``threshold`` constant.
         """
         from ..analytics.criteria import VerdictArray  # deferred: cycle
 
-        np = block.np
         stats = block.timeline_stats()
         weights = self.WEIGHTS
         masks = {

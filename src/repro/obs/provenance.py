@@ -12,11 +12,9 @@ counts, co-fire matrix, per-verdict attribution) attached to
 Design constraints, in order:
 
 * **Bit identity.**  Provenance is a *pure observation*: enabling it
-  changes no verdict bytes.  The columnar paths record the very mask
-  arrays their verdict arithmetic consumes; the scalar paths re-derive
-  the same predicates per account.  Both pack to identical bitmaps
-  (:func:`pack_mask` is ``np.packbits``-compatible bit for bit on a
-  NumPy-less host).
+  changes no verdict bytes.  The criteria record the very mask arrays
+  their verdict arithmetic consumes, packed MSB-first by
+  :func:`pack_mask`.
 * **RuleId stability.**  Rule ids are part of the observable surface:
   goldens, dashboards and the ``rule_fired_total`` metric series key
   on them.  Renaming a rule is a breaking change — treat the registry
@@ -32,7 +30,9 @@ attributed to the rules that separated the engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import ConfigurationError
 
@@ -66,20 +66,9 @@ def pack_mask(mask) -> bytes:
     """Pack a boolean mask into an MSB-first bitmap (``np.packbits``).
 
     Accepts a NumPy boolean array or any sequence of truthy values;
-    both pack to byte-identical bitmaps, which is what lets scalar and
-    columnar provenance records compare with ``==``.
+    both pack to byte-identical bitmaps.
     """
-    np = _numpy_of(mask)
-    if np is not None:
-        return np.packbits(mask.astype(np.uint8)).tobytes()
-    bits = [1 if value else 0 for value in mask]
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        byte = 0
-        for offset, bit in enumerate(bits[start:start + 8]):
-            byte |= bit << (7 - offset)
-        out.append(byte)
-    return bytes(out)
+    return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
 
 
 def unpack_mask(data: bytes, size: int) -> List[bool]:
@@ -91,22 +80,12 @@ def unpack_mask(data: bytes, size: int) -> List[bool]:
     return bits[:size]
 
 
-def _numpy_of(mask):
-    """The NumPy module behind ``mask`` when it is an ndarray, else None."""
-    cls = type(mask)
-    if cls.__module__.split(".")[0] == "numpy":
-        import numpy
-        return numpy
-    return None
-
-
 class ProvenanceSink:
     """Per-rule fire masks of **one** classification, in rule order.
 
-    The criteria call :meth:`add` once per rule; columnar paths hand
-    over the very boolean mask arrays their verdict arithmetic uses,
-    scalar paths a plain list of booleans.  Order of :meth:`add` calls
-    fixes the rule order of the resulting record.
+    The criteria call :meth:`add` once per rule, handing over the very
+    boolean mask arrays their verdict arithmetic uses.  Order of
+    :meth:`add` calls fixes the rule order of the resulting record.
     """
 
     def __init__(self) -> None:
@@ -221,42 +200,18 @@ class AuditProvenance:
 
 def build_stats(labels: Sequence[str], codes, sink: ProvenanceSink,
                 sample_size: int) -> RuleStats:
-    """Aggregate one sink's masks into :class:`RuleStats`.
-
-    Runs vectorised when the masks are NumPy arrays and in plain Python
-    otherwise; the resulting integers are identical either way.
-    """
+    """Aggregate one sink's masks into :class:`RuleStats`."""
     rules = sink.rule_ids
-    masks = sink.masks()
-    np = None
-    for mask in masks.values():
-        np = _numpy_of(mask)
-        break
-    code_list = codes.tolist() if hasattr(codes, "tolist") else list(codes)
-    if np is not None and all(_numpy_of(m) is not None
-                              for m in masks.values()):
-        bool_masks = {rule: masks[rule].astype(bool) for rule in rules}
-        fired = {rule: int(bool_masks[rule].sum()) for rule in rules}
-        co = {a: {b: (int((bool_masks[a] & bool_masks[b]).sum()))
-                  for b in rules} for a in rules}
-        by_verdict = {}
-        codes_arr = np.asarray(code_list)
-        for code, label in enumerate(labels):
-            verdict_mask = codes_arr == code
-            by_verdict[label] = {
-                rule: int((bool_masks[rule] & verdict_mask).sum())
+    masks = {rule: np.asarray(mask, dtype=bool)
+             for rule, mask in sink.masks().items()}
+    codes = np.asarray(codes, dtype=np.int64)
+    fired = {rule: int(masks[rule].sum()) for rule in rules}
+    co = {a: {b: int((masks[a] & masks[b]).sum()) for b in rules}
+          for a in rules}
+    by_verdict = {
+        label: {rule: int((masks[rule] & (codes == code)).sum())
                 for rule in rules}
-    else:
-        bit_lists = {rule: [bool(v) for v in masks[rule]] for rule in rules}
-        fired = {rule: sum(bit_lists[rule]) for rule in rules}
-        co = {a: {b: sum(1 for x, y in zip(bit_lists[a], bit_lists[b])
-                         if x and y) for b in rules} for a in rules}
-        by_verdict = {
-            label: {rule: sum(1 for bit, code in
-                              zip(bit_lists[rule], code_list)
-                              if bit and code == code_index)
-                    for rule in rules}
-            for code_index, label in enumerate(labels)}
+        for code, label in enumerate(labels)}
     return RuleStats(rules=rules, sample_size=sample_size, fired=fired,
                      co_fired=co, by_verdict=by_verdict)
 
@@ -294,10 +249,7 @@ class ProvenanceCollector:
         VerdictArray` the classification produced; ``t`` is the
         simulated instant the rules evaluated at (feeds drift streams).
         """
-        codes = verdicts.codes
-        code_tuple = tuple(
-            int(code) for code in
-            (codes.tolist() if hasattr(codes, "tolist") else codes))
+        code_tuple = tuple(verdicts.codes.tolist())
         stats = build_stats(verdicts.labels, code_tuple, sink,
                             len(code_tuple))
         provenance = AuditProvenance(

@@ -277,10 +277,7 @@ class DeltaAuditor:
         # so the result is independent of audit_index and identical
         # across serial and batch scheduling).
         engine = self._engine
-        if getattr(engine, "batch_active", lambda: False)():
-            users = self._crawler.lookup_users_block(new_ids)
-        else:
-            users = self._crawler.lookup_users(new_ids)
+        users = self._crawler.lookup_users_block(new_ids)
         completeness = (len(users) / len(new_ids)) if new_ids else 1.0
         timelines = None
         criteria = engine.criteria

@@ -228,7 +228,6 @@ class BatchAuditScheduler:
                  max_pending: Optional[int] = None,
                  makespan_budget: Optional[float] = None,
                  sb_daily_quota: Optional[int] = 10**9,
-                 engine_batch: Union[bool, str] = "auto",
                  provenance=None,
                  watermarks: Optional[WatermarkStore] = None) -> None:
         if lane_slots < 1:
@@ -277,7 +276,6 @@ class BatchAuditScheduler:
                     faults=faults, retry=retry, engines=(name,),
                     acquisition_cache=self._cache,
                     sb_daily_quota=sb_daily_quota,
-                    batch=engine_batch,
                     provenance=provenance)
                 slots.append(_Slot(engine=engine_map[name], clock=slot_clock,
                                    index=slot_index))

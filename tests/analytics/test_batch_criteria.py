@@ -1,27 +1,27 @@
 """Edge cases of the batch-criteria API's mask pipelines.
 
 The differential parity suite (``tests/twitter/test_columnar_parity``)
-proves scalar/columnar bit-identity on realistic populations; this file
-covers the degenerate corners those worlds never produce — empty
-samples, all-fake samples, and hosts without NumPy — for each of the
-three rule-based engines.
+holds the columnar path to the per-account oracle on realistic
+populations; this file covers the degenerate corners those worlds never
+produce — empty samples, all-fake samples, hand-built mixed samples —
+for each of the three rule-based engines, plus the provenance masks
+``classify_all`` records.
 """
 
+import numpy as np
 import pytest
 
 from repro.analytics import (
-    SocialbakersFakeFollowerCheck,
     StatusPeopleCriteria,
-    StatusPeopleFakers,
-    Twitteraudit,
     TwitterauditCriteria,
     build_sample_block,
 )
-from repro.analytics import criteria as criteria_module
 from repro.api import UserObject
-from repro.audit import AuditRequest
-from repro.core import DAY, PAPER_EPOCH, SimClock, YEAR
+from repro.core import DAY, PAPER_EPOCH, YEAR
 from repro.fc.rulesets import SocialbakersCriteria
+from repro.obs.provenance import ProvenanceSink
+
+from . import criteria_oracle
 
 NOW = PAPER_EPOCH
 
@@ -74,69 +74,60 @@ ENGINE_CRITERIA = [
 IDS = [name for name, __, __ in ENGINE_CRITERIA]
 
 
+def assert_matches_oracle(verdicts, oracle):
+    assert verdicts.codes.dtype == np.int64
+    assert verdicts.codes.tolist() == oracle.codes
+    assert verdicts.counts() == oracle.counts()
+    assert verdicts.extras == oracle.extras
+
+
 @pytest.mark.parametrize("name,criteria,timelined", ENGINE_CRITERIA, ids=IDS)
 class TestMaskPipelineEdges:
     def test_empty_sample(self, name, criteria, timelined):
-        block = build_sample_block([], [] if timelined else None)
-        assert block is not None and len(block) == 0
+        timelines = [] if timelined else None
+        block = build_sample_block([], timelines)
+        assert len(block) == 0
         verdicts = criteria.classify_block(block, NOW)
         assert len(verdicts) == 0
         assert all(count == 0 for count in verdicts.counts().values())
-        scalar = criteria.classify_all([], [] if timelined else None, NOW)
-        assert verdicts.counts() == scalar.counts()
+        assert_matches_oracle(criteria.classify_all([], timelines, NOW),
+                              criteria_oracle.classify(criteria, [],
+                                                       timelines, NOW))
 
     def test_all_fake_sample(self, name, criteria, timelined):
         users = [make_user(user_id=i, **FAKES[name]) for i in range(7)]
         timelines = [[] for __ in users] if timelined else None
-        verdicts = criteria.classify_block(
-            build_sample_block(users, timelines), NOW)
+        verdicts = criteria.classify_all(users, timelines, NOW)
         assert verdicts.counts()[criteria.labels[0]] == len(users)
-        assert list(verdicts.codes) == [0] * len(users)
+        assert verdicts.codes.tolist() == [0] * len(users)
 
     def test_mixed_sample_matches_scalar(self, name, criteria, timelined):
         timelines = ([None if user.user_id % 3 == 0 else []
                       for user in MIXED] if timelined else None)
-        block_verdicts = criteria.classify_block(
-            build_sample_block(MIXED, timelines), NOW)
-        scalar_verdicts = criteria.classify_all(MIXED, timelines, NOW)
-        assert list(block_verdicts.codes) == list(scalar_verdicts.codes)
-        assert block_verdicts.counts() == scalar_verdicts.counts()
-        assert block_verdicts.extras == scalar_verdicts.extras
+        assert_matches_oracle(
+            criteria.classify_all(MIXED, timelines, NOW),
+            criteria_oracle.classify(criteria, MIXED, timelines, NOW))
 
     def test_row_block_sample_matches_scalar(self, name, criteria, timelined):
         """The structured-rows fast path (field views) stays identical."""
         from repro.twitter.columnar.schema import UserRowBlock
 
         timelines = [[] for __ in MIXED] if timelined else None
-        block_verdicts = criteria.classify_block(
-            build_sample_block(UserRowBlock.from_users(MIXED), timelines),
-            NOW)
-        scalar_verdicts = criteria.classify_all(MIXED, timelines, NOW)
-        assert list(block_verdicts.codes) == list(scalar_verdicts.codes)
-        assert block_verdicts.counts() == scalar_verdicts.counts()
-        assert block_verdicts.extras == scalar_verdicts.extras
+        assert_matches_oracle(
+            criteria.classify_all(UserRowBlock.from_users(MIXED), timelines,
+                                  NOW),
+            criteria_oracle.classify(criteria, MIXED, timelines, NOW))
 
-
-class TestNumpyAbsentFallback:
-    @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch):
-        """Simulate a NumPy-less host for the whole criteria layer."""
-        monkeypatch.setattr(criteria_module, "_import_numpy", lambda: None)
-
-    def test_sample_block_unavailable(self):
-        assert build_sample_block(MIXED) is None
-
-    @pytest.mark.parametrize("factory", [
-        StatusPeopleFakers, SocialbakersFakeFollowerCheck, Twitteraudit,
-    ], ids=["statuspeople", "socialbakers", "twitteraudit"])
-    def test_engine_falls_back_to_scalar(self, factory, small_world,
-                                         monkeypatch):
-        request = AuditRequest(target="smalltown")
-        batched = factory(small_world, SimClock(PAPER_EPOCH), seed=1,
-                          batch="auto")
-        assert not batched.batch_active()
-        report = batched.audit(request)
-        monkeypatch.undo()  # reference run with NumPy restored
-        scalar = factory(small_world, SimClock(PAPER_EPOCH), seed=1,
-                         batch=False)
-        assert report == scalar.audit(request)
+    def test_sink_masks_equal_explain_fires(self, name, criteria, timelined):
+        """``classify_all(..., sink=)`` records exactly the rules
+        ``explain`` names, account by account."""
+        timelines = [[] for __ in MIXED] if timelined else None
+        sink = ProvenanceSink()
+        with_sink = criteria.classify_all(MIXED, timelines, NOW, sink=sink)
+        oracle = criteria_oracle.classify(criteria, MIXED, timelines, NOW)
+        assert sink.rule_ids == criteria.rule_ids
+        for rule in criteria.rule_ids:
+            assert np.asarray(sink.mask(rule), dtype=bool).tolist() \
+                == oracle.fires[rule], rule
+        assert with_sink.codes.tolist() == \
+            criteria.classify_all(MIXED, timelines, NOW).codes.tolist()

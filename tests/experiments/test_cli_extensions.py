@@ -1,5 +1,6 @@
-"""Unit tests for the tacharts and monitor CLI subcommands, and the
-``python -m repro`` entry point."""
+"""Unit tests for the tacharts and monitor CLI subcommands, the matrix
+of flags the CLI rejects instead of ignoring, and the ``python -m
+repro`` entry point."""
 
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -70,6 +72,91 @@ class TestMonitorModeFlags:
             main(["monitor", "--ticks", "0"])
         assert exc.value.code == 2
         assert "--ticks must be at least 1" in capsys.readouterr().err
+
+
+class TestIgnoredFlags:
+    """Options the selected command would ignore are usage errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_dispatch(self, monkeypatch):
+        """A rejected command line must never start the command."""
+        def dispatch(args, seed):
+            raise AssertionError(f"{args.command} ran despite its flags")
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
+
+    @pytest.mark.parametrize("command", [
+        ["table1"], ["ordering"], ["acquisition"], ["burst"], ["deepdive"],
+        ["latency"], ["samplesize", "--trials", "2"], ["tacharts"],
+        ["monitor"], ["monitor", "--ticks", "5"], ["stats", "t.jsonl"],
+        ["validate"], ["all"], ["perf", "record"],
+    ], ids=lambda command: "-".join(command[:1] + command[1:2]))
+    @pytest.mark.parametrize("placement", ["before", "after"])
+    def test_faults_on_a_fault_free_command(self, command, placement,
+                                            capsys):
+        faults = ["--faults", "bursty", "--fault-seed", "3"]
+        argv = (faults + command if placement == "before"
+                else command + faults)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"--faults does not apply to {command[0]}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", [
+        "table1", "ordering", "acquisition", "burst", "deepdive",
+        "latency", "samplesize", "tacharts", "monitor", "validate", "all",
+    ])
+    def test_faults_through_run(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", experiment, "--faults", "bursty"])
+        assert exc.value.code == 2
+        assert f"--faults does not apply to {experiment}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--fault-seed", "3", "table1"],
+        ["table2", "--fault-seed", "3"],
+        ["table3", "--fault-seed", "3"],
+        ["batch-audit", "--fault-seed", "3"],
+        ["explain", "RobDWaller", "--fault-seed", "3"],
+        ["run", "table2", "--fault-seed", "3"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_fault_seed_without_faults(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--fault-seed needs --faults" in capsys.readouterr().err
+
+    def test_serial_in_monitor_demo(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--serial"])
+        assert exc.value.code == 2
+        assert "monitor --serial only applies to the fleet run" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", [
+        "monitor", "table1", "samplesize", "validate",
+    ])
+    def test_serial_through_run(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", experiment, "--serial"])
+        assert exc.value.code == 2
+        assert f"--serial does not apply to {experiment}" \
+            in capsys.readouterr().err
+
+    def test_batch_audit_serial_with_compare_serial(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch-audit", "--serial", "--compare-serial"])
+        assert exc.value.code == 2
+        assert "drop --serial" in capsys.readouterr().err
+
+
+class TestFaultAwareCommands:
+    def test_fault_flags_still_reach_fault_aware_commands(self, capsys):
+        assert main(["--faults", "bursty", "--fault-seed", "3", "explain",
+                     "RobDWaller", "--engines", "statuspeople",
+                     "--max-followers", "300"]) == 0
+        assert "verdict provenance @RobDWaller" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

@@ -5,7 +5,7 @@ identical* to the scalar reference — same feature matrices bit for bit,
 same tree leaves, same forest probabilities, same final report digests.
 These tests enforce that over several generated worlds and both
 canonical feature sets, plus the LRU/`cache_info` behaviour of the
-:class:`FeatureCache` and the NumPy-less fallback path.
+:class:`FeatureCache`.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 from repro.audit import AuditRequest
 from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
 from repro.fc import (
+    BatchClassifier,
     FakeClassifierEngine,
     FeatureCache,
     FlatForest,
@@ -28,11 +29,10 @@ from repro.fc import (
     extract_feature_matrix,
     train_detector,
 )
-from repro.fc import columnar
 from repro.fc.tree import DecisionTree
 from repro.obs import Observability, observed
 from repro.serde import audit_report_to_dict
-from repro.twitter import add_simple_target, build_world
+from repro.twitter import add_simple_target, build_world, columnar_twin
 
 
 def report_digest(report):
@@ -61,7 +61,6 @@ class TestExtractionParity:
                                    seed=seed, timeline_depth=25)
         detector = train_detector(gold, feature_set=feature_set, seed=0)
         classifier = batch_classifier(detector)
-        assert classifier is not None
         users, timelines, now = gold.users(), gold.timelines(), gold.now
         assert np.array_equal(detector.predict(users, timelines, now),
                               classifier.predict(users, timelines, now))
@@ -185,52 +184,49 @@ class TestFeatureCache:
         assert cache.misses == len(users)
 
 
-def build_engine(world, detector, *, batch, cache=None):
+def build_engine(world, detector, *, cache=None):
     return FakeClassifierEngine(
         world, SimClock(PAPER_EPOCH), detector, sample_size=2000,
-        seed=5, batch=batch, acquisition_cache=cache)
+        seed=5, acquisition_cache=cache)
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("seed", [11, 29, 53])
     def test_report_digests_are_byte_identical(self, seed, detector):
+        """Object world vs columnar twin: identical report bytes."""
         world = build_world(seed=seed, ref_time=PAPER_EPOCH)
         add_simple_target(world, "probe", 6_000, 0.3, 0.2, 0.5)
         request = AuditRequest(target="probe")
-        scalar = build_engine(world, detector, batch=False).audit(request)
-        batch = build_engine(world, detector, batch="auto").audit(request)
-        assert report_digest(scalar) == report_digest(batch)
+        on_objects = build_engine(world, detector).audit(request)
+        on_columns = build_engine(columnar_twin(world), detector).audit(
+            request)
+        assert report_digest(on_objects) == report_digest(on_columns)
 
     def test_auto_engine_activates_the_fast_path(self, small_world,
                                                  detector):
-        engine = build_engine(small_world, detector, batch="auto")
+        engine = build_engine(small_world, detector)
         engine.audit(AuditRequest(target="smalltown"))
-        assert engine.batch_active()
-
-    def test_batch_false_never_activates(self, small_world, detector):
-        engine = build_engine(small_world, detector, batch=False)
-        engine.audit(AuditRequest(target="smalltown"))
-        assert not engine.batch_active()
+        classifier = engine.criteria.classifier
+        assert isinstance(classifier, BatchClassifier)
+        assert classifier.feature_cache.size() > 0
 
     def test_invalid_batch_mode_is_rejected(self, small_world, detector):
-        with pytest.raises(ConfigurationError, match="batch"):
-            build_engine(small_world, detector, batch="yes")
+        """The classification-path knob is gone: passing it fails loudly."""
+        with pytest.raises(TypeError, match="batch"):
+            FakeClassifierEngine(small_world, SimClock(PAPER_EPOCH),
+                                 detector, batch="auto")
 
-    def test_fallback_without_numpy_matches_golden(self, small_world,
-                                                   detector, monkeypatch):
-        reference = build_engine(
-            small_world, detector, batch=False).audit(AuditRequest(target="smalltown"))
-        monkeypatch.setattr(columnar, "_import_numpy", lambda: None)
-        for mode in (True, "auto"):
-            engine = build_engine(small_world, detector, batch=mode)
-            report = engine.audit(AuditRequest(target="smalltown"))
-            assert not engine.batch_active()
-            assert report_digest(report) == report_digest(reference)
+    def test_unsupported_model_is_rejected(self, detector):
+        from repro.fc.training import TrainedDetector
+
+        odd = TrainedDetector(detector.name, detector.feature_set, object())
+        with pytest.raises(ConfigurationError, match="columnar"):
+            batch_classifier(odd)
 
     def test_batch_spans_are_recorded(self, small_world, detector):
         with observed(Observability(SimClock(PAPER_EPOCH))) as obs:
-            build_engine(small_world, detector,
-                         batch="auto").audit(AuditRequest(target="smalltown"))
+            build_engine(small_world, detector).audit(
+                AuditRequest(target="smalltown"))
             names = {span.name for span in obs.tracer.spans()}
         assert "fc.batch_extract" in names
         assert "fc.batch_infer" in names
@@ -242,10 +238,8 @@ class TestEngineParity:
         # for the (account_id, as_of, fingerprint) keys to collide.
         from repro.sched.cache import AcquisitionCache
         acq = AcquisitionCache()
-        engine_a = build_engine(small_world, detector, batch="auto",
-                                cache=acq)
-        engine_b = build_engine(small_world, detector, batch="auto",
-                                cache=acq)
+        engine_a = build_engine(small_world, detector, cache=acq)
+        engine_b = build_engine(small_world, detector, cache=acq)
         pinned = AuditRequest(target="smalltown", as_of=PAPER_EPOCH)
         engine_a.audit(pinned)
         shared = acq.feature_cache(FeatureCache)

@@ -19,10 +19,7 @@ from repro.obs.provenance import (
 )
 from repro.obs.runtime import observed
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    numpy = None
+import numpy
 
 
 class TestPackMask:
@@ -41,8 +38,8 @@ class TestPackMask:
         bits = [bool((i * 7) % 3) for i in range(21)]
         assert unpack_mask(pack_mask(bits), 21) == bits
 
-    @pytest.mark.skipif(numpy is None, reason="needs numpy")
     def test_numpy_and_pure_python_pack_identically(self):
+        """Plain lists and boolean arrays pack to the same bitmap."""
         for size in (0, 1, 7, 8, 9, 16, 23, 64):
             bits = [bool((i * 5) % 3 == 1) for i in range(size)]
             array = numpy.array(bits, dtype=bool)
@@ -104,8 +101,8 @@ class TestBuildStats:
         assert stats.by_verdict["fake"] == {"e.a": 2, "e.b": 1}
         assert stats.by_verdict["good"] == {"e.a": 0, "e.b": 1}
 
-    @pytest.mark.skipif(numpy is None, reason="needs numpy")
     def test_numpy_and_pure_python_agree(self):
+        """Plain-list and array masks and codes aggregate the same."""
         pure = build_stats(self.LABELS, self.CODES, _sink(self.MASKS), 4)
         columnar = build_stats(
             self.LABELS, numpy.array(self.CODES),

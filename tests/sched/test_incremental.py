@@ -50,10 +50,10 @@ def make_world(seed=23, followers=300, daily=0.0, bursts=()):
     return world
 
 
-def make_auditor(world, store=None, *, faults=None, batch="auto", **kwargs):
+def make_auditor(world, store=None, *, faults=None, **kwargs):
     engine = build_engines(world, SimClock(T0), seed=5,
                            engines=("statuspeople",),
-                           faults=faults, batch=batch)["statuspeople"]
+                           faults=faults)["statuspeople"]
     return DeltaAuditor(engine, store if store is not None
                         else WatermarkStore(), **kwargs)
 
@@ -206,12 +206,12 @@ def test_degraded_head_walk_is_never_trusted(monkeypatch):
 
 def test_partial_delta_returns_degraded_report_without_watermarking(
         monkeypatch):
-    auditor = make_auditor(make_world(daily=40.0), batch=False)
+    auditor = make_auditor(make_world(daily=40.0))
     auditor.audit(delta_request())
     before = auditor.store.get("statuspeople", HANDLE)
-    lookup = auditor._crawler.lookup_users
+    lookup = auditor._crawler.lookup_users_block
     monkeypatch.setattr(
-        auditor._crawler, "lookup_users",
+        auditor._crawler, "lookup_users_block",
         lambda ids: lookup(ids)[:-1])  # one profile lost to a fault
     report = auditor.audit(delta_request(as_of=T0 + DAY))
     assert report.details["mode"] == "delta"

@@ -6,6 +6,8 @@ generated accounts, follower-page cursoring through the API client,
 and complete :class:`~repro.audit.AuditReport` outputs of all four
 engines — serial and batch — must match exactly (dataclass equality
 over every field, including response times and assessed-at instants).
+Each engine's verdicts on both substrates must also equal the
+per-account oracle (``tests/analytics/criteria_oracle.py``).
 
 The matrix covers >= 5 seeds x the four target archetypes the paper's
 experiments are built from:
@@ -26,11 +28,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api.crawler import TIMELINE_PAGE
 from repro.audit import AuditRequest, ENGINE_NAMES, build_engines
 from repro.core import PAPER_EPOCH, SimClock
-from repro.obs.provenance import ProvenanceCollector
+from repro.obs.provenance import ProvenanceCollector, ProvenanceSink, \
+    unpack_mask
 from repro.sched import BatchAuditScheduler
 from repro.twitter import add_simple_target, build_world, columnar_twin
+
+from ..analytics import criteria_oracle
 
 SEEDS = (3, 11, 29, 42, 77)
 
@@ -144,34 +150,59 @@ def test_batch_audit_digest_bit_identical(world_pair, detector):
 
 
 def test_engine_batch_knob_reports_bit_identical(world_pair, detector):
-    """Scalar (``batch=False``) vs columnar-mask (``batch="auto"``) paths.
+    """Every engine's verdict path equals the per-account oracle.
 
-    The batch-criteria contract: on *either* substrate, every engine's
-    complete report is unchanged by the classification path — the
-    columnar masks are a pure acceleration, not a reinterpretation.
+    The engines classify through one columnar path; on *either*
+    substrate — user objects from the object world, structured rows
+    from the columnar twin — each engine's verdicts over the whole
+    follower list, its chart extras and its provenance masks must equal
+    the oracle's one-account-at-a-time reading of the same rules.
     """
     world, twin, handle = world_pair
-    for base_world in (world, twin):
-        scalar_engines = build_engines(
-            base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5,
-            batch=False)
-        columnar_engines = build_engines(
-            base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5,
-            batch="auto")
+    now = PAPER_EPOCH
+    target = world.account_by_name(handle, now).user_id
+    size = world.population(handle).size_at(now)
+    ids = [int(uid) for uid in world.follower_ids(target, 0, size, now)]
+    users = world.user_objects(ids, now)
+    timelines = [world.timeline(uid, TIMELINE_PAGE, now) for uid in ids]
+    samples = {"object": users, "columnar": twin.user_row_block(ids, now)}
+    for substrate, base_world in (("object", world), ("columnar", twin)):
+        engines = build_engines(
+            base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5)
         for name in ENGINE_NAMES:
-            expected = scalar_engines[name].audit(AuditRequest(target=handle))
-            actual = columnar_engines[name].audit(AuditRequest(target=handle))
-            assert actual == expected, name
+            engine = engines[name]
+            criteria = engine.criteria
+            tls = timelines if criteria.needs_timeline else None
+            if name == "fc":
+                oracle = criteria_oracle.classify_fc(detector, users, tls, now)
+            else:
+                oracle = criteria_oracle.classify(criteria, users, tls, now)
+            key = (substrate, name)
+            sample = samples[substrate]
+            verdicts = engine.classify_sample(sample, tls, now)
+            assert verdicts.codes.tolist() == oracle.codes, key
+            assert verdicts.extras == oracle.extras, key
+            assert engine.last_verdict_counts == oracle.counts(), key
+            sink = ProvenanceSink()
+            criteria.classify_all(sample, tls, now, sink=sink)
+            assert {rule: unpack_mask(bits, len(ids))
+                    for rule, bits in sink.packed().items()} \
+                == oracle.fires, key
 
 
 def test_engine_batch_knob_scheduler_digest_bit_identical(
         world_pair, detector):
-    """The pinned-epoch batch path is knob-invariant too."""
-    __, twin, handle = world_pair
-    scalar_report = _run_batch(twin, handle, detector, engine_batch=False)
-    columnar_report = _run_batch(twin, handle, detector, engine_batch="auto")
-    assert columnar_report.digest() == scalar_report.digest()
-    assert columnar_report.to_json() == scalar_report.to_json()
+    """The serial scheduler's digest is substrate-invariant too.
+
+    Serial mode runs without the shared acquisition cache, so the
+    columnar twin's lanes classify structured row blocks while the
+    object world's classify user objects.
+    """
+    world, twin, handle = world_pair
+    object_report = _run_batch(world, handle, detector, serial=True)
+    columnar_report = _run_batch(twin, handle, detector, serial=True)
+    assert columnar_report.digest() == object_report.digest()
+    assert columnar_report.to_json() == object_report.to_json()
 
 
 def test_provenance_is_a_pure_observation(world_pair, detector):
@@ -201,30 +232,24 @@ def test_provenance_is_a_pure_observation(world_pair, detector):
 
 def test_provenance_records_path_and_substrate_invariant(
         world_pair, detector):
-    """The recorded rule fires are the same bits on every path.
+    """The recorded rule fires are the same bits on every substrate.
 
-    Object vs columnar substrate, scalar vs columnar-mask
-    classification: the full :class:`AuditProvenance` records — packed
-    bitmaps, verdict codes, aggregated stats — must match exactly.
+    Object world vs columnar twin: the full :class:`AuditProvenance`
+    records — packed bitmaps, verdict codes, aggregated stats — must
+    match exactly.
     """
     world, twin, handle = world_pair
     records = {}
-    for key, base_world, knob in (
-            ("object-scalar", world, False),
-            ("object-columnar", world, "auto"),
-            ("twin-scalar", twin, False),
-            ("twin-columnar", twin, "auto")):
+    for key, base_world in (("object", world), ("twin", twin)):
         collector = ProvenanceCollector()
         engines = build_engines(
             base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5,
-            batch=knob, provenance=collector)
+            provenance=collector)
         for name in ENGINE_NAMES:
             engines[name].audit(AuditRequest(target=handle))
         records[key] = collector.records
-    reference = records.pop("object-scalar")
-    assert len(reference) == len(ENGINE_NAMES)
-    for key, actual in records.items():
-        assert actual == reference, key
+    assert len(records["object"]) == len(ENGINE_NAMES)
+    assert records["twin"] == records["object"]
 
 
 def test_batch_digest_provenance_invariant(world_pair, detector):
@@ -241,9 +266,8 @@ def test_explain_labels_agree_with_classify(world_pair):
     """``explain`` must return exactly ``classify``'s label.
 
     Checked on the user-field-only criteria (StatusPeople,
-    Twitteraudit) over every follower in the cell; the timeline-reading
-    criteria are covered by the path-invariance test above, whose
-    scalar sink path routes classification through ``explain``.
+    Twitteraudit) over every follower in the cell; Socialbakers is
+    covered by the oracle, which asserts the same agreement.
     """
     from repro.analytics.statuspeople import StatusPeopleCriteria
     from repro.analytics.twitteraudit import TwitterauditCriteria
@@ -262,11 +286,9 @@ def test_explain_labels_agree_with_classify(world_pair):
             assert set(fired) <= set(criteria.rule_ids)
 
 
-def _run_batch(world, handle, detector, engine_batch="auto",
-               provenance=None):
+def _run_batch(world, handle, detector, provenance=None, serial=False):
     scheduler = BatchAuditScheduler(
         world, SimClock(PAPER_EPOCH), engines=ENGINE_NAMES,
-        detector=detector, seed=5, engine_batch=engine_batch,
-        provenance=provenance)
+        detector=detector, seed=5, provenance=provenance, serial=serial)
     scheduler.submit_batch([AuditRequest(target=handle)])
     return scheduler.run()
