@@ -1,17 +1,18 @@
 """Memory-bound smoke: an Obama-scale audit in a fixed RSS budget.
 
-The columnar substrate's headline claim is that audit memory is a
-function of the *sample*, not the population: a 10M-follower FC audit
-must complete end-to-end — columnar world, follower-id cursoring,
-users/lookup off the columns, detector inference — without ever
-materializing the population.  The workload runs in a subprocess so the
-peak-RSS reading is the workload's own high-water mark, untouched by
-pytest, prior benchmarks, or the parent's caches.
+The lazy world's headline claim is that audit memory is a function of
+the *sample*, not the population: a 10M-follower FC audit must complete
+end-to-end — lazy world, follower-id cursoring, users/lookup as row
+blocks, detector inference — without ever materializing the
+population.  The workload runs in a subprocess so the peak-RSS reading
+is the workload's own high-water mark, untouched by pytest, prior
+benchmarks, or the parent's caches.  The subprocess also counts every
+follower account it generates, which must not exceed the sample size.
 
 ``COLUMNAR_SMOKE_FOLLOWERS`` scales the population down for constrained
-runners (CI's ``columnar-smoke`` job exports 1_000_000); the documented
+runners (CI's ``memory-smoke`` job exports 1_000_000); the documented
 budget stays the same because peak RSS is population-size independent
-(measured ~142 MB at 10M followers).  Results land in
+(measured ~131 MB at 10M followers).  Results land in
 ``benchmarks/results/BENCH_columnar_memory.json``.
 """
 
@@ -27,7 +28,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 #: Peak-RSS ceiling for the audit subprocess, in MiB.  Measured peak at
-#: 10M followers is ~142 MiB (interpreter + numpy + detector + sample);
+#: 10M followers is ~131 MiB (interpreter + numpy + detector + sample);
 #: the budget leaves ~3.5x headroom for allocator and platform noise
 #: while still catching any accidental O(population) materialization,
 #: which would cost hundreds of MiB at 10M followers.
@@ -44,15 +45,27 @@ import time
 from repro.audit import AuditRequest
 from repro.core import PAPER_EPOCH, SimClock
 from repro.fc.engine import FakeClassifierEngine, default_detector
-from repro.twitter import add_simple_target, build_columnar_world
+from repro.twitter import FollowerPopulation, add_simple_target, build_world
 
 followers = int(sys.argv[1])
 
 t0 = time.perf_counter()
-world = build_columnar_world(seed=99, ref_time=PAPER_EPOCH)
+world = build_world(seed=99, ref_time=PAPER_EPOCH)
 add_simple_target(world, "bigone", followers, 0.35, 0.15, 0.50, tilt=0.5)
 detector = default_detector(seed=5)
 setup_s = time.perf_counter() - t0
+
+generated = 0
+account_at = FollowerPopulation.account_at
+
+
+def counting_account_at(self, position, now):
+    global generated
+    generated += 1
+    return account_at(self, position, now)
+
+
+FollowerPopulation.account_at = counting_account_at
 
 t0 = time.perf_counter()
 engine = FakeClassifierEngine(world, SimClock(PAPER_EPOCH), detector)
@@ -67,7 +80,7 @@ print(json.dumps({
     "peak_rss_mb": round(peak_kb / 1024.0, 1),
     "fake_pct": round(report.fake_pct, 2),
     "sample_size": report.sample_size,
-    "substrate": world.substrate_stats(),
+    "accounts_generated": generated,
 }))
 """
 
@@ -86,24 +99,18 @@ def test_columnar_audit_stays_in_memory_budget(save_result):
 
     assert doc["followers"] == followers
     assert doc["sample_size"] > 0
-    # The audit must have sampled, not swept: rows generated stay within
-    # one chunk-materialization of the sample size, never O(population).
-    substrate = doc["substrate"]
-    assert substrate["rows_generated"] <= (
-        doc["sample_size"] + substrate["chunk_size"])
+    # The audit must have sampled, not swept: at most one generated
+    # follower account per sampled follower, never O(population).
+    assert doc["accounts_generated"] <= doc["sample_size"]
 
     doc["budget_mb"] = MEMORY_BUDGET_MB
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_columnar_memory.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    save_result(
-        "columnar_memory",
-        "\n".join(f"{key}: {doc[key]}" for key in sorted(doc)
-                  if key != "substrate")
-        + "\n" + "\n".join(f"substrate.{k}: {v}"
-                           for k, v in sorted(substrate.items())))
+    save_result("columnar_memory",
+                "\n".join(f"{key}: {doc[key]}" for key in sorted(doc)))
 
     assert doc["peak_rss_mb"] <= MEMORY_BUDGET_MB, (
         f"audit subprocess peaked at {doc['peak_rss_mb']} MiB, over the "
-        f"{MEMORY_BUDGET_MB} MiB budget — the substrate is materializing "
+        f"{MEMORY_BUDGET_MB} MiB budget — the world is materializing "
         f"population-sized state")

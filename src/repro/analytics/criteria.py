@@ -13,7 +13,7 @@ that step:
   label-ordered ``counts()`` and engine-specific ``extras``
   (histograms etc.);
 * :class:`SampleBlock` — the profile columns of one sample, built once
-  per classification from either a columnar-substrate
+  per classification from either a structured-row
   :class:`~repro.twitter.columnar.schema.UserRowBlock` or a plain list
   of user objects, with the derived columns every rule set shares
   (friends/followers ratio, account age, last-status age, bio/location
@@ -143,7 +143,7 @@ class SampleBlock:
     """The profile columns of one sample, plus lazy derived columns.
 
     Construction performs exactly one attribute sweep (or, for a
-    columnar-substrate :class:`UserRowBlock`, zero — the block hands
+    structured-row :class:`UserRowBlock`, zero — the block hands
     over ready-made columns); every derived column a rule set needs is
     computed once on first use and shared between rules.  All float
     math mirrors the user-object observables bit for bit:
@@ -159,7 +159,7 @@ class SampleBlock:
         rows = getattr(users, "rows", None)
         if rows is not None and getattr(rows, "dtype", None) is not None \
                 and rows.dtype.names is not None:
-            # Columnar-substrate fast path: the UserRowBlock's
+            # Row-block fast path: the UserRowBlock's
             # structured rows already hold every eager column in its
             # exact dtype (int64 counters, float64 instants with NaN
             # encoding never-tweeted, bool flag) — take field views

@@ -418,8 +418,8 @@ class TwitterApiClient:
 
         Same endpoint, same charge, same observation-pinning rules as
         :meth:`users_lookup`, but when the world can serve the batch as
-        a structured-row block (a columnar world resolving follower
-        ids) the rows are returned as a
+        a structured-row block (a :class:`~repro.twitter.SyntheticWorld`
+        resolving follower ids) the rows are returned as a
         :class:`repro.twitter.columnar.schema.UserRowBlock` instead of
         materialised user objects — the projection the engines' batch
         criteria read columns from.  Falls back to :meth:`users_lookup`

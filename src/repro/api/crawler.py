@@ -229,7 +229,7 @@ class Crawler:
         The batch-criteria acquisition path: identical request charges,
         span shape and degradation behaviour to :meth:`lookup_users`,
         but each batch goes through
-        :meth:`TwitterApiClient.users_lookup_block` so a columnar world
+        :meth:`TwitterApiClient.users_lookup_block` so a lazy world
         returns structured rows.  When every batch resolved as rows the
         result is one merged ``UserRowBlock`` (which still quacks like
         a user-object sequence); any object-path fallback flattens the

@@ -114,6 +114,9 @@ _FLEET_DEFAULTS = {
     "columnar": False, "delta": False, "reaudit_every": 0, "serial": False,
 }
 
+#: Fleet options only the arrival-schedule fleet (``--columnar``) reads.
+_COLUMNAR_ONLY = ("delta", "reaudit_every")
+
 #: Subcommands that run under injected API faults (``--faults``).
 _FAULT_COMMANDS = frozenset({"table2", "table3", "explain", "batch-audit",
                              "chaos"})
@@ -133,6 +136,11 @@ def _check_monitor_mode(parser: argparse.ArgumentParser, args) -> None:
     for dest in (_DEMO_DEFAULTS if fleet else _FLEET_DEFAULTS):
         if hasattr(args, dest):
             parser.error(f"monitor --{dest.replace('_', '-')} {needs}")
+    if fleet and not hasattr(args, "columnar"):
+        for dest in _COLUMNAR_ONLY:
+            if hasattr(args, dest):
+                parser.error(f"monitor --{dest.replace('_', '-')} only "
+                             f"applies to the --columnar fleet")
 
 
 def _run_monitor_fleet(args, seed: int) -> str:
@@ -366,19 +374,21 @@ def _build_parser() -> argparse.ArgumentParser:
                               "panels to the dashboard")
     monitor.add_argument("--columnar", action="store_true",
                          default=argparse.SUPPRESS,
-                         help="in fleet mode, run the fleet on the lazy "
-                              "columnar substrate with batched "
-                              "users/lookup polling (required for "
-                              "thousand-account fleets)")
+                         help="in fleet mode, run the arrival-schedule "
+                              "fleet (growth in each target's arrival "
+                              "schedule, batched users/lookup polling) "
+                              "instead of the event-driven graph fleet; "
+                              "required for thousand-account fleets and "
+                              "for --delta/--reaudit-every")
     monitor.add_argument("--delta", action="store_true",
                          default=argparse.SUPPRESS,
-                         help="in fleet mode, audit alerted accounts with "
-                              "watermarked delta re-audits instead of full "
-                              "audits")
+                         help="with --columnar, audit alerted accounts "
+                              "with watermarked delta re-audits instead of "
+                              "full audits")
     monitor.add_argument("--reaudit-every", type=int,
                          default=argparse.SUPPRESS,
                          metavar="N", dest="reaudit_every",
-                         help="in fleet mode, re-audit every previously "
+                         help="with --columnar, re-audit every previously "
                               "alerted handle every N ticks (default: 0, "
                               "never)")
     _add_serial_flag(monitor, suppress=True)
@@ -453,10 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--wallclock-tol-pct", type=float, default=200.0,
                       metavar="PCT",
                       help="allowed wallclock drift (default: 200%%)")
-    perf.add_argument("--substrate", action="store_true",
-                      help="also measure the columnar substrate: chunk "
-                           "telemetry counters plus column page latency "
-                           "(diff skips it when only one side has it)")
     perf.add_argument("--delta", action="store_true",
                       help="also measure watermarked delta re-audits: "
                            "API-call and makespan bills of a fleet "
@@ -625,7 +631,6 @@ def _run_perf(args, seed: int):
             seed=seed, targets=args.targets, lane_slots=args.slots,
             max_followers=args.max_followers)
         doc, obs, __ = run_perf_workload(workload, wallclock=args.wallclock,
-                                         substrate=args.substrate,
                                          delta=args.delta)
         write_perf_json(doc, args.out)
         lines = [render_phase_attribution(obs.tracer)]
@@ -650,7 +655,6 @@ def _run_perf(args, seed: int):
                 f"re-record it or pass --current")
         current, __, __ = run_perf_workload(workload,
                                             wallclock=args.wallclock,
-                                            substrate=args.substrate,
                                             delta=args.delta)
     tolerances = PerfTolerances(
         makespan_pct=args.makespan_tol_pct,

@@ -33,8 +33,7 @@ from ..fc.training import TrainedDetector
 from ..growth import BurstDetector, GrowthMonitor
 from ..growth.series import series_from_observations
 from ..sched import DeltaAuditor, WatermarkStore
-from ..twitter import add_simple_target, build_columnar_world, \
-    fake_purchase_burst
+from ..twitter import add_simple_target, build_world, fake_purchase_burst
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class DetectionLatencyRow:
 def _build_case(quantity: int, *, seed: int, base_followers: int,
                 organic_per_day: float, purchase_day: int, start: float):
     """One monitored target with the purchase baked into its schedule."""
-    world = build_columnar_world(seed=seed, ref_time=start)
+    world = build_world(seed=seed, ref_time=start)
     bursts = (fake_purchase_burst(float(purchase_day), quantity),) \
         if quantity > 0 else ()
     add_simple_target(world, "latcase", base_followers,

@@ -53,7 +53,7 @@ from ..twitter import (
     SocialGraph,
     TweetingProcess,
     add_simple_target,
-    build_columnar_world,
+    build_world,
     fake_purchase_burst,
 )
 
@@ -120,25 +120,28 @@ class FleetSpec:
     #: default: the golden alert logs and snapshot shapes are
     #: byte-identical unless asked for.
     provenance: bool = False
-    #: Run the fleet on the lazy columnar substrate instead of the
-    #: event-driven :class:`~repro.twitter.live.LiveSimulation`:
-    #: growth lives in each target's arrival schedule (the purchase is
-    #: a :class:`~repro.twitter.PostRefBurst`), and polling goes
-    #: through :meth:`~repro.growth.GrowthMonitor.poll_fleet` (100
-    #: profiles per ``users/lookup`` request).  This is what makes a
-    #: thousand-account fleet affordable — and is required for
-    #: ``accounts`` much beyond a handful.
+    #: Run the arrival-schedule fleet instead of the event-driven
+    #: :class:`~repro.twitter.live.LiveSimulation` graph fleet: the
+    #: targets live in one lazy :class:`~repro.twitter.SyntheticWorld`
+    #: whose arrival schedules carry the growth (the purchase is a
+    #: :class:`~repro.twitter.PostRefBurst`), and polling goes through
+    #: :meth:`~repro.growth.GrowthMonitor.poll_fleet` (100 profiles per
+    #: ``users/lookup`` request).  This is what makes a thousand-account
+    #: fleet affordable — and is required for ``accounts`` much beyond
+    #: a handful.
     columnar: bool = False
     #: Audit alerted accounts with ``mode="delta"`` requests backed by
     #: one run-wide watermark store: the first audit of a handle is a
     #: full audit that leaves a watermark, every re-audit walks only
     #: the follower-list head (see :mod:`repro.sched.incremental`).
+    #: Arrival-schedule fleet only (needs ``columnar``).
     delta: bool = False
     #: Every N ticks (0 = never), re-audit every previously alerted
     #: handle — the watchlist workload where delta re-audits pay off.
+    #: Arrival-schedule fleet only (needs ``columnar``).
     reaudit_every: int = 0
-    #: Historical follower base of each columnar target (plus a small
-    #: deterministic per-index spread).
+    #: Historical follower base of each arrival-schedule target (plus
+    #: a small deterministic per-index spread).
     base_followers: int = 900
 
     def __post_init__(self) -> None:
@@ -159,6 +162,12 @@ class FleetSpec:
         if self.reaudit_every < 0:
             raise ConfigurationError(
                 f"reaudit_every must be >= 0: {self.reaudit_every!r}")
+        if not self.columnar and (self.delta or self.reaudit_every):
+            # The graph fleet audits each alert burst on a fresh
+            # scheduler and has no watchlist, so both would be no-ops.
+            raise ConfigurationError(
+                "delta and reaudit_every need the arrival-schedule "
+                "fleet (columnar=True)")
         if self.base_followers < 1:
             raise ConfigurationError(
                 f"base_followers must be >= 1: {self.base_followers!r}")
@@ -263,14 +272,14 @@ def _build_fleet(spec: FleetSpec, start: float) -> LiveSimulation:
 
 
 def _build_columnar_fleet(spec: FleetSpec, start: float):
-    """The fleet as lazy columnar targets: growth in the schedules.
+    """The fleet as lazy targets: growth in the arrival schedules.
 
     Each target trickles ``organic_per_day`` new followers; the buyer
     additionally receives its purchase as an all-fake burst exactly
     ``purchase_tick`` days in.  Nothing is materialised up front, so a
     thousand-target fleet costs registration time only.
     """
-    world = build_columnar_world(seed=spec.seed, ref_time=start)
+    world = build_world(seed=spec.seed, ref_time=start)
     for index, handle in enumerate(spec.handles):
         bursts = ()
         if handle == spec.buyer:
@@ -290,7 +299,7 @@ def _build_live(spec: FleetSpec, fleet_total,
     """The telemetry plane: streams, SLO rule, detector bridge.
 
     ``fleet_total`` is a zero-argument callable returning the fleet's
-    current total follower count (the substrates count differently).
+    current total follower count (the two fleets count differently).
     """
     live = LiveTelemetry(origin=start, pane_width=DAY)
     live.gauge_stream("followers.fleet", lambda: float(fleet_total()))
@@ -412,7 +421,7 @@ def run_monitor_fleet(spec: FleetSpec = FleetSpec(),
 
 def _run_columnar(spec: FleetSpec, world, live: LiveTelemetry,
                   poll_clock: SimClock, start: float) -> FleetResult:
-    """The daily loop on the columnar substrate: batched fleet polls.
+    """The daily loop of the arrival-schedule fleet: batched polls.
 
     The purchase needs no marketplace order — the buyer's arrival
     schedule already carries it as a post-reference burst — and each

@@ -37,15 +37,6 @@ PERF_MAX_FOLLOWERS = 20_000
 WALLCLOCK_ROWS = 2_000
 WALLCLOCK_REPEATS = 3
 
-#: Shape of the opt-in substrate measurement (``--substrate``): the
-#: columnar world paged by the probe.  Module constants for the same
-#: reason as the wallclock shape — the workload section must not vary
-#: with the optional sections.
-SUBSTRATE_FOLLOWERS = 1_000_000
-SUBSTRATE_PAGE_SIZE = 5_000
-SUBSTRATE_PAGES = 20
-SUBSTRATE_LOOKUPS = 100
-
 #: Shape of the opt-in delta measurement (``--delta``): a small fleet
 #: re-audited shortly after its watermarked baseline, with purchases
 #: on a sparse subset.  The re-audit gap is deliberately tiny so a
@@ -133,7 +124,7 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
     criteria both ways, timed like :func:`measure_fc_wallclock`.  The
     scalar side is the per-account reference loop (one ``classify``
     call per user object); the batch side is ``classify_all`` on the
-    input the engines really receive on the columnar substrate, a
+    input the engines really receive from ``users/lookup``, a
     :class:`~repro.twitter.columnar.schema.UserRowBlock` of structured
     rows, so block construction (the
     :class:`~repro.analytics.criteria.SampleBlock` field views) is
@@ -186,67 +177,6 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
     return doc
 
 
-def measure_substrate(*, seed: int = 0,
-                      followers: int = SUBSTRATE_FOLLOWERS,
-                      pages: int = SUBSTRATE_PAGES,
-                      page_size: int = SUBSTRATE_PAGE_SIZE,
-                      lookups: int = SUBSTRATE_LOOKUPS,
-                      repeats: int = WALLCLOCK_REPEATS) -> Dict[str, object]:
-    """The **substrate** measurement class: columnar paging telemetry.
-
-    Runs a fixed access pattern against a columnar world — cursor
-    ``pages`` follower-id pages through the API client, then
-    ``users/lookup`` an even positional spread of followers — and
-    reports the chunk store's deterministic counters (chunks
-    materialized, rows generated, gather calls; byte-stable for a
-    fixed seed, gated at the counter tolerance) alongside real column
-    page latencies (``*_seconds`` keys, gated at the loose wallclock
-    tolerance).  Counters are snapshotted *before* the timing loops so
-    the repeats never inflate them.
-    """
-    from ..api import TwitterApiClient
-    from ..twitter import add_simple_target, build_columnar_world, follower_id
-
-    world = build_columnar_world(seed=seed)
-    add_simple_target(world, "substrate", followers, 0.35, 0.15, 0.50,
-                      tilt=0.5)
-    client = TwitterApiClient(world, SimClock(world.ref_time))
-
-    cursor = -1
-    ids_fetched = 0
-    pages_fetched = 0
-    while pages_fetched < pages:
-        page = client.followers_ids(screen_name="substrate", cursor=cursor,
-                                    count=page_size)
-        ids_fetched += len(page.ids)
-        pages_fetched += 1
-        if page.next_cursor == 0:
-            break
-        cursor = page.next_cursor
-
-    stride = max(1, followers // lookups)
-    wanted = [follower_id(0, position)
-              for position in range(0, followers, stride)][:lookups]
-    users = client.users_lookup(wanted)
-
-    stats = world.substrate_stats()
-    doc: Dict[str, object] = {
-        "followers": int(followers),
-        "page_size": int(page_size),
-        "pages_fetched": int(pages_fetched),
-        "ids_fetched": int(ids_fetched),
-        "lookups": len(users),
-        "repeats": int(repeats),
-    }
-    doc.update({key: int(value) for key, value in sorted(stats.items())})
-    doc["page_fetch_seconds"] = round(measure_wallclock(
-        lambda: client.followers_ids(screen_name="substrate",
-                                     count=page_size), repeats), 6)
-    doc["lookup_seconds"] = round(measure_wallclock(
-        lambda: client.users_lookup(wanted), repeats), 6)
-    return doc
-
-
 def measure_delta(*, seed: int = 0,
                   accounts: int = DELTA_ACCOUNTS,
                   followers: int = DELTA_FOLLOWERS,
@@ -255,7 +185,7 @@ def measure_delta(*, seed: int = 0,
                   ) -> Dict[str, object]:
     """The **delta** measurement class: watermarked re-audit economics.
 
-    Builds a columnar fleet, takes a watermarked full-audit baseline of
+    Builds a lazy fleet, takes a watermarked full-audit baseline of
     every account, injects purchases on a sparse subset, then re-audits
     the whole fleet twice at the same later instant: once with
     ``mode="delta"`` against the shared watermark store and once with
@@ -268,17 +198,13 @@ def measure_delta(*, seed: int = 0,
     from ..core.timeutil import DAY
     from ..obs.perf import _family_sum
     from ..sched import WatermarkStore
-    from ..twitter import (
-        add_simple_target,
-        build_columnar_world,
-        fake_purchase_burst,
-    )
+    from ..twitter import add_simple_target, build_world, fake_purchase_burst
     if accounts < 1 or purchased < 0 or purchased > accounts:
         raise ConfigurationError(
             f"need 0 <= purchased <= accounts >= 1: "
             f"{purchased!r}, {accounts!r}")
 
-    world = build_columnar_world(seed=seed)
+    world = build_world(seed=seed)
     handles = [f"delta_{index}" for index in range(accounts)]
     stride = max(1, accounts // max(1, purchased))
     buyers = set(handles[1::stride][:purchased])
@@ -351,7 +277,6 @@ def measure_delta(*, seed: int = 0,
 
 def run_perf_workload(workload: Dict[str, object], *,
                       wallclock: bool = False,
-                      substrate: bool = False,
                       delta: bool = False
                       ) -> Tuple[Dict[str, object], Observability, object]:
     """Execute one workload and return ``(perf_doc, obs, batch_report)``.
@@ -360,11 +285,9 @@ def run_perf_workload(workload: Dict[str, object], *,
     (nesting restores whatever context the caller had), so a recording
     never mixes spans with an outer ``--trace-out`` run.  With
     ``wallclock=True`` the document gains the opt-in real-time FC
-    section from :func:`measure_fc_wallclock`; with ``substrate=True``
-    the opt-in columnar paging section from :func:`measure_substrate`;
-    with ``delta=True`` the opt-in watermarked re-audit section from
-    :func:`measure_delta`; everything else in the document is
-    unaffected.
+    section from :func:`measure_fc_wallclock`; with ``delta=True`` the
+    opt-in watermarked re-audit section from :func:`measure_delta`;
+    everything else in the document is unaffected.
     """
     seed = int(workload["seed"])  # type: ignore[arg-type]
     targets = list(workload["targets"])  # type: ignore[call-overload]
@@ -386,8 +309,7 @@ def run_perf_workload(workload: Dict[str, object], *,
     measured = ({**measure_fc_wallclock(seed=seed),
                  **measure_engine_wallclock(seed=seed)}
                 if wallclock else None)
-    paging = measure_substrate(seed=seed) if substrate else None
     reaudit = measure_delta(seed=seed) if delta else None
     doc = collect_perf(obs, batch, workload, wallclock=measured,
-                       substrate=paging, delta=reaudit)
+                       delta=reaudit)
     return doc, obs, batch

@@ -84,7 +84,7 @@ class _ExtractContext:
         self.now = now
         profile_columns = getattr(users, "profile_columns", None)
         if profile_columns is not None:
-            # Columnar-substrate batches (e.g. UserRowBlock) hand over
+            # Row-block batches (e.g. UserRowBlock) hand over
             # ready-made attribute columns; values equal what the
             # per-object sweep below would have read, so downstream
             # feature math is unchanged.

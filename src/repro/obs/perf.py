@@ -28,8 +28,8 @@ from .metrics import Histogram
 
 #: Format version of ``BENCH_perf.json``.  Bump on shape changes; the
 #: differ treats a version mismatch as an automatic breach.  The
-#: optional ``wallclock``, ``substrate`` and ``delta`` sections are
-#: additive — documents with and without them share the schema (see
+#: optional ``wallclock`` and ``delta`` sections are additive —
+#: documents with and without them share the schema (see
 #: :func:`diff_perf`'s skip rule).
 PERF_SCHEMA = 1
 
@@ -80,7 +80,6 @@ def _family_sum(registry, name: str, **match: object) -> float:
 
 def collect_perf(obs, report, workload: Dict[str, object], *,
                  wallclock: Optional[Dict[str, object]] = None,
-                 substrate: Optional[Dict[str, object]] = None,
                  delta: Optional[Dict[str, object]] = None
                  ) -> Dict[str, object]:
     """Assemble the canonical perf document from one observed batch run.
@@ -94,15 +93,10 @@ def collect_perf(obs, report, workload: Dict[str, object], *,
     real-time measurements; it is the only part of the document that
     is *not* byte-stable across machines (see
     :func:`measure_wallclock`), and the differ treats its keys as
-    optional on either side.  ``substrate`` — when provided — is the
-    **substrate** measurement class: columnar chunk-store telemetry
-    (chunks materialized, rows generated, gather calls — deterministic
-    counters gated at :attr:`PerfTolerances.counter_pct`) plus column
-    page latencies (``*_seconds`` keys, real timings gated like
-    wallclock); its keys are likewise optional on either side.
-    ``delta`` — when provided — is the **delta** measurement class
-    (see :func:`repro.experiments.perf.measure_delta`): the API-call
-    and makespan bills of a watermarked fleet re-audit sweep against a
+    optional on either side.  ``delta`` — when provided — is the
+    **delta** measurement class (see
+    :func:`repro.experiments.perf.measure_delta`): the API-call and
+    makespan bills of a watermarked fleet re-audit sweep against a
     full one.  Every number in it comes off the simulated clock, so
     the whole section is deterministic and gates at the counter
     tolerance; its keys are optional on either side like the other
@@ -157,8 +151,6 @@ def collect_perf(obs, report, workload: Dict[str, object], *,
     }
     if wallclock is not None:
         doc["wallclock"] = dict(wallclock)
-    if substrate is not None:
-        doc["substrate"] = dict(substrate)
     if delta is not None:
         doc["delta"] = dict(delta)
     return doc
@@ -246,13 +238,6 @@ def _tolerance_for(key: str, tolerances: PerfTolerances
     """The tolerance class of one flattened key: (kind, limit)."""
     if key.startswith("wallclock."):
         return "pct", tolerances.wallclock_pct
-    if key.startswith("substrate."):
-        # Mixed class: real page-latency timings get the loose
-        # wallclock tolerance, the chunk-store counters are
-        # deterministic and gate like any other counter.
-        if key.endswith("_seconds"):
-            return "pct", tolerances.wallclock_pct
-        return "pct", tolerances.counter_pct
     if key.startswith("delta."):
         # Entirely simulated-clock numbers (even the makespans), so
         # the whole class is deterministic and gates like a counter.
@@ -276,12 +261,11 @@ def diff_perf(baseline: Dict[str, object], current: Dict[str, object],
     itself a breach.  Every other numeric leaf is compared under its
     tolerance class; non-numeric leaves (critical-path lane names)
     must be equal.  Missing or extra leaves always breach — except
-    ``wallclock.*``, ``substrate.*`` and ``delta.*`` leaves, which are
-    opt-in measurement classes: a baseline recorded with
-    ``--wallclock``, ``--substrate`` or ``--delta`` must still gate a
-    current document recorded without them (and vice versa), so a leaf
-    of any of these classes present on only one side is skipped, not
-    breached.
+    ``wallclock.*`` and ``delta.*`` leaves, which are opt-in
+    measurement classes: a baseline recorded with ``--wallclock`` or
+    ``--delta`` must still gate a current document recorded without
+    them (and vice versa), so a leaf of either class present on only
+    one side is skipped, not breached.
     """
     if tolerances is None:
         tolerances = PerfTolerances()
@@ -290,7 +274,7 @@ def diff_perf(baseline: Dict[str, object], current: Dict[str, object],
     breaches: List[PerfBreach] = []
     compared = 0
     for key in sorted(set(base_flat) | set(cur_flat)):
-        optional = key.startswith(("wallclock.", "substrate.", "delta."))
+        optional = key.startswith(("wallclock.", "delta."))
         if key not in cur_flat:
             if optional:
                 continue

@@ -1,19 +1,15 @@
 """Simulated Twitter substrate.
 
 Accounts, tweets, timelines, persona archetypes, follower-arrival
-schedules, and two interchangeable world backends: the lazy
-:class:`SyntheticWorld` (scales to tens of millions of followers) and
-the explicit :class:`SocialGraph` (full-fidelity adjacency for small
-studies).
+schedules, and two world backends: the lazy :class:`SyntheticWorld`,
+which generates any follower on demand in O(1) memory (so it scales to
+tens of millions of followers) and serves ``users/lookup`` as user
+objects or structured row blocks, and the explicit mutable
+:class:`SocialGraph` (full-fidelity adjacency for small studies).
 """
 
 from .account import Account, BehaviorProfile, Label, LABELS
-from .columnar import (
-    ColumnarPopulation,
-    ColumnarWorld,
-    build_columnar_world,
-    columnar_twin,
-)
+from .columnar import build_columnar_world
 from .generator import (
     add_simple_target,
     build_world,
@@ -63,8 +59,6 @@ __all__ = [
     "ArrivalSchedule",
     "BehaviorProfile",
     "ChurnProcess",
-    "ColumnarPopulation",
-    "ColumnarWorld",
     "DEFAULT_LABEL_MIXES",
     "FollowEdge",
     "FollowerPopulation",
@@ -93,7 +87,6 @@ __all__ = [
     "ambient_id",
     "build_columnar_world",
     "build_world",
-    "columnar_twin",
     "decode_follower",
     "even_schedule",
     "fake_purchase_burst",

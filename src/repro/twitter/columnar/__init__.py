@@ -1,44 +1,27 @@
-"""Lazy, chunked, columnar population substrate.
+"""Structured-row account encoding.
 
-See :mod:`repro.twitter.columnar.schema` for the row encoding,
-:mod:`~repro.twitter.columnar.store` for chunked lazy generation,
-:mod:`~repro.twitter.columnar.population` for the drop-in population
-and :mod:`~repro.twitter.columnar.world` for the world backend.  The
-bit-identity contract with the object substrate is enforced by
-``tests/twitter/test_columnar_parity.py``.
+See :mod:`repro.twitter.columnar.schema` for the row dtype and the
+:class:`UserRowBlock` that
+:meth:`repro.twitter.population.SyntheticWorld.user_row_block` returns.
+Row blocks and user-object lists of one world classify identically;
+``tests/twitter/test_columnar_parity.py`` enforces that.
 """
 
-from .population import ColumnarPopulation, EDGE_CHUNKS_CACHED
 from .schema import (
     ACCOUNT_DTYPE,
     STRING_WIDTHS,
     UserRowBlock,
-    materialize_account,
     pack_account,
     user_object_from_row,
 )
-from .store import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_MAX_CACHED_CHUNKS,
-    DENSIFY_FRACTION,
-    ChunkStore,
-)
-from .world import ColumnarWorld, build_columnar_world, columnar_twin
+from .world import ColumnarWorld, build_columnar_world
 
 __all__ = [
     "ACCOUNT_DTYPE",
-    "ChunkStore",
-    "ColumnarPopulation",
     "ColumnarWorld",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MAX_CACHED_CHUNKS",
-    "DENSIFY_FRACTION",
-    "EDGE_CHUNKS_CACHED",
     "STRING_WIDTHS",
     "UserRowBlock",
     "build_columnar_world",
-    "columnar_twin",
-    "materialize_account",
     "pack_account",
     "user_object_from_row",
 ]

@@ -3,7 +3,7 @@
 One follower = one row of :data:`ACCOUNT_DTYPE`, a NumPy structured
 dtype holding every field of :class:`repro.twitter.account.Account`
 (profile observables, behaviour profile, ground-truth label).  The
-round trip is exact by construction:
+encoding is exact by construction:
 
 * counts are int64, times are float64 — both store the generated Python
   values without rounding;
@@ -16,11 +16,9 @@ round trip is exact by construction:
 * the ground-truth label is stored as an int8 index into
   :data:`repro.twitter.account.LABELS`.
 
-:func:`materialize_account` inverts :func:`pack_account` exactly, and
-:func:`user_object_from_row` projects a row straight onto the public
-:class:`~repro.api.endpoints.UserObject` shape without building the
-intermediate :class:`Account` — the hop the columnar substrate exists
-to remove.
+:func:`user_object_from_row` projects a row onto the public
+:class:`~repro.api.endpoints.UserObject` shape, which is how a
+:class:`UserRowBlock` poses as a sequence of user objects.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...core.errors import ConfigurationError
-from ..account import Account, BehaviorProfile, LABELS
+from ..account import Account, LABELS
 
 #: Fixed string column widths.  Persona samplers mint screen names of at
 #: most 15 characters, display names of at most 15, bios of at most 36,
@@ -112,36 +110,6 @@ def pack_account(row: np.void, account: Account) -> None:
 def _last_tweet_at(row: np.void) -> Optional[float]:
     value = float(row["last_tweet_at"])
     return None if value != value else value
-
-
-def materialize_account(row: np.void) -> Account:
-    """Reconstruct the exact :class:`Account` a row was packed from."""
-    return Account(
-        user_id=int(row["user_id"]),
-        screen_name=str(row["screen_name"]),
-        created_at=float(row["created_at"]),
-        name=str(row["name"]),
-        description=str(row["description"]),
-        location=str(row["location"]),
-        url=str(row["url"]),
-        default_profile_image=bool(row["default_profile_image"]),
-        verified=bool(row["verified"]),
-        followers_count=int(row["followers_count"]),
-        friends_count=int(row["friends_count"]),
-        statuses_count=int(row["statuses_count"]),
-        last_tweet_at=_last_tweet_at(row),
-        behavior=BehaviorProfile(
-            tweets_per_day=float(row["tweets_per_day"]),
-            retweet_ratio=float(row["retweet_ratio"]),
-            link_ratio=float(row["link_ratio"]),
-            spam_ratio=float(row["spam_ratio"]),
-            mention_ratio=float(row["mention_ratio"]),
-            hashtag_ratio=float(row["hashtag_ratio"]),
-            duplicate_pool=int(row["duplicate_pool"]),
-            api_source_ratio=float(row["api_source_ratio"]),
-        ),
-        true_label=LABELS[int(row["label"])],
-    )
 
 
 def user_object_from_row(row: np.void):

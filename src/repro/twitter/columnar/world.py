@@ -1,177 +1,15 @@
-"""Columnar synthetic world: SyntheticWorld over columnar populations.
+"""The lazy world under the names the host benchmark imports.
 
-The world keeps :class:`repro.twitter.population.SyntheticWorld`'s id
-namespaces, registries and every behavioural contract; only the
-population backend changes (via the ``_make_population`` hook) and
-``users/lookup`` resolution is re-routed through
-:meth:`ColumnarWorld.user_objects`, which groups follower ids by
-target, gathers their rows per chunk and projects user objects straight
-off the columns — no intermediate :class:`Account` objects on the API
-hot path.
+:class:`repro.twitter.population.SyntheticWorld` serves follower
+profiles both as user objects and as structured row blocks
+(:meth:`~repro.twitter.population.SyntheticWorld.user_row_block`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from ..generator import build_world
+from ..population import SyntheticWorld
 
-from ...core.errors import UnknownAccountError
-from ..population import (
-    FOLLOWER_TAG,
-    FollowerPopulation,
-    SyntheticWorld,
-    TargetSpec,
-    decode_follower,
-    namespace_of,
-)
-from .population import ColumnarPopulation
-from .store import DEFAULT_CHUNK_SIZE, DEFAULT_MAX_CACHED_CHUNKS
-
-
-class ColumnarWorld(SyntheticWorld):
-    """A :class:`SyntheticWorld` whose targets use columnar substrates."""
-
-    def __init__(self, seed: int, ref_time: float, *,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 max_cached_chunks: int = DEFAULT_MAX_CACHED_CHUNKS) -> None:
-        super().__init__(seed, ref_time)
-        self._chunk_size = chunk_size
-        self._max_cached_chunks = max_cached_chunks
-
-    def _make_population(self, spec: TargetSpec,
-                         ordinal: int) -> FollowerPopulation:
-        return ColumnarPopulation(
-            spec, ordinal, self.seed, self.ref_time,
-            chunk_size=self._chunk_size,
-            max_cached_chunks=self._max_cached_chunks)
-
-    def user_objects(self, user_ids: Sequence[int], now: float) -> List:
-        """Columnar ``users/lookup``: batch follower rows per target.
-
-        Output equals the object path's loop exactly — same order, same
-        silent omission of unknown ids — but follower profiles are
-        gathered as rows and projected onto user objects without
-        building accounts.  Non-follower ids (targets, ambient pool)
-        take the inherited per-id path.
-        """
-        from ...api.endpoints import UserObject  # deferred: api imports twitter
-
-        # Pass 1: group resolvable follower positions by target ordinal.
-        wanted: Dict[int, set] = {}
-        for user_id in user_ids:
-            if namespace_of(user_id) != FOLLOWER_TAG:
-                continue
-            ordinal, position = decode_follower(user_id)
-            if ordinal >= len(self._populations):
-                continue
-            if position >= self._populations[ordinal].size_at(now):
-                continue  # not yet followed at ``now`` — unknown, skipped
-            wanted.setdefault(ordinal, set()).add(position)
-
-        projected: Dict[int, UserObject] = {}
-        for ordinal, positions in wanted.items():
-            population = self._populations[ordinal]
-            assert isinstance(population, ColumnarPopulation)
-            block = population.user_block(sorted(positions), now)
-            for user in block:
-                projected[user.user_id] = user
-
-        # Pass 2: emit in input order (duplicates included, as before).
-        users: List[UserObject] = []
-        for user_id in user_ids:
-            hit = projected.get(user_id)
-            if hit is not None:
-                users.append(hit)
-                continue
-            if namespace_of(user_id) == FOLLOWER_TAG:
-                continue  # unresolvable follower id: omitted
-            try:
-                account = self.account_by_id(user_id, now)
-            except UnknownAccountError:
-                continue
-            users.append(UserObject.from_account(account))
-        return users
-
-    def user_row_block(self, user_ids: Sequence[int],
-                       now: float) -> Optional["UserRowBlock"]:
-        """``users/lookup`` as one structured-row block, when possible.
-
-        The projection behind the engines' columnar classification: the
-        same grouping/gathering as :meth:`user_objects`, but the result
-        stays in row form (a :class:`UserRowBlock`) so criteria masks
-        can read whole columns without materialising user objects.
-        Returns ``None`` when any id falls outside the follower
-        namespace (targets, ambient accounts) — those have no rows, so
-        the caller must take the object path instead.  Order and
-        duplicate semantics match :meth:`user_objects`; unresolvable
-        follower ids are silently omitted.
-        """
-        import numpy as np
-
-        from .schema import ACCOUNT_DTYPE, UserRowBlock
-
-        wanted: Dict[int, set] = {}
-        for user_id in user_ids:
-            if namespace_of(user_id) != FOLLOWER_TAG:
-                return None
-            ordinal, position = decode_follower(user_id)
-            if ordinal >= len(self._populations):
-                continue
-            if position >= self._populations[ordinal].size_at(now):
-                continue
-            wanted.setdefault(ordinal, set()).add(position)
-
-        parts = []
-        for ordinal, positions in wanted.items():
-            population = self._populations[ordinal]
-            assert isinstance(population, ColumnarPopulation)
-            parts.append(population.user_rows(sorted(positions), now))
-        pool = (np.concatenate(parts) if parts
-                else np.empty(0, dtype=ACCOUNT_DTYPE))
-        index_of = {int(uid): i
-                    for i, uid in enumerate(pool["user_id"].tolist())}
-        indices = [index_of[uid] for uid in user_ids if uid in index_of]
-        return UserRowBlock(pool[np.asarray(indices, dtype=np.intp)])
-
-    def substrate_stats(self) -> Dict[str, int]:
-        """Aggregate chunk-store telemetry across all targets."""
-        totals: Dict[str, int] = {}
-        for population in self._populations:
-            if not isinstance(population, ColumnarPopulation):
-                continue
-            for key, value in population.substrate_stats().items():
-                if key == "chunk_size":
-                    totals.setdefault(key, value)
-                    continue
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-
-def build_columnar_world(seed: int = 42, ref_time: Optional[float] = None, *,
-                         chunk_size: int = DEFAULT_CHUNK_SIZE,
-                         max_cached_chunks: int = DEFAULT_MAX_CACHED_CHUNKS,
-                         ) -> ColumnarWorld:
-    """Create an empty columnar world anchored at ``ref_time``."""
-    from ...core.timeutil import PAPER_EPOCH
-
-    return ColumnarWorld(
-        seed=seed,
-        ref_time=PAPER_EPOCH if ref_time is None else ref_time,
-        chunk_size=chunk_size,
-        max_cached_chunks=max_cached_chunks)
-
-
-def columnar_twin(world: SyntheticWorld, *,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  max_cached_chunks: int = DEFAULT_MAX_CACHED_CHUNKS,
-                  ) -> ColumnarWorld:
-    """Columnar clone of ``world``: same seed, ref time and targets.
-
-    The twin regenerates the same accounts from the same streams, which
-    is what the differential parity suite compares against.
-    """
-    twin = ColumnarWorld(
-        seed=world.seed, ref_time=world.ref_time,
-        chunk_size=chunk_size, max_cached_chunks=max_cached_chunks)
-    for population in world.targets():
-        twin.add_target(population.spec)
-    return twin
+# hostbench/layers.py and hostbench/workloads.py import these two names.
+ColumnarWorld = SyntheticWorld
+build_columnar_world = build_world

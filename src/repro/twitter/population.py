@@ -540,10 +540,9 @@ class World:
         """Resolve ``user_ids`` to API user objects at ``now``, in order.
 
         Unknown/suspended ids are silently dropped, exactly as the real
-        ``users/lookup`` endpoint omits them from its response.  Backends
-        with columnar storage override this to build user objects
-        straight from attribute columns; this default is the reference
-        object path the columnar one must match byte-for-byte.
+        ``users/lookup`` endpoint omits them from its response.  This is
+        the object path that :meth:`SyntheticWorld.user_row_block` must
+        match row for row.
         """
         from ..api.endpoints import UserObject  # deferred: api imports this module
 
@@ -584,19 +583,11 @@ class SyntheticWorld(World):
         if key in self._by_name:
             raise DuplicateAccountError(spec.screen_name)
         ordinal = len(self._populations)
-        population = self._make_population(spec, ordinal)
+        population = FollowerPopulation(spec, ordinal, self._seed,
+                                        self._ref_time)
         self._populations.append(population)
         self._by_name[key] = ordinal
         return population
-
-    def _make_population(self, spec: TargetSpec, ordinal: int) -> FollowerPopulation:
-        """Construct the population backend for a newly registered target.
-
-        Subclasses (notably :class:`repro.twitter.columnar.ColumnarWorld`)
-        override this to swap in a different substrate while keeping id
-        allocation and name registration identical.
-        """
-        return FollowerPopulation(spec, ordinal, self._seed, self._ref_time)
 
     def population(self, screen_name: str) -> FollowerPopulation:
         """Look up a registered target's population by handle."""
@@ -712,3 +703,32 @@ class SyntheticWorld(World):
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         account = self.account_by_id(user_id, now)
         return self._timelines.recent_tweets(account, count)
+
+    def user_row_block(self, user_ids: Sequence[int],
+                       now: float) -> Optional["UserRowBlock"]:
+        """``users/lookup`` as one structured-row block, when possible.
+
+        The input the engines' criteria classify without materialising
+        user objects: each resolvable follower's account is packed into
+        one :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` row.
+        Order, duplicates and the silent omission of unknown ids match
+        :meth:`user_objects`.  Returns ``None`` when any id falls
+        outside the follower namespace (targets, ambient accounts):
+        those have no rows, so the caller takes the object path.
+        """
+        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, pack_account
+
+        if any(namespace_of(user_id) != FOLLOWER_TAG for user_id in user_ids):
+            return None
+        accounts = []
+        for user_id in user_ids:
+            ordinal, position = decode_follower(user_id)
+            if ordinal >= len(self._populations):
+                continue
+            population = self._populations[ordinal]
+            if position < population.size_at(now):
+                accounts.append(population.account_at(position, now))
+        rows = np.empty(len(accounts), dtype=ACCOUNT_DTYPE)
+        for row, account in zip(rows, accounts):
+            pack_account(row, account)
+        return UserRowBlock(rows)

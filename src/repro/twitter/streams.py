@@ -4,16 +4,10 @@ Every stochastic draw in a synthetic world is made from a
 ``random.Random`` (or, for timelines, a ``numpy.random.Generator``)
 derived from the world's master seed plus a *stream path* — a short
 label tuple hashed by :func:`repro.core.rng.derive_seed`.
-Historically each call site re-derived its stream inline with ad-hoc
-``make_rng(seed, ...)`` calls, which made it easy for two code paths
-that must consume *identical* random streams (the object-per-account
-substrate and the columnar substrate) to silently drift apart.
-
-This module is now the only place those paths are spelled out.  Both
-substrates call the same functions below, so they provably draw from the
-same streams; ``tests/twitter/test_streams.py`` pins the derived seeds
-and the first draws of each stream so any accidental re-keying fails
-loudly.
+This module is the only place those paths are spelled out, so every
+call site that must consume *identical* random streams provably does;
+``tests/twitter/test_streams.py`` pins the derived seeds and the first
+draws of each stream so any accidental re-keying fails loudly.
 
 Stream registry
 ---------------
@@ -30,8 +24,8 @@ explicit-graph builder    ``("graph", screen_name)``
 ========================  ============================================
 
 Follower streams are keyed by ``(target ordinal, arrival position)``;
-they deliberately do *not* depend on the observation instant, chunk
-size, or any other substrate detail, which is what makes lazy chunked
+they deliberately do *not* depend on the observation instant or on
+which other followers were generated, which is what makes lazy
 generation possible: materialising position ``p`` never requires
 materialising positions ``0..p-1``.
 """

@@ -1,8 +1,9 @@
 """The engine example of docs/extending.md runs as documented.
 
 The guide's code block is the advertised way to add an engine, so it
-is executed verbatim here and audited against a small world, on both
-substrates and through the batch scheduler's step protocol.
+is executed verbatim here and audited against a small world, with
+row-block and user-object lookups and through the batch scheduler's
+step protocol.
 """
 
 import pathlib
@@ -12,7 +13,8 @@ import pytest
 
 from repro.audit import AuditRequest, drain_steps
 from repro.core import PAPER_EPOCH, SimClock
-from repro.twitter import columnar_twin
+
+from ..conftest import object_lookups
 
 GUIDE = pathlib.Path(__file__).resolve().parents[2] / "docs" / "extending.md"
 
@@ -49,9 +51,9 @@ def test_example_is_substrate_and_step_invariant(inspector_class,
     request = AuditRequest(target="smalltown")
     expected = inspector_class(small_world, SimClock(PAPER_EPOCH)).audit(
         request)
-    twin = columnar_twin(small_world)
-    on_twin = inspector_class(twin, SimClock(PAPER_EPOCH)).audit(request)
+    on_objects = inspector_class(
+        object_lookups(small_world), SimClock(PAPER_EPOCH)).audit(request)
     stepped = drain_steps(inspector_class(
         small_world, SimClock(PAPER_EPOCH)).begin_audit(request))
-    assert on_twin == expected
+    assert on_objects == expected
     assert stepped == expected

@@ -6,11 +6,25 @@ session-scoped; tests must not mutate them.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core import PAPER_EPOCH, SimClock
 from repro.fc import build_gold_standard, default_detector
 from repro.twitter import add_simple_target, build_world
+
+
+def object_lookups(world):
+    """A view of ``world`` with its row-block lookup hidden.
+
+    ``users/lookup`` on the view falls back to user-object lists, so
+    comparing an audit on the view with one on ``world`` compares the
+    object path with the row-block path over the same followers.
+    """
+    view = copy.copy(world)
+    view.user_row_block = None
+    return view
 
 
 @pytest.fixture(scope="session")

@@ -61,6 +61,19 @@ class TestMonitorModeFlags:
         err = capsys.readouterr().err
         assert f"monitor {flags[0]} only applies to the fleet run" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--delta"],
+        ["--reaudit-every", "5"],
+    ], ids=lambda flags: flags[0])
+    def test_columnar_only_flags_on_the_graph_fleet_are_usage_errors(
+            self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--ticks", "40", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"monitor {flags[0]} only applies to the --columnar fleet" \
+            in err
+
     def test_demo_days_with_ticks_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["monitor", "--ticks", "5", "--days", "3"])

@@ -149,30 +149,6 @@ class TestPerfWallclock:
                      "--current", str(baseline)]) == 0
         assert "all within tolerance" in capsys.readouterr().out
 
-    def test_record_with_substrate_adds_the_section(self, tmp_path,
-                                                    monkeypatch):
-        import repro.experiments.perf as perf_mod
-        monkeypatch.setattr(
-            perf_mod, "measure_substrate",
-            lambda **kwargs: {"followers": 1_000_000, "rows_generated": 100,
-                              "page_fetch_seconds": 0.001})
-        out = tmp_path / "sub.json"
-        assert main(["perf", "record", "--out", str(out), "--substrate",
-                     "--targets", *SMALL, "--max-followers", "2000"]) == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["substrate"]["followers"] == 1_000_000
-
-    def test_diff_tolerates_a_substrate_only_baseline(self, baseline,
-                                                      tmp_path, capsys):
-        doc = json.loads(baseline.read_text(encoding="utf-8"))
-        doc["substrate"] = {"rows_generated": 100,
-                            "page_fetch_seconds": 0.001}
-        enriched = tmp_path / "enriched.json"
-        enriched.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["perf", "diff", str(enriched),
-                     "--current", str(baseline)]) == 0
-        assert "all within tolerance" in capsys.readouterr().out
-
     def test_wallclock_tolerance_flag_reaches_the_gate(self, baseline,
                                                        tmp_path):
         doc = json.loads(baseline.read_text(encoding="utf-8"))

@@ -104,6 +104,12 @@ class TestSpecValidation:
             FleetSpec(snapshot_every=0)
         with pytest.raises(ConfigurationError):
             FleetSpec(purchase_tick=0)
+        # The graph fleet would silently ignore both.
+        with pytest.raises(ConfigurationError, match="columnar"):
+            FleetSpec(columnar=False, delta=True)
+        with pytest.raises(ConfigurationError, match="columnar"):
+            FleetSpec(columnar=False, reaudit_every=5)
+        FleetSpec(columnar=True, delta=True, reaudit_every=5)
 
     def test_single_account_fleet_buys_for_itself(self):
         assert FleetSpec(accounts=1).buyer == "fleet_0"

@@ -32,7 +32,9 @@ from repro.fc import (
 from repro.fc.tree import DecisionTree
 from repro.obs import Observability, observed
 from repro.serde import audit_report_to_dict
-from repro.twitter import add_simple_target, build_world, columnar_twin
+from repro.twitter import add_simple_target, build_world
+
+from ..conftest import object_lookups
 
 
 def report_digest(report):
@@ -193,13 +195,13 @@ def build_engine(world, detector, *, cache=None):
 class TestEngineParity:
     @pytest.mark.parametrize("seed", [11, 29, 53])
     def test_report_digests_are_byte_identical(self, seed, detector):
-        """Object world vs columnar twin: identical report bytes."""
+        """User-object lookups vs row blocks: identical report bytes."""
         world = build_world(seed=seed, ref_time=PAPER_EPOCH)
         add_simple_target(world, "probe", 6_000, 0.3, 0.2, 0.5)
         request = AuditRequest(target="probe")
-        on_objects = build_engine(world, detector).audit(request)
-        on_columns = build_engine(columnar_twin(world), detector).audit(
+        on_objects = build_engine(object_lookups(world), detector).audit(
             request)
+        on_columns = build_engine(world, detector).audit(request)
         assert report_digest(on_objects) == report_digest(on_columns)
 
     def test_auto_engine_activates_the_fast_path(self, small_world,

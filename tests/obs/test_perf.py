@@ -296,72 +296,3 @@ class TestWallclockClass:
         assert doc["fc_batch_seconds"] > 0.0
         assert doc["fc_batch_speedup"] == pytest.approx(
             doc["fc_scalar_seconds"] / doc["fc_batch_seconds"], rel=1e-6)
-
-
-class TestSubstrateClass:
-    """The opt-in ``substrate`` measurement class: columnar paging."""
-
-    def test_one_sided_substrate_leaves_are_skipped(self):
-        # Like wallclock: a baseline recorded with --substrate must
-        # still gate a current recorded without it.
-        base = sample_doc()
-        base["substrate"] = {"chunks_materialized": 3,
-                             "page_fetch_seconds": 0.001}
-        __, plain_compared = diff_perf(sample_doc(), sample_doc())
-        breaches, compared = diff_perf(base, sample_doc())
-        assert breaches == []
-        assert compared == plain_compared
-        breaches, __ = diff_perf(sample_doc(), base)
-        assert breaches == []
-
-    def test_substrate_counters_gate_at_counter_tolerance(self):
-        base = sample_doc()
-        base["substrate"] = {"rows_generated": 100}
-        current = copy.deepcopy(base)
-        current["substrate"]["rows_generated"] = 109  # +9%: within 10%
-        assert diff_perf(base, current)[0] == []
-        current["substrate"]["rows_generated"] = 115  # +15%: breach
-        breaches, __ = diff_perf(base, current)
-        assert breach_keys(breaches) == ["substrate.rows_generated"]
-
-    def test_substrate_seconds_gate_at_wallclock_tolerance(self):
-        base = sample_doc()
-        base["substrate"] = {"page_fetch_seconds": 0.001}
-        current = copy.deepcopy(base)
-        current["substrate"]["page_fetch_seconds"] = 0.0025  # +150%: fine
-        assert diff_perf(base, current)[0] == []
-        current["substrate"]["page_fetch_seconds"] = 0.004  # +300%: breach
-        breaches, __ = diff_perf(base, current)
-        assert breach_keys(breaches) == ["substrate.page_fetch_seconds"]
-        tight = PerfTolerances(wallclock_pct=10.0)
-        current["substrate"]["page_fetch_seconds"] = 0.0012
-        breaches, __ = diff_perf(base, current, tight)
-        assert breach_keys(breaches) == ["substrate.page_fetch_seconds"]
-
-    def test_measure_substrate_counters_are_deterministic(self):
-        from repro.experiments.perf import measure_substrate
-        kwargs = dict(followers=20_000, pages=3, page_size=500,
-                      lookups=40, repeats=1)
-        first = measure_substrate(seed=3, **kwargs)
-        second = measure_substrate(seed=3, **kwargs)
-        deterministic = [key for key in first
-                         if not key.endswith("_seconds")]
-        assert {k: first[k] for k in deterministic} == \
-            {k: second[k] for k in deterministic}
-        assert first["pages_fetched"] == 3
-        assert first["ids_fetched"] == 1500
-        assert first["lookups"] == 40
-        assert first["rows_generated"] == 40  # lookups, never O(pop)
-        assert first["page_fetch_seconds"] > 0.0
-        assert first["lookup_seconds"] > 0.0
-
-    def test_collect_perf_attaches_the_section(self):
-        # Additive, like wallclock: absent unless handed in.
-        paging = {"rows_generated": 40, "page_fetch_seconds": 0.001}
-        doc = dict(sample_doc())
-        assert "substrate" not in doc
-        doc["substrate"] = dict(paging)
-        flat_keys = {"substrate.rows_generated",
-                     "substrate.page_fetch_seconds"}
-        from repro.obs.perf import _flatten
-        assert flat_keys <= set(_flatten(doc))

@@ -1,13 +1,19 @@
-"""Differential property suite: object vs columnar substrate bit-identity.
+"""Differential property suite: row-block vs object-list lookups.
 
-The columnar substrate's contract is that for every seeded population
-it is *indistinguishable* from the object-per-account substrate:
-generated accounts, follower-page cursoring through the API client,
-and complete :class:`~repro.audit.AuditReport` outputs of all four
-engines — serial and batch — must match exactly (dataclass equality
-over every field, including response times and assessed-at instants).
-Each engine's verdicts on both substrates must also equal the
-per-account oracle (``tests/analytics/criteria_oracle.py``).
+The lazy world answers ``users/lookup`` two ways: as a list of user
+objects (:meth:`~repro.twitter.SyntheticWorld.user_objects`) or as one
+structured-row block (:meth:`~repro.twitter.SyntheticWorld.user_row_block`).
+The contract is that the two are *indistinguishable* to every consumer:
+the rows hold every generated account field exactly, and complete
+:class:`~repro.audit.AuditReport` outputs of all four engines — serial
+and batch — match exactly (dataclass equality over every field,
+including response times and assessed-at instants) whichever form the
+engines were handed.  Each engine's verdicts on both forms must also
+equal the per-account oracle (``tests/analytics/criteria_oracle.py``).
+
+The object-list side runs on ``object_lookups(world)`` (see
+``tests/conftest.py``), a view of the same world whose row-block lookup
+is hidden, so ``users/lookup`` falls back to user objects.
 
 The matrix covers >= 5 seeds x the four target archetypes the paper's
 experiments are built from:
@@ -17,13 +23,12 @@ experiments are built from:
 * ``purchased`` — a bought fake block spliced into the arrival order;
 * ``growing``   — daily post-reference arrivals (snapshot ordering).
 
-Populations are deliberately small (audits dominate runtime; chunk
-geometry is exercised with a chunk size far below the page size, and
-exhaustive boundary sweeps live in ``test_columnar_chunks.py``).
+Populations are deliberately small: audits dominate runtime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -34,9 +39,12 @@ from repro.core import PAPER_EPOCH, SimClock
 from repro.obs.provenance import ProvenanceCollector, ProvenanceSink, \
     unpack_mask
 from repro.sched import BatchAuditScheduler
-from repro.twitter import add_simple_target, build_world, columnar_twin
+from repro.twitter import LABELS, Label, add_simple_target, build_world, \
+    follower_id
+from repro.twitter.streams import composition_rng
 
 from ..analytics import criteria_oracle
+from ..conftest import object_lookups
 
 SEEDS = (3, 11, 29, 42, 77)
 
@@ -49,9 +57,17 @@ ARCHETYPES = {
 }
 
 FOLLOWERS = 80
-CHUNK_SIZE = 23  # far below any page size: every page spans chunks
 
 PAIR_PARAMS = [(seed, name) for seed in SEEDS for name in ARCHETYPES]
+
+#: Behaviour-profile columns of a row, by ``BehaviorProfile`` field.
+BEHAVIOR_FIELDS = ("tweets_per_day", "retweet_ratio", "link_ratio",
+                   "spam_ratio", "mention_ratio", "hashtag_ratio",
+                   "duplicate_pool", "api_source_ratio")
+PROFILE_FIELDS = ("user_id", "screen_name", "created_at", "name",
+                  "description", "location", "url",
+                  "default_profile_image", "verified", "followers_count",
+                  "friends_count", "statuses_count")
 
 
 @pytest.fixture(scope="module")
@@ -66,119 +82,139 @@ def detector():
 @pytest.fixture(scope="module", params=PAIR_PARAMS,
                 ids=[f"seed{s}-{a}" for s, a in PAIR_PARAMS])
 def world_pair(request):
-    """(object world, columnar twin, target handle) for one matrix cell."""
+    """(world, its object-lookup view, target handle) for one cell."""
     seed, archetype = request.param
     world = build_world(seed=seed, ref_time=PAPER_EPOCH)
     add_simple_target(world, "target", FOLLOWERS, 0.3, 0.2, 0.5,
                       **ARCHETYPES[archetype])
-    twin = columnar_twin(world, chunk_size=CHUNK_SIZE)
-    return world, twin, "target"
+    return world, object_lookups(world), "target"
+
+
+def _assert_row_holds(row, account):
+    """Every field of ``account`` is stored exactly in ``row``."""
+    for name in PROFILE_FIELDS:
+        assert row[name].item() == getattr(account, name), name
+    last = row["last_tweet_at"].item()
+    if account.last_tweet_at is None:
+        assert math.isnan(last)
+    else:
+        assert last == account.last_tweet_at
+    for name in BEHAVIOR_FIELDS:
+        assert row[name].item() == getattr(account.behavior, name), name
+    assert LABELS[row["label"].item()] == account.true_label
 
 
 def test_generated_accounts_bit_identical(world_pair):
-    world, twin, handle = world_pair
+    """Row blocks hold the generated accounts exactly, and project onto
+    the same user objects as the object path."""
+    world, __, handle = world_pair
     population = world.population(handle)
-    columnar = twin.population(handle)
-    now = PAPER_EPOCH
-    size = population.size_at(now)
-    assert columnar.size_at(now) == size
-    boundary = {0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1,
-                2 * CHUNK_SIZE, size - 1}
-    for position in sorted(p for p in boundary if 0 <= p < size):
-        assert population.account_at(position, now) == \
-            columnar.account_at(position, now), position
-    # A later observation instant (post-reference arrivals, different
-    # re-anchoring clamps) must agree too.
     later = PAPER_EPOCH + 3 * 86_400.0
-    late_size = population.size_at(later)
-    assert columnar.size_at(later) == late_size
-    for position in (0, size - 1, late_size - 1):
-        assert population.account_at(position, later) == \
-            columnar.account_at(position, later), position
+    for now in (PAPER_EPOCH, later):
+        size = population.size_at(now)
+        ids = [population.follower_id_at(p) for p in range(size)]
+        block = world.user_row_block(ids, now)
+        assert len(block) == size
+        for position, row in enumerate(block.rows):
+            _assert_row_holds(row, population.account_at(position, now))
+        assert list(block) == world.user_objects(ids, now)
 
 
 def test_follower_page_cursoring_bit_identical(world_pair):
+    """Cursoring ``followers/ids`` yields every id once, newest first."""
     from repro.api import TwitterApiClient
 
-    world, twin, handle = world_pair
+    world, __, handle = world_pair
+    size = world.population(handle).size_at(PAPER_EPOCH)
+    newest_first = [follower_id(0, position)
+                    for position in reversed(range(size))]
     for count in (None, 30):
-        object_client = TwitterApiClient(world, SimClock(PAPER_EPOCH))
-        columnar_client = TwitterApiClient(twin, SimClock(PAPER_EPOCH))
+        client = TwitterApiClient(world, SimClock(PAPER_EPOCH))
         cursor = -1
-        pages = 0
+        pages = []
         while True:
-            a = object_client.followers_ids(
+            page = client.followers_ids(
                 screen_name=handle, cursor=cursor, count=count)
-            b = columnar_client.followers_ids(
-                screen_name=handle, cursor=cursor, count=count)
-            assert a == b
-            pages += 1
-            if a.next_cursor == 0:
+            pages.append(page)
+            if page.next_cursor == 0:
                 break
-            cursor = a.next_cursor
-        assert pages == (1 if count is None else 3)
+            cursor = page.next_cursor
+        assert len(pages) == (1 if count is None else 3)
+        assert [uid for page in pages for uid in page.ids] == newest_first
 
 
 def test_ground_truth_composition_identical(world_pair):
-    world, twin, handle = world_pair
+    """``composition`` equals the label column of the same followers."""
+    world, __, handle = world_pair
+    population = world.population(handle)
     now = PAPER_EPOCH
-    assert world.population(handle).composition(now) == \
-        twin.population(handle).composition(now)
-    assert world.population(handle).composition(now, sample=48, seed=9) == \
-        twin.population(handle).composition(now, sample=48, seed=9)
+    size = population.size_at(now)
+
+    def tally(positions):
+        block = world.user_row_block(
+            [population.follower_id_at(p) for p in positions], now)
+        labels = [LABELS[code] for code in block.rows["label"].tolist()]
+        return {label: labels.count(label) / len(labels) for label in Label}
+
+    assert population.composition(now) == tally(range(size))
+    sampled = composition_rng(world.seed, 9).sample(range(size), 48)
+    assert population.composition(now, sample=48, seed=9) == tally(sampled)
 
 
 def test_serial_audit_reports_bit_identical(world_pair, detector):
-    world, twin, handle = world_pair
-    object_engines = build_engines(
+    world, objects, handle = world_pair
+    row_engines = build_engines(
         world, SimClock(PAPER_EPOCH), detector=detector, seed=5)
-    columnar_engines = build_engines(
-        twin, SimClock(PAPER_EPOCH), detector=detector, seed=5)
-    assert set(object_engines) == set(ENGINE_NAMES)
+    object_engines = build_engines(
+        objects, SimClock(PAPER_EPOCH), detector=detector, seed=5)
+    assert set(row_engines) == set(ENGINE_NAMES)
     for name in ENGINE_NAMES:
         expected = object_engines[name].audit(AuditRequest(target=handle))
-        actual = columnar_engines[name].audit(AuditRequest(target=handle))
+        actual = row_engines[name].audit(AuditRequest(target=handle))
         assert actual == expected, name
 
 
 def test_batch_audit_digest_bit_identical(world_pair, detector):
-    world, twin, handle = world_pair
-    object_report = _run_batch(world, handle, detector)
-    columnar_report = _run_batch(twin, handle, detector)
-    assert columnar_report.digest() == object_report.digest()
-    assert columnar_report.to_json() == object_report.to_json()
+    """Interleaved batch lanes without the shared acquisition cache
+    (whose unit is the profile object) classify row blocks on the
+    world and user objects on its view; the digests must agree."""
+    world, objects, handle = world_pair
+    row_report = _run_batch(world, handle, detector, shared_cache=False)
+    object_report = _run_batch(objects, handle, detector,
+                               shared_cache=False)
+    assert row_report.digest() == object_report.digest()
+    assert row_report.to_json() == object_report.to_json()
 
 
 def test_engine_batch_knob_reports_bit_identical(world_pair, detector):
     """Every engine's verdict path equals the per-account oracle.
 
-    The engines classify through one columnar path; on *either*
-    substrate — user objects from the object world, structured rows
-    from the columnar twin — each engine's verdicts over the whole
-    follower list, its chart extras and its provenance masks must equal
-    the oracle's one-account-at-a-time reading of the same rules.
+    The engines classify through one columnar path; on *either* input
+    — the object path's user objects or the world's structured row
+    block — each engine's verdicts over the whole follower list, its
+    chart extras and its provenance masks must equal the oracle's
+    one-account-at-a-time reading of the same rules.
     """
-    world, twin, handle = world_pair
+    world, __, handle = world_pair
     now = PAPER_EPOCH
     target = world.account_by_name(handle, now).user_id
     size = world.population(handle).size_at(now)
     ids = [int(uid) for uid in world.follower_ids(target, 0, size, now)]
     users = world.user_objects(ids, now)
     timelines = [world.timeline(uid, TIMELINE_PAGE, now) for uid in ids]
-    samples = {"object": users, "columnar": twin.user_row_block(ids, now)}
-    for substrate, base_world in (("object", world), ("columnar", twin)):
-        engines = build_engines(
-            base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5)
-        for name in ENGINE_NAMES:
-            engine = engines[name]
-            criteria = engine.criteria
-            tls = timelines if criteria.needs_timeline else None
-            if name == "fc":
-                oracle = criteria_oracle.classify_fc(detector, users, tls, now)
-            else:
-                oracle = criteria_oracle.classify(criteria, users, tls, now)
-            key = (substrate, name)
-            sample = samples[substrate]
+    samples = {"object": users, "rows": world.user_row_block(ids, now)}
+    engines = build_engines(
+        world, SimClock(PAPER_EPOCH), detector=detector, seed=5)
+    for name in ENGINE_NAMES:
+        engine = engines[name]
+        criteria = engine.criteria
+        tls = timelines if criteria.needs_timeline else None
+        if name == "fc":
+            oracle = criteria_oracle.classify_fc(detector, users, tls, now)
+        else:
+            oracle = criteria_oracle.classify(criteria, users, tls, now)
+        for form, sample in samples.items():
+            key = (form, name)
             verdicts = engine.classify_sample(sample, tls, now)
             assert verdicts.codes.tolist() == oracle.codes, key
             assert verdicts.extras == oracle.extras, key
@@ -192,28 +228,29 @@ def test_engine_batch_knob_reports_bit_identical(world_pair, detector):
 
 def test_engine_batch_knob_scheduler_digest_bit_identical(
         world_pair, detector):
-    """The serial scheduler's digest is substrate-invariant too.
+    """The serial scheduler's digest is lookup-form invariant too.
 
     Serial mode runs without the shared acquisition cache, so the
-    columnar twin's lanes classify structured row blocks while the
-    object world's classify user objects.
+    world's lanes classify structured row blocks while its object
+    view's classify user objects.
     """
-    world, twin, handle = world_pair
-    object_report = _run_batch(world, handle, detector, serial=True)
-    columnar_report = _run_batch(twin, handle, detector, serial=True)
-    assert columnar_report.digest() == object_report.digest()
-    assert columnar_report.to_json() == object_report.to_json()
+    world, objects, handle = world_pair
+    row_report = _run_batch(world, handle, detector, serial=True)
+    object_report = _run_batch(objects, handle, detector, serial=True)
+    assert row_report.digest() == object_report.digest()
+    assert row_report.to_json() == object_report.to_json()
 
 
 def test_provenance_is_a_pure_observation(world_pair, detector):
     """Provenance on vs off: verdicts byte-identical, only details grows.
 
-    On both substrates, every engine's report with a collector attached
-    must equal the collector-free report once ``details["provenance"]``
-    is removed — recording rule fires may never perturb a verdict.
+    On both lookup forms, every engine's report with a collector
+    attached must equal the collector-free report once
+    ``details["provenance"]`` is removed — recording rule fires may
+    never perturb a verdict.
     """
-    world, twin, handle = world_pair
-    for base_world in (world, twin):
+    world, objects, handle = world_pair
+    for base_world in (world, objects):
         baseline = build_engines(
             base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5)
         collector = ProvenanceCollector()
@@ -232,15 +269,15 @@ def test_provenance_is_a_pure_observation(world_pair, detector):
 
 def test_provenance_records_path_and_substrate_invariant(
         world_pair, detector):
-    """The recorded rule fires are the same bits on every substrate.
+    """The recorded rule fires are the same bits on either lookup form.
 
-    Object world vs columnar twin: the full :class:`AuditProvenance`
+    Row blocks vs user objects: the full :class:`AuditProvenance`
     records — packed bitmaps, verdict codes, aggregated stats — must
     match exactly.
     """
-    world, twin, handle = world_pair
+    world, objects, handle = world_pair
     records = {}
-    for key, base_world in (("object", world), ("twin", twin)):
+    for key, base_world in (("rows", world), ("objects", objects)):
         collector = ProvenanceCollector()
         engines = build_engines(
             base_world, SimClock(PAPER_EPOCH), detector=detector, seed=5,
@@ -248,15 +285,15 @@ def test_provenance_records_path_and_substrate_invariant(
         for name in ENGINE_NAMES:
             engines[name].audit(AuditRequest(target=handle))
         records[key] = collector.records
-    assert len(records["object"]) == len(ENGINE_NAMES)
-    assert records["twin"] == records["object"]
+    assert len(records["objects"]) == len(ENGINE_NAMES)
+    assert records["rows"] == records["objects"]
 
 
 def test_batch_digest_provenance_invariant(world_pair, detector):
     """The scheduler's batch digest never sees the collector."""
-    __, twin, handle = world_pair
-    baseline = _run_batch(twin, handle, detector)
-    observed = _run_batch(twin, handle, detector,
+    world, __, handle = world_pair
+    baseline = _run_batch(world, handle, detector)
+    observed = _run_batch(world, handle, detector,
                           provenance=ProvenanceCollector())
     assert observed.digest() == baseline.digest()
     assert observed.to_json() == baseline.to_json()
@@ -286,9 +323,11 @@ def test_explain_labels_agree_with_classify(world_pair):
             assert set(fired) <= set(criteria.rule_ids)
 
 
-def _run_batch(world, handle, detector, provenance=None, serial=False):
+def _run_batch(world, handle, detector, provenance=None, serial=False,
+               shared_cache=True):
     scheduler = BatchAuditScheduler(
         world, SimClock(PAPER_EPOCH), engines=ENGINE_NAMES,
-        detector=detector, seed=5, provenance=provenance, serial=serial)
+        detector=detector, seed=5, provenance=provenance, serial=serial,
+        shared_cache=shared_cache)
     scheduler.submit_batch([AuditRequest(target=handle)])
     return scheduler.run()

@@ -166,6 +166,26 @@ class TestSyntheticWorld:
         assert [p.spec.screen_name for p in world.targets()] == [
             "first", "second"]
 
+    def test_user_row_block_matches_user_objects(self, world):
+        first = world.population("first")
+        second = world.population("second")
+        ids = [
+            second.follower_id_at(7),
+            first.follower_id_at(0),
+            second.follower_id_at(7),   # duplicate: answered twice
+            first.follower_id_at(8050),  # not yet followed: omitted
+            follower_id(9, 0),          # no such target: omitted
+            first.follower_id_at(7999),
+        ]
+        block = world.user_row_block(ids, NOW)
+        expected = world.user_objects(ids, NOW)
+        assert [user.user_id for user in expected] == [ids[0], ids[1],
+                                                       ids[2], ids[5]]
+        assert list(block) == expected
+        assert list(world.user_row_block([], NOW)) == []
+        for foreign in (target_id(0), ambient_id(3)):
+            assert world.user_row_block(ids + [foreign], NOW) is None
+
 
 class TestPostRefBurstSpec:
     def test_fake_purchase_burst_is_all_fake(self):
