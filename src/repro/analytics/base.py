@@ -28,7 +28,7 @@ from ..core.rng import make_rng
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import CacheInfo
-from ..obs.runtime import get_observability
+from ..obs.runtime import get_observability, weak_observability
 from ..twitter.population import World
 from ..twitter.timeline import TimelineBlock
 from .criteria import Criteria, EngineInfo, VerdictArray
@@ -218,8 +218,9 @@ class CommercialAnalytic:
         self._crawler = Crawler(self._client)
         self._cache = ResultCache(ttl=cache_ttl, name=self.name,
                                   max_entries=cache_max_entries)
-        self._obs = get_observability()
-        self._tracer = self._obs.tracer
+        obs = get_observability()
+        self._obs = weak_observability(obs)
+        self._tracer = obs.tracer
         self._cache_serve_seconds = cache_serve_seconds
         self._processing_seconds = processing_seconds
         self._seed = seed
@@ -235,7 +236,7 @@ class CommercialAnalytic:
         #: masks (a pure observation — verdict bytes never change).
         self._provenance = provenance
         self._last_provenance = None
-        self._obs.register_engine(self)
+        obs.register_engine(self)
         #: The engine's classification criteria; concrete tools set
         #: this in their constructors (``None`` for subclasses that
         #: classify inside ``_analyze_steps`` themselves).
@@ -450,8 +451,9 @@ class CommercialAnalytic:
                 self.name, target, verdicts, sink,
                 _sample_user_ids(users), now)
         self.last_verdict_counts = dict(verdicts.counts())
-        if self._obs.enabled:
-            self._obs.note_verdicts(self.name, verdicts.counts())
+        obs = self._obs()
+        if obs.enabled:
+            obs.note_verdicts(self.name, verdicts.counts())
         return verdicts
 
     def classify_sample(self, users, timelines, now: float) -> VerdictArray:
@@ -540,7 +542,7 @@ class CommercialAnalytic:
     def _report(self, screen_name: str, outcome: AnalysisOutcome,
                 response_seconds: float, *, cached: bool,
                 assessed_at: float) -> AuditReport:
-        live = self._obs.live
+        live = self._obs().live
         if live is not None:
             live.on_audit(self.name, assessed_at, cached=cached,
                           completeness=outcome.completeness)

@@ -34,7 +34,7 @@ from ..faults.injectors import Fault, FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, RetryState
 from ..obs.metrics import LATENCY_BUCKETS, WAIT_BUCKETS
-from ..obs.runtime import get_observability
+from ..obs.runtime import get_observability, weak_observability
 from ..twitter.population import World
 from ..twitter.timeline import TimelineBlock
 from .endpoints import ApiCall, CallLog, IdsPage, UserObject
@@ -72,7 +72,8 @@ class TwitterApiClient:
         self._credentials = credentials
         self._policies = policies
         obs = get_observability()
-        self._obs = obs
+        # Weak: an engine that owns this client is tracked by ``obs``.
+        self._obs = weak_observability(obs)
         self._tracer = obs.tracer
         self._registry = obs.registry
         self._limiter = RateLimiter(clock.now(), policies, credentials,
@@ -297,7 +298,7 @@ class TwitterApiClient:
                 self._error_counter(resource, fault.kind).inc()
                 span.set_attribute("waited", waited)
                 span.set_attribute("error", fault.kind)
-                live = self._obs.live
+                live = self._obs().live
                 if live is not None:
                     live.on_request(resource, completed, ok=False)
                 self._raise_fault(resource, fault, completed, cursor)
@@ -319,7 +320,7 @@ class TwitterApiClient:
             if fault is not None:
                 self._faults_seen += 1
                 span.set_attribute("fault", fault.kind)
-            live = self._obs.live
+            live = self._obs().live
             if live is not None:
                 live.on_request(resource, completed, ok=True)
         return completed, fault
@@ -350,7 +351,7 @@ class TwitterApiClient:
                 retries.inc()
                 backoff_hist.observe(wait)
                 self._retries_total += 1
-                live = self._obs.live
+                live = self._obs().live
                 if live is not None:
                     live.note("api.retries", self._clock.now())
                 self._clock.advance(wait)

@@ -28,6 +28,7 @@ so snapshots and the alert log are byte-identical across the two modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..audit import AuditRequest
@@ -172,9 +173,9 @@ class FleetSpec:
             raise ConfigurationError(
                 f"base_followers must be >= 1: {self.base_followers!r}")
 
-    @property
+    @cached_property
     def handles(self) -> Tuple[str, ...]:
-        """The fleet's target handles, in polling order."""
+        """The fleet's target handles, in polling order (built once)."""
         return tuple(f"fleet_{index}" for index in range(self.accounts))
 
     @property

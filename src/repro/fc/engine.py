@@ -30,7 +30,7 @@ from ..core.timeutil import DAY
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.provenance import ProvenanceSink
-from ..obs.runtime import get_observability
+from ..obs.runtime import get_observability, weak_observability
 from ..stats.estimation import ProportionEstimate
 from ..twitter.population import World
 from .columnar import BatchClassifier, FeatureCache, batch_classifier
@@ -166,8 +166,9 @@ class FakeClassifierEngine:
             acquisition_cache=acquisition_cache,
         )
         self._crawler = Crawler(self._client)
-        self._obs = get_observability()
-        self._tracer = self._obs.tracer
+        obs = get_observability()
+        self._obs = weak_observability(obs)
+        self._tracer = obs.tracer
         self._detector = detector if detector is not None else default_detector(seed)
         feature_cache = FeatureCache
         if acquisition_cache is not None and hasattr(acquisition_cache,
@@ -187,7 +188,7 @@ class FakeClassifierEngine:
         #: reads these to seed a watermark, since reports only carry
         #: rounded percentages.
         self.last_verdict_counts = None
-        self._obs.register_engine(self)
+        obs.register_engine(self)
 
     @property
     def client(self) -> TwitterApiClient:
@@ -218,8 +219,9 @@ class FakeClassifierEngine:
                                                sink=sink)
         counts = verdicts.counts()
         self.last_verdict_counts = dict(counts)
-        if self._obs.enabled:
-            self._obs.note_verdicts(self.name, counts)
+        obs = self._obs()
+        if obs.enabled:
+            obs.note_verdicts(self.name, counts)
         return verdicts
 
     @property
@@ -274,7 +276,7 @@ class FakeClassifierEngine:
                          errors_seen: int, followers_count: int,
                          reason: str) -> AuditReport:
         """The empty, degraded answer for an unrecoverable acquisition."""
-        live = self._obs.live
+        live = self._obs().live
         if live is not None:
             live.on_audit(self.name, self._clock.now(), cached=False,
                           completeness=0.0)
@@ -386,7 +388,7 @@ class FakeClassifierEngine:
         expected_sample = min(self._sample_size, population)
         sample_part = (min(1.0, len(users) / expected_sample)
                        if expected_sample > 0 else 1.0)
-        live = self._obs.live
+        live = self._obs().live
         if live is not None:
             live.on_audit(self.name, self._clock.now(), cached=False,
                           completeness=frame_part * sample_part

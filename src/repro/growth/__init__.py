@@ -9,6 +9,8 @@ from .detector import BurstDetector, BurstEvent
 from .monitor import GrowthMonitor, MonitorReport
 from .series import (
     GrowthSeries,
+    RollingSeries,
+    interval_arrivals,
     series_from_observations,
     series_from_population,
 )
@@ -19,6 +21,8 @@ __all__ = [
     "GrowthMonitor",
     "GrowthSeries",
     "MonitorReport",
+    "RollingSeries",
+    "interval_arrivals",
     "series_from_observations",
     "series_from_population",
 ]

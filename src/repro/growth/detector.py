@@ -11,16 +11,24 @@ acceleration) is not flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
+from ..core.timeutil import DAY
 from .series import GrowthSeries
 
 #: Consistency constant turning a MAD into a Gaussian-comparable sigma.
 _MAD_TO_SIGMA = 1.4826
+
+
+def _twice_median(ordered: Sequence[int]) -> int:
+    """Twice the median of a non-empty sorted integer sequence."""
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return 2 * ordered[middle]
+    return ordered[middle - 1] + ordered[middle]
 
 
 @dataclass(frozen=True)
@@ -65,14 +73,22 @@ class BurstDetector:
 
     def baseline(self, series: GrowthSeries) -> Tuple[float, float]:
         """Robust (location, scale) of the organic arrival rate."""
-        values = series.as_array()
-        median = float(np.median(values))
-        mad = float(np.median(np.abs(values - median)))
+        return self._baseline(sorted(series.arrivals))
+
+    def _baseline(self, ordered: Sequence[int]) -> Tuple[float, float]:
+        # Median and MAD, exact: the arrivals are integers, so twice
+        # the median and four times the MAD are integers too, and
+        # halving/quartering them is exact in float64 — bit for bit
+        # what np.median over the float64 array returns.
+        twice_median = _twice_median(ordered)
+        mad = _twice_median(sorted(
+            [abs(2 * value - twice_median) for value in ordered])) / 4
+        median = twice_median / 2
         scale = _MAD_TO_SIGMA * mad
         if scale <= 0.0:
             # A perfectly steady trickle: fall back to a Poisson-ish
             # scale so a genuine burst still stands out.
-            scale = max(1.0, np.sqrt(max(median, 1.0)))
+            scale = max(1.0, math.sqrt(max(median, 1.0)))
         return median, scale
 
     def detect(self, series: GrowthSeries) -> List[BurstEvent]:
@@ -80,20 +96,34 @@ class BurstDetector:
         if len(series) < 4:
             raise ConfigurationError(
                 "burst detection needs at least 4 days of history")
-        median, scale = self.baseline(series)
-        events: List[BurstEvent] = []
-        for day, arrivals in enumerate(series.arrivals):
-            z_score = (arrivals - median) / scale
-            if z_score >= self._threshold \
-                    and arrivals - median >= self._min_excess:
-                events.append(BurstEvent(
-                    day=day,
-                    start_time=series.day_start(day),
-                    arrivals=arrivals,
-                    baseline=median,
-                    z_score=z_score,
-                ))
+        return self.detect_arrivals(series.start_time, series.arrivals,
+                                    sorted(series.arrivals))
+
+    def detect_arrivals(self, start_time: float, arrivals: Iterable[int],
+                        ordered: Sequence[int]) -> List[BurstEvent]:
+        """:meth:`detect` over a raw daily series and its sorted copy.
+
+        For callers that keep a series up to date incrementally (the
+        live detector bridge): ``arrivals`` are the daily counts from
+        ``start_time`` on, ``ordered`` the same counts sorted, at least
+        four.  Whether a day bursts is monotone in its count, so when
+        the largest day does not burst no day does and the scan is
+        skipped.
+        """
+        median, scale = self._baseline(ordered)
+        if not self._is_burst(ordered[-1], median, scale):
+            return []
+        events = [
+            BurstEvent(day=day, start_time=start_time + day * DAY,
+                       arrivals=count, baseline=median,
+                       z_score=(count - median) / scale)
+            for day, count in enumerate(arrivals)
+            if self._is_burst(count, median, scale)]
         return sorted(events, key=lambda event: event.z_score, reverse=True)
+
+    def _is_burst(self, count: int, median: float, scale: float) -> bool:
+        return ((count - median) / scale >= self._threshold
+                and count - median >= self._min_excess)
 
     def purchased_follower_estimate(self, series: GrowthSeries) -> int:
         """Rough size of the purchased block(s): summed burst excess."""

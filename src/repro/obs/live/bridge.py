@@ -5,9 +5,11 @@ post-campaign analysis (hand it a finished series, read the verdict).
 A live monitor wants the same robust statistics evaluated *as each
 daily reading lands*, with findings surfacing through the same alert
 pipeline as SLO burn-rate pages.  The bridge keeps a bounded per-handle
-observation history, mirrors each reading into a follower-count
+observation history and its daily arrival series
+(:class:`~repro.growth.series.RollingSeries`, extended as each reading
+lands rather than rebuilt), mirrors each reading into a follower-count
 :class:`~repro.obs.live.windows.GaugeStream`-style window stream, and
-re-runs the detector incrementally:
+re-runs the detector on every reading:
 
 * a **new** burst day (one not previously reported for the handle)
   fires ``burst:<handle>``;
@@ -17,8 +19,7 @@ re-runs the detector incrementally:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from ...core.errors import ConfigurationError
 from ...core.timeutil import DAY
@@ -31,6 +32,20 @@ if TYPE_CHECKING:  # pragma: no cover
 # repro.growth sits above the API client, which itself imports
 # repro.obs — so the bridge resolves the detector machinery lazily
 # (first use) rather than at import time.
+
+
+class _Track:
+    """One handle's live state: its series, alerted days and stream."""
+
+    __slots__ = ("series", "reported", "stream", "alert")
+
+    def __init__(self, handle: str, series, stream: WindowStream) -> None:
+        #: The handle's :class:`~repro.growth.series.RollingSeries`.
+        self.series = series
+        #: Start instants of the burst days already alerted on.
+        self.reported: Set[float] = set()
+        self.stream = stream
+        self.alert = f"burst:{handle}"
 
 
 class DetectorBridge:
@@ -75,9 +90,7 @@ class DetectorBridge:
         self._min_history = min_history
         self._max_history = max_history
         self._origin = origin
-        self._observations: Dict[str, Deque[Tuple[float, int]]] = {}
-        self._reported: Dict[str, Set[float]] = {}
-        self._streams: Dict[str, WindowStream] = {}
+        self._tracks: Dict[str, _Track] = {}
 
     @property
     def detector(self) -> "BurstDetector":
@@ -86,57 +99,64 @@ class DetectorBridge:
 
     def stream(self, handle: str) -> Optional[WindowStream]:
         """The follower-count window stream of ``handle``, if any."""
-        return self._streams.get(handle)
+        track = self._tracks.get(handle)
+        return None if track is None else track.stream
 
     def streams(self) -> Dict[str, WindowStream]:
         """Every per-handle follower stream, keyed by handle."""
-        return dict(self._streams)
+        return {handle: track.stream
+                for handle, track in self._tracks.items()}
 
     def observe(self, handle: str, t: float, followers_count: int) -> bool:
         """Record one daily reading; returns whether a new alert fired.
 
-        Readings must be strictly chronological per handle (the series
-        builder enforces it).  Detection runs once ``min_history``
-        readings have accumulated.
+        Readings must be strictly chronological per handle: one at or
+        before the handle's previous reading raises
+        :class:`ConfigurationError` and leaves the handle's state as it
+        was.  Detection runs once ``min_history`` readings have
+        accumulated.
         """
-        history = self._observations.get(handle)
-        if history is None:
-            history = deque(maxlen=self._max_history)
-            self._observations[handle] = history
-            self._reported[handle] = set()
-            self._streams[handle] = WindowStream(
-                f"followers:{handle}",
-                WindowSpec(width=DAY, origin=self._origin))
-        history.append((t, int(followers_count)))
-        self._streams[handle].observe(t, float(followers_count))
-        if len(history) < self._min_history:
+        track = self._tracks.get(handle)
+        if track is None:
+            from ...growth.series import RollingSeries
+            track = _Track(handle, RollingSeries(self._max_history),
+                           WindowStream(f"followers:{handle}", WindowSpec(
+                               width=DAY, origin=self._origin)))
+            self._tracks[handle] = track
+        series = track.series
+        series.append(t, int(followers_count))
+        track.stream.observe(t, float(followers_count))
+        if len(series.readings) < self._min_history:
             return False
-        return self._evaluate(handle, t)
+        return self._evaluate(track, t)
 
-    def _evaluate(self, handle: str, now: float) -> bool:
-        from ...growth.series import series_from_observations
-        series = series_from_observations(list(self._observations[handle]))
-        bursts = self._detector.detect(series)
+    def _evaluate(self, track: _Track, now: float) -> bool:
+        series = track.series
+        start = series.start_time
+        bursts = self._detector.detect_arrivals(start, series.arrivals,
+                                                series.ordered)
         burst_starts = {event.start_time for event in bursts}
-        reported = self._reported[handle]
-        # History rolls off the deque; forget reported days with it so
+        reported = track.reported
+        # History rolls off the front; forget reported days with it so
         # the set stays bounded too.
-        reported &= {series.day_start(day) for day in range(len(series))} \
-            | burst_starts
+        reported.difference_update([
+            instant for instant in reported
+            if instant not in burst_starts
+            and not series.is_day_start(instant)])
         fresh = [event for event in bursts
                  if event.start_time not in reported]
-        name = f"burst:{handle}"
         if fresh:
             strongest = fresh[0]  # detect() sorts strongest first
             reported.update(event.start_time for event in fresh)
             self._alerts.fire(
-                now, name, severity="page",
+                now, track.alert, severity="page",
                 day=strongest.day, arrivals=strongest.arrivals,
                 baseline=strongest.baseline, z_score=strongest.z_score,
                 excess=strongest.excess)
             return True
         # The latest completed day is burst-free: the spike is over.
-        latest_start = series.day_start(len(series) - 1)
-        if self._alerts.is_active(name) and latest_start not in burst_starts:
-            self._alerts.resolve(now, name, day=len(series) - 1)
+        latest = len(series) - 1
+        if self._alerts.is_active(track.alert) \
+                and start + latest * DAY not in burst_starts:
+            self._alerts.resolve(now, track.alert, day=latest)
         return False

@@ -24,8 +24,9 @@ services it models would.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..core.clock import SimClock
 from .metrics import CacheInfo, MetricsRegistry, NullRegistry, NULL_REGISTRY
@@ -79,7 +80,9 @@ class Observability:
         Engines register at construction so end-of-run summaries can
         render per-engine metadata and verdict breakdowns;
         ``info()`` is only called at render time (it is lazy on some
-        engines).
+        engines).  The context keeps its engines alive, so an engine
+        (and the API client it owns) refers back to it only through
+        :func:`weak_observability`.
         """
         self.engines.append(engine)
 
@@ -188,6 +191,25 @@ _current = NULL_OBS
 def get_observability():
     """The active observability context (:data:`NULL_OBS` by default)."""
     return _current
+
+
+def weak_observability(obs) -> Callable[[], object]:
+    """A handle on ``obs`` that does not keep it alive.
+
+    Calling the handle returns ``obs``, or :data:`NULL_OBS` once ``obs``
+    is gone (nothing recorded into an unreachable context could be read
+    anyway).  Objects the context tracks — engines, through
+    :meth:`Observability.register_engine` — hold their context this
+    way: a strong edge back would close a reference cycle that keeps
+    each run's whole world alive until a full garbage collection.
+    """
+    ref = weakref.ref(obs)
+
+    def context():
+        current = ref()
+        return NULL_OBS if current is None else current
+
+    return context
 
 
 def activate(obs: Optional[Observability] = None,

@@ -6,6 +6,7 @@ resolves, then the 503 storm pages the poll-success SLO.  The CI smoke
 job diffs a CLI run against the same golden.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -220,3 +221,33 @@ class TestColumnarDeltaFleet:
     def test_fleet_polls_are_paged_not_per_account(self, delta_result):
         polls = delta_result.live.streams()["polls.total"].total_sum
         assert polls == self.SPEC.accounts * self.SPEC.ticks
+
+
+class TestReleasesItsWorld:
+    def test_a_finished_run_leaves_no_world_in_cyclic_garbage(self):
+        """Dropping the result frees the world by reference counting.
+
+        A cycle through the run's observability context (which tracks
+        every engine it saw) would keep the whole world alive until a
+        full collection, growing peak memory with every run.
+        """
+        spec = FleetSpec(accounts=4, ticks=14, purchase_tick=10,
+                         storm_start_tick=12, storm_days=1, columnar=True)
+        was_enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.garbage.clear()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            result = run_monitor_fleet(spec)
+            assert result.audits  # the burst alert built an FC engine
+            del result
+            gc.collect()
+            leaked = {type(obj).__name__ for obj in gc.garbage} \
+                & {"FollowerPopulation", "SyntheticWorld"}
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not leaked

@@ -1,6 +1,8 @@
 """Unit tests for the burst detector."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ConfigurationError
 from repro.growth import BurstDetector, GrowthSeries
@@ -67,3 +69,33 @@ class TestBurstDetector:
         clean = detector.baseline(series([100] * 20))
         with_burst = detector.baseline(series([100] * 19 + [100_000]))
         assert with_burst[0] == clean[0] == 100.0
+
+
+def numpy_baseline(values):
+    """The median/MAD baseline as ``np.median`` over float64 computes it."""
+    array = np.asarray(values, dtype=np.float64)
+    median = float(np.median(array))
+    mad = float(np.median(np.abs(array - median)))
+    scale = 1.4826 * mad
+    if scale <= 0.0:
+        scale = max(1.0, np.sqrt(max(median, 1.0)))
+    return median, scale
+
+
+class TestExactBaseline:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 300),
+                              st.integers(0, 2**40)),
+                    min_size=1, max_size=300))
+    def test_equals_numpy_median_bit_for_bit(self, values):
+        ours = BurstDetector().baseline(series(values))
+        theirs = numpy_baseline(values)
+        assert [x.hex() for x in map(float, ours)] \
+            == [x.hex() for x in map(float, theirs)]
+
+    @pytest.mark.parametrize("values", [
+        [7], [3, 4], [5, 1, 4], [1, 2, 3, 4], [0, 0, 0, 9, 9, 9],
+        [100] * 19 + [100_000], [0, 1] * 50 + [3]])
+    def test_odd_and_even_lengths(self, values):
+        assert BurstDetector().baseline(series(values)) \
+            == numpy_baseline(values)

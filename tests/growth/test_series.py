@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH
+from hypothesis import given, settings, strategies as st
+
 from repro.growth import (
     GrowthSeries,
+    RollingSeries,
+    interval_arrivals,
     series_from_observations,
     series_from_population,
 )
@@ -84,3 +88,65 @@ class TestFromObservations:
         with pytest.raises(ConfigurationError):
             series_from_observations(
                 [(0.0, 100), (DAY, 90)], clip_negative=False)
+
+    def test_gap_spreads_arrivals_remainder_first(self):
+        series = series_from_observations(
+            [(0.0, 100), (3 * DAY + 600.0, 111), (4 * DAY, 111)])
+        assert series.arrivals == (4, 4, 3, 0)
+
+
+class TestIntervalArrivals:
+    def test_one_day(self):
+        assert interval_arrivals(0.0, 100, DAY, 130) == [30]
+
+    def test_sub_day_gap_counts_as_one_day(self):
+        assert interval_arrivals(0.0, 100, 0.3 * DAY, 130) == [30]
+
+    def test_decrease_clips_or_raises(self):
+        assert interval_arrivals(0.0, 100, 2 * DAY, 90) == [0, 0]
+        with pytest.raises(ConfigurationError):
+            interval_arrivals(0.0, 100, DAY, 90, clip_negative=False)
+
+
+class TestRollingSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.floats(60.0, 4.4 * DAY), st.integers(-50, 5000)),
+        min_size=1, max_size=40),
+        max_readings=st.integers(2, 12))
+    def test_equals_a_rebuild_of_the_held_readings(self, steps,
+                                                   max_readings):
+        rolling = RollingSeries(max_readings)
+        t, count = PAPER_EPOCH, 1000
+        readings = [(t, count)]
+        rolling.append(t, count)
+        for gap, change in steps:
+            t, count = t + gap, max(0, count + change)
+            readings.append((t, count))
+            rolling.append(t, count)
+            held = readings[-max_readings:]
+            assert list(rolling.readings) == held
+            rebuilt = series_from_observations(held)
+            assert rolling.start_time == rebuilt.start_time
+            assert tuple(rolling.arrivals) == rebuilt.arrivals
+            assert len(rolling) == len(rebuilt)
+            assert rolling.ordered == sorted(rebuilt.arrivals)
+            assert all(rolling.is_day_start(rebuilt.day_start(day))
+                       for day in range(len(rebuilt)))
+            assert not rolling.is_day_start(rebuilt.day_start(0) + 1.0)
+            assert not rolling.is_day_start(
+                rebuilt.start_time + len(rebuilt) * DAY)
+
+    def test_rejects_a_reading_out_of_order_unchanged(self):
+        rolling = RollingSeries(4)
+        rolling.append(0.0, 100)
+        rolling.append(DAY, 150)
+        for stale in (DAY, 0.5 * DAY):
+            with pytest.raises(ConfigurationError):
+                rolling.append(stale, 200)
+        assert list(rolling.readings) == [(0.0, 100), (DAY, 150)]
+        assert list(rolling.arrivals) == [50]
+
+    def test_needs_two_readings(self):
+        with pytest.raises(ConfigurationError):
+            RollingSeries(1)

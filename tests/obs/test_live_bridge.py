@@ -1,10 +1,13 @@
 """Unit tests for the detector bridge (follower streams -> burst alerts)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import DAY, ConfigurationError
+from repro.core import DAY, PAPER_EPOCH, ConfigurationError
 from repro.growth import BurstDetector
 from repro.obs.live import AlertLog, DetectorBridge, LiveTelemetry
+
+from .bridge_oracle import OracleBridge
 
 
 def _feed_organic(bridge, handle, days, per_day=100, start_count=1000):
@@ -75,8 +78,10 @@ class TestDetectorBridge:
     def test_history_and_reported_sets_stay_bounded(self):
         bridge = DetectorBridge(AlertLog(), min_history=5, max_history=16)
         _feed_organic(bridge, "t", 100)
-        assert len(bridge._observations["t"]) == 16
-        assert len(bridge._reported["t"]) <= 16
+        track = bridge._tracks["t"]
+        assert len(track.series.readings) == 16
+        assert len(track.series) == 15  # one day per daily interval
+        assert len(track.reported) <= 16
 
     def test_follower_streams_mirror_readings(self):
         bridge = DetectorBridge(AlertLog(), origin=0.0)
@@ -86,11 +91,99 @@ class TestDetectorBridge:
         assert stream.latest().last == 1000.0
         assert set(bridge.streams()) == {"t"}
 
+    def test_out_of_order_reading_is_rejected_and_changes_nothing(self):
+        log, clean_log = AlertLog(), AlertLog()
+        bridge, clean = DetectorBridge(log), DetectorBridge(clean_log)
+        count = 1000
+        for day in range(3):  # still short of min_history
+            count += 100
+            bridge.observe("t", day * DAY + 60.0, count)
+            clean.observe("t", day * DAY + 60.0, count)
+        for stale in (2 * DAY + 60.0, 1 * DAY):  # equal to / before the last
+            with pytest.raises(ConfigurationError):
+                bridge.observe("t", stale, count + 100)
+        assert bridge.stream("t").total_count == 3
+        # Later valid readings carry on exactly as if the bad ones
+        # never arrived, and the purchase still pages.
+        for day in range(3, 12):
+            count += 100
+            bridge.observe("t", day * DAY + 60.0, count)
+            clean.observe("t", day * DAY + 60.0, count)
+        assert bridge.observe("t", 12 * DAY + 60.0, count + 5000)
+        assert clean.observe("t", 12 * DAY + 60.0, count + 5000)
+        assert log.to_jsonl() == clean_log.to_jsonl()
+        assert bridge.stream("t").points() == clean.stream("t").points()
+
     def test_validates_history_bounds(self):
         with pytest.raises(ConfigurationError):
             DetectorBridge(AlertLog(), min_history=4)
         with pytest.raises(ConfigurationError):
             DetectorBridge(AlertLog(), min_history=8, max_history=4)
+
+
+#: One reading step: (seconds since the previous reading, count change).
+_STEP = st.tuples(
+    st.one_of(
+        st.floats(0.6 * DAY, 1.4 * DAY),     # a jittered daily poll
+        st.floats(1.5 * DAY, 4.4 * DAY),     # an outage spanning days
+        st.floats(60.0, 0.49 * DAY)),        # a re-poll within the day
+    st.one_of(
+        st.integers(80, 120),                # organic growth
+        st.integers(-300, -1),               # net churn
+        st.integers(2_000, 20_000),          # a purchased block lands
+        st.just(0)))
+
+
+class TestBridgeAgainstOracle:
+    """The incremental bridge equals rebuild-per-reading evaluation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 2), _STEP),
+                          min_size=1, max_size=90),
+           max_history=st.sampled_from([8, 12, 256]),
+           min_history=st.integers(5, 8),
+           threshold=st.sampled_from([3.0, 6.0]),
+           min_excess=st.sampled_from([0, 50]))
+    def test_alerts_and_returns_match(self, steps, max_history, min_history,
+                                      threshold, min_excess):
+        log, oracle_log = AlertLog(), AlertLog()
+        bridge = DetectorBridge(
+            log, BurstDetector(threshold=threshold, min_excess=min_excess),
+            min_history=min_history, max_history=max_history)
+        oracle = OracleBridge(
+            oracle_log, threshold=threshold, min_excess=min_excess,
+            min_history=min_history, max_history=max_history)
+        clocks = {}
+        for handle_index, (gap, change) in steps:
+            handle = f"h{handle_index}"
+            t, count = clocks.get(handle, (PAPER_EPOCH + 60.0, 10_000))
+            t, count = t + gap, max(0, count + change)
+            clocks[handle] = (t, count)
+            assert bridge.observe(handle, t, count) \
+                == oracle.observe(handle, t, count)
+        assert log.to_jsonl() == oracle_log.to_jsonl()
+
+    @pytest.mark.parametrize("period", [5, 17])
+    def test_roll_off_with_a_short_history(self, period):
+        """60 readings through an 8-reading window, bursts rolling off.
+
+        Every other reading is late by a tenth of a day, so as readings
+        roll off the window's day grid shifts off and back onto the
+        instants of days already reported: only a reported set pruned
+        exactly as specified keeps fire/resolve in step.
+        """
+        log, oracle_log = AlertLog(), AlertLog()
+        bridge = DetectorBridge(log, min_history=5, max_history=8)
+        oracle = OracleBridge(oracle_log, min_history=5, max_history=8)
+        count = 1000
+        for day in range(60):
+            count += 5000 if day % period == 4 else 100 + day % 3
+            t = PAPER_EPOCH + day * DAY + (0.1 * DAY if day % 2 else 0.0) \
+                + (3 * DAY if day > 30 else 0.0)
+            assert bridge.observe("t", t, count) \
+                == oracle.observe("t", t, count)
+        assert log.counts()[0] >= 2
+        assert log.to_jsonl() == oracle_log.to_jsonl()
 
 
 class TestTelemetryBridgeHook:
