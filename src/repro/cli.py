@@ -111,11 +111,8 @@ _DEMO_DEFAULTS = {"days": 21}
 _FLEET_DEFAULTS = {
     "accounts": 3, "slo": 0.98, "dashboard": False, "cadence": 50,
     "alerts_out": None, "snapshots_out": None, "provenance": False,
-    "columnar": False, "delta": False, "reaudit_every": 0, "serial": False,
+    "delta": False, "reaudit_every": 0, "serial": False,
 }
-
-#: Fleet options only the arrival-schedule fleet (``--columnar``) reads.
-_COLUMNAR_ONLY = ("delta", "reaudit_every")
 
 #: Subcommands that run under injected API faults (``--faults``).
 _FAULT_COMMANDS = frozenset({"table2", "table3", "explain", "batch-audit",
@@ -136,31 +133,41 @@ def _check_monitor_mode(parser: argparse.ArgumentParser, args) -> None:
     for dest in (_DEMO_DEFAULTS if fleet else _FLEET_DEFAULTS):
         if hasattr(args, dest):
             parser.error(f"monitor --{dest.replace('_', '-')} {needs}")
-    if fleet and not hasattr(args, "columnar"):
-        for dest in _COLUMNAR_ONLY:
-            if hasattr(args, dest):
-                parser.error(f"monitor --{dest.replace('_', '-')} only "
-                             f"applies to the --columnar fleet")
+    if not fleet:
+        return
+    if hasattr(args, "cadence"):
+        if not hasattr(args, "dashboard"):
+            parser.error("monitor --cadence only applies with --dashboard")
+        if args.cadence < 1:
+            parser.error("monitor --cadence must be at least 1")
+    try:
+        _fleet_spec(args, args.seed)
+    except ConfigurationError as exc:
+        parser.error(f"monitor: {exc}")
 
 
-def _run_monitor_fleet(args, seed: int) -> str:
-    """The fleet mode of ``repro monitor`` (``--ticks`` given)."""
+def _fleet_spec(args, seed: int) -> FleetSpec:
+    """The :class:`FleetSpec` of a ``repro monitor --ticks`` run."""
     option = {**_FLEET_DEFAULTS, **vars(args)}
-    spec = FleetSpec(
+    return FleetSpec(
         seed=seed,
         accounts=option["accounts"],
         ticks=args.ticks,
         slo_objective=option["slo"],
         serial=option["serial"],
         provenance=option["provenance"],
-        columnar=option["columnar"],
         delta=option["delta"],
         reaudit_every=option["reaudit_every"],
     )
-    result = run_monitor_fleet(spec)
+
+
+def _run_monitor_fleet(args, seed: int) -> str:
+    """The fleet mode of ``repro monitor`` (``--ticks`` given)."""
+    option = {**_FLEET_DEFAULTS, **vars(args)}
+    result = run_monitor_fleet(_fleet_spec(args, seed))
     lines = []
     if option["dashboard"]:
-        cadence = max(1, option["cadence"])
+        cadence = option["cadence"]
         shown = [frame for index, frame in enumerate(result.frames)
                  if index % cadence == 0 or index == len(result.frames) - 1]
         lines.extend("\n".join(shown).splitlines())
@@ -372,23 +379,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="in fleet mode, record rule-level provenance "
                               "on alert-triggered audits and add rule-drift "
                               "panels to the dashboard")
-    monitor.add_argument("--columnar", action="store_true",
-                         default=argparse.SUPPRESS,
-                         help="in fleet mode, run the arrival-schedule "
-                              "fleet (growth in each target's arrival "
-                              "schedule, batched users/lookup polling) "
-                              "instead of the event-driven graph fleet; "
-                              "required for thousand-account fleets and "
-                              "for --delta/--reaudit-every")
     monitor.add_argument("--delta", action="store_true",
                          default=argparse.SUPPRESS,
-                         help="with --columnar, audit alerted accounts "
+                         help="in fleet mode, audit alerted accounts "
                               "with watermarked delta re-audits instead of "
                               "full audits")
     monitor.add_argument("--reaudit-every", type=int,
                          default=argparse.SUPPRESS,
                          metavar="N", dest="reaudit_every",
-                         help="with --columnar, re-audit every previously "
+                         help="in fleet mode, re-audit every previously "
                               "alerted handle every N ticks (default: 0, "
                               "never)")
     _add_serial_flag(monitor, suppress=True)

@@ -3,14 +3,18 @@
 The paper's introduction is one account watched by one monitor; an
 operator running such a watchdog in production watches a *fleet* and
 needs to know, continuously, whether the watchdog itself is healthy.
-This module stages that scenario end to end on the live-simulation
-backend:
+This module stages that scenario end to end on arrival schedules:
 
-* ``accounts`` organically growing targets on one
-  :class:`~repro.twitter.live.LiveSimulation`;
-* a :class:`~repro.growth.GrowthMonitor` polling each daily under a
-  deterministic :class:`~repro.faults.FaultPlan` (a mid-run 503 storm
-  degrades poll success);
+* ``accounts`` organically growing targets in one lazy
+  :class:`~repro.twitter.SyntheticWorld`, whose arrival schedules carry
+  the growth (the buyer's purchase is a
+  :class:`~repro.twitter.PostRefBurst`), so nothing is materialised up
+  front and a thousand-target fleet costs registration time only;
+* a :class:`~repro.growth.GrowthMonitor` polling the whole fleet daily
+  through ``users/lookup`` pages
+  (:meth:`~repro.growth.GrowthMonitor.poll_fleet`, 100 profiles per
+  request) under a deterministic :class:`~repro.faults.FaultPlan` (a
+  mid-run 503 storm degrades poll success);
 * a :class:`~repro.obs.live.LiveTelemetry` plane: poll-success SLO with
   dual-window burn-rate alerting, the detector bridge raising
   ``burst:<handle>`` alerts when one target buys followers mid-run;
@@ -33,11 +37,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..audit import AuditRequest
 from ..core.clock import SimClock
-from ..core.errors import ConfigurationError, RetryableApiError
-from ..core.timeutil import DAY, HOUR, PAPER_EPOCH, YEAR
+from ..core.errors import ConfigurationError
+from ..core.timeutil import DAY, PAPER_EPOCH
 from ..faults.plan import BurstSchedule, FaultPlan, InjectorSpec
 from ..growth import BurstDetector, GrowthMonitor
-from ..market import CHEAP_BULK, Marketplace
 from ..obs.live import (
     DetectorBridge,
     FleetDashboard,
@@ -47,19 +50,7 @@ from ..obs.live import (
 from ..obs.provenance import ProvenanceCollector
 from ..obs.runtime import Observability, get_observability, observed
 from ..sched import BatchAuditScheduler, WatermarkStore
-from ..twitter import (
-    Account,
-    LiveSimulation,
-    OrganicGrowthProcess,
-    SocialGraph,
-    TweetingProcess,
-    add_simple_target,
-    build_world,
-    fake_purchase_burst,
-)
-
-#: First user id of the fleet's targets (``fleet_0`` upward).
-FLEET_BASE_ID = 52_000
+from ..twitter import add_simple_target, build_world, fake_purchase_burst
 
 #: Streams shown on the dashboard, in display order.  The list is
 #: explicit (not "everything registered") so the snapshot shape is
@@ -121,31 +112,28 @@ class FleetSpec:
     #: default: the golden alert logs and snapshot shapes are
     #: byte-identical unless asked for.
     provenance: bool = False
-    #: Run the arrival-schedule fleet instead of the event-driven
-    #: :class:`~repro.twitter.live.LiveSimulation` graph fleet: the
-    #: targets live in one lazy :class:`~repro.twitter.SyntheticWorld`
-    #: whose arrival schedules carry the growth (the purchase is a
-    #: :class:`~repro.twitter.PostRefBurst`), and polling goes through
-    #: :meth:`~repro.growth.GrowthMonitor.poll_fleet` (100 profiles per
-    #: ``users/lookup`` request).  This is what makes a thousand-account
-    #: fleet affordable — and is required for ``accounts`` much beyond
-    #: a handful.
-    columnar: bool = False
+    #: Always ``True``: the arrival-schedule fleet is the only fleet.
+    #: Kept only because the host-time benchmark passes
+    #: ``columnar=True``; ``False`` (the deleted graph fleet) raises.
+    columnar: bool = True
     #: Audit alerted accounts with ``mode="delta"`` requests backed by
     #: one run-wide watermark store: the first audit of a handle is a
     #: full audit that leaves a watermark, every re-audit walks only
     #: the follower-list head (see :mod:`repro.sched.incremental`).
-    #: Arrival-schedule fleet only (needs ``columnar``).
     delta: bool = False
     #: Every N ticks (0 = never), re-audit every previously alerted
     #: handle — the watchlist workload where delta re-audits pay off.
-    #: Arrival-schedule fleet only (needs ``columnar``).
     reaudit_every: int = 0
-    #: Historical follower base of each arrival-schedule target (plus
-    #: a small deterministic per-index spread).
+    #: Historical follower base of each target (plus a small
+    #: deterministic per-index spread).
     base_followers: int = 900
 
     def __post_init__(self) -> None:
+        if not self.columnar:
+            raise ConfigurationError(
+                "columnar=False selected the event-driven graph fleet, "
+                "which was removed; the arrival-schedule fleet is the "
+                "only fleet")
         if self.accounts < 1:
             raise ConfigurationError(
                 f"accounts must be >= 1: {self.accounts!r}")
@@ -163,12 +151,6 @@ class FleetSpec:
         if self.reaudit_every < 0:
             raise ConfigurationError(
                 f"reaudit_every must be >= 0: {self.reaudit_every!r}")
-        if not self.columnar and (self.delta or self.reaudit_every):
-            # The graph fleet audits each alert burst on a fresh
-            # scheduler and has no watchlist, so both would be no-ops.
-            raise ConfigurationError(
-                "delta and reaudit_every need the arrival-schedule "
-                "fleet (columnar=True)")
         if self.base_followers < 1:
             raise ConfigurationError(
                 f"base_followers must be >= 1: {self.base_followers!r}")
@@ -250,29 +232,7 @@ class FleetResult:
         return "\n".join(lines)
 
 
-def _build_fleet(spec: FleetSpec, start: float) -> LiveSimulation:
-    """The fleet's graph, accounts, and background processes."""
-    graph = SocialGraph(seed=spec.seed)
-    for index, handle in enumerate(spec.handles):
-        graph.add_account(Account(
-            user_id=FLEET_BASE_ID + index,
-            screen_name=handle,
-            created_at=start - 2 * YEAR - index * 30 * DAY,
-            statuses_count=1200 + 37 * index,
-            last_tweet_at=start - HOUR,
-            followers_count=0,
-            friends_count=200 + 11 * index,
-        ))
-    simulation = LiveSimulation(graph, SimClock(start), seed=spec.seed + 1)
-    for index in range(spec.accounts):
-        simulation.add_process(OrganicGrowthProcess(
-            FLEET_BASE_ID + index, per_day=spec.organic_per_day))
-        simulation.add_process(TweetingProcess(
-            FLEET_BASE_ID + index, per_day=4.0))
-    return simulation
-
-
-def _build_columnar_fleet(spec: FleetSpec, start: float):
+def _build_world(spec: FleetSpec, start: float):
     """The fleet as lazy targets: growth in the arrival schedules.
 
     Each target trickles ``organic_per_day`` new followers; the buyer
@@ -295,15 +255,17 @@ def _build_columnar_fleet(spec: FleetSpec, start: float):
     return world
 
 
-def _build_live(spec: FleetSpec, fleet_total,
+def _build_live(spec: FleetSpec, populations, poll_clock: SimClock,
                 start: float) -> LiveTelemetry:
     """The telemetry plane: streams, SLO rule, detector bridge.
 
-    ``fleet_total`` is a zero-argument callable returning the fleet's
-    current total follower count (the two fleets count differently).
+    The ``followers.fleet`` gauge sums the target ``populations`` at
+    the poll clock's current instant.
     """
     live = LiveTelemetry(origin=start, pane_width=DAY)
-    live.gauge_stream("followers.fleet", lambda: float(fleet_total()))
+    live.gauge_stream("followers.fleet", lambda: float(sum(
+        population.size_at(poll_clock.now())
+        for population in populations)))
     # Pre-create the SLO streams so evaluation never references a
     # stream that has not seen its first event yet.
     for name in ("polls.total", "polls.ok", "polls.failed"):
@@ -388,48 +350,27 @@ def run_monitor_fleet(spec: FleetSpec = FleetSpec(),
                 "a live-telemetry plane is already attached; "
                 "run_monitor_fleet needs its own")
         # The monitor polls over the API, which charges request latency
-        # to its clock.  A separate poll clock keeps the simulation
-        # clock advancing only through run_until(), so queued events
-        # are never overtaken; the graph itself is shared.
+        # to this clock; ticks only ever advance it.
         poll_clock = SimClock(start)
-        if spec.columnar:
-            world = _build_columnar_fleet(spec, start)
-            populations = world.targets()
-            live = _build_live(
-                spec,
-                lambda: sum(population.size_at(poll_clock.now())
-                            for population in populations),
-                start)
-            obs.attach_live(live)
-            try:
-                return _run_columnar(spec, world, live, poll_clock, start)
-            finally:
-                obs.detach_live()
-        simulation = _build_fleet(spec, start)
-        graph = simulation.graph
-        ids = [FLEET_BASE_ID + index for index in range(spec.accounts)]
-        live = _build_live(
-            spec,
-            lambda: sum(graph.follower_count(user_id, poll_clock.now())
-                        for user_id in ids),
-            start)
+        world = _build_world(spec, start)
+        live = _build_live(spec, world.targets(), poll_clock, start)
         obs.attach_live(live)
         try:
-            return _run(spec, simulation, live, poll_clock, start)
+            return _run_fleet(spec, world, live, poll_clock, start)
         finally:
             obs.detach_live()
 
 
-def _run_columnar(spec: FleetSpec, world, live: LiveTelemetry,
-                  poll_clock: SimClock, start: float) -> FleetResult:
-    """The daily loop of the arrival-schedule fleet: batched polls.
+def _run_fleet(spec: FleetSpec, world, live: LiveTelemetry,
+               poll_clock: SimClock, start: float) -> FleetResult:
+    """The daily loop: batched polls, alert-triggered audits, snapshots.
 
-    The purchase needs no marketplace order — the buyer's arrival
-    schedule already carries it as a post-reference burst — and each
-    tick polls the whole fleet through ``users/lookup`` pages instead
-    of one ``users/show`` per account.  With ``spec.reaudit_every``
-    set, every previously alerted handle is re-audited on that cadence
-    (the watchlist sweep that delta re-audits exist for).
+    The purchase needs no order — the buyer's arrival schedule already
+    carries it as a post-reference burst — and each tick polls the
+    whole fleet through ``users/lookup`` pages.  With
+    ``spec.reaudit_every`` set, every previously alerted handle is
+    re-audited on that cadence (the watchlist sweep that delta
+    re-audits exist for).
     """
     monitor = GrowthMonitor(world, poll_clock, faults=spec.fault_plan(start))
     live.counter_stream(
@@ -474,69 +415,6 @@ def _run_columnar(spec: FleetSpec, world, live: LiveTelemetry,
                 spec, world, due, fc_detector, tick, now,
                 provenance=collector, watermarks=watermarks))
         watchlist.update(burst_handles)
-        if tick % spec.snapshot_every == 0 or tick == spec.ticks - 1:
-            snapshot = dashboard.snapshot(now, fleet={
-                "followers": dict(sorted(result.followers.items())),
-                "audits_run": len(result.audits),
-                "poll_failures": result.poll_failures,
-            })
-            result.snapshots.append(snapshot)
-            result.frames.append(dashboard.render(snapshot))
-    return result
-
-
-def _run(spec: FleetSpec, simulation: LiveSimulation, live: LiveTelemetry,
-         poll_clock: SimClock, start: float) -> FleetResult:
-    """The daily monitoring loop (see the module docstring)."""
-    graph = simulation.graph
-    monitor = GrowthMonitor(graph, poll_clock,
-                            faults=spec.fault_plan(start))
-    live.counter_stream(
-        "polls.faults", lambda: float(monitor.client.faults_seen))
-    market = Marketplace(simulation, seed=spec.seed + 2)
-    panels = FLEET_PANELS + RULE_PANELS if spec.provenance else FLEET_PANELS
-    dashboard = FleetDashboard(live, panels=panels,
-                               horizon=3 * DAY, title="fleet health")
-    result = FleetResult(spec=spec, live=live)
-    collector = ProvenanceCollector() if spec.provenance else None
-    fc_detector = None
-
-    for tick in range(spec.ticks):
-        tick_time = start + tick * DAY
-        if simulation.now() < tick_time:
-            simulation.run_until(tick_time)
-        if poll_clock.now() < tick_time:
-            poll_clock.advance_to(tick_time)
-        if tick == spec.purchase_tick:
-            market.place_order(
-                CHEAP_BULK,
-                FLEET_BASE_ID + spec.handles.index(spec.buyer),
-                spec.purchase_quantity)
-        events_before = len(live.alerts.events)
-        for handle in spec.handles:
-            try:
-                at, count = monitor.poll(handle)
-            except RetryableApiError:
-                at = poll_clock.now()
-                result.poll_failures += 1
-                live.note("polls.total", at)
-                live.note("polls.failed", at)
-            else:
-                result.followers[handle] = count
-                live.note("polls.total", at)
-                live.note("polls.ok", at)
-        now = live.tick(poll_clock.now())
-        burst_handles = sorted({
-            event.name.split(":", 1)[1]
-            for event in live.alerts.events[events_before:]
-            if event.kind == "fire" and event.name.startswith("burst:")})
-        if burst_handles:
-            if fc_detector is None:
-                from ..fc.engine import default_detector
-                fc_detector = default_detector(spec.seed)
-            result.audits.extend(_alert_audits(
-                spec, graph, burst_handles, fc_detector, tick, now,
-                provenance=collector))
         if tick % spec.snapshot_every == 0 or tick == spec.ticks - 1:
             snapshot = dashboard.snapshot(now, fleet={
                 "followers": dict(sorted(result.followers.items())),

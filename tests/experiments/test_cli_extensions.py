@@ -13,6 +13,14 @@ from repro import cli
 from repro.cli import main
 
 
+@pytest.fixture
+def no_dispatch(monkeypatch):
+    """A rejected command line must never start the command."""
+    def dispatch(args, seed):
+        raise AssertionError(f"{args.command} ran despite its flags")
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+
+
 class TestTaChartsCommand:
     def test_renders_three_charts(self, capsys):
         assert main(["tacharts"]) == 0
@@ -44,7 +52,6 @@ class TestMonitorModeFlags:
 
     @pytest.mark.parametrize("flags", [
         ["--accounts", "1000"],
-        ["--columnar"],
         ["--delta"],
         ["--reaudit-every", "10"],
         ["--provenance"],
@@ -61,18 +68,28 @@ class TestMonitorModeFlags:
         err = capsys.readouterr().err
         assert f"monitor {flags[0]} only applies to the fleet run" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--delta"],
-        ["--reaudit-every", "5"],
-    ], ids=lambda flags: flags[0])
-    def test_columnar_only_flags_on_the_graph_fleet_are_usage_errors(
-            self, flags, capsys):
+    def test_removed_columnar_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["monitor", "--ticks", "40", *flags])
+            main(["monitor", "--ticks", "5", "--columnar"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"monitor {flags[0]} only applies to the --columnar fleet" \
-            in err
+        assert "unrecognized arguments: --columnar" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--accounts", "0"], "accounts must be >= 1"),
+        (["--slo", "1.5"], "slo_objective must be in (0, 1)"),
+        (["--reaudit-every", "-1"], "reaudit_every must be >= 0"),
+        (["--dashboard", "--cadence", "0"], "--cadence must be at least 1"),
+        (["--dashboard", "--cadence", "-3"], "--cadence must be at least 1"),
+        (["--cadence", "5"], "--cadence only applies with --dashboard"),
+    ], ids=["accounts-0", "slo-1.5", "reaudit-every--1", "cadence-0",
+            "cadence--3", "cadence-without-dashboard"])
+    def test_invalid_fleet_options_are_usage_errors(self, flags, message,
+                                                     no_dispatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--ticks", "3", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_demo_days_with_ticks_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -87,15 +104,9 @@ class TestMonitorModeFlags:
         assert "--ticks must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("no_dispatch")
 class TestIgnoredFlags:
     """Options the selected command would ignore are usage errors."""
-
-    @pytest.fixture(autouse=True)
-    def no_dispatch(self, monkeypatch):
-        """A rejected command line must never start the command."""
-        def dispatch(args, seed):
-            raise AssertionError(f"{args.command} ran despite its flags")
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
 
     @pytest.mark.parametrize("command", [
         ["table1"], ["ordering"], ["acquisition"], ["burst"], ["deepdive"],
