@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.errors import TrainingError
-from .tree import DecisionTree
+from .tree import DecisionTree, check_finite, check_tree_params
 
 
 class RandomForest:
@@ -24,6 +24,7 @@ class RandomForest:
                  max_features: Optional[int] = None, seed: int = 0) -> None:
         if n_trees < 1:
             raise TrainingError(f"n_trees must be >= 1: {n_trees!r}")
+        check_tree_params(max_depth, min_samples_leaf, max_features)
         self._n_trees = n_trees
         self._max_depth = max_depth
         self._min_samples_leaf = min_samples_leaf
@@ -40,6 +41,7 @@ class RandomForest:
             raise TrainingError(f"X must be non-empty 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise TrainingError("y length must match X rows")
+        check_finite(X)
         self._n_features = X.shape[1]
         max_features = self._max_features
         if max_features is None:

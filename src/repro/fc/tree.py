@@ -2,9 +2,15 @@
 
 scikit-learn is not part of the offline substrate, so the learners the
 FC methodology relies on are built here: a CART-style binary decision
-tree (Gini impurity, exhaustive threshold search) and, on top of it in
-``repro.fc.forest``, a bagged random forest.  Both are deterministic
-given their seeds.
+tree (Gini impurity) and, on top of it in ``repro.fc.forest``, a bagged
+random forest.  Both are deterministic given their seeds.
+
+The split search is exhaustive but vectorised: per candidate feature it
+sorts the values once and scores every legal threshold in one array
+pass.  It performs the same float operations, in the same order, as the
+per-threshold loop it replaced (kept as the test oracle
+``tests/fc/tree_oracle.py``), so the trees it grows are bit-identical:
+same features, thresholds and leaf probabilities.
 """
 
 from __future__ import annotations
@@ -32,13 +38,42 @@ class _Node:
         return self.feature is None
 
 
-def _gini(counts: np.ndarray) -> float:
-    """Gini impurity of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _gini(zeros, ones, total):
+    """Gini impurity of ``[zeros, ones]`` class counts, elementwise.
+
+    ``total`` is ``zeros + ones`` and never 0.  A two-element count
+    vector sums in one addition, so this is bit for bit the impurity
+    ``1 - sum(p * p)`` of ``p = counts / counts.sum()``.
+    """
+    p0 = zeros / total
+    p1 = ones / total
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def check_tree_params(max_depth: int, min_samples_leaf: int,
+                      max_features: Optional[int]) -> None:
+    """Raise :class:`TrainingError` on an unusable per-tree setting."""
+    if max_depth < 1:
+        raise TrainingError(f"max_depth must be >= 1: {max_depth!r}")
+    if min_samples_leaf < 1:
+        raise TrainingError(
+            f"min_samples_leaf must be >= 1: {min_samples_leaf!r}")
+    if max_features is not None and max_features < 1:
+        raise TrainingError(
+            f"max_features must be None or >= 1: {max_features!r}")
+
+
+def check_finite(X: np.ndarray) -> None:
+    """Raise :class:`TrainingError` naming the first non-finite column.
+
+    NaN never compares equal to itself nor ``<=`` a threshold, so it
+    would slip between "equal" values in the split search and always
+    descend right; no FC feature is ever non-finite.
+    """
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise TrainingError(
+            f"X column {int(bad[0])} holds NaN or infinite values")
 
 
 class DecisionTree:
@@ -63,14 +98,10 @@ class DecisionTree:
     def __init__(self, max_depth: int = 8, min_samples_split: int = 2,
                  min_samples_leaf: int = 1,
                  max_features: Optional[int] = None, seed: int = 0) -> None:
-        if max_depth < 1:
-            raise TrainingError(f"max_depth must be >= 1: {max_depth!r}")
+        check_tree_params(max_depth, min_samples_leaf, max_features)
         if min_samples_split < 2:
             raise TrainingError(
                 f"min_samples_split must be >= 2: {min_samples_split!r}")
-        if min_samples_leaf < 1:
-            raise TrainingError(
-                f"min_samples_leaf must be >= 1: {min_samples_leaf!r}")
         self._max_depth = max_depth
         self._min_samples_split = min_samples_split
         self._min_samples_leaf = min_samples_leaf
@@ -91,6 +122,7 @@ class DecisionTree:
             raise TrainingError("y length must match X rows")
         if X.shape[0] == 0:
             raise TrainingError("cannot fit on an empty dataset")
+        check_finite(X)
         if not set(np.unique(y)) <= {0, 1}:
             raise TrainingError("labels must be 0/1")
         self._n_features = X.shape[1]
@@ -127,38 +159,45 @@ class DecisionTree:
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray):
-        """Exhaustive Gini search over candidate features and thresholds."""
-        parent_counts = np.bincount(y, minlength=2).astype(np.float64)
-        parent_impurity = _gini(parent_counts)
+        """Best Gini split over the candidate features, or ``None``.
+
+        One vectorised scan per feature: sort its values once, take
+        prefix class counts, and score every legal cut (each child keeps
+        at least ``min_samples_leaf`` samples, and no cut falls between
+        equal values) as arrays.  The float operations are those of the
+        exhaustive per-threshold loop, in the same order, so the first
+        maximal cut it picks -- kept only when strictly better than the
+        best so far, earlier features winning ties -- is the loop's
+        exact choice, and trained trees are bit-identical to it.
+        """
+        n = len(y)
+        parent_zeros, parent_ones = np.bincount(y, minlength=2)
+        parent_impurity = _gini(parent_zeros, parent_ones, n)
         best_gain = 1e-12
         best = None
-        n = len(y)
+        # Left child = first ``cut`` sorted samples; min_samples_leaf >= 1
+        # keeps every cut strictly inside (0, n).
+        cuts = np.arange(self._min_samples_leaf,
+                         n - self._min_samples_leaf + 1)
         for feature in self._candidate_features():
             order = np.argsort(X[:, feature], kind="mergesort")
             values = X[order, feature]
-            labels = y[order]
-            # Prefix class counts: left split = first i samples.
-            ones = np.cumsum(labels)
-            total_ones = ones[-1]
-            for i in range(self._min_samples_leaf,
-                           n - self._min_samples_leaf + 1):
-                if i < n and values[i - 1] == values[i]:
-                    continue  # cannot cut between equal values
-                if i == n:
-                    continue
-                left_ones = ones[i - 1]
-                left_counts = np.array(
-                    [i - left_ones, left_ones], dtype=np.float64)
-                right_counts = np.array(
-                    [(n - i) - (total_ones - left_ones),
-                     total_ones - left_ones], dtype=np.float64)
-                weighted = (i * _gini(left_counts)
-                            + (n - i) * _gini(right_counts)) / n
-                gain = parent_impurity - weighted
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feature),
-                            float((values[i - 1] + values[i]) / 2.0))
+            cut = cuts[values[cuts - 1] != values[cuts]]
+            if cut.size == 0:
+                continue
+            ones = np.cumsum(y[order])
+            left_ones = ones[cut - 1]
+            right_ones = ones[-1] - left_ones
+            weighted = (cut * _gini(cut - left_ones, left_ones, cut)
+                        + (n - cut) * _gini(
+                            (n - cut) - right_ones, right_ones, n - cut)) / n
+            gain = parent_impurity - weighted
+            index = int(np.argmax(gain))
+            if gain[index] > best_gain:
+                best_gain = gain[index]
+                i = cut[index]
+                best = (int(feature),
+                        float((values[i - 1] + values[i]) / 2.0))
         return best
 
     # -- inference -----------------------------------------------------------

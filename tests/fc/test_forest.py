@@ -27,6 +27,16 @@ class TestFit:
             RandomForest().fit(np.empty((0, 2)), np.empty(0))
         with pytest.raises(TrainingError):
             RandomForest().fit(np.ones((3, 2)), np.array([0, 1]))
+        for bad in (dict(max_features=0), dict(max_features=-1),
+                    dict(max_depth=0), dict(min_samples_leaf=0)):
+            with pytest.raises(TrainingError, match=next(iter(bad))):
+                RandomForest(**bad)
+
+    def test_non_finite_features_rejected(self):
+        X, y = separable_data(n=20)
+        X[3, 1] = np.nan
+        with pytest.raises(TrainingError, match="column 1"):
+            RandomForest(n_trees=2).fit(X, y)
 
     def test_unfitted_predict_rejected(self):
         with pytest.raises(TrainingError):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TrainingError
-from repro.fc import DecisionTree
+from repro.fc import DecisionTree, default_detector
+
+from .tree_oracle import OracleTree, best_split, exact
 
 
 def separable_data(n=200, seed=0):
@@ -55,6 +57,16 @@ class TestFit:
             DecisionTree().fit(np.ones((3, 2)), np.array([0, 1, 2]))
         with pytest.raises(TrainingError):
             DecisionTree().fit(np.ones(3), np.array([0, 1, 0]))
+        for max_features in (0, -1):
+            with pytest.raises(TrainingError, match="max_features"):
+                DecisionTree(max_features=max_features)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X, y = separable_data(n=20)
+        X[7, 2] = bad
+        with pytest.raises(TrainingError, match="column 2"):
+            DecisionTree().fit(X, y)
 
 
 class TestPredict:
@@ -122,3 +134,46 @@ class TestProperties:
         majority = max(np.mean(y), 1 - np.mean(y))
         accuracy = np.mean(predictions == y)
         assert accuracy >= majority - 1e-9
+
+
+class TestOracle:
+    """The vectorised split search grows the loop oracle's exact trees."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=80),
+        d=st.integers(min_value=1, max_value=6),
+        distinct=st.integers(min_value=1, max_value=8),
+        floats=st.booleans(),
+        max_depth=st.integers(min_value=1, max_value=8),
+        min_samples_leaf=st.integers(min_value=1, max_value=5),
+        max_features=st.one_of(st.none(), st.integers(min_value=1,
+                                                      max_value=6)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_loop_oracle(self, n, d, distinct, floats,
+                                          max_depth, min_samples_leaf,
+                                          max_features, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values per column, so ties are the common case.
+        X = rng.integers(0, distinct, size=(n, d)).astype(np.float64)
+        if floats:
+            X = X / 3.0 + rng.normal(size=d)
+        y = rng.integers(0, 2, size=n)
+        params = dict(max_depth=max_depth,
+                      min_samples_leaf=min_samples_leaf,
+                      max_features=None if max_features is None
+                      else min(max_features, d),
+                      seed=seed)
+        production = DecisionTree(**params).fit(X, y)
+        oracle = OracleTree(**params).fit(X, y)
+        assert exact(production) == exact(oracle)
+
+    def test_default_detector_matches_loop_oracle(self, detector,
+                                                  monkeypatch):
+        monkeypatch.setattr(DecisionTree, "_best_split", best_split)
+        oracle = default_detector(seed=0, gold_size=200)
+        trees = detector.model.trees
+        assert len(trees) == len(oracle.model.trees) == 25
+        for production, reference in zip(trees, oracle.model.trees):
+            assert exact(production) == exact(reference)
