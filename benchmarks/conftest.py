@@ -10,12 +10,19 @@ the run.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 from repro.fc import default_detector
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# Benches that time a per-row reference import it from the test suite's
+# oracles (``tests.fc``), however pytest was launched.
+REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[1])
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
-"""Wall-clock benchmark: scalar vs columnar FC classification.
+"""Wall-clock benchmark: per-row oracle vs columnar FC classification.
 
-The tentpole claim of the columnar fast path, measured at the paper's
-own scale: classifying a full 9604-follower sample (Section III's
+The claim of the columnar prediction path, measured at the paper's own
+scale: classifying a full 9604-follower sample (Section III's
 statistically mandated size) through the production class-A detector.
-Asserts bit parity first — a fast wrong answer is worthless — then the
-speedup floor, and writes the measured numbers to
-``benchmarks/results/BENCH_fc_columnar.json``.
+The per-row side is the test oracle (``tests/fc/feature_oracle.py``
+feature by feature, then ``tests/fc/tree_oracle.py``'s recursive
+descent of every tree).  Asserts bit parity first -- a fast wrong answer
+is worthless -- then the speedup floor, and writes the measured numbers
+to ``benchmarks/results/BENCH_fc_columnar.json``.
 
-The floor defaults to the ISSUE's local target (5x) and is relaxed via
+The floor defaults to the local target (5x) and is relaxed via
 ``FC_COLUMNAR_MIN_SPEEDUP`` on noisy shared runners (CI exports 2).
 """
 
@@ -20,12 +22,13 @@ import pathlib
 import numpy as np
 
 from repro.fc import FC_SAMPLE_SIZE, FeatureCache, batch_classifier, \
-    build_gold_standard, extract_feature_matrix
+    build_gold_standard
 from repro.obs import measure_wallclock
+from tests.fc import feature_oracle, tree_oracle
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Local target from the ISSUE; CI relaxes to 2x for noisy runners.
+#: Local target; CI relaxes to 2x for noisy runners.
 MIN_SPEEDUP = float(os.environ.get("FC_COLUMNAR_MIN_SPEEDUP", "5"))
 
 REPEATS = 3
@@ -42,17 +45,21 @@ def test_columnar_speedup_on_a_full_sample(detector, save_result):
 
     classifier = batch_classifier(detector)
 
+    def per_row():
+        X = feature_oracle.extract_matrix(
+            detector.feature_set, users, None, now)
+        return tree_oracle.predict(detector.model, X)
+
     # Parity before speed: the fast path must be numerically identical.
-    scalar_matrix = detector.feature_set.extract_matrix(users, None, now)
-    batch_matrix = extract_feature_matrix(
-        np, detector.feature_set, users, None, now)
+    scalar_matrix = feature_oracle.extract_matrix(
+        detector.feature_set, users, None, now)
+    batch_matrix = detector.feature_set.extract_matrix(users, None, now)
     assert np.array_equal(scalar_matrix, batch_matrix)
-    scalar_verdicts = detector.predict(users, None, now)
+    scalar_verdicts = per_row()
     batch_verdicts = classifier.predict(users, None, now)
     assert np.array_equal(scalar_verdicts, batch_verdicts)
 
-    scalar_seconds = measure_wallclock(
-        lambda: detector.predict(users, None, now), REPEATS)
+    scalar_seconds = measure_wallclock(per_row, REPEATS)
     batch_seconds = measure_wallclock(
         lambda: classifier.predict(users, None, now), REPEATS)
     speedup = scalar_seconds / batch_seconds

@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..core.errors import ConfigurationError
-from ..fc.columnar import _PROFILE_FIELDS
+from ..fc.features import _PROFILE_FIELDS
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,7 @@ class SampleBlock:
                 raise ConfigurationError(
                     "sample block was built without timelines")
             from ..api.columns import timeline_stat_columns
-            self._timeline_stats = timeline_stat_columns(
-                np, self._timelines)
+            self._timeline_stats = timeline_stat_columns(self._timelines)
         return self._timeline_stats
 
 

@@ -10,14 +10,16 @@ rendered or parsed.  Hand-built tweet lists enter the same path through
 :class:`~repro.twitter.tweet.Tweet` predicates.
 
 Each fraction is ``count / len(timeline)`` with both operands exact in
-float64, so the columns are bit-identical to what the scalar helpers in
-:mod:`repro.fc.rulesets` and :mod:`repro.fc.features` compute on the
-rendered tweets.
+float64, so the columns are bit-identical to counting the
+:class:`~repro.twitter.tweet.Tweet` predicates over the rendered tweets
+one at a time (as the per-account rules in :mod:`repro.fc.rulesets` do).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..twitter.timeline import (AUTOMATION, HASHTAG, LINK, MENTION, RETWEET,
@@ -46,13 +48,8 @@ class TimelineStatColumns:
     def __len__(self) -> int:
         return len(self.nonempty)
 
-    def column(self, index: int):
-        """The ``index``-th fraction column, in declaration order."""
-        return (self.retweet, self.link, self.spam, self.mention,
-                self.hashtag, self.automation, self.duplicate)[index]
 
-
-def timeline_stat_columns(np, timelines) -> TimelineStatColumns:
+def timeline_stat_columns(timelines) -> TimelineStatColumns:
     """Fraction columns over ``timelines`` (blocks or tweet sequences).
 
     ``None`` entries read as empty timelines (all fractions 0.0), the

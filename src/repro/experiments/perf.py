@@ -76,13 +76,12 @@ def default_workload(*, seed: int = 42,
 def measure_fc_wallclock(*, rows: int = WALLCLOCK_ROWS,
                          repeats: int = WALLCLOCK_REPEATS,
                          seed: int = 0) -> Dict[str, object]:
-    """Real-time FC classification timings, scalar vs columnar.
+    """Real-time FC classification timing of the production path.
 
-    Classifies the same ``rows``-strong generated population through
-    the scalar :class:`~repro.fc.training.TrainedDetector` path and
-    the columnar :class:`~repro.fc.columnar.BatchClassifier`, each
-    timed as the median of ``repeats`` monotonic runs.  These are the
-    only non-deterministic numbers a perf document can carry — see
+    Classifies a ``rows``-strong generated population through the
+    :class:`~repro.fc.columnar.BatchClassifier` the FC engine audits
+    with, timed as the median of ``repeats`` monotonic runs.  These are
+    the only non-deterministic numbers a perf document can carry -- see
     the ``wallclock`` measurement class in :mod:`repro.obs.perf`.
     """
     from ..fc.columnar import batch_classifier
@@ -96,23 +95,13 @@ def measure_fc_wallclock(*, rows: int = WALLCLOCK_ROWS,
     users = population.users()
     timelines = population.timelines() if detector.needs_timeline else None
     now = population.now
-    scalar_seconds = measure_wallclock(
-        lambda: detector.predict(users, timelines, now), repeats)
     classifier = batch_classifier(detector)
-    batch_seconds = round(measure_wallclock(
-        lambda: classifier.predict(users, timelines, now), repeats), 6)
-    doc: Dict[str, object] = {
+    return {
         "fc_rows": int(rows),
         "repeats": int(repeats),
-        "fc_scalar_seconds": round(scalar_seconds, 6),
-        "fc_batch_seconds": batch_seconds,
+        "fc_batch_seconds": round(measure_wallclock(
+            lambda: classifier.predict(users, timelines, now), repeats), 6),
     }
-    # Derived from the *stored* (rounded) values so the document is
-    # self-consistent for any reader recomputing the ratio.
-    doc["fc_batch_speedup"] = round(
-        doc["fc_scalar_seconds"] / batch_seconds, 6) \
-        if batch_seconds else 0.0
-    return doc
 
 
 def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,

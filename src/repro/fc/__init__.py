@@ -1,13 +1,6 @@
 """The Fake Project classifier: features, learners, baselines, engine."""
 
-from .columnar import (
-    BatchClassifier,
-    FeatureCache,
-    FlatForest,
-    FlatTree,
-    batch_classifier,
-    extract_feature_matrix,
-)
+from .columnar import BatchClassifier, FeatureCache, batch_classifier
 from .cost import (
     CandidateCost,
     CrawlCost,
@@ -78,8 +71,6 @@ __all__ = [
     "Feature",
     "FeatureCache",
     "FeatureSet",
-    "FlatForest",
-    "FlatTree",
     "FULL_FEATURE_SET",
     "GoldExample",
     "GoldStandard",
@@ -102,7 +93,6 @@ __all__ = [
     "default_detector",
     "evaluate_detector",
     "evaluate_ruleset",
-    "extract_feature_matrix",
     "feature_crawl_cost",
     "optimize_detector",
     "rank_by_cost",

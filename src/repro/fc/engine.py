@@ -50,10 +50,12 @@ def default_detector(seed: int = 0, *, model: str = "forest",
 
     A profile-feature (class A) model trained on a persona gold
     standard: class-A features are what make the engine's sub-4-minute
-    audits possible (see ``repro.fc.cost``).
+    audits possible (see ``repro.fc.cost``).  A class-A detector never
+    reads timelines, so the gold standard is built without them.
     """
     gold = build_gold_standard(
-        n_fake=gold_size, n_genuine=gold_size, seed=seed + 7919)
+        n_fake=gold_size, n_genuine=gold_size, seed=seed + 7919,
+        timeline_depth=0)
     return train_detector(gold, model=model, seed=seed)
 
 

@@ -11,12 +11,19 @@ pass.  It performs the same float operations, in the same order, as the
 per-threshold loop it replaced (kept as the test oracle
 ``tests/fc/tree_oracle.py``), so the trees it grows are bit-identical:
 same features, thresholds and leaf probabilities.
+
+Inference is array descent too: the fitted tree is laid out as parallel
+node arrays and every row of the design matrix advances one level per
+vectorised step, so a depth-*d* tree classifies any number of rows in
+*d* steps.  Each step compares the same float64 values against the same
+thresholds as a recursive walk (the oracle's ``descend``), so every row
+lands on the same leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +43,18 @@ class _Node:
 
     def is_leaf(self) -> bool:
         return self.feature is None
+
+
+class _Steps(NamedTuple):
+    """A fitted tree as parallel node arrays, laid out for descent."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    probability: np.ndarray
+    prediction: np.ndarray
+    depth: int
 
 
 def _gini(zeros, ones, total):
@@ -109,6 +128,7 @@ class DecisionTree:
         self._rng = np.random.default_rng(seed)
         self._root: Optional[_Node] = None
         self._n_features = 0
+        self._steps: Optional[_Steps] = None
 
     # -- training -----------------------------------------------------------
 
@@ -127,6 +147,7 @@ class DecisionTree:
             raise TrainingError("labels must be 0/1")
         self._n_features = X.shape[1]
         self._root = self._grow(X, y, depth=0)
+        self._steps = self._compile()
         return self
 
     def _leaf(self, y: np.ndarray) -> _Node:
@@ -202,31 +223,51 @@ class DecisionTree:
 
     # -- inference -----------------------------------------------------------
 
-    def _descend(self, row: np.ndarray) -> _Node:
-        if self._root is None:
+    def _compile(self) -> _Steps:
+        """The fitted tree as step arrays for level-wise descent.
+
+        Leaves are rewritten to compare feature 0 against ``+inf`` and
+        route both branches back to themselves, so rows that reach a
+        leaf early stay there and the hot loop needs no masking.
+        """
+        flat = self.flatten()
+        feature = np.array(flat["feature"], dtype=np.int64)
+        is_leaf = feature < 0
+        nodes = np.arange(len(feature), dtype=np.int64)
+        return _Steps(
+            feature=np.where(is_leaf, 0, feature),
+            threshold=np.where(is_leaf, np.inf, flat["threshold"]),
+            left=np.where(is_leaf, nodes, flat["left"]),
+            right=np.where(is_leaf, nodes, flat["right"]),
+            probability=np.array(flat["probability"], dtype=np.float64),
+            prediction=np.array(flat["prediction"], dtype=np.int64),
+            depth=self.depth())
+
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf index each row of ``X`` lands on."""
+        if self._steps is None:
             raise TrainingError("tree is not fitted")
-        node = self._root
-        while not node.is_leaf():
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self._n_features:
+            raise TrainingError(
+                f"X must have shape (*, {self._n_features}), got {X.shape}")
+        steps = self._steps
+        nodes = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.arange(X.shape[0])
+        for _ in range(steps.depth):
+            go_left = X[rows, steps.feature[nodes]] <= steps.threshold[nodes]
+            nodes = np.where(go_left, steps.left[nodes], steps.right[nodes])
+        return nodes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict 0/1 labels for each row."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self._n_features:
-            raise TrainingError(
-                f"X must have shape (*, {self._n_features}), got {X.shape}")
-        return np.array(
-            [self._descend(row).prediction for row in X], dtype=np.int64)
+        leaves = self._leaves(X)
+        return self._steps.prediction[leaves]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Leaf-frequency probability of the positive (fake) class."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self._n_features:
-            raise TrainingError(
-                f"X must have shape (*, {self._n_features}), got {X.shape}")
-        return np.array(
-            [self._descend(row).probability for row in X], dtype=np.float64)
+        leaves = self._leaves(X)
+        return self._steps.probability[leaves]
 
     # -- introspection --------------------------------------------------------
 
@@ -239,11 +280,9 @@ class DecisionTree:
         """The fitted tree as parallel node lists, in preorder.
 
         ``feature`` holds ``-1`` at leaves; ``left``/``right`` are node
-        indices into the same lists (``-1`` at leaves).  This is the
-        shape the columnar fast path (:mod:`repro.fc.columnar`)
-        evaluates with masked array descent instead of per-row
-        recursion — the flattened values are exactly the fitted node
-        fields, so both traversals take identical branches.
+        indices into the same lists (``-1`` at leaves).  The values are
+        exactly the fitted node fields; inference descends arrays built
+        from them.
         """
         if self._root is None:
             raise TrainingError("tree is not fitted")

@@ -6,8 +6,10 @@ mask pipeline (``classify_all`` builds a ``SampleBlock`` and runs
 read: one account at a time through the criteria's per-account
 ``classify``/``explain`` spec, with Twitteraudit's chart aggregates
 summed from ``real_score`` and the FC pipeline run as the 90-day
-horizon followed by one scalar ``predict`` per active account.  Tests
-check the columnar path against it bit for bit.
+horizon followed, per active account, by the per-row feature oracle
+(``tests/fc/feature_oracle.py``) and a recursive descent of the
+detector's trees (``tests/fc/tree_oracle.py``).  Tests check the
+columnar path against it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analytics.twitteraudit import TwitterauditCriteria, real_score
 from repro.fc.engine import FC_INACTIVITY_HORIZON
+
+from ..fc import feature_oracle, tree_oracle
 
 
 @dataclass
@@ -79,7 +83,7 @@ def twitteraudit_extras(users: Sequence, now: float) -> Dict[str, object]:
 def classify_fc(detector, users: Sequence, timelines: Optional[Sequence],
                 now: float,
                 horizon: float = FC_INACTIVITY_HORIZON) -> OracleVerdicts:
-    """The FC pipeline per account: horizon first, then scalar predict."""
+    """The FC pipeline per account: horizon first, then per-row predict."""
     labels = ("fake", "inactive", "genuine")
     codes: List[int] = []
     for user, timeline in _pairs(users, timelines):
@@ -87,8 +91,9 @@ def classify_fc(detector, users: Sequence, timelines: Optional[Sequence],
         if age is None or age > horizon:
             codes.append(1)
             continue
-        verdict = detector.predict(
-            [user], [timeline] if timeline is not None else None, now)
+        row = feature_oracle.extract_row(
+            detector.feature_set, user, timeline, now)
+        verdict = tree_oracle.predict(detector.model, row[None, :])
         codes.append(0 if int(verdict[0]) else 2)
     fires = {"fc.inactive_90d": [code == 1 for code in codes],
              "fc.classifier_fake": [code == 0 for code in codes]}

@@ -1,11 +1,13 @@
-"""Scalar-vs-columnar parity: the fast path's defining property.
+"""The FC prediction path against its per-row oracles.
 
-The columnar module earns its existence only if it is *numerically
-identical* to the scalar reference — same feature matrices bit for bit,
-same tree leaves, same forest probabilities, same final report digests.
-These tests enforce that over several generated worlds and both
-canonical feature sets, plus the LRU/`cache_info` behaviour of the
-:class:`FeatureCache`.
+Production extracts features column by column and descends the trees
+level-wise over the whole matrix.  These tests hold that path to the
+per-row oracles (``feature_oracle``: one feature call per account;
+``tree_oracle.descend``: recursive walk per row) bit for bit -- same
+feature matrices, same leaves, same forest probabilities -- over several
+generated worlds and both canonical feature sets, and check the
+:class:`FeatureCache` (LRU, ``cache_info``) and the engine's report
+digests.
 """
 
 import json
@@ -15,26 +17,26 @@ import pytest
 
 from repro.audit import AuditRequest
 from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
+from repro.core.errors import TrainingError
 from repro.fc import (
     BatchClassifier,
     FakeClassifierEngine,
     FeatureCache,
-    FlatForest,
-    FlatTree,
     FULL_FEATURE_SET,
     PROFILE_FEATURE_SET,
     RandomForest,
     batch_classifier,
     build_gold_standard,
-    extract_feature_matrix,
     train_detector,
 )
+from repro.fc.training import TrainedDetector
 from repro.fc.tree import DecisionTree
 from repro.obs import Observability, observed
 from repro.serde import audit_report_to_dict
 from repro.twitter import add_simple_target, build_world
 
 from ..conftest import object_lookups
+from . import feature_oracle, tree_oracle
 
 
 def report_digest(report):
@@ -50,13 +52,13 @@ class TestExtractionParity:
     def test_matrix_is_bitwise_identical(self, seed, feature_set):
         gold = build_gold_standard(n_fake=150, n_genuine=150,
                                    seed=seed, timeline_depth=25)
-        scalar = feature_set.extract_matrix(
-            gold.users(), gold.timelines(), gold.now)
-        batch = extract_feature_matrix(
-            np, feature_set, gold.users(), gold.timelines(), gold.now)
+        users, timelines, now = gold.users(), gold.timelines(), gold.now
+        matrix = feature_set.extract_matrix(users, timelines, now)
+        oracle = feature_oracle.extract_matrix(
+            feature_set, users, timelines, now)
         # array_equal, not allclose: the contract is bit identity.
-        assert np.array_equal(scalar, batch)
-        assert batch.dtype == np.float64
+        assert np.array_equal(matrix, oracle)
+        assert matrix.dtype == np.float64
 
     def test_verdicts_and_probabilities_match(self, seed, feature_set):
         gold = build_gold_standard(n_fake=150, n_genuine=150,
@@ -64,30 +66,34 @@ class TestExtractionParity:
         detector = train_detector(gold, feature_set=feature_set, seed=0)
         classifier = batch_classifier(detector)
         users, timelines, now = gold.users(), gold.timelines(), gold.now
+        X = feature_oracle.extract_matrix(feature_set, users, timelines, now)
+        expected = tree_oracle.predict(detector.model, X)
         assert np.array_equal(detector.predict(users, timelines, now),
-                              classifier.predict(users, timelines, now))
+                              expected)
+        assert np.array_equal(classifier.predict(users, timelines, now),
+                              expected)
+        expected = tree_oracle.predict_proba(detector.model, X)
         assert np.array_equal(
-            detector.predict_proba(users, timelines, now),
-            classifier.predict_proba(users, timelines, now))
+            detector.predict_proba(users, timelines, now), expected)
+        assert np.array_equal(
+            classifier.predict_proba(users, timelines, now), expected)
 
 
 class TestExtractionEdgeCases:
     def test_empty_user_list_gives_empty_matrix(self):
-        matrix = extract_feature_matrix(
-            np, PROFILE_FEATURE_SET, [], None, PAPER_EPOCH)
+        matrix = PROFILE_FEATURE_SET.extract_matrix([], None, PAPER_EPOCH)
         assert matrix.shape == (0, len(PROFILE_FEATURE_SET.features))
 
     def test_length_mismatch_is_rejected(self):
         gold = build_gold_standard(n_fake=5, n_genuine=5, seed=1)
         with pytest.raises(ConfigurationError, match="length mismatch"):
-            extract_feature_matrix(
-                np, PROFILE_FEATURE_SET, gold.users(), [None], gold.now)
+            PROFILE_FEATURE_SET.extract_matrix(
+                gold.users(), [None], gold.now)
 
     def test_class_b_without_timelines_is_rejected(self):
         gold = build_gold_standard(n_fake=5, n_genuine=5, seed=1)
         with pytest.raises(ConfigurationError, match="cost class B"):
-            extract_feature_matrix(
-                np, FULL_FEATURE_SET, gold.users(), None, gold.now)
+            FULL_FEATURE_SET.extract_matrix(gold.users(), None, gold.now)
 
 
 class TestFlatInference:
@@ -101,24 +107,24 @@ class TestFlatInference:
     def test_flat_tree_matches_recursive_descent(self, data):
         X, y = data
         tree = DecisionTree(max_depth=6, seed=3).fit(X, y)
-        flat = FlatTree(np, tree)
-        assert np.array_equal(tree.predict(X), flat.predict(X))
-        assert np.array_equal(tree.predict_proba(X), flat.predict_proba(X))
+        assert np.array_equal(tree.predict(X), tree_oracle.predict(tree, X))
+        assert np.array_equal(tree.predict_proba(X),
+                              tree_oracle.predict_proba(tree, X))
 
     def test_flat_forest_matches_bagged_mean(self, data):
         X, y = data
         forest = RandomForest(n_trees=9, max_depth=5, seed=11).fit(X, y)
-        flat = FlatForest(np, forest)
         assert np.array_equal(forest.predict_proba(X),
-                              flat.predict_proba(X))
-        assert np.array_equal(forest.predict(X), flat.predict(X))
+                              tree_oracle.predict_proba(forest, X))
+        assert np.array_equal(forest.predict(X),
+                              tree_oracle.predict(forest, X))
 
     def test_unfitted_models_are_rejected(self):
-        from repro.core.errors import TrainingError
-        with pytest.raises(TrainingError, match="not fitted"):
-            FlatTree(np, DecisionTree())
-        with pytest.raises(TrainingError, match="not fitted"):
-            FlatForest(np, RandomForest())
+        for model, kind in ((DecisionTree(), "tree"),
+                            (RandomForest(), "forest")):
+            unfitted = TrainedDetector("unfitted", PROFILE_FEATURE_SET, model)
+            with pytest.raises(TrainingError, match=f"{kind} is not fitted"):
+                batch_classifier(unfitted)
 
 
 class TestFeatureCache:
@@ -219,8 +225,6 @@ class TestEngineParity:
                                  detector, batch="auto")
 
     def test_unsupported_model_is_rejected(self, detector):
-        from repro.fc.training import TrainedDetector
-
         odd = TrainedDetector(detector.name, detector.feature_set, object())
         with pytest.raises(ConfigurationError, match="columnar"):
             batch_classifier(odd)

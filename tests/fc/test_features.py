@@ -1,8 +1,11 @@
-"""Unit tests for the feature catalogue."""
+"""Unit tests for the feature catalogue and its column extractor."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import UserObject
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, YEAR
@@ -12,10 +15,14 @@ from repro.fc import (
     FEATURES,
     FEATURES_BY_NAME,
     FULL_FEATURE_SET,
+    Feature,
     FeatureSet,
     PROFILE_FEATURE_SET,
 )
 from repro.twitter import Tweet
+from repro.twitter.tweet import HUMAN_SOURCES
+
+from . import feature_oracle
 
 NOW = PAPER_EPOCH
 
@@ -38,6 +45,13 @@ def make_tweets(texts):
             for i, t in enumerate(texts)]
 
 
+def value(name, user, timeline=None):
+    """One feature of one account, through ``FeatureSet.extract_matrix``."""
+    matrix = FeatureSet.from_names([name]).extract_matrix(
+        [user], None if timeline is None else [timeline], NOW)
+    return matrix[0, 0]
+
+
 class TestCatalogue:
     def test_unique_names(self):
         names = [f.name for f in FEATURES]
@@ -52,68 +66,67 @@ class TestCatalogue:
     def test_full_set_needs_timeline(self):
         assert FULL_FEATURE_SET.needs_timeline()
 
+    def test_feature_sets_pickle(self):
+        # Trained detectors hold their feature set; both must pickle.
+        tweets = make_tweets(["RT @a: http://x.io", "plain"])
+        copy = pickle.loads(pickle.dumps(FULL_FEATURE_SET))
+        assert np.array_equal(
+            copy.extract_matrix([make_user()], [tweets], NOW),
+            FULL_FEATURE_SET.extract_matrix([make_user()], [tweets], NOW))
+
 
 class TestProfileFeatures:
     def test_log_counts(self):
-        feature = FEATURES_BY_NAME["log_followers"]
-        assert feature(make_user(followers_count=99), None, NOW) == \
+        assert value("log_followers", make_user(followers_count=99)) == \
             pytest.approx(math.log(100))
 
     def test_ff_ratio_feature(self):
-        feature = FEATURES_BY_NAME["log_ff_ratio"]
         user = make_user(followers_count=10, friends_count=500)
-        assert feature(user, None, NOW) == pytest.approx(math.log(51))
+        assert value("log_ff_ratio", user) == pytest.approx(math.log(51))
 
     def test_age_days(self):
-        feature = FEATURES_BY_NAME["age_days"]
-        assert feature(make_user(), None, NOW) == pytest.approx(730.5)
+        assert value("age_days", make_user()) == pytest.approx(730.5)
 
     def test_tweets_per_day(self):
-        feature = FEATURES_BY_NAME["tweets_per_day"]
-        assert feature(make_user(), None, NOW) == pytest.approx(1.0, abs=0.01)
+        assert value("tweets_per_day", make_user()) == \
+            pytest.approx(1.0, abs=0.01)
 
     def test_boolean_flags(self):
         user = make_user(description="", default_profile_image=True)
-        assert FEATURES_BY_NAME["has_bio"](user, None, NOW) == 0.0
-        assert FEATURES_BY_NAME["default_image"](user, None, NOW) == 1.0
+        assert value("has_bio", user) == 0.0
+        assert value("default_image", user) == 1.0
 
     def test_never_tweeted_sentinel(self):
         user = make_user(statuses_count=0, last_status_at=None)
-        feature = FEATURES_BY_NAME["last_status_age_days"]
-        assert feature(user, None, NOW) == 10_000.0
+        assert value("last_status_age_days", user) == 10_000.0
 
 
 class TestTimelineFeatures:
     def test_link_fraction(self):
         tweets = make_tweets(
             ["see http://t.co/a", "plain", "go https://x.io", "plain"])
-        feature = FEATURES_BY_NAME["link_fraction"]
-        assert feature(make_user(), tweets, NOW) == 0.5
+        assert value("link_fraction", make_user(), tweets) == 0.5
 
     def test_retweet_fraction(self):
         tweets = make_tweets(["RT @a: x", "hello"])
-        assert FEATURES_BY_NAME["retweet_fraction"](
-            make_user(), tweets, NOW) == 0.5
+        assert value("retweet_fraction", make_user(), tweets) == 0.5
 
     def test_spam_fraction(self):
         tweets = make_tweets(["make money fast", "hello there"])
-        assert FEATURES_BY_NAME["spam_fraction"](
-            make_user(), tweets, NOW) == 0.5
+        assert value("spam_fraction", make_user(), tweets) == 0.5
 
     def test_duplicate_fraction_threshold(self):
         tweets = make_tweets(["same tweet"] * 4 + ["unique one"])
-        assert FEATURES_BY_NAME["duplicate_fraction"](
-            make_user(), tweets, NOW) == 0.8
+        assert value("duplicate_fraction", make_user(), tweets) == 0.8
         few = make_tweets(["same tweet"] * 3 + ["unique one"])
-        assert FEATURES_BY_NAME["duplicate_fraction"](
-            make_user(), few, NOW) == 0.0
+        assert value("duplicate_fraction", make_user(), few) == 0.0
 
     def test_empty_timeline_gives_zero(self):
-        assert FEATURES_BY_NAME["link_fraction"](make_user(), [], NOW) == 0.0
+        assert value("link_fraction", make_user(), []) == 0.0
 
     def test_class_b_requires_timeline(self):
-        with pytest.raises(ConfigurationError):
-            FEATURES_BY_NAME["link_fraction"](make_user(), None, NOW)
+        with pytest.raises(ConfigurationError, match="cost class B"):
+            value("link_fraction", make_user())
 
 
 class TestFeatureSet:
@@ -134,10 +147,16 @@ class TestFeatureSet:
         with pytest.raises(ConfigurationError):
             FeatureSet([feature, feature])
 
+    def test_feature_without_column_function_rejected(self):
+        orphan = Feature("orphan", CLASS_A, None, "no column function")
+        with pytest.raises(ConfigurationError, match="column function"):
+            FeatureSet([FEATURES_BY_NAME["has_bio"], orphan])
+
     def test_extract_vector_shape_and_order(self):
         feature_set = FeatureSet.from_names(["has_bio", "has_location"])
-        vector = feature_set.extract(make_user(location=""), None, NOW)
-        assert list(vector) == [1.0, 0.0]
+        matrix = feature_set.extract_matrix([make_user(location="")],
+                                            None, NOW)
+        assert list(matrix[0]) == [1.0, 0.0]
 
     def test_extract_matrix(self):
         feature_set = PROFILE_FEATURE_SET
@@ -152,3 +171,79 @@ class TestFeatureSet:
     def test_matrix_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             FULL_FEATURE_SET.extract_matrix([make_user()], [], NOW)
+
+
+# -- extract_matrix against the per-account oracle ---------------------------
+
+#: Blank-or-filled profile text: whitespace-only must read as empty.
+profile_text = st.sampled_from(["", " ", "\t\n", "  x ", "Rome", "ünï"])
+
+#: Handles: empty, ASCII with digit tails, and non-ASCII (Unicode digits
+#: such as Arabic-Indic and fullwidth ones included).
+handles = st.one_of(
+    st.text(alphabet="abcXYZ_0123456789", max_size=15),
+    st.text(alphabet="aé_٣٤１２9ß", max_size=15))
+
+counts = st.one_of(st.just(0), st.integers(0, 10_000_000))
+
+tweet_texts = st.sampled_from([
+    "plain words", "see http://t.co/a", "RT @someone: hello",
+    "make money fast", "hi @friend", "#tag day", "RT @a: #x http://y.io",
+    "same tweet", "same tweet", "work from home @b"])
+
+
+@st.composite
+def users(draw):
+    created = NOW - draw(st.floats(-10 * DAY, 8 * YEAR))
+    last = draw(st.one_of(
+        st.none(), st.floats(NOW - 3 * YEAR, NOW + DAY)))
+    return UserObject(
+        user_id=draw(st.integers(1, 2**40)),
+        screen_name=draw(handles), name=draw(profile_text),
+        created_at=created, description=draw(profile_text),
+        location=draw(profile_text), url=draw(profile_text),
+        default_profile_image=draw(st.booleans()), verified=False,
+        followers_count=draw(counts), friends_count=draw(counts),
+        statuses_count=draw(counts), last_status_at=last)
+
+
+@st.composite
+def timelines(draw):
+    entries = draw(st.lists(
+        st.tuples(tweet_texts,
+                  st.sampled_from(HUMAN_SOURCES + ("twitterfeed", "bot"))),
+        max_size=12))
+    return [Tweet(tweet_id=i, user_id=1, created_at=NOW - i, text=text,
+                  source=source)
+            for i, (text, source) in enumerate(entries)]
+
+
+samples = st.lists(st.tuples(users(), timelines()), min_size=1, max_size=8)
+
+
+class TestExtractionOracle:
+    """``extract_matrix`` equals the per-account oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples)
+    def test_both_feature_sets_match_the_oracle(self, sample):
+        people = [user for user, __ in sample]
+        tweets = [timeline for __, timeline in sample]
+        for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
+            assert np.array_equal(
+                feature_set.extract_matrix(people, tweets, NOW),
+                feature_oracle.extract_matrix(
+                    feature_set, people, tweets, NOW))
+
+    def test_edge_accounts_match_the_oracle(self):
+        edge = [make_user(followers_count=0, friends_count=7),
+                make_user(statuses_count=0, last_status_at=None),
+                make_user(description=" ", location="\t", url="  ",
+                          name="\n"),
+                make_user(screen_name="ناصر٣٤"),
+                make_user(screen_name="")]
+        tweets = [[], make_tweets(["a"]), [], make_tweets(["b", "b"]), []]
+        for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
+            assert np.array_equal(
+                feature_set.extract_matrix(edge, tweets, NOW),
+                feature_oracle.extract_matrix(feature_set, edge, tweets, NOW))

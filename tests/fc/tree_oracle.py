@@ -1,4 +1,4 @@
-"""Reference oracle for the tree's split search: a per-threshold loop.
+"""Reference oracles for the tree: per-threshold search, per-row descent.
 
 Production scores every legal threshold of a feature in one vectorised
 array pass (``DecisionTree._best_split``).  This oracle searches the way
@@ -7,13 +7,18 @@ cut in Python, skip cuts between equal values, build the two children's
 class-count vectors and call a Gini function on each.  A running best is
 replaced only by a strictly greater gain.  Tests train trees with both
 and require the flattened trees to match bit for bit.
+
+Production also predicts by level-wise array descent over the whole
+matrix.  :func:`descend` walks one row from the root, node by node, and
+:func:`predict_proba`/:func:`predict` build tree and forest verdicts
+from it (a forest takes the same bagged mean as production).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fc import DecisionTree
+from repro.fc import DecisionTree, RandomForest
 
 
 def gini(counts: np.ndarray) -> float:
@@ -70,3 +75,26 @@ def exact(tree: DecisionTree) -> dict:
     for key in ("threshold", "probability"):
         flat[key] = [value.hex() for value in flat[key]]
     return flat
+
+
+def descend(tree: DecisionTree, row: np.ndarray):
+    """The leaf node ``row`` reaches, walking from the root."""
+    node = tree._root
+    while not node.is_leaf():
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
+def predict_proba(model, X: np.ndarray) -> np.ndarray:
+    """Per-row fake probability; a forest means its trees' leaves."""
+    trees = model.trees if isinstance(model, RandomForest) else [model]
+    votes = np.vstack([
+        np.array([descend(tree, row).probability for row in X],
+                 dtype=np.float64)
+        for tree in trees])
+    return votes.mean(axis=0)
+
+
+def predict(model, X: np.ndarray) -> np.ndarray:
+    """Per-row 0/1 verdict: fake when the probability reaches 1/2."""
+    return (predict_proba(model, X) >= 0.5).astype(np.int64)

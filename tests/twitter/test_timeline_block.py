@@ -69,7 +69,7 @@ class TestRoundTrip:
                 assert (first.body() == tweets[j].body()) == (
                     keys[i] == keys[j])
         assert len(set(keys)) == len({t.body() for t in tweets})
-        columns = timeline_stat_columns(np, [block])
+        columns = timeline_stat_columns([block])
         assert stat_rows(columns) == [timeline_fractions(tweets)]
 
     def test_hand_built_tweets_enter_the_same_path(self):
@@ -86,7 +86,7 @@ class TestRoundTrip:
         assert block.flags.tolist()[:2] == [
             RETWEET | MENTION | SPAM | LINK, HASHTAG | MENTION | AUTOMATION]
         assert block.duplicated == 4
-        columns = timeline_stat_columns(np, [tweets, None, block, []])
+        columns = timeline_stat_columns([tweets, None, block, []])
         oracle = timeline_fractions(tweets)
         assert stat_rows(columns) == [oracle, (0.0,) * 7, oracle, (0.0,) * 7]
         assert columns.nonempty.tolist() == [True, False, True, False]
