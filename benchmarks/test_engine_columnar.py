@@ -11,7 +11,7 @@ floor, and writes the measured numbers to
 The columnar side is ``classify_all`` on a
 :class:`~repro.twitter.columnar.schema.UserRowBlock` (the shape
 acquisition hands the engines on a columnar world), with
-:class:`~repro.analytics.criteria.SampleBlock` construction timed
+:class:`~repro.api.columns.SampleBlock` construction timed
 inside; the scalar side is the per-account reference loop, one
 ``classify`` call per user object materialised from the same rows.  Socialbakers' timelines have the production depth
 (:data:`~repro.api.crawler.TIMELINE_PAGE`): the columnar side reads

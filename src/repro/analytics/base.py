@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.client import TwitterApiClient
+from ..api.columns import SampleBlock
 from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..api.endpoints import UserObject
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
@@ -430,7 +431,7 @@ class CommercialAnalytic:
 
         The single code path shared by all the rule-based engines:
         ``classify_all`` packs the sample into a
-        :class:`~repro.analytics.criteria.SampleBlock` and runs the
+        :class:`~repro.api.columns.SampleBlock` and runs the
         criteria's mask pipeline.  With a provenance collector attached
         the per-rule fire masks are recorded too.
         """
@@ -449,7 +450,7 @@ class CommercialAnalytic:
             target = request.target if request is not None else ""
             self._last_provenance = self._provenance.record(
                 self.name, target, verdicts, sink,
-                _sample_user_ids(users), now)
+                SampleBlock(users).user_ids, now)
         self.last_verdict_counts = dict(verdicts.counts())
         obs = self._obs()
         if obs.enabled:
@@ -526,9 +527,7 @@ class CommercialAnalytic:
         timelines: Optional[List[TimelineBlock]] = None
         if with_timelines:
             yield
-            ids_of = getattr(users, "user_ids", None)
-            sample_user_ids = (ids_of() if ids_of is not None
-                               else [user.user_id for user in users])
+            sample_user_ids = SampleBlock(users).user_ids
             by_id = self._crawler.fetch_timelines(
                 sample_user_ids, per_user=TIMELINE_PAGE)
             timelines = [by_id[uid] for uid in sample_user_ids]
@@ -561,20 +560,6 @@ class CommercialAnalytic:
             errors_seen=outcome.errors_seen,
             details=dict(outcome.details),
         )
-
-
-def _sample_user_ids(users) -> List[int]:
-    """The user ids of a classified sample, in classification order.
-
-    Handles both sample shapes the engines feed the criteria: a
-    columnar :class:`~repro.twitter.columnar.schema.UserRowBlock`
-    (exposing ``user_ids()``) and a plain sequence of
-    :class:`~repro.api.endpoints.UserObject`.
-    """
-    ids_of = getattr(users, "user_ids", None)
-    if callable(ids_of):
-        return [int(uid) for uid in ids_of()]
-    return [int(user.user_id) for user in users]
 
 
 def percentages(counts: Dict[str, int], total: int) -> Dict[str, float]:

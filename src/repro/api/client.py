@@ -400,14 +400,7 @@ class TwitterApiClient:
         Unknown ids are silently omitted from the response, as the real
         endpoint does.
         """
-        policy = self._limiter.policy("users/lookup")
-        if not 1 <= len(user_ids) <= policy.elements_per_request:
-            raise ConfigurationError(
-                f"users/lookup takes 1..{policy.elements_per_request} ids, "
-                f"got {len(user_ids)}")
-        completed = self._execute("users/lookup", len(user_ids))
-        now = (self._observe_at if self._observe_at is not None
-               else completed)
+        now = self._charge_lookup(user_ids)
         users = self._world.user_objects(user_ids, now)
         if self._acq_cache is not None:
             for user in users:
@@ -432,18 +425,27 @@ class TwitterApiClient:
         row_block = getattr(self._world, "user_row_block", None)
         if self._acq_cache is not None or row_block is None:
             return self.users_lookup(user_ids)
+        now = self._charge_lookup(user_ids)
+        block = row_block(user_ids, now)
+        if block is None:
+            return self._world.user_objects(user_ids, now)
+        return block
+
+    def _charge_lookup(self, user_ids: Sequence[int]) -> float:
+        """Check and charge one ``users/lookup`` batch.
+
+        Returns the instant the profiles are observed at: the pinned
+        observation when a scheduler set one, else the completion time
+        of the request.
+        """
         policy = self._limiter.policy("users/lookup")
         if not 1 <= len(user_ids) <= policy.elements_per_request:
             raise ConfigurationError(
                 f"users/lookup takes 1..{policy.elements_per_request} ids, "
                 f"got {len(user_ids)}")
         completed = self._execute("users/lookup", len(user_ids))
-        now = (self._observe_at if self._observe_at is not None
-               else completed)
-        block = row_block(user_ids, now)
-        if block is None:
-            return self._world.user_objects(user_ids, now)
-        return block
+        return (self._observe_at if self._observe_at is not None
+                else completed)
 
     # -- follower / friend listings ---------------------------------------------
 

@@ -1,7 +1,19 @@
-"""Timeline statistic columns for batch classification.
+"""Column views of one sample: its profiles and its timelines.
 
-Socialbakers' content rules (spam phrases, repeated tweets, retweet and
-link ratios) and FC's class-B features need per-timeline fractions.
+Every classifier in the repository -- the three commercial rule sets
+and the FC engine's trained detector -- reads a sample of
+``users/lookup`` profiles (and, for content rules and class-B
+features, their timelines) column by column rather than one account at
+a time.  This module holds both views:
+
+* :class:`SampleBlock` -- the profile columns of one sample, taken
+  from a structured-row
+  :class:`~repro.twitter.columnar.schema.UserRowBlock` as field views
+  or from a plain list of user objects by one attribute sweep, plus the
+  derived columns the rule sets and the FC features share;
+* :func:`timeline_stat_columns` -- the seven per-timeline fractions
+  (spam phrases, repeated tweets, retweet and link ratios, ...).
+
 Timelines arrive as :class:`~repro.twitter.timeline.TimelineBlock`
 columns, so all seven fractions of a whole sample come from its flag
 and body-key columns in a few vectorized passes — no tweet text is
@@ -17,17 +29,44 @@ one at a time (as the per-account rules in :mod:`repro.fc.rulesets` do).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..twitter.columnar.schema import UserRowBlock
 from ..twitter.timeline import (AUTOMATION, HASHTAG, LINK, MENTION, RETWEET,
                                 SPAM, TimelineBlock)
 
 #: Flag bit of each fraction column, in column order (the duplicate
 #: column comes from body keys instead).
 _FRACTION_BITS = (RETWEET, LINK, SPAM, MENTION, HASHTAG, AUTOMATION)
+
+#: One attribute sweep per user gathers every raw profile column.
+_PROFILE_FIELDS = operator.attrgetter(
+    "followers_count", "friends_count", "statuses_count", "created_at",
+    "last_status_at", "description", "location", "url", "name",
+    "default_profile_image", "screen_name")
+
+#: The view's raw profile columns as ``(column, row field, dtype)``, in
+#: the order :data:`_PROFILE_FIELDS` reads them.
+_COLUMNS = (
+    ("followers", "followers_count", np.int64),
+    ("friends", "friends_count", np.int64),
+    ("statuses", "statuses_count", np.int64),
+    ("created_at", "created_at", np.float64),
+    ("last_status_at", "last_tweet_at", np.float64),
+    ("descriptions", "description", object),
+    ("locations", "location", object),
+    ("urls", "url", object),
+    ("names", "name", object),
+    ("default_image", "default_profile_image", bool),
+    ("screen_names", "screen_name", object),
+)
+_COLUMN_NAMES = frozenset(column for column, __, __ in _COLUMNS)
 
 
 @dataclass
@@ -76,3 +115,185 @@ def timeline_stat_columns(timelines) -> TimelineStatColumns:
                           dtype=np.int64)
     return TimelineStatColumns(*columns, fraction(duplicated),
                                nonempty=nonempty)
+
+
+class SampleBlock:
+    """The profile columns of one sample, plus lazy derived columns.
+
+    ``users`` is a :class:`UserRowBlock` or a sequence of user objects;
+    ``timelines``, when given, holds one timeline per user.  The raw
+    columns are NumPy arrays, one entry per user in sample order:
+    ``followers``, ``friends``, ``statuses`` (int64), ``created_at``,
+    ``last_status_at`` (float64, NaN for never-tweeted),
+    ``default_image`` (bool) and the text columns ``descriptions``,
+    ``locations``, ``urls``, ``names`` and ``screen_names``.  A row
+    block hands them over as field views of its rows (text as ``U``
+    arrays); a list of user objects is swept once, on the first column
+    read, into object arrays of the objects' own strings.  ``user_ids``
+    needs no sweep, so a view built only for its ids costs one pass.
+
+    Every derived column is computed once on first use and shared
+    between rules and features.  All float math mirrors the user-object
+    observables bit for bit: age columns propagate NaN for
+    never-tweeted (pair them with :attr:`never_tweeted`), and the
+    friends/followers ratio reproduces the observable's zero-follower
+    fallback exactly.
+    """
+
+    def __init__(self, users, timelines=None) -> None:
+        if timelines is not None and len(timelines) != len(users):
+            raise ConfigurationError(
+                f"users and timelines length mismatch: {len(users)} "
+                f"users, {len(timelines)} timelines")
+        self._users = users
+        self._rows = users.rows if isinstance(users, UserRowBlock) else None
+        self.timelines = timelines
+        self._nonblank: Dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._users)
+
+    def __getattr__(self, name: str):
+        # Reached only for names the instance does not hold yet: a raw
+        # profile column is built on its first read, then kept.
+        if name not in _COLUMN_NAMES:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        column = self._column(name)
+        setattr(self, name, column)
+        return column
+
+    def _column(self, name: str) -> np.ndarray:
+        return self._profile[name]
+
+    @cached_property
+    def _profile(self) -> Dict[str, np.ndarray]:
+        """The raw columns: field views, or one attribute sweep."""
+        if self._rows is not None:
+            return {column: self._rows[field]
+                    for column, field, __ in _COLUMNS}
+        swept = [_PROFILE_FIELDS(user) for user in self._users]
+        values = zip(*swept) if swept else [()] * len(_COLUMNS)
+        profile = {}
+        for (column, __, dtype), raw in zip(_COLUMNS, values):
+            if column == "last_status_at":
+                raw = [np.nan if value is None else value for value in raw]
+            profile[column] = np.array(raw, dtype=dtype)
+        return profile
+
+    @cached_property
+    def user_ids(self) -> List[int]:
+        """The sample's user ids, in row order, as Python ints."""
+        if self._rows is not None:
+            return self._rows["user_id"].tolist()
+        return [user.user_id for user in self._users]
+
+    def take(self, indices) -> "SampleBlock":
+        """The view of the rows at ``indices``, in that order.
+
+        Nothing is swept or copied up front: the selection reads its
+        columns and non-blank masks through this view (see
+        :class:`_Selection`).
+        """
+        return _Selection(self, np.asarray(indices, dtype=np.intp))
+
+    @cached_property
+    def ff_ratio(self) -> np.ndarray:
+        """``friends_followers_ratio()`` as a float64 column.
+
+        Bit-identical to the user-object observable: int64/int64 division is
+        correctly rounded like Python ``int / int``, and zero-follower
+        rows take the ``float(friends_count)`` fallback.
+        """
+        unfollowed = self.followers == 0
+        denominator = np.where(unfollowed, 1, self.followers)
+        return np.where(unfollowed, self.friends.astype(np.float64),
+                        self.friends / denominator)
+
+    def nonblank(self, column: str) -> np.ndarray:
+        """``bool(text.strip())`` over the text column ``column``.
+
+        A row block's ``U`` field is stripped vectorized; ``str.strip``
+        and ``np.char.strip`` remove the same whitespace, so both
+        shapes agree exactly.
+        """
+        if column not in self._nonblank:
+            self._nonblank[column] = self._nonblank_column(column)
+        return self._nonblank[column]
+
+    def _nonblank_column(self, column: str) -> np.ndarray:
+        texts = getattr(self, column)
+        if texts.dtype.kind == "U":
+            return np.char.strip(texts) != ""
+        return np.array([bool(text.strip()) for text in texts.tolist()],
+                        dtype=bool)
+
+    @property
+    def has_bio(self) -> np.ndarray:
+        """``has_bio()`` as a boolean column."""
+        return self.nonblank("descriptions")
+
+    @property
+    def has_location(self) -> np.ndarray:
+        """``has_location()`` as a boolean column."""
+        return self.nonblank("locations")
+
+    @cached_property
+    def never_tweeted(self) -> np.ndarray:
+        """Rows with no last status (the NaN encoding of ``None``)."""
+        return np.isnan(self.last_status_at)
+
+    def age_at(self, now: float) -> np.ndarray:
+        """``age_at(now)`` column (always finite)."""
+        return np.maximum(0.0, now - self.created_at)
+
+    def last_status_age(self, now: float) -> np.ndarray:
+        """``last_status_age(now)`` column; NaN where never tweeted.
+
+        NaN compares ``False`` against any threshold, so pure
+        "older than" masks are safe — but pair explicit never-tweeted
+        semantics with :attr:`never_tweeted`.
+        """
+        return np.maximum(0.0, now - self.last_status_at)
+
+    def timeline_stats(self) -> TimelineStatColumns:
+        """The timeline fraction columns, from flag and body-key columns."""
+        if self.timelines is None:
+            raise ConfigurationError(
+                "sample block was built without timelines")
+        return self._timeline_stats
+
+    @cached_property
+    def _timeline_stats(self) -> TimelineStatColumns:
+        return timeline_stat_columns(self.timelines)
+
+
+class _Selection(SampleBlock):
+    """Rows ``indices`` of a parent view, read through the parent.
+
+    Each raw column is the parent's column indexed on its first read,
+    and each non-blank mask indexes the parent's mask, so selecting
+    rows of a row block never copies its fixed-width text fields.  The
+    selection's users are its parent positions: they give its length
+    and map its rows to the parent's ``user_ids``.
+    """
+
+    def __init__(self, parent: SampleBlock, indices: np.ndarray) -> None:
+        positions = indices.tolist()
+        timelines = (None if parent.timelines is None
+                     else [parent.timelines[index] for index in positions])
+        super().__init__(positions, timelines)
+        self._parent = parent
+        self._indices = indices
+
+    def _column(self, name: str) -> np.ndarray:
+        return getattr(self._parent, name)[self._indices]
+
+    def _nonblank_column(self, column: str) -> np.ndarray:
+        return self._parent.nonblank(column)[self._indices]
+
+    @cached_property
+    def user_ids(self) -> List[int]:
+        """The selected rows' user ids, in selection order."""
+        parent_ids = self._parent.user_ids
+        return [parent_ids[position] for position in self._users]

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.errors import ConfigurationError, RetryableApiError
 from ..obs.runtime import get_observability
+from ..twitter.columnar.schema import ACCOUNT_DTYPE, UserRowBlock
 from ..twitter.timeline import TimelineBlock
 from .client import DEFAULT_REQUEST_LATENCY, TwitterApiClient
 from .endpoints import UserObject
@@ -203,25 +206,7 @@ class Crawler:
         returned list always preserves the input id order (with
         unresolvable ids omitted), exactly like the uncached path.
         """
-        cache = self._client.acquisition_cache
-        if cache is not None:
-            return self._lookup_users_cached(user_ids, cache)
-        batch_size = self._client.policy("users/lookup").elements_per_request
-        with self._tracer.span("crawl.lookup", self._client.clock,
-                               requested=len(user_ids)) as span:
-            users: List[UserObject] = []
-            for start in range(0, len(user_ids), batch_size):
-                batch = list(user_ids[start:start + batch_size])
-                if not batch:
-                    continue
-                try:
-                    users.extend(self._client.users_lookup(batch))
-                except RetryableApiError:
-                    # Batches are independent: drop the failed one and
-                    # keep resolving the rest of the sample.
-                    span.set_attribute("degraded", True)
-            span.set_attribute("resolved", len(users))
-        return users
+        return self._lookup(user_ids, self._client.users_lookup)
 
     def lookup_users_block(self, user_ids: Sequence[int]):
         """Resolve profiles, keeping them columnar when the world can.
@@ -236,43 +221,58 @@ class Crawler:
         whole result to a plain list.  With a shared acquisition cache
         the profile-object cached path is used unchanged.
         """
+        return self._lookup(user_ids, self._client.users_lookup_block)
+
+    def _lookup(self, user_ids: Sequence[int], lookup):
+        """The ``crawl.lookup`` span around one ``lookup`` per batch.
+
+        Row-block batches are copied into one block as they arrive, so
+        a large sample never holds its batches and their merge at once;
+        the first object-list batch flattens the result to a list.
+        """
         cache = self._client.acquisition_cache
         if cache is not None:
             return self._lookup_users_cached(user_ids, cache)
-        batch_size = self._client.policy("users/lookup").elements_per_request
         with self._tracer.span("crawl.lookup", self._client.clock,
                                requested=len(user_ids)) as span:
-            parts = []
-            resolved = 0
-            for start in range(0, len(user_ids), batch_size):
-                batch = list(user_ids[start:start + batch_size])
-                if not batch:
+            rows = None
+            filled = 0
+            users: Optional[List[UserObject]] = None
+            for part in self._lookup_batches(user_ids, lookup, span):
+                if users is None and isinstance(part, UserRowBlock):
+                    if rows is None:
+                        rows = np.empty(len(user_ids), dtype=ACCOUNT_DTYPE)
+                    rows[filled:filled + len(part)] = part.rows
+                    filled += len(part)
                     continue
-                try:
-                    part = self._client.users_lookup_block(batch)
-                except RetryableApiError:
-                    span.set_attribute("degraded", True)
-                    continue
-                parts.append(part)
-                resolved += len(part)
-            span.set_attribute("resolved", resolved)
-        if parts and all(hasattr(part, "rows") for part in parts):
-            if len(parts) == 1:
-                return parts[0]
-            # Row blocks imply NumPy is importable: the world built them.
-            import numpy as np
-
-            from ..twitter.columnar.schema import UserRowBlock
-            return UserRowBlock(np.concatenate([p.rows for p in parts]))
-        users: List[UserObject] = []
-        for part in parts:
-            users.extend(part)
+                if users is None:
+                    users = list(UserRowBlock(rows[:filled])) if filled else []
+                users.extend(part)
+            span.set_attribute("resolved",
+                               filled if users is None else len(users))
+        if users is None:
+            return UserRowBlock(rows[:filled]) if filled else []
         return users
+
+    def _lookup_batches(self, user_ids: Sequence[int], lookup, span):
+        """``lookup`` over ``users/lookup``-sized batches of ``user_ids``.
+
+        Yields each batch's result.  Batches are independent: one whose
+        retries run out is dropped (marking ``span`` degraded) and the
+        rest of the sample still resolves.
+        """
+        batch_size = self._client.policy("users/lookup").elements_per_request
+        for start in range(0, len(user_ids), batch_size):
+            try:
+                part = lookup(list(user_ids[start:start + batch_size]))
+            except RetryableApiError:
+                span.set_attribute("degraded", True)
+                continue
+            yield part
 
     def _lookup_users_cached(self, user_ids: Sequence[int],
                              cache) -> List[UserObject]:
         """Cache-aware variant: re-batch only the cache misses."""
-        batch_size = self._client.policy("users/lookup").elements_per_request
         with self._tracer.span("crawl.lookup", self._client.clock,
                                requested=len(user_ids)) as span:
             resolved = {}
@@ -283,15 +283,10 @@ class Crawler:
                     resolved[uid] = hit
                 else:
                     missing.append(uid)
-            for start in range(0, len(missing), batch_size):
-                batch = missing[start:start + batch_size]
-                if not batch:
-                    continue
-                try:
-                    for user in self._client.users_lookup(batch):
-                        resolved[user.user_id] = user
-                except RetryableApiError:
-                    span.set_attribute("degraded", True)
+            for part in self._lookup_batches(
+                    missing, self._client.users_lookup, span):
+                for user in part:
+                    resolved[user.user_id] = user
             users = [resolved[uid] for uid in user_ids if uid in resolved]
             span.set_attribute("resolved", len(users))
             span.set_attribute("cache_hits", len(user_ids) - len(missing))

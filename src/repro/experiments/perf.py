@@ -116,7 +116,7 @@ def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
     input the engines really receive from ``users/lookup``, a
     :class:`~repro.twitter.columnar.schema.UserRowBlock` of structured
     rows, so block construction (the
-    :class:`~repro.analytics.criteria.SampleBlock` field views) is
+    :class:`~repro.api.columns.SampleBlock` field views) is
     timed inside it.  Object materialisation happens at acquisition
     time and is timed in neither.  Socialbakers reads timelines, so
     its rows carry production-depth

@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..api.columns import SampleBlock
 from ..core.errors import ConfigurationError, TrainingError
 from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
@@ -120,11 +121,14 @@ class BatchClassifier:
     """:meth:`TrainedDetector.predict` with a feature cache and obs spans.
 
     Same signature, same verdicts: features come from
-    :meth:`FeatureSet.extract_matrix <repro.fc.features.FeatureSet.extract_matrix>`
-    (through the :class:`FeatureCache` when one is attached), inference
-    from the detector's fitted model.  Both stages are wrapped in obs
-    spans (``fc.batch_extract`` / ``fc.batch_infer``) -- zero simulated
-    duration, but they carry row counts and land in traces.
+    :meth:`FeatureSet.extract_block <repro.fc.features.FeatureSet.extract_block>`
+    over the sample's :class:`~repro.api.columns.SampleBlock` (through
+    the :class:`FeatureCache`, keyed by the view's ``user_ids``, when
+    one is attached), inference from the detector's fitted model;
+    :meth:`predict_block` classifies a view the caller already built.
+    Both stages are wrapped in obs spans (``fc.batch_extract`` /
+    ``fc.batch_infer``) -- zero simulated duration, but they carry row
+    counts and land in traces.
     """
 
     def __init__(self, detector: TrainedDetector, *,
@@ -146,56 +150,53 @@ class BatchClassifier:
         """Attach (or detach, with ``None``) a feature cache."""
         self._cache = cache
 
-    def matrix(self, users, timelines, now: float) -> np.ndarray:
-        """The design matrix for ``users``, cached rows included."""
+    def matrix(self, view: SampleBlock, now: float) -> np.ndarray:
+        """The design matrix of ``view``, cached rows included."""
         with self._tracer.span("fc.batch_extract", self._clock,
-                               rows=len(users)):
-            return self._matrix(users, timelines, now)
+                               rows=len(view)):
+            return self._matrix(view, now)
 
-    def _matrix(self, users, timelines, now: float) -> np.ndarray:
+    def _matrix(self, view: SampleBlock, now: float) -> np.ndarray:
         if self._cache is None:
-            return self._feature_set.extract_matrix(users, timelines, now)
-        rows: List[object] = [None] * len(users)
-        missing: List[int] = []
-        for index, user in enumerate(users):
-            row = self._cache.get(user.user_id, now, self._fingerprint)
-            if row is None:
-                missing.append(index)
-            else:
-                rows[index] = row
+            return self._feature_set.extract_block(view, now)
+        user_ids = view.user_ids
+        rows: List[object] = [
+            self._cache.get(user_id, now, self._fingerprint)
+            for user_id in user_ids]
+        missing = [index for index, row in enumerate(rows) if row is None]
         if missing:
-            sub_users = [users[index] for index in missing]
-            sub_timelines = ([timelines[index] for index in missing]
-                             if timelines is not None else None)
-            fresh = self._feature_set.extract_matrix(
-                sub_users, sub_timelines, now)
+            fresh = self._feature_set.extract_block(view.take(missing), now)
             for position, index in enumerate(missing):
                 row = fresh[position].copy()
                 row.flags.writeable = False
-                self._cache.put(users[index].user_id, now,
-                                self._fingerprint, row)
+                self._cache.put(user_ids[index], now, self._fingerprint, row)
                 rows[index] = row
         if not rows:
             return np.empty((0, len(self._feature_set.features)),
                             dtype=np.float64)
         return np.vstack(rows)
 
+    def predict_block(self, view: SampleBlock, now: float) -> np.ndarray:
+        """0/1 fake verdicts for each row of ``view``."""
+        if not len(view):
+            return np.empty(0, dtype=np.int64)
+        X = self.matrix(view, now)
+        with self._tracer.span("fc.batch_infer", self._clock,
+                               rows=len(view)):
+            return self._model.predict(X)
+
     def predict(self, users, timelines, now: float) -> np.ndarray:
         """0/1 fake verdicts for each user."""
-        if not users:
-            return np.empty(0, dtype=np.int64)
-        X = self.matrix(users, timelines, now)
-        with self._tracer.span("fc.batch_infer", self._clock,
-                               rows=len(users)):
-            return self._model.predict(X)
+        return self.predict_block(SampleBlock(users, timelines), now)
 
     def predict_proba(self, users, timelines, now: float) -> np.ndarray:
         """Fake probability for each user."""
-        if not users:
+        view = SampleBlock(users, timelines)
+        if not len(view):
             return np.empty(0, dtype=np.float64)
-        X = self.matrix(users, timelines, now)
+        X = self.matrix(view, now)
         with self._tracer.span("fc.batch_infer", self._clock,
-                               rows=len(users)):
+                               rows=len(view)):
             return self._model.predict_proba(X)
 
 

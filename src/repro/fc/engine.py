@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..api.client import TwitterApiClient
+from ..api.columns import SampleBlock
 from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import SimClock, Stopwatch
@@ -65,8 +66,9 @@ class DetectorCriteria:
     The adapter that puts the FC engine on the same
     :class:`~repro.analytics.criteria.Criteria` protocol as the
     rule-based engines.  ``classify_all`` replicates the engine's
-    published flow — partition by the 90-day inactivity horizon, then
-    one bulk prediction over the active accounts through the columnar
+    published flow over one :class:`~repro.api.columns.SampleBlock` —
+    partition by the 90-day inactivity horizon (one mask), then one
+    bulk prediction over the view's active rows through the columnar
     :class:`~repro.fc.columnar.BatchClassifier`, which is built on
     first use with a feature cache from ``feature_cache`` (a zero-arg
     factory).
@@ -115,25 +117,12 @@ class DetectorCriteria:
         """
         from ..analytics.criteria import VerdictArray  # deferred: cycle
 
-        active_indices = []
-        active_users = []
-        active_timelines = []
-        for index, user in enumerate(users):
-            age = user.last_status_age(now)
-            if age is None or age > self._horizon:
-                continue
-            active_indices.append(index)
-            active_users.append(user)
-            if timelines is not None:
-                active_timelines.append(timelines[index])
-        predicted = self.classifier.predict(
-            active_users,
-            active_timelines if timelines is not None else None,
-            now,
-        )
-        codes = np.ones(len(users), dtype=np.int64)
-        codes[np.asarray(active_indices, dtype=np.int64)] = np.where(
-            predicted != 0, 0, 2)
+        view = SampleBlock(users, timelines)
+        # NaN (never tweeted) compares False: never-tweeted is inactive.
+        active = np.flatnonzero(view.last_status_age(now) <= self._horizon)
+        predicted = self.classifier.predict_block(view.take(active), now)
+        codes = np.ones(len(view), dtype=np.int64)
+        codes[active] = np.where(predicted != 0, 0, 2)
         if sink is not None:
             sink.add("fc.inactive_90d", codes == 1)
             sink.add("fc.classifier_fake", codes == 0)
@@ -342,14 +331,15 @@ class FakeClassifierEngine:
         else:
             sampled_ids = list(follower_ids)
 
-        users = self._crawler.lookup_users(sampled_ids)
+        users = self._crawler.lookup_users_block(sampled_ids)
+        sample = SampleBlock(users)
         timelines = None
         timeline_part = 1.0
         if self._detector.needs_timeline:
             yield
             by_id = self._crawler.fetch_timelines(
-                [user.user_id for user in users], per_user=TIMELINE_PAGE)
-            timelines = [by_id[user.user_id] for user in users]
+                sample.user_ids, per_user=TIMELINE_PAGE)
+            timelines = [by_id[user_id] for user_id in sample.user_ids]
             if users:
                 timeline_part = (
                     1.0 - self._crawler.last_timeline_shortfall / len(users))
@@ -362,7 +352,7 @@ class FakeClassifierEngine:
         if sink is not None:
             provenance_record = self._provenance.record(
                 self.name, screen_name, verdicts, sink,
-                [user.user_id for user in users], now)
+                sample.user_ids, now)
         counts = verdicts.counts()
         fake = counts["fake"]
         inactive = counts["inactive"]

@@ -16,9 +16,12 @@ classifier audits 9604 sampled followers with ~97 API calls, while a
 class-B one would need ~9700 — hours instead of minutes.
 
 Every feature is computed for a whole sample at once: its column
-function reads the sample's :class:`FeatureColumns` (profile attribute
-columns, and the timelines' flag and body-key columns for class B) and
-returns one float64 value per user.  :meth:`FeatureSet.extract_matrix`
+function reads the sample's :class:`~repro.api.columns.SampleBlock` --
+the profile column view the rule-based engines classify from too, with
+its shared derived columns (friends/followers ratio, non-blank text,
+account and last-status age) and, for class B, the timelines' flag and
+body-key columns -- and returns one float64 value per user.
+:meth:`FeatureSet.extract_block` (behind :meth:`~FeatureSet.extract_matrix`)
 is the only extractor, in training, evaluation and audits alike.
 """
 
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.columns import timeline_stat_columns
+from ..api.columns import SampleBlock
 from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
@@ -44,71 +46,12 @@ from ..twitter.tweet import Tweet
 CLASS_A = "A"
 CLASS_B = "B"
 
-#: One attribute sweep per user gathers every raw profile column.
-_PROFILE_FIELDS = operator.attrgetter(
-    "followers_count", "friends_count", "statuses_count", "created_at",
-    "last_status_at", "description", "location", "url", "name",
-    "default_profile_image", "screen_name")
-
-
-class FeatureColumns:
-    """One sample's raw profile columns, plus lazily derived shared arrays.
-
-    Column functions read the eleven profile attributes as lists (one
-    entry per user, in sample order): ``followers``, ``friends``,
-    ``statuses``, ``created_at``, ``last_status_at``, ``descriptions``,
-    ``locations``, ``urls``, ``names``, ``default_images`` and
-    ``screen_names``; ``now`` is the observation instant.
-    """
-
-    def __init__(self, users, timelines, now: float) -> None:
-        self.timelines = timelines
-        self.now = now
-        profile_columns = getattr(users, "profile_columns", None)
-        if profile_columns is not None:
-            # Row-block batches (e.g. UserRowBlock) hand over
-            # ready-made attribute columns holding exactly the values
-            # the per-object sweep below would read.
-            columns = profile_columns()
-        else:
-            rows = [_PROFILE_FIELDS(user) for user in users]
-            columns = tuple(list(column) for column in zip(*rows))
-        (self.followers, self.friends, self.statuses, self.created_at,
-         self.last_status_at, self.descriptions, self.locations, self.urls,
-         self.names, self.default_images, self.screen_names) = columns
-        self._age_days = None
-        self._fractions = None
-
-    @property
-    def age_days(self) -> np.ndarray:
-        """``max(0, now - created_at) / DAY`` -- shared by three columns."""
-        if self._age_days is None:
-            created = np.array(self.created_at, dtype=np.float64)
-            self._age_days = np.maximum(0.0, self.now - created) / DAY
-        return self._age_days
-
-    @property
-    def fractions(self):
-        """The timelines' :class:`~repro.api.columns.TimelineStatColumns`.
-
-        Computed once, from the flag and body-key columns; class-B
-        features without a timeline for every user raise
-        :class:`ConfigurationError`.
-        """
-        if self._fractions is None:
-            if self.timelines is None or any(
-                    timeline is None for timeline in self.timelines):
-                raise ConfigurationError(
-                    "class-B features need timelines (cost class B)")
-            self._fractions = timeline_stat_columns(self.timelines)
-        return self._fractions
-
-
-#: Computes one feature for a whole sample: float64, one value per user.
-#: Catalogue entries are module-level functions, partials of them or
-#: attrgetters (never closures), so features and the detectors holding
-#: them stay picklable.
-ColumnFunction = Callable[[FeatureColumns], np.ndarray]
+#: Computes one feature for a whole sample: float64, one value per user
+#: of the :class:`~repro.api.columns.SampleBlock`, at instant ``now``.
+#: Catalogue entries are module-level functions or partials of them
+#: (never closures), so features and the detectors holding them stay
+#: picklable.
+ColumnFunction = Callable[[SampleBlock, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -123,60 +66,54 @@ class Feature:
 
 # -- class A: profile-only features -----------------------------------------
 #
-# Log counts stay per-element ``math.log1p`` calls: this NumPy build's
-# SIMD ``np.log1p`` differs by 1 ULP on some inputs, which would move
-# trained thresholds and so every committed golden.
+# Log counts stay per-element ``math.log1p`` calls over Python floats:
+# this NumPy build's SIMD ``np.log1p`` differs by 1 ULP on some inputs,
+# which would move trained thresholds and so every committed golden.
 
-def _log1p(values) -> np.ndarray:
+def _log1p(values: np.ndarray) -> np.ndarray:
     # ``v if v > 0.0 else 0.0`` is ``max(0.0, v)`` without the builtin
     # call -- identical result, measurably faster over 10k rows.
     return np.array([math.log1p(value if value > 0.0 else 0.0)
-                     for value in values], dtype=np.float64)
+                     for value in values.tolist()], dtype=np.float64)
 
 
-def _log_count(column: str, cols: FeatureColumns) -> np.ndarray:
-    return _log1p(getattr(cols, column))
+def _log_count(column: str, view: SampleBlock, now: float) -> np.ndarray:
+    return _log1p(getattr(view, column))
 
 
-def _log_ff_ratio(cols: FeatureColumns) -> np.ndarray:
+def _log_ff_ratio(view: SampleBlock, now: float) -> np.ndarray:
     # friends/followers, or friends_count itself when nobody follows.
-    return _log1p(
-        float(friends) if followers == 0 else friends / followers
-        for friends, followers in zip(cols.friends, cols.followers))
+    return _log1p(view.ff_ratio)
 
 
-def _per_day(column: str, cols: FeatureColumns) -> np.ndarray:
-    counts = np.array(getattr(cols, column), dtype=np.float64)
-    return counts / np.maximum(cols.age_days, 1.0)
+def _age_days(view: SampleBlock, now: float) -> np.ndarray:
+    return view.age_at(now) / DAY
 
 
-def _truthy(values) -> np.ndarray:
-    return np.array([1.0 if value else 0.0 for value in values],
+def _per_day(column: str, view: SampleBlock, now: float) -> np.ndarray:
+    return getattr(view, column) / np.maximum(_age_days(view, now), 1.0)
+
+
+def _filled(column: str, view: SampleBlock, now: float) -> np.ndarray:
+    return view.nonblank(column).astype(np.float64)
+
+
+def _default_image(view: SampleBlock, now: float) -> np.ndarray:
+    return view.default_image.astype(np.float64)
+
+
+def _name_length(view: SampleBlock, now: float) -> np.ndarray:
+    return np.array([len(name) for name in view.screen_names.tolist()],
                     dtype=np.float64)
 
 
-def _filled(column: str, cols: FeatureColumns) -> np.ndarray:
-    return _truthy(text.strip() for text in getattr(cols, column))
-
-
-def _default_image(cols: FeatureColumns) -> np.ndarray:
-    return _truthy(cols.default_images)
-
-
-def _name_length(cols: FeatureColumns) -> np.ndarray:
-    return np.array([len(name) for name in cols.screen_names],
-                    dtype=np.float64)
-
-
-def _last_status_age_days(cols: FeatureColumns) -> np.ndarray:
-    last = np.array([np.nan if value is None else value
-                     for value in cols.last_status_at], dtype=np.float64)
-    age = np.maximum(0.0, cols.now - last) / DAY
+def _last_status_age_days(view: SampleBlock, now: float) -> np.ndarray:
     # "Never tweeted" is encoded as an age far beyond any horizon.
-    return np.where(np.isnan(last), 10_000.0, age)
+    return np.where(view.never_tweeted, 10_000.0,
+                    view.last_status_age(now) / DAY)
 
 
-def _name_digit_fraction(cols: FeatureColumns) -> np.ndarray:
+def _name_digit_fraction(view: SampleBlock, now: float) -> np.ndarray:
     # For ASCII strings ``str.isdigit`` is true exactly for '0'-'9', so
     # the whole column reduces to one byte-level sweep: join the names,
     # mark digit bytes, and difference a running count at the name
@@ -185,7 +122,7 @@ def _name_digit_fraction(cols: FeatureColumns) -> np.ndarray:
     # ``digit_fraction`` bit for bit.  Unicode digit classes differ
     # from ASCII, so any non-ASCII name sends the column through
     # ``digit_fraction`` one handle at a time.
-    names = cols.screen_names
+    names = view.screen_names.tolist()
     joined = "".join(names)
     if not joined.isascii():
         return np.array([digit_fraction(name) for name in names],
@@ -203,9 +140,14 @@ def _name_digit_fraction(cols: FeatureColumns) -> np.ndarray:
 
 # -- class B: timeline features ----------------------------------------------
 
-def _timeline(fraction: str) -> ColumnFunction:
-    """The column function reading one timeline fraction column."""
-    return operator.attrgetter(f"fractions.{fraction}")
+def _timeline_fraction(fraction: str, view: SampleBlock,
+                       now: float) -> np.ndarray:
+    """One timeline fraction column; every user needs a timeline."""
+    if view.timelines is None or any(
+            timeline is None for timeline in view.timelines):
+        raise ConfigurationError(
+            "class-B features need timelines (cost class B)")
+    return getattr(view.timeline_stats(), fraction)
 
 
 FEATURES: Tuple[Feature, ...] = (
@@ -218,7 +160,7 @@ FEATURES: Tuple[Feature, ...] = (
     Feature("log_ff_ratio", CLASS_A, _log_ff_ratio,
             "log(1 + friends/followers) — the StatusPeople founder's "
             "'most meaningful' signal"),
-    Feature("age_days", CLASS_A, operator.attrgetter("age_days"),
+    Feature("age_days", CLASS_A, _age_days,
             "account age in days"),
     Feature("tweets_per_day", CLASS_A, partial(_per_day, "statuses"),
             "lifetime tweeting rate"),
@@ -240,19 +182,26 @@ FEATURES: Tuple[Feature, ...] = (
             "length of the handle"),
     Feature("followers_per_day", CLASS_A, partial(_per_day, "followers"),
             "audience accumulation rate (Yang et al.)"),
-    Feature("retweet_fraction", CLASS_B, _timeline("retweet"),
+    Feature("retweet_fraction", CLASS_B,
+            partial(_timeline_fraction, "retweet"),
             "fraction of retweets in the recent timeline"),
-    Feature("link_fraction", CLASS_B, _timeline("link"),
+    Feature("link_fraction", CLASS_B,
+            partial(_timeline_fraction, "link"),
             "fraction of tweets with URLs (Stringhini et al.)"),
-    Feature("spam_fraction", CLASS_B, _timeline("spam"),
+    Feature("spam_fraction", CLASS_B,
+            partial(_timeline_fraction, "spam"),
             "fraction of tweets with spam phrases"),
-    Feature("mention_fraction", CLASS_B, _timeline("mention"),
+    Feature("mention_fraction", CLASS_B,
+            partial(_timeline_fraction, "mention"),
             "fraction of tweets with mentions"),
-    Feature("hashtag_fraction", CLASS_B, _timeline("hashtag"),
+    Feature("hashtag_fraction", CLASS_B,
+            partial(_timeline_fraction, "hashtag"),
             "fraction of tweets with hashtags"),
-    Feature("automation_fraction", CLASS_B, _timeline("automation"),
+    Feature("automation_fraction", CLASS_B,
+            partial(_timeline_fraction, "automation"),
             "fraction of tweets from non-official clients (Chu et al.)"),
-    Feature("duplicate_fraction", CLASS_B, _timeline("duplicate"),
+    Feature("duplicate_fraction", CLASS_B,
+            partial(_timeline_fraction, "duplicate"),
             "fraction of tweets whose body repeats > 3 times"),
 )
 
@@ -314,20 +263,21 @@ class FeatureSet:
     def extract_matrix(self, users: Sequence[UserObject],
                        timelines: Optional[Sequence[Optional[Sequence[Tweet]]]],
                        now: float) -> np.ndarray:
+        """The design matrix of ``users`` (and their ``timelines``)."""
+        return self.extract_block(SampleBlock(users, timelines), now)
+
+    def extract_block(self, view: SampleBlock, now: float) -> np.ndarray:
         """The design matrix: one float64 row per user, column by column.
 
-        One attribute sweep of the profiles feeds every class-A column;
-        class-B columns read the timelines' flag and body-key columns
+        Every class-A column reads the view's profile columns (one
+        attribute sweep, or none for a row block); class-B columns read
+        the timelines' flag and body-key columns
         (:func:`repro.api.columns.timeline_stat_columns`).
         """
-        if timelines is not None and len(timelines) != len(users):
-            raise ConfigurationError("users and timelines length mismatch")
-        if not users:
-            return np.empty((0, len(self._features)), dtype=np.float64)
-        cols = FeatureColumns(users, timelines, now)
-        matrix = np.empty((len(users), len(self._features)), dtype=np.float64)
-        for index, feature in enumerate(self._features):
-            matrix[:, index] = feature.column(cols)
+        matrix = np.empty((len(view), len(self._features)), dtype=np.float64)
+        if len(view):
+            for index, feature in enumerate(self._features):
+                matrix[:, index] = feature.column(view, now)
         return matrix
 
 

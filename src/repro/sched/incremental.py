@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..api.columns import SampleBlock
 from ..api.crawler import TIMELINE_PAGE, Crawler
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import Stopwatch
@@ -283,8 +284,7 @@ class DeltaAuditor:
         criteria = engine.criteria
         if criteria is not None and criteria.needs_timeline:
             yield
-            from ..analytics.base import _sample_user_ids
-            sample_ids = _sample_user_ids(users)
+            sample_ids = SampleBlock(users).user_ids
             by_id = self._crawler.fetch_timelines(
                 sample_ids, per_user=TIMELINE_PAGE)
             timelines = [by_id[uid] for uid in sample_ids]

@@ -24,7 +24,7 @@ encoding is exact by construction:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -137,8 +137,9 @@ class UserRowBlock(Sequence):
     """A batch of account rows posing as a sequence of user objects.
 
     Indexing and iteration materialise :class:`UserObject` instances
-    lazily, so row-oriented consumers keep working; the vectorized FC
-    extractor instead calls :meth:`profile_columns` and never touches
+    lazily, so row-oriented consumers keep working; the classifiers
+    instead read :attr:`rows` through the
+    :class:`~repro.api.columns.SampleBlock` field views and never touch
     per-row objects at all.
     """
 
@@ -194,31 +195,3 @@ class UserRowBlock(Sequence):
             row["last_tweet_at"] = (np.nan if user.last_status_at is None
                                     else user.last_status_at)
         return cls(rows)
-
-    def user_ids(self) -> List[int]:
-        """The block's user ids, in row order, as Python ints."""
-        return [int(v) for v in self._rows["user_id"].tolist()]
-
-    def profile_columns(self) -> Tuple[List[object], ...]:
-        """The 11 profile attribute columns, in the order the FC
-        extractor's attribute sweep reads them.
-
-        Values are exactly what per-object attribute access would have
-        produced: Python ints/floats/strs/bools converted from the row
-        scalars (``last_status_at`` keeps ``None`` for never-tweeted).
-        """
-        rows = self._rows
-        return (
-            [int(v) for v in rows["followers_count"].tolist()],
-            [int(v) for v in rows["friends_count"].tolist()],
-            [int(v) for v in rows["statuses_count"].tolist()],
-            [float(v) for v in rows["created_at"].tolist()],
-            [None if v != v else float(v)
-             for v in rows["last_tweet_at"].tolist()],
-            [str(v) for v in rows["description"].tolist()],
-            [str(v) for v in rows["location"].tolist()],
-            [str(v) for v in rows["url"].tolist()],
-            [str(v) for v in rows["name"].tolist()],
-            [bool(v) for v in rows["default_profile_image"].tolist()],
-            [str(v) for v in rows["screen_name"].tolist()],
-        )

@@ -17,9 +17,10 @@ from repro.analytics import (
     build_sample_block,
 )
 from repro.api import UserObject
-from repro.core import DAY, PAPER_EPOCH, YEAR
+from repro.core import ConfigurationError, DAY, PAPER_EPOCH, YEAR
 from repro.fc.rulesets import SocialbakersCriteria
 from repro.obs.provenance import ProvenanceSink
+from repro.twitter.columnar.schema import UserRowBlock
 
 from . import criteria_oracle
 
@@ -110,13 +111,23 @@ class TestMaskPipelineEdges:
 
     def test_row_block_sample_matches_scalar(self, name, criteria, timelined):
         """The structured-rows fast path (field views) stays identical."""
-        from repro.twitter.columnar.schema import UserRowBlock
-
         timelines = [[] for __ in MIXED] if timelined else None
         assert_matches_oracle(
             criteria.classify_all(UserRowBlock.from_users(MIXED), timelines,
                                   NOW),
             criteria_oracle.classify(criteria, MIXED, timelines, NOW))
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_timeline_length_mismatch_is_rejected(self, name, criteria,
+                                                  timelined, extra):
+        """A timeline list that does not pair up with the users fails
+        loudly, whether or not the criteria read timelines."""
+        timelines = [[] for __ in range(len(MIXED) + extra)]
+        with pytest.raises(ConfigurationError, match="length mismatch"):
+            criteria.classify_all(MIXED, timelines, NOW)
+        with pytest.raises(ConfigurationError, match="length mismatch"):
+            criteria.classify_all(UserRowBlock.from_users(MIXED), timelines,
+                                  NOW)
 
     def test_sink_masks_equal_explain_fires(self, name, criteria, timelined):
         """``classify_all(..., sink=)`` records exactly the rules

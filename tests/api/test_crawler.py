@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Crawler, TwitterApiClient, estimate_acquisition_time
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, SimClock
+from repro.twitter.columnar.schema import UserRowBlock
 
 
 @pytest.fixture
@@ -44,6 +45,29 @@ class TestFetching:
 
     def test_lookup_users_empty(self, crawler):
         assert crawler.lookup_users([]) == []
+
+    def test_lookup_users_block_merges_row_batches(self, crawler,
+                                                   small_world):
+        crawler.client.pin_observation(PAPER_EPOCH)
+        population = small_world.population("smalltown")
+        ids = [population.follower_id_at(p) for p in range(250)]
+        block = crawler.lookup_users_block(ids)
+        assert isinstance(block, UserRowBlock)
+        assert list(block) == crawler.lookup_users(ids)
+        assert crawler.client.call_log.count("users/lookup") == 6
+
+    def test_lookup_users_block_flattens_on_object_batch(self, crawler,
+                                                         small_world):
+        """A batch the world cannot serve as rows (a target id) turns
+        the whole result into the object list ``lookup_users`` gives."""
+        crawler.client.pin_observation(PAPER_EPOCH)
+        population = small_world.population("smalltown")
+        target = small_world.account_by_name("smalltown", PAPER_EPOCH)
+        ids = [population.follower_id_at(p) for p in range(150)]
+        users = crawler.lookup_users_block(ids + [target.user_id])
+        assert isinstance(users, list)
+        assert users == crawler.lookup_users(ids + [target.user_id])
+        assert len(users) == 151
 
     def test_fetch_timelines(self, crawler, small_world):
         population = small_world.population("smalltown")

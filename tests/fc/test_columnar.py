@@ -29,11 +29,14 @@ from repro.fc import (
     build_gold_standard,
     train_detector,
 )
+from repro.fc.engine import DetectorCriteria
 from repro.fc.training import TrainedDetector
 from repro.fc.tree import DecisionTree
 from repro.obs import Observability, observed
+from repro.obs.provenance import ProvenanceSink
 from repro.serde import audit_report_to_dict
 from repro.twitter import add_simple_target, build_world
+from repro.twitter.columnar import schema
 
 from ..conftest import object_lookups
 from . import feature_oracle, tree_oracle
@@ -255,3 +258,75 @@ class TestEngineParity:
         assert shared.hits > 0  # engine_b reused engine_a's rows
         acq.clear()
         assert shared.size() == 0
+
+
+def follower_sample(world, handle, size):
+    """The object list and the row block of one target's first followers."""
+    target = world.account_by_name(handle, PAPER_EPOCH)
+    ids = [int(uid) for uid in
+           world.follower_ids(target.user_id, 0, size, PAPER_EPOCH)]
+    return (world.user_objects(ids, PAPER_EPOCH),
+            world.user_row_block(ids, PAPER_EPOCH))
+
+
+class TestRowBlockClassification:
+    """``DetectorCriteria.classify_all`` reads a row block's fields."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, small_world):
+        return follower_sample(small_world, "smalltown", 3_000)
+
+    def test_row_block_builds_no_user_objects(self, sample, detector,
+                                              monkeypatch):
+        objects, rows = sample
+        expected = DetectorCriteria(detector).classify_all(
+            objects, None, PAPER_EPOCH)
+
+        def refuse(row):
+            raise AssertionError("a UserObject was built from a row")
+
+        monkeypatch.setattr(schema, "user_object_from_row", refuse)
+        criteria = DetectorCriteria(detector)
+        for __ in range(2):  # cold, then served from the feature cache
+            verdicts = criteria.classify_all(rows, None, PAPER_EPOCH)
+            assert verdicts.codes.tolist() == expected.codes.tolist()
+
+    def test_both_shapes_classify_identically(self, sample, detector):
+        """Same verdicts, provenance masks and feature-cache traffic."""
+        outcomes = []
+        for users in sample:
+            criteria = DetectorCriteria(detector)
+            runs = []
+            for __ in range(2):
+                sink = ProvenanceSink()
+                verdicts = criteria.classify_all(users, None, PAPER_EPOCH,
+                                                 sink=sink)
+                runs.append((verdicts.codes.tolist(), sink.packed()))
+            cache = criteria.classifier.feature_cache
+            outcomes.append((runs, cache.hits, cache.misses, cache.size()))
+        assert outcomes[0] == outcomes[1]
+        (first, __), __ = outcomes[0][0]
+        assert {0, 1, 2} <= set(first)
+        assert outcomes[0][1] == outcomes[0][2] == first.count(0) \
+            + first.count(2)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_timeline_length_mismatch_is_rejected(self, sample, detector,
+                                                  extra):
+        objects, rows = sample
+        timelines = [[] for __ in range(len(objects) + extra)]
+        for users in (objects, rows):
+            with pytest.raises(ConfigurationError, match="length mismatch"):
+                DetectorCriteria(detector).classify_all(
+                    users, timelines, PAPER_EPOCH)
+
+    def test_class_b_needs_every_timeline(self, gold):
+        detector = train_detector(
+            build_gold_standard(n_fake=40, n_genuine=40, seed=2,
+                                timeline_depth=5),
+            feature_set=FULL_FEATURE_SET, n_trees=3)
+        users = gold.users()[:4]
+        timelines = [[], None, [], []]
+        with pytest.raises(ConfigurationError, match="cost class B"):
+            DetectorCriteria(detector).classify_all(
+                users, timelines, gold.now)

@@ -20,6 +20,7 @@ from repro.fc import (
     PROFILE_FEATURE_SET,
 )
 from repro.twitter import Tweet
+from repro.twitter.columnar.schema import UserRowBlock
 from repro.twitter.tweet import HUMAN_SOURCES
 
 from . import feature_oracle
@@ -229,11 +230,18 @@ class TestExtractionOracle:
     def test_both_feature_sets_match_the_oracle(self, sample):
         people = [user for user, __ in sample]
         tweets = [timeline for __, timeline in sample]
+        # The row block's fixed-width fields are what its view reads,
+        # so its oracle runs over the objects the block reads back.
+        block = UserRowBlock.from_users(people)
         for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
             assert np.array_equal(
                 feature_set.extract_matrix(people, tweets, NOW),
                 feature_oracle.extract_matrix(
                     feature_set, people, tweets, NOW))
+            assert np.array_equal(
+                feature_set.extract_matrix(block, tweets, NOW),
+                feature_oracle.extract_matrix(
+                    feature_set, list(block), tweets, NOW))
 
     def test_edge_accounts_match_the_oracle(self):
         edge = [make_user(followers_count=0, friends_count=7),
