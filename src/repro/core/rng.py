@@ -24,8 +24,15 @@ def derive_seed(master: int, *path: object) -> int:
     value, and different paths yield (with overwhelming probability)
     different, uncorrelated seeds.
     """
-    payload = repr((int(master),) + tuple(str(p) for p in path)).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
+    # The hashed text is ``repr((int(master),) + tuple(str(p) for p in
+    # path))``, written out without building the tuple: a tuple's repr
+    # is its items' reprs joined by ", ", with a trailing comma for one
+    # item.  Follower streams derive two seeds per generated follower.
+    if path:
+        payload = f"({int(master)}, {', '.join([repr(str(p)) for p in path])})"
+    else:
+        payload = f"({int(master)},)"
+    digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -101,23 +108,47 @@ class ZipfTable:
         return lo + 1
 
 
+class WeightedTable:
+    """A fixed weighted item list, laid out for repeated picks.
+
+    The weights are accumulated once, in order, and :meth:`pick` makes
+    the ``target <= acc`` comparisons :func:`weighted_choice` makes, on
+    the same single draw, so both pick the same item.
+    """
+
+    __slots__ = ("_items", "_bounds", "_total")
+
+    def __init__(self, items: Sequence[object],
+                 weights: Sequence[float]) -> None:
+        if len(items) != len(weights):
+            raise ConfigurationError("items and weights must have equal length")
+        if not items:
+            raise ConfigurationError("cannot choose from an empty sequence")
+        total = float(sum(weights))
+        if total <= 0 or any(w < 0 for w in weights):
+            raise ConfigurationError(f"weights must be non-negative with positive sum: {weights!r}")
+        bounds = []
+        acc = 0.0
+        for weight in weights:
+            acc += weight
+            bounds.append(acc)
+        self._items = tuple(items)
+        self._bounds = tuple(bounds)
+        self._total = total
+
+    def pick(self, rng: random.Random) -> object:
+        """Pick one item with one ``rng.random()`` draw."""
+        target = rng.random() * self._total
+        for item, acc in zip(self._items, self._bounds):
+            if target <= acc:
+                return item
+        return self._items[-1]
+
+
 def weighted_choice(rng: random.Random, items: Sequence[object],
                     weights: Sequence[float]) -> object:
     """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ConfigurationError("items and weights must have equal length")
-    if not items:
-        raise ConfigurationError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0 or any(w < 0 for w in weights):
-        raise ConfigurationError(f"weights must be non-negative with positive sum: {weights!r}")
-    target = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if target <= acc:
-            return item
-    return items[-1]
+    return WeightedTable(items, weights).pick(rng)
 
 
 def poisson(rng: random.Random, lam: float) -> int:

@@ -11,7 +11,7 @@ from .schema import (
     ACCOUNT_DTYPE,
     STRING_WIDTHS,
     UserRowBlock,
-    pack_account,
+    account_row,
     user_object_from_row,
 )
 from .world import ColumnarWorld, build_columnar_world
@@ -21,7 +21,7 @@ __all__ = [
     "ColumnarWorld",
     "STRING_WIDTHS",
     "UserRowBlock",
+    "account_row",
     "build_columnar_world",
-    "pack_account",
     "user_object_from_row",
 ]

@@ -10,9 +10,10 @@ encoding is exact by construction:
 * ``last_tweet_at=None`` (never tweeted) is encoded as NaN, the only
   float value the generators never produce;
 * strings live in fixed-width unicode columns whose widths exceed the
-  longest string any persona sampler can mint; :func:`pack_account`
-  *verifies* that on every write and refuses to truncate, so a silent
-  bit-identity break is impossible;
+  longest string any persona sampler can mint; :func:`account_row`
+  *verifies* that on every row and refuses a value the column would
+  truncate or strip (a trailing NUL), so a silent bit-identity break
+  is impossible;
 * the ground-truth label is stored as an int8 index into
   :data:`repro.twitter.account.LABELS`.
 
@@ -24,6 +25,7 @@ encoding is exact by construction:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ from ..account import Account, LABELS
 #: Fixed string column widths.  Persona samplers mint screen names of at
 #: most 15 characters, display names of at most 15, bios of at most 36,
 #: locations of at most 11 and urls of at most 34; widths leave headroom
-#: and ``pack_account`` raises rather than truncate if a generator ever
+#: and ``account_row`` raises rather than truncate if a generator ever
 #: outgrows them.
 STRING_WIDTHS = {
     "screen_name": 20,
@@ -72,39 +74,49 @@ ACCOUNT_DTYPE = np.dtype([
 
 _LABEL_INDEX = {label: index for index, label in enumerate(LABELS)}
 
+#: The profile columns a user object and an account share, in row order
+#: (``last_tweet_at`` follows them; the two shapes name it differently).
+_NAMES = ACCOUNT_DTYPE.names
+_PROFILE_COLUMNS = _NAMES[:_NAMES.index("last_tweet_at")]
+_BEHAVIOR_COLUMNS = _NAMES[_NAMES.index("tweets_per_day"):_NAMES.index("label")]
+_profile_values = attrgetter(*_PROFILE_COLUMNS)
+_behavior_values = attrgetter(*_BEHAVIOR_COLUMNS)
+#: ``(tuple index, field, width)`` of each fixed-width text column.
+_TEXT_SLOTS = tuple(
+    (index, field, STRING_WIDTHS[field])
+    for index, field in enumerate(_PROFILE_COLUMNS) if field in STRING_WIDTHS)
+#: ``last_tweet_at`` of an account that never tweeted.
+_NEVER_TWEETED = float("nan")
+#: Behaviour and label columns of a row packed from a plain user object.
+_NO_BEHAVIOR = (0,) * (len(_BEHAVIOR_COLUMNS) + 1)
 
-def pack_account(row: np.void, account: Account) -> None:
-    """Write ``account`` into ``row`` in place, refusing lossy writes."""
-    for field, width in STRING_WIDTHS.items():
-        value = getattr(account, field)
-        if len(value) > width:
+
+def _profile_row(user, last_at: Optional[float]) -> tuple:
+    """The profile columns of ``user`` (an account or a user object).
+
+    Refuses a text value its fixed-width column cannot round-trip: one
+    longer than the width, or one ending in NUL (NumPy strips trailing
+    NULs when it reads a ``U`` field back).
+    """
+    values = _profile_values(user)
+    for index, field, width in _TEXT_SLOTS:
+        value = values[index]
+        if len(value) > width or value.endswith("\x00"):
             raise ConfigurationError(
-                f"account {account.user_id} field {field!r} exceeds the "
-                f"columnar width {width}: {value!r}")
-    row["user_id"] = account.user_id
-    row["screen_name"] = account.screen_name
-    row["created_at"] = account.created_at
-    row["name"] = account.name
-    row["description"] = account.description
-    row["location"] = account.location
-    row["url"] = account.url
-    row["default_profile_image"] = account.default_profile_image
-    row["verified"] = account.verified
-    row["followers_count"] = account.followers_count
-    row["friends_count"] = account.friends_count
-    row["statuses_count"] = account.statuses_count
-    row["last_tweet_at"] = (np.nan if account.last_tweet_at is None
-                            else account.last_tweet_at)
-    behavior = account.behavior
-    row["tweets_per_day"] = behavior.tweets_per_day
-    row["retweet_ratio"] = behavior.retweet_ratio
-    row["link_ratio"] = behavior.link_ratio
-    row["spam_ratio"] = behavior.spam_ratio
-    row["mention_ratio"] = behavior.mention_ratio
-    row["hashtag_ratio"] = behavior.hashtag_ratio
-    row["duplicate_pool"] = behavior.duplicate_pool
-    row["api_source_ratio"] = behavior.api_source_ratio
-    row["label"] = _LABEL_INDEX[account.true_label]
+                f"user {user.user_id} field {field!r} cannot round-trip "
+                f"through the columnar width {width}: {value!r}")
+    return values + (_NEVER_TWEETED if last_at is None else last_at,)
+
+
+def account_row(account: Account) -> tuple:
+    """``account`` as one :data:`ACCOUNT_DTYPE` record tuple.
+
+    Build many rows at once with ``np.array(tuples, dtype=ACCOUNT_DTYPE)``;
+    lossy text values are refused (see :func:`_profile_row`).
+    """
+    return (_profile_row(account, account.last_tweet_at)
+            + _behavior_values(account.behavior)
+            + (_LABEL_INDEX[account.true_label],))
 
 
 def _last_tweet_at(row: np.void) -> Optional[float]:
@@ -169,29 +181,9 @@ class UserRowBlock(Sequence):
         Only the profile fields a :class:`UserObject` carries are
         written; the behaviour columns that drive lazy timeline
         synthesis stay zeroed — callers classify profiles, they do not
-        synthesise timelines from the result.  Refuses lossy string
-        writes like :func:`pack_account`.
+        synthesise timelines from the result.  Refuses lossy text
+        values like :func:`account_row`.
         """
-        rows = np.zeros(len(users), dtype=ACCOUNT_DTYPE)
-        for row, user in zip(rows, users):
-            for field, width in STRING_WIDTHS.items():
-                value = getattr(user, field)
-                if len(value) > width:
-                    raise ConfigurationError(
-                        f"user {user.user_id} field {field!r} exceeds the "
-                        f"columnar width {width}: {value!r}")
-            row["user_id"] = user.user_id
-            row["screen_name"] = user.screen_name
-            row["created_at"] = user.created_at
-            row["name"] = user.name
-            row["description"] = user.description
-            row["location"] = user.location
-            row["url"] = user.url
-            row["default_profile_image"] = user.default_profile_image
-            row["verified"] = user.verified
-            row["followers_count"] = user.followers_count
-            row["friends_count"] = user.friends_count
-            row["statuses_count"] = user.statuses_count
-            row["last_tweet_at"] = (np.nan if user.last_status_at is None
-                                    else user.last_status_at)
-        return cls(rows)
+        return cls(np.array(
+            [_profile_row(user, user.last_status_at) + _NO_BEHAVIOR
+             for user in users], dtype=ACCOUNT_DTYPE))

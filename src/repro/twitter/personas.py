@@ -18,6 +18,7 @@ published definitions would conclude.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -75,25 +76,71 @@ def _stale_last_tweet(rng: random.Random, now: float, created_at: float,
     return rng.uniform(oldest, newest)
 
 
+def capped_account(latest_created: Optional[float], now: float,
+                   **fields) -> Account:
+    """Build a sampled :class:`Account`, created no later than ``latest_created``.
+
+    Every sampler returns through here (or applies the same cap), so
+    the cap costs no second :class:`Account`.  A sampled creation after
+    ``latest_created`` is shifted back onto it, and the last tweet is
+    clamped into ``[created, now]``, which keeps the
+    never-tweeted/last-tweet structure.  The draws are all made before
+    this call, from the uncapped creation time; ``latest_created=None``
+    builds the account as sampled.
+    """
+    created = fields["created_at"]
+    if latest_created is not None and created > latest_created:
+        shift = created - latest_created
+        fields["created_at"] = created - shift
+        last = fields.get("last_tweet_at")
+        if last is not None:
+            fields["last_tweet_at"] = max(created - shift, min(last, now))
+    return Account(**fields)
+
+
+#: The positional arguments :meth:`Persona.sample` passes a sampler.
+_SAMPLER_ARGS = ("rng", "user_id", "screen_name", "now", "latest_created")
+
+
 @dataclass(frozen=True)
 class Persona:
-    """A named account archetype with its ground-truth label."""
+    """A named account archetype with its ground-truth label.
+
+    ``sampler(rng, user_id, screen_name, now, latest_created)`` draws
+    the account from ``rng`` alone and creates it no later than
+    ``latest_created`` when that is given; returning through
+    :func:`capped_account` applies the cap.
+    """
 
     name: str
     label: Label
-    sampler: Callable[[random.Random, int, str, float], Account]
+    sampler: Callable[[random.Random, int, str, float, Optional[float]],
+                      Account]
+
+    def __post_init__(self) -> None:
+        try:
+            signature = inspect.signature(self.sampler)
+        except (TypeError, ValueError):
+            return
+        try:
+            signature.bind(*_SAMPLER_ARGS)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"persona {self.name!r}: a sampler takes (rng, user_id, "
+                f"screen_name, now, latest_created): {exc}") from None
 
     def sample(self, rng: random.Random, user_id: int,
-               screen_name: str, now: float) -> Account:
+               screen_name: str, now: float,
+               latest_created: Optional[float] = None) -> Account:
         """Draw a concrete account snapshot at observation time ``now``.
 
         ``screen_name`` is a fallback handle; samplers normally mint a
         stylistic one from ``rng`` (see :mod:`repro.twitter.names`), so
         handle *shape* is itself a class signal, as it is on the real
-        platform.
+        platform.  ``latest_created`` caps the creation time (a
+        follower must exist before it follows); the cap changes no draw.
         """
-        account = self.sampler(rng, user_id, screen_name, now)
-        return account
+        return self.sampler(rng, user_id, screen_name, now, latest_created)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +148,8 @@ class Persona:
 # ---------------------------------------------------------------------------
 
 def _sample_genuine_active(rng: random.Random, user_id: int,
-                           screen_name: str, now: float) -> Account:
+                           screen_name: str, now: float,
+                           latest_created: Optional[float]) -> Account:
     """An engaged human: balanced graph counts, steady original tweeting."""
     created = _created_at(rng, now, 0.5 * YEAR, 7 * YEAR)
     screen_name = human_screen_name(rng)
@@ -121,7 +169,8 @@ def _sample_genuine_active(rng: random.Random, user_id: int,
     years = (now - created) / YEAR
     statuses = bounded_int_lognormal(
         rng, mean_log=5.0 + 0.3 * years, sigma_log=1.0, low=20, high=60000)
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,
@@ -140,7 +189,8 @@ def _sample_genuine_active(rng: random.Random, user_id: int,
 
 
 def _sample_genuine_newbie(rng: random.Random, user_id: int,
-                           screen_name: str, now: float) -> Account:
+                           screen_name: str, now: float,
+                           latest_created: Optional[float]) -> Account:
     """A recently joined human: thin profile, few tweets, few followers.
 
     Newbies are the accounts that crude rule sets most often mistake for
@@ -158,7 +208,8 @@ def _sample_genuine_newbie(rng: random.Random, user_id: int,
         duplicate_pool=0,
         api_source_ratio=rng.uniform(0.0, 0.15),
     )
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,
@@ -181,7 +232,8 @@ def _sample_genuine_newbie(rng: random.Random, user_id: int,
 # ---------------------------------------------------------------------------
 
 def _sample_genuine_abandoned(rng: random.Random, user_id: int,
-                              screen_name: str, now: float) -> Account:
+                              screen_name: str, now: float,
+                              latest_created: Optional[float]) -> Account:
     """A real user who tried Twitter and drifted away.
 
     Either never tweeted, or last tweeted well over 90 days ago.
@@ -202,7 +254,8 @@ def _sample_genuine_abandoned(rng: random.Random, user_id: int,
         duplicate_pool=0,
         api_source_ratio=rng.uniform(0.0, 0.05),
     )
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,
@@ -221,7 +274,8 @@ def _sample_genuine_abandoned(rng: random.Random, user_id: int,
 
 
 def _sample_fake_egg_dormant(rng: random.Random, user_id: int,
-                             screen_name: str, now: float) -> Account:
+                             screen_name: str, now: float,
+                             latest_created: Optional[float]) -> Account:
     """A dormant mass-created fake: default egg avatar, empty profile,
     never tweeted (or one stale tweet), follows hundreds of accounts.
 
@@ -245,7 +299,8 @@ def _sample_fake_egg_dormant(rng: random.Random, user_id: int,
         duplicate_pool=rng.randint(1, 3),
         api_source_ratio=0.9,
     )
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,
@@ -268,7 +323,8 @@ def _sample_fake_egg_dormant(rng: random.Random, user_id: int,
 # ---------------------------------------------------------------------------
 
 def _sample_fake_classic(rng: random.Random, user_id: int,
-                         screen_name: str, now: float) -> Account:
+                         screen_name: str, now: float,
+                         latest_created: Optional[float]) -> Account:
     """A purchased follower kept minimally alive by its operator.
 
     A handful of recent low-effort tweets, no real audience, follows a
@@ -288,7 +344,8 @@ def _sample_fake_classic(rng: random.Random, user_id: int,
         duplicate_pool=rng.randint(1, 4),
         api_source_ratio=rng.uniform(0.6, 1.0),
     )
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,
@@ -307,7 +364,8 @@ def _sample_fake_classic(rng: random.Random, user_id: int,
 
 
 def _sample_fake_spammer(rng: random.Random, user_id: int,
-                         screen_name: str, now: float) -> Account:
+                         screen_name: str, now: float,
+                         latest_created: Optional[float]) -> Account:
     """An active spam bot: floods links and duplicated promotional tweets.
 
     Trips Socialbakers' content rules (spam phrases, >90% links or
@@ -326,7 +384,8 @@ def _sample_fake_spammer(rng: random.Random, user_id: int,
         duplicate_pool=rng.randint(2, 8),
         api_source_ratio=rng.uniform(0.85, 1.0),
     )
-    return Account(
+    return capped_account(
+        latest_created, now,
         user_id=user_id,
         screen_name=screen_name,
         created_at=created,

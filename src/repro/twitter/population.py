@@ -37,7 +37,7 @@ from ..core.errors import (
     DuplicateAccountError,
     UnknownAccountError,
 )
-from ..core.rng import weighted_choice
+from ..core.rng import WeightedTable
 from ..core.timeutil import DAY, HOUR, TWITTER_LAUNCH
 from .account import Account, BehaviorProfile, Label
 from .personas import PERSONAS, Persona, persona_mix_from_labels
@@ -309,16 +309,41 @@ class TargetSpec:
             raise ConfigurationError("daily_new_followers must be >= 0")
 
 
+#: Persona tables by mix: sorted ``(name, weight, Persona)`` triples.
+_PersonaTables = Dict[Tuple[Tuple[str, float, Persona], ...], WeightedTable]
+
+
+def _persona_table(tables: _PersonaTables,
+                   mix: Mapping[str, float]) -> WeightedTable:
+    """The :class:`WeightedTable` of ``mix`` over its sorted names.
+
+    Sorted names keep the picks of ``weighted_choice(rng, sorted(mix),
+    ...)``.  A mix already in ``tables`` reuses its table; the key holds
+    the registered :class:`Persona` objects, so a re-registered name
+    gets a new one.
+    """
+    names = sorted(mix)
+    key = tuple((name, mix[name], PERSONAS[name]) for name in names)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = WeightedTable([PERSONAS[name] for name in names],
+                                            [mix[name] for name in names])
+    return table
+
+
 class FollowerPopulation:
     """Lazy follower universe of one target.
 
     Exposes arrival-ordered positions ``0 .. size_at(now) - 1``; every
     query is a deterministic function of the master seed, so repeated
-    audits of the same target observe the same world.
+    audits of the same target observe the same world.  A world passes
+    every target the same ``persona_tables``, so targets with equal
+    persona mixes share their pick tables.
     """
 
     def __init__(self, spec: TargetSpec, ordinal: int, seed: int,
-                 ref_time: float) -> None:
+                 ref_time: float,
+                 persona_tables: Optional[_PersonaTables] = None) -> None:
         self._spec = spec
         self._ordinal = ordinal
         self._seed = seed
@@ -337,7 +362,6 @@ class FollowerPopulation:
             for segment in spec.segments
         ) or 1.0
         windows: List[SegmentWindow] = []
-        counts: List[int] = []
         cursor = window_start
         remaining = spec.followers
         for index, segment in enumerate(spec.segments):
@@ -354,24 +378,27 @@ class FollowerPopulation:
             windows.append(SegmentWindow(
                 count=count, start=cursor, end=cursor + duration,
                 gamma=segment.gamma))
-            counts.append(count)
             cursor += duration
-        self._segment_specs = list(spec.segments)
-        self._segment_offsets: List[int] = []
-        offset = 0
-        for count in counts:
-            self._segment_offsets.append(offset)
-            offset += count
         # Kept in the schedule's (sorted-by-time) burst order so pseudo
         # segment indices map straight back to their persona mixes.
-        self._burst_specs = sorted(
+        bursts = sorted(
             spec.post_ref_bursts, key=lambda b: (b.days_after, b.count))
         schedule_ref = windows[-1].end if windows else ref_time
         self._schedule = ArrivalSchedule(
             windows, post_ref_daily=spec.daily_new_followers,
             post_ref_bursts=[
                 (schedule_ref + burst.days_after * DAY, burst.count)
-                for burst in self._burst_specs])
+                for burst in bursts])
+        # One persona table per schedule segment index: the historical
+        # segments, then the post-reference trickle (which inherits the
+        # newest cohort's mix), then each burst's own mix.
+        shared = {} if persona_tables is None else persona_tables
+        tables = [_persona_table(shared, segment.personas)
+                  for segment in spec.segments]
+        tables.append(tables[-1])
+        tables.extend(_persona_table(shared, burst.personas)
+                      for burst in bursts)
+        self._persona_tables = tables
 
     @property
     def spec(self) -> TargetSpec:
@@ -411,64 +438,28 @@ class FollowerPopulation:
         base = (FOLLOWER_TAG << _NAMESPACE_SHIFT) | (self._ordinal << _POSITION_BITS)
         return base + np.arange(start, stop, dtype=np.int64)
 
-    def _mix_at(self, position: int) -> Mapping[str, float]:
-        """Persona mix governing the follower at ``position``."""
-        index, _ = self._schedule.segment_of(position)
-        if index > len(self._segment_specs):
-            # Post-reference burst members draw from their burst's mix.
-            return self._burst_specs[index - len(self._segment_specs) - 1].personas
-        if index >= len(self._segment_specs):
-            # Post-reference trickle inherits the newest cohort's mix.
-            index = len(self._segment_specs) - 1
-        return self._segment_specs[index].personas
-
     def persona_at(self, position: int) -> Persona:
         """Deterministically pick the persona of the follower at ``position``."""
-        mix = self._mix_at(position)
-        rng = follower_persona_rng(self._seed, self._ordinal, position)
-        names = sorted(mix)
-        name = weighted_choice(rng, names, [mix[n] for n in names])
-        return PERSONAS[str(name)]
+        index, __ = self._schedule.segment_of(position)
+        return self._persona_tables[index].pick(
+            follower_persona_rng(self._seed, self._ordinal, position))
 
     def account_at(self, position: int, now: float) -> Account:
         """Materialise the follower at ``position`` as seen at ``now``.
 
         The snapshot is sampled with the follower's arrival time as the
-        *latest possible creation time* reference: an account must exist
-        before it can follow, so its creation is capped at ``followed_at``.
+        *latest possible creation time*: an account must exist before
+        it can follow, so its creation is capped at ``followed_at``.
+        One schedule lookup gives both the persona table and that
+        arrival instant.
         """
-        persona = self.persona_at(position)
+        index, followed = self._schedule.locate(position)
+        persona = self._persona_tables[index].pick(
+            follower_persona_rng(self._seed, self._ordinal, position))
         rng = follower_account_rng(self._seed, self._ordinal, position)
-        user_id = self.follower_id_at(position)
-        screen_name = f"u{self._ordinal}_{position}"
-        account = persona.sample(rng, user_id, screen_name, now)
-        followed = self.followed_at(position)
-        if account.created_at > followed:
-            # Re-anchor creation so the follow event is causally valid,
-            # preserving the never-tweeted/last-tweet structure.
-            shift = account.created_at - followed
-            last = account.last_tweet_at
-            if last is not None:
-                last = max(account.created_at - shift,
-                           min(last, now))
-            account = Account(
-                user_id=account.user_id,
-                screen_name=account.screen_name,
-                created_at=account.created_at - shift,
-                name=account.name,
-                description=account.description,
-                location=account.location,
-                url=account.url,
-                default_profile_image=account.default_profile_image,
-                verified=account.verified,
-                followers_count=account.followers_count,
-                friends_count=account.friends_count,
-                statuses_count=account.statuses_count,
-                last_tweet_at=last,
-                behavior=account.behavior,
-                true_label=account.true_label,
-            )
-        return account
+        return persona.sample(rng, self.follower_id_at(position),
+                              f"u{self._ordinal}_{position}", now,
+                              latest_created=followed)
 
     def true_label_at(self, position: int) -> Label:
         """Ground-truth label of the follower at ``position``."""
@@ -565,6 +556,7 @@ class SyntheticWorld(World):
         self._ref_time = ref_time
         self._populations: List[FollowerPopulation] = []
         self._by_name: Dict[str, int] = {}
+        self._persona_tables: _PersonaTables = {}
         self._timelines = TimelineGenerator(seed)
 
     @property
@@ -584,7 +576,7 @@ class SyntheticWorld(World):
             raise DuplicateAccountError(spec.screen_name)
         ordinal = len(self._populations)
         population = FollowerPopulation(spec, ordinal, self._seed,
-                                        self._ref_time)
+                                        self._ref_time, self._persona_tables)
         self._populations.append(population)
         self._by_name[key] = ordinal
         return population
@@ -709,26 +701,29 @@ class SyntheticWorld(World):
         """``users/lookup`` as one structured-row block, when possible.
 
         The input the engines' criteria classify without materialising
-        user objects: each resolvable follower's account is packed into
-        one :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` row.
+        user objects: each resolvable follower's account becomes one
+        :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` record
+        tuple, and one ``np.array`` call packs them all.
         Order, duplicates and the silent omission of unknown ids match
         :meth:`user_objects`.  Returns ``None`` when any id falls
         outside the follower namespace (targets, ambient accounts):
         those have no rows, so the caller takes the object path.
         """
-        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, pack_account
+        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, account_row
 
         if any(namespace_of(user_id) != FOLLOWER_TAG for user_id in user_ids):
             return None
-        accounts = []
+        populations = self._populations
+        sizes: Dict[int, int] = {}
+        rows = []
         for user_id in user_ids:
             ordinal, position = decode_follower(user_id)
-            if ordinal >= len(self._populations):
+            if ordinal >= len(populations):
                 continue
-            population = self._populations[ordinal]
-            if position < population.size_at(now):
-                accounts.append(population.account_at(position, now))
-        rows = np.empty(len(accounts), dtype=ACCOUNT_DTYPE)
-        for row, account in zip(rows, accounts):
-            pack_account(row, account)
-        return UserRowBlock(rows)
+            population = populations[ordinal]
+            size = sizes.get(ordinal)
+            if size is None:
+                size = sizes[ordinal] = population.size_at(now)
+            if position < size:
+                rows.append(account_row(population.account_at(position, now)))
+        return UserRowBlock(np.array(rows, dtype=ACCOUNT_DTYPE))

@@ -190,14 +190,22 @@ class ArrivalSchedule:
         index = bisect.bisect_right(self._offsets, position) - 1
         return index, self._segments[index]
 
-    def arrival_time(self, position: int) -> float:
-        """Arrival instant of the follower at global ``position``."""
+    def locate(self, position: int) -> Tuple[int, float]:
+        """Return ``(segment_index, arrival instant)`` of ``position``.
+
+        One :meth:`segment_of` lookup answers both, for callers that
+        need the segment (its persona mix) and the arrival instant.
+        """
         index, segment = self.segment_of(position)
         if index >= len(self._segments):
             # Trickle windows hold one arrival; burst windows are
             # zero-length, so every member arrives at the burst instant.
-            return segment.arrival_time(0)
-        return segment.arrival_time(position - self._offsets[index])
+            return index, segment.arrival_time(0)
+        return index, segment.arrival_time(position - self._offsets[index])
+
+    def arrival_time(self, position: int) -> float:
+        """Arrival instant of the follower at global ``position``."""
+        return self.locate(position)[1]
 
     def size_at(self, now: float) -> int:
         """Number of followers whose arrival time is ``<= now``.

@@ -1,10 +1,12 @@
 """Unit and property tests for seed derivation and distributions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
     ConfigurationError,
+    WeightedTable,
     ZipfTable,
     bounded_int_lognormal,
     derive_seed,
@@ -13,6 +15,8 @@ from repro.core import (
     weighted_choice,
     zipf_rank,
 )
+
+from . import rng_oracle
 
 
 class TestDeriveSeed:
@@ -74,6 +78,49 @@ class TestZipf:
     def test_table_invalid_n(self):
         with pytest.raises(ConfigurationError):
             ZipfTable(0)
+
+
+class TestDeriveSeedPayload:
+    @pytest.mark.parametrize("master", [0, 42, -17, 2**63, 2**64 + 3, True,
+                                        np.int64(7), 3.9])
+    @pytest.mark.parametrize("path", [
+        (), ("a",), ("persona", 0, 5), ("it's", 'say "hi"', "back\\slash"),
+        ("\u00fcn\u00ef", "\n\t", ""), (1, 2.5, None, True, -3),
+        (np.int64(3), np.int64(2**40)), ("x",) * 6,
+    ])
+    def test_same_seed_as_the_repr_of_a_tuple(self, master, path):
+        assert derive_seed(master, *path) == \
+            rng_oracle.derive_seed(master, *path)
+
+    @given(st.integers(min_value=-2**70, max_value=2**70),
+           st.lists(st.one_of(st.text(), st.integers()), max_size=5))
+    def test_property_same_seed(self, master, path):
+        assert derive_seed(master, *path) == \
+            rng_oracle.derive_seed(master, *path)
+
+
+class TestWeightedTable:
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                              st.integers(min_value=0, max_value=5)),
+                    min_size=1, max_size=8).filter(lambda ws: sum(ws) > 0),
+           st.integers(min_value=0, max_value=2**32))
+    def test_property_picks_match_the_running_sum(self, weights, seed):
+        items = [f"item{index}" for index in range(len(weights))]
+        table = WeightedTable(items, weights)
+        ours, theirs = make_rng(seed), make_rng(seed)
+        for _ in range(20):
+            assert table.pick(ours) == \
+                rng_oracle.weighted_choice(theirs, items, weights)
+            assert weighted_choice(ours, items, weights) == \
+                rng_oracle.weighted_choice(theirs, items, weights)
+
+    @pytest.mark.parametrize("items,weights", [
+        (["a"], [1.0, 2.0]), ([], []), (["a", "b"], [1.0, -1.0]),
+        (["a", "b"], [0.0, 0.0]),
+    ])
+    def test_invalid_tables_rejected(self, items, weights):
+        with pytest.raises(ConfigurationError):
+            WeightedTable(items, weights)
 
 
 class TestWeightedChoice:

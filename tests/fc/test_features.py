@@ -1,5 +1,6 @@
 """Unit tests for the feature catalogue and its column extractor."""
 
+import dataclasses
 import math
 import pickle
 
@@ -20,7 +21,7 @@ from repro.fc import (
     PROFILE_FEATURE_SET,
 )
 from repro.twitter import Tweet
-from repro.twitter.columnar.schema import UserRowBlock
+from repro.twitter.columnar.schema import STRING_WIDTHS, UserRowBlock
 from repro.twitter.tweet import HUMAN_SOURCES
 
 from . import feature_oracle
@@ -198,7 +199,7 @@ def users(draw):
     created = NOW - draw(st.floats(-10 * DAY, 8 * YEAR))
     last = draw(st.one_of(
         st.none(), st.floats(NOW - 3 * YEAR, NOW + DAY)))
-    return UserObject(
+    user = UserObject(
         user_id=draw(st.integers(1, 2**40)),
         screen_name=draw(handles), name=draw(profile_text),
         created_at=created, description=draw(profile_text),
@@ -206,6 +207,22 @@ def users(draw):
         default_profile_image=draw(st.booleans()), verified=False,
         followers_count=draw(counts), friends_count=draw(counts),
         statuses_count=draw(counts), last_status_at=last)
+    # Now and then one text value a fixed-width row column cannot
+    # round-trip: a trailing NUL, or one character too many.
+    damage = draw(st.integers(0, 11))
+    if damage < 2:
+        field = draw(st.sampled_from(sorted(STRING_WIDTHS)))
+        value = (getattr(user, field) + "\x00" if damage == 0
+                 else "w" * (STRING_WIDTHS[field] + 1))
+        user = dataclasses.replace(user, **{field: value})
+    return user
+
+
+def lossy(user):
+    """Whether a row column would alter one of ``user``'s text values."""
+    return any(len(getattr(user, field)) > width
+               or getattr(user, field).endswith("\x00")
+               for field, width in STRING_WIDTHS.items())
 
 
 @st.composite
@@ -230,18 +247,29 @@ class TestExtractionOracle:
     def test_both_feature_sets_match_the_oracle(self, sample):
         people = [user for user, __ in sample]
         tweets = [timeline for __, timeline in sample]
-        # The row block's fixed-width fields are what its view reads,
-        # so its oracle runs over the objects the block reads back.
-        block = UserRowBlock.from_users(people)
         for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
             assert np.array_equal(
                 feature_set.extract_matrix(people, tweets, NOW),
                 feature_oracle.extract_matrix(
                     feature_set, people, tweets, NOW))
+        # Row blocks: every lossy user is refused, alone and in the
+        # sample; the clean users (maybe none) pack and match the oracle.
+        for user in filter(lossy, people):
+            with pytest.raises(ConfigurationError):
+                UserRowBlock.from_users([user])
+        clean = [index for index, user in enumerate(people)
+                 if not lossy(user)]
+        if len(clean) < len(people):
+            with pytest.raises(ConfigurationError):
+                UserRowBlock.from_users(people)
+        kept = [people[index] for index in clean]
+        kept_tweets = [tweets[index] for index in clean]
+        block = UserRowBlock.from_users(kept)
+        for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
             assert np.array_equal(
-                feature_set.extract_matrix(block, tweets, NOW),
+                feature_set.extract_matrix(block, kept_tweets, NOW),
                 feature_oracle.extract_matrix(
-                    feature_set, list(block), tweets, NOW))
+                    feature_set, kept, kept_tweets, NOW))
 
     def test_edge_accounts_match_the_oracle(self):
         edge = [make_user(followers_count=0, friends_count=7),

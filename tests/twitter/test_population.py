@@ -78,6 +78,54 @@ class TestFollowerPopulation:
             account = pop.account_at(position, NOW)
             assert account.created_at <= pop.followed_at(position)
 
+    def test_capped_creation_builds_one_account(self, world, monkeypatch):
+        from repro.twitter import personas, population
+
+        built = []
+        real = personas.Account
+
+        def counting(*args, **kwargs):
+            account = real(*args, **kwargs)
+            built.append(account.user_id)
+            return account
+
+        monkeypatch.setattr(personas, "Account", counting)
+        monkeypatch.setattr(population, "Account", counting)
+        pop = world.population("first")
+        positions = range(0, 8000, 97)
+        capped = sum(pop.account_at(p, NOW).created_at == pop.followed_at(p)
+                     for p in positions)
+        assert capped >= 10
+        assert len(built) == len(positions)
+
+    def test_targets_with_the_same_mix_share_persona_tables(self):
+        fleet = build_world(seed=5)
+        for handle in ("a", "b"):
+            add_simple_target(fleet, handle, 500, 0.4, 0.1, 0.5,
+                              daily_new_followers=10)
+        add_simple_target(fleet, "c", 500, 0.1, 0.0, 0.9)
+        a, b, c = (fleet.population(h)._persona_tables for h in "abc")
+        assert all(x is y for x, y in zip(a, b))
+        assert not {id(t) for t in a} & {id(t) for t in c}
+
+    def test_re_registered_persona_gets_its_own_table(self, monkeypatch):
+        from repro.twitter import personas
+
+        fleet = build_world(seed=5)
+        add_simple_target(fleet, "before", 500, 0.4, 0.1, 0.5)
+        spammer = personas.PERSONAS["fake_spammer"]
+
+        def sampler(*args):
+            return spammer.sampler(*args)
+
+        replacement = personas.Persona("fake_spammer", spammer.label, sampler)
+        monkeypatch.setitem(personas.PERSONAS, "fake_spammer", replacement)
+        add_simple_target(fleet, "after", 500, 0.4, 0.1, 0.5)
+        before, after = (fleet.population(h) for h in ("before", "after"))
+        assert before._persona_tables[0] is not after._persona_tables[0]
+        picked = {after.persona_at(p) for p in range(500)}
+        assert replacement in picked and spammer not in picked
+
     def test_composition_matches_spec(self, world):
         comp = world.population("first").composition(NOW)
         assert comp[Label.INACTIVE] == pytest.approx(0.4, abs=0.03)

@@ -11,11 +11,16 @@ silently drifting apart.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.rng import derive_seed
 from repro.twitter import streams
+from repro.twitter.population import _POSITION_MASK
+
+from ..core import rng_oracle
 
 SEED = 42
 
@@ -97,3 +102,87 @@ def test_population_draws_from_documented_streams():
     assert replayed.screen_name == account.screen_name
     assert replayed.statuses_count == account.statuses_count
     assert replayed.followers_count == account.followers_count
+
+
+# -- follower seeds: the streams are seeded by derive_seed ------------------
+
+@pytest.mark.parametrize("master", [0, SEED, 2**63, -17])
+@pytest.mark.parametrize("ordinal,position", [
+    (0, 0), (0, _POSITION_MASK), (3, 12345),
+    (np.int64(2), np.int64(77)), (np.int64(0), np.int64(_POSITION_MASK)),
+])
+def test_follower_seeds_equal_derive_seed(master, ordinal, position):
+    for stream, factory in (("persona", streams.follower_persona_rng),
+                            ("account", streams.follower_account_rng)):
+        expected = derive_seed(master, stream, ordinal, position)
+        assert factory(master, ordinal, position).getstate() == \
+            random.Random(expected).getstate()
+
+
+# -- persona tables: same pick as weighted_choice over sorted(mix) ------------
+
+def _reference_persona(seed, population, mix, position):
+    rng = streams.follower_persona_rng(seed, population.ordinal, position)
+    names = sorted(mix)
+    return rng_oracle.weighted_choice(rng, names, [mix[name] for name in names])
+
+
+def _segment_kind_world():
+    from repro.core.timeutil import DAY, PAPER_EPOCH
+    from repro.twitter.generator import make_target_spec
+    from repro.twitter.population import (
+        FollowerSegmentSpec,
+        PostRefBurst,
+        SyntheticWorld,
+        TargetSpec,
+    )
+
+    world = SyntheticWorld(seed=SEED, ref_time=PAPER_EPOCH)
+    world.add_target(make_target_spec(
+        "tilted", 600, 0.4, 0.2, 0.4, ref_time=PAPER_EPOCH,
+        daily_new_followers=40,
+        post_ref_bursts=[PostRefBurst(2.0, 30, {"fake_classic": 0.6,
+                                                "fake_spammer": 0.4})]))
+    world.add_target(TargetSpec(
+        screen_name="zero_weight", followers=300,
+        created_at=PAPER_EPOCH - 400 * DAY,
+        segments=[FollowerSegmentSpec(1.0, {"genuine_active": 0.0,
+                                            "fake_classic": 1,
+                                            "genuine_newbie": 2.5})]))
+    return world, PAPER_EPOCH + 3 * DAY
+
+
+def _mix_of(population, position):
+    spec = population.spec
+    index, __ = population.schedule.segment_of(position)
+    segments = len(spec.segments)
+    if index > segments:
+        bursts = sorted(spec.post_ref_bursts,
+                        key=lambda burst: (burst.days_after, burst.count))
+        return "burst", bursts[index - segments - 1].personas
+    if index == segments:
+        return "trickle", spec.segments[-1].personas
+    return "segment", spec.segments[index].personas
+
+
+def test_persona_table_matches_weighted_choice_on_every_segment_kind():
+    world, now = _segment_kind_world()
+    kinds = set()
+    for population in world.targets():
+        for position in range(population.size_at(now)):
+            kind, mix = _mix_of(population, position)
+            kinds.add(kind)
+            expected = _reference_persona(world.seed, population, mix,
+                                          position)
+            assert population.persona_at(position).name == expected
+            assert population.true_label_at(position) is \
+                population.persona_at(position).label
+    assert kinds == {"segment", "trickle", "burst"}
+
+
+def test_zero_weight_persona_is_never_picked():
+    world, now = _segment_kind_world()
+    population = world.population("zero_weight")
+    picked = {population.persona_at(p).name
+              for p in range(population.size_at(now))}
+    assert picked == {"fake_classic", "genuine_newbie"}
