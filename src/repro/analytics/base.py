@@ -8,20 +8,22 @@ with aggressive *result caching*, which the response-time experiment
 (Table II) exposes: cached audits answer in 2-5 s regardless of target
 size.
 
-:class:`CommercialAnalytic` implements that skeleton; each concrete
-tool supplies its sampling configuration and its classification rules.
+:class:`AuditEngine` is the skeleton all four engines share, the FC
+engine (:mod:`repro.fc.engine`) included; :class:`CommercialAnalytic`
+adds the head-of-list frame and the result cache, and each concrete
+tool supplies its sampling configuration, its classification rules and
+its percentage arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..api.client import TwitterApiClient
 from ..api.columns import SampleBlock
 from ..api.crawler import TIMELINE_PAGE, Crawler
-from ..api.endpoints import UserObject
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import SimClock, Stopwatch
 from ..core.errors import ConfigurationError, RetryableApiError
@@ -29,9 +31,9 @@ from ..core.rng import make_rng
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import CacheInfo
+from ..obs.provenance import ProvenanceSink
 from ..obs.runtime import get_observability, weak_observability
 from ..twitter.population import World
-from ..twitter.timeline import TimelineBlock
 from .criteria import Criteria, EngineInfo, VerdictArray
 
 
@@ -162,45 +164,83 @@ class ResultCache:
         return len(self._entries)
 
 
-class CommercialAnalytic:
-    """Skeleton of a closed-source fake-follower checking service.
+def sample_timelines(crawler: Crawler, criteria: Optional[Criteria], users):
+    """One timeline page per sampled user, when the criteria read them.
+
+    The timeline step every engine's audit and the delta auditor
+    share.  A generator: for criteria that read no timelines it
+    returns ``(None, 1.0)`` at once; otherwise it yields (a new
+    acquisition phase), fetches the pages and *returns* ``(timelines,
+    fetched)``: the timelines in sample order and the share of them
+    that did not degrade to empty.  Degraded-to-empty timelines
+    silently bias activity rules, so callers multiply ``fetched`` into
+    their completeness.
+    """
+    if criteria is None or not criteria.needs_timeline:
+        return None, 1.0
+    yield
+    user_ids = SampleBlock(users).user_ids
+    by_id = crawler.fetch_timelines(user_ids, per_user=TIMELINE_PAGE)
+    fetched = (1.0 - crawler.last_timeline_shortfall / len(users)
+               if users else 1.0)
+    return [by_id[uid] for uid in user_ids], fetched
+
+
+class AuditEngine:
+    """The audit skeleton all four engines share.
+
+    Section II of the paper distils one workflow: resolve the target,
+    acquire a follower sample, apply the engine's criteria and report
+    fake/inactive/genuine percentages.  The engines differ in the
+    sampling frame, the sample size, the criteria and result caching
+    (Sections II-IV), so a subclass supplies those and this class owns
+    the rest: the API client and crawler, the blocking and resumable
+    entry points, observation pinning and budget reset, degraded
+    outcomes, the processing time, verdict counts and provenance, live
+    hooks and report assembly.
+
+    A subclass sets ``name``, ``reports_inactive`` and ``sample_size``,
+    describes its ``frame_policy`` and implements
+    :meth:`_analyze_steps`.  Its percentage arithmetic is
+    :meth:`_shares`, which it overrides unless its percentages are the
+    largest-remainder split of fake, inactive and the rest.
 
     Parameters
     ----------
     world, clock:
         The simulated Twitter and the shared virtual clock.
     credentials, parallelism, request_latency:
-        The tool's crawling infrastructure.  The paper's Table II
+        The engine's crawling infrastructure.  The paper's Table II
         response times imply very different fleets: StatusPeople runs a
         modest serial crawler, Twitteraudit a couple of workers,
         Socialbakers a massively parallel one.
-    cache_serve_seconds:
-        Simulated latency of answering from cache (the 2-5 s responses
-        of Table II's repeat audits).
-    processing_seconds:
-        Fixed post-crawl computation time added to fresh analyses.
+    faults, retry:
+        Injected API weather and the client's retry policy.
+    acquisition_cache:
+        Optional shared follower-page/profile cache (the batch
+        scheduler's :class:`~repro.sched.cache.AcquisitionCache`).
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceCollector`.
-        When set, every fresh classification records which criteria
-        rules fired per account; the aggregate rides in
+        When set, every full audit's classification records which
+        criteria rules fired per account; the aggregate rides in
         ``details["provenance"]``.  Verdicts are unchanged.
     seed:
-        Seed for the tool's internal sampling.
+        Seed for the engine's internal sampling.
     """
 
-    #: Tool identifier used in reports (subclasses override).
+    #: Engine identifier used in reports (subclasses override).
     name = "analytic"
-    #: Whether the tool reports "inactive" as a separate class.
+    #: Whether the engine reports "inactive" as a separate class.
     reports_inactive = True
+    #: Profiles a full audit looks up at most (subclasses set it).
+    sample_size: int
+    #: Simulated post-crawl computation time of a fresh analysis.
+    PROCESSING_SECONDS = 1.0
 
     def __init__(self, world: World, clock: SimClock, *,
                  credentials: int = 1,
                  parallelism: int = 1,
                  request_latency: float = 1.9,
-                 cache_serve_seconds: float = 2.5,
-                 processing_seconds: float = 1.0,
-                 cache_ttl: Optional[float] = None,
-                 cache_max_entries: Optional[int] = None,
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  acquisition_cache=None,
@@ -217,13 +257,9 @@ class CommercialAnalytic:
             acquisition_cache=acquisition_cache,
         )
         self._crawler = Crawler(self._client)
-        self._cache = ResultCache(ttl=cache_ttl, name=self.name,
-                                  max_entries=cache_max_entries)
         obs = get_observability()
         self._obs = weak_observability(obs)
         self._tracer = obs.tracer
-        self._cache_serve_seconds = cache_serve_seconds
-        self._processing_seconds = processing_seconds
         self._seed = seed
         self._audit_counter = 0
         self._last_completeness = 1.0
@@ -232,26 +268,18 @@ class CommercialAnalytic:
         #: delta auditor reads these to seed a watermark, since reports
         #: only carry rounded percentages.
         self.last_verdict_counts: Optional[Dict[str, int]] = None
-        #: Optional :class:`~repro.obs.provenance.ProvenanceCollector`;
-        #: when set, every fresh classification records per-rule fire
-        #: masks (a pure observation — verdict bytes never change).
         self._provenance = provenance
         self._last_provenance = None
         obs.register_engine(self)
-        #: The engine's classification criteria; concrete tools set
+        #: The engine's classification criteria; concrete engines set
         #: this in their constructors (``None`` for subclasses that
         #: classify inside ``_analyze_steps`` themselves).
         self._criteria: Optional[Criteria] = None
 
     @property
     def client(self) -> TwitterApiClient:
-        """The tool's API client (exposes its call log and clock)."""
+        """The engine's API client (exposes its call log and clock)."""
         return self._client
-
-    @property
-    def cache(self) -> ResultCache:
-        """The tool's result cache."""
-        return self._cache
 
     @property
     def criteria(self) -> Optional[Criteria]:
@@ -262,7 +290,7 @@ class CommercialAnalytic:
     @property
     def frame_policy(self) -> str:
         """Human-readable description of the sampling frame."""
-        return "head-of-list sample"
+        raise NotImplementedError
 
     def info(self) -> EngineInfo:
         """The uniform engine metadata block (see :class:`EngineInfo`)."""
@@ -278,7 +306,7 @@ class CommercialAnalytic:
     # -- public API -----------------------------------------------------------
 
     def audit(self, request: AuditRequest) -> AuditReport:
-        """Audit a target, serving from cache when possible.
+        """Audit a target and return the finished report.
 
         Takes an :class:`~repro.audit.AuditRequest` (the unified entry
         point; the legacy string form was removed).  The returned
@@ -313,23 +341,43 @@ class CommercialAnalytic:
         self._admit(request)
         return self._audit_steps(request)
 
-    def prewarm(self, screen_names: Sequence[str]) -> None:
-        """Analyse targets ahead of user requests, populating the cache.
+    def classify_sample(self, users, timelines, now: float,
+                        sink=None) -> VerdictArray:
+        """Classify a sample through the engine's verdict path.
 
-        Reproduces the behaviour the paper caught StatusPeople at: the
-        reports of three popular accounts "were displayed after 2
-        seconds only (without mentioning if the analysis had been
-        performed in advance)".
+        The classification phase of a full audit, and the delta
+        auditor's entry point: the engine's criteria on the columnar
+        path, with the raw counts recorded in
+        :attr:`last_verdict_counts`; acquisition is the caller's
+        business.  ``sink`` optionally collects the per-rule fire
+        masks.
         """
-        for screen_name in screen_names:
-            if screen_name not in self._cache:
-                with self._tracer.span("audit.prewarm", self._clock,
-                                       tool=self.name, target=screen_name):
-                    outcome = drain_steps(self._fresh_outcome_steps(
-                        AuditRequest(target=screen_name, engine=self.name)))
-                    if outcome.completeness > 0.0:
-                        self._cache.put(screen_name, outcome,
-                                        self._clock.now())
+        criteria = self._criteria
+        if criteria is None:
+            raise ConfigurationError(
+                f"engine {self.name!r} defines no criteria; override "
+                f"_analyze_steps or set self._criteria")
+        verdicts = criteria.classify_all(users, timelines, now, sink=sink)
+        counts = verdicts.counts()
+        self.last_verdict_counts = dict(counts)
+        obs = self._obs()
+        if obs.enabled:
+            obs.note_verdicts(self.name, counts)
+        return verdicts
+
+    def composition(self, counts: Mapping[str, int]
+                    ) -> Tuple[float, float, Optional[float]]:
+        """``(fake_pct, genuine_pct, inactive_pct)`` of verdict counts.
+
+        The engine's one percentage arithmetic: its full audits and
+        the delta auditor's merges both call it.  An empty sample has
+        no composition: 0/0/0, with ``inactive_pct`` ``None`` for an
+        engine that reports no inactive class.
+        """
+        total = sum(counts.values())
+        if total == 0:
+            return 0.0, 0.0, (0.0 if self.reports_inactive else None)
+        return self._shares(counts, total)
 
     # -- subclass hooks ---------------------------------------------------------
 
@@ -339,39 +387,55 @@ class CommercialAnalytic:
     def _analyze_steps(self, screen_name: str):
         """Generator hook: one fresh analysis, split at acquisition phases.
 
-        Every tool implements this as a generator that acquires with
-        ``yield from self._fetch_head_sample(...)``, classifies, and
-        *returns* its :class:`AnalysisOutcome`.
+        Every engine implements this as a generator that yields between
+        acquisition phases, classifies, and *returns* its
+        :class:`AnalysisOutcome` (see :meth:`_outcome`).
         """
         raise NotImplementedError
+
+    def _shares(self, counts: Mapping[str, int],
+                total: int) -> Tuple[float, float, Optional[float]]:
+        """Percentages of a non-empty sample's ``total`` accounts.
+
+        The default is the largest-remainder split of fake, inactive
+        and the rest (:func:`percentages`), which StatusPeople and
+        Socialbakers print.
+        """
+        fake = counts.get("fake", 0)
+        inactive = counts.get("inactive", 0)
+        pct = percentages({"fake": fake, "inactive": inactive,
+                           "good": total - fake - inactive}, total)
+        return pct["fake"], pct["good"], pct["inactive"]
+
+    def _serve_cached(self, request: AuditRequest,
+                      stopwatch: Stopwatch) -> Optional[AuditReport]:
+        """A report served from a result cache, or ``None``.
+
+        The skeleton keeps no result cache (FC performs no caching).
+        """
+        return None
+
+    def _remember(self, target: str, outcome: AnalysisOutcome,
+                  computed_at: float) -> None:
+        """Keep a fresh outcome for later requests (the skeleton keeps
+        none)."""
 
     # -- the resumable audit pipeline -------------------------------------------
 
     def _audit_steps(self, request: AuditRequest):
-        """The audit state machine: cache check, acquisition, report."""
+        """The audit state machine: cache, acquisition, report."""
         self._client.pin_observation(request.as_of)
         stopwatch = Stopwatch(self._clock)
-        cached = None if request.force_refresh else self._cache.get(
-            request.target, self._clock.now())
-        if cached is not None:
-            outcome, computed_at = cached
-            with self._tracer.span("audit.cache_serve", self._clock,
-                                   tool=self.name, target=request.target):
-                self._clock.advance(self._cache_serve_seconds)
-            return self._report(request.target, outcome,
-                                stopwatch.elapsed(), cached=True,
-                                assessed_at=computed_at)
+        served = self._serve_cached(request, stopwatch)
+        if served is not None:
+            return served
         self._client.reset_budgets()
         outcome = yield from self._fresh_outcome_steps(request)
         with self._tracer.span("audit.classify", self._clock,
                                tool=self.name, target=request.target):
-            self._clock.advance(self._processing_seconds)
+            self._clock.advance(self.PROCESSING_SECONDS)
         computed_at = self._clock.now()
-        if outcome.completeness > 0.0:
-            # A fully failed audit is never cached: the tool retries
-            # from scratch on the next request instead of serving an
-            # empty result forever.
-            self._cache.put(request.target, outcome, computed_at)
+        self._remember(request.target, outcome, computed_at)
         return self._report(request.target, outcome,
                             stopwatch.elapsed(), cached=False,
                             assessed_at=computed_at)
@@ -392,14 +456,7 @@ class CommercialAnalytic:
             outcome = yield from self._analyze_steps(request.target)
             completeness = self._last_completeness
         except RetryableApiError as error:
-            outcome = AnalysisOutcome(
-                followers_count=0,
-                sample_size=0,
-                fake_pct=0.0,
-                genuine_pct=0.0,
-                inactive_pct=0.0 if self.reports_inactive else None,
-                details={"degraded": type(error).__name__},
-            )
+            outcome = self._outcome(0, {}, {"degraded": type(error).__name__})
             completeness = 0.0
         finally:
             self._active_request = None
@@ -426,117 +483,53 @@ class CommercialAnalytic:
         pinned = self._client.observed_at
         return pinned if pinned is not None else self._clock.now()
 
-    def _classify_sample(self, users, timelines, now: float) -> VerdictArray:
-        """Classify one sample through the criteria's columnar path.
-
-        The single code path shared by all the rule-based engines:
-        ``classify_all`` packs the sample into a
-        :class:`~repro.api.columns.SampleBlock` and runs the
-        criteria's mask pipeline.  With a provenance collector attached
-        the per-rule fire masks are recorded too.
-        """
-        criteria = self._criteria
-        if criteria is None:
-            raise ConfigurationError(
-                f"engine {self.name!r} defines no criteria; override "
-                f"_analyze_steps or set self._criteria")
-        sink = None
-        if self._provenance is not None and criteria.rule_ids:
-            from ..obs.provenance import ProvenanceSink  # deferred: cycle
-            sink = ProvenanceSink()
-        verdicts = criteria.classify_all(users, timelines, now, sink=sink)
-        if sink is not None:
-            request = self._active_request
-            target = request.target if request is not None else ""
-            self._last_provenance = self._provenance.record(
-                self.name, target, verdicts, sink,
-                SampleBlock(users).user_ids, now)
-        self.last_verdict_counts = dict(verdicts.counts())
-        obs = self._obs()
-        if obs.enabled:
-            obs.note_verdicts(self.name, verdicts.counts())
-        return verdicts
-
-    def classify_sample(self, users, timelines, now: float) -> VerdictArray:
-        """Classify an ad-hoc sample through the engine's verdict path.
-
-        Public entry point for the delta auditor: identical to the
-        classification phase of a full audit, with the raw counts
-        recorded in :attr:`last_verdict_counts`; only acquisition is
-        the caller's business.
-        """
-        return self._classify_sample(users, timelines, now)
-
-    def _sampling_rng(self):
-        """A fresh, deterministic RNG per analysis run.
+    def _audit_index(self) -> int:
+        """The sampling index of the running audit.
 
         An :class:`AuditRequest` carrying an explicit ``audit_index``
-        pins the stream (schedulers use this to replicate a serial
-        run's sampling exactly); otherwise the engine's own audit
-        counter advances.
+        pins it (schedulers use this to replicate a serial run's
+        sampling exactly); otherwise the engine's own audit counter
+        advances.
         """
         request = self._active_request
         if request is not None and request.audit_index is not None:
-            return make_rng(self._seed, self.name, request.audit_index)
+            return request.audit_index
         self._audit_counter += 1
-        return make_rng(self._seed, self.name, self._audit_counter)
+        return self._audit_counter
 
-    def _fetch_head_sample(
-            self, screen_name: str, *,
-            head: int, sample: int,
-            with_timelines: bool = False,
-    ):
-        """The shared acquisition pattern of all three tools.
+    def _classify_sample(self, users, timelines) -> VerdictArray:
+        """Classify the audited sample at the analysis instant.
 
-        Fetch the target profile, pull up to ``head`` follower ids from
-        the head of the (newest-first) listing, randomly sample
-        ``sample`` of them, and look the sample up — optionally with one
-        timeline page each.  This is exactly the biased scheme of
-        Section II-D: random *within* the head, but the head is the
-        frame.
-
-        A generator: it yields between acquisition phases (so the batch
-        scheduler can interleave many audits across rate-limit windows)
-        and *returns* ``(target, users, timelines)`` — consume it with
-        ``yield from`` inside ``_analyze_steps``.
+        :meth:`classify_sample` for a full audit; with a provenance
+        collector attached, the per-rule fire masks are recorded under
+        the audit's target.
         """
-        target = self._client.users_show(screen_name=screen_name)
-        yield
-        head_ids = self._crawler.fetch_newest_follower_ids(
-            screen_name, max_ids=head)
-        yield
-        rng = self._sampling_rng()
-        if sample < len(head_ids):
-            sampled_ids = rng.sample(head_ids, sample)
-        else:
-            sampled_ids = list(head_ids)
-        # A row block lets the lazy world hand over profile columns
-        # instead of user objects; graph worlds and cached acquisitions
-        # hand back the object list, which classifies identically.
-        users = self._crawler.lookup_users_block(sampled_ids)
-        # Completeness = frame completeness x sample completeness: how
-        # much of the intended head frame was paged in, times how much
-        # of the intended within-frame sample actually resolved.
-        expected_frame = min(head, target.followers_count)
-        frame_part = (min(1.0, len(head_ids) / expected_frame)
-                      if expected_frame > 0 else 1.0)
-        expected_sample = min(sample, len(head_ids))
-        sample_part = (min(1.0, len(users) / expected_sample)
-                       if expected_sample > 0 else 1.0)
-        self._last_completeness = frame_part * sample_part
-        timelines: Optional[List[TimelineBlock]] = None
-        if with_timelines:
-            yield
-            sample_user_ids = SampleBlock(users).user_ids
-            by_id = self._crawler.fetch_timelines(
-                sample_user_ids, per_user=TIMELINE_PAGE)
-            timelines = [by_id[uid] for uid in sample_user_ids]
-            if users:
-                # Degraded-to-empty timelines silently bias activity
-                # rules, so they count against completeness too.
-                self._last_completeness *= (
-                    1.0 - self._crawler.last_timeline_shortfall / len(users))
-        return target, users, timelines
+        now = self._analysis_now()
+        criteria = self._criteria
+        sink = None
+        if (self._provenance is not None and criteria is not None
+                and criteria.rule_ids):
+            sink = ProvenanceSink()
+        verdicts = self.classify_sample(users, timelines, now, sink=sink)
+        if sink is not None:
+            self._last_provenance = self._provenance.record(
+                self.name, self._active_request.target, verdicts, sink,
+                SampleBlock(users).user_ids, now)
+        return verdicts
+
+    def _outcome(self, followers_count: int, counts: Mapping[str, int],
+                 details: Dict[str, object]) -> AnalysisOutcome:
+        """The outcome of one classified sample, in the engine's
+        percentages (:meth:`composition`) of its verdict ``counts``."""
+        fake_pct, genuine_pct, inactive_pct = self.composition(counts)
+        return AnalysisOutcome(
+            followers_count=followers_count,
+            sample_size=sum(counts.values()),
+            fake_pct=fake_pct,
+            genuine_pct=genuine_pct,
+            inactive_pct=inactive_pct,
+            details=details,
+        )
 
     def _report(self, screen_name: str, outcome: AnalysisOutcome,
                 response_seconds: float, *, cached: bool,
@@ -560,6 +553,130 @@ class CommercialAnalytic:
             errors_seen=outcome.errors_seen,
             details=dict(outcome.details),
         )
+
+
+class CommercialAnalytic(AuditEngine):
+    """Skeleton of a closed-source fake-follower checking service.
+
+    What the three surveyed tools add to the :class:`AuditEngine`
+    skeleton: a head-of-list sampling frame
+    (:meth:`_fetch_head_sample`) and aggressive *result caching*,
+    which the response-time experiment (Table II) exposes — cached
+    audits answer in 2-5 s regardless of target size.  The base of
+    any custom tool (``docs/extending.md``).
+
+    Parameters
+    ----------
+    cache_ttl:
+        Result-cache expiry in seconds (default: never).
+    **kwargs:
+        The :class:`AuditEngine` parameters.
+    """
+
+    #: Simulated latency of answering from cache (the 2-5 s responses
+    #: of Table II's repeat audits).
+    CACHE_SERVE_SECONDS = 2.5
+
+    def __init__(self, world: World, clock: SimClock, *,
+                 cache_ttl: Optional[float] = None, **kwargs) -> None:
+        super().__init__(world, clock, **kwargs)
+        self._cache = ResultCache(ttl=cache_ttl, name=self.name)
+
+    @property
+    def cache(self) -> ResultCache:
+        """The tool's result cache."""
+        return self._cache
+
+    @property
+    def frame_policy(self) -> str:
+        """Human-readable description of the sampling frame."""
+        return "head-of-list sample"
+
+    def prewarm(self, screen_names: Sequence[str]) -> None:
+        """Analyse targets ahead of user requests, populating the cache.
+
+        Reproduces the behaviour the paper caught StatusPeople at: the
+        reports of three popular accounts "were displayed after 2
+        seconds only (without mentioning if the analysis had been
+        performed in advance)".
+        """
+        for screen_name in screen_names:
+            if screen_name not in self._cache:
+                with self._tracer.span("audit.prewarm", self._clock,
+                                       tool=self.name, target=screen_name):
+                    outcome = drain_steps(self._fresh_outcome_steps(
+                        AuditRequest(target=screen_name, engine=self.name)))
+                    self._remember(screen_name, outcome, self._clock.now())
+
+    def _serve_cached(self, request: AuditRequest,
+                      stopwatch: Stopwatch) -> Optional[AuditReport]:
+        """Answer from the result cache unless ``force_refresh``."""
+        cached = None if request.force_refresh else self._cache.get(
+            request.target, self._clock.now())
+        if cached is None:
+            return None
+        outcome, computed_at = cached
+        with self._tracer.span("audit.cache_serve", self._clock,
+                               tool=self.name, target=request.target):
+            self._clock.advance(self.CACHE_SERVE_SECONDS)
+        return self._report(request.target, outcome, stopwatch.elapsed(),
+                            cached=True, assessed_at=computed_at)
+
+    def _remember(self, target: str, outcome: AnalysisOutcome,
+                  computed_at: float) -> None:
+        """Cache the outcome unless the acquisition failed outright.
+
+        A fully failed audit is never cached: the tool retries from
+        scratch on the next request instead of serving an empty
+        result forever.
+        """
+        if outcome.completeness > 0.0:
+            self._cache.put(target, outcome, computed_at)
+
+    def _fetch_head_sample(self, screen_name: str, *, head: int):
+        """The shared acquisition pattern of all three tools.
+
+        Fetch the target profile, pull up to ``head`` follower ids from
+        the head of the (newest-first) listing, randomly sample
+        :attr:`sample_size` of them, and look the sample up — with one
+        timeline page each when the criteria read timelines.  This is
+        exactly the biased scheme of Section II-D: random *within* the
+        head, but the head is the frame.
+
+        A generator: it yields between acquisition phases (so the batch
+        scheduler can interleave many audits across rate-limit windows)
+        and *returns* ``(target, users, timelines)`` — consume it with
+        ``yield from`` inside ``_analyze_steps``.
+        """
+        target = self._client.users_show(screen_name=screen_name)
+        yield
+        head_ids = self._crawler.fetch_newest_follower_ids(
+            screen_name, max_ids=head)
+        yield
+        rng = make_rng(self._seed, self.name, self._audit_index())
+        sample = self.sample_size
+        if sample < len(head_ids):
+            sampled_ids = rng.sample(head_ids, sample)
+        else:
+            sampled_ids = list(head_ids)
+        # A row block lets the lazy world hand over profile columns
+        # instead of user objects; graph worlds and cached acquisitions
+        # hand back the object list, which classifies identically.
+        users = self._crawler.lookup_users_block(sampled_ids)
+        # Completeness = frame completeness x sample completeness x
+        # timeline completeness: how much of the intended head frame
+        # was paged in, how much of the intended within-frame sample
+        # actually resolved, and how many timelines fetched.
+        expected_frame = min(head, target.followers_count)
+        frame_part = (min(1.0, len(head_ids) / expected_frame)
+                      if expected_frame > 0 else 1.0)
+        expected_sample = min(sample, len(head_ids))
+        sample_part = (min(1.0, len(users) / expected_sample)
+                       if expected_sample > 0 else 1.0)
+        timelines, fetched = yield from sample_timelines(
+            self._crawler, self._criteria, users)
+        self._last_completeness = frame_part * sample_part * fetched
+        return target, users, timelines
 
 
 def percentages(counts: Dict[str, int], total: int) -> Dict[str, float]:

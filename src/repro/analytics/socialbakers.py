@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..core.errors import QuotaExceededError
 from ..core.timeutil import DAY
 from ..fc.rulesets import SocialbakersCriteria
-from .base import AnalysisOutcome, CommercialAnalytic, percentages
+from .base import CommercialAnalytic
 
 #: Followers considered per audit ("up to 2000 followers per account").
 SB_SAMPLE = 2000
@@ -37,6 +37,7 @@ class SocialbakersFakeFollowerCheck(CommercialAnalytic):
 
     name = "socialbakers"
     reports_inactive = True
+    sample_size = SB_SAMPLE
 
     def __init__(self, world, clock, *, threshold: float = 3.0,
                  daily_quota: int = SB_DAILY_QUOTA, **kwargs) -> None:
@@ -73,27 +74,10 @@ class SocialbakersFakeFollowerCheck(CommercialAnalytic):
     def _analyze_steps(self, screen_name: str):
         """Newest-2000 frame with timelines, classified by the rules."""
         target, users, timelines = yield from self._fetch_head_sample(
-            screen_name,
-            head=SB_SAMPLE,
-            sample=SB_SAMPLE,
-            with_timelines=True,
-        )
-        now = self._analysis_now()
-        assert timelines is not None
-        tallies = self._classify_sample(users, timelines, now).counts()
-        counts = {"fake": tallies["fake"], "inactive": tallies["inactive"],
-                  "good": tallies["genuine"]}
-        total = max(1, len(users))
-        pct = percentages(counts, total)
-        return AnalysisOutcome(
-            followers_count=target.followers_count,
-            sample_size=len(users),
-            fake_pct=pct["fake"],
-            genuine_pct=pct["good"],
-            inactive_pct=pct["inactive"],
-            details={
-                "declared_error_margin": "10-15%",
-                "engine": self.info().as_dict(),
-                "inactivity_tested_on": "suspicious accounts only",
-            },
-        )
+            screen_name, head=SB_SAMPLE)
+        counts = self._classify_sample(users, timelines).counts()
+        return self._outcome(target.followers_count, counts, {
+            "declared_error_margin": "10-15%",
+            "engine": self.info().as_dict(),
+            "inactivity_tested_on": "suspicious accounts only",
+        })

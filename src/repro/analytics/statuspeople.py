@@ -31,7 +31,7 @@ import numpy as np
 from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
-from .base import AnalysisOutcome, CommercialAnalytic, percentages
+from .base import CommercialAnalytic
 from .criteria import Criteria, SampleBlock, VerdictArray
 
 
@@ -183,6 +183,11 @@ class StatusPeopleFakers(CommercialAnalytic):
         return self._config
 
     @property
+    def sample_size(self) -> int:
+        """Records assessed per audit by the active configuration."""
+        return self._config.sample
+
+    @property
     def frame_policy(self) -> str:
         """The sampling frame of the active Fakers configuration."""
         return (f"newest {self._config.head} follower ids, "
@@ -190,25 +195,11 @@ class StatusPeopleFakers(CommercialAnalytic):
 
     def _analyze_steps(self, screen_name: str):
         """Head-of-list sample classified by the spam/inactivity rules."""
-        target, users, __ = yield from self._fetch_head_sample(
-            screen_name,
-            head=self._config.head,
-            sample=self._config.sample,
-            with_timelines=False,
-        )
-        now = self._analysis_now()
-        counts = self._classify_sample(users, None, now).counts()
-        total = max(1, len(users))
-        pct = percentages(counts, total)
-        return AnalysisOutcome(
-            followers_count=target.followers_count,
-            sample_size=len(users),
-            fake_pct=pct["fake"],
-            genuine_pct=pct["good"],
-            inactive_pct=pct["inactive"],
-            details={
-                "config": self._config.label,
-                "head": self._config.head,
-                "engine": self.info().as_dict(),
-            },
-        )
+        target, users, timelines = yield from self._fetch_head_sample(
+            screen_name, head=self._config.head)
+        counts = self._classify_sample(users, timelines).counts()
+        return self._outcome(target.followers_count, counts, {
+            "config": self._config.label,
+            "head": self._config.head,
+            "engine": self.info().as_dict(),
+        })

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..api.endpoints import UserObject
 from ..core.timeutil import DAY
-from .base import AnalysisOutcome, CommercialAnalytic
+from .base import CommercialAnalytic
 from .criteria import Criteria, SampleBlock, VerdictArray
 
 #: "taking a random sample of 5K Twitter followers" — one API page,
@@ -202,6 +202,7 @@ class Twitteraudit(CommercialAnalytic):
 
     name = "twitteraudit"
     reports_inactive = False
+    sample_size = TA_SAMPLE
 
     def __init__(self, world, clock, *, fake_threshold: float = 2.5,
                  **kwargs) -> None:
@@ -209,7 +210,6 @@ class Twitteraudit(CommercialAnalytic):
         kwargs.setdefault("credentials", 8)
         kwargs.setdefault("parallelism", 2)
         super().__init__(world, clock, **kwargs)
-        self._fake_threshold = fake_threshold
         self._criteria = TwitterauditCriteria(fake_threshold=fake_threshold)
 
     @property
@@ -219,34 +219,25 @@ class Twitteraudit(CommercialAnalytic):
 
     def _analyze_steps(self, screen_name: str):
         """One newest-5000 page, scored on the three public criteria."""
-        target, users, __ = yield from self._fetch_head_sample(
-            screen_name,
-            head=TA_SAMPLE,
-            sample=TA_SAMPLE,
-            with_timelines=False,
-        )
-        now = self._analysis_now()
-        verdicts = self._classify_sample(users, None, now)
+        target, users, timelines = yield from self._fetch_head_sample(
+            screen_name, head=TA_SAMPLE)
+        verdicts = self._classify_sample(users, timelines)
         counts = verdicts.counts()
-        total = max(1, len(users))
+        return self._outcome(target.followers_count, counts, {
+            # Data behind the three charts of a Twitteraudit report
+            # (paper, Section II-C): the fake/not-sure/real verdict,
+            # the per-follower "quality score", and the per-follower
+            # "real points" on the 5-point scale.
+            "verdict_counts": counts,
+            "quality_histogram": verdicts.extras["quality_histogram"],
+            "real_points_histogram":
+                verdicts.extras["real_points_histogram"],
+            "mean_quality_score":
+                verdicts.extras["quality_sum"] / max(1, len(users)),
+            "engine": self.info().as_dict(),
+        })
+
+    def _shares(self, counts, total):
+        """Fake and its complement: no inactive class (Table III)."""
         fake_pct = round(100.0 * counts["fake"] / total, 1)
-        quality_sum = verdicts.extras["quality_sum"]
-        return AnalysisOutcome(
-            followers_count=target.followers_count,
-            sample_size=len(users),
-            fake_pct=fake_pct,
-            genuine_pct=round(100.0 - fake_pct, 1),
-            inactive_pct=None,
-            details={
-                # Data behind the three charts of a Twitteraudit report
-                # (paper, Section II-C): the fake/not-sure/real verdict,
-                # the per-follower "quality score", and the per-follower
-                # "real points" on the 5-point scale.
-                "verdict_counts": counts,
-                "quality_histogram": verdicts.extras["quality_histogram"],
-                "real_points_histogram":
-                    verdicts.extras["real_points_histogram"],
-                "mean_quality_score": quality_sum / total,
-                "engine": self.info().as_dict(),
-            },
-        )
+        return fake_pct, round(100.0 - fake_pct, 1), None

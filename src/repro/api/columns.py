@@ -12,7 +12,12 @@ a time.  This module holds both views:
   or from a plain list of user objects by one attribute sweep, plus the
   derived columns the rule sets and the FC features share;
 * :func:`timeline_stat_columns` -- the seven per-timeline fractions
-  (spam phrases, repeated tweets, retweet and link ratios, ...).
+  (spam phrases, repeated tweets, retweet and link ratios, ...);
+* :class:`Criteria` and :class:`VerdictArray` -- the contract every
+  engine's classification criteria implement over a
+  :class:`SampleBlock`, and the verdicts they return (re-exported by
+  :mod:`repro.analytics.criteria`; they live here so the FC package
+  can implement them without importing the analytics package).
 
 Timelines arrive as :class:`~repro.twitter.timeline.TimelineBlock`
 columns, so all seven fractions of a whole sample come from its flag
@@ -30,9 +35,9 @@ one at a time (as the per-account rules in :mod:`repro.fc.rulesets` do).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -297,3 +302,82 @@ class _Selection(SampleBlock):
         """The selected rows' user ids, in selection order."""
         parent_ids = self._parent.user_ids
         return [parent_ids[position] for position in self._users]
+
+
+def build_sample_block(users, timelines=None) -> SampleBlock:
+    """Build the :class:`SampleBlock` of one sample."""
+    return SampleBlock(users, timelines)
+
+
+@dataclass
+class VerdictArray:
+    """Per-account verdicts: int64 ``codes`` indexing into ``labels``.
+
+    ``extras`` carries whatever engine-specific aggregates the criteria
+    computed alongside the verdicts (Twitteraudit's histograms and
+    quality sum).
+    """
+
+    labels: Tuple[str, ...]
+    codes: np.ndarray
+    extras: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.codes = np.asarray(self.codes, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def counts(self) -> Dict[str, int]:
+        """Verdict tallies as ``{label: count}`` in label order."""
+        tally = np.bincount(self.codes, minlength=len(self.labels))
+        return {label: int(tally[index])
+                for index, label in enumerate(self.labels)}
+
+
+class Criteria:
+    """Base contract of an engine's classification criteria.
+
+    Subclasses implement the columnar :meth:`classify_block`; the rule
+    engines add the per-account rule spec :meth:`classify` (and
+    :meth:`explain`) that documents it.  ``labels`` fixes the verdict
+    vocabulary *and* the key order of :meth:`VerdictArray.counts`,
+    which the engines' percentage arithmetic reads.
+    """
+
+    name: str = "criteria"
+    needs_timeline: bool = False
+    labels: Tuple[str, ...] = ()
+    #: Stable rule identifiers, in evaluation order.  Part of the
+    #: observable wire format: goldens, metric series and dashboards
+    #: key on these strings — renaming one is a breaking change (see
+    #: docs/observability.md, "RuleId stability").
+    rule_ids: Tuple[str, ...] = ()
+
+    def classify(self, user, timeline, now: float) -> str:
+        """Classify one account; returns a label from ``labels``."""
+        raise NotImplementedError
+
+    def explain(self, user, timeline, now: float) -> Tuple[str, Tuple[str, ...]]:
+        """Classify one account and name the rules that fired.
+
+        Must agree with :meth:`classify` on the label for every input.
+        The default reports no rules (criteria without a rule registry
+        still classify; they just have nothing to attribute).
+        """
+        return self.classify(user, timeline, now), ()
+
+    def classify_all(self, users, timelines, now: float,
+                     sink=None) -> VerdictArray:
+        """Classify a whole sample: build its block, run the masks.
+
+        ``sink`` optionally collects per-rule fire masks; attaching one
+        never changes the verdicts.
+        """
+        return self.classify_block(build_sample_block(users, timelines),
+                                   now, sink=sink)
+
+    def classify_block(self, block: SampleBlock, now: float,
+                       sink=None) -> VerdictArray:
+        """Columnar classification of a :class:`SampleBlock`."""
+        raise NotImplementedError

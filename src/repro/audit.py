@@ -47,8 +47,10 @@ class AuditReport:
     """Result of one fake-follower audit of one target account.
 
     Percentages are expressed on a 0-100 scale, as in the paper's
-    tables.  ``inactive_pct`` is ``None`` for tools that do not report
-    inactivity as a class (Twitteraudit, see Table III's footnote).
+    tables, and sum to ~100 — except for an empty sample, whose
+    composition is all zero.  ``inactive_pct`` is ``None`` for tools
+    that do not report inactivity as a class (Twitteraudit, see Table
+    III's footnote).
     """
 
     tool: str
@@ -94,8 +96,9 @@ class AuditReport:
                 raise ConfigurationError(
                     f"percentages must be in [0, 100]: {value!r}")
         total = sum(parts)
-        if self.completeness == 0.0 and total == 0.0:
-            # A fully failed audit reports no composition at all.
+        if self.sample_size == 0 and total == 0.0:
+            # An empty sample (a fully failed acquisition, or a target
+            # without followers) has no composition at all.
             return
         if not 99.0 <= total <= 101.0:
             raise ConfigurationError(

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.columns import Criteria, SampleBlock, VerdictArray
 from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
@@ -137,20 +138,22 @@ class CamisaniCalzolariRules(RuleSet):
             score=score, is_fake=score < self._threshold, fired=tuple(fired))
 
 
-class SocialbakersCriteria(RuleSet):
+class SocialbakersCriteria(RuleSet, Criteria):
     """The published Fake Follower Check criteria [14] (paper, Sec. II-B).
 
     Every criterion is quoted from the methodology page; the point
     weights and the suspicion threshold are the undisclosed part, fixed
     here at documented values.  ``evaluate`` returns the *suspicion*
     verdict; the three-way fake/inactive/genuine decision including the
-    two inactivity rules lives in :meth:`classify`.
+    two inactivity rules lives in :meth:`classify`, and its columnar
+    form in :meth:`classify_block` (the
+    :class:`~repro.analytics.criteria.Criteria` contract).
     """
 
     name = "socialbakers"
     needs_timeline = True
-    #: Batch-criteria protocol: verdict vocabulary of :meth:`classify`
-    #: (the engine maps ``genuine`` onto its report's ``good`` class).
+    #: Verdict vocabulary of :meth:`classify` (the engine reports
+    #: ``genuine`` as its ``good`` class).
     labels = ("fake", "inactive", "genuine")
     #: Stable rule registry: the eight published suspicion criteria
     #: (the ``sb.``-prefixed WEIGHTS keys) plus the two inactivity
@@ -258,14 +261,8 @@ class SocialbakersCriteria(RuleSet):
 
     # -- the batch-criteria protocol -------------------------------------------
 
-    def classify_all(self, users, timelines, now: float, sink=None):
-        """Classify a whole sample: build its block, run the masks."""
-        from ..analytics.criteria import build_sample_block  # deferred: cycle
-
-        return self.classify_block(build_sample_block(users, timelines),
-                                   now, sink=sink)
-
-    def classify_block(self, block, now: float, sink=None):
+    def classify_block(self, block: SampleBlock, now: float,
+                       sink=None) -> VerdictArray:
         """Columnar three-way classification over a sample block.
 
         The eight published criteria become weighted boolean masks;
@@ -277,8 +274,6 @@ class SocialbakersCriteria(RuleSet):
         ``sum(WEIGHTS[label] for label in fired)`` bit for bit — both
         then compare it against the same ``threshold`` constant.
         """
-        from ..analytics.criteria import VerdictArray  # deferred: cycle
-
         stats = block.timeline_stats()
         weights = self.WEIGHTS
         masks = {

@@ -52,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..api.columns import SampleBlock
-from ..api.crawler import TIMELINE_PAGE, Crawler
+from ..analytics.base import sample_timelines
+from ..api.crawler import Crawler
 from ..audit import AuditReport, AuditRequest, coerce_request, drain_steps
 from ..core.clock import Stopwatch
 from ..core.errors import ConfigurationError, RetryableApiError
@@ -279,18 +279,9 @@ class DeltaAuditor:
         # across serial and batch scheduling).
         engine = self._engine
         users = self._crawler.lookup_users_block(new_ids)
-        completeness = (len(users) / len(new_ids)) if new_ids else 1.0
-        timelines = None
-        criteria = engine.criteria
-        if criteria is not None and criteria.needs_timeline:
-            yield
-            sample_ids = SampleBlock(users).user_ids
-            by_id = self._crawler.fetch_timelines(
-                sample_ids, per_user=TIMELINE_PAGE)
-            timelines = [by_id[uid] for uid in sample_ids]
-            if users:
-                completeness *= (
-                    1.0 - self._crawler.last_timeline_shortfall / len(users))
+        timelines, fetched = yield from sample_timelines(
+            self._crawler, engine.criteria, users)
+        completeness = len(users) / len(new_ids) * fetched
 
         with self._tracer.span("delta.merge", clock, tool=engine.name,
                                target=request.target,
@@ -302,8 +293,8 @@ class DeltaAuditor:
                 merged_counts[label] = merged_counts.get(label, 0) + count
         self._note_classified(len(new_ids))
         total = watermark.sample_size + len(users)
-        fake_pct, genuine_pct, inactive_pct = self._assemble(
-            merged_counts, max(1, total))
+        fake_pct, genuine_pct, inactive_pct = engine.composition(
+            merged_counts)
         report = AuditReport(
             tool=engine.name,
             target=request.target,
@@ -311,7 +302,7 @@ class DeltaAuditor:
             sample_size=total,
             fake_pct=fake_pct,
             genuine_pct=genuine_pct,
-            inactive_pct=inactive_pct if engine.reports_inactive else None,
+            inactive_pct=inactive_pct,
             response_seconds=stopwatch.elapsed(),
             cached=False,
             assessed_at=clock.now(),
@@ -396,7 +387,7 @@ class DeltaAuditor:
         """
         if report.cached or report.completeness != 1.0:
             return
-        counts = getattr(self._engine, "last_verdict_counts", None)
+        counts = self._engine.last_verdict_counts
         if counts is None:
             return
         client = self._engine.client
@@ -429,33 +420,7 @@ class DeltaAuditor:
         """
         if self._max_delta is not None:
             return self._max_delta
-        from .scheduler import _LANE_SAMPLES
-        return _LANE_SAMPLES.get(self._engine.name, 10_000)
-
-    def _assemble(self, counts: Mapping[str, int],
-                  total: int) -> Tuple[float, float, Optional[float]]:
-        """Merged counts -> the engine's own percentage arithmetic.
-
-        Mirrors each engine's report assembly so a delta report of a
-        census frame carries the same percentages a full audit would
-        print: FC rounds each share and gives genuine the remainder;
-        Twitteraudit reports fake and its complement; the two
-        three-class commercial tools use largest-remainder rounding.
-        """
-        fake = counts.get("fake", 0)
-        inactive = counts.get("inactive", 0)
-        if self._engine.name == "fc":
-            fake_pct = round(100.0 * fake / total, 1)
-            inactive_pct = round(100.0 * inactive / total, 1)
-            return (fake_pct, round(100.0 - fake_pct - inactive_pct, 1),
-                    inactive_pct)
-        if not self._engine.reports_inactive:
-            fake_pct = round(100.0 * fake / total, 1)
-            return fake_pct, round(100.0 - fake_pct, 1), None
-        from ..analytics.base import percentages
-        pct = percentages({"fake": fake, "inactive": inactive,
-                           "good": total - fake - inactive}, total)
-        return pct["fake"], pct["good"], pct["inactive"]
+        return self._engine.sample_size
 
     # -- telemetry ------------------------------------------------------------
 

@@ -188,10 +188,6 @@ class BatchAuditScheduler:
         all lanes of a batch run (cleared at each ``run()``).  Forced
         off in serial mode so the baseline stays a faithful replay of
         the paper's one-tool-at-a-time methodology.
-    pin_observation:
-        Pin every request without an explicit ``as_of`` to the batch's
-        admission epoch.  Leave on: it is what makes batch percentages
-        equal serial ones.
     serial:
         Run admissions one after another on the caller's clock — the
         baseline the throughput benchmark compares against.
@@ -223,7 +219,6 @@ class BatchAuditScheduler:
                  faults=None,
                  retry=None,
                  shared_cache: bool = True,
-                 pin_observation: bool = True,
                  serial: bool = False,
                  max_pending: Optional[int] = None,
                  makespan_budget: Optional[float] = None,
@@ -248,7 +243,6 @@ class BatchAuditScheduler:
         self._clock = clock
         self._serial = bool(serial)
         self._slots_per_lane = 1 if self._serial else lane_slots
-        self._pin = pin_observation
         self._max_pending = max_pending
         self._makespan_budget = makespan_budget
         self._seed = seed
@@ -446,7 +440,7 @@ class BatchAuditScheduler:
                 lane.assigned_indices += 1
                 item.audit_index = lane.assigned_indices
                 as_of = item.request.as_of
-                if self._pin and as_of is None:
+                if as_of is None:
                     as_of = epoch
                 item.request = item.request.bound_to(
                     lane.name, as_of=as_of, audit_index=item.audit_index)

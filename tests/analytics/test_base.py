@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.audit import AuditRequest
+from repro.audit import AuditReport, AuditRequest, build_engines
 from repro.analytics import ResultCache, StatusPeopleFakers, percentages
 from repro.analytics.base import AnalysisOutcome
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, SimClock
+from repro.twitter import add_simple_target, build_world
 
 
 def outcome(**overrides):
@@ -154,3 +155,31 @@ class TestAuditCaching:
         clock.advance(3 * DAY)
         report = tool.audit(AuditRequest(target="smalltown"))
         assert not report.cached
+
+
+class TestEmptySample:
+    """An empty sample has one composition on every engine: 0/0/0."""
+
+    def test_zero_follower_target_reads_the_same_on_all_engines(
+            self, detector):
+        world = build_world(seed=3, ref_time=PAPER_EPOCH)
+        add_simple_target(world, "nobody", 0, 0.0, 0.0, 1.0)
+        engines = build_engines(world, SimClock(PAPER_EPOCH), detector,
+                                seed=3)
+        assert len(engines) == 4
+        for name, engine in engines.items():
+            report = engine.audit(AuditRequest(target="nobody"))
+            expected = (0.0, 0.0, 0.0 if engine.reports_inactive else None)
+            assert report.sample_size == 0, name
+            assert report.completeness == 1.0, name
+            assert (report.fake_pct, report.genuine_pct,
+                    report.inactive_pct) == expected, name
+            assert engine.composition({}) == expected, name
+
+    def test_report_accepts_empty_composition_only_for_empty_sample(self):
+        fields = dict(tool="t", target="x", followers_count=0,
+                      fake_pct=0.0, genuine_pct=0.0, inactive_pct=0.0,
+                      response_seconds=1.0, cached=False, assessed_at=0.0)
+        assert AuditReport(sample_size=0, **fields).completeness == 1.0
+        with pytest.raises(ConfigurationError):
+            AuditReport(sample_size=5, **fields)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.audit import AuditRequest
-from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
+from repro.core import ConfigurationError, DAY, PAPER_EPOCH, SimClock
+from repro.faults.plan import BurstSchedule, FaultPlan, InjectorSpec
 from repro.fc import FC_SAMPLE_SIZE, FakeClassifierEngine
 from repro.twitter import add_simple_target, build_world
 
@@ -82,15 +83,79 @@ class TestAudit:
         with pytest.raises(UnknownAccountError):
             engine.audit(AuditRequest(target="ghost"))
 
-    def test_followerless_target_rejected(self, detector):
+    def test_followerless_target_gets_empty_composition(self, detector):
         world = build_world(seed=4)
         add_simple_target(world, "lonely", 0, 0.0, 0.0, 1.0)
         engine = FakeClassifierEngine(
             world, SimClock(PAPER_EPOCH), detector)
-        with pytest.raises(ConfigurationError):
-            engine.audit(AuditRequest(target="lonely"))
+        report = engine.audit(AuditRequest(target="lonely"))
+        assert report.sample_size == 0
+        assert report.completeness == 1.0
+        assert (report.fake_pct, report.genuine_pct,
+                report.inactive_pct) == (0.0, 0.0, 0.0)
+        assert "census of all 0 followers" in report.details["confidence"]
 
     def test_invalid_sample_size(self, small_world, detector):
         with pytest.raises(ConfigurationError):
             FakeClassifierEngine(
                 small_world, SimClock(), detector, sample_size=0)
+
+
+def shaky_world():
+    world = build_world(seed=11, ref_time=PAPER_EPOCH)
+    add_simple_target(world, "shaky", 3000, 0.3, 0.2, 0.5)
+    return world
+
+
+def outage(resource):
+    """Every ``resource`` request 503s during the first simulated hour
+    (and, in practice, never afterwards)."""
+    return FaultPlan(injectors=(InjectorSpec(
+        kind="transient_503", probability=2.0 ** -40, resources=(resource,),
+        burst=BurstSchedule(period=1e9, duration=3600.0,
+                            multiplier=2.0 ** 40, phase=PAPER_EPOCH)),),
+        seed=3)
+
+
+class TestDegraded:
+    """FC's degraded audits: an empty report, FC's processing time on
+    top of the failed acquisition, and one sampling index used up."""
+
+    @pytest.mark.parametrize("resource, followers, reason, acquisition", [
+        # users/show is charged to users/lookup: its retries run out.
+        ("users/lookup", 0, "TransientServerError", 22.46537137031555),
+        # Every followers/ids page fails: the crawl comes back empty.
+        ("followers/ids", 3000, "empty follower crawl", 24.365371465682983),
+    ])
+    def test_outage_degrades_then_next_audit_samples_as_before(
+            self, detector, resource, followers, reason, acquisition):
+        clock = SimClock(PAPER_EPOCH)
+        engine = FakeClassifierEngine(shaky_world(), clock, detector,
+                                      sample_size=500, seed=5,
+                                      faults=outage(resource))
+        report = engine.audit(AuditRequest(target="shaky"))
+        assert report.sample_size == 0
+        assert report.completeness == 0.0
+        assert report.followers_count == followers
+        assert report.details == {"degraded": reason}
+        assert (report.fake_pct, report.genuine_pct,
+                report.inactive_pct) == (0.0, 0.0, 0.0)
+        assert report.errors_seen == 4
+        assert report.response_seconds == pytest.approx(
+            acquisition + FakeClassifierEngine.PROCESSING_SECONDS)
+
+        # The degraded audit used sampling index 1, so the next audit
+        # draws index 2's sample, exactly as before it degraded.
+        clock.advance(DAY)
+        following = engine.audit(AuditRequest(target="shaky"))
+        fresh = FakeClassifierEngine(
+            shaky_world(), SimClock(PAPER_EPOCH + DAY), detector,
+            sample_size=500, seed=5).audit(
+                AuditRequest(target="shaky", audit_index=2))
+        assert following.completeness == 1.0
+        assert following.sample_size == 500
+        assert (following.fake_pct, following.inactive_pct,
+                following.genuine_pct) == (21.2, 28.2, 50.6)
+        assert (following.fake_pct, following.inactive_pct,
+                following.genuine_pct) == (
+                    fresh.fake_pct, fresh.inactive_pct, fresh.genuine_pct)

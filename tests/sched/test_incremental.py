@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.analytics import DEEP_DIVE_CONFIG
 from repro.api.crawler import AnchoredHeadWalk
 from repro.audit import AuditRequest, build_engines
 from repro.core import DAY, PAPER_EPOCH, YEAR, SimClock
 from repro.faults.plan import FaultPlan, InjectorSpec
+from repro.obs.provenance import ProvenanceCollector
 from repro.sched import (
     BatchAuditScheduler,
     DEFAULT_DELTA_TTL,
@@ -50,10 +52,12 @@ def make_world(seed=23, followers=300, daily=0.0, bursts=()):
     return world
 
 
-def make_auditor(world, store=None, *, faults=None, **kwargs):
+def make_auditor(world, store=None, *, faults=None, sp_config=None,
+                 provenance=None, **kwargs):
     engine = build_engines(world, SimClock(T0), seed=5,
                            engines=("statuspeople",),
-                           faults=faults)["statuspeople"]
+                           faults=faults, sp_config=sp_config,
+                           provenance=provenance)["statuspeople"]
     return DeltaAuditor(engine, store if store is not None
                         else WatermarkStore(), **kwargs)
 
@@ -159,6 +163,31 @@ def test_oversized_delta_prefers_full_audit():
     auditor.audit(delta_request())
     auditor.audit(delta_request(as_of=T0 + DAY))  # ~40 new > max_delta
     assert auditor.fallbacks == {"cold_start": 1, "delta_too_large": 1}
+
+
+def test_delta_cap_is_the_engine_own_sample_size():
+    """A Deep Dive StatusPeople samples 33,000 records per audit, so a
+    day of ~1,500 arrivals merges instead of falling back at the
+    post-API-change default of 700."""
+    auditor = make_auditor(make_world(daily=1500.0),
+                           sp_config=DEEP_DIVE_CONFIG)
+    auditor.audit(delta_request())
+    merged = auditor.audit(delta_request(as_of=T0 + DAY))
+    assert auditor.fallbacks == {"cold_start": 1}
+    assert auditor.merged == 1
+    assert merged.details["new_followers"] > 700
+
+
+def test_delta_census_records_no_provenance():
+    """Only full audits record provenance, under their target."""
+    collector = ProvenanceCollector()
+    auditor = make_auditor(make_world(daily=40.0), provenance=collector)
+    auditor.audit(delta_request())
+    assert len(collector) == 1
+    merged = auditor.audit(delta_request(as_of=T0 + DAY))
+    assert merged.details["mode"] == "delta"
+    assert auditor.merged == 1
+    assert [record.target for record in collector.records] == [HANDLE]
 
 
 def test_net_growth_hiding_a_counted_departure_falls_back():
