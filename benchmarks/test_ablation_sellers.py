@@ -3,64 +3,52 @@
 The market's answer to follower-count watchdogs is *drip delivery*:
 spread the purchased block thinly enough and no single day stands out.
 This ablation buys the same quantity from each preset seller on
-identical live worlds and measures what a daily-polling monitor sees —
-quantifying the detectability/price trade-off and the monitor's blind
-spot (which is exactly why the paper's FC engine audits *composition*,
-not growth).
+identical generative worlds (the order is a post-reference block with
+hourly tranches and daily attrition) and measures what a daily-polling
+monitor sees — quantifying the detectability/price trade-off and the
+monitor's blind spot (which is exactly why the paper's FC engine audits
+*composition*, not growth).
 """
 
 import pytest
 
-from repro.core import DAY, HOUR, PAPER_EPOCH, SimClock, YEAR
+from repro.core import DAY, PAPER_EPOCH, SimClock
 from repro.experiments import TextTable
-from repro.growth import BurstDetector, series_from_observations
-from repro.market import Marketplace, PRESET_SELLERS
-from repro.twitter import (
-    Account,
-    LiveSimulation,
-    OrganicGrowthProcess,
-    SocialGraph,
-)
+from repro.growth import BurstDetector, GrowthMonitor, series_from_observations
+from repro.market import PRESET_SELLERS
+from repro.twitter import add_simple_target, build_world
 
-TARGET_ID = 55
 QUANTITY = 6000
 ORGANIC_PER_DAY = 150.0
 WATCH_DAYS = 20
 PURCHASE_DAY = 8
+#: The order goes in an hour after that day's poll.
+PURCHASE_AT_DAYS = PURCHASE_DAY + 1 / 24
 
 
 def run_scenario(seller, seed=42):
     """Grow organically, buy on day 8, poll daily for 20 days."""
-    graph = SocialGraph(seed=1)
-    graph.add_account(Account(
-        user_id=TARGET_ID, screen_name="watched",
-        created_at=PAPER_EPOCH - 2 * YEAR,
-        statuses_count=500, last_tweet_at=PAPER_EPOCH - HOUR))
-    simulation = LiveSimulation(graph, SimClock(PAPER_EPOCH), seed=seed)
-    simulation.add_process(
-        OrganicGrowthProcess(TARGET_ID, per_day=ORGANIC_PER_DAY))
-    market = Marketplace(simulation, seed=seed)
-
+    world = build_world(seed=seed, ref_time=PAPER_EPOCH)
+    add_simple_target(world, "watched", 0, 0.05, 0.05, 0.90,
+                      daily_new_followers=ORGANIC_PER_DAY,
+                      post_ref_bursts=(
+                          seller.order(PURCHASE_AT_DAYS, QUANTITY),))
+    clock = SimClock(PAPER_EPOCH)
+    monitor = GrowthMonitor(world, clock)
     observations = []
-    order = None
     for day in range(WATCH_DAYS):
-        if day == PURCHASE_DAY:
-            order = market.place_order(seller, TARGET_ID, QUANTITY)
-        observations.append((
-            simulation.now(),
-            graph.follower_count(TARGET_ID, simulation.now())))
-        simulation.run_for(DAY)
+        clock.advance_to(PAPER_EPOCH + day * DAY)
+        observations.append(monitor.poll("watched"))
     series = series_from_observations(observations)
     events = BurstDetector().detect(series)
     top_z = events[0].z_score if events else 0.0
-    return order, events, top_z
+    return events, top_z
 
 
 @pytest.mark.benchmark(group="ablation-a5")
 def test_ablation_seller_evasion(once, save_result):
     def sweep():
-        return [(seller, *run_scenario(seller)[1:])
-                for seller in PRESET_SELLERS]
+        return [(seller, *run_scenario(seller)) for seller in PRESET_SELLERS]
 
     rows = once(sweep)
 

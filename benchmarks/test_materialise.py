@@ -35,9 +35,9 @@ def test_materialise_per_row_cost():
     world = build_world(seed=1)
     add_simple_target(world, "tilted", FOLLOWERS, 0.4, 0.2, 0.4)
     population = world.population("tilted")
-    ids = population.follower_ids(0, FOLLOWERS)[::FOLLOWERS // ROWS].tolist()
-    batches = [ids[start:start + BATCH] for start in range(0, ROWS, BATCH)]
     now = PAPER_EPOCH
+    ids = population.follower_ids(0, FOLLOWERS, now)[::FOLLOWERS // ROWS].tolist()
+    batches = [ids[start:start + BATCH] for start in range(0, ROWS, BATCH)]
 
     def objects():
         return [world.user_objects(batch, now) for batch in batches]

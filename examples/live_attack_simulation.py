@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Live attack simulation: buy followers, watch every detector react.
 
-A discrete-event scenario on the mutable graph backend:
+A scenario on the generative world, where the purchase is part of the
+target's arrival schedule:
 
-* day 0-9    — @rising_star grows organically (~200 followers/day);
-* day 10     — 8000 followers are bought from the cheap-bulk seller
-               (delivered within two hours);
+* day 0-9    — @rising_star (2000 followers) grows organically
+               (200 followers/day);
+* day 10     — an hour after the day's poll, 8000 followers are
+               bought from the cheap-bulk seller (delivered in two
+               hourly tranches);
 * day 10-24  — attrition quietly erodes the purchased block while
                organic growth continues.
 
@@ -23,48 +26,37 @@ Run::
 
 from repro.analytics import StatusPeopleFakers
 from repro.audit import AuditRequest
-from repro.core import DAY, HOUR, PAPER_EPOCH, SimClock, YEAR, isoformat
+from repro.core import DAY, PAPER_EPOCH, SimClock, isoformat
 from repro.fc import FakeClassifierEngine, default_detector
-from repro.growth import BurstDetector, series_from_observations
-from repro.market import CHEAP_BULK, Marketplace
-from repro.twitter import (
-    Account,
-    LiveSimulation,
-    OrganicGrowthProcess,
-    SocialGraph,
-    TweetingProcess,
-)
+from repro.growth import BurstDetector, GrowthMonitor, series_from_observations
+from repro.market import CHEAP_BULK
+from repro.twitter import add_simple_target, build_world
 
-TARGET_ID = 4242
+QUANTITY = 8000
+PURCHASE_DAY = 10
+WATCH_DAYS = 15
 
 
 def build_scenario():
-    graph = SocialGraph(seed=7)
-    graph.add_account(Account(
-        user_id=TARGET_ID, screen_name="rising_star",
-        created_at=PAPER_EPOCH - 2 * YEAR,
-        statuses_count=3200, last_tweet_at=PAPER_EPOCH - HOUR,
-        followers_count=0, friends_count=350,
-    ))
-    simulation = LiveSimulation(graph, SimClock(PAPER_EPOCH), seed=99)
-    simulation.add_process(OrganicGrowthProcess(TARGET_ID, per_day=200.0))
-    simulation.add_process(TweetingProcess(TARGET_ID, per_day=5.0))
-    # Seed an initial organic audience so the day-10 audit has a base.
-    simulation.run_for(10 * DAY)
-    return simulation
+    """A 2000-follower account growing 200/day that buys on day 10."""
+    world = build_world(seed=7, ref_time=PAPER_EPOCH)
+    add_simple_target(
+        world, "rising_star", 2000, 0.10, 0.05, 0.85,
+        daily_new_followers=200.0,
+        post_ref_bursts=(
+            CHEAP_BULK.order(PURCHASE_DAY + 1 / 24, QUANTITY),))
+    return world
 
 
-def audit(simulation, detector, moment_label):
-    graph = simulation.graph
-    clock = simulation.clock
-    sp = StatusPeopleFakers(graph, clock, seed=4)
-    fc = FakeClassifierEngine(graph, clock, detector, seed=4)
+def audit(world, clock, detector, moment_label):
+    sp = StatusPeopleFakers(world, clock, seed=4)
+    fc = FakeClassifierEngine(world, clock, detector, seed=4)
     request = AuditRequest(target="rising_star")
     sp_report = sp.audit(request)
     fc_report = fc.audit(request)
-    followers = graph.follower_count(TARGET_ID, clock.now())
     print(f"\n--- audit {moment_label} "
-          f"({followers} followers, {isoformat(clock.now())[:10]}) ---")
+          f"({fc_report.followers_count} followers, "
+          f"{isoformat(clock.now())[:10]}) ---")
     print(f"  StatusPeople: {sp_report.inactive_pct}% inactive, "
           f"{sp_report.fake_pct}% fake, {sp_report.genuine_pct}% genuine")
     print(f"  Fake Project: {fc_report.inactive_pct}% inactive, "
@@ -72,38 +64,39 @@ def audit(simulation, detector, moment_label):
 
 
 def main() -> None:
-    print("building the scenario (10 days of organic growth) ...")
-    simulation = build_scenario()
+    world = build_scenario()
     detector = default_detector(seed=99)
-    market = Marketplace(simulation, seed=13)
+    clock = SimClock(PAPER_EPOCH + PURCHASE_DAY * DAY)
 
-    audit(simulation, detector, "BEFORE the purchase")
+    audit(world, clock, detector, "BEFORE the purchase")
 
-    print("\nday 10: placing an order with the cheap-bulk seller ...")
-    order = market.place_order(CHEAP_BULK, TARGET_ID, quantity=8000)
-    print(f"  8000 followers for ${order.price:.2f}, delivery within "
-          f"{CHEAP_BULK.delivery_hours(8000):.1f}h")
+    print(f"\nday {PURCHASE_DAY}: placing an order with the cheap-bulk "
+          f"seller ...")
+    print(f"  {QUANTITY} followers for ${CHEAP_BULK.price(QUANTITY):.2f}, "
+          f"delivery within {CHEAP_BULK.delivery_hours(QUANTITY):.1f}h")
 
     # The watchdog keeps polling daily through the attack.
+    monitor = GrowthMonitor(world, clock)
     observations = []
-    for day in range(15):
-        observations.append((
-            simulation.now(),
-            simulation.graph.follower_count(TARGET_ID, simulation.now())))
-        simulation.run_for(DAY)
-    series = series_from_observations(observations)
-    events = BurstDetector().detect(series)
-    print(f"\ngrowth monitor over days 10-24: "
-          f"{'ALERT' if events else 'quiet'}")
+    for __ in range(WATCH_DAYS):
+        observations.append(monitor.poll("rising_star"))
+        clock.advance_to(clock.now() + DAY)
+    events = BurstDetector().detect(series_from_observations(observations))
+    print(f"\ngrowth monitor over days {PURCHASE_DAY}-"
+          f"{PURCHASE_DAY + WATCH_DAYS - 1}: {'ALERT' if events else 'quiet'}")
     if events:
         event = events[0]
         print(f"  burst on {isoformat(event.start_time)[:10]}: "
               f"{event.arrivals} arrivals vs baseline "
               f"{event.baseline:.0f}/day (z={event.z_score:.0f})")
 
-    audit(simulation, detector, "AFTER the purchase (day 25)")
-    print(f"\nattrition so far: {order.delivered - order.retained} of the "
-          f"{order.delivered} purchased followers already unfollowed "
+    audit(world, clock, detector,
+          f"AFTER the purchase (day {PURCHASE_DAY + WATCH_DAYS})")
+    population = world.population("rising_star")
+    departed = (population.arrived_at(clock.now())
+                - population.size_at(clock.now()))
+    print(f"\nattrition so far: {departed} of the {QUANTITY} purchased "
+          f"followers already unfollowed "
           f"({CHEAP_BULK.daily_attrition:.0%}/day).")
     print("\nNote the asymmetry the paper predicts: the purchased block "
           "sits at the head of the follower list, so the head-sampling "

@@ -233,7 +233,8 @@ class Twitteraudit(CommercialAnalytic):
             "real_points_histogram":
                 verdicts.extras["real_points_histogram"],
             "mean_quality_score":
-                verdicts.extras["quality_sum"] / max(1, len(users)),
+                verdicts.extras["quality_sum"] / len(users) if users
+                else None,
             "engine": self.info().as_dict(),
         })
 

@@ -96,9 +96,12 @@ class AuditReport:
                 raise ConfigurationError(
                     f"percentages must be in [0, 100]: {value!r}")
         total = sum(parts)
-        if self.sample_size == 0 and total == 0.0:
+        if self.sample_size == 0:
             # An empty sample (a fully failed acquisition, or a target
             # without followers) has no composition at all.
+            if total != 0.0:
+                raise ConfigurationError(
+                    f"an empty sample has no composition, got {total!r}%")
             return
         if not 99.0 <= total <= 101.0:
             raise ConfigurationError(

@@ -70,9 +70,9 @@ def render_ta_charts(report: AuditReport) -> str:
         [(f"{value} pts", float(points[value])) for value in range(6)],
         title="chart 3 — real points per follower (max scale of 5)",
     )
-    footer = (f"fake: {report.fake_pct}%   "
-              f"mean quality score: "
-              f"{report.details['mean_quality_score']:.2f}")
+    score = report.details["mean_quality_score"]
+    footer = (f"fake: {report.fake_pct}%   mean quality score: "
+              + ("n/a" if score is None else f"{score:.2f}"))
     return "\n\n".join((chart1, chart2, chart3, footer))
 
 

@@ -218,12 +218,14 @@ class FakeClassifierEngine(AuditEngine):
                       if target.followers_count > 0 else 1.0)
         sample_part = min(1.0, len(users) / n) if n > 0 else 1.0
         self._last_completeness = frame_part * sample_part * fetched
-        total = max(1, len(users))
 
-        def interval(positives: int) -> tuple:
-            """95% Wald CI for one class share, as percentages."""
+        def interval(positives: int) -> Optional[tuple]:
+            """95% Wald CI for one class share, as percentages (``None``
+            without a sample to estimate from)."""
+            if not users:
+                return None
             low, high = ProportionEstimate(
-                positives, total).wald_interval(0.95)
+                positives, len(users)).wald_interval(0.95)
             return round(100.0 * low, 1), round(100.0 * high, 1)
         return self._outcome(target.followers_count, counts, {
             "population": population,

@@ -65,14 +65,16 @@ def series_from_population(population: FollowerPopulation,
     """Daily arrivals of a (lazy) population over ``[start, start+days)``.
 
     Uses the arrival schedule's exact inverse, so the series is the
-    ground truth a perfect daily monitor would record.
+    ground truth of who arrived each day.  Departed burst members still
+    arrived, so a day on which the follower count shrinks records its
+    arrivals, not a negative delta.
     """
     if days < 1:
         raise ConfigurationError(f"days must be >= 1: {days!r}")
     counts: List[int] = []
-    previous = population.size_at(start_time)
+    previous = population.arrived_at(start_time)
     for day in range(1, days + 1):
-        current = population.size_at(start_time + day * DAY)
+        current = population.arrived_at(start_time + day * DAY)
         counts.append(current - previous)
         previous = current
     return GrowthSeries(start_time=start_time, arrivals=tuple(counts))

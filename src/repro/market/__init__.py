@@ -1,6 +1,5 @@
-"""The fake-follower black market: sellers, orders, fulfilment."""
+"""The fake-follower black market: seller profiles and their orders."""
 
-from .orders import Marketplace, Order
 from .sellers import (
     CHEAP_BULK,
     PREMIUM_DRIP,
@@ -11,8 +10,6 @@ from .sellers import (
 
 __all__ = [
     "CHEAP_BULK",
-    "Marketplace",
-    "Order",
     "PREMIUM_DRIP",
     "PRESET_SELLERS",
     "STANDARD",

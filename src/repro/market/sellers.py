@@ -9,7 +9,11 @@ filled profiles and drip-fed delivery meant to evade exactly the
 growth-anomaly monitors of :mod:`repro.growth`.
 
 A :class:`SellerProfile` captures those dimensions; the presets span
-the market's ends and are used by the live-attack example and tests.
+the market's ends.  An order compiles to one
+:class:`~repro.twitter.PostRefBurst` of the generative world: staged
+hourly delivery and deterministic daily attrition are part of the
+block's arrival schedule, so every engine, crawler and monitor observes
+the purchase without an event loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.errors import ConfigurationError
-from ..twitter.personas import PERSONAS
+from ..twitter.population import PostRefBurst
 
 
 @dataclass(frozen=True)
@@ -34,11 +38,12 @@ class SellerProfile:
     personas:
         Persona mix of the delivered accounts.
     delivery_per_hour:
-        Delivery throughput; the whole order arrives in
-        ``quantity / delivery_per_hour`` hours.
+        Delivery throughput: hourly tranches of this size, the first at
+        the order instant.
     daily_attrition:
         Fraction of the delivered block unfollowing per day after
-        delivery (purges, recycling, buyer remorse on shared bots).
+        delivery (purges, recycling, buyer remorse on shared bots), by
+        :class:`~repro.twitter.PostRefBurst`'s integer rule.
     """
 
     name: str
@@ -52,17 +57,8 @@ class SellerProfile:
             raise ConfigurationError("seller name must be non-empty")
         if self.price_per_thousand < 0:
             raise ConfigurationError("price must be non-negative")
-        if self.delivery_per_hour < 1:
-            raise ConfigurationError(
-                f"delivery_per_hour must be >= 1: {self.delivery_per_hour!r}")
-        if not 0.0 <= self.daily_attrition < 1.0:
-            raise ConfigurationError(
-                f"daily_attrition must be in [0, 1): {self.daily_attrition!r}")
-        unknown = set(self.personas) - set(PERSONAS)
-        if unknown:
-            raise ConfigurationError(f"unknown personas: {sorted(unknown)!r}")
-        if not self.personas or sum(self.personas.values()) <= 0:
-            raise ConfigurationError("personas mix must have positive mass")
+        # Personas, delivery rate and attrition: valid when an order is.
+        self.order(0.0, 1)
 
     def price(self, quantity: int) -> float:
         """USD for an order of ``quantity`` followers."""
@@ -71,10 +67,22 @@ class SellerProfile:
         return self.price_per_thousand * quantity / 1000.0
 
     def delivery_hours(self, quantity: int) -> float:
-        """Hours to deliver an order of ``quantity`` followers."""
+        """Hours to deliver an order of ``quantity`` followers.
+
+        The last of the ``ceil(delivery_hours)`` tranches lands
+        ``ceil(delivery_hours) - 1`` hours after the order.
+        """
         if quantity < 1:
             raise ConfigurationError(f"quantity must be >= 1: {quantity!r}")
         return quantity / self.delivery_per_hour
+
+    def order(self, days_after: float, quantity: int) -> PostRefBurst:
+        """An order of ``quantity`` followers placed ``days_after`` days
+        past the reference instant, as a target's post-reference block."""
+        return PostRefBurst(
+            days_after=days_after, count=quantity, personas=self.personas,
+            delivery_per_hour=self.delivery_per_hour,
+            daily_attrition=self.daily_attrition)
 
 
 #: Bottom shelf: instant bulk eggs, heavy attrition.

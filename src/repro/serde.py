@@ -28,6 +28,7 @@ from .fc.dataset import GoldExample, GoldStandard
 from .twitter.account import BehaviorProfile, Label
 from .twitter.population import (
     FollowerSegmentSpec,
+    PostRefBurst,
     SyntheticWorld,
     TargetSpec,
 )
@@ -147,8 +148,18 @@ def _segment_from_dict(payload: Dict[str, Any]) -> FollowerSegmentSpec:
     )
 
 
+def _burst_to_dict(burst: PostRefBurst) -> Dict[str, Any]:
+    return {
+        "days_after": burst.days_after,
+        "count": burst.count,
+        "personas": dict(burst.personas),
+        "delivery_per_hour": burst.delivery_per_hour,
+        "daily_attrition": burst.daily_attrition,
+    }
+
+
 def target_spec_to_dict(spec: TargetSpec) -> Dict[str, Any]:
-    """Serialize one target spec (including its cohort structure)."""
+    """Serialize one target spec (its cohorts and purchased blocks too)."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": "target_spec",
@@ -158,6 +169,8 @@ def target_spec_to_dict(spec: TargetSpec) -> Dict[str, Any]:
         "created_at": spec.created_at,
         "follow_window_days": spec.follow_window_days,
         "daily_new_followers": spec.daily_new_followers,
+        "post_ref_bursts": [_burst_to_dict(burst)
+                            for burst in spec.post_ref_bursts],
         "statuses_count": spec.statuses_count,
         "friends_count": spec.friends_count,
         "verified": spec.verified,
@@ -178,6 +191,9 @@ def target_spec_from_dict(payload: Dict[str, Any]) -> TargetSpec:
         created_at=payload["created_at"],
         follow_window_days=payload["follow_window_days"],
         daily_new_followers=payload["daily_new_followers"],
+        # Documents written before purchases were serialized hold none.
+        post_ref_bursts=tuple(PostRefBurst(**burst)
+                              for burst in payload.get("post_ref_bursts", ())),
         statuses_count=payload["statuses_count"],
         friends_count=payload["friends_count"],
         verified=payload["verified"],

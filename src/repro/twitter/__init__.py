@@ -23,7 +23,6 @@ from .live import (
     OrganicGrowthProcess,
     Process,
     TweetingProcess,
-    follow_block,
 )
 from .personas import (
     DEFAULT_LABEL_MIXES,
@@ -90,7 +89,6 @@ __all__ = [
     "decode_follower",
     "even_schedule",
     "fake_purchase_burst",
-    "follow_block",
     "follower_id",
     "make_target_spec",
     "namespace_of",

@@ -1,17 +1,18 @@
 """Event-driven live simulation over the materialised graph.
 
 The lazy worlds of :mod:`repro.twitter.population` bake a follower
-base's entire history into a static arrival schedule — perfect for
-reproducing the paper's measurements, but mute on *dynamics*: accounts
-that keep tweeting, audiences that churn, purchases that land while a
-monitor watches.  This module adds a classic discrete-event simulation
-on top of :class:`~repro.twitter.graph.SocialGraph`:
+base's entire history into a static arrival schedule, purchases
+included: a seller's staged delivery and post-purchase attrition are
+part of a :class:`~repro.twitter.population.PostRefBurst`.  What a
+schedule cannot express is *random* dynamics: accounts that keep
+tweeting and audiences whose members unfollow at random.  This module
+adds a classic discrete-event simulation on top of
+:class:`~repro.twitter.graph.SocialGraph` for those:
 
 * an event queue driving the shared :class:`SimClock`;
 * recurring **processes** (organic follower growth, audience churn,
   the target's own tweeting);
-* one-shot scheduled actions (used by :mod:`repro.market` to deliver
-  purchased follower blocks).
+* one-shot scheduled actions.
 
 Because the graph implements the same ``World`` interface, every
 engine, crawler and monitor in the library runs against a live
@@ -32,7 +33,6 @@ from ..core.errors import ConfigurationError
 from ..core.ids import IdGenerator
 from ..core.rng import make_rng, poisson, weighted_choice
 from ..core.timeutil import DAY
-from .account import Account
 from .graph import SocialGraph
 from .personas import PERSONAS
 
@@ -92,9 +92,9 @@ class LiveSimulation:
         """A fresh, time-ordered id for a newly created account."""
         return self._ids.next_id(created_at)
 
-    def mint_screen_name(self, prefix: str = "live") -> str:
+    def mint_screen_name(self) -> str:
         """A fresh, unique handle for a newly created account."""
-        return f"{prefix}_{next(self._names)}"
+        return f"live_{next(self._names)}"
 
     def schedule(self, at: float, action: Action) -> None:
         """Schedule a one-shot action at absolute simulated time ``at``."""
@@ -306,16 +306,3 @@ class TweetingProcess(Process):
             last_tweet_at=now,
         ))
 
-
-def follow_block(simulation: LiveSimulation, target_id: int,
-                 accounts: List[Account]) -> None:
-    """Register and follow a prepared block of accounts *now*.
-
-    Used by the marketplace to deliver a tranche of purchased fakes in
-    one instant (they appear consecutively at the head of the
-    newest-first listing, exactly like a real delivery).
-    """
-    now = simulation.now()
-    for account in accounts:
-        simulation.graph.add_account(account)
-        simulation.graph.follow(account.user_id, target_id, now)

@@ -94,6 +94,19 @@ def decode_follower(user_id: int) -> Tuple[int, int]:
     return (payload >> _POSITION_BITS) & _ORDINAL_MASK, payload & _POSITION_MASK
 
 
+def _check_mix(personas: Mapping[str, float], owner: str) -> None:
+    """Reject an empty, unknown, negative or massless persona mix."""
+    if not personas:
+        raise ConfigurationError(f"a {owner} needs a non-empty persona mix")
+    for name, weight in personas.items():
+        if name not in PERSONAS:
+            raise ConfigurationError(f"unknown persona: {name!r}")
+        if weight < 0:
+            raise ConfigurationError(f"persona weight must be >= 0: {weight!r}")
+    if sum(personas.values()) <= 0:
+        raise ConfigurationError("persona mix weights must sum to > 0")
+
+
 @dataclass(frozen=True)
 class FollowerSegmentSpec:
     """One cohort of a target's follower base, in arrival order.
@@ -120,15 +133,7 @@ class FollowerSegmentSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in (0, 1]: {self.fraction!r}")
-        if not self.personas:
-            raise ConfigurationError("a segment needs a non-empty persona mix")
-        for name, weight in self.personas.items():
-            if name not in PERSONAS:
-                raise ConfigurationError(f"unknown persona: {name!r}")
-            if weight < 0:
-                raise ConfigurationError(f"persona weight must be >= 0: {weight!r}")
-        if sum(self.personas.values()) <= 0:
-            raise ConfigurationError("persona mix weights must sum to > 0")
+        _check_mix(self.personas, "segment")
 
 
 def uniform_segments(inactive: float, fake: float, genuine: float,
@@ -206,21 +211,37 @@ def tilted_segments(inactive: float, fake: float, genuine: float,
 
 @dataclass(frozen=True)
 class PostRefBurst:
-    """A discrete follower block delivered *after* the reference instant.
+    """A follower block bought *after* the reference instant.
 
     The mid-monitoring analogue of a purchased-burst segment: where
     :class:`FollowerSegmentSpec` shapes the historical base, a
-    ``PostRefBurst`` lands ``count`` new followers, drawn from
-    ``personas``, exactly ``days_after`` days past the reference
-    instant — interleaved with the ordinary ``daily_new_followers``
-    trickle in arrival order.  This is what the incremental-audit and
-    monitoring experiments inject to model "the account bought a block
-    of fakes while we were watching".
+    ``PostRefBurst`` delivers ``count`` new followers, drawn from
+    ``personas``, from exactly ``days_after`` days past the reference
+    instant, interleaved with the ordinary ``daily_new_followers``
+    trickle in arrival order.
+
+    Attributes
+    ----------
+    delivery_per_hour:
+        Size of the hourly delivery tranches, the first landing at the
+        order instant ("Followers or Phantoms?" reports staged
+        delivery); ``None`` delivers the whole block at once.
+    daily_attrition:
+        Share of the block's remaining members leaving per day, from
+        one day after the last tranche ("The Follower Count Fallacy"
+        reports the drop-off).  The rule is exact integer arithmetic:
+        each day ``alive * ppm // 1_000_000`` members leave, ``ppm``
+        being the share rounded to parts per million, earliest
+        delivered first (see :class:`ArrivalSchedule`).  A departed
+        member leaves ``follower_count`` and ``followers/ids``, while
+        ``users/lookup`` still resolves it, as after an unfollow.
     """
 
     days_after: float
     count: int
     personas: Mapping[str, float]
+    delivery_per_hour: Optional[int] = None
+    daily_attrition: float = 0.0
 
     def __post_init__(self) -> None:
         if self.days_after < 0:
@@ -228,16 +249,13 @@ class PostRefBurst:
                 f"days_after must be >= 0: {self.days_after!r}")
         if self.count < 1:
             raise ConfigurationError(f"count must be >= 1: {self.count!r}")
-        if not self.personas:
-            raise ConfigurationError("a burst needs a non-empty persona mix")
-        for name, weight in self.personas.items():
-            if name not in PERSONAS:
-                raise ConfigurationError(f"unknown persona: {name!r}")
-            if weight < 0:
-                raise ConfigurationError(
-                    f"persona weight must be >= 0: {weight!r}")
-        if sum(self.personas.values()) <= 0:
-            raise ConfigurationError("persona mix weights must sum to > 0")
+        if self.delivery_per_hour is not None and self.delivery_per_hour < 1:
+            raise ConfigurationError(
+                f"delivery_per_hour must be >= 1: {self.delivery_per_hour!r}")
+        if not 0.0 <= self.daily_attrition < 1.0:
+            raise ConfigurationError(
+                f"daily_attrition must be in [0, 1): {self.daily_attrition!r}")
+        _check_mix(self.personas, "burst")
 
 
 def fake_purchase_burst(days_after: float, count: int) -> PostRefBurst:
@@ -268,9 +286,9 @@ class TargetSpec:
         (drawn from the newest cohort's persona mix); drives the daily
         snapshot ordering experiment.
     post_ref_bursts:
-        Discrete :class:`PostRefBurst` blocks landing after the
-        reference instant, interleaved with the trickle in arrival
-        order; each burst's members draw from its own persona mix.
+        :class:`PostRefBurst` blocks bought after the reference
+        instant, interleaved with the trickle in arrival order; each
+        burst's members draw from its own persona mix.
     statuses_count, friends_count, verified, display_name, description:
         Profile attributes of the target itself.
     behavior:
@@ -334,9 +352,10 @@ def _persona_table(tables: _PersonaTables,
 class FollowerPopulation:
     """Lazy follower universe of one target.
 
-    Exposes arrival-ordered positions ``0 .. size_at(now) - 1``; every
-    query is a deterministic function of the master seed, so repeated
-    audits of the same target observe the same world.  A world passes
+    Exposes arrival-ordered positions ``0 .. arrived_at(now) - 1``, of
+    which the ``size_at(now)`` not departed form the follower list;
+    every query is a deterministic function of the master seed, so
+    repeated audits of the same target observe the same world.  A world passes
     every target the same ``persona_tables``, so targets with equal
     persona mixes share their pick tables.
     """
@@ -387,7 +406,8 @@ class FollowerPopulation:
         self._schedule = ArrivalSchedule(
             windows, post_ref_daily=spec.daily_new_followers,
             post_ref_bursts=[
-                (schedule_ref + burst.days_after * DAY, burst.count)
+                (schedule_ref + burst.days_after * DAY, burst.count,
+                 burst.delivery_per_hour, burst.daily_attrition)
                 for burst in bursts])
         # One persona table per schedule segment index: the historical
         # segments, then the post-reference trickle (which inherits the
@@ -416,7 +436,15 @@ class FollowerPopulation:
         return self._schedule
 
     def size_at(self, now: float) -> int:
-        """Follower count at simulated instant ``now``."""
+        """Follower count at simulated instant ``now`` (departures excluded)."""
+        return self._schedule.count_at(now)
+
+    def arrived_at(self, now: float) -> int:
+        """Followers arrived by ``now``, departed ones included.
+
+        Every such position resolves through ``users/lookup``, as an
+        account that unfollowed still exists.
+        """
         return self._schedule.size_at(now)
 
     def followed_at(self, position: int) -> float:
@@ -427,16 +455,18 @@ class FollowerPopulation:
         """User id of the follower at arrival ``position``."""
         return follower_id(self._ordinal, position)
 
-    def follower_ids(self, start: int, stop: int) -> np.ndarray:
-        """Ids of positions ``[start, stop)`` in chronological order.
+    def follower_ids(self, start: int, stop: int, now: float) -> np.ndarray:
+        """Ids of follower-list entries ``[start, stop)`` at ``now``.
 
-        Returned as an int64 array; composing ids is pure arithmetic, so
-        a page of 5000 costs microseconds even for a 41 M-follower base.
+        Chronological, as an int64 array, without the burst members
+        departed by ``now``.  Composing ids is pure arithmetic, so a
+        page of 5000 costs microseconds even for a 41 M-follower base.
         """
         if start < 0 or stop < start:
             raise ConfigurationError(f"bad slice [{start}, {stop})")
         base = (FOLLOWER_TAG << _NAMESPACE_SHIFT) | (self._ordinal << _POSITION_BITS)
-        return base + np.arange(start, stop, dtype=np.int64)
+        return base + self._schedule.positions(
+            np.arange(start, stop, dtype=np.int64), now)
 
     def persona_at(self, position: int) -> Persona:
         """Deterministically pick the persona of the follower at ``position``."""
@@ -471,16 +501,18 @@ class FollowerPopulation:
         """Ground-truth label fractions of the base at ``now``.
 
         For very large bases an optional uniform ``sample`` bounds the
-        cost; with ``sample=None`` every position is inspected.
+        cost; with ``sample=None`` every listed follower is inspected.
+        Departed burst members are not followers any more.
         """
         size = self.size_at(now)
         if size == 0:
             return {label: 0.0 for label in Label}
         if sample is not None and sample < size:
             rng = composition_rng(self._seed, seed)
-            positions = rng.sample(range(size), sample)
+            entries = rng.sample(range(size), sample)
         else:
-            positions = range(size)
+            entries = range(size)
+        positions = self._schedule.positions(entries, now)
         counts = {label: 0 for label in Label}
         total = 0
         for position in positions:
@@ -637,7 +669,7 @@ class SyntheticWorld(World):
             if ordinal >= len(self._populations):
                 raise UnknownAccountError(user_id)
             population = self._populations[ordinal]
-            if position >= population.size_at(now):
+            if position >= population.arrived_at(now):
                 raise UnknownAccountError(user_id)
             return population.account_at(position, now)
         if tag == AMBIENT_TAG:
@@ -676,7 +708,7 @@ class SyntheticWorld(World):
         size = population.size_at(now)
         start = max(0, min(start, size))
         stop = max(start, min(stop, size))
-        return population.follower_ids(start, stop)
+        return population.follower_ids(start, stop, now)
 
     def friend_count(self, user_id: int, now: float) -> int:
         return self.account_by_id(user_id, now).friends_count
@@ -723,7 +755,7 @@ class SyntheticWorld(World):
             population = populations[ordinal]
             size = sizes.get(ordinal)
             if size is None:
-                size = sizes[ordinal] = population.size_at(now)
+                size = sizes[ordinal] = population.arrived_at(now)
             if position < size:
                 rows.append(account_row(population.account_at(position, now)))
         return UserRowBlock(np.array(rows, dtype=ACCOUNT_DTYPE))

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.errors import ConfigurationError
-from ..core.timeutil import DAY
+from ..core.timeutil import DAY, HOUR
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,19 @@ class SegmentWindow:
         return self.start + (self.end - self.start) * (fraction ** self.gamma)
 
 
+def _departures(count: int, ppm: int) -> List[int]:
+    """Cumulative departures of a ``count`` block after each attrition
+    day, up to the first day nobody leaves (no later day does either)."""
+    departed, alive = [0], count
+    while ppm > 0:
+        gone = alive * ppm // 1_000_000
+        if not gone:
+            break
+        alive -= gone
+        departed.append(departed[-1] + gone)
+    return departed
+
+
 class ArrivalSchedule:
     """Deterministic arrival times for an entire follower base.
 
@@ -72,17 +88,22 @@ class ArrivalSchedule:
     ``post_ref_daily`` new followers per day after the last segment ends
     — this is what the daily-snapshot ordering experiment observes.
 
-    ``post_ref_bursts`` adds discrete arrival blocks *after* the
-    reference instant: each ``(at, count)`` delivers ``count`` followers
-    at exactly the epoch ``at``, interleaved with the trickle in arrival
-    order — the "bought a block of fakes mid-monitoring" scenario the
-    incremental-audit experiments inject.  A schedule with no bursts is
-    bit-identical to one built before bursts existed.
+    ``post_ref_bursts`` adds bought blocks *after* the reference
+    instant, each ``(at, count)`` or ``(at, count, per_hour,
+    daily_attrition)``: hourly tranches of ``per_hour`` (``None``: one
+    tranche), the first at exactly the epoch ``at``, interleaved with
+    the trickle in arrival order.  From one day after its last tranche
+    a block loses ``alive * ppm // 1_000_000`` of its ``alive`` members
+    a day (``ppm``: ``daily_attrition`` in parts per million), earliest
+    delivered first.  A departed member keeps its position and arrival
+    (:meth:`size_at`) but leaves the follower list (:meth:`count_at`,
+    :meth:`positions`).  Without bursts the schedule is bit-identical
+    to one built before bursts existed.
     """
 
     def __init__(self, segments: Sequence[SegmentWindow],
                  post_ref_daily: float = 0.0,
-                 post_ref_bursts: Sequence[Tuple[float, int]] = ()) -> None:
+                 post_ref_bursts: Sequence[Tuple] = ()) -> None:
         if not segments:
             raise ConfigurationError("an arrival schedule needs >= 1 segment")
         if post_ref_daily < 0:
@@ -103,8 +124,17 @@ class ArrivalSchedule:
         self._base_count = offset
         self._ref_time = self._segments[-1].end
         self._post_ref_daily = float(post_ref_daily)
-        bursts = sorted((float(at), int(count)) for at, count in post_ref_bursts)
-        for at, count in bursts:
+        self._compile_bursts(post_ref_bursts)
+
+    def _compile_bursts(self, post_ref_bursts: Sequence[Tuple]) -> None:
+        """Flatten the bursts into arrival-ordered tranche arrays."""
+        bursts = sorted(
+            (tuple(burst) + (None, 0.0)[len(burst) - 2:]
+             for burst in post_ref_bursts),
+            key=lambda burst: (float(burst[0]), int(burst[1])))
+        tranches, eroding = [], []
+        for index, (at, count, per_hour, attrition) in enumerate(bursts):
+            at, count = float(at), int(count)
             if at < self._ref_time:
                 raise ConfigurationError(
                     f"burst at {at!r} predates the reference instant "
@@ -112,7 +142,34 @@ class ArrivalSchedule:
             if count < 1:
                 raise ConfigurationError(
                     f"burst count must be >= 1: {count!r}")
-        self._bursts: Tuple[Tuple[float, int], ...] = tuple(bursts)
+            per_hour = per_hour or count
+            hours = -(-count // per_hour)
+            tranches += [(at + hour * HOUR, index,
+                          min(per_hour, count - hour * per_hour))
+                         for hour in range(hours)]
+            departed = _departures(count, round(attrition * 1_000_000))
+            if len(departed) > 1:
+                eroding.append((index, at + (hours - 1) * HOUR,
+                                per_hour, departed))
+        tranches.sort()
+        # Per tranche, in arrival order: instant, burst, members before
+        # it, and the post-reference index of its first member (strictly
+        # increasing, so bisection finds a position's tranche).
+        # Tuples: a schedule without bursts shares the empty one.
+        self._tranche_at = tuple(at for at, __, __ in tranches)
+        self._tranche_burst = tuple(index for __, index, __ in tranches)
+        self._tranche_before = tuple(accumulate(
+            (size for __, __, size in tranches), initial=0))
+        self._tranche_first = tuple(
+            self._trickle_count(at) + before
+            for at, before in zip(self._tranche_at, self._tranche_before))
+        # Per eroding burst: last tranche instant, tranche size, its
+        # tranches in delivery order, cumulative departures by day.
+        self._eroding = tuple(
+            (last, per_hour,
+             [slot for slot, burst in enumerate(self._tranche_burst)
+              if burst == index], departed)
+            for index, last, per_hour, departed in eroding)
 
     @property
     def base_count(self) -> int:
@@ -129,11 +186,6 @@ class ArrivalSchedule:
         """The historical segments, in chronological order."""
         return self._segments
 
-    @property
-    def bursts(self) -> Tuple[Tuple[float, int], ...]:
-        """Post-reference ``(at, count)`` bursts, in chronological order."""
-        return self._bursts
-
     def _trickle_count(self, now: float) -> int:
         """Trickle arrivals by ``now`` (the :meth:`size_at` convention)."""
         if now < self._ref_time or self._post_ref_daily <= 0:
@@ -143,42 +195,43 @@ class ArrivalSchedule:
     def _locate_post_ref(self, extra: int) -> Tuple[Optional[int], int]:
         """Map post-reference index ``extra`` to its arrival block.
 
-        Returns ``(burst_index, local)`` for a burst member, or
-        ``(None, k)`` for the ``k``-th trickle arrival.  Positions
-        interleave in arrival order using the same trickle-count
-        formula as :meth:`size_at`, so the two stay exact inverses.
+        Returns ``(tranche, local)`` for a burst member, or ``(None,
+        k)`` for the ``k``-th trickle arrival.  Positions interleave in
+        arrival order using the same trickle-count formula as
+        :meth:`size_at`, so the two stay exact inverses.
         """
-        prior = 0
-        for index, (at, count) in enumerate(self._bursts):
-            before = self._trickle_count(at) + prior
-            if extra < before:
-                break
-            if extra < before + count:
-                return index, extra - before
-            prior += count
-        return None, extra - prior
+        tranche = bisect.bisect_right(self._tranche_first, extra) - 1
+        if tranche < 0:
+            return None, extra
+        local = extra - self._tranche_first[tranche]
+        before = self._tranche_before[tranche + 1]
+        if local < before - self._tranche_before[tranche]:
+            return tranche, local
+        return None, extra - before
 
     def segment_of(self, position: int) -> Tuple[int, SegmentWindow]:
         """Return ``(segment_index, segment)`` containing ``position``.
 
         Post-reference trickle positions map to a pseudo segment index
-        ``len(segments)`` and burst members of burst ``i`` to
+        ``len(segments)`` and members of burst ``i`` to
         ``len(segments) + 1 + i``; the returned windows are synthesised
-        on the fly (a burst's window is the zero-length ``[at, at]``).
+        on the fly (a tranche's window is the zero-length ``[at, at]``).
         """
         if position < 0:
             raise ConfigurationError(f"position must be >= 0: {position!r}")
         if position >= self._base_count:
             extra = position - self._base_count
-            if self._post_ref_daily <= 0 and not self._bursts:
+            if self._post_ref_daily <= 0 and not self._tranche_at:
                 raise ConfigurationError(
                     f"position {position} beyond a non-growing schedule "
                     f"of {self._base_count}")
-            burst_index, local = self._locate_post_ref(extra)
-            if burst_index is not None:
-                at, count = self._bursts[burst_index]
-                return len(self._segments) + 1 + burst_index, SegmentWindow(
-                    count=count, start=at, end=at)
+            tranche, local = self._locate_post_ref(extra)
+            if tranche is not None:
+                at = self._tranche_at[tranche]
+                size = (self._tranche_before[tranche + 1]
+                        - self._tranche_before[tranche])
+                return (len(self._segments) + 1 + self._tranche_burst[tranche],
+                        SegmentWindow(count=size, start=at, end=at))
             if self._post_ref_daily <= 0:
                 raise ConfigurationError(
                     f"position {position} beyond a non-growing schedule "
@@ -198,8 +251,8 @@ class ArrivalSchedule:
         """
         index, segment = self.segment_of(position)
         if index >= len(self._segments):
-            # Trickle windows hold one arrival; burst windows are
-            # zero-length, so every member arrives at the burst instant.
+            # Trickle windows hold one arrival; tranche windows are
+            # zero-length, so every member arrives at the tranche instant.
             return index, segment.arrival_time(0)
         return index, segment.arrival_time(position - self._offsets[index])
 
@@ -212,13 +265,14 @@ class ArrivalSchedule:
 
         Monotone in ``now``; exact inverse of :meth:`arrival_time` (it
         binary-searches the arrival sequence, which is non-decreasing).
+        Departed burst members still count: they did arrive.
         """
         if now >= self._ref_time:
             # The first trickle arrival happens one inter-arrival gap
             # after the reference instant, so flooring is exact.
-            extra = self._trickle_count(now)
-            extra += sum(count for at, count in self._bursts if at <= now)
-            return self._base_count + extra
+            tranches = bisect.bisect_right(self._tranche_at, now)
+            return (self._base_count + self._trickle_count(now)
+                    + self._tranche_before[tranches])
         lo, hi = 0, self._base_count
         while lo < hi:
             mid = (lo + hi) // 2
@@ -227,6 +281,44 @@ class ArrivalSchedule:
             else:
                 hi = mid
         return lo
+
+    def _departed(self, now: float):
+        """``(per_hour, tranches, departed)`` of each eroding burst."""
+        for last, per_hour, tranches, departed in self._eroding:
+            if now >= last + DAY:
+                days = min(int((now - last) / DAY), len(departed) - 1)
+                yield per_hour, tranches, departed[days]
+
+    def departed_at(self, now: float) -> int:
+        """Burst members that have left the follower list by ``now``."""
+        return sum(gone for __, __, gone in self._departed(now))
+
+    def count_at(self, now: float) -> int:
+        """Length of the follower list at ``now``: arrivals minus departures."""
+        if not self._eroding:
+            return self.size_at(now)
+        return self.size_at(now) - self.departed_at(now)
+
+    def positions(self, indices, now: float):
+        """Positions of the follower-list entries ``indices`` at ``now``.
+
+        The list is chronological: entry ``i`` is the ``i``-th arrived
+        follower not departed.  Before any departure ``indices`` comes
+        back unchanged; after, as a list of ints (an int64 array for an
+        array).  Indices are not checked against :meth:`count_at`.
+        """
+        holes = []
+        for per_hour, tranches, gone in self._departed(now):
+            for order, tranche in enumerate(tranches[:-(-gone // per_hour)]):
+                first = self._base_count + self._tranche_first[tranche]
+                holes.append(
+                    (first, first + min(per_hour, gone - order * per_hour)))
+        if not holes:
+            return indices
+        shifted = np.array(indices, dtype=np.int64)
+        for first, stop in sorted(holes):
+            shifted[shifted >= first] += stop - first
+        return shifted if isinstance(indices, np.ndarray) else shifted.tolist()
 
 
 def even_schedule(count: int, start: float, end: float,

@@ -175,6 +175,11 @@ class TestEmptySample:
             assert (report.fake_pct, report.genuine_pct,
                     report.inactive_pct) == expected, name
             assert engine.composition({}) == expected, name
+            if name == "fc":
+                for key in ("fake_ci95", "inactive_ci95", "genuine_ci95"):
+                    assert report.details[key] is None, key
+            if name == "twitteraudit":
+                assert report.details["mean_quality_score"] is None
 
     def test_report_accepts_empty_composition_only_for_empty_sample(self):
         fields = dict(tool="t", target="x", followers_count=0,
@@ -183,3 +188,11 @@ class TestEmptySample:
         assert AuditReport(sample_size=0, **fields).completeness == 1.0
         with pytest.raises(ConfigurationError):
             AuditReport(sample_size=5, **fields)
+
+    def test_report_rejects_a_composition_for_an_empty_sample(self):
+        fields = dict(tool="t", target="x", followers_count=10,
+                      fake_pct=100.0, genuine_pct=0.0, inactive_pct=0.0,
+                      response_seconds=1.0, cached=False, assessed_at=0.0)
+        assert AuditReport(sample_size=5, **fields).fake_pct == 100.0
+        with pytest.raises(ConfigurationError):
+            AuditReport(sample_size=0, **fields)

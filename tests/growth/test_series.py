@@ -62,6 +62,22 @@ class TestFromPopulation:
         assert max(series.arrivals) > 10 * sorted(series.arrivals)[15]
 
 
+    def test_shrinking_day_records_arrivals(self):
+        from repro.twitter import PostRefBurst
+
+        world = build_world(seed=44)
+        add_simple_target(
+            world, "eroding", 1000, 0.2, 0.2, 0.6, daily_new_followers=5.0,
+            post_ref_bursts=(PostRefBurst(0.5, 400, {"fake_classic": 1.0},
+                                          daily_attrition=0.1),))
+        population = world.population("eroding")
+        # Day 2 (from ref + 1.5 d) loses 40 buyers against 5 arrivals.
+        assert population.size_at(PAPER_EPOCH + 2 * DAY) < \
+            population.size_at(PAPER_EPOCH + DAY)
+        series = series_from_population(population, PAPER_EPOCH, days=4)
+        assert series.arrivals == (405, 5, 5, 5)
+
+
 class TestFromObservations:
     def test_deltas(self):
         series = series_from_observations(

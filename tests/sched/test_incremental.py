@@ -34,6 +34,7 @@ from repro.sched import (
 from repro.twitter import (
     Account,
     Label,
+    PostRefBurst,
     SocialGraph,
     add_simple_target,
     build_world,
@@ -220,6 +221,29 @@ def test_net_growth_hiding_a_counted_departure_falls_back():
     watermark = auditor.store.get("statuspeople", HANDLE)
     assert sum(watermark.verdict_counts.values()) == 302
     assert watermark.as_of == T0 + 2 * DAY
+
+
+def test_eroding_purchase_falls_back_instead_of_merging():
+    """Departures of a bought block reach into the counted base.
+
+    A 120-fake block lands at T0 + 0.05 d and loses 10% a day from
+    T0 + 1.05 d.  Against a trickle of 40/day the first day's 12
+    departures hide behind net growth (count mismatch); against a
+    trickle of 5/day the counter shrinks.  Either way the baseline
+    counts still hold the departed fakes, so no merge may happen.
+    """
+    block = PostRefBurst(0.05, 120, {"fake_classic": 1.0},
+                         daily_attrition=0.1)
+    for daily, reason in ((40.0, "count_mismatch"), (5.0, "count_shrunk")):
+        world = make_world(daily=daily, bursts=(block,))
+        auditor = make_auditor(world)
+        auditor.audit(delta_request(as_of=T0 + 0.1 * DAY))
+        report = auditor.audit(delta_request(as_of=T0 + 1.1 * DAY))
+        assert auditor.fallbacks == {"cold_start": 1, reason: 1}, daily
+        assert auditor.merged == 0
+        assert "mode" not in report.details
+        assert report.followers_count == \
+            world.population(HANDLE).size_at(T0 + 1.1 * DAY)
 
 
 def test_degraded_head_walk_is_never_trusted(monkeypatch):

@@ -1,26 +1,33 @@
-"""Unit and integration tests for the fake-follower marketplace."""
+"""Seller profiles and their orders as post-reference blocks."""
+
+import math
 
 import pytest
 
-from repro.core import ConfigurationError, DAY, HOUR, PAPER_EPOCH, SimClock, YEAR
+from repro.api import TwitterApiClient
+from repro.core import ConfigurationError, DAY, HOUR, PAPER_EPOCH, SimClock
 from repro.market import (
     CHEAP_BULK,
-    Marketplace,
     PREMIUM_DRIP,
     PRESET_SELLERS,
     STANDARD,
     SellerProfile,
 )
-from repro.twitter import Account, Label, LiveSimulation, SocialGraph
+from repro.twitter import Label, add_simple_target, build_world
 
 
-def make_simulation(seed=5):
-    graph = SocialGraph(seed=1)
-    graph.add_account(Account(
-        user_id=700, screen_name="buyer",
-        created_at=PAPER_EPOCH - 2 * YEAR,
-        statuses_count=50, last_tweet_at=PAPER_EPOCH - HOUR))
-    return LiveSimulation(graph, SimClock(PAPER_EPOCH), seed=seed)
+def buyer_world(*orders, organic_per_day=0.0):
+    """A world whose follower-less target @buyer placed ``orders``."""
+    world = build_world(seed=5, ref_time=PAPER_EPOCH)
+    add_simple_target(world, "buyer", 0, 0.05, 0.05, 0.90,
+                      daily_new_followers=organic_per_day,
+                      post_ref_bursts=orders)
+    return world
+
+
+def buyer(*orders):
+    """The follower population of :func:`buyer_world`'s @buyer."""
+    return buyer_world(*orders).population("buyer")
 
 
 class TestSellerProfile:
@@ -51,90 +58,99 @@ class TestSellerProfile:
 
 class TestOrderFulfilment:
     def test_bulk_order_delivers_within_hours(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        order = market.place_order(CHEAP_BULK, 700, quantity=8000)
-        assert order.price == pytest.approx(16.0)
-        simulation.run_for(4 * HOUR)
-        assert order.fully_delivered
-        assert simulation.graph.follower_count(
-            700, simulation.now()) == 8000
+        order = CHEAP_BULK.order(0.0, 8000)
+        assert CHEAP_BULK.price(order.count) == pytest.approx(16.0)
+        population = buyer(order)
+        # Two tranches: 5000 at the order instant, 3000 an hour later.
+        assert population.size_at(PAPER_EPOCH) == 5000
+        assert population.size_at(PAPER_EPOCH + 4 * HOUR) == 8000
+
+    def test_tranche_timing_matches_delivery_hours(self):
+        for seller in PRESET_SELLERS:
+            population = buyer(seller.order(0.0, 1000))
+            hours = math.ceil(seller.delivery_hours(1000))
+            arrived = [population.size_at(PAPER_EPOCH + hour * HOUR)
+                       for hour in range(hours + 1)]
+            assert arrived == [
+                min(1000, (hour + 1) * seller.delivery_per_hour)
+                for hour in range(hours + 1)], seller.name
+            # The last tranche lands ceil(hours) - 1 hours in.
+            assert population.followed_at(999) == \
+                PAPER_EPOCH + (hours - 1) * HOUR
 
     def test_drip_order_spreads_over_days(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        order = market.place_order(PREMIUM_DRIP, 700, quantity=2000)
-        simulation.run_for(12 * HOUR)
-        assert 0 < order.delivered < 2000  # still dripping
-        simulation.run_for(2 * DAY)
-        assert order.fully_delivered
+        population = buyer(PREMIUM_DRIP.order(0.0, 2000))
+        assert 0 < population.size_at(PAPER_EPOCH + 12 * HOUR) < 2000
+        assert population.size_at(PAPER_EPOCH + 2 * DAY) == 2000
 
     def test_delivered_accounts_are_fake_personas(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        market.place_order(STANDARD, 700, quantity=500)
-        simulation.run_for(6 * HOUR)
-        graph = simulation.graph
-        now = simulation.now()
-        for uid in graph.follower_ids(700, 0, 500, now):
-            label = graph.account_by_id(uid, now).true_label
+        population = buyer(STANDARD.order(0.0, 500))
+        now = PAPER_EPOCH + 6 * HOUR
+        assert population.size_at(now) == 500
+        for position in range(500):
+            label = population.account_at(position, now).true_label
             assert label in (Label.FAKE, Label.INACTIVE)
 
     def test_attrition_erodes_the_block(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        order = market.place_order(CHEAP_BULK, 700, quantity=5000)
-        simulation.run_for(2 * HOUR)
-        assert order.fully_delivered
-        simulation.run_for(30 * DAY)
-        # ~4%/day for 30 days: roughly 30% gone (1 - 0.96^30 ~ 0.71
-        # retention), with Poisson noise.
-        assert order.retained < 0.85 * order.delivered
-        assert simulation.graph.follower_count(
-            700, simulation.now()) == order.retained
+        population = buyer(CHEAP_BULK.order(0.0, 5000))
+        now = PAPER_EPOCH + 2 * HOUR + 30 * DAY
+        # 4%/day for 30 days: 0.96^30 ~ 0.29 of the block gone.
+        retained = population.size_at(now)
+        assert retained < 0.85 * 5000
+        assert population.arrived_at(now) == 5000
+        assert population.schedule.departed_at(now) == 5000 - retained
 
     def test_premium_attrition_is_negligible(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        order = market.place_order(PREMIUM_DRIP, 700, quantity=600)
-        simulation.run_for(40 * DAY)
-        assert order.retained > 0.9 * order.delivered
+        population = buyer(PREMIUM_DRIP.order(0.0, 600))
+        assert population.size_at(PAPER_EPOCH + 40 * DAY) > 0.9 * 600
 
     def test_quantity_validated(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
         with pytest.raises(ConfigurationError):
-            market.place_order(STANDARD, 700, quantity=0)
+            STANDARD.order(0.0, 0)
+        with pytest.raises(ConfigurationError):
+            STANDARD.order(-1.0, 100)
 
     def test_orders_tracked(self):
-        simulation = make_simulation()
-        market = Marketplace(simulation, seed=2)
-        market.place_order(STANDARD, 700, quantity=100)
-        market.place_order(CHEAP_BULK, 700, quantity=100)
-        assert len(market.orders) == 2
+        population = buyer(STANDARD.order(0.0, 100),
+                           CHEAP_BULK.order(1.0, 100))
+        assert population.arrived_at(PAPER_EPOCH + 0.5 * DAY) == 100
+        assert population.arrived_at(PAPER_EPOCH + 1.5 * DAY) == 200
 
 
 class TestBurstVisibility:
     def test_bulk_purchase_trips_the_growth_monitor(self):
-        """End to end: marketplace delivery -> daily poller -> alert."""
-        from repro.growth import GrowthMonitor
-        from repro.twitter import OrganicGrowthProcess
-        simulation = make_simulation(seed=11)
-        simulation.add_process(OrganicGrowthProcess(700, per_day=80.0))
-        market = Marketplace(simulation, seed=3)
-        monitor = GrowthMonitor(simulation.graph, simulation.clock)
+        """End to end: seller order -> daily poller -> alert."""
+        from repro.growth import (
+            BurstDetector,
+            GrowthMonitor,
+            series_from_observations,
+        )
 
+        # Bought an hour after the day-8 poll.
+        world = buyer_world(CHEAP_BULK.order(8 + 1 / 24, 6000),
+                            organic_per_day=80.0)
+        clock = SimClock(PAPER_EPOCH)
+        monitor = GrowthMonitor(world, clock)
         observations = []
         for day in range(15):
-            if day == 8:
-                market.place_order(CHEAP_BULK, 700, quantity=6000)
-            observations.append((
-                simulation.now(),
-                simulation.graph.follower_count(700, simulation.now())))
-            simulation.run_for(DAY)
-        from repro.growth import BurstDetector, series_from_observations
+            clock.advance_to(PAPER_EPOCH + day * DAY)
+            observations.append(monitor.poll("buyer"))
         series = series_from_observations(observations)
         events = BurstDetector().detect(series)
         assert events
         assert events[0].day == 8
         assert events[0].excess > 4000
+
+    def test_departed_buyers_leave_the_listing_but_still_resolve(self):
+        """A departure acts like an unfollow on the API surface."""
+        world = buyer_world(CHEAP_BULK.order(0.0, 5000))
+        population = world.population("buyer")
+        now = PAPER_EPOCH + 2 * HOUR + 3 * DAY
+        client = TwitterApiClient(world, SimClock(now))
+        listed = client.followers_ids(screen_name="buyer", count=5000).ids
+        assert client.users_show(
+            screen_name="buyer").followers_count == len(listed) < 5000
+        departed = population.follower_id_at(0)
+        assert departed not in listed
+        assert [user.user_id for user in client.users_lookup([departed])] \
+            == [departed]

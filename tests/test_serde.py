@@ -3,7 +3,7 @@
 import pytest
 
 from repro.audit import AuditRequest
-from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
+from repro.core import ConfigurationError, DAY, PAPER_EPOCH, SimClock
 from repro.fc import build_gold_standard
 from repro.serde import (
     audit_report_from_dict,
@@ -17,7 +17,13 @@ from repro.serde import (
     world_from_dict,
     world_to_dict,
 )
-from repro.twitter import add_simple_target, build_world, make_target_spec
+from repro.twitter import (
+    PostRefBurst,
+    add_simple_target,
+    build_world,
+    fake_purchase_burst,
+    make_target_spec,
+)
 
 
 class TestAuditReportRoundTrip:
@@ -60,6 +66,12 @@ class TestAuditReportRoundTrip:
         rebuilt = audit_report_from_dict(load_json(path))
         assert rebuilt.fake_pct == report.fake_pct
 
+    def test_empty_sample_with_a_composition_refused(self, report):
+        payload = audit_report_to_dict(report)
+        payload["sample_size"] = 0
+        with pytest.raises(ConfigurationError):
+            audit_report_from_dict(payload)
+
 
 class TestTargetSpecRoundTrip:
     def test_round_trip(self):
@@ -95,6 +107,22 @@ class TestTargetSpecRoundTrip:
 
         check()
 
+    def test_purchased_blocks_survive(self):
+        spec = make_target_spec(
+            "buyer", 1000, 0.3, 0.2, 0.5, daily_new_followers=10.0,
+            post_ref_bursts=(
+                fake_purchase_burst(2.0, 500),
+                PostRefBurst(4.5, 300, {"fake_classic": 1.0},
+                             delivery_per_hour=40, daily_attrition=0.05)))
+        rebuilt = target_spec_from_dict(target_spec_to_dict(spec))
+        assert rebuilt == spec
+
+    def test_payload_without_bursts_loads_as_no_purchases(self):
+        spec = make_target_spec("plain", 1000, 0.3, 0.2, 0.5)
+        payload = target_spec_to_dict(spec)
+        del payload["post_ref_bursts"]
+        assert target_spec_from_dict(payload).post_ref_bursts == ()
+
 
 class TestWorldRoundTrip:
     def test_world_regenerates_identically(self):
@@ -115,6 +143,16 @@ class TestWorldRoundTrip:
             for position in (0, 17, 3999):
                 assert regenerated.account_at(position, PAPER_EPOCH) == \
                     original.account_at(position, PAPER_EPOCH)
+
+    def test_bought_followers_regenerate(self):
+        world = build_world(seed=9)
+        add_simple_target(world, "buyer", 1000, 0.3, 0.2, 0.5,
+                          daily_new_followers=10.0,
+                          post_ref_bursts=(fake_purchase_burst(2.0, 500),))
+        rebuilt = world_from_dict(world_to_dict(world))
+        later = PAPER_EPOCH + 3 * DAY
+        assert world.population("buyer").size_at(later) == 1530
+        assert rebuilt.population("buyer").size_at(later) == 1530
 
     def test_world_json_file_round_trip(self, tmp_path):
         world = build_world(seed=5)

@@ -9,7 +9,6 @@ from repro.twitter import (
     LiveSimulation,
     OrganicGrowthProcess,
     TweetingProcess,
-    follow_block,
     SocialGraph,
 )
 
@@ -21,6 +20,14 @@ def make_target(graph, uid=900, name="livestar"):
         statuses_count=100, last_tweet_at=PAPER_EPOCH - HOUR)
     graph.add_account(account)
     return account
+
+
+def follow_now(simulation, target, accounts):
+    """Register ``accounts`` and have them all follow ``target`` now."""
+    now = simulation.now()
+    for account in accounts:
+        simulation.graph.add_account(account)
+        simulation.graph.follow(account.user_id, target, now)
 
 
 @pytest.fixture
@@ -135,7 +142,7 @@ class TestChurn:
                     created_at=PAPER_EPOCH - YEAR, statuses_count=0)
             for i in range(400)
         ]
-        follow_block(simulation, 900, block)
+        follow_now(simulation, 900, block)
         before = graph.follower_count(900, simulation.now())
         simulation.add_process(ChurnProcess(900, daily_fraction=0.1))
         simulation.run_for(10 * DAY)
@@ -176,7 +183,7 @@ class TestFollowBlock:
                     created_at=PAPER_EPOCH - YEAR, statuses_count=0)
             for i in range(5)
         ]
-        follow_block(simulation, 900, block)
+        follow_now(simulation, 900, block)
         now = simulation.now()
         ids = list(graph.follower_ids(900, 0, 10, now))
         assert ids[0] == 2000           # chronological listing

@@ -58,7 +58,7 @@ class TestFollowerPopulation:
 
     def test_follower_ids_slice_chronological(self, world):
         pop = world.population("first")
-        ids = list(pop.follower_ids(10, 15))
+        ids = list(pop.follower_ids(10, 15, NOW))
         assert ids == [pop.follower_id_at(p) for p in range(10, 15)]
 
     def test_arrival_times_monotone(self, world):
@@ -317,3 +317,71 @@ class TestBurstPopulation:
             # Everything that arrived before the burst is untouched.
             assert a.account_at(position, at) == b.account_at(position, at)
             assert a.followed_at(position) == b.followed_at(position)
+
+
+class TestDepartures:
+    """A departed burst member acts like an account that unfollowed."""
+
+    BASE = 300
+    #: 200 fakes an hour apart in tranches of 50 from ref + 0.5 d, 10%
+    #: leaving daily from ref + 1.5 d + 3 h; a trickle of 4/day.
+    BLOCK_AT_DAYS = 0.5
+
+    @pytest.fixture(scope="class")
+    def eroding(self):
+        from repro.twitter import PostRefBurst
+
+        world = build_world(seed=17)
+        add_simple_target(
+            world, "eroding", self.BASE, 0.3, 0.2, 0.5,
+            daily_new_followers=4.0,
+            post_ref_bursts=(PostRefBurst(
+                self.BLOCK_AT_DAYS, 200, {"fake_classic": 1.0},
+                delivery_per_hour=50, daily_attrition=0.1),))
+        return world
+
+    def test_departed_ids_leave_count_and_listing(self, eroding):
+        population = eroding.population("eroding")
+        now = NOW + 4 * DAY
+        arrived = population.arrived_at(now)
+        departed = population.schedule.departed_at(now)
+        assert departed == 20 + 18 + 16  # three attrition days so far
+        count = eroding.follower_count(target_id(0), now)
+        assert count == population.size_at(now) == arrived - departed
+        ids = list(eroding.follower_ids(target_id(0), 0, arrived, now))
+        assert len(ids) == count
+        assert ids == sorted(ids)  # still chronological
+        first = self.BASE + 2  # two trickle arrivals before the block
+        gone = [population.follower_id_at(first + k) for k in range(50)]
+        assert not set(gone) & set(ids)
+        assert eroding.account_by_id(target_id(0), now).followers_count \
+            == count
+
+    def test_departed_ids_still_resolve(self, eroding):
+        population = eroding.population("eroding")
+        now = NOW + 4 * DAY
+        first = self.BASE + 2
+        gone = [population.follower_id_at(first + k) for k in range(3)]
+        users = eroding.user_objects(gone, now)
+        assert [user.user_id for user in users] == gone
+        assert len(eroding.user_row_block(gone, now)) == 3
+        # Validity is arrivals, not the net count: the newest arrival
+        # resolves, one past it does not.
+        arrived = population.arrived_at(now)
+        newest = population.follower_id_at(arrived - 1)
+        assert eroding.account_by_id(newest, now).user_id == newest
+        with pytest.raises(UnknownAccountError):
+            eroding.account_by_id(population.follower_id_at(arrived), now)
+
+    def test_composition_on_a_shrinking_day(self, eroding):
+        population = eroding.population("eroding")
+        day1, day2 = NOW + 2 * DAY, NOW + 3 * DAY
+        assert population.size_at(day2) < population.size_at(day1)
+        listed = [decode_follower(user_id)[1] for user_id in
+                  population.follower_ids(0, population.size_at(day2), day2)]
+        fake = sum(population.true_label_at(p) is Label.FAKE
+                   for p in listed)
+        composition = population.composition(day2)
+        assert composition[Label.FAKE] == pytest.approx(fake / len(listed))
+        sampled = population.composition(day2, sample=100, seed=3)
+        assert sum(sampled.values()) == pytest.approx(1.0)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ConfigurationError, DAY
+from repro.core import ConfigurationError, DAY, HOUR
 from repro.twitter import ArrivalSchedule, SegmentWindow, even_schedule
 
 
@@ -193,3 +193,74 @@ class TestPostRefBursts:
         assert schedule.arrival_time(12) == at
         with pytest.raises(ConfigurationError):
             schedule.arrival_time(16)  # beyond base + burst
+
+
+class TestTranchesAndDepartures:
+    REF = 10.0
+
+    def _schedule(self, bursts, trickle=24.0):
+        return ArrivalSchedule(
+            [SegmentWindow(count=10, start=0.0, end=self.REF)],
+            post_ref_daily=trickle, post_ref_bursts=bursts)
+
+    def test_tranches_land_hourly_from_the_order_instant(self):
+        at = self.REF + 0.5 * HOUR
+        schedule = self._schedule(((at, 7, 3, 0.0),), trickle=0.0)
+        assert [schedule.size_at(at + hour * HOUR - 1e-6)
+                for hour in range(4)] == [10, 13, 16, 17]
+        assert [schedule.arrival_time(p) for p in range(10, 17)] == \
+            [at] * 3 + [at + HOUR] * 3 + [at + 2 * HOUR]
+        # Every tranche belongs to the same burst segment.
+        assert {schedule.segment_of(p)[0] for p in range(10, 17)} == {2}
+
+    def test_positions_match_a_linear_replay(self):
+        """Bisection over tranche prefixes equals sorting every arrival."""
+        bursts = ((self.REF + 0.3 * DAY, 250, 7, 0.0),
+                  (self.REF + 0.4 * DAY, 30),
+                  (self.REF + 2.0 * DAY, 40, 1, 0.0))
+        schedule = self._schedule(bursts, trickle=30.0)
+        horizon = self.REF + 4 * DAY
+        trickle = [(self.REF + (k + 1) * DAY / 30.0, 0)
+                   for k in range(schedule.size_at(horizon))]
+        members = []
+        for index, (at, count, *rest) in enumerate(bursts):
+            per_hour = rest[0] if rest else count
+            members += [(at + (m // per_hour) * HOUR, 3 + index)
+                        for m in range(count)]
+        # Trickle arrivals sort before a tranche landing at the instant
+        # they are counted, as size_at counts them.
+        arrivals = sorted(trickle + members)
+        size = schedule.size_at(horizon)
+        for offset, (moment, kind) in enumerate(arrivals[:size - 10]):
+            index, __ = schedule.segment_of(10 + offset)
+            assert index == (1 if kind == 0 else kind - 1)
+            if kind:
+                assert schedule.arrival_time(10 + offset) == moment
+
+    def test_departures_follow_the_integer_rule(self):
+        at = self.REF + HOUR
+        schedule = self._schedule(((at, 5000, 1000, 0.04),), trickle=0.0)
+        last = at + 4 * HOUR
+        alive, departed = 5000, 0
+        assert schedule.departed_at(last + DAY - 1.0) == 0
+        for day in range(1, 200):
+            gone = alive * 40_000 // 1_000_000
+            alive, departed = alive - gone, departed + gone
+            assert schedule.departed_at(last + day * DAY) == departed, day
+            assert schedule.count_at(last + day * DAY) == 10 + alive
+        assert alive == 24  # 24 * 4% < 1: nobody leaves any more
+        assert schedule.departed_at(last + 10_000 * DAY) == 5000 - 24
+
+    def test_earliest_delivered_leave_first(self):
+        at = self.REF + 0.5 * HOUR
+        schedule = self._schedule(((at, 7, 3, 0.3),))
+        # Tranches at 0.5 h (positions 10-12), 1.5 h (14-16, after the
+        # 1 h trickle arrival) and 2.5 h (18); attrition from 26.5 h.
+        before = self.REF + 26 * HOUR
+        assert schedule.positions(range(3), before) == range(3)
+        now = self.REF + 75 * HOUR  # three days: 2, 1 and 1 leave
+        assert schedule.departed_at(now) == 4
+        listed = schedule.positions(list(range(schedule.count_at(now))), now)
+        assert listed[:12] == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15]
+        assert listed == sorted(listed)
+        assert len(listed) == schedule.size_at(now) - 4
