@@ -56,16 +56,16 @@ detector = default_detector(seed=5)
 setup_s = time.perf_counter() - t0
 
 generated = 0
-account_at = FollowerPopulation.account_at
+follower_columns = FollowerPopulation.follower_columns
 
 
-def counting_account_at(self, position, now):
+def counting_follower_columns(self, positions, now):
     global generated
-    generated += 1
-    return account_at(self, position, now)
+    generated += len(positions)
+    return follower_columns(self, positions, now)
 
 
-FollowerPopulation.account_at = counting_account_at
+FollowerPopulation.follower_columns = counting_follower_columns
 
 t0 = time.perf_counter()
 engine = FakeClassifierEngine(world, SimClock(PAPER_EPOCH), detector)

@@ -9,10 +9,13 @@ string path using a cryptographic hash.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -41,22 +44,6 @@ def make_rng(seed: int, *path: object) -> random.Random:
     if path:
         seed = derive_seed(seed, *path)
     return random.Random(seed)
-
-
-def bounded_int_lognormal(rng: random.Random, mean_log: float,
-                          sigma_log: float, low: int, high: int) -> int:
-    """Draw an integer from a log-normal, clamped to ``[low, high]``.
-
-    Social-network count statistics (followers, friends, tweet counts)
-    are heavy-tailed; a clamped log-normal is the standard lightweight
-    model and matches the qualitative distributions the analytics'
-    criteria are written against (e.g. "97% of Twitter accounts have less
-    than 5K followers", paper Section II-A).
-    """
-    if low > high:
-        raise ConfigurationError(f"empty range [{low}, {high}]")
-    value = int(round(rng.lognormvariate(mean_log, sigma_log)))
-    return max(low, min(high, value))
 
 
 def zipf_rank(rng: random.Random, n: int, exponent: float = 1.0) -> int:
@@ -111,12 +98,14 @@ class ZipfTable:
 class WeightedTable:
     """A fixed weighted item list, laid out for repeated picks.
 
-    The weights are accumulated once, in order, and :meth:`pick` makes
-    the ``target <= acc`` comparisons :func:`weighted_choice` makes, on
-    the same single draw, so both pick the same item.
+    The weights are accumulated once, in order.  :meth:`pick` returns
+    the first item whose cumulative weight is at or above the scaled
+    draw (the first ``target <= acc``), so the same draw picks the same
+    item however it is looked up; :meth:`pick_indices` picks for a
+    whole array of draws.
     """
 
-    __slots__ = ("_items", "_bounds", "_total")
+    __slots__ = ("_items", "_bounds", "_bound_array", "_total")
 
     def __init__(self, items: Sequence[object],
                  weights: Sequence[float]) -> None:
@@ -134,15 +123,29 @@ class WeightedTable:
             bounds.append(acc)
         self._items = tuple(items)
         self._bounds = tuple(bounds)
+        self._bound_array = np.array(bounds, dtype=np.float64)
         self._total = total
+
+    @property
+    def items(self) -> tuple:
+        """The items, in the order their weights were accumulated."""
+        return self._items
 
     def pick(self, rng: random.Random) -> object:
         """Pick one item with one ``rng.random()`` draw."""
-        target = rng.random() * self._total
-        for item, acc in zip(self._items, self._bounds):
-            if target <= acc:
-                return item
-        return self._items[-1]
+        return self._items[self.index_of(rng.random())]
+
+    def index_of(self, uniform: float) -> int:
+        """The index of the item a ``[0, 1)`` draw picks: the first
+        cumulative weight at or above ``uniform * total``."""
+        return min(bisect.bisect_left(self._bounds, uniform * self._total),
+                   len(self._items) - 1)
+
+    def pick_indices(self, uniforms: np.ndarray) -> np.ndarray:
+        """:meth:`index_of` of every draw in an array."""
+        found = np.searchsorted(self._bound_array, uniforms * self._total,
+                                side="left")
+        return np.minimum(found, len(self._items) - 1)
 
 
 def weighted_choice(rng: random.Random, items: Sequence[object],

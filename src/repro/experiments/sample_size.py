@@ -66,22 +66,15 @@ def empirical_coverage(*, population: int = 60_000, sample_size: int = 9604,
     now = PAPER_EPOCH
     size = pop.size_at(now)
 
-    labels = {}  # memoised ground truth per position
-
-    def is_inactive(position: int) -> bool:
-        if position not in labels:
-            labels[position] = pop.true_label_at(position)
-        return labels[position] is Label.INACTIVE
-
-    # Exact truth over the whole base.
-    true_hits = sum(1 for position in range(size) if is_inactive(position))
-    truth = true_hits / size
+    # Exact truth over the whole base, one persona column.
+    inactive = [label is Label.INACTIVE for label in pop.labels_at(range(size))]
+    truth = sum(inactive) / size
 
     rng = make_rng(seed, "coverage-trials")
     within = 0
     for __ in range(trials):
         positions = uniform_sample(rng, size, sample_size)
-        hits = sum(1 for position in positions if is_inactive(position))
+        hits = sum(1 for position in positions if inactive[position])
         estimate = ProportionEstimate(hits, sample_size)
         if abs(estimate.p_hat - truth) <= margin:
             within += 1

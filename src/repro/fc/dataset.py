@@ -24,6 +24,7 @@ from ..core.errors import ConfigurationError, TrainingError
 from ..core.rng import make_rng
 from ..core.timeutil import PAPER_EPOCH
 from ..twitter.account import Label
+from ..twitter.columns import sample_accounts
 from ..twitter.personas import PERSONAS
 from ..twitter.timeline import TimelineGenerator
 from ..twitter.tweet import Tweet
@@ -153,21 +154,23 @@ def build_gold_standard(
     timelines = TimelineGenerator(seed)
     examples: List[GoldExample] = []
 
-    def add(count: int, persona_names: Sequence[str], tag: str) -> None:
-        for index in range(count):
-            persona = PERSONAS[persona_names[index % len(persona_names)]]
-            user_id = (7 << 56) | (len(examples) + 1)
-            account = persona.sample(
-                rng, user_id, f"gold_{tag}_{index}", now)
+    def add(count: int, persona_names: Sequence[str]) -> None:
+        personas = [PERSONAS[persona_names[index % len(persona_names)]]
+                    for index in range(count)]
+        keys = [rng.getrandbits(64) for __ in range(count)]
+        user_ids = [(7 << 56) | (len(examples) + 1 + index)
+                    for index in range(count)]
+        for persona, account in zip(
+                personas, sample_accounts(personas, keys, user_ids, now)):
             examples.append(GoldExample(
                 user=UserObject.from_account(account),
                 timeline=timelines.recent_tweets(account, timeline_depth),
                 label=persona.label,
             ))
 
-    add(n_fake, ACTIVE_FAKE_PERSONAS, "fake")
-    add(n_genuine, ACTIVE_GENUINE_PERSONAS, "gen")
+    add(n_fake, ACTIVE_FAKE_PERSONAS)
+    add(n_genuine, ACTIVE_GENUINE_PERSONAS)
     if n_inactive:
-        add(n_inactive, INACTIVE_PERSONAS, "inact")
+        add(n_inactive, INACTIVE_PERSONAS)
     rng.shuffle(examples)
     return GoldStandard(examples, now)

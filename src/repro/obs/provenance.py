@@ -71,13 +71,15 @@ def pack_mask(mask) -> bytes:
     return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
 
 
+def _unpacked(data: bytes, size: int) -> np.ndarray:
+    """The first ``size`` bits of an MSB-first bitmap, as a bool array."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:size] \
+        .astype(bool)
+
+
 def unpack_mask(data: bytes, size: int) -> List[bool]:
     """Unpack an MSB-first bitmap back into ``size`` booleans."""
-    bits: List[bool] = []
-    for byte in data:
-        for offset in range(8):
-            bits.append(bool((byte >> (7 - offset)) & 1))
-    return bits[:size]
+    return _unpacked(data, size).tolist()
 
 
 class ProvenanceSink:
@@ -187,13 +189,21 @@ class AuditProvenance:
         return {uid: self.labels[code]
                 for uid, code in zip(self.user_ids, self.codes)}
 
+    def fired_matrix(self) -> np.ndarray:
+        """The ``(rules, sample)`` boolean fire matrix, in rule order."""
+        size = len(self.user_ids)
+        matrix = np.zeros((len(self.rules), size), dtype=bool)
+        for row, rule in enumerate(self.rules):
+            bits = _unpacked(self.bitmaps[rule], size)
+            matrix[row, :len(bits)] = bits
+        return matrix
+
     def fired_by_user(self) -> Dict[int, Tuple[RuleId, ...]]:
         """``{user_id: rules fired}`` recovered from the bitmaps."""
-        size = len(self.user_ids)
-        unpacked = {rule: unpack_mask(self.bitmaps[rule], size)
-                    for rule in self.rules}
+        fired = self.fired_matrix()
         return {
-            uid: tuple(rule for rule in self.rules if unpacked[rule][index])
+            uid: tuple(rule for rule, hit in zip(self.rules, fired[:, index])
+                       if hit)
             for index, uid in enumerate(self.user_ids)
         }
 
@@ -373,11 +383,16 @@ def build_disagreement(target: str,
     if len(engines) < 2:
         raise ConfigurationError(
             f"need records from >= 2 engines, got {list(engines)!r}")
-    verdicts = {engine: {
-        uid: canonical_verdict(label)
-        for uid, label in records[engine].verdicts_by_user().items()
-    } for engine in engines}
-    fired = {engine: records[engine].fired_by_user() for engine in engines}
+    verdicts = {}
+    columns = {}
+    for engine in engines:
+        record = records[engine]
+        canonical = [canonical_verdict(label) for label in record.labels]
+        verdicts[engine] = {uid: canonical[code]
+                            for uid, code in zip(record.user_ids, record.codes)}
+        columns[engine] = {uid: index
+                           for index, uid in enumerate(record.user_ids)}
+    fired = {engine: records[engine].fired_matrix() for engine in engines}
     cells: List[DisagreementCell] = []
     overlap: Dict[Tuple[str, str], int] = {}
     for index, engine_a in enumerate(engines):
@@ -395,21 +410,25 @@ def build_disagreement(target: str,
                     engine_a=engine_a, engine_b=engine_b,
                     verdict_a=verdict_a, verdict_b=verdict_b,
                     count=len(uids),
-                    rules_a=_rule_tally(fired[engine_a], uids),
-                    rules_b=_rule_tally(fired[engine_b], uids),
+                    rules_a=_rule_tally(records[engine_a].rules,
+                                        fired[engine_a],
+                                        [columns[engine_a][uid]
+                                         for uid in uids]),
+                    rules_b=_rule_tally(records[engine_b].rules,
+                                        fired[engine_b],
+                                        [columns[engine_b][uid]
+                                         for uid in uids]),
                 ))
     return DisagreementReport(target=target, engines=engines,
                               overlap=overlap, cells=tuple(cells))
 
 
-def _rule_tally(fired_by_user: Mapping[int, Tuple[RuleId, ...]],
-                uids: Sequence[int]) -> Tuple[Tuple[RuleId, int], ...]:
-    """Fire counts of every rule over ``uids``, most-fired first."""
-    tally: Dict[RuleId, int] = {}
-    for uid in uids:
-        for rule in fired_by_user[uid]:
-            tally[rule] = tally.get(rule, 0) + 1
-    return tuple(sorted(tally.items(), key=lambda item: (-item[1], item[0])))
+def _rule_tally(rules: Sequence[RuleId], fired: np.ndarray,
+                columns: Sequence[int]) -> Tuple[Tuple[RuleId, int], ...]:
+    """Fire counts of every rule over sample ``columns``, most-fired first."""
+    counts = fired[:, columns].sum(axis=1).tolist()
+    tally = [(rule, count) for rule, count in zip(rules, counts) if count]
+    return tuple(sorted(tally, key=lambda item: (-item[1], item[0])))
 
 
 def render_rule_table(records: Mapping[str, AuditProvenance]) -> str:

@@ -37,6 +37,18 @@ class Label(enum.Enum):
 #: Canonical ordering used by reports (matches Table III column order).
 LABELS = (Label.INACTIVE, Label.FAKE, Label.GENUINE)
 
+#: Widths of the fixed-width text columns of a structured account row
+#: (:mod:`repro.twitter.columnar.schema`).  Generated handles and
+#: display names hold at most 15 characters; every persona vocabulary
+#: is checked against these widths when the persona is built.
+STRING_WIDTHS = {
+    "screen_name": 20,
+    "name": 24,
+    "description": 48,
+    "location": 16,
+    "url": 40,
+}
+
 
 @dataclass(frozen=True)
 class BehaviorProfile:

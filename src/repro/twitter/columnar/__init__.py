@@ -11,7 +11,6 @@ from .schema import (
     ACCOUNT_DTYPE,
     STRING_WIDTHS,
     UserRowBlock,
-    account_row,
     user_object_from_row,
 )
 from .world import ColumnarWorld, build_columnar_world
@@ -21,7 +20,6 @@ __all__ = [
     "ColumnarWorld",
     "STRING_WIDTHS",
     "UserRowBlock",
-    "account_row",
     "build_columnar_world",
     "user_object_from_row",
 ]

@@ -10,8 +10,9 @@ encoding is exact by construction:
 * ``last_tweet_at=None`` (never tweeted) is encoded as NaN, the only
   float value the generators never produce;
 * strings live in fixed-width unicode columns whose widths exceed the
-  longest string any persona sampler can mint; :func:`account_row`
-  *verifies* that on every row and refuses a value the column would
+  longest string any persona can render (every persona vocabulary is
+  checked against them when the persona is built), and
+  :meth:`UserRowBlock.from_users` refuses a value the column would
   truncate or strip (a trailing NUL), so a silent bit-identity break
   is impossible;
 * the ground-truth label is stored as an int8 index into
@@ -25,26 +26,15 @@ encoding is exact by construction:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import fields
 from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from ...core.errors import ConfigurationError
-from ..account import Account, LABELS
+from ..account import STRING_WIDTHS, BehaviorProfile
 
-#: Fixed string column widths.  Persona samplers mint screen names of at
-#: most 15 characters, display names of at most 15, bios of at most 36,
-#: locations of at most 11 and urls of at most 34; widths leave headroom
-#: and ``account_row`` raises rather than truncate if a generator ever
-#: outgrows them.
-STRING_WIDTHS = {
-    "screen_name": 20,
-    "name": 24,
-    "description": 48,
-    "location": 16,
-    "url": 40,
-}
 
 ACCOUNT_DTYPE = np.dtype([
     ("user_id", "<i8"),
@@ -60,19 +50,11 @@ ACCOUNT_DTYPE = np.dtype([
     ("friends_count", "<i8"),
     ("statuses_count", "<i8"),
     ("last_tweet_at", "<f8"),      # NaN == never tweeted
-    # Behaviour profile (drives lazy timeline synthesis).
-    ("tweets_per_day", "<f8"),
-    ("retweet_ratio", "<f8"),
-    ("link_ratio", "<f8"),
-    ("spam_ratio", "<f8"),
-    ("mention_ratio", "<f8"),
-    ("hashtag_ratio", "<f8"),
-    ("duplicate_pool", "<i8"),
-    ("api_source_ratio", "<f8"),
+    # Behaviour profile (drives lazy timeline synthesis), field by field.
+    *((field.name, "<i8" if field.type in (int, "int") else "<f8")
+      for field in fields(BehaviorProfile)),
     ("label", "i1"),               # index into account.LABELS
 ])
-
-_LABEL_INDEX = {label: index for index, label in enumerate(LABELS)}
 
 #: The profile columns a user object and an account share, in row order
 #: (``last_tweet_at`` follows them; the two shapes name it differently).
@@ -80,7 +62,6 @@ _NAMES = ACCOUNT_DTYPE.names
 _PROFILE_COLUMNS = _NAMES[:_NAMES.index("last_tweet_at")]
 _BEHAVIOR_COLUMNS = _NAMES[_NAMES.index("tweets_per_day"):_NAMES.index("label")]
 _profile_values = attrgetter(*_PROFILE_COLUMNS)
-_behavior_values = attrgetter(*_BEHAVIOR_COLUMNS)
 #: ``(tuple index, field, width)`` of each fixed-width text column.
 _TEXT_SLOTS = tuple(
     (index, field, STRING_WIDTHS[field])
@@ -92,7 +73,7 @@ _NO_BEHAVIOR = (0,) * (len(_BEHAVIOR_COLUMNS) + 1)
 
 
 def _profile_row(user, last_at: Optional[float]) -> tuple:
-    """The profile columns of ``user`` (an account or a user object).
+    """The profile columns of a user object.
 
     Refuses a text value its fixed-width column cannot round-trip: one
     longer than the width, or one ending in NUL (NumPy strips trailing
@@ -106,17 +87,6 @@ def _profile_row(user, last_at: Optional[float]) -> tuple:
                 f"user {user.user_id} field {field!r} cannot round-trip "
                 f"through the columnar width {width}: {value!r}")
     return values + (_NEVER_TWEETED if last_at is None else last_at,)
-
-
-def account_row(account: Account) -> tuple:
-    """``account`` as one :data:`ACCOUNT_DTYPE` record tuple.
-
-    Build many rows at once with ``np.array(tuples, dtype=ACCOUNT_DTYPE)``;
-    lossy text values are refused (see :func:`_profile_row`).
-    """
-    return (_profile_row(account, account.last_tweet_at)
-            + _behavior_values(account.behavior)
-            + (_LABEL_INDEX[account.true_label],))
 
 
 def _last_tweet_at(row: np.void) -> Optional[float]:
@@ -182,7 +152,7 @@ class UserRowBlock(Sequence):
         written; the behaviour columns that drive lazy timeline
         synthesis stay zeroed — callers classify profiles, they do not
         synthesise timelines from the result.  Refuses lossy text
-        values like :func:`account_row`.
+        values (see :func:`_profile_row`).
         """
         return cls(np.array(
             [_profile_row(user, user.last_status_at) + _NO_BEHAVIOR

@@ -208,10 +208,11 @@ def populate_graph(
         followed_at = ref_time - window + window * (index + 0.5) / len(follower_labels)
         created_at = followed_at - rng.uniform(0.1, 2.0) * YEAR
         user_id = ids.next_id(created_at)
-        # Stylistic handles collide occasionally; resample until unique.
+        # Stylistic handles collide occasionally; draw a new key until
+        # unique.  No follower is created after it follows.
         while True:
-            account = persona.sample(
-                rng, user_id, f"{target.screen_name[:6]}_f{index}", ref_time)
+            account = persona.sample(rng, user_id, ref_time,
+                                     latest_created=followed_at)
             if not graph.has_screen_name(account.screen_name):
                 break
         graph.add_account(account)

@@ -61,7 +61,6 @@ class LiveSimulation:
         self._queue: List[_Scheduled] = []
         self._sequence = itertools.count()
         self._ids = IdGenerator(worker=3)
-        self._names = itertools.count(1)
         self._seed = seed
         self._executed = 0
 
@@ -91,10 +90,6 @@ class LiveSimulation:
     def mint_user_id(self, created_at: float) -> int:
         """A fresh, time-ordered id for a newly created account."""
         return self._ids.next_id(created_at)
-
-    def mint_screen_name(self) -> str:
-        """A fresh, unique handle for a newly created account."""
-        return f"live_{next(self._names)}"
 
     def schedule(self, at: float, action: Action) -> None:
         """Schedule a one-shot action at absolute simulated time ``at``."""
@@ -220,14 +215,12 @@ class OrganicGrowthProcess(Process):
         persona = PERSONAS[str(weighted_choice(
             rng, names, [self._personas[name] for name in names]))]
         user_id = simulation.mint_user_id(now)
-        # Stylistic handles collide occasionally; resample until unique.
+        # Stylistic handles collide occasionally; draw a new key until
+        # unique.  The account exists by the time it follows.
         while True:
-            account = persona.sample(
-                rng, user_id, simulation.mint_screen_name(), now)
+            account = persona.sample(rng, user_id, now, latest_created=now)
             if not simulation.graph.has_screen_name(account.screen_name):
                 break
-        if account.created_at > now:
-            account = replace(account, created_at=now)
         simulation.graph.add_account(account)
         simulation.graph.follow(user_id, self._target_id, now)
 

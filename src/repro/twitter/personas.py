@@ -4,9 +4,9 @@ Each persona is a generative archetype observed in the fake-follower
 literature the paper builds on ([8], [9], [13]-[15]): engaged humans,
 abandoned accounts, dormant "egg" fakes, classic purchased followers and
 active spam bots.  A persona carries the ground-truth :class:`Label` the
-paper's taxonomy assigns to accounts of that kind, and a sampler that
-draws a concrete :class:`Account` snapshot from the archetype's
-distributions.
+paper's taxonomy assigns to accounts of that kind, and a *column
+sampler* that draws a whole batch of account snapshots from the
+archetype's distributions at once (see :mod:`repro.twitter.columns`).
 
 The samplers enforce the behavioural definitions exactly: any persona
 labelled ``INACTIVE`` produces accounts that never tweeted or whose last
@@ -19,20 +19,33 @@ published definitions would conclude.
 from __future__ import annotations
 
 import inspect
-import random
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..core.errors import ConfigurationError
-from ..core.rng import bounded_int_lognormal
 from ..core.timeutil import DAY, TWITTER_LAUNCH, YEAR
-from .account import Account, BehaviorProfile, Label
-from .names import bot_screen_name, display_name, human_screen_name
+from .account import STRING_WIDTHS, Account, Label
+from .columns import sample_accounts
+from .draws import (
+    Draws,
+    LogNormalTable,
+    Lookup,
+    as_int,
+    isnan,
+    maximum,
+    minimum,
+    where,
+)
+from .names import bot_handles, display_names, human_handles
 
 #: The paper's inactivity horizon: last tweet older than 90 days.
 INACTIVITY_HORIZON = 90 * DAY
 
-_BIO_SNIPPETS = (
+#: Profile bios of human personas (description codes 1..).
+BIO_SNIPPETS = (
     "Love music, football and good food.",
     "Proud parent. Opinions are my own.",
     "Journalist and coffee addict.",
@@ -41,83 +54,103 @@ _BIO_SNIPPETS = (
     "Photographer. Traveller. Dreamer.",
 )
 
-_LOCATIONS = (
+#: Profile locations of human personas (location codes 1..).
+LOCATIONS = (
     "Rome, Italy", "Milan", "Pisa", "London", "Paris",
     "New York", "Madrid", "Berlin", "Turin",
 )
 
+_HUMAN_TEXT = {
+    "descriptions": ("",) + BIO_SNIPPETS,
+    "locations": ("",) + LOCATIONS,
+    "urls": ("", "http://example.org/{}"),
+}
 
-def _created_at(rng: random.Random, now: float,
-                min_age: float, max_age: float) -> float:
-    """Draw a creation time between ``min_age`` and ``max_age`` before now,
-    never earlier than Twitter's launch."""
-    age = rng.uniform(min_age, max_age)
-    return max(TWITTER_LAUNCH, now - age)
+#: Heavy-tailed count distributions of engaged humans.
+_STATUSES = LogNormalTable(5.0, 1.0)
+_FOLLOWERS = LogNormalTable(4.6, 1.2)
+_FRIENDS = LogNormalTable(5.2, 1.0)
+#: ``exp(0.3 * years)`` by whole day of account age: an engaged human's
+#: tweet count grows with the account (``mean_log = 5 + 0.3 * years``).
+_ACTIVITY_GROWTH = Lookup(math.exp(0.3 * day * DAY / YEAR)
+                          for day in range(12 * 366))
 
 
-def _recent_last_tweet(rng: random.Random, now: float, created_at: float,
-                       max_age: float) -> float:
-    """Draw a last-tweet time within ``max_age`` of now (an *active* account)."""
-    age = rng.uniform(0.0, max_age)
-    return max(created_at, now - age)
+def created_at(draws: Draws, now: float, min_age: float, max_age: float,
+               latest_created: np.ndarray) -> np.ndarray:
+    """One draw: creation ``min_age`` to ``max_age`` before now, never
+    before Twitter's launch and never after ``latest_created``."""
+    created = maximum(TWITTER_LAUNCH, now - draws.uniform(min_age, max_age))
+    return minimum(created, latest_created)
 
 
-def _stale_last_tweet(rng: random.Random, now: float, created_at: float,
-                      max_age: float) -> Optional[float]:
-    """Draw a last-tweet time strictly older than the inactivity horizon.
+def recent_last_tweet(draws: Draws, now: float, created: np.ndarray,
+                      max_age: float) -> np.ndarray:
+    """One draw: a last tweet within ``max_age`` of now (an *active* account)."""
+    return maximum(created, now - draws.uniform(0.0, max_age))
 
-    Returns ``None`` (never tweeted) when the account is too young to
-    have a tweet older than the horizon.
+
+def stale_last_tweet(draws: Draws, now: float, created: np.ndarray,
+                     max_age: float) -> np.ndarray:
+    """One draw: a last tweet strictly older than the inactivity horizon.
+
+    NaN (never tweeted) where the account is too young to have a tweet
+    older than the horizon.
     """
-    oldest = now - min(max_age, now - created_at)
+    oldest = now - minimum(max_age, now - created)
     newest = now - INACTIVITY_HORIZON * 1.01
-    if oldest >= newest:
-        return None
-    return rng.uniform(oldest, newest)
+    return where(oldest < newest,
+                 oldest + (newest - oldest) * draws.random(), math.nan)
 
 
-def capped_account(latest_created: Optional[float], now: float,
-                   **fields) -> Account:
-    """Build a sampled :class:`Account`, created no later than ``latest_created``.
-
-    Every sampler returns through here (or applies the same cap), so
-    the cap costs no second :class:`Account`.  A sampled creation after
-    ``latest_created`` is shifted back onto it, and the last tweet is
-    clamped into ``[created, now]``, which keeps the
-    never-tweeted/last-tweet structure.  The draws are all made before
-    this call, from the uncapped creation time; ``latest_created=None``
-    builds the account as sampled.
-    """
-    created = fields["created_at"]
-    if latest_created is not None and created > latest_created:
-        shift = created - latest_created
-        fields["created_at"] = created - shift
-        last = fields.get("last_tweet_at")
-        if last is not None:
-            fields["last_tweet_at"] = max(created - shift, min(last, now))
-    return Account(**fields)
+def _code(chosen: np.ndarray, draws: Draws, count: int) -> np.ndarray:
+    """One draw: a text code in ``1..count`` where ``chosen``, else 0."""
+    return where(chosen, 1 + draws.choice(count), 0)
 
 
-#: The positional arguments :meth:`Persona.sample` passes a sampler.
-_SAMPLER_ARGS = ("rng", "user_id", "screen_name", "now", "latest_created")
+#: The parameters :meth:`Persona.sample` passes a sampler.
+_SAMPLER_ARGS = ("draws", "now", "latest_created")
+#: Persona vocabularies and the row column each one's codes fill.
+_VOCABULARIES = (("descriptions", "description"), ("locations", "location"),
+                 ("urls", "url"))
 
 
 @dataclass(frozen=True)
 class Persona:
     """A named account archetype with its ground-truth label.
 
-    ``sampler(rng, user_id, screen_name, now, latest_created)`` draws
-    the account from ``rng`` alone and creates it no later than
-    ``latest_created`` when that is given; returning through
-    :func:`capped_account` applies the cap.
+    ``sampler(draws, now, latest_created)`` is a *column sampler*: it
+    returns the columns of a whole batch of accounts (see
+    :mod:`repro.twitter.columns`), drawn only from ``draws``, each
+    created no later than its ``latest_created`` (``inf`` where
+    uncapped).  A batch of one row hands the sampler Python scalars
+    instead of arrays.  Text columns are codes into the persona's
+    vocabularies: ``descriptions``, ``locations`` and ``urls`` (a url
+    may embed the handle as ``{}``); code 0 is the empty string.
     """
 
     name: str
     label: Label
-    sampler: Callable[[random.Random, int, str, float, Optional[float]],
-                      Account]
+    sampler: Callable[[Draws, float, np.ndarray], Dict[str, object]]
+    descriptions: Tuple[str, ...] = ("",)
+    locations: Tuple[str, ...] = ("",)
+    urls: Tuple[str, ...] = ("",)
 
     def __post_init__(self) -> None:
+        for vocabulary, column in _VOCABULARIES:
+            texts = getattr(self, vocabulary)
+            width = STRING_WIDTHS[column]
+            if not texts or texts[0] != "":
+                raise ConfigurationError(
+                    f"persona {self.name!r}: {vocabulary} must start with ''")
+            for text in texts:
+                # Only a url embeds the handle; other texts render as is.
+                rendered = text.format("x" * STRING_WIDTHS["screen_name"]) \
+                    if vocabulary == "urls" else text
+                if len(rendered) > width or text.endswith("\x00"):
+                    raise ConfigurationError(
+                        f"persona {self.name!r}: {text!r} does not fit the "
+                        f"{column} column of width {width}")
         try:
             signature = inspect.signature(self.sampler)
         except (TypeError, ValueError):
@@ -126,156 +159,133 @@ class Persona:
             signature.bind(*_SAMPLER_ARGS)
         except TypeError as exc:
             raise ConfigurationError(
-                f"persona {self.name!r}: a sampler takes (rng, user_id, "
-                f"screen_name, now, latest_created): {exc}") from None
+                f"persona {self.name!r}: a sampler takes (draws, now, "
+                f"latest_created): {exc}") from None
 
-    def sample(self, rng: random.Random, user_id: int,
-               screen_name: str, now: float,
+    def sample(self, rng, user_id: int, now: float,
                latest_created: Optional[float] = None) -> Account:
-        """Draw a concrete account snapshot at observation time ``now``.
+        """Draw one account snapshot at ``now`` from a key off ``rng``.
 
-        ``screen_name`` is a fallback handle; samplers normally mint a
-        stylistic one from ``rng`` (see :mod:`repro.twitter.names`), so
-        handle *shape* is itself a class signal, as it is on the real
-        platform.  ``latest_created`` caps the creation time (a
-        follower must exist before it follows); the cap changes no draw.
+        For callers that need an :class:`Account` outside a follower
+        population (the graph builder, the live processes, the ambient
+        pool): the key is ``rng.getrandbits(64)`` and the account comes
+        from the same column sampler as every follower.
+        ``latest_created`` caps the creation time (a follower must
+        exist before it follows).
         """
-        return self.sampler(rng, user_id, screen_name, now, latest_created)
+        return sample_accounts([self], [rng.getrandbits(64)], [user_id],
+                               now, [latest_created])[0]
 
 
 # ---------------------------------------------------------------------------
 # Genuine personas
 # ---------------------------------------------------------------------------
 
-def _sample_genuine_active(rng: random.Random, user_id: int,
-                           screen_name: str, now: float,
-                           latest_created: Optional[float]) -> Account:
+def _sample_genuine_active(draws: Draws, now: float,
+                           latest_created: np.ndarray) -> dict:
     """An engaged human: balanced graph counts, steady original tweeting."""
-    created = _created_at(rng, now, 0.5 * YEAR, 7 * YEAR)
-    screen_name = human_screen_name(rng)
-    behavior = BehaviorProfile(
-        tweets_per_day=rng.uniform(0.3, 6.0),
-        retweet_ratio=rng.uniform(0.1, 0.4),
-        link_ratio=rng.uniform(0.1, 0.4),
+    created = created_at(draws, now, 0.5 * YEAR, 7 * YEAR, latest_created)
+    columns = human_handles(draws)
+    columns.update(display_names(draws))
+    age_days = minimum(as_int((now - created) / DAY),
+                       len(_ACTIVITY_GROWTH) - 1)
+    columns.update(
+        created_at=created,
+        tweets_per_day=draws.uniform(0.3, 6.0),
+        retweet_ratio=draws.uniform(0.1, 0.4),
+        link_ratio=draws.uniform(0.1, 0.4),
         spam_ratio=0.0,
-        mention_ratio=rng.uniform(0.2, 0.5),
-        hashtag_ratio=rng.uniform(0.1, 0.35),
+        mention_ratio=draws.uniform(0.2, 0.5),
+        hashtag_ratio=draws.uniform(0.1, 0.35),
         duplicate_pool=0,
         # Plenty of real humans schedule posts through third-party
         # clients (Buffer, HootSuite — the paper's own introduction
         # lists them), so source alone must not separate the classes.
-        api_source_ratio=rng.uniform(0.0, 0.45),
+        api_source_ratio=draws.uniform(0.0, 0.45),
+        statuses_count=draws.lognormal(_STATUSES, 20, 60000,
+                                       scale=_ACTIVITY_GROWTH.take(age_days)),
+        description=_code(draws.chance(0.85), draws, len(BIO_SNIPPETS)),
+        location=_code(draws.chance(0.7), draws, len(LOCATIONS)),
+        url=draws.chance(0.25),
+        default_profile_image=draws.chance(0.04),
+        followers_count=draws.lognormal(_FOLLOWERS, 10, 100000),
+        friends_count=draws.lognormal(_FRIENDS, 20, 5000),
+        last_tweet_at=recent_last_tweet(draws, now, created, 20 * DAY),
     )
-    years = (now - created) / YEAR
-    statuses = bounded_int_lognormal(
-        rng, mean_log=5.0 + 0.3 * years, sigma_log=1.0, low=20, high=60000)
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
-        created_at=created,
-        name=display_name(rng),
-        description=rng.choice(_BIO_SNIPPETS) if rng.random() < 0.85 else "",
-        location=rng.choice(_LOCATIONS) if rng.random() < 0.7 else "",
-        url="http://example.org/" + screen_name if rng.random() < 0.25 else "",
-        default_profile_image=rng.random() < 0.04,
-        followers_count=bounded_int_lognormal(rng, 4.6, 1.2, 10, 100000),
-        friends_count=bounded_int_lognormal(rng, 5.2, 1.0, 20, 5000),
-        statuses_count=statuses,
-        last_tweet_at=_recent_last_tweet(rng, now, created, 20 * DAY),
-        behavior=behavior,
-        true_label=Label.GENUINE,
-    )
+    return columns
 
 
-def _sample_genuine_newbie(rng: random.Random, user_id: int,
-                           screen_name: str, now: float,
-                           latest_created: Optional[float]) -> Account:
+def _sample_genuine_newbie(draws: Draws, now: float,
+                           latest_created: np.ndarray) -> dict:
     """A recently joined human: thin profile, few tweets, few followers.
 
     Newbies are the accounts that crude rule sets most often mistake for
     fakes ("few or no followers and few or no tweets").
     """
-    created = _created_at(rng, now, 5 * DAY, 120 * DAY)
-    screen_name = human_screen_name(rng)
-    behavior = BehaviorProfile(
-        tweets_per_day=rng.uniform(0.1, 1.5),
-        retweet_ratio=rng.uniform(0.2, 0.6),
-        link_ratio=rng.uniform(0.05, 0.3),
-        spam_ratio=0.0,
-        mention_ratio=rng.uniform(0.1, 0.4),
-        hashtag_ratio=rng.uniform(0.05, 0.3),
-        duplicate_pool=0,
-        api_source_ratio=rng.uniform(0.0, 0.15),
-    )
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
+    created = created_at(draws, now, 5 * DAY, 120 * DAY, latest_created)
+    columns = human_handles(draws)
+    columns.update(display_names(draws))
+    columns.update(
         created_at=created,
-        name=display_name(rng),
-        description=rng.choice(_BIO_SNIPPETS) if rng.random() < 0.4 else "",
-        location=rng.choice(_LOCATIONS) if rng.random() < 0.35 else "",
-        url="",
-        default_profile_image=rng.random() < 0.35,
-        followers_count=rng.randint(0, 40),
-        friends_count=rng.randint(10, 250),
-        statuses_count=rng.randint(1, 60),
-        last_tweet_at=_recent_last_tweet(rng, now, created, 15 * DAY),
-        behavior=behavior,
-        true_label=Label.GENUINE,
+        tweets_per_day=draws.uniform(0.1, 1.5),
+        retweet_ratio=draws.uniform(0.2, 0.6),
+        link_ratio=draws.uniform(0.05, 0.3),
+        spam_ratio=0.0,
+        mention_ratio=draws.uniform(0.1, 0.4),
+        hashtag_ratio=draws.uniform(0.05, 0.3),
+        duplicate_pool=0,
+        api_source_ratio=draws.uniform(0.0, 0.15),
+        description=_code(draws.chance(0.4), draws, len(BIO_SNIPPETS)),
+        location=_code(draws.chance(0.35), draws, len(LOCATIONS)),
+        default_profile_image=draws.chance(0.35),
+        followers_count=draws.integers(0, 40),
+        friends_count=draws.integers(10, 250),
+        statuses_count=draws.integers(1, 60),
+        last_tweet_at=recent_last_tweet(draws, now, created, 15 * DAY),
     )
+    return columns
 
 
 # ---------------------------------------------------------------------------
 # Inactive personas
 # ---------------------------------------------------------------------------
 
-def _sample_genuine_abandoned(rng: random.Random, user_id: int,
-                              screen_name: str, now: float,
-                              latest_created: Optional[float]) -> Account:
+def _sample_genuine_abandoned(draws: Draws, now: float,
+                              latest_created: np.ndarray) -> dict:
     """A real user who tried Twitter and drifted away.
 
     Either never tweeted, or last tweeted well over 90 days ago.
     """
-    created = _created_at(rng, now, 1.0 * YEAR, 7 * YEAR)
-    screen_name = human_screen_name(rng)
-    never_tweeted = rng.random() < 0.3
-    last_tweet = None if never_tweeted else _stale_last_tweet(
-        rng, now, created, 5 * YEAR)
-    statuses = 0 if last_tweet is None else rng.randint(1, 300)
-    behavior = BehaviorProfile(
-        tweets_per_day=rng.uniform(0.05, 0.8),
-        retweet_ratio=rng.uniform(0.1, 0.5),
-        link_ratio=rng.uniform(0.05, 0.35),
-        spam_ratio=0.0,
-        mention_ratio=rng.uniform(0.1, 0.4),
-        hashtag_ratio=rng.uniform(0.05, 0.25),
-        duplicate_pool=0,
-        api_source_ratio=rng.uniform(0.0, 0.05),
-    )
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
+    created = created_at(draws, now, 1.0 * YEAR, 7 * YEAR, latest_created)
+    columns = human_handles(draws)
+    columns.update(display_names(draws))
+    never_tweeted = draws.chance(0.3)
+    last_tweet = where(never_tweeted, math.nan,
+                          stale_last_tweet(draws, now, created, 5 * YEAR))
+    columns.update(
         created_at=created,
-        name=display_name(rng),
-        description=rng.choice(_BIO_SNIPPETS) if rng.random() < 0.55 else "",
-        location=rng.choice(_LOCATIONS) if rng.random() < 0.45 else "",
-        url="",
-        default_profile_image=rng.random() < 0.25,
-        followers_count=rng.randint(0, 120),
-        friends_count=rng.randint(5, 400),
-        statuses_count=statuses,
         last_tweet_at=last_tweet,
-        behavior=behavior,
-        true_label=Label.INACTIVE,
+        statuses_count=where(isnan(last_tweet), 0,
+                                draws.integers(1, 300)),
+        tweets_per_day=draws.uniform(0.05, 0.8),
+        retweet_ratio=draws.uniform(0.1, 0.5),
+        link_ratio=draws.uniform(0.05, 0.35),
+        spam_ratio=0.0,
+        mention_ratio=draws.uniform(0.1, 0.4),
+        hashtag_ratio=draws.uniform(0.05, 0.25),
+        duplicate_pool=0,
+        api_source_ratio=draws.uniform(0.0, 0.05),
+        description=_code(draws.chance(0.55), draws, len(BIO_SNIPPETS)),
+        location=_code(draws.chance(0.45), draws, len(LOCATIONS)),
+        default_profile_image=draws.chance(0.25),
+        followers_count=draws.integers(0, 120),
+        friends_count=draws.integers(5, 400),
     )
+    return columns
 
 
-def _sample_fake_egg_dormant(rng: random.Random, user_id: int,
-                             screen_name: str, now: float,
-                             latest_created: Optional[float]) -> Account:
+def _sample_fake_egg_dormant(draws: Draws, now: float,
+                             latest_created: np.ndarray) -> dict:
     """A dormant mass-created fake: default egg avatar, empty profile,
     never tweeted (or one stale tweet), follows hundreds of accounts.
 
@@ -283,48 +293,37 @@ def _sample_fake_egg_dormant(rng: random.Random, user_id: int,
     definitions — but its *profile* shape is the classic fake signature
     the rule-based tools key on.
     """
-    created = _created_at(rng, now, 0.5 * YEAR, 3 * YEAR)
-    screen_name = bot_screen_name(rng)
-    never_tweeted = rng.random() < 0.8
-    last_tweet = None if never_tweeted else _stale_last_tweet(
-        rng, now, created, 2 * YEAR)
-    statuses = 0 if last_tweet is None else rng.randint(1, 5)
-    behavior = BehaviorProfile(
+    created = created_at(draws, now, 0.5 * YEAR, 3 * YEAR, latest_created)
+    columns = bot_handles(draws)
+    never_tweeted = draws.chance(0.8)
+    last_tweet = where(never_tweeted, math.nan,
+                          stale_last_tweet(draws, now, created, 2 * YEAR))
+    columns.update(
+        created_at=created,
+        last_tweet_at=last_tweet,
+        statuses_count=where(isnan(last_tweet), 0,
+                                draws.integers(1, 5)),
         tweets_per_day=0.01,
         retweet_ratio=0.1,
-        link_ratio=rng.uniform(0.5, 1.0),
-        spam_ratio=rng.uniform(0.3, 0.9),
+        link_ratio=draws.uniform(0.5, 1.0),
+        spam_ratio=draws.uniform(0.3, 0.9),
         mention_ratio=0.05,
         hashtag_ratio=0.1,
-        duplicate_pool=rng.randint(1, 3),
+        duplicate_pool=draws.integers(1, 3),
         api_source_ratio=0.9,
+        default_profile_image=draws.chance(0.75),
+        followers_count=draws.integers(0, 15),
+        friends_count=draws.integers(150, 2500),
     )
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
-        created_at=created,
-        name="",
-        description="",
-        location="",
-        url="",
-        default_profile_image=rng.random() < 0.75,
-        followers_count=rng.randint(0, 15),
-        friends_count=rng.randint(150, 2500),
-        statuses_count=statuses,
-        last_tweet_at=last_tweet,
-        behavior=behavior,
-        true_label=Label.INACTIVE,
-    )
+    return columns
 
 
 # ---------------------------------------------------------------------------
 # Fake personas
 # ---------------------------------------------------------------------------
 
-def _sample_fake_classic(rng: random.Random, user_id: int,
-                         screen_name: str, now: float,
-                         latest_created: Optional[float]) -> Account:
+def _sample_fake_classic(draws: Draws, now: float,
+                         latest_created: np.ndarray) -> dict:
     """A purchased follower kept minimally alive by its operator.
 
     A handful of recent low-effort tweets, no real audience, follows a
@@ -332,89 +331,78 @@ def _sample_fake_classic(rng: random.Random, user_id: int,
     signal: "fake accounts tend to follow a lot of people but don't have
     many followers").
     """
-    created = _created_at(rng, now, 60 * DAY, 2 * YEAR)
-    screen_name = bot_screen_name(rng)
-    behavior = BehaviorProfile(
-        tweets_per_day=rng.uniform(0.02, 0.3),
-        retweet_ratio=rng.uniform(0.3, 0.8),
-        link_ratio=rng.uniform(0.3, 0.8),
-        spam_ratio=rng.uniform(0.1, 0.5),
-        mention_ratio=rng.uniform(0.0, 0.2),
-        hashtag_ratio=rng.uniform(0.0, 0.3),
-        duplicate_pool=rng.randint(1, 4),
-        api_source_ratio=rng.uniform(0.6, 1.0),
-    )
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
+    created = created_at(draws, now, 60 * DAY, 2 * YEAR, latest_created)
+    columns = bot_handles(draws)
+    columns.update(
         created_at=created,
-        name=screen_name[:6] if rng.random() < 0.5 else "",
-        description="",
-        location="",
-        url="",
-        default_profile_image=rng.random() < 0.6,
-        followers_count=rng.randint(0, 30),
-        friends_count=rng.randint(200, 3000),
-        statuses_count=rng.randint(1, 25),
-        last_tweet_at=_recent_last_tweet(rng, now, created, 80 * DAY),
-        behavior=behavior,
-        true_label=Label.FAKE,
+        tweets_per_day=draws.uniform(0.02, 0.3),
+        retweet_ratio=draws.uniform(0.3, 0.8),
+        link_ratio=draws.uniform(0.3, 0.8),
+        spam_ratio=draws.uniform(0.1, 0.5),
+        mention_ratio=draws.uniform(0.0, 0.2),
+        hashtag_ratio=draws.uniform(0.0, 0.3),
+        duplicate_pool=draws.integers(1, 4),
+        api_source_ratio=draws.uniform(0.6, 1.0),
+        # Named after the first six characters of the handle, or unnamed.
+        name_kind=where(draws.chance(0.5), 6, 0),
+        default_profile_image=draws.chance(0.6),
+        followers_count=draws.integers(0, 30),
+        friends_count=draws.integers(200, 3000),
+        statuses_count=draws.integers(1, 25),
+        last_tweet_at=recent_last_tweet(draws, now, created, 80 * DAY),
     )
+    return columns
 
 
-def _sample_fake_spammer(rng: random.Random, user_id: int,
-                         screen_name: str, now: float,
-                         latest_created: Optional[float]) -> Account:
+def _sample_fake_spammer(draws: Draws, now: float,
+                         latest_created: np.ndarray) -> dict:
     """An active spam bot: floods links and duplicated promotional tweets.
 
     Trips Socialbakers' content rules (spam phrases, >90% links or
     retweets, repeated tweets) and the literature's URL-ratio features.
     """
-    created = _created_at(rng, now, 30 * DAY, 1.5 * YEAR)
-    screen_name = bot_screen_name(rng)
-    mostly_retweets = rng.random() < 0.3
-    behavior = BehaviorProfile(
-        tweets_per_day=rng.uniform(5.0, 60.0),
-        retweet_ratio=0.95 if mostly_retweets else rng.uniform(0.0, 0.2),
-        link_ratio=rng.uniform(0.2, 0.5) if mostly_retweets else rng.uniform(0.92, 1.0),
-        spam_ratio=rng.uniform(0.4, 0.95),
-        mention_ratio=rng.uniform(0.0, 0.3),
-        hashtag_ratio=rng.uniform(0.2, 0.6),
-        duplicate_pool=rng.randint(2, 8),
-        api_source_ratio=rng.uniform(0.85, 1.0),
-    )
-    return capped_account(
-        latest_created, now,
-        user_id=user_id,
-        screen_name=screen_name,
+    created = created_at(draws, now, 30 * DAY, 1.5 * YEAR, latest_created)
+    columns = bot_handles(draws)
+    mostly_retweets = draws.chance(0.3)
+    columns.update(
         created_at=created,
-        name=screen_name[:8],
-        description="" if rng.random() < 0.7 else "Best deals online!",
-        location="",
-        url="http://spam.example.com" if rng.random() < 0.4 else "",
-        default_profile_image=rng.random() < 0.45,
-        followers_count=rng.randint(0, 80),
-        friends_count=rng.randint(500, 5000),
-        statuses_count=rng.randint(200, 20000),
-        last_tweet_at=_recent_last_tweet(rng, now, created, 3 * DAY),
-        behavior=behavior,
-        true_label=Label.FAKE,
+        tweets_per_day=draws.uniform(5.0, 60.0),
+        retweet_ratio=where(mostly_retweets, 0.95, draws.uniform(0.0, 0.2)),
+        link_ratio=where(mostly_retweets, draws.uniform(0.2, 0.5),
+                         draws.uniform(0.92, 1.0)),
+        spam_ratio=draws.uniform(0.4, 0.95),
+        mention_ratio=draws.uniform(0.0, 0.3),
+        hashtag_ratio=draws.uniform(0.2, 0.6),
+        duplicate_pool=draws.integers(2, 8),
+        api_source_ratio=draws.uniform(0.85, 1.0),
+        name_kind=8,             # the first eight characters of the handle
+        description=where(draws.chance(0.7), 0, 1),
+        url=draws.chance(0.4),
+        default_profile_image=draws.chance(0.45),
+        followers_count=draws.integers(0, 80),
+        friends_count=draws.integers(500, 5000),
+        statuses_count=draws.integers(200, 20000),
+        last_tweet_at=recent_last_tweet(draws, now, created, 3 * DAY),
     )
+    return columns
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-GENUINE_ACTIVE = Persona("genuine_active", Label.GENUINE, _sample_genuine_active)
-GENUINE_NEWBIE = Persona("genuine_newbie", Label.GENUINE, _sample_genuine_newbie)
-GENUINE_ABANDONED = Persona(
-    "genuine_abandoned", Label.INACTIVE, _sample_genuine_abandoned)
+GENUINE_ACTIVE = Persona("genuine_active", Label.GENUINE,
+                         _sample_genuine_active, **_HUMAN_TEXT)
+GENUINE_NEWBIE = Persona("genuine_newbie", Label.GENUINE,
+                         _sample_genuine_newbie, **_HUMAN_TEXT)
+GENUINE_ABANDONED = Persona("genuine_abandoned", Label.INACTIVE,
+                            _sample_genuine_abandoned, **_HUMAN_TEXT)
 FAKE_EGG_DORMANT = Persona(
     "fake_egg_dormant", Label.INACTIVE, _sample_fake_egg_dormant)
 FAKE_CLASSIC = Persona("fake_classic", Label.FAKE, _sample_fake_classic)
-FAKE_SPAMMER = Persona("fake_spammer", Label.FAKE, _sample_fake_spammer)
+FAKE_SPAMMER = Persona("fake_spammer", Label.FAKE, _sample_fake_spammer,
+                       descriptions=("", "Best deals online!"),
+                       urls=("", "http://spam.example.com"))
 
 PERSONAS: Dict[str, Persona] = {
     persona.name: persona

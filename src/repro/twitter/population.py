@@ -28,7 +28,7 @@ Twitter ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,13 @@ from ..core.errors import (
 from ..core.rng import WeightedTable
 from ..core.timeutil import DAY, HOUR, TWITTER_LAUNCH
 from .account import Account, BehaviorProfile, Label
+from .columns import FollowerColumns, sample_columns
+from .draws import draw_matrix, persona_uniforms, stream_keys
 from .personas import PERSONAS, Persona, persona_mix_from_labels
 from .streams import (
     ambient_rng,
     composition_rng,
-    follower_account_rng,
-    follower_persona_rng,
+    follower_key_state,
     friends_rng,
 )
 from .timeline import TimelineBlock, TimelineGenerator
@@ -92,6 +93,15 @@ def decode_follower(user_id: int) -> Tuple[int, int]:
         raise UnknownAccountError(user_id)
     payload = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
     return (payload >> _POSITION_BITS) & _ORDINAL_MASK, payload & _POSITION_MASK
+
+
+def _id_array(user_ids: Sequence[int]) -> np.ndarray:
+    """``user_ids`` as int64; an id no int64 holds becomes -1 (no account)."""
+    try:
+        return np.asarray(user_ids, dtype=np.int64)
+    except OverflowError:
+        return np.array([user_id if -(1 << 63) <= user_id < 1 << 63 else -1
+                         for user_id in user_ids], dtype=np.int64)
 
 
 def _check_mix(personas: Mapping[str, float], owner: str) -> None:
@@ -419,6 +429,18 @@ class FollowerPopulation:
         tables.extend(_persona_table(shared, burst.personas)
                       for burst in bursts)
         self._persona_tables = tables
+        # Every persona of the population once, and per table the
+        # population-wide code of each of its items.
+        self._personas: List[Persona] = list(dict.fromkeys(
+            persona for table in tables for persona in table.items))
+        codes = {persona: code for code, persona in enumerate(self._personas)}
+        self._table_codes = [
+            np.array([codes[persona] for persona in table.items],
+                     dtype=np.int64)
+            for table in tables]
+        self._key_base = follower_key_state(seed, ordinal)
+        self._id_base = (FOLLOWER_TAG << _NAMESPACE_SHIFT) | (
+            ordinal << _POSITION_BITS)
 
     @property
     def spec(self) -> TargetSpec:
@@ -464,36 +486,68 @@ class FollowerPopulation:
         """
         if start < 0 or stop < start:
             raise ConfigurationError(f"bad slice [{start}, {stop})")
-        base = (FOLLOWER_TAG << _NAMESPACE_SHIFT) | (self._ordinal << _POSITION_BITS)
-        return base + self._schedule.positions(
+        return self._id_base + self._schedule.positions(
             np.arange(start, stop, dtype=np.int64), now)
+
+    def _persona_codes(self, segments: np.ndarray,
+                       uniforms: np.ndarray) -> np.ndarray:
+        """Population-wide persona codes, one per (segment, slot-0 draw)."""
+        if len(segments) == 1:
+            index = int(segments[0])
+            return self._table_codes[index][[
+                self._persona_tables[index].index_of(float(uniforms[0]))]]
+        codes = np.empty(len(segments), dtype=np.int64)
+        for index in np.unique(segments).tolist():
+            rows = np.flatnonzero(segments == index)
+            table = self._persona_tables[index]
+            codes[rows] = self._table_codes[index][
+                table.pick_indices(uniforms[rows])]
+        return codes
+
+    def personas_at(self, positions) -> List[Persona]:
+        """The persona of each follower at ``positions``.
+
+        Reads only the persona column: one key and one draw per
+        position, no sampler.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        segments, __ = self._schedule.locate_many(positions)
+        uniforms = persona_uniforms(stream_keys(self._key_base, positions))
+        personas = self._personas
+        return [personas[code] for code in
+                self._persona_codes(segments, uniforms).tolist()]
 
     def persona_at(self, position: int) -> Persona:
         """Deterministically pick the persona of the follower at ``position``."""
-        index, __ = self._schedule.segment_of(position)
-        return self._persona_tables[index].pick(
-            follower_persona_rng(self._seed, self._ordinal, position))
+        return self.personas_at([position])[0]
+
+    def follower_columns(self, positions, now: float) -> FollowerColumns:
+        """The followers at ``positions`` as seen at ``now``, in one pass.
+
+        Row ``i`` is the follower at ``positions[i]``: its key, its draw
+        matrix, its persona (slot 0 through its segment's table) and
+        its persona sampler's columns, with the follower's arrival as
+        the *latest possible creation time*: an account must exist
+        before it can follow.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        segments, followed = self._schedule.locate_many(positions)
+        bits, uniforms = draw_matrix(stream_keys(self._key_base, positions))
+        codes = self._persona_codes(segments, uniforms[:, 0])
+        return sample_columns(bits, uniforms, self._personas, codes, now,
+                              followed, self._id_base + positions)
 
     def account_at(self, position: int, now: float) -> Account:
-        """Materialise the follower at ``position`` as seen at ``now``.
-
-        The snapshot is sampled with the follower's arrival time as the
-        *latest possible creation time*: an account must exist before
-        it can follow, so its creation is capped at ``followed_at``.
-        One schedule lookup gives both the persona table and that
-        arrival instant.
-        """
-        index, followed = self._schedule.locate(position)
-        persona = self._persona_tables[index].pick(
-            follower_persona_rng(self._seed, self._ordinal, position))
-        rng = follower_account_rng(self._seed, self._ordinal, position)
-        return persona.sample(rng, self.follower_id_at(position),
-                              f"u{self._ordinal}_{position}", now,
-                              latest_created=followed)
+        """Materialise the follower at ``position`` as seen at ``now``."""
+        return self.follower_columns([position], now).accounts()[0]
 
     def true_label_at(self, position: int) -> Label:
         """Ground-truth label of the follower at ``position``."""
         return self.persona_at(position).label
+
+    def labels_at(self, positions) -> List[Label]:
+        """Ground-truth labels of the followers at ``positions``."""
+        return [persona.label for persona in self.personas_at(positions)]
 
     def composition(self, now: float,
                     sample: Optional[int] = None,
@@ -512,13 +566,8 @@ class FollowerPopulation:
             entries = rng.sample(range(size), sample)
         else:
             entries = range(size)
-        positions = self._schedule.positions(entries, now)
-        counts = {label: 0 for label in Label}
-        total = 0
-        for position in positions:
-            counts[self.true_label_at(position)] += 1
-            total += 1
-        return {label: counts[label] / total for label in Label}
+        labels = self.labels_at(self._schedule.positions(entries, now))
+        return {label: labels.count(label) / len(labels) for label in Label}
 
 
 class World:
@@ -655,7 +704,7 @@ class SyntheticWorld(World):
         rng = ambient_rng(self._seed, index)
         persona = PERSONAS[
             "genuine_active" if rng.random() < 0.8 else "genuine_abandoned"]
-        return persona.sample(rng, ambient_id(index), f"amb{index}", now)
+        return persona.sample(rng, ambient_id(index), now)
 
     def account_by_id(self, user_id: int, now: float) -> Account:
         tag = namespace_of(user_id)
@@ -665,12 +714,7 @@ class SyntheticWorld(World):
                 raise UnknownAccountError(user_id)
             return self._target_account(ordinal, now)
         if tag == FOLLOWER_TAG:
-            ordinal, position = decode_follower(user_id)
-            if ordinal >= len(self._populations):
-                raise UnknownAccountError(user_id)
-            population = self._populations[ordinal]
-            if position >= population.arrived_at(now):
-                raise UnknownAccountError(user_id)
+            population, position = self._follower(user_id, now)
             return population.account_at(position, now)
         if tag == AMBIENT_TAG:
             index = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
@@ -724,38 +768,85 @@ class SyntheticWorld(World):
         indices = rng.sample(range(AMBIENT_POOL_SIZE), count)
         return [ambient_id(index) for index in indices[start:stop]]
 
+    def _follower(self, user_id: int, now: float) -> Tuple[FollowerPopulation, int]:
+        """The population and position of a follower id arrived by ``now``."""
+        ordinal, position = decode_follower(user_id)
+        if ordinal >= len(self._populations):
+            raise UnknownAccountError(user_id)
+        population = self._populations[ordinal]
+        if position >= population.arrived_at(now):
+            raise UnknownAccountError(user_id)
+        return population, position
+
+    def _follower_batches(self, user_ids: np.ndarray, now: float
+                          ) -> Iterator[Tuple[np.ndarray, FollowerColumns]]:
+        """The resolvable followers among ``user_ids``, one batch per target.
+
+        Yields ``(indices into user_ids, columns)``.  Validity is asked
+        once per target (``arrived_at(now)``), not once per id.
+        """
+        payload = user_ids & ((1 << _NAMESPACE_SHIFT) - 1)
+        followers = (user_ids >> _NAMESPACE_SHIFT) == FOLLOWER_TAG
+        ordinals = (payload >> _POSITION_BITS) & _ORDINAL_MASK
+        positions = payload & _POSITION_MASK
+        for ordinal in np.unique(ordinals[followers]).tolist():
+            if ordinal >= len(self._populations):
+                continue
+            population = self._populations[ordinal]
+            rows = np.flatnonzero(followers & (ordinals == ordinal) & (
+                positions < population.arrived_at(now)))
+            if len(rows):
+                yield rows, population.follower_columns(positions[rows], now)
+
+    def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
+        from ..api.endpoints import UserObject  # deferred: api imports this module
+
+        ids = _id_array(user_ids)
+        users: List[Optional[UserObject]] = [None] * len(ids)
+        for rows, columns in self._follower_batches(ids, now):
+            for row, user in zip(rows.tolist(), columns.user_objects()):
+                users[row] = user
+        others = (ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG
+        for row in np.flatnonzero(others).tolist():
+            try:
+                account = self.account_by_id(int(ids[row]), now)
+            except UnknownAccountError:
+                continue
+            users[row] = UserObject.from_account(account)
+        return [user for user in users if user is not None]
+
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
-        account = self.account_by_id(user_id, now)
-        return self._timelines.recent_tweets(account, count)
+        if namespace_of(user_id) == FOLLOWER_TAG:
+            population, position = self._follower(user_id, now)
+            profile = population.follower_columns(
+                [position], now).timeline_profile(0)
+            return self._timelines.recent_tweets(profile, count)
+        return self._timelines.recent_tweets(
+            self.account_by_id(user_id, now), count)
 
     def user_row_block(self, user_ids: Sequence[int],
                        now: float) -> Optional["UserRowBlock"]:
         """``users/lookup`` as one structured-row block, when possible.
 
         The input the engines' criteria classify without materialising
-        user objects: each resolvable follower's account becomes one
+        user objects: each target's resolvable followers are generated
+        as one batch of columns and rendered to
         :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` record
-        tuple, and one ``np.array`` call packs them all.
+        tuples, and one ``np.array`` call packs them all.
         Order, duplicates and the silent omission of unknown ids match
         :meth:`user_objects`.  Returns ``None`` when any id falls
         outside the follower namespace (targets, ambient accounts):
         those have no rows, so the caller takes the object path.
         """
-        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, account_row
+        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock
 
-        if any(namespace_of(user_id) != FOLLOWER_TAG for user_id in user_ids):
+        ids = _id_array(user_ids)
+        if np.any((ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG):
             return None
-        populations = self._populations
-        sizes: Dict[int, int] = {}
-        rows = []
-        for user_id in user_ids:
-            ordinal, position = decode_follower(user_id)
-            if ordinal >= len(populations):
-                continue
-            population = populations[ordinal]
-            size = sizes.get(ordinal)
-            if size is None:
-                size = sizes[ordinal] = population.arrived_at(now)
-            if position < size:
-                rows.append(account_row(population.account_at(position, now)))
-        return UserRowBlock(np.array(rows, dtype=ACCOUNT_DTYPE))
+        records = [None] * len(ids)
+        for rows, columns in self._follower_batches(ids, now):
+            for row, record in zip(rows.tolist(), columns.profile_rows()):
+                records[row] = record
+        return UserRowBlock(np.array(
+            [record for record in records if record is not None],
+            dtype=ACCOUNT_DTYPE))

@@ -1,9 +1,12 @@
 """The single documented stream-split for synthetic-world randomness.
 
 Every stochastic draw in a synthetic world is made from a
-``random.Random`` (or, for timelines, a ``numpy.random.Generator``)
-derived from the world's master seed plus a *stream path* — a short
-label tuple hashed by :func:`repro.core.rng.derive_seed`.
+``random.Random`` derived from the world's master seed plus a *stream
+path* — a short label tuple hashed by
+:func:`repro.core.rng.derive_seed` — except follower snapshots and
+timelines, which are counter-based: SplitMix64 outputs stepped from a
+64-bit state derived the same way, so a whole column is one NumPy
+pass.
 This module is the only place those paths are spelled out, so every
 call site that must consume *identical* random streams provably does;
 ``tests/twitter/test_streams.py`` pins the derived seeds and the first
@@ -14,39 +17,36 @@ Stream registry
 ========================  ============================================
 stream                    path under the master seed
 ========================  ============================================
-follower persona          ``("persona", ordinal, position)``
-follower account          ``("account", ordinal, position)``
+follower key state        ``("follower", ordinal)`` (SplitMix64 state)
 composition sampling      ``("composition", sample_seed)``
 ambient pool account      ``("ambient", index)``
 friends/ids shuffle       ``("friends", user_id)``
-timeline synthesis        ``("timeline", user_id)`` (NumPy PCG64)
+timeline synthesis        ``("timeline", user_id)`` (SplitMix64 state)
 explicit-graph builder    ``("graph", screen_name)``
 ========================  ============================================
 
-Follower streams are keyed by ``(target ordinal, arrival position)``;
-they deliberately do *not* depend on the observation instant or on
-which other followers were generated, which is what makes lazy
-generation possible: materialising position ``p`` never requires
-materialising positions ``0..p-1``.
+A follower's key is the SplitMix64 output at step ``position + 1`` of
+its target's key state, and each of its draws is ``mix(key ^
+slot_constant)`` (see :mod:`repro.twitter.draws`).  Keys
+deliberately do *not* depend on the observation instant or on which
+other followers were generated, which is what makes lazy generation
+possible: materialising position ``p`` never requires materialising
+positions ``0..p-1``, and any set of positions is generated in one
+NumPy pass.  Callers that build accounts outside a population (the
+graph builder, the live processes, the FC gold standard, the ambient
+pool) draw a key from their own stream with ``rng.getrandbits(64)``.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from ..core.rng import derive_seed, make_rng
 
 
-def follower_persona_rng(seed: int, ordinal: int, position: int) -> random.Random:
-    """Stream deciding which persona the follower at ``position`` gets."""
-    return make_rng(seed, "persona", ordinal, position)
-
-
-def follower_account_rng(seed: int, ordinal: int, position: int) -> random.Random:
-    """Stream the follower's persona sampler draws its snapshot from."""
-    return make_rng(seed, "account", ordinal, position)
+def follower_key_state(seed: int, ordinal: int) -> int:
+    """The SplitMix64 state a target's follower keys step from."""
+    return derive_seed(seed, "follower", ordinal)
 
 
 def composition_rng(seed: int, sample_seed: int) -> random.Random:
@@ -64,14 +64,13 @@ def friends_rng(seed: int, user_id: int) -> random.Random:
     return make_rng(seed, "friends", user_id)
 
 
-def timeline_generator(seed: int, user_id: int) -> np.random.Generator:
-    """Stream synthesising a user's recent timeline.
+def timeline_state(seed: int, user_id: int) -> int:
+    """The SplitMix64 state a user's timeline draws step from.
 
-    A NumPy generator, because timelines are drawn as whole columns
-    (see :class:`repro.twitter.timeline.TimelineGenerator`).
+    Timelines are drawn as whole columns, the ``i``-th uniform from
+    step ``i + 1`` (see :func:`repro.twitter.draws.stream_uniforms`).
     """
-    return np.random.Generator(
-        np.random.PCG64(derive_seed(seed, "timeline", user_id)))
+    return derive_seed(seed, "timeline", user_id)
 
 
 def graph_rng(seed: int, screen_name: str) -> random.Random:

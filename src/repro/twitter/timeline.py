@@ -29,7 +29,8 @@ from ..core.errors import ConfigurationError
 from ..core.ids import SNOWFLAKE_EPOCH_MS
 from ..core.timeutil import DAY
 from .account import Account, BehaviorProfile
-from .streams import timeline_generator
+from .draws import stream_uniforms
+from .streams import timeline_state
 from .tweet import HUMAN_SOURCES, SPAM_PHRASES, Tweet
 
 #: The v1.1 API ceiling on retrievable timeline depth.
@@ -338,8 +339,8 @@ class TimelineGenerator:
     with a ``duplicate_pool`` draw every body from that many templates,
     whose body flags are drawn once per template.
 
-    All draws are one call on
-    :func:`~repro.twitter.streams.timeline_generator`, laid out as the
+    All draws are one column of the account's counter-based stream
+    (:func:`~repro.twitter.streams.timeline_state`), laid out as the
     body-key salt, four body-flag uniforms per template, then one row
     of seven uniforms per tweet — so a shorter fetch is a prefix of a
     longer one.
@@ -350,6 +351,11 @@ class TimelineGenerator:
 
     def recent_tweets(self, account: Account, count: int) -> TimelineBlock:
         """Return up to ``count`` most recent tweets, newest first.
+
+        ``account`` is an :class:`Account` or anything with its
+        ``user_id``, ``created_at``, ``statuses_count``,
+        ``last_tweet_at`` and ``behavior`` rates (a follower's
+        :class:`~repro.twitter.columns.TimelineProfile`).
 
         The result is empty for accounts that never tweeted, and never
         exceeds ``min(count, statuses_count, TIMELINE_CAP)``.
@@ -367,8 +373,8 @@ class TimelineGenerator:
             raise ConfigurationError(
                 f"duplicate_pool must be at most {_MAX_SERIAL}: {pool!r}")
 
-        uniforms = timeline_generator(self._seed, account.user_id).random(
-            1 + 4 * pool + 7 * n)
+        uniforms = stream_uniforms(timeline_state(self._seed, account.user_id),
+                                   1 + 4 * pool + 7 * n)
         salt = int(uniforms[0] * (1 << _SALT_BITS))
         # Per tweet: gap, then link, spam, mention, hashtag, retweet,
         # automation (a template account reuses the link column as its

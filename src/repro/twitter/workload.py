@@ -121,6 +121,7 @@ class ArrivalSchedule:
         for segment in self._segments:
             self._offsets.append(offset)
             offset += segment.count
+        self._offset_array = np.array(self._offsets, dtype=np.int64)
         self._base_count = offset
         self._ref_time = self._segments[-1].end
         self._post_ref_daily = float(post_ref_daily)
@@ -255,6 +256,43 @@ class ArrivalSchedule:
             # zero-length, so every member arrives at the tranche instant.
             return index, segment.arrival_time(0)
         return index, segment.arrival_time(position - self._offsets[index])
+
+    def locate_many(self, positions) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` of every position: segment indices and instants.
+
+        The same floating-point operations as :meth:`locate`, so every
+        instant is bit-identical to :meth:`arrival_time`: historical
+        positions are computed per segment in array arithmetic (the
+        pacing power stays a Python float ``**``), and post-reference
+        positions, which are few, one at a time.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if len(positions) < 2:
+            located = [self.locate(int(p)) for p in positions]
+            return (np.array([index for index, __ in located], dtype=np.int64),
+                    np.array([at for __, at in located], dtype=np.float64))
+        if positions.min() < 0:
+            raise ConfigurationError("positions must be >= 0")
+        index = np.searchsorted(self._offset_array, positions,
+                                side="right") - 1
+        arrival = np.empty(len(positions), dtype=np.float64)
+        historical = positions < self._base_count
+        for segment_index in np.unique(index[historical]).tolist():
+            rows = np.flatnonzero(historical & (index == segment_index))
+            segment = self._segments[segment_index]
+            if segment.count == 1:
+                fraction = np.full(len(rows), 0.5)
+            else:
+                fraction = ((positions[rows] - self._offsets[segment_index])
+                            + 0.5) / segment.count
+            if segment.gamma != 1.0:
+                fraction = np.array([value ** segment.gamma
+                                     for value in fraction.tolist()])
+            arrival[rows] = segment.start + (segment.end - segment.start) \
+                * fraction
+        for row in np.flatnonzero(~historical).tolist():
+            index[row], arrival[row] = self.locate(int(positions[row]))
+        return index, arrival
 
     def arrival_time(self, position: int) -> float:
         """Arrival instant of the follower at global ``position``."""

@@ -8,7 +8,6 @@ from repro.core import (
     ConfigurationError,
     WeightedTable,
     ZipfTable,
-    bounded_int_lognormal,
     derive_seed,
     make_rng,
     poisson,
@@ -41,18 +40,6 @@ class TestMakeRng:
 
     def test_path_changes_stream(self):
         assert make_rng(5, "x").random() != make_rng(5, "y").random()
-
-
-class TestBoundedLognormal:
-    def test_respects_bounds(self):
-        rng = make_rng(1)
-        values = [bounded_int_lognormal(rng, 10.0, 3.0, 5, 50)
-                  for _ in range(500)]
-        assert all(5 <= v <= 50 for v in values)
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bounded_int_lognormal(make_rng(1), 1.0, 1.0, 10, 5)
 
 
 class TestZipf:

@@ -155,7 +155,7 @@ class TestDegraded:
         assert following.completeness == 1.0
         assert following.sample_size == 500
         assert (following.fake_pct, following.inactive_pct,
-                following.genuine_pct) == (21.2, 28.2, 50.6)
+                following.genuine_pct) == (18.6, 29.6, 51.8)
         assert (following.fake_pct, following.inactive_pct,
                 following.genuine_pct) == (
                     fresh.fake_pct, fresh.inactive_pct, fresh.genuine_pct)

@@ -1,8 +1,8 @@
 """Reference oracle for account rows: one field write at a time.
 
-The production path builds one record tuple per account
-(:func:`repro.twitter.columnar.schema.account_row`) and packs a whole
-``users/lookup`` answer with a single ``np.array`` call.  This oracle
+The production path renders one record tuple per generated follower
+(:meth:`repro.twitter.columns.FollowerColumns.profile_rows`) and packs
+a whole ``users/lookup`` answer with a single ``np.array`` call.  This oracle
 writes each field of each row separately, by name, the way the row
 packing was first written.  Tests check the bulk path against it byte
 for byte.

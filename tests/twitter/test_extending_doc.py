@@ -6,6 +6,7 @@ and generated as the followers of a target that the population
 validator checks.
 """
 
+import math
 import pathlib
 import random
 import re
@@ -14,7 +15,8 @@ import pytest
 
 from repro.core import DAY, PAPER_EPOCH, ConfigurationError
 from repro.experiments import validate_population
-from repro.twitter.account import Account, Label
+from repro.twitter.account import Label
+from repro.twitter.names import human_handles
 from repro.twitter.personas import PERSONAS, Persona
 from repro.twitter.population import (
     FollowerSegmentSpec,
@@ -46,11 +48,10 @@ def lurker():
 
 def test_example_samples_with_and_without_the_cap(lurker):
     now = PAPER_EPOCH
-    free = lurker.sample(random.Random(3), 7, "lurk", now)
+    free = lurker.sample(random.Random(3), 7, now)
     assert now - 5 * 365 * DAY <= free.created_at <= now
     cap = free.created_at - 30 * DAY
-    capped = lurker.sample(random.Random(3), 7, "lurk", now,
-                           latest_created=cap)
+    capped = lurker.sample(random.Random(3), 7, now, latest_created=cap)
     assert capped.created_at == pytest.approx(cap, abs=1e-6)
     assert capped.last_tweet_at == free.last_tweet_at
     assert (capped.followers_count, capped.friends_count,
@@ -75,8 +76,21 @@ def test_example_persona_generates_valid_followers(lurker):
 
 
 def test_sampler_without_latest_created_is_refused():
-    def four_arguments(rng, user_id, screen_name, now) -> Account:
+    def two_arguments(draws, now) -> dict:
         raise AssertionError("never sampled")
 
     with pytest.raises(ConfigurationError, match="latest_created"):
-        Persona("genuine_old_style", Label.GENUINE, four_arguments)
+        Persona("genuine_old_style", Label.GENUINE, two_arguments)
+
+
+def test_sampler_creating_after_the_cap_is_refused():
+    def uncapped(draws, now, latest_created):
+        columns = human_handles(draws)
+        columns.update(created_at=now - draws.uniform(0, 10 * DAY),
+                       last_tweet_at=math.nan, statuses_count=0)
+        return columns
+
+    rash = Persona("genuine_rash", Label.GENUINE, uncapped)
+    with pytest.raises(ConfigurationError, match="latest_created"):
+        rash.sample(random.Random(1), 7, PAPER_EPOCH,
+                    latest_created=PAPER_EPOCH - 30 * DAY)

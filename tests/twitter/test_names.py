@@ -1,68 +1,93 @@
-"""Unit tests for stylistic screen-name generation."""
+"""Unit tests for stylistic screen-name generation.
+
+Handles are drawn as code columns over a batch of counter-based keys
+and rendered to text, as every generated follower's handle is.
+"""
 
 import string
 
-from repro.core import make_rng
+import numpy as np
+
+from repro.twitter.draws import Draws, draw_matrix, stream_keys
 from repro.twitter.names import (
-    bot_screen_name,
+    bot_handles,
     digit_fraction,
-    display_name,
-    human_screen_name,
+    display_names,
+    human_handles,
+    render_handle,
+    render_name,
 )
+
+_HANDLE_COLUMNS = ("handle_style", "handle_a", "handle_b", "handle_c",
+                   "handle_d", "handle_bits")
+
+
+def _draws(seed, count):
+    return Draws(*draw_matrix(stream_keys(seed, np.arange(count))))
+
+
+def _rendered(columns, count):
+    values = [np.broadcast_to(columns[name], (count,)).tolist()
+              for name in _HANDLE_COLUMNS]
+    return [render_handle(*row) for row in zip(*values)]
+
+
+def human_screen_names(seed, count):
+    return _rendered(human_handles(_draws(seed, count)), count)
+
+
+def bot_screen_names(seed, count):
+    return _rendered(bot_handles(_draws(seed, count)), count)
 
 
 class TestHumanNames:
     def test_valid_handles(self):
-        rng = make_rng(1)
-        for __ in range(200):
-            handle = human_screen_name(rng)
+        for handle in human_screen_names(1, 200):
             assert 1 <= len(handle) <= 15
             assert all(c in string.ascii_lowercase + string.digits + "._"
                        for c in handle)
 
     def test_low_digit_fraction_on_average(self):
-        rng = make_rng(2)
-        fractions = [digit_fraction(human_screen_name(rng))
-                     for __ in range(300)]
+        fractions = [digit_fraction(handle)
+                     for handle in human_screen_names(2, 300)]
         assert sum(fractions) / len(fractions) < 0.2
 
     def test_large_space(self):
-        rng = make_rng(3)
-        handles = {human_screen_name(rng) for __ in range(500)}
+        handles = set(human_screen_names(3, 500))
         assert len(handles) > 450
 
 
 class TestBotNames:
     def test_valid_handles(self):
-        rng = make_rng(4)
-        for __ in range(200):
-            handle = bot_screen_name(rng)
+        for handle in bot_screen_names(4, 200):
             assert 1 <= len(handle) <= 15
+            assert all(c in string.ascii_lowercase + string.digits
+                       for c in handle)
 
     def test_high_digit_fraction_on_average(self):
-        rng = make_rng(5)
-        fractions = [digit_fraction(bot_screen_name(rng))
-                     for __ in range(300)]
+        fractions = [digit_fraction(handle)
+                     for handle in bot_screen_names(5, 300)]
         assert sum(fractions) / len(fractions) > 0.35
 
     def test_separates_from_human_names(self):
         """The feature the classifier uses must actually separate."""
-        rng = make_rng(6)
-        human = sorted(digit_fraction(human_screen_name(rng))
-                       for __ in range(300))
-        bot = sorted(digit_fraction(bot_screen_name(rng))
-                     for __ in range(300))
+        human = sorted(digit_fraction(handle)
+                       for handle in human_screen_names(6, 300))
+        bot = sorted(digit_fraction(handle)
+                     for handle in bot_screen_names(7, 300))
         # Compare medians: a robust gap, not perfect separation.
         assert bot[150] > human[150] + 0.2
 
 
 class TestDisplayName:
     def test_title_case_two_words(self):
-        rng = make_rng(7)
-        name = display_name(rng)
-        parts = name.split(" ")
-        assert len(parts) == 2
-        assert all(part[0].isupper() for part in parts)
+        columns = display_names(_draws(8, 50))
+        for first, last in zip(columns["name_first"].tolist(),
+                               columns["name_last"].tolist()):
+            name = render_name(columns["name_kind"], first, last, "handle")
+            parts = name.split(" ")
+            assert len(parts) == 2
+            assert all(part[0].isupper() for part in parts)
 
 
 class TestDigitFraction:

@@ -23,7 +23,7 @@ NOW = PAPER_EPOCH
 def sample_many(persona_name, n=100, seed=3):
     persona = PERSONAS[persona_name]
     rng = make_rng(seed, persona_name)
-    return [persona.sample(rng, i + 1, f"u{i}", NOW) for i in range(n)]
+    return [persona.sample(rng, i + 1, NOW) for i in range(n)]
 
 
 def is_behaviourally_inactive(account):

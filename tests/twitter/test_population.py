@@ -79,17 +79,17 @@ class TestFollowerPopulation:
             assert account.created_at <= pop.followed_at(position)
 
     def test_capped_creation_builds_one_account(self, world, monkeypatch):
-        from repro.twitter import personas, population
+        from repro.twitter import columns, population
 
         built = []
-        real = personas.Account
+        real = columns.Account
 
         def counting(*args, **kwargs):
             account = real(*args, **kwargs)
             built.append(account.user_id)
             return account
 
-        monkeypatch.setattr(personas, "Account", counting)
+        monkeypatch.setattr(columns, "Account", counting)
         monkeypatch.setattr(population, "Account", counting)
         pop = world.population("first")
         positions = range(0, 8000, 97)
@@ -231,8 +231,34 @@ class TestSyntheticWorld:
                                                        ids[2], ids[5]]
         assert list(block) == expected
         assert list(world.user_row_block([], NOW)) == []
-        for foreign in (target_id(0), ambient_id(3)):
+        for foreign in (target_id(0), ambient_id(3), 2**70):
             assert world.user_row_block(ids + [foreign], NOW) is None
+        assert world.user_objects(ids + [2**70], NOW) == expected
+
+    def test_lookup_asks_validity_once_per_target(self, world, monkeypatch):
+        """A past snapshot's lookup batch asks each target's arrivals once,
+        not once per id (a pre-reference ``size_at`` bisects the
+        schedule)."""
+        from repro.twitter.workload import ArrivalSchedule
+
+        calls = []
+        real = ArrivalSchedule.size_at
+
+        def counting(self, now):
+            calls.append(now)
+            return real(self, now)
+
+        monkeypatch.setattr(ArrivalSchedule, "size_at", counting)
+        past = NOW - 200 * DAY
+        population = world.population("first")
+        ids = [population.follower_id_at(p) for p in range(0, 8000, 80)]
+        assert len(ids) == 100
+        users = world.user_objects(ids, past)
+        assert 0 < len(users) < len(ids)
+        assert len(calls) == 1
+        calls.clear()
+        assert list(world.user_row_block(ids, past)) == users
+        assert len(calls) == 1
 
 
 class TestPostRefBurstSpec:

@@ -1,10 +1,11 @@
 """Bulk ``users/lookup`` row packing against the per-field oracle.
 
 ``SyntheticWorld.user_row_block`` packs a whole answer with one
-``np.array`` call over :func:`account_row` tuples; ``row_oracle``
-writes every field of every row by name.  Both must produce the same
-bytes, and both shapes of a row (account, user object) must refuse a
-text value a fixed-width column cannot round-trip.
+``np.array`` call over record tuples rendered from follower columns;
+``row_oracle`` writes every field of every row by name.  Both must
+produce the same bytes.  A text value a fixed-width column cannot
+round-trip is refused: by ``UserRowBlock.from_users`` for user
+objects, and for generated rows when a persona's vocabulary is built.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ import pytest
 from repro.api import UserObject
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, UnknownAccountError
 from repro.twitter import add_simple_target, build_world, fake_purchase_burst
-from repro.twitter.account import Account
-from repro.twitter.columnar.schema import (
-    STRING_WIDTHS,
-    UserRowBlock,
-    account_row,
-)
+from repro.twitter.account import Label
+from repro.twitter.columnar.schema import STRING_WIDTHS, UserRowBlock
+from repro.twitter.personas import PERSONAS, Persona
 from repro.twitter.population import follower_id
 
 from .row_oracle import pack_accounts
@@ -115,11 +113,32 @@ class TestLossyText:
         with pytest.raises(ConfigurationError, match=field):
             UserRowBlock.from_users([make_user(**{field: too_long})])
 
-    def test_account_row_refuses_what_from_users_refuses(self):
-        account = Account(user_id=1, screen_name="ab\x00",
-                          created_at=PAPER_EPOCH)
-        with pytest.raises(ConfigurationError):
-            account_row(account)
+    @pytest.mark.parametrize("vocabulary,text", [
+        ("descriptions", "x" * (STRING_WIDTHS["description"] + 1)),
+        ("locations", "ab\x00"),
+        ("urls", "http://example.org/" + "x" * STRING_WIDTHS["url"]),
+    ], ids=["description", "location", "url"])
+    def test_persona_refuses_text_its_column_cannot_hold(self, vocabulary,
+                                                         text):
+        """Generated rows are never checked one by one: a persona's
+        vocabularies are, when it is built."""
+        spammer = PERSONAS["fake_spammer"]
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            Persona("fake_wordy", Label.FAKE, spammer.sampler,
+                    **{vocabulary: ("", text)})
+
+    @pytest.mark.parametrize("vocabulary,column", [
+        ("descriptions", "description"), ("locations", "location")])
+    @pytest.mark.parametrize("braces", ["I love {python}", "{0}", "{}"])
+    def test_persona_takes_braces_in_plain_text_literally(
+            self, vocabulary, column, braces):
+        """Only a url embeds the handle: a brace elsewhere is text, and
+        a text of exactly its column's width fits as written."""
+        text = braces + "x" * (STRING_WIDTHS[column] - len(braces))
+        spammer = PERSONAS["fake_spammer"]
+        persona = Persona("fake_braces", Label.FAKE, spammer.sampler,
+                          **{vocabulary: ("", braces, text)})
+        assert getattr(persona, vocabulary) == ("", braces, text)
 
     def test_values_that_fit_round_trip(self):
         users = [make_user(screen_name="a\x00b"),

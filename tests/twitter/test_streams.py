@@ -1,23 +1,27 @@
 """Regression pin for the synthetic-world random stream split.
 
-The columnar substrate's bit-identity contract rests on both substrates
-consuming *identical* random streams.  These tests pin the derived
-seeds and the first draws of every stream in
-:mod:`repro.twitter.streams` to hard-coded values; if anyone re-keys a
-stream (renames a path component, reorders arguments, changes the
-derivation hash), the pins fail loudly instead of the two substrates
-silently drifting apart.
+Every golden rests on each generated account consuming *identical*
+draws.  These tests pin the derived seeds and the first draws of every
+stream in :mod:`repro.twitter.streams` (and of the counter-based
+follower keys of :mod:`repro.twitter.draws`) to hard-coded values; if
+anyone re-keys a stream (renames a path component, reorders
+arguments, changes the derivation hash), the pins fail loudly instead
+of the goldens silently drifting.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
 
 from repro.core.rng import derive_seed
 from repro.twitter import streams
+from repro.twitter.draws import (
+    draw_matrix,
+    follower_keys,
+    persona_uniforms,
+    stream_uniforms,
+)
 from repro.twitter.population import _POSITION_MASK
 
 from ..core import rng_oracle
@@ -25,12 +29,16 @@ from ..core import rng_oracle
 SEED = 42
 
 # (stream name, derivation path, derived 64-bit seed,
-#  first random(), first 32-bit draw after it)
+#  first random(), first 32-bit draw after it; for the timeline, the
+#  second uniform scaled to 32 bits).  The follower rows pin
+#  the key of position 5 of target 0: its persona draw (slot 0) and the
+#  top half of the key, then its first sampler draw (slot 1) and the top
+#  half of that slot's bits.
 PINNED = [
-    ("persona", ("persona", 0, 5),
-     7287446852499807581, 0.24291493706446465, 3627706456),
-    ("account", ("account", 0, 5),
-     15956665559216444968, 0.610817433916283, 231015833),
+    ("persona", ("follower", 0),
+     8463409462019532482, 0.4574315207419076, 666984273),
+    ("account", ("follower", 0),
+     8463409462019532482, 0.45953813911346986, 1973701278),
     ("composition", ("composition", 0),
      335957543461836668, 0.37697574039301773, 3174415877),
     ("ambient", ("ambient", 17),
@@ -38,19 +46,37 @@ PINNED = [
     ("friends", ("friends", 12345),
      11770962636459208692, 0.21545607123394583, 3870747768),
     ("timeline", ("timeline", 12345),
-     5942430987252212878, 0.35016177984113017, 583628289),
+     5942430987252212878, 0.7505366027294688, 306095661),
     ("graph", ("graph", "obama"),
      9275016577232206654, 0.684028112766414, 264432056),
 ]
 
-STREAM_FACTORIES = {
-    "persona": lambda: streams.follower_persona_rng(SEED, 0, 5),
-    "account": lambda: streams.follower_account_rng(SEED, 0, 5),
-    "composition": lambda: streams.composition_rng(SEED, 0),
-    "ambient": lambda: streams.ambient_rng(SEED, 17),
-    "friends": lambda: streams.friends_rng(SEED, 12345),
-    "timeline": lambda: streams.timeline_generator(SEED, 12345),
-    "graph": lambda: streams.graph_rng(SEED, "obama"),
+def _first_draws(rng):
+    if isinstance(rng, np.random.Generator):
+        return rng.random(), int(rng.integers(0, 1 << 32))
+    return rng.random(), rng.getrandbits(32)
+
+
+def _timeline_draws():
+    uniforms = stream_uniforms(streams.timeline_state(SEED, 12345), 2)
+    return float(uniforms[0]), int(uniforms[1] * (1 << 32))
+
+
+def _follower_slot(slot):
+    keys = follower_keys(SEED, 0, [5])
+    bits, uniforms = draw_matrix(keys)
+    return float(uniforms[0, slot]), int(bits[0, slot]) >> 32
+
+
+FIRST_DRAWS = {
+    "persona": lambda: (float(persona_uniforms(follower_keys(SEED, 0, [5]))[0]),
+                        int(follower_keys(SEED, 0, [5])[0]) >> 32),
+    "account": lambda: _follower_slot(1),
+    "composition": lambda: _first_draws(streams.composition_rng(SEED, 0)),
+    "ambient": lambda: _first_draws(streams.ambient_rng(SEED, 17)),
+    "friends": lambda: _first_draws(streams.friends_rng(SEED, 12345)),
+    "timeline": lambda: _timeline_draws(),
+    "graph": lambda: _first_draws(streams.graph_rng(SEED, "obama")),
 }
 
 
@@ -59,33 +85,30 @@ STREAM_FACTORIES = {
     ids=[row[0] for row in PINNED])
 def test_stream_pins(name, path, seed64, first_random, first_bits):
     assert derive_seed(SEED, *path) == seed64
-    rng = STREAM_FACTORIES[name]()
-    assert rng.random() == first_random
-    if isinstance(rng, np.random.Generator):
-        assert int(rng.integers(0, 1 << 32)) == first_bits
-    else:
-        assert rng.getrandbits(32) == first_bits
+    assert FIRST_DRAWS[name]() == (first_random, first_bits)
 
 
 def test_streams_are_independent():
     """Different paths yield different streams (no accidental aliasing)."""
-    seeds = {derive_seed(SEED, *path) for _, path, *_ in PINNED}
-    assert len(seeds) == len(PINNED)
+    paths = {path for _, path, *_ in PINNED}
+    seeds = {derive_seed(SEED, *path) for path in paths}
+    assert len(seeds) == len(paths)
 
 
 def test_follower_streams_keyed_by_ordinal_and_position():
-    a = streams.follower_account_rng(SEED, 0, 5).random()
-    b = streams.follower_account_rng(SEED, 1, 5).random()
-    c = streams.follower_account_rng(SEED, 0, 6).random()
+    a, b, c = (int(follower_keys(SEED, ordinal, [position])[0])
+               for ordinal, position in ((0, 5), (1, 5), (0, 6)))
     assert len({a, b, c}) == 3
     # ... and are self-consistent across calls (pure function of the key).
-    assert streams.follower_account_rng(SEED, 0, 5).random() == a
+    assert int(follower_keys(SEED, 0, [5])[0]) == a
 
 
 def test_population_draws_from_documented_streams():
-    """The object substrate's account generation consumes exactly the
-    persona/account streams — pinned end-to-end, not just at the RNG."""
+    """A population's follower is its key's draw matrix, run through its
+    persona's sampler with its arrival as the creation cap — pinned
+    end to end, not just at the key."""
     from repro.core.timeutil import PAPER_EPOCH
+    from repro.twitter.columns import sample_columns
     from repro.twitter.generator import make_target_spec
     from repro.twitter.population import SyntheticWorld
 
@@ -93,18 +116,28 @@ def test_population_draws_from_documented_streams():
     world.add_target(make_target_spec(
         "pinned_target", 100, 0.3, 0.2, 0.5, ref_time=PAPER_EPOCH))
     population = world.population("pinned_target")
-    account = population.account_at(5, PAPER_EPOCH)
-    rng = streams.follower_account_rng(SEED, 0, 5)
-    replayed = population.persona_at(5).sample(
-        rng, population.follower_id_at(5), "u0_5", PAPER_EPOCH)
-    # account_at may re-anchor created_at to the follow instant, but the
-    # raw sample must come off the documented stream.
-    assert replayed.screen_name == account.screen_name
-    assert replayed.statuses_count == account.statuses_count
-    assert replayed.followers_count == account.followers_count
+    bits, uniforms = draw_matrix(follower_keys(SEED, 0, [5, 6]))
+    replayed = sample_columns(
+        bits, uniforms, [population.persona_at(5), population.persona_at(6)],
+        np.array([0, 1]), PAPER_EPOCH,
+        np.array([population.followed_at(5), population.followed_at(6)]),
+        np.array([population.follower_id_at(5), population.follower_id_at(6)]))
+    assert replayed.accounts() == [population.account_at(5, PAPER_EPOCH),
+                                   population.account_at(6, PAPER_EPOCH)]
 
 
-# -- follower seeds: the streams are seeded by derive_seed ------------------
+# -- follower keys: SplitMix64 from a derive_seed state ---------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state, step):
+    """Reference SplitMix64: the output at ``step`` (1-based) from ``state``."""
+    value = (state + step * 0x9E3779B97F4A7C15) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
 
 @pytest.mark.parametrize("master", [0, SEED, 2**63, -17])
 @pytest.mark.parametrize("ordinal,position", [
@@ -112,17 +145,33 @@ def test_population_draws_from_documented_streams():
     (np.int64(2), np.int64(77)), (np.int64(0), np.int64(_POSITION_MASK)),
 ])
 def test_follower_seeds_equal_derive_seed(master, ordinal, position):
-    for stream, factory in (("persona", streams.follower_persona_rng),
-                            ("account", streams.follower_account_rng)):
-        expected = derive_seed(master, stream, ordinal, position)
-        assert factory(master, ordinal, position).getstate() == \
-            random.Random(expected).getstate()
+    """A follower's key is SplitMix64 step ``position + 1`` from the
+    ``derive_seed(master, "follower", ordinal)`` state, alone or in a
+    batch."""
+    state = derive_seed(master, "follower", ordinal)
+    assert streams.follower_key_state(master, ordinal) == state
+    expected = _splitmix64(state, int(position) + 1)
+    assert int(follower_keys(master, ordinal, [position])[0]) == expected
+    batch = follower_keys(master, ordinal, [position, 0, position])
+    assert [int(key) for key in batch] == \
+        [expected, _splitmix64(state, 1), expected]
 
 
 # -- persona tables: same pick as weighted_choice over sorted(mix) ------------
 
+class _FixedDraw:
+    """A stand-in rng whose one ``random()`` is a follower's persona draw."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def random(self):
+        return self._value
+
+
 def _reference_persona(seed, population, mix, position):
-    rng = streams.follower_persona_rng(seed, population.ordinal, position)
+    keys = follower_keys(seed, population.ordinal, [position])
+    rng = _FixedDraw(float(persona_uniforms(keys)[0]))
     names = sorted(mix)
     return rng_oracle.weighted_choice(rng, names, [mix[name] for name in names])
 
