@@ -8,6 +8,9 @@ frames of increasing depth and compares it against the closed-form
 prediction of ``repro.stats.gradient_head_bias``.
 """
 
+import math
+from itertools import combinations
+
 import pytest
 
 from repro.core import PAPER_EPOCH
@@ -19,12 +22,16 @@ BASE = 50_000
 HEADS = (1000, 2000, 5000, 15_000, 35_000, 50_000)
 TILT = 0.6
 INACTIVE = 0.4
+PIECES = 8
+#: Followers per arrival cohort: heads of 1,000, 2,000 and 5,000 all lie
+#: in the newest cohort, so they share its expected inactive rate.
+COHORT = BASE // PIECES
 
 
 def sweep_head_bias():
     world = build_world(seed=42)
     add_simple_target(world, "tilted", BASE, INACTIVE, 0.1, 0.5,
-                      tilt=TILT, pieces=8)
+                      tilt=TILT, pieces=PIECES)
     population = world.population("tilted")
     labels = [population.true_label_at(p) is Label.INACTIVE
               for p in range(population.size_at(PAPER_EPOCH))]
@@ -66,6 +73,16 @@ def test_ablation_head_bias(once, save_result):
         # within a few points.
         assert bias == pytest.approx(predicted, abs=0.06)
 
-    # Bias shrinks monotonically (to ~0) as the frame deepens.
-    biases = [bias for __, __w, __h, bias, __p in rows]
-    assert biases == sorted(biases)
+    # Bias shrinks (to ~0) as the frame deepens into older cohorts.
+    # Heads within one cohort share its expected rate, so their order is
+    # sampling noise: a shallower head may read above a deeper one by at
+    # most three binomial standard errors of its closed-form rate (which
+    # bound the error of the difference of two nested heads).
+    for (head, whole, __h, bias, predicted), (deeper, __w, __d, deeper_bias,
+                                              __p) in combinations(rows, 2):
+        if (head - 1) // COHORT < (deeper - 1) // COHORT:
+            assert bias < deeper_bias, (head, deeper)
+        else:
+            rate = whole + predicted
+            error = 3 * math.sqrt(rate * (1 - rate) / head)
+            assert bias <= deeper_bias + error, (head, deeper)

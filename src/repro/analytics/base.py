@@ -659,9 +659,6 @@ class CommercialAnalytic(AuditEngine):
             sampled_ids = rng.sample(head_ids, sample)
         else:
             sampled_ids = list(head_ids)
-        # A row block lets the lazy world hand over profile columns
-        # instead of user objects; graph worlds and cached acquisitions
-        # hand back the object list, which classifies identically.
         users = self._crawler.lookup_users_block(sampled_ids)
         # Completeness = frame completeness x sample completeness x
         # timeline completeness: how much of the intended head frame

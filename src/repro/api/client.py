@@ -18,7 +18,7 @@ commercial tools run fleets (see ``repro.analytics``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.clock import SimClock
 from ..core.errors import (
@@ -35,6 +35,7 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, RetryState
 from ..obs.metrics import LATENCY_BUCKETS, WAIT_BUCKETS
 from ..obs.runtime import get_observability, weak_observability
+from ..twitter.columnar.schema import UserRowBlock
 from ..twitter.population import World
 from ..twitter.timeline import TimelineBlock
 from .endpoints import ApiCall, CallLog, IdsPage, UserObject
@@ -365,6 +366,16 @@ class TwitterApiClient:
 
     # -- users ----------------------------------------------------------------
 
+    @property
+    def profile_cache(self):
+        """The acquisition cache while it may serve profiles, else ``None``.
+
+        A hit is read again from the world at the pinned instant, so an
+        unpinned client (an engine used before its scheduler's first
+        ``run()``) fetches, charges and records no profile through it.
+        """
+        return self._acq_cache if self._observe_at is not None else None
+
     def users_show(self, *, screen_name: Optional[str] = None,
                    user_id: Optional[int] = None) -> UserObject:
         """``GET users/show`` — resolve one profile by handle or id.
@@ -376,67 +387,32 @@ class TwitterApiClient:
         if (screen_name is None) == (user_id is None):
             raise ConfigurationError(
                 "exactly one of screen_name/user_id must be given")
-        if self._acq_cache is not None:
-            hit = (self._acq_cache.get_profile_by_name(screen_name)
-                   if screen_name is not None
-                   else self._acq_cache.get_profile(user_id))
+        now = self._observed()
+        cache = self.profile_cache
+        if cache is not None:
+            hit = cache.fetched_id(user_id=user_id, screen_name=screen_name)
             if hit is not None:
                 self._acq_hit("users/lookup")
-                return hit
-        now = self._observed()
+                return UserObject.from_account(
+                    self._world.account_by_id(hit, now))
         if screen_name is not None:
             account = self._world.account_by_name(screen_name, now)
         else:
             account = self._world.account_by_id(user_id, now)
         self._execute("users/lookup", 1)
-        user = UserObject.from_account(account)
-        if self._acq_cache is not None:
-            self._acq_cache.put_profile(user)
-        return user
+        if cache is not None:
+            cache.note_shown(account.user_id, account.screen_name)
+        return UserObject.from_account(account)
 
-    def users_lookup(self, user_ids: Sequence[int]) -> List[UserObject]:
-        """``GET users/lookup`` — up to 100 profiles per request.
+    def users_lookup_block(self, user_ids: Sequence[int]) -> UserRowBlock:
+        """``GET users/lookup`` — up to 100 profiles per request, as rows.
 
-        Unknown ids are silently omitted from the response, as the real
-        endpoint does.
-        """
-        now = self._charge_lookup(user_ids)
-        users = self._world.user_objects(user_ids, now)
-        if self._acq_cache is not None:
-            for user in users:
-                self._acq_cache.put_profile(user)
-        return users
-
-    def users_lookup_block(self, user_ids: Sequence[int]):
-        """``users/lookup`` kept in columnar row form when possible.
-
-        Same endpoint, same charge, same observation-pinning rules as
-        :meth:`users_lookup`, but when the world can serve the batch as
-        a structured-row block (a :class:`~repro.twitter.SyntheticWorld`
-        resolving follower ids) the rows are returned as a
-        :class:`repro.twitter.columnar.schema.UserRowBlock` instead of
-        materialised user objects — the projection the engines' batch
-        criteria read columns from.  Falls back to :meth:`users_lookup`
-        semantics (a plain list) whenever the block path cannot apply:
-        an acquisition cache is attached (its unit is the profile
-        object), the world has no block projection, or the batch
-        contains non-follower ids.
-        """
-        row_block = getattr(self._world, "user_row_block", None)
-        if self._acq_cache is not None or row_block is None:
-            return self.users_lookup(user_ids)
-        now = self._charge_lookup(user_ids)
-        block = row_block(user_ids, now)
-        if block is None:
-            return self._world.user_objects(user_ids, now)
-        return block
-
-    def _charge_lookup(self, user_ids: Sequence[int]) -> float:
-        """Check and charge one ``users/lookup`` batch.
-
-        Returns the instant the profiles are observed at: the pinned
-        observation when a scheduler set one, else the completion time
-        of the request.
+        One charged request; the answer is the world's
+        :class:`~repro.twitter.columnar.schema.UserRowBlock` for the
+        batch, read at the pinned observation instant or else at the
+        request's completion.  Rows follow the input order; unknown ids
+        are silently omitted, as the real endpoint does.  The profile
+        cache, when one serves, records the ids paid for.
         """
         policy = self._limiter.policy("users/lookup")
         if not 1 <= len(user_ids) <= policy.elements_per_request:
@@ -444,8 +420,22 @@ class TwitterApiClient:
                 f"users/lookup takes 1..{policy.elements_per_request} ids, "
                 f"got {len(user_ids)}")
         completed = self._execute("users/lookup", len(user_ids))
-        return (self._observe_at if self._observe_at is not None
-                else completed)
+        now = (self._observe_at if self._observe_at is not None
+               else completed)
+        block = self._world.user_row_block(user_ids, now)
+        cache = self.profile_cache
+        if cache is not None:
+            cache.note_fetched(block.rows["user_id"].tolist())
+        return block
+
+    #: An alias kept only because ``hostbench/layers.py`` wraps this name.
+    users_lookup = users_lookup_block
+
+    def cached_profiles(self, user_ids: Sequence[int]) -> UserRowBlock:
+        """Rows of profiles the :attr:`profile_cache` has already paid
+        for, read again at the pinned instant: no request, no
+        rate-limit token, no latency."""
+        return self._world.user_row_block(user_ids, self._observe_at)
 
     # -- follower / friend listings ---------------------------------------------
 

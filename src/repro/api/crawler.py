@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,6 @@ from ..obs.runtime import get_observability
 from ..twitter.columnar.schema import ACCOUNT_DTYPE, UserRowBlock
 from ..twitter.timeline import TimelineBlock
 from .client import DEFAULT_REQUEST_LATENCY, TwitterApiClient
-from .endpoints import UserObject
 from .frame import IdFrame
 from .ratelimit import DEFAULT_POLICIES, RateLimitPolicy
 
@@ -197,100 +197,64 @@ class Crawler:
         return AnchoredHeadWalk(new_ids=new_ids, anchor_index=anchor_index,
                                 pages=pages, degraded=degraded)
 
-    def lookup_users(self, user_ids: Sequence[int]) -> List[UserObject]:
-        """Resolve profiles in ``users/lookup`` batches of 100.
+    def lookup_users_block(self, user_ids: Sequence[int]) -> UserRowBlock:
+        """Resolve profiles in ``users/lookup`` batches of 100, as rows.
 
-        When the client carries a shared acquisition cache, profiles
-        already fetched by *any* engine of the batch are served from it
-        and only the misses are spent against the rate limit; the
-        returned list always preserves the input id order (with
-        unresolvable ids omitted), exactly like the uncached path.
+        Returns one :class:`UserRowBlock` in input order, with
+        unresolvable ids omitted, exactly as the endpoint answers.  A
+        batch whose retries run out is dropped (the ``crawl.lookup``
+        span is marked degraded) and the rest still resolve.  While the
+        client has a profile cache, profiles any engine of the batch
+        already paid for are read again for free, and only the misses
+        are batched and charged.
         """
-        return self._lookup(user_ids, self._client.users_lookup)
-
-    def lookup_users_block(self, user_ids: Sequence[int]):
-        """Resolve profiles, keeping them columnar when the world can.
-
-        The batch-criteria acquisition path: identical request charges,
-        span shape and degradation behaviour to :meth:`lookup_users`,
-        but each batch goes through
-        :meth:`TwitterApiClient.users_lookup_block` so a lazy world
-        returns structured rows.  When every batch resolved as rows the
-        result is one merged ``UserRowBlock`` (which still quacks like
-        a user-object sequence); any object-path fallback flattens the
-        whole result to a plain list.  With a shared acquisition cache
-        the profile-object cached path is used unchanged.
-        """
-        return self._lookup(user_ids, self._client.users_lookup_block)
-
-    def _lookup(self, user_ids: Sequence[int], lookup):
-        """The ``crawl.lookup`` span around one ``lookup`` per batch.
-
-        Row-block batches are copied into one block as they arrive, so
-        a large sample never holds its batches and their merge at once;
-        the first object-list batch flattens the result to a list.
-        """
-        cache = self._client.acquisition_cache
-        if cache is not None:
-            return self._lookup_users_cached(user_ids, cache)
+        cache = self._client.profile_cache
         with self._tracer.span("crawl.lookup", self._client.clock,
                                requested=len(user_ids)) as span:
-            rows = None
+            fetched, missing = ([], user_ids) if cache is None else \
+                cache.split_fetched(user_ids)
+            parts = self._lookup_batches(missing, span)
+            if fetched:
+                parts = chain([self._client.cached_profiles(fetched)], parts)
+            # Batches are copied into one block as they arrive, so a
+            # large sample never holds its batches and their merge at
+            # once.
+            rows = np.empty(len(user_ids), dtype=ACCOUNT_DTYPE)
             filled = 0
-            users: Optional[List[UserObject]] = None
-            for part in self._lookup_batches(user_ids, lookup, span):
-                if users is None and isinstance(part, UserRowBlock):
-                    if rows is None:
-                        rows = np.empty(len(user_ids), dtype=ACCOUNT_DTYPE)
-                    rows[filled:filled + len(part)] = part.rows
-                    filled += len(part)
-                    continue
-                if users is None:
-                    users = list(UserRowBlock(rows[:filled])) if filled else []
-                users.extend(part)
-            span.set_attribute("resolved",
-                               filled if users is None else len(users))
-        if users is None:
-            return UserRowBlock(rows[:filled]) if filled else []
-        return users
+            for part in parts:
+                rows[filled:filled + len(part)] = part.rows
+                filled += len(part)
+            rows = rows[:filled]
+            if fetched:
+                # Hits came first: give each id its row at its input
+                # place (twice if listed twice).
+                at = {uid: row for row, uid
+                      in enumerate(rows["user_id"].tolist())}
+                rows = rows[[at[uid] for uid in user_ids if uid in at]]
+            span.set_attribute("resolved", filled)
+            if cache is not None:
+                span.set_attribute("cache_hits", len(fetched))
+        return UserRowBlock(rows)
 
-    def _lookup_batches(self, user_ids: Sequence[int], lookup, span):
-        """``lookup`` over ``users/lookup``-sized batches of ``user_ids``.
+    #: An alias kept only because ``hostbench/layers.py`` wraps this name.
+    lookup_users = lookup_users_block
 
-        Yields each batch's result.  Batches are independent: one whose
-        retries run out is dropped (marking ``span`` degraded) and the
-        rest of the sample still resolves.
+    def _lookup_batches(self, user_ids: Sequence[int], span):
+        """``users/lookup`` over batches of at most 100 of ``user_ids``.
+
+        Yields each batch's row block.  Batches are independent: one
+        whose retries run out is dropped (marking ``span`` degraded)
+        and the rest of the sample still resolves.
         """
         batch_size = self._client.policy("users/lookup").elements_per_request
         for start in range(0, len(user_ids), batch_size):
             try:
-                part = lookup(list(user_ids[start:start + batch_size]))
+                part = self._client.users_lookup_block(
+                    list(user_ids[start:start + batch_size]))
             except RetryableApiError:
                 span.set_attribute("degraded", True)
                 continue
             yield part
-
-    def _lookup_users_cached(self, user_ids: Sequence[int],
-                             cache) -> List[UserObject]:
-        """Cache-aware variant: re-batch only the cache misses."""
-        with self._tracer.span("crawl.lookup", self._client.clock,
-                               requested=len(user_ids)) as span:
-            resolved = {}
-            missing: List[int] = []
-            for uid in user_ids:
-                hit = cache.get_profile(uid)
-                if hit is not None:
-                    resolved[uid] = hit
-                else:
-                    missing.append(uid)
-            for part in self._lookup_batches(
-                    missing, self._client.users_lookup, span):
-                for user in part:
-                    resolved[user.user_id] = user
-            users = [resolved[uid] for uid in user_ids if uid in resolved]
-            span.set_attribute("resolved", len(users))
-            span.set_attribute("cache_hits", len(user_ids) - len(missing))
-        return users
 
     def fetch_timelines(self, user_ids: Sequence[int],
                         per_user: int = TIMELINE_PAGE

@@ -60,7 +60,7 @@ def validate_model(followers: int = 60_000, seed: int = 3) -> EmpiricalCrawl:
     crawler = Crawler(client)
     start = clock.now()
     ids = crawler.fetch_all_follower_ids("bigone")
-    crawler.lookup_users(ids)
+    crawler.lookup_users_block(ids)
     measured = clock.now() - start
     predicted = estimate_acquisition_time(followers).seconds
     return EmpiricalCrawl(

@@ -65,7 +65,7 @@ def measure_rate_limit(resource: str, *, windows: float = 2.0,
             client.friends_ids(user_id=follower,
                                count=policy.elements_per_request)
         elif resource == "users/lookup":
-            client.users_lookup([follower])
+            client.users_lookup_block([follower])
         elif resource == "statuses/user_timeline":
             client.user_timeline(follower, count=1)
         else:

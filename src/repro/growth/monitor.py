@@ -114,14 +114,15 @@ class GrowthMonitor:
         for start in range(0, len(pending), 100):
             page = pending[start:start + 100]
             try:
-                users = self._client.users_lookup_block(page)
+                rows = self._client.users_lookup_block(page).rows
             except RetryableApiError:
                 continue
-            for user in users:
-                handle = handle_of[user.user_id]
-                counts[handle] = user.followers_count
+            for user_id, followers in zip(rows["user_id"].tolist(),
+                                          rows["followers_count"].tolist()):
+                handle = handle_of[user_id]
+                counts[handle] = followers
                 if live is not None:
-                    live.observe_followers(handle, now, user.followers_count)
+                    live.observe_followers(handle, now, followers)
         return counts
 
     def observe(self, handle: str, days: int) -> GrowthSeries:

@@ -10,6 +10,10 @@ scheduler pins every audit of a batch to one observation instant
 (:attr:`repro.audit.AuditRequest.as_of`), so a cached read returns
 byte-identical data to a fresh one.
 
+Profiles are not stored: the cache records the ids the batch paid for,
+and a hit is read again from the world at the pinned instant, so the
+client consults it for profiles only while an instant is pinned.
+
 The cache is deliberately dumb: exact-key lookups, no TTL, no bound.
 It lives for one batch (the scheduler clears it at every ``run()``,
 because a new batch pins a new observation epoch and entries from the
@@ -21,9 +25,9 @@ serial baseline's makespan.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..api.endpoints import IdsPage, UserObject
+from ..api.endpoints import IdsPage
 from ..obs.metrics import CacheInfo
 from ..obs.runtime import get_observability
 from ..twitter.timeline import TimelineBlock
@@ -35,13 +39,14 @@ class AcquisitionCache:
     Three stores, mirroring the three acquisition shapes of
     :class:`repro.api.client.TwitterApiClient`:
 
-    * **profiles** — by user id, with a secondary index by lowercased
-      screen name (``users/show`` resolves either way);
+    * **profiles** — the ids already fetched, with an index by
+      lowercased screen name (``users/show`` resolves either way); the
+      profiles themselves are read again on a hit;
     * **id pages** — by ``(resource, user_id, offset, page_size)``,
       exactly the tuple a paged ``followers/ids`` request names;
     * **timelines** — by ``(user_id, count)``.
 
-    All values are immutable (frozen dataclasses, tuples, timeline
+    Stored values are immutable (frozen dataclasses, tuples, timeline
     blocks), so handing the same object to several engines is safe.
     Metric series (``acq_cache_events_total``) are created lazily on
     first use so runs that never touch a scheduler export
@@ -50,7 +55,7 @@ class AcquisitionCache:
 
     def __init__(self, name: str = "acquisition") -> None:
         self._name = name
-        self._profiles: Dict[int, UserObject] = {}
+        self._profiles: Set[int] = set()
         self._by_name: Dict[str, int] = {}
         self._pages: Dict[Tuple[str, int, int, int], IdsPage] = {}
         self._timelines: Dict[Tuple[int, int], Tuple] = {}
@@ -67,43 +72,65 @@ class AcquisitionCache:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _hit(self) -> None:
-        self.hits += 1
+    def _hit(self, count: int = 1) -> None:
+        if not count:
+            return
+        self.hits += count
         if self._hit_counter is None:
             self._hit_counter = self._registry.counter(
                 "acq_cache_events_total",
                 help="shared acquisition-cache lookups by outcome",
                 cache=self._name, event="hit")
-        self._hit_counter.inc()
+        self._hit_counter.inc(count)
 
-    def _miss(self) -> None:
-        self.misses += 1
+    def _miss(self, count: int = 1) -> None:
+        if not count:
+            return
+        self.misses += count
         if self._miss_counter is None:
             self._miss_counter = self._registry.counter(
                 "acq_cache_events_total",
                 help="shared acquisition-cache lookups by outcome",
                 cache=self._name, event="miss")
-        self._miss_counter.inc()
+        self._miss_counter.inc(count)
 
     # -- profiles -------------------------------------------------------------
 
-    def get_profile(self, user_id: int) -> Optional[UserObject]:
-        """The cached profile for ``user_id``, or ``None``."""
-        user = self._profiles.get(user_id)
-        self._hit() if user is not None else self._miss()
-        return user
+    def fetched_id(self, *, user_id: Optional[int] = None,
+                   screen_name: Optional[str] = None) -> Optional[int]:
+        """The id of a profile this batch paid for, named by id or
+        (case-insensitive) handle; ``None`` on a miss."""
+        if screen_name is not None:
+            user_id = self._by_name.get(screen_name.lower())
+        if user_id is not None and user_id in self._profiles:
+            self._hit()
+            return user_id
+        self._miss()
+        return None
 
-    def get_profile_by_name(self, screen_name: str) -> Optional[UserObject]:
-        """The cached profile for ``screen_name`` (case-insensitive)."""
-        uid = self._by_name.get(screen_name.lower())
-        user = self._profiles.get(uid) if uid is not None else None
-        self._hit() if user is not None else self._miss()
-        return user
+    def split_fetched(self, user_ids: Sequence[int]
+                      ) -> Tuple[List[int], List[int]]:
+        """``user_ids`` as ``(fetched, missing)``, each in input order.
 
-    def put_profile(self, user: UserObject) -> None:
-        """Store one resolved profile under both of its keys."""
-        self._profiles[user.user_id] = user
-        self._by_name[user.screen_name.lower()] = user.user_id
+        One hit or miss is counted per id, duplicates included.
+        """
+        fetched: List[int] = []
+        missing: List[int] = []
+        profiles = self._profiles
+        for uid in user_ids:
+            (fetched if uid in profiles else missing).append(uid)
+        self._hit(len(fetched))
+        self._miss(len(missing))
+        return fetched, missing
+
+    def note_fetched(self, user_ids: Iterable[int]) -> None:
+        """Record ``users/lookup`` profiles just paid for."""
+        self._profiles.update(user_ids)
+
+    def note_shown(self, user_id: int, screen_name: str) -> None:
+        """Record a ``users/show`` profile under its id and its handle."""
+        self._profiles.add(user_id)
+        self._by_name[screen_name.lower()] = user_id
 
     # -- follower / friend id pages -------------------------------------------
 

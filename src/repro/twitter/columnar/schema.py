@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ...core.errors import ConfigurationError
-from ..account import STRING_WIDTHS, BehaviorProfile
+from ..account import LABELS, STRING_WIDTHS, BehaviorProfile
 
 
 ACCOUNT_DTYPE = np.dtype([
@@ -62,6 +62,9 @@ _NAMES = ACCOUNT_DTYPE.names
 _PROFILE_COLUMNS = _NAMES[:_NAMES.index("last_tweet_at")]
 _BEHAVIOR_COLUMNS = _NAMES[_NAMES.index("tweets_per_day"):_NAMES.index("label")]
 _profile_values = attrgetter(*_PROFILE_COLUMNS)
+_account_profile = attrgetter(*_PROFILE_COLUMNS, "last_tweet_at")
+_behavior_values = attrgetter(*_BEHAVIOR_COLUMNS)
+_LABEL_INDEX = {label: index for index, label in enumerate(LABELS)}
 #: ``(tuple index, field, width)`` of each fixed-width text column.
 _TEXT_SLOTS = tuple(
     (index, field, STRING_WIDTHS[field])
@@ -72,21 +75,38 @@ _NEVER_TWEETED = float("nan")
 _NO_BEHAVIOR = (0,) * (len(_BEHAVIOR_COLUMNS) + 1)
 
 
-def _profile_row(user, last_at: Optional[float]) -> tuple:
-    """The profile columns of a user object.
+def _profile_row(values: tuple, last_at: Optional[float]) -> tuple:
+    """The profile columns, from the values before ``last_tweet_at``.
 
     Refuses a text value its fixed-width column cannot round-trip: one
     longer than the width, or one ending in NUL (NumPy strips trailing
     NULs when it reads a ``U`` field back).
     """
-    values = _profile_values(user)
     for index, field, width in _TEXT_SLOTS:
         value = values[index]
         if len(value) > width or value.endswith("\x00"):
             raise ConfigurationError(
-                f"user {user.user_id} field {field!r} cannot round-trip "
+                f"user {values[0]} field {field!r} cannot round-trip "
                 f"through the columnar width {width}: {value!r}")
     return values + (_NEVER_TWEETED if last_at is None else last_at,)
+
+
+def profile_record(profile: tuple, behavior: BehaviorProfile,
+                   label) -> tuple:
+    """One :data:`ACCOUNT_DTYPE` record tuple.
+
+    ``profile`` holds the values of the :class:`Account` fields up to
+    and including ``last_tweet_at`` (``None``: never tweeted), in field
+    order.  Refuses lossy text values (see :func:`_profile_row`).
+    """
+    return (_profile_row(profile[:-1], profile[-1])
+            + _behavior_values(behavior) + (_LABEL_INDEX[label],))
+
+
+def account_record(account) -> tuple:
+    """An :class:`~repro.twitter.account.Account` as one record tuple."""
+    return profile_record(_account_profile(account), account.behavior,
+                          account.true_label)
 
 
 def _last_tweet_at(row: np.void) -> Optional[float]:
@@ -155,5 +175,6 @@ class UserRowBlock(Sequence):
         values (see :func:`_profile_row`).
         """
         return cls(np.array(
-            [_profile_row(user, user.last_status_at) + _NO_BEHAVIOR
+            [_profile_row(_profile_values(user), user.last_status_at)
+             + _NO_BEHAVIOR
              for user in users], dtype=ACCOUNT_DTYPE))

@@ -1,7 +1,7 @@
 """The lazy world under the names the host benchmark imports.
 
-:class:`repro.twitter.population.SyntheticWorld` serves follower
-profiles both as user objects and as structured row blocks
+:class:`repro.twitter.population.SyntheticWorld` serves every
+``users/lookup`` as a structured row block
 (:meth:`~repro.twitter.population.SyntheticWorld.user_row_block`).
 """
 

@@ -124,10 +124,10 @@ class FollowerColumns:
     """A batch of generated accounts, as per-persona column groups.
 
     Row ``i`` is the account with ``user_ids[i]``.  Nothing is rendered
-    until asked: :meth:`user_objects` and :meth:`profile_rows` render
-    text from codes, :meth:`accounts` builds
-    :class:`~repro.twitter.account.Account` objects, and
-    :meth:`timeline_profile` reads only what timeline synthesis needs.
+    until asked: :meth:`profile_rows` renders text from codes,
+    :meth:`accounts` builds :class:`~repro.twitter.account.Account`
+    objects, and :meth:`timeline_profile` reads only what timeline
+    synthesis needs.
     """
 
     __slots__ = ("user_ids", "_groups")
@@ -174,21 +174,6 @@ class FollowerColumns:
                 urls[url].format(handle), bool(dpi), False,
                 followers, friends, statuses, last,
             ), behavior
-
-    def user_objects(self) -> list:
-        """Every row as an API :class:`~repro.api.endpoints.UserObject`."""
-        from ..api.endpoints import UserObject  # deferred: api imports twitter
-
-        users = [None] * len(self)
-        for group in self._groups:
-            for row, (user_id, handle, created, name, description, location,
-                      url, dpi, verified, followers, friends, statuses,
-                      last), __ in self._records(group):
-                users[row] = UserObject(
-                    user_id, handle, name, created, description, location,
-                    url, dpi, verified, followers, friends, statuses,
-                    None if last != last else last)
-        return users
 
     def profile_rows(self) -> list:
         """Every row as an :data:`ACCOUNT_DTYPE` record tuple."""

@@ -39,7 +39,7 @@ from ..core.errors import (
 )
 from ..core.rng import WeightedTable
 from ..core.timeutil import DAY, HOUR, TWITTER_LAUNCH
-from .account import Account, BehaviorProfile, Label
+from .account import STRING_WIDTHS, Account, BehaviorProfile, Label
 from .columns import FollowerColumns, sample_columns
 from .draws import draw_matrix, persona_uniforms, stream_keys
 from .personas import PERSONAS, Persona, persona_mix_from_labels
@@ -335,6 +335,15 @@ class TargetSpec:
             raise ConfigurationError("target cannot predate Twitter's launch")
         if self.daily_new_followers < 0:
             raise ConfigurationError("daily_new_followers must be >= 0")
+        # The target's own users/lookup row holds these texts.
+        for field_name, text in (
+                ("screen_name", self.screen_name),
+                ("name", self.display_name or self.screen_name),
+                ("description", self.description)):
+            if len(text) > STRING_WIDTHS[field_name] or text.endswith("\x00"):
+                raise ConfigurationError(
+                    f"target {field_name} {text!r} does not fit its "
+                    f"{STRING_WIDTHS[field_name]}-character row column")
 
 
 #: Persona tables by mix: sorted ``(name, weight, Persona)`` triples.
@@ -613,8 +622,8 @@ class World:
 
         Unknown/suspended ids are silently dropped, exactly as the real
         ``users/lookup`` endpoint omits them from its response.  This is
-        the object path that :meth:`SyntheticWorld.user_row_block` must
-        match row for row.
+        the object oracle that :meth:`user_row_block` must match row for
+        row.
         """
         from ..api.endpoints import UserObject  # deferred: api imports this module
 
@@ -626,6 +635,15 @@ class World:
                 continue
             users.append(UserObject.from_account(account))
         return users
+
+    def user_row_block(self, user_ids: Sequence[int],
+                       now: float) -> "UserRowBlock":
+        """``users/lookup`` as one row block: the :meth:`user_objects`
+        answer packed by :meth:`UserRowBlock.from_users` (behaviour and
+        label columns zeroed)."""
+        from .columnar.schema import UserRowBlock
+
+        return UserRowBlock.from_users(self.user_objects(user_ids, now))
 
 
 class SyntheticWorld(World):
@@ -675,30 +693,48 @@ class SyntheticWorld(World):
 
     # -- account resolution --------------------------------------------------
 
-    def _target_account(self, ordinal: int, now: float) -> Account:
+    def _target_profile(self, ordinal: int, now: float) -> tuple:
+        """A target's profile at ``now``: its :class:`Account` fields up
+        to ``last_tweet_at``, in field order."""
         population = self._populations[ordinal]
         spec = population.spec
-        last_tweet = None
         statuses = spec.statuses_count
-        if statuses > 0:
-            last_tweet = max(spec.created_at, now - 2 * HOUR)
-        return Account(
-            user_id=target_id(ordinal),
-            screen_name=spec.screen_name,
-            created_at=spec.created_at,
-            name=spec.display_name or spec.screen_name,
-            description=spec.description,
-            location="",
-            url="",
-            default_profile_image=False,
-            verified=spec.verified,
-            followers_count=population.size_at(now),
-            friends_count=spec.friends_count,
-            statuses_count=statuses,
-            last_tweet_at=last_tweet,
-            behavior=spec.behavior,
-            true_label=Label.GENUINE,
-        )
+        return (target_id(ordinal), spec.screen_name, spec.created_at,
+                spec.display_name or spec.screen_name, spec.description,
+                "", "", False, spec.verified, population.size_at(now),
+                spec.friends_count, statuses,
+                max(spec.created_at, now - 2 * HOUR) if statuses > 0
+                else None)
+
+    def _target_account(self, ordinal: int, now: float) -> Account:
+        return Account(*self._target_profile(ordinal, now),
+                       behavior=self._populations[ordinal].spec.behavior,
+                       true_label=Label.GENUINE)
+
+    def _record(self, user_id: int, now: float) -> Optional[tuple]:
+        """The row of a target or ambient id, ``None`` if it is unknown.
+
+        A target's row comes straight from its spec, with no
+        :class:`Account` in between.
+        """
+        from .columnar.schema import account_record, profile_record
+
+        try:
+            if namespace_of(user_id) != TARGET_TAG:
+                return account_record(self.account_by_id(user_id, now))
+            ordinal = self._ordinal(user_id)
+        except UnknownAccountError:
+            return None
+        return profile_record(self._target_profile(ordinal, now),
+                              self._populations[ordinal].spec.behavior,
+                              Label.GENUINE)
+
+    def _ordinal(self, user_id: int) -> int:
+        """The registered target ordinal a target id names."""
+        ordinal = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
+        if ordinal >= len(self._populations):
+            raise UnknownAccountError(user_id)
+        return ordinal
 
     def _ambient_account(self, index: int, now: float) -> Account:
         rng = ambient_rng(self._seed, index)
@@ -709,10 +745,7 @@ class SyntheticWorld(World):
     def account_by_id(self, user_id: int, now: float) -> Account:
         tag = namespace_of(user_id)
         if tag == TARGET_TAG:
-            ordinal = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
-            if ordinal >= len(self._populations):
-                raise UnknownAccountError(user_id)
-            return self._target_account(ordinal, now)
+            return self._target_account(self._ordinal(user_id), now)
         if tag == FOLLOWER_TAG:
             population, position = self._follower(user_id, now)
             return population.account_at(position, now)
@@ -733,9 +766,7 @@ class SyntheticWorld(World):
 
     def follower_count(self, user_id: int, now: float) -> int:
         if namespace_of(user_id) == TARGET_TAG:
-            ordinal = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
-            if ordinal < len(self._populations):
-                return self._populations[ordinal].size_at(now)
+            return self._populations[self._ordinal(user_id)].size_at(now)
         return self.account_by_id(user_id, now).followers_count
 
     def follower_ids(self, user_id: int, start: int, stop: int,
@@ -745,10 +776,7 @@ class SyntheticWorld(World):
             # an empty list matches what engines observe for accounts
             # they never audit as targets.
             return []
-        ordinal = user_id & ((1 << _NAMESPACE_SHIFT) - 1)
-        if ordinal >= len(self._populations):
-            raise UnknownAccountError(user_id)
-        population = self._populations[ordinal]
+        population = self._populations[self._ordinal(user_id)]
         size = population.size_at(now)
         start = max(0, min(start, size))
         stop = max(start, min(stop, size))
@@ -798,23 +826,6 @@ class SyntheticWorld(World):
             if len(rows):
                 yield rows, population.follower_columns(positions[rows], now)
 
-    def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
-        from ..api.endpoints import UserObject  # deferred: api imports this module
-
-        ids = _id_array(user_ids)
-        users: List[Optional[UserObject]] = [None] * len(ids)
-        for rows, columns in self._follower_batches(ids, now):
-            for row, user in zip(rows.tolist(), columns.user_objects()):
-                users[row] = user
-        others = (ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG
-        for row in np.flatnonzero(others).tolist():
-            try:
-                account = self.account_by_id(int(ids[row]), now)
-            except UnknownAccountError:
-                continue
-            users[row] = UserObject.from_account(account)
-        return [user for user in users if user is not None]
-
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         if namespace_of(user_id) == FOLLOWER_TAG:
             population, position = self._follower(user_id, now)
@@ -825,28 +836,28 @@ class SyntheticWorld(World):
             self.account_by_id(user_id, now), count)
 
     def user_row_block(self, user_ids: Sequence[int],
-                       now: float) -> Optional["UserRowBlock"]:
-        """``users/lookup`` as one structured-row block, when possible.
+                       now: float) -> "UserRowBlock":
+        """``users/lookup`` as one structured-row block.
 
         The input the engines' criteria classify without materialising
         user objects: each target's resolvable followers are generated
         as one batch of columns and rendered to
         :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` record
-        tuples, and one ``np.array`` call packs them all.
-        Order, duplicates and the silent omission of unknown ids match
-        :meth:`user_objects`.  Returns ``None`` when any id falls
-        outside the follower namespace (targets, ambient accounts):
-        those have no rows, so the caller takes the object path.
+        tuples, a target's row is built from its spec and an ambient
+        account's from its :class:`Account`, and one ``np.array`` call
+        packs them all.  Order, duplicates and the silent omission of
+        unknown ids match :meth:`user_objects`.
         """
         from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock
 
         ids = _id_array(user_ids)
-        if np.any((ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG):
-            return None
         records = [None] * len(ids)
         for rows, columns in self._follower_batches(ids, now):
             for row, record in zip(rows.tolist(), columns.profile_rows()):
                 records[row] = record
+        others = (ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG
+        for row in np.flatnonzero(others).tolist():
+            records[row] = self._record(int(ids[row]), now)
         return UserRowBlock(np.array(
             [record for record in records if record is not None],
             dtype=ACCOUNT_DTYPE))

@@ -2,8 +2,8 @@
 
 The guide's code block is the advertised way to add an engine, so it
 is executed verbatim here and audited against a small world, with
-row-block and user-object lookups and through the batch scheduler's
-step protocol.
+the lazy world's rows and rows packed from its user objects, and
+through the batch scheduler's step protocol.
 """
 
 import pathlib

@@ -105,20 +105,20 @@ class TestUsersLookup:
     def test_batch_of_100(self, client, small_world):
         population = small_world.population("smalltown")
         ids = [population.follower_id_at(p) for p in range(100)]
-        users = client.users_lookup(ids)
+        users = client.users_lookup_block(ids)
         assert len(users) == 100
 
     def test_unknown_ids_silently_dropped(self, client, small_world):
         population = small_world.population("smalltown")
         ids = [population.follower_id_at(0), 999_999_999]
-        users = client.users_lookup(ids)
+        users = client.users_lookup_block(ids)
         assert len(users) == 1
 
     def test_batch_size_enforced(self, client):
         with pytest.raises(ConfigurationError):
-            client.users_lookup(list(range(101)))
+            client.users_lookup_block(list(range(101)))
         with pytest.raises(ConfigurationError):
-            client.users_lookup([])
+            client.users_lookup_block([])
 
 
 class TestTimeline:

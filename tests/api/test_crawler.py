@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Crawler, TwitterApiClient, estimate_acquisition_time
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, SimClock
+from repro.sched import AcquisitionCache
 from repro.twitter.columnar.schema import UserRowBlock
 
 
@@ -39,12 +40,15 @@ class TestFetching:
     def test_lookup_users_batches(self, crawler, small_world):
         population = small_world.population("smalltown")
         ids = [population.follower_id_at(p) for p in range(250)]
-        users = crawler.lookup_users(ids)
+        users = crawler.lookup_users_block(ids)
         assert len(users) == 250
         assert crawler.client.call_log.count("users/lookup") == 3
 
     def test_lookup_users_empty(self, crawler):
-        assert crawler.lookup_users([]) == []
+        block = crawler.lookup_users_block([])
+        assert isinstance(block, UserRowBlock)
+        assert len(block) == 0
+        assert crawler.client.call_log.count("users/lookup") == 0
 
     def test_lookup_users_block_merges_row_batches(self, crawler,
                                                    small_world):
@@ -53,21 +57,21 @@ class TestFetching:
         ids = [population.follower_id_at(p) for p in range(250)]
         block = crawler.lookup_users_block(ids)
         assert isinstance(block, UserRowBlock)
-        assert list(block) == crawler.lookup_users(ids)
-        assert crawler.client.call_log.count("users/lookup") == 6
+        assert list(block) == small_world.user_objects(ids, PAPER_EPOCH)
+        assert crawler.client.call_log.count("users/lookup") == 3
 
-    def test_lookup_users_block_flattens_on_object_batch(self, crawler,
-                                                         small_world):
-        """A batch the world cannot serve as rows (a target id) turns
-        the whole result into the object list ``lookup_users`` gives."""
+    def test_mixed_batch_answers_rows_in_input_order(self, crawler,
+                                                     small_world):
+        """A target id among followers still answers one row block."""
         crawler.client.pin_observation(PAPER_EPOCH)
         population = small_world.population("smalltown")
         target = small_world.account_by_name("smalltown", PAPER_EPOCH)
         ids = [population.follower_id_at(p) for p in range(150)]
-        users = crawler.lookup_users_block(ids + [target.user_id])
-        assert isinstance(users, list)
-        assert users == crawler.lookup_users(ids + [target.user_id])
-        assert len(users) == 151
+        ids.insert(120, target.user_id)
+        block = crawler.lookup_users_block(ids)
+        assert isinstance(block, UserRowBlock)
+        assert block.rows["user_id"].tolist() == ids
+        assert list(block) == small_world.user_objects(ids, PAPER_EPOCH)
 
     def test_fetch_timelines(self, crawler, small_world):
         population = small_world.population("smalltown")
@@ -76,6 +80,65 @@ class TestFetching:
         assert set(timelines) == set(ids)
         assert crawler.client.call_log.count("statuses/user_timeline") == 5
 
+
+class TestCachedLookups:
+    """The shared acquisition cache records ids, not profiles."""
+
+    @staticmethod
+    def cached_crawler(world, cache, pin=PAPER_EPOCH):
+        client = TwitterApiClient(world, SimClock(PAPER_EPOCH),
+                                  acquisition_cache=cache)
+        client.pin_observation(pin)
+        return Crawler(client)
+
+    def test_cached_lookup_equals_uncached_rows_and_charges_misses(
+            self, small_world):
+        population = small_world.population("smalltown")
+        first = [population.follower_id_at(p) for p in range(0, 300, 2)]
+        second = [population.follower_id_at(p) for p in range(250, 0, -1)]
+        cache = AcquisitionCache()
+        self.cached_crawler(small_world, cache).lookup_users_block(first)
+        crawler = self.cached_crawler(small_world, cache)
+        block = crawler.lookup_users_block(second)
+        uncached = Crawler(
+            TwitterApiClient(small_world, SimClock(PAPER_EPOCH)))
+        uncached.client.pin_observation(PAPER_EPOCH)
+        assert block.rows.tobytes() == \
+            uncached.lookup_users_block(second).rows.tobytes()
+        misses = [uid for uid in second if uid not in set(first)]
+        assert len(misses) == 125
+        calls = crawler.client.call_log.calls("users/lookup")
+        assert [call.items for call in calls] == [100, 25]
+        assert cache.stats()["hits"] == 125
+        assert cache.stats()["misses"] == len(first) + len(misses)
+
+    def test_cached_users_show_reads_the_world_again(self, small_world):
+        cache = AcquisitionCache()
+        crawler = self.cached_crawler(small_world, cache)
+        shown = crawler.client.users_show(screen_name="smalltown")
+        again = self.cached_crawler(small_world, cache).client
+        assert again.users_show(screen_name="SMALLTOWN") == shown
+        assert again.users_show(user_id=shown.user_id) == shown
+        assert again.call_log.count("users/lookup") == 0
+
+    def test_unpinned_client_neither_reads_nor_records_the_cache(
+            self, small_world):
+        """Hits are read again at the pinned instant, so an unpinned
+        client (an engine used before its scheduler's first run) fetches
+        and charges every profile and leaves the cache untouched."""
+        population = small_world.population("smalltown")
+        ids = [population.follower_id_at(p) for p in range(120)]
+        cache = AcquisitionCache()
+        self.cached_crawler(small_world, cache).lookup_users_block(ids)
+        unpinned = self.cached_crawler(small_world, cache, pin=None)
+        assert unpinned.client.profile_cache is None
+        block = unpinned.lookup_users_block(
+            ids + [population.follower_id_at(500)])
+        assert len(block) == 121
+        assert unpinned.client.call_log.count("users/lookup") == 2
+        unpinned.client.users_show(screen_name="smalltown")
+        assert unpinned.client.call_log.count("users/lookup") == 3
+        assert cache.stats() == {"hits": 0, "misses": 120, "entries": 120}
 
 class TestAcquisitionEstimate:
     def test_obama_takes_weeks(self):
@@ -122,7 +185,7 @@ class TestAcquisitionEstimate:
         crawler = Crawler(TwitterApiClient(small_world, clock))
         start = clock.now()
         ids = crawler.fetch_all_follower_ids("smalltown")
-        crawler.lookup_users(ids)
+        crawler.lookup_users_block(ids)
         measured = clock.now() - start
         predicted = estimate_acquisition_time(12_000).seconds
         assert measured == pytest.approx(predicted, rel=0.05)

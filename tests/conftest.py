@@ -13,17 +13,21 @@ import pytest
 from repro.core import PAPER_EPOCH, SimClock
 from repro.fc import build_gold_standard, default_detector
 from repro.twitter import add_simple_target, build_world
+from repro.twitter.columnar.schema import UserRowBlock
 
 
 def object_lookups(world):
-    """A view of ``world`` with its row-block lookup hidden.
+    """A view of ``world`` whose lookups are packed from user objects.
 
-    ``users/lookup`` on the view falls back to user-object lists, so
-    comparing an audit on the view with one on ``world`` compares the
-    object path with the row-block path over the same followers.
+    ``users/lookup`` on the view answers the rows
+    ``UserRowBlock.from_users(world.user_objects(...))`` -- the object
+    oracle, with behaviour and label columns zeroed -- so comparing an
+    audit on the view with one on ``world`` compares the object
+    rendering with the row rendering over the same followers.
     """
     view = copy.copy(world)
-    view.user_row_block = None
+    view.user_row_block = lambda user_ids, now: UserRowBlock.from_users(
+        world.user_objects(user_ids, now))
     return view
 
 

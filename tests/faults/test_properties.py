@@ -45,7 +45,7 @@ def drive(client: TwitterApiClient) -> None:
         cursor = page.next_cursor
     for start in range(0, min(len(ids), 300), 100):
         try:
-            client.users_lookup(ids[start:start + 100])
+            client.users_lookup_block(ids[start:start + 100])
         except RetryableApiError:
             pass
     if ids:

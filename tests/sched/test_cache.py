@@ -4,31 +4,32 @@ from repro.api.endpoints import IdsPage
 from repro.sched import AcquisitionCache
 
 
-def make_user(uid=7, name="Alice"):
-    """A minimal profile object with the two keys the cache indexes."""
-
-    class _User:
-        user_id = uid
-        screen_name = name
-
-    return _User()
-
-
 class TestProfiles:
     def test_miss_then_hit_by_id(self):
         cache = AcquisitionCache()
-        assert cache.get_profile(7) is None
-        user = make_user()
-        cache.put_profile(user)
-        assert cache.get_profile(7) is user
+        assert cache.fetched_id(user_id=7) is None
+        cache.note_fetched([7])
+        assert cache.fetched_id(user_id=7) == 7
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lookup_by_name_is_case_insensitive(self):
         cache = AcquisitionCache()
-        user = make_user(name="Alice")
-        cache.put_profile(user)
-        assert cache.get_profile_by_name("ALICE") is user
-        assert cache.get_profile_by_name("nobody") is None
+        cache.note_shown(7, "Alice")
+        assert cache.fetched_id(screen_name="ALICE") == 7
+        assert cache.fetched_id(screen_name="nobody") is None
+
+    def test_split_counts_one_outcome_per_id_in_input_order(self):
+        cache = AcquisitionCache()
+        cache.note_fetched([3, 1])
+        assert cache.split_fetched([1, 2, 3, 2, 1]) == ([1, 3, 1], [2, 2])
+        assert (cache.hits, cache.misses) == (3, 2)
+
+    def test_stores_no_profile(self):
+        """Only ids are kept: a hit is read again from the world."""
+        cache = AcquisitionCache()
+        cache.note_fetched([7, 8])
+        cache.note_shown(9, "Alice")
+        assert cache.size() == 3
 
 
 class TestPages:
@@ -55,7 +56,7 @@ class TestTimelines:
 class TestLifecycle:
     def test_size_counts_all_stores(self):
         cache = AcquisitionCache()
-        cache.put_profile(make_user())
+        cache.note_shown(7, "Alice")
         cache.put_page("followers/ids", 7, 0, 5000,
                        IdsPage(ids=(1,), next_cursor=0, previous_cursor=0))
         cache.put_timeline(7, 200, [])
@@ -63,9 +64,9 @@ class TestLifecycle:
 
     def test_clear_drops_entries_but_keeps_stats(self):
         cache = AcquisitionCache()
-        cache.put_profile(make_user())
-        cache.get_profile(7)
+        cache.note_fetched([7])
+        cache.fetched_id(user_id=7)
         cache.clear()
         assert cache.size() == 0
-        assert cache.get_profile(7) is None
+        assert cache.fetched_id(user_id=7) is None
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 0}

@@ -152,5 +152,5 @@ class TestBurstVisibility:
             screen_name="buyer").followers_count == len(listed) < 5000
         departed = population.follower_id_at(0)
         assert departed not in listed
-        assert [user.user_id for user in client.users_lookup([departed])] \
-            == [departed]
+        block = client.users_lookup_block([departed])
+        assert block.rows["user_id"].tolist() == [departed]

@@ -1,9 +1,11 @@
-"""Differential property suite: row-block vs object-list lookups.
+"""Differential property suite: row rendering vs object rendering.
 
-The lazy world answers ``users/lookup`` two ways: as a list of user
-objects (:meth:`~repro.twitter.SyntheticWorld.user_objects`) or as one
-structured-row block (:meth:`~repro.twitter.SyntheticWorld.user_row_block`).
-The contract is that the two are *indistinguishable* to every consumer:
+The lazy world renders its followers two ways: as a list of user
+objects (:meth:`~repro.twitter.SyntheticWorld.user_objects`, the test
+oracle) or as one structured-row block
+(:meth:`~repro.twitter.SyntheticWorld.user_row_block`, the form every
+``users/lookup`` answers).  The contract is that the two are
+*indistinguishable* to every consumer:
 the rows hold every generated account field exactly, and complete
 :class:`~repro.audit.AuditReport` outputs of all four engines — serial
 and batch — match exactly (dataclass equality over every field,
@@ -11,9 +13,10 @@ including response times and assessed-at instants) whichever form the
 engines were handed.  Each engine's verdicts on both forms must also
 equal the per-account oracle (``tests/analytics/criteria_oracle.py``).
 
-The object-list side runs on ``object_lookups(world)`` (see
-``tests/conftest.py``), a view of the same world whose row-block lookup
-is hidden, so ``users/lookup`` falls back to user objects.
+The object side runs on ``object_lookups(world)`` (see
+``tests/conftest.py``), a view of the same world whose ``users/lookup``
+packs its rows from ``user_objects`` through
+``UserRowBlock.from_users``.
 
 The matrix covers >= 5 seeds x the four target archetypes the paper's
 experiments are built from:
@@ -176,8 +179,8 @@ def test_serial_audit_reports_bit_identical(world_pair, detector):
 
 def test_batch_audit_digest_bit_identical(world_pair, detector):
     """Interleaved batch lanes without the shared acquisition cache
-    (whose unit is the profile object) classify row blocks on the
-    world and user objects on its view; the digests must agree."""
+    classify the world's rows and its view's rows packed from user
+    objects; the digests must agree."""
     world, objects, handle = world_pair
     row_report = _run_batch(world, handle, detector, shared_cache=False)
     object_report = _run_batch(objects, handle, detector,
@@ -230,9 +233,9 @@ def test_engine_batch_knob_scheduler_digest_bit_identical(
         world_pair, detector):
     """The serial scheduler's digest is lookup-form invariant too.
 
-    Serial mode runs without the shared acquisition cache, so the
-    world's lanes classify structured row blocks while its object
-    view's classify user objects.
+    Serial mode runs without the shared acquisition cache; the world's
+    lanes classify its rows, its object view's lanes rows packed from
+    user objects.
     """
     world, objects, handle = world_pair
     row_report = _run_batch(world, handle, detector, serial=True)

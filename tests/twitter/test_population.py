@@ -231,9 +231,45 @@ class TestSyntheticWorld:
                                                        ids[2], ids[5]]
         assert list(block) == expected
         assert list(world.user_row_block([], NOW)) == []
-        for foreign in (target_id(0), ambient_id(3), 2**70):
-            assert world.user_row_block(ids + [foreign], NOW) is None
         assert world.user_objects(ids + [2**70], NOW) == expected
+
+    def test_mixed_lookup_rows_follow_input_order(self, world):
+        """Followers, targets, ambient accounts and unknown ids in one
+        batch: one row per resolvable id, in input order, with the
+        omissions of ``user_objects``."""
+        first = world.population("first")
+        ids = [
+            ambient_id(3),
+            first.follower_id_at(0),
+            target_id(1),
+            2**70,                           # no int64: omitted
+            first.follower_id_at(8050),      # not yet followed: omitted
+            target_id(9),                    # no such target: omitted
+            ambient_id(AMBIENT_POOL_SIZE),   # outside the pool: omitted
+            target_id(0),
+            first.follower_id_at(7999),
+            target_id(1),                    # duplicate: answered twice
+        ]
+        block = world.user_row_block(ids, NOW)
+        assert block.rows["user_id"].tolist() == [
+            ids[0], ids[1], ids[2], ids[7], ids[8], ids[9]]
+        assert list(block) == world.user_objects(ids, NOW)
+
+    @pytest.mark.parametrize("field, text", [
+        ("screen_name", "h" * 21),
+        ("display_name", "n" * 25),
+        ("description", "d" * 49),
+        ("description", "ends in NUL\x00"),
+    ])
+    def test_target_text_must_fit_its_row(self, world, field, text):
+        """A target's lookup row holds its texts, so a spec whose text
+        the row cannot round-trip is refused when it is built."""
+        from dataclasses import replace
+
+        from repro.core import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            replace(world.population("first").spec, **{field: text})
 
     def test_lookup_asks_validity_once_per_target(self, world, monkeypatch):
         """A past snapshot's lookup batch asks each target's arrivals once,
@@ -253,12 +289,10 @@ class TestSyntheticWorld:
         population = world.population("first")
         ids = [population.follower_id_at(p) for p in range(0, 8000, 80)]
         assert len(ids) == 100
-        users = world.user_objects(ids, past)
-        assert 0 < len(users) < len(ids)
+        block = world.user_row_block(ids, past)
         assert len(calls) == 1
-        calls.clear()
-        assert list(world.user_row_block(ids, past)) == users
-        assert len(calls) == 1
+        assert 0 < len(block) < len(ids)
+        assert list(block) == world.user_objects(ids, past)
 
 
 class TestPostRefBurstSpec:

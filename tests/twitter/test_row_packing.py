@@ -18,7 +18,12 @@ from repro.twitter import add_simple_target, build_world, fake_purchase_burst
 from repro.twitter.account import Label
 from repro.twitter.columnar.schema import STRING_WIDTHS, UserRowBlock
 from repro.twitter.personas import PERSONAS, Persona
-from repro.twitter.population import follower_id
+from repro.twitter.population import (
+    AMBIENT_POOL_SIZE,
+    ambient_id,
+    follower_id,
+    target_id,
+)
 
 from .row_oracle import pack_accounts
 
@@ -43,16 +48,19 @@ def make_world(seed):
 
 
 def lookup_ids(world, now):
-    """Ids spanning both targets, with duplicates, positions not yet
-    followed at ``now`` and an ordinal no target has."""
+    """Ids spanning both targets' followers, the targets themselves and
+    an ambient account, with duplicates, positions not yet followed at
+    ``now``, and ids no account has."""
     tilted, steady = world.targets()
     size = tilted.size_at(now)
     ids = [tilted.follower_id_at(p) for p in range(0, size, 97)]
     ids += [tilted.follower_id_at(p) for p in range(size - 40, size)]
     ids += [steady.follower_id_at(p) for p in (0, 5, 799)]
     ids += ids[:5] + ids[-3:]                       # duplicates
+    ids += [target_id(1), ambient_id(3), target_id(0)]  # not followers
     ids += [tilted.follower_id_at(size), tilted.follower_id_at(size + 500),
-            follower_id(9, 0)]                      # unknown: omitted
+            follower_id(9, 0), target_id(9), ambient_id(AMBIENT_POOL_SIZE),
+            2**70]                                  # unknown: omitted
     return ids
 
 
