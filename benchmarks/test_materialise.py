@@ -1,20 +1,25 @@
-"""Host cost of one follower profile through ``users/lookup`` and of one
-timeline through ``statuses/user_timeline``.
+"""Host cost of one follower profile through ``users/lookup`` and of
+one timeline through ``statuses/user_timeline``.
 
 Every audit resolves its sample through ``users/lookup`` in batches of
 100 ids (Table I), and each id is a follower the lazy world generates
 from scratch: one batch of follower columns per target, rendered
 either as user objects (:meth:`SyntheticWorld.user_objects`) or as
 rows of a structured block (:meth:`SyntheticWorld.user_row_block`).
-A timeline is fetched one id at a time, so
-:meth:`SyntheticWorld.timeline` generates its follower as a batch of
-one row before synthesising the tweets.  This bench resolves the same
-ids in production-sized batches through both lookup forms, fetches
-their 200-tweet timelines one by one, on a tilted population (the
-shape every testbed target has), and records the per-row and per-call
-host cost in ``benchmarks/results/BENCH_materialise.json``.  It
-asserts that both lookup forms answer the same followers and sets no
-timing threshold: the numbers are machine-local.
+A timeline page is one request per id, but the world can answer a
+sample's pages in two ways: one id at a time
+(:meth:`SyntheticWorld.timeline`, which generates its follower as a
+batch of one row), as an unpinned client reads them, or all at once
+(:meth:`SyntheticWorld.timelines`, one batch of follower columns per
+target and the tweets drawn in array passes), as a pinned batch audit
+reads them.  This bench resolves the same ids in production-sized
+batches through both lookup forms and fetches their 200-tweet
+timelines both ways, on a tilted population (the shape every testbed
+target has), and records the per-row, per-call and per-user host cost
+in ``benchmarks/results/BENCH_materialise.json``.  It asserts that both
+lookup forms answer the same followers and both timeline forms the
+same tweets, and sets no timing threshold: the numbers are
+machine-local (CI compares the two timeline costs of one run).
 """
 
 from __future__ import annotations
@@ -55,12 +60,17 @@ def test_materialise_per_row_cost():
         return [world.timeline(user_id, TIMELINE_DEPTH, now)
                 for user_id in ids[:TIMELINES]]
 
-    # Both forms answer the same followers before either is timed.
+    def batched_timelines():
+        return world.timelines(ids[:TIMELINES], TIMELINE_DEPTH, now)
+
+    # Both forms of each answer agree before either is timed.
     assert [list(block) for block in rows()] == objects()
+    assert batched_timelines() == timelines()
 
     object_seconds = measure_wallclock(objects, REPEATS)
     row_seconds = measure_wallclock(rows, REPEATS)
     timeline_seconds = measure_wallclock(timelines, REPEATS)
+    batched_seconds = measure_wallclock(batched_timelines, REPEATS)
     doc = {
         "batch": BATCH,
         "population": FOLLOWERS,
@@ -69,6 +79,7 @@ def test_materialise_per_row_cost():
         "timeline_depth": TIMELINE_DEPTH,
         "timeline_us_per_call": round(timeline_seconds / TIMELINES * 1e6, 2),
         "timelines": TIMELINES,
+        "timelines_us_per_user": round(batched_seconds / TIMELINES * 1e6, 2),
         "user_objects_us_per_row": round(object_seconds / ROWS * 1e6, 2),
         "user_row_block_us_per_row": round(row_seconds / ROWS * 1e6, 2),
     }

@@ -18,7 +18,7 @@ commercial tools run fleets (see ``repro.analytics``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import SimClock
 from ..core.errors import (
@@ -539,7 +539,28 @@ class TwitterApiClient:
         At most 200 per request; overall timeline depth is capped at
         3200 by the service (enforced by the world's timeline model).
         The world's :class:`~repro.twitter.timeline.TimelineBlock` is
-        passed through unrendered.
+        passed through unrendered.  The one-id case of
+        :meth:`user_timelines`, raising when its retries run out.
+        """
+        timeline, = self.user_timelines([user_id], count)
+        if isinstance(timeline, RetryableApiError):
+            raise timeline
+        return timeline
+
+    def user_timelines(self, user_ids: Sequence[int],
+                       count: Optional[int] = None
+                       ) -> List[Union[TimelineBlock, RetryableApiError]]:
+        """:meth:`user_timeline` for every id in turn, read in batches.
+
+        Each id is its own request, made in order exactly as a lone
+        fetch makes it: acquisition-cache check, charge, retries, live
+        hooks.  The world is then read once per observation instant
+        (once for a pinned client, once a request for a live one), and
+        every fault-free answer enters the acquisition cache, so a
+        repeated id is a hit exactly when it would be one fetched
+        alone.  An id whose retries ran out gets the
+        :class:`RetryableApiError` that ended its request in place of
+        a timeline.
         """
         policy = self._limiter.policy("statuses/user_timeline")
         page = policy.elements_per_request if count is None else count
@@ -547,15 +568,40 @@ class TwitterApiClient:
             raise ConfigurationError(
                 f"statuses/user_timeline count must be "
                 f"1..{policy.elements_per_request}")
-        if self._acq_cache is not None:
-            hit = self._acq_cache.get_timeline(user_id, page)
-            if hit is not None:
-                self._acq_hit("statuses/user_timeline")
-                return hit
-        completed, fault = self._request("statuses/user_timeline", page)
-        now = (self._observe_at if self._observe_at is not None
-               else completed)
-        timeline = self._world.timeline(user_id, page, now)
-        if self._acq_cache is not None and fault is None:
-            self._acq_cache.put_timeline(user_id, page, timeline)
-        return timeline
+        cache = self._acq_cache
+        results: list = [None] * len(user_ids)
+        reads: Dict[float, List[int]] = {}     # instant -> indices
+        uncached: Dict[int, int] = {}          # id -> index, fault-free
+
+        def settle() -> None:
+            for at, indices in reads.items():
+                for index, timeline in zip(indices, self._world.timelines(
+                        [user_ids[index] for index in indices], page, at)):
+                    results[index] = timeline
+            for user_id, index in uncached.items():
+                cache.put_timeline(user_id, page, results[index])
+            reads.clear()
+            uncached.clear()
+
+        for index, user_id in enumerate(user_ids):
+            if cache is not None:
+                if user_id in uncached:
+                    settle()
+                hit = cache.get_timeline(user_id, page)
+                if hit is not None:
+                    self._acq_hit("statuses/user_timeline")
+                    results[index] = hit
+                    continue
+            try:
+                completed, fault = self._request("statuses/user_timeline",
+                                                 page)
+            except RetryableApiError as error:
+                results[index] = error
+                continue
+            at = self._observe_at if self._observe_at is not None \
+                else completed
+            reads.setdefault(at, []).append(index)
+            if cache is not None and fault is None:
+                uncached[user_id] = index
+        settle()
+        return results

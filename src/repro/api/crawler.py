@@ -264,16 +264,15 @@ class Crawler:
                                users=len(user_ids)) as span:
             timelines: Dict[int, TimelineBlock] = {}
             shortfall = 0
-            for uid in user_ids:
-                try:
-                    timelines[uid] = self._client.user_timeline(
-                        uid, count=per_user)
-                except RetryableApiError:
+            for uid, timeline in zip(user_ids, self._client.user_timelines(
+                    user_ids, count=per_user)):
+                if isinstance(timeline, RetryableApiError):
                     # Keep the key so callers can still index by user;
                     # an empty timeline reads as "never tweeted", the
                     # conservative degradation for inactivity rules.
-                    timelines[uid] = TimelineBlock.empty(uid)
+                    timeline = TimelineBlock.empty(uid)
                     shortfall += 1
+                timelines[uid] = timeline
             if shortfall:
                 span.set_attribute("degraded", True)
                 span.set_attribute("shortfall", shortfall)

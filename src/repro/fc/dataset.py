@@ -26,7 +26,7 @@ from ..core.timeutil import PAPER_EPOCH
 from ..twitter.account import Label
 from ..twitter.columns import sample_accounts
 from ..twitter.personas import PERSONAS
-from ..twitter.timeline import TimelineGenerator
+from ..twitter.timeline import TimelineGenerator, TimelineProfiles
 from ..twitter.tweet import Tweet
 from .features import FeatureSet
 
@@ -160,11 +160,13 @@ def build_gold_standard(
         keys = [rng.getrandbits(64) for __ in range(count)]
         user_ids = [(7 << 56) | (len(examples) + 1 + index)
                     for index in range(count)]
-        for persona, account in zip(
-                personas, sample_accounts(personas, keys, user_ids, now)):
+        accounts = sample_accounts(personas, keys, user_ids, now)
+        for persona, account, timeline in zip(
+                personas, accounts, timelines.timelines(
+                    TimelineProfiles.of(accounts), timeline_depth)):
             examples.append(GoldExample(
                 user=UserObject.from_account(account),
-                timeline=timelines.recent_tweets(account, timeline_depth),
+                timeline=timeline,
                 label=persona.label,
             ))
 

@@ -383,48 +383,57 @@ def build_disagreement(target: str,
     if len(engines) < 2:
         raise ConfigurationError(
             f"need records from >= 2 engines, got {list(engines)!r}")
-    verdicts = {}
-    columns = {}
+    # Per engine: its distinct user ids (ascending), the sample column
+    # of each (the last one, for an id listed twice) and that column's
+    # canonical verdict.
+    joined = {}
     for engine in engines:
         record = records[engine]
-        canonical = [canonical_verdict(label) for label in record.labels]
-        verdicts[engine] = {uid: canonical[code]
-                            for uid, code in zip(record.user_ids, record.codes)}
-        columns[engine] = {uid: index
-                           for index, uid in enumerate(record.user_ids)}
-    fired = {engine: records[engine].fired_matrix() for engine in engines}
+        user_ids = np.array(record.user_ids, dtype=np.int64)
+        distinct, first_reversed = np.unique(user_ids[::-1],
+                                             return_index=True)
+        sample_columns = len(user_ids) - 1 - first_reversed
+        canonical = np.array([CANONICAL_VERDICTS.index(
+            canonical_verdict(label)) for label in record.labels],
+            dtype=np.int64)
+        codes = np.array(record.codes, dtype=np.int64)
+        joined[engine] = (distinct, sample_columns,
+                          canonical[codes[sample_columns]],
+                          record.fired_matrix())
     cells: List[DisagreementCell] = []
     overlap: Dict[Tuple[str, str], int] = {}
     for index, engine_a in enumerate(engines):
+        ids_a, columns_a, verdicts_a, fired_a = joined[engine_a]
         for engine_b in engines[index + 1:]:
-            shared = sorted(set(verdicts[engine_a]) & set(verdicts[engine_b]))
-            overlap[(engine_a, engine_b)] = len(shared)
-            buckets: Dict[Tuple[str, str], List[int]] = {}
-            for uid in shared:
-                pair = (verdicts[engine_a][uid], verdicts[engine_b][uid])
-                if pair[0] != pair[1]:
-                    buckets.setdefault(pair, []).append(uid)
-            for (verdict_a, verdict_b) in sorted(buckets):
-                uids = buckets[(verdict_a, verdict_b)]
+            ids_b, columns_b, verdicts_b, fired_b = joined[engine_b]
+            __, at_a, at_b = np.intersect1d(ids_a, ids_b, assume_unique=True,
+                                            return_indices=True)
+            overlap[(engine_a, engine_b)] = len(at_a)
+            # One code per shared account's (verdict_a, verdict_b) pair.
+            width = len(CANONICAL_VERDICTS)
+            pair_codes = verdicts_a[at_a] * width + verdicts_b[at_b]
+            disagreeing = sorted(
+                (CANONICAL_VERDICTS[code // width],
+                 CANONICAL_VERDICTS[code % width], code)
+                for code in np.unique(pair_codes).tolist()
+                if code // width != code % width)
+            for verdict_a, verdict_b, code in disagreeing:
+                cell = pair_codes == code
                 cells.append(DisagreementCell(
                     engine_a=engine_a, engine_b=engine_b,
                     verdict_a=verdict_a, verdict_b=verdict_b,
-                    count=len(uids),
-                    rules_a=_rule_tally(records[engine_a].rules,
-                                        fired[engine_a],
-                                        [columns[engine_a][uid]
-                                         for uid in uids]),
-                    rules_b=_rule_tally(records[engine_b].rules,
-                                        fired[engine_b],
-                                        [columns[engine_b][uid]
-                                         for uid in uids]),
+                    count=int(np.count_nonzero(cell)),
+                    rules_a=_rule_tally(records[engine_a].rules, fired_a,
+                                        columns_a[at_a[cell]]),
+                    rules_b=_rule_tally(records[engine_b].rules, fired_b,
+                                        columns_b[at_b[cell]]),
                 ))
     return DisagreementReport(target=target, engines=engines,
                               overlap=overlap, cells=tuple(cells))
 
 
 def _rule_tally(rules: Sequence[RuleId], fired: np.ndarray,
-                columns: Sequence[int]) -> Tuple[Tuple[RuleId, int], ...]:
+                columns: np.ndarray) -> Tuple[Tuple[RuleId, int], ...]:
     """Fire counts of every rule over sample ``columns``, most-fired first."""
     counts = fired[:, columns].sum(axis=1).tolist()
     tally = [(rule, count) for rule, count in zip(rules, counts) if count]

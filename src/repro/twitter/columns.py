@@ -10,7 +10,6 @@ each persona, rendered only when a user object, a row or an
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import fields
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -20,6 +19,7 @@ from ..core.errors import ConfigurationError
 from .account import LABELS, Account, BehaviorProfile
 from .draws import Draws, draw_matrix, isnan
 from .names import render_handle, render_name
+from .timeline import PROFILE_COUNTS, PROFILE_FLOATS, TimelineProfiles
 
 # -- the columns of a batch -----------------------------------------------------
 
@@ -53,32 +53,11 @@ _PROFILE_CODES = _HANDLE_COLUMNS + (
 _LABEL_INDEX = {label: index for index, label in enumerate(LABELS)}
 
 
-class TimelineProfile(NamedTuple):
-    """What timeline synthesis reads of one account (no :class:`Account`)."""
-
-    user_id: int
-    created_at: float
-    statuses_count: int
-    last_tweet_at: Optional[float]
-    behavior: "Rates"
-
-
-#: A behaviour profile's rates, read by the timeline generator.
-Rates = namedtuple("Rates", _BEHAVIOR_COLUMNS)
-
-
 def _listed(value, size: int) -> list:
     """A column as a list of Python values (a scalar repeats)."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     return [value] * size
-
-
-def _item(value, row: int):
-    """One row of a column (a scalar column is the same on every row)."""
-    if isinstance(value, np.ndarray):
-        return value[row].item()
-    return value
 
 
 class _Group(NamedTuple):
@@ -126,7 +105,7 @@ class FollowerColumns:
     Row ``i`` is the account with ``user_ids[i]``.  Nothing is rendered
     until asked: :meth:`profile_rows` renders text from codes,
     :meth:`accounts` builds :class:`~repro.twitter.account.Account`
-    objects, and :meth:`timeline_profile` reads only what timeline
+    objects, and :meth:`timeline_profiles` reads only what timeline
     synthesis needs.
     """
 
@@ -202,26 +181,18 @@ class FollowerColumns:
                     behavior=BehaviorProfile(*behavior), true_label=label)
         return accounts
 
-    def timeline_profile(self, row: int) -> TimelineProfile:
-        """What timeline synthesis reads of row ``row``."""
+    def timeline_profiles(self) -> TimelineProfiles:
+        """What timeline synthesis reads of every row, as columns."""
+        counts = np.empty((len(self), len(PROFILE_COUNTS)), dtype=np.int64)
+        floats = np.empty((len(self), len(PROFILE_FLOATS)))
+        counts[:, 0] = self.user_ids          # PROFILE_COUNTS[0]
         for group in self._groups:
-            if group.rows is None:
-                local = row
-                break
-            hit = np.flatnonzero(group.rows == row)
-            if len(hit):
-                local = int(hit[0])
-                break
-        else:
-            raise IndexError(f"row {row} outside a batch of {len(self)}")
-        columns = group.columns
-        last = _item(columns["last_tweet_at"], local)
-        return TimelineProfile(
-            int(self.user_ids[row]), _item(columns["created_at"], local),
-            _item(columns["statuses_count"], local),
-            None if last != last else last,
-            Rates(*(_item(columns[name], local)
-                    for name in _BEHAVIOR_COLUMNS)))
+            rows = slice(None) if group.rows is None else group.rows
+            for column, name in enumerate(PROFILE_COUNTS[1:], 1):
+                counts[rows, column] = group.columns[name]
+            for column, name in enumerate(PROFILE_FLOATS):
+                floats[rows, column] = group.columns[name]
+        return TimelineProfiles(counts, floats)
 
 
 def sample_columns(bits: np.ndarray, uniforms: np.ndarray,

@@ -85,13 +85,26 @@ def stream_keys(base: int, positions: np.ndarray) -> np.ndarray:
     return _finalise(steps)
 
 
+def stream_rows(states: np.ndarray, width: int) -> np.ndarray:
+    """Row ``i``: the first ``width`` uniforms of the SplitMix64 stream at
+    ``states[i]``, as an ``(n, width)`` matrix.
+
+    Uniform ``j`` of a stream comes from step ``j + 1``, so a row is the
+    same column of its stream whatever else the matrix holds.
+    """
+    steps = np.arange(1, width + 1, dtype=np.uint64)
+    steps *= _U64(_GAMMA)
+    return _uniforms(_finalise(
+        steps + np.asarray(states, dtype=np.uint64)[:, None]))
+
+
 def stream_uniforms(state: int, count: int) -> np.ndarray:
     """The first ``count`` uniforms of the SplitMix64 stream at ``state``.
 
     Uniform ``i`` comes from step ``i + 1``, so a shorter column is a
     prefix of a longer one.
     """
-    return _uniforms(stream_keys(state, np.arange(count)))
+    return stream_rows(np.array([state], dtype=np.uint64), count)[0]
 
 
 def follower_keys(seed: int, ordinal: int, positions) -> np.ndarray:

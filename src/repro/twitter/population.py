@@ -617,6 +617,15 @@ class World:
         """The user's recent tweets at ``now``, newest first."""
         raise NotImplementedError
 
+    def timelines(self, user_ids: Sequence[int], count: int,
+                  now: float) -> List[TimelineBlock]:
+        """:meth:`timeline` of every id at ``now``, in order.
+
+        An unknown id raises :class:`UnknownAccountError`, as
+        :meth:`timeline` does.
+        """
+        return [self.timeline(user_id, count, now) for user_id in user_ids]
+
     def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
         """Resolve ``user_ids`` to API user objects at ``now``, in order.
 
@@ -813,27 +822,43 @@ class SyntheticWorld(World):
         Yields ``(indices into user_ids, columns)``.  Validity is asked
         once per target (``arrived_at(now)``), not once per id.
         """
-        payload = user_ids & ((1 << _NAMESPACE_SHIFT) - 1)
-        followers = (user_ids >> _NAMESPACE_SHIFT) == FOLLOWER_TAG
-        ordinals = (payload >> _POSITION_BITS) & _ORDINAL_MASK
-        positions = payload & _POSITION_MASK
-        for ordinal in np.unique(ordinals[followers]).tolist():
-            if ordinal >= len(self._populations):
+        # Ordinal -1: not a follower id.
+        ordinals = np.where((user_ids >> _NAMESPACE_SHIFT) == FOLLOWER_TAG,
+                            (user_ids >> _POSITION_BITS) & _ORDINAL_MASK, -1)
+        positions = user_ids & _POSITION_MASK
+        for ordinal in sorted(set(ordinals.tolist())):
+            if not 0 <= ordinal < len(self._populations):
                 continue
             population = self._populations[ordinal]
-            rows = np.flatnonzero(followers & (ordinals == ordinal) & (
-                positions < population.arrived_at(now)))
+            rows = np.nonzero((ordinals == ordinal) & (
+                positions < population.arrived_at(now)))[0]
             if len(rows):
                 yield rows, population.follower_columns(positions[rows], now)
 
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
-        if namespace_of(user_id) == FOLLOWER_TAG:
-            population, position = self._follower(user_id, now)
-            profile = population.follower_columns(
-                [position], now).timeline_profile(0)
-            return self._timelines.recent_tweets(profile, count)
-        return self._timelines.recent_tweets(
-            self.account_by_id(user_id, now), count)
+        return self.timelines([user_id], count, now)[0]
+
+    def timelines(self, user_ids: Sequence[int], count: int,
+                  now: float) -> List[TimelineBlock]:
+        """:meth:`timeline` of every id at ``now``, in order, in array passes.
+
+        Each target's followers among ``user_ids`` are generated as one
+        batch of columns, and their timelines drawn together
+        (:meth:`TimelineGenerator.timelines`); a target or ambient
+        account is drawn from its :class:`Account`.  An unknown id
+        raises :class:`UnknownAccountError`.
+        """
+        ids = _id_array(user_ids)
+        blocks: List[Optional[TimelineBlock]] = [None] * len(ids)
+        for rows, columns in self._follower_batches(ids, now):
+            for row, block in zip(rows.tolist(), self._timelines.timelines(
+                    columns.timeline_profiles(), count)):
+                blocks[row] = block
+        for row, block in enumerate(blocks):
+            if block is None:
+                blocks[row] = self._timelines.recent_tweets(
+                    self.account_by_id(int(user_ids[row]), now), count)
+        return blocks
 
     def user_row_block(self, user_ids: Sequence[int],
                        now: float) -> "UserRowBlock":

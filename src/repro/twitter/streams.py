@@ -68,7 +68,7 @@ def timeline_state(seed: int, user_id: int) -> int:
     """The SplitMix64 state a user's timeline draws step from.
 
     Timelines are drawn as whole columns, the ``i``-th uniform from
-    step ``i + 1`` (see :func:`repro.twitter.draws.stream_uniforms`).
+    step ``i + 1`` (see :func:`repro.twitter.draws.stream_rows`).
     """
     return derive_seed(seed, "timeline", user_id)
 

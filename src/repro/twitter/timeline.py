@@ -21,15 +21,16 @@ iterating the block), and the rendering is built so the
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterator, Optional, Tuple
+from operator import attrgetter
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.ids import SNOWFLAKE_EPOCH_MS
 from ..core.timeutil import DAY
-from .account import Account, BehaviorProfile
-from .draws import stream_uniforms
+from .account import Account
+from .draws import stream_rows
 from .streams import timeline_state
 from .tweet import HUMAN_SOURCES, SPAM_PHRASES, Tweet
 
@@ -315,103 +316,193 @@ class TimelineBlock(Sequence):
         return f"TimelineBlock(user_id={self.user_id}, len={len(self)})"
 
 
-def _flag_bits(draws: np.ndarray, behavior: BehaviorProfile) -> np.ndarray:
-    """Flag bits from uniform columns ordered like the bits.
+#: The :class:`BehaviorProfile` rates of the six flag bits, in bit order.
+_RATE_FIELDS = ("link_ratio", "spam_ratio", "mention_ratio", "hashtag_ratio",
+                "retweet_ratio", "api_source_ratio")
+_rates = attrgetter(*_RATE_FIELDS)
+#: The columns of :attr:`TimelineProfiles.counts`, in order.
+PROFILE_COUNTS = ("user_id", "statuses_count", "duplicate_pool")
+#: The columns of :attr:`TimelineProfiles.floats`, in order.
+PROFILE_FLOATS = ("created_at", "last_tweet_at", "tweets_per_day") \
+    + _RATE_FIELDS
+#: Users one pass of :meth:`TimelineGenerator.timelines` draws together:
+#: enough to amortise NumPy's per-call cost, few enough that a pass's
+#: matrices (seven draws a tweet) stay under a megabyte each.
+_CHUNK = 64
 
-    Column ``i`` of ``draws`` is compared with the rate of bit ``1 << i``
-    (link, spam, mention, hashtag, retweet, automation — as many as
-    there are columns); summing distinct powers of two is or-ing them.
+
+class TimelineProfiles(NamedTuple):
+    """What timeline synthesis reads of a batch of accounts, as two matrices.
+
+    Row ``i`` of ``counts`` and of ``floats`` holds account ``i``'s
+    :data:`PROFILE_COUNTS` and :data:`PROFILE_FLOATS`: ``last_tweet_at``
+    is NaN for an account that never tweeted, and the six flag rates
+    come last, in bit order.
     """
-    width = draws.shape[1]
-    rates = (behavior.link_ratio, behavior.spam_ratio,
-             behavior.mention_ratio, behavior.hashtag_ratio,
-             behavior.retweet_ratio, behavior.api_source_ratio)[:width]
-    return (draws < rates) @ _BIT_WEIGHTS[:width]
+
+    counts: np.ndarray      # (n, 3) int64
+    floats: np.ndarray      # (n, 9) float64
+
+    @classmethod
+    def of(cls, accounts) -> "TimelineProfiles":
+        """The rows of :class:`Account` objects (or anything with its
+        ``user_id``, ``created_at``, ``statuses_count``,
+        ``last_tweet_at`` and ``behavior``)."""
+        return cls(
+            np.array([(account.user_id, account.statuses_count,
+                       account.behavior.duplicate_pool)
+                      for account in accounts], dtype=np.int64
+                     ).reshape(-1, len(PROFILE_COUNTS)),
+            np.array([(account.created_at,
+                       np.nan if account.last_tweet_at is None
+                       else account.last_tweet_at,
+                       account.behavior.tweets_per_day)
+                      + _rates(account.behavior) for account in accounts],
+                     dtype=np.float64).reshape(-1, len(PROFILE_FLOATS)))
+
+    def take(self, rows) -> "TimelineProfiles":
+        """The profiles at ``rows`` (indices or a slice)."""
+        return TimelineProfiles(self.counts[rows], self.floats[rows])
 
 
 class TimelineGenerator:
-    """Synthesise an account's recent timeline from its snapshot.
+    """Synthesise accounts' recent timelines from their snapshots.
 
-    Tweet times walk backwards from ``account.last_tweet_at`` with
-    exponential inter-tweet gaps whose mean matches the account's
+    Tweet times walk backwards from ``last_tweet_at`` with exponential
+    inter-tweet gaps whose mean matches the account's
     ``tweets_per_day`` rate, clamped at the account creation time.
     Class flags follow the account's :class:`BehaviorProfile`; accounts
     with a ``duplicate_pool`` draw every body from that many templates,
     whose body flags are drawn once per template.
 
-    All draws are one column of the account's counter-based stream
+    All draws of an account are one column of its counter-based stream
     (:func:`~repro.twitter.streams.timeline_state`), laid out as the
     body-key salt, four body-flag uniforms per template, then one row
     of seven uniforms per tweet — so a shorter fetch is a prefix of a
-    longer one.
+    longer one, and an account's timeline does not depend on the batch
+    it is drawn in.
     """
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
 
     def recent_tweets(self, account: Account, count: int) -> TimelineBlock:
-        """Return up to ``count`` most recent tweets, newest first.
+        """Return up to ``count`` most recent tweets, newest first: the
+        one-account case of :meth:`timelines`."""
+        return self.timelines(TimelineProfiles.of([account]), count)[0]
 
-        ``account`` is an :class:`Account` or anything with its
-        ``user_id``, ``created_at``, ``statuses_count``,
-        ``last_tweet_at`` and ``behavior`` rates (a follower's
-        :class:`~repro.twitter.columns.TimelineProfile`).
+    def timelines(self, profiles: TimelineProfiles,
+                  count: int) -> List[TimelineBlock]:
+        """Up to ``count`` most recent tweets of every profile, newest first.
 
-        The result is empty for accounts that never tweeted, and never
-        exceeds ``min(count, statuses_count, TIMELINE_CAP)``.
+        Each block is empty for an account that never tweeted, and
+        never longer than ``min(count, statuses_count, TIMELINE_CAP)``.
+        Accounts are drawn :data:`_CHUNK` at a time, and every block
+        owns compact copies of its columns.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative: {count!r}")
-        if account.statuses_count == 0 or account.last_tweet_at is None:
-            return TimelineBlock.empty(account.user_id)
-        n = min(count, account.statuses_count, TIMELINE_CAP)
-        if n == 0:
-            return TimelineBlock.empty(account.user_id)
-        behavior = account.behavior
-        pool = behavior.duplicate_pool
-        if pool > _MAX_SERIAL:
-            raise ConfigurationError(
-                f"duplicate_pool must be at most {_MAX_SERIAL}: {pool!r}")
+        limit = min(count, TIMELINE_CAP)
+        user_ids, statuses, __ = profiles.counts.T.tolist()
+        sizes = [0 if last != last else min(total, limit) for total, last
+                 in zip(statuses, profiles.floats[:, 1].tolist())]
+        blocks = [None if size else TimelineBlock.empty(user_id)
+                  for user_id, size in zip(user_ids, sizes)]
+        drawn = [row for row, size in enumerate(sizes) if size]
+        if len(drawn) < len(sizes):
+            profiles = profiles.take(drawn)
+            sizes = [sizes[row] for row in drawn]
+        for start in range(0, len(drawn), _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            for row, block in zip(drawn[chunk], self._draw(
+                    profiles.take(chunk), sizes[chunk])):
+                blocks[row] = block
+        return blocks
 
-        uniforms = stream_uniforms(timeline_state(self._seed, account.user_id),
-                                   1 + 4 * pool + 7 * n)
-        salt = int(uniforms[0] * (1 << _SALT_BITS))
+    def _draw(self, profiles: TimelineProfiles,
+              sizes: List[int]) -> List[TimelineBlock]:
+        """The blocks of ``profiles``, ``sizes`` tweets each (all > 0).
+
+        Row ``i`` of every matrix is account ``i``; a row's columns past
+        its own size are drawn and dropped.
+        """
+        counts, floats = profiles
+        user_ids, pools = counts[:, 0], counts[:, 2]
+        rates = floats[:, 3:]
+        pool_sizes = pools.tolist()
+        most = max(pool_sizes)
+        if most > _MAX_SERIAL:
+            raise ConfigurationError(
+                f"duplicate_pool must be at most {_MAX_SERIAL}: {most!r}")
+        width = max(sizes)
+        # Each row is one account's stream: the salt, four uniforms per
+        # template of the largest pool, then seven per tweet.
+        uniforms = stream_rows(
+            np.array([timeline_state(self._seed, user_id)
+                      for user_id in user_ids.tolist()], dtype=np.uint64),
+            1 + 4 * most + 7 * width)
+        if min(pool_sizes) == most:
+            draws = uniforms[:, 1 + 4 * most:]
+        else:           # a smaller pool's tweets start earlier
+            draws = np.take_along_axis(
+                uniforms, (1 + 4 * pools)[:, None] + np.arange(7 * width),
+                axis=1)
         # Per tweet: gap, then link, spam, mention, hashtag, retweet,
         # automation (a template account reuses the link column as its
         # template choice).
-        draws = uniforms[1 + 4 * pool:].reshape(n, 7)
+        draws = draws.reshape(len(sizes), width, 7)
 
-        mean_gap = DAY / max(behavior.tweets_per_day, 1e-3)
-        created_at = np.log1p(-draws[:, 0])
-        created_at[0] = 0.0
-        np.cumsum(created_at, out=created_at)
-        created_at *= mean_gap
-        created_at += account.last_tweet_at
-        np.maximum(created_at, account.created_at, out=created_at)
+        created_at = np.log1p(-draws[:, :, 0])
+        created_at[:, 0] = 0.0
+        created_at.cumsum(axis=1, out=created_at)
+        created_at *= (DAY / np.maximum(floats[:, 2], 1e-3))[:, None]
+        created_at += floats[:, 1, None]
+        np.maximum(created_at, floats[:, 0, None], out=created_at)
 
         millis = (created_at * 1000).astype(np.int64)
         millis -= SNOWFLAKE_EPOCH_MS
         np.maximum(millis, 0, out=millis)
-        sequence = np.arange(n, dtype=np.int64)  # n <= TIMELINE_CAP < 4096
-        tweet_id = (millis << 22) | sequence
-        tweet_id |= (account.user_id % 1024) << 12
+        sequence = np.arange(width, dtype=np.int64)  # width <= TIMELINE_CAP < 4096
+        tweet_ids = (millis << 22) | sequence
+        tweet_ids |= ((user_ids % 1024) << 12)[:, None]
 
-        flags = _flag_bits(draws[:, 1:], behavior)
-        if pool:
-            serial = np.minimum((draws[:, 1] * pool).astype(np.int64),
+        flags = (draws[:, :, 1:] < rates[:, None, :]) @ _BIT_WEIGHTS
+        bits = flags & _BODY_BITS
+        serials = sequence
+        duplicated = [0] * len(sizes)
+        pooled = [row for row, pool in enumerate(pool_sizes) if pool]
+        if pooled:
+            pool = pools[pooled][:, None]
+            serial = np.minimum((draws[pooled, :, 1] * pool).astype(np.int64),
                                 pool - 1)
-            templates = _flag_bits(
-                uniforms[1:1 + 4 * pool].reshape(pool, 4), behavior)
-            bits = templates[serial]
-            flags = (flags & (RETWEET | AUTOMATION)) | bits
-            uses = np.bincount(serial, minlength=pool)
-            duplicated = int(uses[uses > 3].sum())
-        else:
-            serial = sequence
-            bits = flags & _BODY_BITS
-            duplicated = 0
+            templates = (uniforms[pooled, 1:1 + 4 * most].reshape(
+                len(pooled), most, 4) < rates[pooled, None, :4]
+                         ) @ _BIT_WEIGHTS[:4]
+            template_bits = np.take_along_axis(templates, serial, axis=1)
+            serials = np.repeat(sequence[None], len(sizes), axis=0)
+            serials[pooled] = serial
+            bits[pooled] = template_bits
+            flags[pooled] = ((flags[pooled] & (RETWEET | AUTOMATION))
+                             | template_bits)
+            # Each account's template uses among its own tweets.
+            tweeted = sequence < np.array([sizes[row] for row in pooled]
+                                          )[:, None]
+            uses = np.bincount(
+                (serial + (np.arange(len(pooled)) * most)[:, None])[tweeted],
+                minlength=len(pooled) * most)
+            for row, repeats in zip(pooled, np.where(uses > 3, uses, 0)
+                                    .reshape(len(pooled), most)
+                                    .sum(axis=1).tolist()):
+                duplicated[row] = repeats
         # A retweet's ``RT @user:`` source is a mention too.
         flags |= (flags & RETWEET) >> 2
-        body_key = (salt << _SALT_SHIFT) | (serial << _SERIAL_SHIFT) | bits
-        return TimelineBlock(account.user_id, created_at, tweet_id, flags,
-                             body_key, duplicated=duplicated)
+        body_keys = (serials << _SERIAL_SHIFT) | bits
+        body_keys |= ((uniforms[:, 0] * (1 << _SALT_BITS)).astype(np.int64)
+                      << _SALT_SHIFT)[:, None]
+        return [TimelineBlock(user_id, created_at[row, :size].copy(),
+                              tweet_ids[row, :size].copy(),
+                              flags[row, :size].copy(),
+                              body_keys[row, :size].copy(),
+                              duplicated=duplicated[row])
+                for row, (user_id, size) in enumerate(
+                    zip(user_ids.tolist(), sizes))]
