@@ -1,9 +1,12 @@
 """Ablation A6 — Section IV-B's no-churn assumption, stress-tested.
 
 At zero churn, the paper's "new entries always at the end" result
-reproduces exactly on the live backend.  With daily unfollow pressure,
-the suffix check starts failing — quantifying how sensitive the
-published protocol is to the assumption it never states.
+reproduces exactly on a generative-world target growing by a steady
+trickle.  With daily unfollow pressure (counter-based draws applied as
+explicit unfollows), the suffix check starts failing — quantifying how
+sensitive the published protocol is to the assumption it never states.
+The table depends on no NumPy build, so CI runs this bench on both
+tier-1 Pythons and requires a byte-identical result file.
 """
 
 import pytest

@@ -33,7 +33,7 @@ from ..faults.retry import RetryPolicy
 from ..obs.metrics import CacheInfo
 from ..obs.provenance import ProvenanceSink
 from ..obs.runtime import get_observability, weak_observability
-from ..twitter.population import World
+from ..twitter.population import SyntheticWorld
 from .criteria import Criteria, EngineInfo, VerdictArray
 
 
@@ -237,7 +237,7 @@ class AuditEngine:
     #: Simulated post-crawl computation time of a fresh analysis.
     PROCESSING_SECONDS = 1.0
 
-    def __init__(self, world: World, clock: SimClock, *,
+    def __init__(self, world: SyntheticWorld, clock: SimClock, *,
                  credentials: int = 1,
                  parallelism: int = 1,
                  request_latency: float = 1.9,
@@ -577,7 +577,7 @@ class CommercialAnalytic(AuditEngine):
     #: of Table II's repeat audits).
     CACHE_SERVE_SECONDS = 2.5
 
-    def __init__(self, world: World, clock: SimClock, *,
+    def __init__(self, world: SyntheticWorld, clock: SimClock, *,
                  cache_ttl: Optional[float] = None, **kwargs) -> None:
         super().__init__(world, clock, **kwargs)
         self._cache = ResultCache(ttl=cache_ttl, name=self.name)

@@ -36,7 +36,7 @@ from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, RetryState
 from ..obs.metrics import LATENCY_BUCKETS, WAIT_BUCKETS
 from ..obs.runtime import get_observability, weak_observability
 from ..twitter.columnar.schema import UserRowBlock
-from ..twitter.population import World
+from ..twitter.population import SyntheticWorld
 from ..twitter.timeline import TimelineBlock
 from .endpoints import ApiCall, CallLog, IdsPage, UserObject
 from .ratelimit import DEFAULT_POLICIES, RateLimiter, RateLimitPolicy
@@ -48,11 +48,11 @@ DEFAULT_REQUEST_LATENCY = 1.9
 
 
 class TwitterApiClient:
-    """Rate-limited, latency-charging façade over a :class:`World`."""
+    """Rate-limited, latency-charging façade over a :class:`SyntheticWorld`."""
 
     def __init__(
             self,
-            world: World,
+            world: SyntheticWorld,
             clock: SimClock,
             *,
             credentials: int = 1,

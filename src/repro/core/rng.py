@@ -148,28 +148,26 @@ class WeightedTable:
         return np.minimum(found, len(self._items) - 1)
 
 
-def weighted_choice(rng: random.Random, items: Sequence[object],
-                    weights: Sequence[float]) -> object:
-    """Pick one item with probability proportional to its weight."""
-    return WeightedTable(items, weights).pick(rng)
+def poisson_quantile(lam: float, uniform: float) -> int:
+    """The Poisson(``lam``) count a ``[0, 1)`` draw picks, by inverse CDF.
 
-
-def poisson(rng: random.Random, lam: float) -> int:
-    """Draw from a Poisson distribution (Knuth for small λ, normal approx above).
-
-    Used for per-day tweet/follow counts in the activity workloads.
+    The smallest ``k`` whose cumulative probability exceeds
+    ``uniform``, walking the probability masses up from 0 (each from
+    :func:`math.lgamma`, so a large ``lam`` does not underflow).  One
+    uniform gives one count, so a counter-based stream of uniforms
+    gives the same counts wherever it is drawn.
     """
     if lam < 0:
         raise ConfigurationError(f"lambda must be non-negative: {lam!r}")
     if lam == 0:
         return 0
-    if lam > 30:
-        # Normal approximation with continuity correction; exact enough
-        # for workload generation and O(1) regardless of lambda.
-        return max(0, int(round(rng.gauss(lam, math.sqrt(lam)))))
-    threshold = math.exp(-lam)
-    k, product = 0, rng.random()
-    while product > threshold:
-        k += 1
-        product *= rng.random()
-    return k
+    log_lam = math.log(lam)
+    count, cumulative = 0, 0.0
+    while True:
+        mass = math.exp(count * log_lam - lam - math.lgamma(count + 1))
+        cumulative += mass
+        # Past the mode a vanished mass means the rounded sum stopped
+        # short of a draw within an ulp of 1: the tail holds nothing.
+        if cumulative > uniform or (mass == 0.0 and count > lam):
+            return count
+        count += 1

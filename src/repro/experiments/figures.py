@@ -23,7 +23,7 @@ from ..audit import AuditReport, AuditRequest
 from ..core.clock import SimClock
 from ..core.errors import ConfigurationError
 from ..twitter.generator import add_simple_target, build_world
-from ..twitter.population import World
+from ..twitter.population import SyntheticWorld
 
 _BAR_GLYPH = "#"
 
@@ -77,7 +77,7 @@ def render_ta_charts(report: AuditReport) -> str:
 
 
 def run_ta_charts(*, seed: int = 42,
-                  world: Optional[World] = None,
+                  world: Optional[SyntheticWorld] = None,
                   handle: str = "chartdemo") -> Tuple[AuditReport, str]:
     """Audit a target with Twitteraudit and render its report charts.
 

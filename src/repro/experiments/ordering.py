@@ -74,9 +74,10 @@ def check_head_growth(snapshots: Sequence[Tuple[int, ...]]) -> Tuple[int, int]:
     which is equivalent to "all new entries were appended at the
     (chronological) end", the property the paper confirms.
 
-    Unfollows would also break the suffix property; the paper's
-    observation window showed none, and the synthetic worlds never
-    remove edges, so a violation here always means an ordering bug.
+    Unfollows also break the suffix property; the paper's observation
+    window showed none, so on a world without departures a violation
+    here means an ordering bug (ablation A6,
+    :mod:`repro.experiments.live_ordering`, adds unfollows).
     """
     new_total = 0
     violations = 0

@@ -29,7 +29,7 @@ from ..core.timeutil import DAY
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..stats.estimation import ProportionEstimate
-from ..twitter.population import World
+from ..twitter.population import SyntheticWorld
 from .columnar import BatchClassifier, FeatureCache, batch_classifier
 from .dataset import build_gold_standard
 from .training import TrainedDetector, train_detector
@@ -135,7 +135,7 @@ class FakeClassifierEngine(AuditEngine):
     reports_inactive = True
     PROCESSING_SECONDS = 2.0
 
-    def __init__(self, world: World, clock: SimClock,
+    def __init__(self, world: SyntheticWorld, clock: SimClock,
                  detector: Optional[TrainedDetector] = None, *,
                  sample_size: int = FC_SAMPLE_SIZE,
                  request_latency: float = 1.9,

@@ -17,7 +17,7 @@ from ..core.clock import SimClock
 from ..core.errors import ConfigurationError, RetryableApiError
 from ..core.timeutil import DAY
 from ..obs.runtime import get_observability
-from ..twitter.population import World
+from ..twitter.population import SyntheticWorld
 from .detector import BurstDetector, BurstEvent
 from .series import GrowthSeries, series_from_observations
 
@@ -45,7 +45,7 @@ class GrowthMonitor:
     crawling at all — anomaly detection needs only the counter.
     """
 
-    def __init__(self, world: World, clock: SimClock,
+    def __init__(self, world: SyntheticWorld, clock: SimClock,
                  detector: BurstDetector = None, *,
                  faults=None, retry=None) -> None:
         self._client = TwitterApiClient(world, clock, faults=faults,

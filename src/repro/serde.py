@@ -203,17 +203,25 @@ def target_spec_from_dict(payload: Dict[str, Any]) -> TargetSpec:
     )
 
 
+def _target_to_dict(population) -> Dict[str, Any]:
+    """A target's spec and, if it has any, its explicit departures."""
+    payload = target_spec_to_dict(population.spec)
+    departures = population.schedule.departures
+    if departures:
+        payload["departures"] = [[position, at] for position, at in departures]
+    return payload
+
+
 def world_to_dict(world: SyntheticWorld) -> Dict[str, Any]:
-    """Serialize a whole synthetic world (seed + ref time + specs)."""
+    """Serialize a whole synthetic world (seed + ref time + specs, and
+    each target's unfollows as ``[position, instant]`` pairs)."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": "world",
         "seed": world.seed,
         "ref_time": world.ref_time,
-        "targets": [
-            target_spec_to_dict(population.spec)
-            for population in world.targets()
-        ],
+        "targets": [_target_to_dict(population)
+                    for population in world.targets()],
     }
 
 
@@ -222,7 +230,9 @@ def world_from_dict(payload: Dict[str, Any]) -> SyntheticWorld:
     _require_version(payload, "world")
     world = SyntheticWorld(seed=payload["seed"], ref_time=payload["ref_time"])
     for spec_payload in payload["targets"]:
-        world.add_target(target_spec_from_dict(spec_payload))
+        population = world.add_target(target_spec_from_dict(spec_payload))
+        for position, at in spec_payload.get("departures", ()):
+            population.schedule.depart(position, at)
     return world
 
 

@@ -1,11 +1,11 @@
 """Simulated Twitter substrate.
 
 Accounts, tweets, timelines, persona archetypes, follower-arrival
-schedules, and two world backends: the lazy :class:`SyntheticWorld`,
-which generates any follower on demand in O(1) memory (so it scales to
-tens of millions of followers) and serves ``users/lookup`` as user
-objects or structured row blocks, and the explicit mutable
-:class:`SocialGraph` (full-fidelity adjacency for small studies).
+schedules (arrivals, bought blocks and their attrition, explicit
+unfollows), and the one world: the lazy :class:`SyntheticWorld`, which
+generates any follower on demand in O(1) memory (so it scales to tens
+of millions of followers) and serves ``users/lookup`` as user objects
+or structured row blocks.
 """
 
 from .account import Account, BehaviorProfile, Label, LABELS
@@ -14,15 +14,6 @@ from .generator import (
     add_simple_target,
     build_world,
     make_target_spec,
-    populate_graph,
-)
-from .graph import FollowEdge, SocialGraph
-from .live import (
-    ChurnProcess,
-    LiveSimulation,
-    OrganicGrowthProcess,
-    Process,
-    TweetingProcess,
 )
 from .personas import (
     DEFAULT_LABEL_MIXES,
@@ -38,7 +29,6 @@ from .population import (
     PostRefBurst,
     SyntheticWorld,
     TargetSpec,
-    World,
     ambient_id,
     decode_follower,
     fake_purchase_burst,
@@ -57,31 +47,23 @@ __all__ = [
     "Account",
     "ArrivalSchedule",
     "BehaviorProfile",
-    "ChurnProcess",
     "DEFAULT_LABEL_MIXES",
-    "FollowEdge",
     "FollowerPopulation",
     "FollowerSegmentSpec",
     "INACTIVITY_HORIZON",
     "LABELS",
     "Label",
-    "LiveSimulation",
-    "OrganicGrowthProcess",
     "PERSONAS",
     "Persona",
     "PostRefBurst",
-    "Process",
     "SPAM_PHRASES",
     "SegmentWindow",
-    "SocialGraph",
     "SyntheticWorld",
     "TIMELINE_CAP",
     "TargetSpec",
     "TimelineBlock",
     "TimelineGenerator",
     "Tweet",
-    "TweetingProcess",
-    "World",
     "add_simple_target",
     "ambient_id",
     "build_columnar_world",
@@ -93,7 +75,6 @@ __all__ = [
     "make_target_spec",
     "namespace_of",
     "persona_mix_from_labels",
-    "populate_graph",
     "target_id",
     "tilted_segments",
     "uniform_segments",

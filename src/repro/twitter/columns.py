@@ -227,22 +227,17 @@ def sample_columns(bits: np.ndarray, uniforms: np.ndarray,
 
 
 def sample_accounts(personas: Sequence, keys: Sequence[int],
-                    user_ids: Sequence[int], now: float,
-                    latest_created: Optional[Sequence[float]] = None
-                    ) -> List[Account]:
+                    user_ids: Sequence[int], now: float) -> List[Account]:
     """Accounts of ``personas[i]`` keyed by ``keys[i]``, for object callers.
 
-    The graph builder, the live processes, the FC gold standard and the
-    ambient pool draw each key from their own stream
-    (``rng.getrandbits(64)``) and build accounts here, through the
-    same column samplers as every follower.
+    The FC gold standard and the ambient pool draw each key from their
+    own stream (``rng.getrandbits(64)``) and build accounts here,
+    uncapped, through the same column samplers as every follower.
     """
     distinct = list(dict.fromkeys(personas))
     picks = np.array([distinct.index(persona) for persona in personas],
                      dtype=np.int64)
-    caps = np.full(len(keys), np.inf) if latest_created is None else \
-        np.array([np.inf if cap is None else cap for cap in latest_created],
-                 dtype=np.float64)
+    caps = np.full(len(keys), np.inf)
     bits, uniforms = draw_matrix(np.array(keys, dtype=np.uint64))
     columns = sample_columns(bits, uniforms, distinct, picks, now, caps,
                              np.array(user_ids, dtype=np.int64))

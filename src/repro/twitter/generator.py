@@ -1,21 +1,18 @@
 """High-level builders for synthetic Twitter worlds.
 
 These helpers compose the lower-level pieces (personas, arrival
-schedules, lazy populations, the materialised graph) into ready-to-audit
+schedules, lazy populations) into ready-to-audit
 scenarios: "an account with N followers of which x% inactive, y% fake,
 with a recency gradient and an optional purchased burst".
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.errors import ConfigurationError
-from ..core.ids import IdGenerator
 from ..core.timeutil import PAPER_EPOCH, YEAR
-from .account import Account, Label
-from .graph import SocialGraph
-from .personas import PERSONAS, persona_mix_from_labels
+from .personas import persona_mix_from_labels
 from .population import (
     FollowerSegmentSpec,
     PostRefBurst,
@@ -24,7 +21,6 @@ from .population import (
     tilted_segments,
     uniform_segments,
 )
-from .streams import graph_rng
 
 
 def build_world(seed: int = 42, ref_time: float = PAPER_EPOCH) -> SyntheticWorld:
@@ -169,53 +165,3 @@ def add_simple_target(world: SyntheticWorld, screen_name: str, followers: int,
     world.add_target(make_target_spec(
         screen_name, followers, inactive, fake, genuine,
         ref_time=world.ref_time, **kwargs))
-
-
-def populate_graph(
-        graph: SocialGraph,
-        target: Account,
-        follower_labels: Sequence[Label],
-        *,
-        seed: int = 7,
-        ref_time: float = PAPER_EPOCH,
-        follow_window_years: float = 3.0,
-        label_mixes: Optional[Mapping[Label, Mapping[str, float]]] = None,
-) -> List[int]:
-    """Materialise a follower base around ``target`` in an explicit graph.
-
-    ``follower_labels`` gives the ground-truth label of each follower in
-    arrival order (index 0 follows first).  Returns the minted follower
-    ids, in the same order.
-    """
-    if not graph.has_account(target.user_id):
-        graph.add_account(target)
-    ids = IdGenerator(worker=1)
-    rng = graph_rng(seed, target.screen_name)
-    window = follow_window_years * YEAR
-    minted: List[int] = []
-    for index, label in enumerate(follower_labels):
-        mixes = label_mixes or None
-        mix = persona_mix_from_labels(
-            1.0 if label is Label.INACTIVE else 0.0,
-            1.0 if label is Label.FAKE else 0.0,
-            1.0 if label is Label.GENUINE else 0.0,
-            label_mixes=mixes,
-        )
-        names = sorted(mix)
-        weights = [mix[name] for name in names]
-        pick = rng.choices(names, weights=weights, k=1)[0]
-        persona = PERSONAS[pick]
-        followed_at = ref_time - window + window * (index + 0.5) / len(follower_labels)
-        created_at = followed_at - rng.uniform(0.1, 2.0) * YEAR
-        user_id = ids.next_id(created_at)
-        # Stylistic handles collide occasionally; draw a new key until
-        # unique.  No follower is created after it follows.
-        while True:
-            account = persona.sample(rng, user_id, ref_time,
-                                     latest_created=followed_at)
-            if not graph.has_screen_name(account.screen_name):
-                break
-        graph.add_account(account)
-        graph.follow(user_id, target.user_id, followed_at)
-        minted.append(user_id)
-    return minted

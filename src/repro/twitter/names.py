@@ -12,9 +12,8 @@ A handle is drawn as a few small codes into the vocabularies below
 of followers at once, and rendered to text only when an account is
 read (:func:`render_handle`), so a regenerated follower always gets the
 same handle.  The combined space is large (tens of millions of human
-handles), making collisions across a simulation rare; call sites that
-*require* uniqueness (the materialised graph) draw a fresh key on
-collision.
+handles), making collisions across a simulation rare; accounts are
+keyed by id, so nothing requires a handle to be unique.
 """
 
 from __future__ import annotations

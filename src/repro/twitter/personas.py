@@ -162,19 +162,16 @@ class Persona:
                 f"persona {self.name!r}: a sampler takes (draws, now, "
                 f"latest_created): {exc}") from None
 
-    def sample(self, rng, user_id: int, now: float,
-               latest_created: Optional[float] = None) -> Account:
+    def sample(self, rng, user_id: int, now: float) -> Account:
         """Draw one account snapshot at ``now`` from a key off ``rng``.
 
         For callers that need an :class:`Account` outside a follower
-        population (the graph builder, the live processes, the ambient
-        pool): the key is ``rng.getrandbits(64)`` and the account comes
-        from the same column sampler as every follower.
-        ``latest_created`` caps the creation time (a follower must
-        exist before it follows).
+        population (the ambient pool): the key is
+        ``rng.getrandbits(64)`` and the account comes from the same
+        column sampler as every follower, uncapped.
         """
         return sample_accounts([self], [rng.getrandbits(64)], [user_id],
-                               now, [latest_created])[0]
+                               now)[0]
 
 
 # ---------------------------------------------------------------------------

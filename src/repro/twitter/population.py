@@ -35,6 +35,7 @@ import numpy as np
 from ..core.errors import (
     ConfigurationError,
     DuplicateAccountError,
+    GraphError,
     UnknownAccountError,
 )
 from ..core.rng import WeightedTable
@@ -354,10 +355,11 @@ def _persona_table(tables: _PersonaTables,
                    mix: Mapping[str, float]) -> WeightedTable:
     """The :class:`WeightedTable` of ``mix`` over its sorted names.
 
-    Sorted names keep the picks of ``weighted_choice(rng, sorted(mix),
-    ...)``.  A mix already in ``tables`` reuses its table; the key holds
-    the registered :class:`Persona` objects, so a re-registered name
-    gets a new one.
+    Sorted names keep the picks of the running-sum oracle
+    ``weighted_choice(rng, sorted(mix), ...)`` in
+    ``tests/core/rng_oracle.py``.  A mix already in ``tables`` reuses
+    its table; the key holds the registered :class:`Persona` objects,
+    so a re-registered name gets a new one.
     """
     names = sorted(mix)
     key = tuple((name, mix[name], PERSONAS[name]) for name in names)
@@ -489,12 +491,18 @@ class FollowerPopulation:
     def follower_ids(self, start: int, stop: int, now: float) -> np.ndarray:
         """Ids of follower-list entries ``[start, stop)`` at ``now``.
 
-        Chronological, as an int64 array, without the burst members
+        Chronological, as an int64 array, without the followers
         departed by ``now``.  Composing ids is pure arithmetic, so a
         page of 5000 costs microseconds even for a 41 M-follower base.
+        The slice must lie inside the list: past its end an index names
+        no follower.
         """
         if start < 0 or stop < start:
             raise ConfigurationError(f"bad slice [{start}, {stop})")
+        size = self.size_at(now)
+        if stop > size:
+            raise ConfigurationError(
+                f"slice [{start}, {stop}) past the {size} followers at {now!r}")
         return self._id_base + self._schedule.positions(
             np.arange(start, stop, dtype=np.int64), now)
 
@@ -565,7 +573,7 @@ class FollowerPopulation:
 
         For very large bases an optional uniform ``sample`` bounds the
         cost; with ``sample=None`` every listed follower is inspected.
-        Departed burst members are not followers any more.
+        Departed followers (attrition or unfollow) are not counted.
         """
         size = self.size_at(now)
         if size == 0:
@@ -579,85 +587,14 @@ class FollowerPopulation:
         return {label: labels.count(label) / len(labels) for label in Label}
 
 
-class World:
-    """Interface every Twitter-world backend implements.
+class SyntheticWorld:
+    """Lazy world: a registry of :class:`FollowerPopulation` targets plus
+    a shared ambient pool answering ``friends/ids`` queries.
 
     ``follower_ids``/``friend_ids`` return slices in *chronological*
     order of edge creation; the API layer is responsible for exposing
     them newest-first, as the real service does (paper, Section IV-B).
     """
-
-    def account_by_name(self, screen_name: str, now: float) -> Account:
-        """Resolve a handle to an account snapshot at ``now``."""
-        raise NotImplementedError
-
-    def account_by_id(self, user_id: int, now: float) -> Account:
-        """Resolve a user id to an account snapshot at ``now``."""
-        raise NotImplementedError
-
-    def follower_count(self, user_id: int, now: float) -> int:
-        """Number of followers the account has at ``now``."""
-        raise NotImplementedError
-
-    def follower_ids(self, user_id: int, start: int, stop: int,
-                     now: float) -> Sequence[int]:
-        """Chronological slice ``[start, stop)`` of follower ids at ``now``."""
-        raise NotImplementedError
-
-    def friend_count(self, user_id: int, now: float) -> int:
-        """Number of accounts the user follows at ``now``."""
-        raise NotImplementedError
-
-    def friend_ids(self, user_id: int, start: int, stop: int,
-                   now: float) -> Sequence[int]:
-        """Chronological slice ``[start, stop)`` of followed ids at ``now``."""
-        raise NotImplementedError
-
-    def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
-        """The user's recent tweets at ``now``, newest first."""
-        raise NotImplementedError
-
-    def timelines(self, user_ids: Sequence[int], count: int,
-                  now: float) -> List[TimelineBlock]:
-        """:meth:`timeline` of every id at ``now``, in order.
-
-        An unknown id raises :class:`UnknownAccountError`, as
-        :meth:`timeline` does.
-        """
-        return [self.timeline(user_id, count, now) for user_id in user_ids]
-
-    def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
-        """Resolve ``user_ids`` to API user objects at ``now``, in order.
-
-        Unknown/suspended ids are silently dropped, exactly as the real
-        ``users/lookup`` endpoint omits them from its response.  This is
-        the object oracle that :meth:`user_row_block` must match row for
-        row.
-        """
-        from ..api.endpoints import UserObject  # deferred: api imports this module
-
-        users: List[UserObject] = []
-        for user_id in user_ids:
-            try:
-                account = self.account_by_id(user_id, now)
-            except UnknownAccountError:
-                continue
-            users.append(UserObject.from_account(account))
-        return users
-
-    def user_row_block(self, user_ids: Sequence[int],
-                       now: float) -> "UserRowBlock":
-        """``users/lookup`` as one row block: the :meth:`user_objects`
-        answer packed by :meth:`UserRowBlock.from_users` (behaviour and
-        label columns zeroed)."""
-        from .columnar.schema import UserRowBlock
-
-        return UserRowBlock.from_users(self.user_objects(user_ids, now))
-
-
-class SyntheticWorld(World):
-    """Lazy world: a registry of :class:`FollowerPopulation` targets plus
-    a shared ambient pool answering ``friends/ids`` queries."""
 
     def __init__(self, seed: int, ref_time: float) -> None:
         self._seed = seed
@@ -752,6 +689,7 @@ class SyntheticWorld(World):
         return persona.sample(rng, ambient_id(index), now)
 
     def account_by_id(self, user_id: int, now: float) -> Account:
+        """Resolve a user id to an account snapshot at ``now``."""
         tag = namespace_of(user_id)
         if tag == TARGET_TAG:
             return self._target_account(self._ordinal(user_id), now)
@@ -766,6 +704,7 @@ class SyntheticWorld(World):
         raise UnknownAccountError(user_id)
 
     def account_by_name(self, screen_name: str, now: float) -> Account:
+        """Resolve a target's handle to its account snapshot at ``now``."""
         key = screen_name.lower()
         if key in self._by_name:
             return self._target_account(self._by_name[key], now)
@@ -774,12 +713,15 @@ class SyntheticWorld(World):
     # -- graph queries --------------------------------------------------------
 
     def follower_count(self, user_id: int, now: float) -> int:
+        """Number of followers the account has at ``now``."""
         if namespace_of(user_id) == TARGET_TAG:
             return self._populations[self._ordinal(user_id)].size_at(now)
         return self.account_by_id(user_id, now).followers_count
 
     def follower_ids(self, user_id: int, start: int, stop: int,
                      now: float) -> Sequence[int]:
+        """Chronological slice ``[start, stop)`` of follower ids at ``now``,
+        clamped to the list."""
         if namespace_of(user_id) != TARGET_TAG:
             # Leaf accounts' follower lists are not modelled individually;
             # an empty list matches what engines observe for accounts
@@ -792,10 +734,12 @@ class SyntheticWorld(World):
         return population.follower_ids(start, stop, now)
 
     def friend_count(self, user_id: int, now: float) -> int:
+        """Number of accounts the user follows at ``now``."""
         return self.account_by_id(user_id, now).friends_count
 
     def friend_ids(self, user_id: int, start: int, stop: int,
                    now: float) -> Sequence[int]:
+        """Slice ``[start, stop)`` of the ambient accounts the user follows."""
         count = min(self.friend_count(user_id, now), AMBIENT_POOL_SIZE)
         start = max(0, min(start, count))
         stop = max(start, min(stop, count))
@@ -804,6 +748,33 @@ class SyntheticWorld(World):
         rng = friends_rng(self._seed, user_id)
         indices = rng.sample(range(AMBIENT_POOL_SIZE), count)
         return [ambient_id(index) for index in indices[start:stop]]
+
+    def unfollow(self, follower_id: int, target_id: int, at: float) -> None:
+        """``follower_id`` stops following ``target_id`` at ``at``.
+
+        From ``at`` on the follower leaves the target's count and
+        ``followers/ids``, while ``users/lookup`` still resolves it, as
+        a departed burst member.  An id naming no account raises
+        :class:`UnknownAccountError`; a follower not on the target's
+        list at ``at`` (not arrived yet, gone to its burst's attrition,
+        already unfollowed, or following someone else) raises
+        :class:`GraphError`.
+        """
+        if namespace_of(target_id) != TARGET_TAG:
+            # Either id unknown: UnknownAccountError.
+            self.account_by_id(target_id, at)
+            self.account_by_id(follower_id, at)
+            raise GraphError(f"{target_id} has no modelled follower list")
+        population = self._populations[self._ordinal(target_id)]
+        if namespace_of(follower_id) != FOLLOWER_TAG:
+            self.account_by_id(follower_id, at)
+            raise GraphError(f"{follower_id} does not follow {target_id}")
+        ordinal, position = decode_follower(follower_id)
+        if ordinal >= len(self._populations):
+            raise UnknownAccountError(follower_id)
+        if ordinal != population.ordinal:
+            raise GraphError(f"{follower_id} does not follow {target_id}")
+        population.schedule.depart(position, at)
 
     def _follower(self, user_id: int, now: float) -> Tuple[FollowerPopulation, int]:
         """The population and position of a follower id arrived by ``now``."""
@@ -836,6 +807,7 @@ class SyntheticWorld(World):
                 yield rows, population.follower_columns(positions[rows], now)
 
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
+        """The user's recent tweets at ``now``, newest first."""
         return self.timelines([user_id], count, now)[0]
 
     def timelines(self, user_ids: Sequence[int], count: int,
@@ -859,6 +831,25 @@ class SyntheticWorld(World):
                 blocks[row] = self._timelines.recent_tweets(
                     self.account_by_id(int(user_ids[row]), now), count)
         return blocks
+
+    def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
+        """Resolve ``user_ids`` to API user objects at ``now``, in order.
+
+        Unknown/suspended ids are silently dropped, exactly as the real
+        ``users/lookup`` endpoint omits them from its response.  This is
+        the object oracle that :meth:`user_row_block` must match row for
+        row.
+        """
+        from ..api.endpoints import UserObject  # deferred: api imports this module
+
+        users: List[UserObject] = []
+        for user_id in user_ids:
+            try:
+                account = self.account_by_id(user_id, now)
+            except UnknownAccountError:
+                continue
+            users.append(UserObject.from_account(account))
+        return users
 
     def user_row_block(self, user_ids: Sequence[int],
                        now: float) -> "UserRowBlock":

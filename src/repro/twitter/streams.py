@@ -3,10 +3,10 @@
 Every stochastic draw in a synthetic world is made from a
 ``random.Random`` derived from the world's master seed plus a *stream
 path* — a short label tuple hashed by
-:func:`repro.core.rng.derive_seed` — except follower snapshots and
-timelines, which are counter-based: SplitMix64 outputs stepped from a
-64-bit state derived the same way, so a whole column is one NumPy
-pass.
+:func:`repro.core.rng.derive_seed` — except follower snapshots,
+timelines and daily churn, which are counter-based: SplitMix64 outputs
+stepped from a 64-bit state derived the same way, so a whole column is
+one NumPy pass.
 This module is the only place those paths are spelled out, so every
 call site that must consume *identical* random streams provably does;
 ``tests/twitter/test_streams.py`` pins the derived seeds and the first
@@ -22,7 +22,7 @@ composition sampling      ``("composition", sample_seed)``
 ambient pool account      ``("ambient", index)``
 friends/ids shuffle       ``("friends", user_id)``
 timeline synthesis        ``("timeline", user_id)`` (SplitMix64 state)
-explicit-graph builder    ``("graph", screen_name)``
+daily churn               ``("churn", ordinal, day)`` (SplitMix64 state)
 ========================  ============================================
 
 A follower's key is the SplitMix64 output at step ``position + 1`` of
@@ -32,9 +32,9 @@ deliberately do *not* depend on the observation instant or on which
 other followers were generated, which is what makes lazy generation
 possible: materialising position ``p`` never requires materialising
 positions ``0..p-1``, and any set of positions is generated in one
-NumPy pass.  Callers that build accounts outside a population (the
-graph builder, the live processes, the FC gold standard, the ambient
-pool) draw a key from their own stream with ``rng.getrandbits(64)``.
+NumPy pass.  Callers that build accounts outside a population (the FC
+gold standard, the ambient pool) draw a key from their own stream with
+``rng.getrandbits(64)``.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ def timeline_state(seed: int, user_id: int) -> int:
     return derive_seed(seed, "timeline", user_id)
 
 
-def graph_rng(seed: int, screen_name: str) -> random.Random:
-    """Stream used by :func:`repro.twitter.generator.populate_graph`."""
-    return make_rng(seed, "graph", screen_name)
+def churn_state(seed: int, ordinal: int, day: int) -> int:
+    """The SplitMix64 state of a target's day-``day`` unfollow draws.
+
+    Keyed like :func:`follower_key_state`, by seed and target ordinal,
+    plus the day, so each day's churn is its own column (see
+    :func:`repro.experiments.live_ordering.run_churn_sensitivity`).
+    """
+    return derive_seed(seed, "churn", ordinal, day)

@@ -7,7 +7,10 @@ newest cohort.  An :class:`ArrivalSchedule` maps every follower position
 (0 = earliest follower) to a deterministic arrival instant, supports the
 inverse query ("how many followers had arrived by time t?"), and keeps
 growing past the reference instant so daily-snapshot experiments observe
-fresh arrivals.
+fresh arrivals.  Followers also leave: a bought block erodes by
+arithmetic attrition, and :meth:`ArrivalSchedule.depart` records one
+follower's unfollow; either way the follower list at ``t`` is the
+arrived positions minus the departed ones, in arrival order.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, GraphError
 from ..core.timeutil import DAY, HOUR
 
 
@@ -99,6 +102,12 @@ class ArrivalSchedule:
     (:meth:`size_at`) but leaves the follower list (:meth:`count_at`,
     :meth:`positions`).  Without bursts the schedule is bit-identical
     to one built before bursts existed.
+
+    :meth:`depart` adds explicit departures, ``(position, instant)``
+    pairs kept sorted by position: an unfollow of any listed follower,
+    merged with the attrition in :meth:`count_at`, :meth:`departed_at`
+    and :meth:`positions`.  A schedule without them answers those
+    queries as before, after one emptiness check.
     """
 
     def __init__(self, segments: Sequence[SegmentWindow],
@@ -126,6 +135,12 @@ class ArrivalSchedule:
         self._ref_time = self._segments[-1].end
         self._post_ref_daily = float(post_ref_daily)
         self._compile_bursts(post_ref_bursts)
+        # Explicit departures, sorted by position, and their instants.
+        self._gone_positions: List[int] = []
+        self._gone_at: List[float] = []
+        # Whether anyone can ever leave: the emptiness check that lets a
+        # schedule without departures skip the merge.
+        self._leaving = bool(self._eroding)
 
     def _compile_bursts(self, post_ref_bursts: Sequence[Tuple]) -> None:
         """Flatten the bursts into arrival-ordered tranche arrays."""
@@ -320,6 +335,11 @@ class ArrivalSchedule:
                 hi = mid
         return lo
 
+    @property
+    def departures(self) -> Tuple[Tuple[int, float], ...]:
+        """The explicit departures, ``(position, instant)`` by position."""
+        return tuple(zip(self._gone_positions, self._gone_at))
+
     def _departed(self, now: float):
         """``(per_hour, tranches, departed)`` of each eroding burst."""
         for last, per_hour, tranches, departed in self._eroding:
@@ -327,13 +347,64 @@ class ArrivalSchedule:
                 days = min(int((now - last) / DAY), len(departed) - 1)
                 yield per_hour, tranches, departed[days]
 
+    def _holes(self, now: float) -> List[Tuple[int, int]]:
+        """The ``[first, stop)`` position ranges attrition has removed by
+        ``now``, sorted."""
+        holes = []
+        for per_hour, tranches, gone in self._departed(now):
+            for order, tranche in enumerate(tranches[:-(-gone // per_hour)]):
+                first = self._base_count + self._tranche_first[tranche]
+                holes.append(
+                    (first, first + min(per_hour, gone - order * per_hour)))
+        return sorted(holes)
+
+    def _unfollowed(self, now: float, holes: List[Tuple[int, int]]
+                    ) -> List[int]:
+        """Positions departed explicitly by ``now``, sorted, outside the
+        attrition ``holes`` (a follower leaves the list once)."""
+        return [position for position, at
+                in zip(self._gone_positions, self._gone_at)
+                if at <= now and not any(first <= position < stop
+                                         for first, stop in holes)]
+
+    def depart(self, position: int, at: float) -> None:
+        """Take the follower at ``position`` off the list from ``at`` on.
+
+        Raises :class:`GraphError` unless the follower is listed at
+        ``at``: it must have arrived by then, not have left with its
+        burst's attrition, and not have departed explicitly before (a
+        position departs at most once; nobody re-follows).
+        """
+        position, at = int(position), float(at)
+        if not 0 <= position < self.size_at(at):
+            raise GraphError(
+                f"position {position} has not arrived by {at!r}")
+        index = bisect.bisect_left(self._gone_positions, position)
+        if index < len(self._gone_positions) and \
+                self._gone_positions[index] == position:
+            raise GraphError(
+                f"position {position} already departed at "
+                f"{self._gone_at[index]!r}")
+        if any(first <= position < stop
+               for first, stop in self._holes(at)):
+            raise GraphError(
+                f"position {position} left with its burst's attrition "
+                f"by {at!r}")
+        self._gone_positions.insert(index, position)
+        self._gone_at.insert(index, at)
+        self._leaving = True
+
     def departed_at(self, now: float) -> int:
-        """Burst members that have left the follower list by ``now``."""
-        return sum(gone for __, __, gone in self._departed(now))
+        """Followers that have left the list by ``now``: burst attrition
+        and explicit departures."""
+        attrition = sum(gone for __, __, gone in self._departed(now))
+        if not self._gone_positions:
+            return attrition
+        return attrition + len(self._unfollowed(now, self._holes(now)))
 
     def count_at(self, now: float) -> int:
         """Length of the follower list at ``now``: arrivals minus departures."""
-        if not self._eroding:
+        if not self._leaving:
             return self.size_at(now)
         return self.size_at(now) - self.departed_at(now)
 
@@ -345,17 +416,25 @@ class ArrivalSchedule:
         back unchanged; after, as a list of ints (an int64 array for an
         array).  Indices are not checked against :meth:`count_at`.
         """
-        holes = []
-        for per_hour, tranches, gone in self._departed(now):
-            for order, tranche in enumerate(tranches[:-(-gone // per_hour)]):
-                first = self._base_count + self._tranche_first[tranche]
-                holes.append(
-                    (first, first + min(per_hour, gone - order * per_hour)))
-        if not holes:
+        if not self._leaving:
             return indices
+        ranges = self._holes(now)
+        if self._gone_positions:
+            ranges = sorted(ranges + [
+                (position, position + 1)
+                for position in self._unfollowed(now, ranges)])
+        if not ranges:
+            return indices
+        # The removed ranges are sorted and disjoint.  One starting at
+        # ``first`` has ``first`` minus the lengths of those before it
+        # kept positions ahead of it, so index ``i`` moves past every
+        # range with at most ``i`` kept ahead: one ``searchsorted``.
+        bounds = np.array(ranges, dtype=np.int64)
+        lengths = bounds[:, 1] - bounds[:, 0]
+        removed = np.concatenate(([0], np.cumsum(lengths)))
+        kept_ahead = bounds[:, 0] - removed[:-1]
         shifted = np.array(indices, dtype=np.int64)
-        for first, stop in sorted(holes):
-            shifted[shifted >= first] += stop - first
+        shifted += removed[np.searchsorted(kept_ahead, shifted, side="right")]
         return shifted if isinstance(indices, np.ndarray) else shifted.tolist()
 
 

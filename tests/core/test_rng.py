@@ -10,12 +10,21 @@ from repro.core import (
     ZipfTable,
     derive_seed,
     make_rng,
-    poisson,
-    weighted_choice,
+    poisson_quantile,
     zipf_rank,
 )
 
 from . import rng_oracle
+
+
+def weighted_choice(rng, items, weights):
+    """One weighted pick: a :class:`WeightedTable` built for one draw."""
+    return WeightedTable(items, weights).pick(rng)
+
+
+def poisson(rng, lam):
+    """One Poisson count from one uniform of ``rng``, by inverse CDF."""
+    return poisson_quantile(lam, rng.random())
 
 
 class TestDeriveSeed:
@@ -155,3 +164,16 @@ class TestPoisson:
     def test_always_non_negative(self):
         rng = make_rng(8)
         assert all(poisson(rng, 50.0) >= 0 for _ in range(500))
+
+    @pytest.mark.parametrize("lam", [0.5, 4.0, 80.0, 2000.0])
+    def test_quantile_is_the_inverse_cdf(self, lam):
+        """Each count is the first whose running mass passes the draw,
+        and counts never fall as the draw grows."""
+        import math
+        counts = [poisson_quantile(lam, index / 200) for index in range(200)]
+        assert counts == sorted(counts)
+        for index, count in enumerate(counts):
+            below = sum(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+                        for k in range(count))
+            assert below <= index / 200 < below + math.exp(
+                count * math.log(lam) - lam - math.lgamma(count + 1))

@@ -57,37 +57,35 @@ class TestCheckHeadGrowth:
 
 class TestChurnBreaksTheSuffixProperty:
     def test_live_unfollows_are_flagged_as_violations(self):
-        """Section II-D's caveat, exercised live: the paper's
-        'new entries always at the end' check implicitly assumes no
-        unfollows.  On a churning live world, the checker must flag
-        day pairs where followers vanished."""
-        from repro.core import DAY, HOUR, YEAR
-        from repro.twitter import (
-            Account,
-            ChurnProcess,
-            LiveSimulation,
-            OrganicGrowthProcess,
-            SocialGraph,
-        )
-        graph = SocialGraph(seed=2)
-        graph.add_account(Account(
-            user_id=1, screen_name="churny",
-            created_at=PAPER_EPOCH - YEAR,
-            statuses_count=10, last_tweet_at=PAPER_EPOCH - HOUR))
-        simulation = LiveSimulation(graph, SimClock(PAPER_EPOCH), seed=3)
-        simulation.add_process(OrganicGrowthProcess(1, per_day=100.0))
-        simulation.run_for(5 * DAY)  # build an audience first
-        simulation.add_process(ChurnProcess(1, daily_fraction=0.2))
+        """Section II-D's caveat, exercised on a world with unfollows:
+        the paper's 'new entries always at the end' check implicitly
+        assumes no unfollows.  On a churning target, the checker must
+        flag day pairs where followers vanished."""
+        from repro.core import DAY
+        from repro.twitter import add_simple_target, build_world, target_id
+
+        world = build_world(seed=2)
+        add_simple_target(world, "churny", 500, 0.3, 0.2, 0.5,
+                          daily_new_followers=100.0)
+        population = world.population("churny")
+        target = target_id(population.ordinal)
 
         snapshots = []
-        for __ in range(5):
-            now = simulation.now()
-            ids = graph.follower_ids(
-                1, 0, graph.follower_count(1, now), now)
-            snapshots.append(tuple(reversed(ids)))  # newest-first
-            simulation.run_for(DAY)
+        for day in range(5):
+            now = PAPER_EPOCH + day * DAY
+            if day:
+                # A fifth of the audience unfollows, from mid-list.
+                listed = population.size_at(now)
+                for position in population.schedule.positions(
+                        list(range(0, listed, 5)), now):
+                    world.unfollow(population.follower_id_at(position),
+                                   target, now)
+            ids = world.follower_ids(
+                target, 0, world.follower_count(target, now), now)
+            snapshots.append(tuple(ids[::-1].tolist()))  # newest-first
         __, violations = check_head_growth(snapshots)
         assert violations > 0
+        assert violations == 4
 
 
 class TestRunExperiment:

@@ -22,7 +22,7 @@ from dataclasses import replace
 from repro.analytics import DEEP_DIVE_CONFIG
 from repro.api.crawler import AnchoredHeadWalk
 from repro.audit import AuditRequest, build_engines
-from repro.core import DAY, PAPER_EPOCH, YEAR, SimClock
+from repro.core import DAY, PAPER_EPOCH, SimClock
 from repro.faults.plan import FaultPlan, InjectorSpec
 from repro.obs.provenance import ProvenanceCollector
 from repro.sched import (
@@ -32,14 +32,11 @@ from repro.sched import (
     WatermarkStore,
 )
 from repro.twitter import (
-    Account,
-    Label,
     PostRefBurst,
-    SocialGraph,
     add_simple_target,
     build_world,
     fake_purchase_burst,
-    populate_graph,
+    target_id,
 )
 
 T0 = PAPER_EPOCH
@@ -200,19 +197,12 @@ def test_net_growth_hiding_a_counted_departure_falls_back():
     follower's verdict (and count 303 followers of a 302-follower
     account), so the head walk's arrival count must match the counter.
     """
-    graph = SocialGraph(seed=3)
-    target = Account(user_id=1000, screen_name=HANDLE,
-                     created_at=T0 - 4 * YEAR, statuses_count=100,
-                     last_tweet_at=T0 - DAY)
-    baseline_ids = populate_graph(
-        graph, target, [Label.GENUINE] * 200 + [Label.FAKE] * 100,
-        seed=4, ref_time=T0)
-    auditor = make_auditor(graph)
+    world = make_world(bursts=(fake_purchase_burst(1.0, 3),))
+    auditor = make_auditor(world)
     auditor.audit(delta_request())
-    graph.unfollow(baseline_ids[0], target.user_id)
-    populate_graph(graph, target, [Label.FAKE] * 3, seed=5,
-                   ref_time=T0 + DAY, follow_window_years=0.5 / 365)
-
+    population = world.population(HANDLE)
+    world.unfollow(population.follower_id_at(0),
+                   target_id(population.ordinal), T0 + DAY)
     report = auditor.audit(delta_request(as_of=T0 + 2 * DAY))
     assert auditor.fallbacks == {"cold_start": 1, "count_mismatch": 1}
     assert auditor.merged == 0

@@ -17,9 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DAY, PAPER_EPOCH, UnknownAccountError
-from repro.twitter import (Account, BehaviorProfile, SocialGraph,
-                           TimelineGenerator, add_simple_target,
-                           build_world)
+from repro.twitter import (Account, BehaviorProfile, TimelineGenerator,
+                           add_simple_target, build_world)
 from repro.twitter.population import ambient_id, target_id
 from repro.twitter.timeline import TimelineProfiles
 
@@ -137,17 +136,3 @@ def test_generator_batch_equals_single_profiles():
         assert [_columns(block) for block in batch] == [
             _columns(generator.recent_tweets(account, count))
             for account in accounts]
-
-
-def test_graph_world_timelines_loop_timeline():
-    graph = SocialGraph(seed=1)
-    for uid in (1, 2):
-        graph.add_account(Account(
-            user_id=uid, screen_name=f"g{uid}",
-            created_at=PAPER_EPOCH - 400 * DAY, statuses_count=50,
-            last_tweet_at=PAPER_EPOCH - DAY))
-    batch = graph.timelines([2, 1, 2], 20, PAPER_EPOCH)
-    assert [_columns(block) for block in batch] == [
-        _columns(graph.timeline(uid, 20, PAPER_EPOCH)) for uid in (2, 1, 2)]
-    with pytest.raises(UnknownAccountError):
-        graph.timelines([1, 3], 20, PAPER_EPOCH)

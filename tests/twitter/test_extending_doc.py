@@ -11,11 +11,14 @@ import pathlib
 import random
 import re
 
+import numpy as np
 import pytest
 
 from repro.core import DAY, PAPER_EPOCH, ConfigurationError
 from repro.experiments import validate_population
 from repro.twitter.account import Label
+from repro.twitter.columns import sample_columns
+from repro.twitter.draws import draw_matrix
 from repro.twitter.names import human_handles
 from repro.twitter.personas import PERSONAS, Persona
 from repro.twitter.population import (
@@ -25,6 +28,17 @@ from repro.twitter.population import (
 )
 
 GUIDE = pathlib.Path(__file__).resolve().parents[2] / "docs" / "extending.md"
+
+
+def sample_capped(persona, rng, user_id, now, latest_created=math.inf):
+    """One account of ``persona`` keyed off ``rng``, created no later than
+    ``latest_created``: the path a follower takes, with its arrival as
+    the cap."""
+    bits, uniforms = draw_matrix(
+        np.array([rng.getrandbits(64)], dtype=np.uint64))
+    return sample_columns(bits, uniforms, [persona], np.array([0]), now,
+                          np.array([latest_created]),
+                          np.array([user_id])).accounts()[0]
 
 
 def persona_example() -> str:
@@ -49,9 +63,10 @@ def lurker():
 def test_example_samples_with_and_without_the_cap(lurker):
     now = PAPER_EPOCH
     free = lurker.sample(random.Random(3), 7, now)
+    assert sample_capped(lurker, random.Random(3), 7, now) == free
     assert now - 5 * 365 * DAY <= free.created_at <= now
     cap = free.created_at - 30 * DAY
-    capped = lurker.sample(random.Random(3), 7, now, latest_created=cap)
+    capped = sample_capped(lurker, random.Random(3), 7, now, cap)
     assert capped.created_at == pytest.approx(cap, abs=1e-6)
     assert capped.last_tweet_at == free.last_tweet_at
     assert (capped.followers_count, capped.friends_count,
@@ -92,5 +107,5 @@ def test_sampler_creating_after_the_cap_is_refused():
 
     rash = Persona("genuine_rash", Label.GENUINE, uncapped)
     with pytest.raises(ConfigurationError, match="latest_created"):
-        rash.sample(random.Random(1), 7, PAPER_EPOCH,
-                    latest_created=PAPER_EPOCH - 30 * DAY)
+        sample_capped(rash, random.Random(1), 7, PAPER_EPOCH,
+                      PAPER_EPOCH - 30 * DAY)

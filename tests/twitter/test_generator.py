@@ -1,15 +1,12 @@
-"""Unit tests for world/graph builders."""
+"""Unit tests for world builders."""
 
 import pytest
 
-from repro.core import ConfigurationError, PAPER_EPOCH, YEAR
+from repro.core import ConfigurationError, PAPER_EPOCH
 from repro.twitter import (
-    Account,
     Label,
-    SocialGraph,
     build_world,
     make_target_spec,
-    populate_graph,
     tilted_segments,
     uniform_segments,
 )
@@ -79,48 +76,3 @@ class TestMakeTargetSpec:
     def test_zero_composition_rejected(self):
         with pytest.raises(ConfigurationError):
             make_target_spec("x", 100, 0.0, 0.0, 0.0)
-
-
-class TestPopulateGraph:
-    def test_builds_followers_in_arrival_order(self):
-        graph = SocialGraph(seed=2)
-        target = Account(
-            user_id=1000, screen_name="star",
-            created_at=PAPER_EPOCH - 4 * YEAR,
-            statuses_count=100, last_tweet_at=PAPER_EPOCH - 100)
-        labels = [Label.INACTIVE] * 10 + [Label.GENUINE] * 10
-        minted = populate_graph(graph, target, labels, seed=4)
-        assert len(minted) == 20
-        assert graph.follower_count(1000, NOW) == 20
-        assert list(graph.follower_ids(1000, 0, 20, NOW)) == minted
-
-    def test_labels_respected(self):
-        graph = SocialGraph(seed=2)
-        target = Account(
-            user_id=1000, screen_name="star",
-            created_at=PAPER_EPOCH - 4 * YEAR,
-            statuses_count=100, last_tweet_at=PAPER_EPOCH - 100)
-        minted = populate_graph(
-            graph, target, [Label.FAKE] * 15, seed=5)
-        for uid in minted:
-            assert graph.account_by_id(uid, NOW).true_label is Label.FAKE
-
-    def test_no_follower_predates_its_creation(self):
-        """Every minted follower exists by the time it follows, so a past
-        snapshot's follower listing and ``users/lookup`` agree."""
-        graph = SocialGraph(seed=2)
-        target = Account(
-            user_id=1000, screen_name="star",
-            created_at=PAPER_EPOCH - 4 * YEAR,
-            statuses_count=100, last_tweet_at=PAPER_EPOCH - 100)
-        labels = ([Label.INACTIVE] * 3 + [Label.FAKE] * 2
-                  + [Label.GENUINE] * 5) * 100
-        minted = populate_graph(graph, target, labels, seed=4)
-        window = 3.0 * YEAR          # populate_graph's default follow window
-        for index, uid in enumerate(minted):
-            followed_at = NOW - window + window * (index + 0.5) / len(minted)
-            assert graph.account_by_id(uid, NOW).created_at <= followed_at
-        past = NOW - YEAR
-        listed = graph.follower_ids(1000, 0, len(minted), past)
-        assert 0 < len(listed) < len(minted)
-        assert len(graph.user_objects(listed, past)) == len(listed)

@@ -29,8 +29,8 @@ from ..core import rng_oracle
 SEED = 42
 
 # (stream name, derivation path, derived 64-bit seed,
-#  first random(), first 32-bit draw after it; for the timeline, the
-#  second uniform scaled to 32 bits).  The follower rows pin
+#  first random(), first 32-bit draw after it; for the timeline and the
+#  churn, the second uniform scaled to 32 bits).  The follower rows pin
 #  the key of position 5 of target 0: its persona draw (slot 0) and the
 #  top half of the key, then its first sampler draw (slot 1) and the top
 #  half of that slot's bits.
@@ -47,8 +47,8 @@ PINNED = [
      11770962636459208692, 0.21545607123394583, 3870747768),
     ("timeline", ("timeline", 12345),
      5942430987252212878, 0.7505366027294688, 306095661),
-    ("graph", ("graph", "obama"),
-     9275016577232206654, 0.684028112766414, 264432056),
+    ("churn", ("churn", 0, 3),
+     16241904232018036395, 0.36488782737665404, 2078929767),
 ]
 
 def _first_draws(rng):
@@ -57,8 +57,8 @@ def _first_draws(rng):
     return rng.random(), rng.getrandbits(32)
 
 
-def _timeline_draws():
-    uniforms = stream_uniforms(streams.timeline_state(SEED, 12345), 2)
+def _column_draws(state):
+    uniforms = stream_uniforms(state, 2)
     return float(uniforms[0]), int(uniforms[1] * (1 << 32))
 
 
@@ -75,8 +75,8 @@ FIRST_DRAWS = {
     "composition": lambda: _first_draws(streams.composition_rng(SEED, 0)),
     "ambient": lambda: _first_draws(streams.ambient_rng(SEED, 17)),
     "friends": lambda: _first_draws(streams.friends_rng(SEED, 12345)),
-    "timeline": lambda: _timeline_draws(),
-    "graph": lambda: _first_draws(streams.graph_rng(SEED, "obama")),
+    "timeline": lambda: _column_draws(streams.timeline_state(SEED, 12345)),
+    "churn": lambda: _column_draws(streams.churn_state(SEED, 0, 3)),
 }
 
 
