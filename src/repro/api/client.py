@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core.clock import SimClock
 from ..core.errors import (
     ConfigurationError,
@@ -469,7 +471,7 @@ class TwitterApiClient:
         chrono_start = total - stop_newest
         chrono_stop = total - start_newest
         chronological = fetch(chrono_start, chrono_stop, now)
-        ids = tuple(int(uid) for uid in reversed(list(chronological)))
+        ids = tuple(np.asarray(chronological, dtype=np.int64)[::-1].tolist())
         if fault is not None and ids:
             # A truncated page silently drops the tail of the listing
             # while the cursor still advances past the full page — the

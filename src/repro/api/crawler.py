@@ -177,7 +177,7 @@ class Crawler:
                 self._pages.inc()
                 hit_offset = None
                 for offset, uid in enumerate(page.ids):
-                    found = anchor_of.get(int(uid))
+                    found = anchor_of.get(uid)
                     if found is not None:
                         # Scanning newest-first, the first hit is the
                         # newest surviving anchor; its index counts the
@@ -185,9 +185,9 @@ class Crawler:
                         hit_offset, anchor_index = offset, found
                         break
                 if hit_offset is not None:
-                    new_ids.extend(int(uid) for uid in page.ids[:hit_offset])
+                    new_ids.extend(page.ids[:hit_offset])
                     break
-                new_ids.extend(int(uid) for uid in page.ids)
+                new_ids.extend(page.ids)
                 if len(new_ids) > max_new or page.next_cursor == 0:
                     break
                 cursor = page.next_cursor

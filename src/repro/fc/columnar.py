@@ -3,7 +3,7 @@
 The FC engine classifies a 9604-follower sample per audit (Section
 III) through the detector's own columnar path --
 :meth:`FeatureSet.extract_matrix <repro.fc.features.FeatureSet.extract_matrix>`
-and the trees' level-wise array descent.  This module adds only what an
+and the forest's one descent program.  This module adds only what an
 audit needs on top of :meth:`TrainedDetector.predict`:
 
 * :class:`FeatureCache` remembers per-account feature rows keyed by
@@ -58,7 +58,7 @@ class FeatureCache:
                 f"max_entries must be >= 1 or None: {max_entries!r}")
         self._name = name
         self._max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, float, str], object]" = \
+        self._entries: "OrderedDict[Tuple[int, float, str], np.ndarray]" = \
             OrderedDict()
         #: Lookup outcomes since construction, as plain ints so
         #: ``cache_info()`` works with observability off.
@@ -72,20 +72,33 @@ class FeatureCache:
 
     def get(self, account_id: int, as_of: float, fingerprint: str):
         """The cached feature row, or ``None``."""
-        key = (account_id, as_of, fingerprint)
-        row = self._entries.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        if self._hit_counter is None:
-            self._hit_counter = self._registry.counter(
-                "fc_feature_cache_hits_total",
-                help="feature rows served from the FC feature cache",
-                cache=self._name)
-        self._hit_counter.inc()
-        return row
+        return self.get_many([account_id], as_of, fingerprint)[0]
+
+    def get_many(self, account_ids, as_of: float,
+                 fingerprint: str) -> List[Optional[np.ndarray]]:
+        """The cached row of each id (``None`` where absent), in order.
+
+        Counts hits and misses and refreshes recency exactly as one
+        :meth:`get` per id would.
+        """
+        entries = self._entries
+        keys = [(account_id, as_of, fingerprint) for account_id in account_ids]
+        rows = [entries.get(key) for key in keys]
+        hits = 0
+        for key, row in zip(keys, rows):
+            if row is not None:
+                entries.move_to_end(key)
+                hits += 1
+        self.misses += len(rows) - hits
+        if hits:
+            self.hits += hits
+            if self._hit_counter is None:
+                self._hit_counter = self._registry.counter(
+                    "fc_feature_cache_hits_total",
+                    help="feature rows served from the FC feature cache",
+                    cache=self._name)
+            self._hit_counter.inc(hits)
+        return rows
 
     def put(self, account_id: int, as_of: float, fingerprint: str,
             row) -> None:
@@ -160,21 +173,27 @@ class BatchClassifier:
         if self._cache is None:
             return self._feature_set.extract_block(view, now)
         user_ids = view.user_ids
-        rows: List[object] = [
-            self._cache.get(user_id, now, self._fingerprint)
-            for user_id in user_ids]
-        missing = [index for index, row in enumerate(rows) if row is None]
+        rows = self._cache.get_many(user_ids, now, self._fingerprint)
+        matrix = np.empty((len(rows), len(self._feature_set.features)),
+                          dtype=np.float64)
+        missing = []
+        for index, row in enumerate(rows):
+            if row is None:
+                missing.append(index)
+            else:
+                matrix[index] = row
         if missing:
-            fresh = self._feature_set.extract_block(view.take(missing), now)
+            # Every row missing is the delta census's common case: the
+            # view itself is the selection.
+            fresh = self._feature_set.extract_block(
+                view if len(missing) == len(rows) else view.take(missing),
+                now)
+            fresh.flags.writeable = False
+            matrix[missing] = fresh
             for position, index in enumerate(missing):
-                row = fresh[position].copy()
-                row.flags.writeable = False
-                self._cache.put(user_ids[index], now, self._fingerprint, row)
-                rows[index] = row
-        if not rows:
-            return np.empty((0, len(self._feature_set.features)),
-                            dtype=np.float64)
-        return np.vstack(rows)
+                self._cache.put(user_ids[index], now, self._fingerprint,
+                                fresh[position])
+        return matrix
 
     def predict_block(self, view: SampleBlock, now: float) -> np.ndarray:
         """0/1 fake verdicts for each row of ``view``."""

@@ -1,7 +1,8 @@
 """Bagged random forest over :class:`~repro.fc.tree.DecisionTree`.
 
 Bootstrap sampling plus random feature subspaces per split; prediction
-is the majority vote (probability = mean of tree probabilities).
+is the majority vote (probability = mean of tree probabilities), read
+from one :class:`~repro.fc.tree.Descent` over every tree at once.
 Deterministic for a fixed seed.
 """
 
@@ -13,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.errors import TrainingError
-from .tree import DecisionTree, check_finite, check_tree_params
+from .tree import DecisionTree, Descent, check_finite, check_tree_params
 
 
 class RandomForest:
@@ -32,6 +33,7 @@ class RandomForest:
         self._seed = seed
         self._trees: List[DecisionTree] = []
         self._n_features = 0
+        self._program: Optional[Descent] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         """Train all trees; each sees a bootstrap resample of (X, y)."""
@@ -50,6 +52,7 @@ class RandomForest:
         rng = np.random.default_rng(self._seed)
         n = X.shape[0]
         self._trees = []
+        self._program = None
         for index in range(self._n_trees):
             rows = rng.integers(0, n, size=n)
             tree = DecisionTree(
@@ -60,6 +63,7 @@ class RandomForest:
             )
             tree.fit(X[rows], y[rows])
             self._trees.append(tree)
+        self._program = Descent(self._trees)
         return self
 
     @property
@@ -72,16 +76,18 @@ class RandomForest:
         """Design-matrix width the forest was fitted on (0 if unfitted)."""
         return self._n_features
 
+    def _fitted(self) -> Descent:
+        if self._program is None:
+            raise TrainingError("forest is not fitted")
+        return self._program
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean positive-class probability across trees."""
-        if not self._trees:
-            raise TrainingError("forest is not fitted")
-        votes = np.vstack([tree.predict_proba(X) for tree in self._trees])
-        return votes.mean(axis=0)
+        return self._fitted().predict_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote 0/1 labels."""
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        return self._fitted().predict(X)
 
     def feature_importances(self) -> np.ndarray:
         """Mean split-count importance across trees."""

@@ -12,18 +12,22 @@ per-threshold loop it replaced (kept as the test oracle
 ``tests/fc/tree_oracle.py``), so the trees it grows are bit-identical:
 same features, thresholds and leaf probabilities.
 
-Inference is array descent too: the fitted tree is laid out as parallel
-node arrays and every row of the design matrix advances one level per
-vectorised step, so a depth-*d* tree classifies any number of rows in
-*d* steps.  Each step compares the same float64 values against the same
-thresholds as a recursive walk (the oracle's ``descend``), so every row
-lands on the same leaf.
+Inference is one array program per fitted model (:class:`Descent`):
+the trees' node arrays are concatenated into one node table, and every
+``(tree, row)`` pair advances one level per vectorised step, so a
+forest of depth-*d* trees classifies any number of rows in *d* steps
+whatever its size, and a single tree is the one-tree case of the same
+program.  Each step compares the same float64 values against the same
+thresholds as a recursive walk (the oracle's ``descend``), so every
+row lands on the same leaf, and the forest's bagged mean reduces the
+same ``(trees, rows)`` matrix in the same order as a stack of per-tree
+probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,16 +49,102 @@ class _Node:
         return self.feature is None
 
 
-class _Steps(NamedTuple):
-    """A fitted tree as parallel node arrays, laid out for descent."""
+class _Nodes(NamedTuple):
+    """One fitted tree as parallel node arrays, in preorder.
+
+    Leaves compare feature 0 against ``+inf`` and route both branches
+    back to themselves, so a row that reaches a leaf early stays there
+    and the descent needs no masking.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    children: np.ndarray
     probability: np.ndarray
-    prediction: np.ndarray
     depth: int
+
+
+#: Rows a descent advances per pass; bounds its ``(tree, row)`` pair
+#: arrays to ``trees * ROW_PASS`` entries whatever the sample size.
+ROW_PASS = 1024
+
+
+class Descent:
+    """The inference program of fitted trees: one level-wise descent.
+
+    The trees' node tables are concatenated into one, ordered by
+    decreasing depth, so level *k* of a pass advances only the prefix
+    of ``(tree, row)`` pairs whose tree is deeper than *k*.  Rows go in
+    passes of :data:`ROW_PASS`; a row's feature is gathered from the
+    flattened matrix as ``flat[row * d + feature]``, and the comparison
+    picks the column of a ``(node, 2)`` child table.  A NaN fails every
+    ``x <= threshold`` and so goes right, as in a recursive walk.  The
+    leaves land in a ``(trees, rows)`` matrix in the trees' original
+    order, whose column mean is the bagged probability: the same float
+    reduction as a stack of per-tree probabilities.
+    """
+
+    def __init__(self, trees: Sequence[DecisionTree]) -> None:
+        tables = [tree._nodes for tree in trees]
+        if any(table is None for table in tables):
+            raise TrainingError("tree is not fitted")
+        widths = {tree.n_features for tree in trees}
+        if len(widths) != 1:
+            raise TrainingError(
+                f"trees disagree on the feature count: {sorted(widths)}")
+        order = sorted(range(len(tables)), key=lambda t: -tables[t].depth)
+        ranked = [tables[t] for t in order]
+        sizes = [len(table.feature) for table in ranked]
+        offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        depths = np.array([table.depth for table in ranked], dtype=np.int64)
+        self._n_features = widths.pop()
+        self._order = np.array(order, dtype=np.int64)
+        self._roots = offsets
+        self._feature = np.concatenate([t.feature for t in ranked])
+        self._threshold = np.concatenate([t.threshold for t in ranked])
+        #: The ``(node, 2)`` child table, flat: ``2 * node + right``.
+        self._children = np.concatenate([
+            table.children + offset
+            for table, offset in zip(ranked, offsets.tolist())]).reshape(-1)
+        self._probability = np.concatenate([t.probability for t in ranked])
+        #: Trees still descending at each level (a prefix of the order).
+        self._active = [int((depths > k).sum())
+                        for k in range(int(depths[0]))]
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf node each row lands on in each tree, ``(trees, rows)``.
+
+        Node indices address the concatenated node table.
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        d = self._n_features
+        if X.ndim != 2 or X.shape[1] != d:
+            raise TrainingError(f"X must have shape (*, {d}), got {X.shape}")
+        n = X.shape[0]
+        trees = len(self._roots)
+        leaves = np.empty((trees, n), dtype=np.int64)
+        flat = X.reshape(-1)
+        for start in range(0, n, ROW_PASS):
+            stop = min(start + ROW_PASS, n)
+            m = stop - start
+            cells = np.tile(np.arange(start * d, stop * d, d), trees)
+            nodes = np.repeat(self._roots, m)
+            for active in self._active:
+                pairs = active * m
+                at = nodes[:pairs]
+                right = ~(flat[cells[:pairs] + self._feature[at]]
+                          <= self._threshold[at])
+                nodes[:pairs] = self._children[2 * at + right]
+            leaves[self._order, start:stop] = nodes.reshape(trees, m)
+        return leaves
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf probability of the positive class across trees."""
+        return self._probability[self.leaves(X)].mean(axis=0)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """0/1 labels: fake when the probability reaches 1/2."""
+        return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
 def _gini(zeros, ones, total):
@@ -128,7 +218,8 @@ class DecisionTree:
         self._rng = np.random.default_rng(seed)
         self._root: Optional[_Node] = None
         self._n_features = 0
-        self._steps: Optional[_Steps] = None
+        self._nodes: Optional[_Nodes] = None
+        self._program: Optional[Descent] = None
 
     # -- training -----------------------------------------------------------
 
@@ -147,7 +238,8 @@ class DecisionTree:
             raise TrainingError("labels must be 0/1")
         self._n_features = X.shape[1]
         self._root = self._grow(X, y, depth=0)
-        self._steps = self._compile()
+        self._nodes = self._compile()
+        self._program = Descent([self])
         return self
 
     def _leaf(self, y: np.ndarray) -> _Node:
@@ -223,51 +315,33 @@ class DecisionTree:
 
     # -- inference -----------------------------------------------------------
 
-    def _compile(self) -> _Steps:
-        """The fitted tree as step arrays for level-wise descent.
-
-        Leaves are rewritten to compare feature 0 against ``+inf`` and
-        route both branches back to themselves, so rows that reach a
-        leaf early stay there and the hot loop needs no masking.
-        """
+    def _compile(self) -> _Nodes:
+        """The fitted tree as a node table for :class:`Descent`."""
         flat = self.flatten()
         feature = np.array(flat["feature"], dtype=np.int64)
         is_leaf = feature < 0
         nodes = np.arange(len(feature), dtype=np.int64)
-        return _Steps(
+        return _Nodes(
             feature=np.where(is_leaf, 0, feature),
             threshold=np.where(is_leaf, np.inf, flat["threshold"]),
-            left=np.where(is_leaf, nodes, flat["left"]),
-            right=np.where(is_leaf, nodes, flat["right"]),
+            children=np.stack([np.where(is_leaf, nodes, flat["left"]),
+                               np.where(is_leaf, nodes, flat["right"])],
+                              axis=1),
             probability=np.array(flat["probability"], dtype=np.float64),
-            prediction=np.array(flat["prediction"], dtype=np.int64),
             depth=self.depth())
 
-    def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """The leaf index each row of ``X`` lands on."""
-        if self._steps is None:
+    def _fitted(self) -> Descent:
+        if self._program is None:
             raise TrainingError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self._n_features:
-            raise TrainingError(
-                f"X must have shape (*, {self._n_features}), got {X.shape}")
-        steps = self._steps
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        for _ in range(steps.depth):
-            go_left = X[rows, steps.feature[nodes]] <= steps.threshold[nodes]
-            nodes = np.where(go_left, steps.left[nodes], steps.right[nodes])
-        return nodes
+        return self._program
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict 0/1 labels for each row."""
-        leaves = self._leaves(X)
-        return self._steps.prediction[leaves]
+        return self._fitted().predict(X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Leaf-frequency probability of the positive (fake) class."""
-        leaves = self._leaves(X)
-        return self._steps.probability[leaves]
+        return self._fitted().predict_proba(X)
 
     # -- introspection --------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from repro.api import TwitterApiClient
 from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
 from repro.core.errors import InvalidCursorError
+from repro.faults import FaultPlan, InjectorSpec
 
 
 @pytest.fixture
@@ -99,6 +100,36 @@ class TestFollowersIds:
         second = client.followers_ids(
             screen_name="smalltown", cursor=first.next_cursor)
         assert second.previous_cursor == -5000
+
+
+class TestIdsPageTypes:
+    """Page ids are Python ``int``s, never NumPy scalars."""
+
+    @staticmethod
+    def assert_plain_ints(page):
+        assert isinstance(page.ids, tuple)
+        assert all(type(uid) is int for uid in page.ids)
+
+    def test_calm_page(self, client):
+        page = client.followers_ids(screen_name="smalltown", count=200)
+        assert len(page.ids) == 200
+        self.assert_plain_ints(page)
+
+    def test_truncated_fault_page(self, small_world):
+        plan = FaultPlan(seed=3, injectors=(
+            InjectorSpec("truncated_ids_page", 1.0, truncate_fraction=0.5),))
+        faulty = TwitterApiClient(small_world, SimClock(PAPER_EPOCH),
+                                  faults=plan)
+        page = faulty.followers_ids(screen_name="smalltown", count=200)
+        assert len(page.ids) == 100
+        assert page.next_cursor == 200
+        self.assert_plain_ints(page)
+
+    def test_leaf_account_empty_listing(self, client):
+        leaf = client.followers_ids(screen_name="smalltown", count=1).ids[0]
+        page = client.followers_ids(user_id=leaf)
+        assert page.ids == ()
+        self.assert_plain_ints(page)
 
 
 class TestUsersLookup:

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.columns import SampleBlock
 from repro.audit import AuditRequest
 from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
 from repro.core.errors import TrainingError
@@ -193,6 +194,76 @@ class TestFeatureCache:
         cache = warm.feature_cache
         assert cache.hits == len(users)
         assert cache.misses == len(users)
+
+
+def per_row_matrix(feature_set, cache, view, now):
+    """The census matrix as the per-row cache protocol builds it.
+
+    One ``get`` per row, the misses extracted from a selection, one
+    read-only copy ``put`` per miss in row order, then a stack.
+    """
+    fingerprint = feature_set.fingerprint()
+    user_ids = view.user_ids
+    rows = [cache.get(user_id, now, fingerprint) for user_id in user_ids]
+    missing = [index for index, row in enumerate(rows) if row is None]
+    if missing:
+        fresh = feature_set.extract_block(view.take(missing), now)
+        for position, index in enumerate(missing):
+            row = fresh[position].copy()
+            row.flags.writeable = False
+            cache.put(user_ids[index], now, fingerprint, row)
+            rows[index] = row
+    return np.vstack(rows)
+
+
+class TestCensusMatrix:
+    """``BatchClassifier.matrix`` through a shared feature cache."""
+
+    @pytest.fixture(scope="class")
+    def census(self, small_world):
+        return follower_sample(small_world, "smalltown", 60)[1]
+
+    #: All miss, all hit, then a mix with a repeated hit (25) and a
+    #: repeated miss (45) in one census.
+    VIEWS = (list(range(30)), list(range(30)),
+             list(range(20, 50)) + [25, 45, 45])
+
+    @pytest.mark.parametrize("max_entries", [None, 40, 7])
+    def test_matches_extraction_and_per_row_protocol(self, census, detector,
+                                                     max_entries):
+        feature_set = detector.feature_set
+        reference = FeatureCache(max_entries=max_entries)
+        root = SampleBlock(census)
+        with observed() as obs:
+            shared = FeatureCache(name="shared", max_entries=max_entries)
+            classifier = batch_classifier(detector, feature_cache=shared)
+            for indices in self.VIEWS:
+                view = root.take(indices)
+                matrix = classifier.matrix(view, PAPER_EPOCH)
+                assert np.array_equal(
+                    matrix, feature_set.extract_block(view, PAPER_EPOCH))
+                assert np.array_equal(matrix, per_row_matrix(
+                    feature_set, reference, view, PAPER_EPOCH))
+                assert matrix.flags.writeable
+                assert (shared.hits, shared.misses, shared.evictions,
+                        shared.size()) == (
+                    reference.hits, reference.misses, reference.evictions,
+                    reference.size())
+                assert list(shared._entries) == list(reference._entries)
+            hits = obs.registry.value("fc_feature_cache_hits_total",
+                                      cache="shared")
+        assert hits == shared.hits > 0
+        if max_entries == 7:
+            assert shared.evictions > 0
+        for row in shared._entries.values():
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
+    def test_empty_view(self, census, detector):
+        classifier = batch_classifier(detector, feature_cache=FeatureCache())
+        matrix = classifier.matrix(SampleBlock(census).take([]), PAPER_EPOCH)
+        assert matrix.shape == (0, len(detector.feature_set.features))
 
 
 def build_engine(world, detector, *, cache=None):
