@@ -556,9 +556,10 @@ class TwitterApiClient:
 
         Each id is its own request, made in order exactly as a lone
         fetch makes it: acquisition-cache check, charge, retries, live
-        hooks.  The world is then read once per observation instant
-        (once for a pinned client, once a request for a live one), and
-        every fault-free answer enters the acquisition cache, so a
+        hooks.  Each read is recorded with its observation instant (the
+        pin, or the request's completion for a live client), and the
+        world answers them all in one call at those instants; every
+        fault-free answer then enters the acquisition cache, so a
         repeated id is a hit exactly when it would be one fetched
         alone.  An id whose retries ran out gets the
         :class:`RetryableApiError` that ended its request in place of
@@ -572,17 +573,18 @@ class TwitterApiClient:
                 f"1..{policy.elements_per_request}")
         cache = self._acq_cache
         results: list = [None] * len(user_ids)
-        reads: Dict[float, List[int]] = {}     # instant -> indices
+        reads: List[int] = []                  # indices, in request order
+        instants: List[float] = []             # the instant of each read
         uncached: Dict[int, int] = {}          # id -> index, fault-free
 
         def settle() -> None:
-            for at, indices in reads.items():
-                for index, timeline in zip(indices, self._world.timelines(
-                        [user_ids[index] for index in indices], page, at)):
-                    results[index] = timeline
+            for index, timeline in zip(reads, self._world.timelines(
+                    [user_ids[index] for index in reads], page, instants)):
+                results[index] = timeline
             for user_id, index in uncached.items():
                 cache.put_timeline(user_id, page, results[index])
             reads.clear()
+            instants.clear()
             uncached.clear()
 
         for index, user_id in enumerate(user_ids):
@@ -600,9 +602,9 @@ class TwitterApiClient:
             except RetryableApiError as error:
                 results[index] = error
                 continue
-            at = self._observe_at if self._observe_at is not None \
-                else completed
-            reads.setdefault(at, []).append(index)
+            reads.append(index)
+            instants.append(self._observe_at if self._observe_at is not None
+                            else completed)
             if cache is not None and fault is None:
                 uncached[user_id] = index
         settle()

@@ -71,8 +71,8 @@ def validate_population(population: FollowerPopulation, now: float,
                               composition_tolerance=tolerance)
     counts: Dict[Label, int] = {label: 0 for label in Label}
     previous_arrival = None
-    for position in positions:
-        account = population.account_at(position, now)
+    accounts = population.follower_columns(positions, now).accounts()
+    for position, account in zip(positions, accounts):
         label = account.true_label
         counts[label] += 1
 

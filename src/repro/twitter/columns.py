@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from .account import LABELS, Account, BehaviorProfile
-from .draws import Draws, draw_matrix, isnan
+from .draws import Draws, draw_matrix
 from .names import render_handle, render_name
 from .timeline import PROFILE_COUNTS, PROFILE_FLOATS, TimelineProfiles
 
@@ -79,20 +79,12 @@ def _checked(persona, columns: Dict[str, object], latest_created
             f"persona {persona.name!r}: sampler left out {missing}")
     created = columns["created_at"]
     last = columns["last_tweet_at"]
-    never = isnan(last)
-    if isinstance(created, np.ndarray):
-        late = np.any(created > latest_created)
-        inconsistent = (np.any(never != (columns["statuses_count"] == 0))
-                        or np.any(last < created))
-    else:
-        late = created > latest_created
-        inconsistent = (never != (columns["statuses_count"] == 0)
-                        or last < created)
-    if late:
+    if (created > latest_created).any():
         raise ConfigurationError(
             f"persona {persona.name!r}: an account created after its "
             f"latest_created")
-    if inconsistent:
+    if ((np.isnan(last) != (columns["statuses_count"] == 0))
+            | (last < created)).any():
         raise ConfigurationError(
             f"persona {persona.name!r}: last_tweet_at must be NaN exactly "
             f"when statuses_count is 0, and never before created_at")
@@ -196,32 +188,29 @@ class FollowerColumns:
 
 
 def sample_columns(bits: np.ndarray, uniforms: np.ndarray,
-                   personas: Sequence, picks: np.ndarray, now: float,
+                   personas: Sequence, picks: np.ndarray, now,
                    latest_created: np.ndarray,
                    user_ids: np.ndarray) -> FollowerColumns:
     """Run each picked persona's sampler over its rows of the matrix.
 
-    ``personas[picks[i]]`` is row ``i``'s persona; ``latest_created``
-    caps each row's creation (``inf``: no cap).  A sampler receives
-    arrays, or Python scalars for a batch of one row.
+    ``personas[picks[i]]`` is row ``i``'s persona and
+    ``latest_created[i]`` caps its creation (``inf``: no cap); ``now``
+    is the instant every row is observed at, or one instant per row.  A
+    sampler receives its rows' draws, instants and caps as arrays.
     """
-    if len(picks) == 1:
-        split = [(None, int(picks[0]))]
-    else:
-        codes = np.unique(picks).tolist()
-        split = [(None, codes[0])] if len(codes) == 1 else [
-            (np.flatnonzero(picks == code), code) for code in codes]
+    now = np.broadcast_to(np.asarray(now, dtype=np.float64), picks.shape)
+    codes = np.unique(picks).tolist()
+    split = [(None, codes[0])] if len(codes) == 1 else [
+        (np.flatnonzero(picks == code), code) for code in codes]
     groups = []
     for rows, code in split:
         persona = personas[code]
         if rows is None:
-            draws, caps = Draws(bits, uniforms), latest_created
+            draws, instants, caps = Draws(bits, uniforms), now, latest_created
         else:
             draws = Draws(bits[rows], uniforms[rows])
-            caps = latest_created[rows]
-        if len(caps) == 1:          # a one-row batch is drawn in scalars
-            caps = float(caps[0])
-        columns = persona.sampler(draws, now, caps)
+            instants, caps = now[rows], latest_created[rows]
+        columns = persona.sampler(draws, instants, caps)
         groups.append(_Group(rows, persona, _checked(persona, columns, caps)))
     return FollowerColumns(user_ids, groups)
 

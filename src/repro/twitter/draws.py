@@ -75,11 +75,7 @@ def mix64(value: int) -> int:
 
 def stream_keys(base: int, positions: np.ndarray) -> np.ndarray:
     """SplitMix64 outputs ``positions + 1`` of the stream at ``base``."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if len(positions) == 1:      # the same key, without six array calls
-        return np.array([mix64((base + int(positions[0]) * _GAMMA) & _MASK64)],
-                        dtype=np.uint64)
-    steps = positions.astype(np.uint64) + _U64(1)
+    steps = np.asarray(positions, dtype=np.int64).astype(np.uint64) + _U64(1)
     steps *= _U64(_GAMMA)
     steps += _U64(base & _MASK64)
     return _finalise(steps)
@@ -128,69 +124,6 @@ def persona_uniforms(keys: np.ndarray) -> np.ndarray:
         _finalise(np.asarray(keys, dtype=np.uint64) ^ _SLOT_CONSTANTS[0]))
 
 
-# -- column arithmetic that also takes one row -----------------------------------
-#
-# A batch of one row is drawn in Python floats, since a NumPy call on
-# one element costs about as much as on a thousand; the samplers are
-# written once, against these helpers and plain operators, and the
-# same IEEE operations give the same bits either way
-# (``tests/twitter/test_follower_columns.py`` holds single rows to
-# batch rows byte for byte).
-
-def where(condition, chosen, otherwise):
-    """``np.where`` over a batch; a conditional expression for one row."""
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, chosen, otherwise)
-    return chosen if condition else otherwise
-
-
-def maximum(first, second):
-    """Elementwise maximum (neither argument is NaN)."""
-    if isinstance(first, np.ndarray) or isinstance(second, np.ndarray):
-        return np.maximum(first, second)
-    return first if first >= second else second
-
-
-def minimum(first, second):
-    """Elementwise minimum (neither argument is NaN)."""
-    if isinstance(first, np.ndarray) or isinstance(second, np.ndarray):
-        return np.minimum(first, second)
-    return first if first <= second else second
-
-
-def isnan(values):
-    """Elementwise NaN test."""
-    if isinstance(values, np.ndarray):
-        return np.isnan(values)
-    return values != values
-
-
-def as_int(values):
-    """Truncate non-negative floats to integers."""
-    if isinstance(values, np.ndarray):
-        return values.astype(np.int64)
-    return int(values)
-
-
-class Lookup:
-    """A table of floats indexed by a column of integers (or one integer)."""
-
-    __slots__ = ("values", "_items")
-
-    def __init__(self, values) -> None:
-        self._items = tuple(float(value) for value in values)
-        self.values = np.array(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def take(self, index):
-        """``values[index]``, elementwise."""
-        if isinstance(index, np.ndarray):
-            return self.values[index]
-        return self._items[index]
-
-
 # -- heavy-tailed counts --------------------------------------------------------
 
 _QUANTILE_BITS = 12
@@ -200,20 +133,20 @@ _NORMAL_QUANTILES = tuple(NormalDist().inv_cdf((index + 0.5) / _QUANTILES)
                           for index in range(_QUANTILES))
 
 
-class LogNormalTable(Lookup):
+class LogNormalTable:
     """The quantiles of ``exp(N(mean_log, sigma_log))``, built with :mod:`math`.
 
     A draw indexes the table by the top bits of its slot, so it is the
     same value on every NumPy build (see :meth:`Draws.lognormal`).
     """
 
-    __slots__ = ("mean_log", "sigma_log")
+    __slots__ = ("values", "mean_log", "sigma_log")
 
     def __init__(self, mean_log: float, sigma_log: float) -> None:
         if sigma_log < 0:
             raise ConfigurationError(f"sigma_log must be >= 0: {sigma_log!r}")
-        super().__init__(math.exp(mean_log + sigma_log * z)
-                         for z in _NORMAL_QUANTILES)
+        self.values = np.array([math.exp(mean_log + sigma_log * z)
+                                for z in _NORMAL_QUANTILES])
         self.mean_log = mean_log
         self.sigma_log = sigma_log
 
@@ -224,19 +157,14 @@ class Draws:
     Each call takes the next slot, one value per row, so a column
     sampler reads like code drawing from a stream, except that every
     row makes every draw: a conditional field draws its options and
-    selects with :func:`where`.  A batch of one row hands out Python
-    scalars instead of arrays.
+    selects with ``np.where``.
     """
 
     __slots__ = ("_bits", "_uniforms", "_next")
 
     def __init__(self, bits: np.ndarray, uniforms: np.ndarray) -> None:
-        if len(uniforms) == 1:
-            self._bits = bits[0].tolist()
-            self._uniforms = uniforms[0].tolist()
-        else:
-            self._bits = bits.T
-            self._uniforms = uniforms.T
+        self._bits = bits.T
+        self._uniforms = uniforms.T
         self._next = 1
 
     def _overdrawn(self) -> ConfigurationError:
@@ -262,11 +190,11 @@ class Draws:
 
     def integers(self, low: int, high: int):
         """Integers uniform on ``[low, high]``, both ends included."""
-        return low + as_int(self.random() * (high - low + 1))
+        return low + (self.random() * (high - low + 1)).astype(np.int64)
 
     def choice(self, count: int):
         """Indices uniform on ``[0, count)``: a code into a vocabulary."""
-        return as_int(self.random() * count)
+        return (self.random() * count).astype(np.int64)
 
     def bits(self):
         """Raw 64-bit hash values (the digits of a rendered handle)."""
@@ -281,9 +209,7 @@ class Draws:
                   scale=None):
         """Counts: a quantile of ``table`` (times ``scale``), rounded
         half to even and clamped to ``[low, high]``."""
-        values = table.take(as_int(self.random() * _QUANTILES))
+        values = table.values[(self.random() * _QUANTILES).astype(np.int64)]
         if scale is not None:
             values = values * scale
-        if isinstance(values, np.ndarray):
-            return np.clip(np.rint(values), low, high).astype(np.int64)
-        return min(max(round(values), low), high)
+        return np.clip(np.rint(values), low, high).astype(np.int64)

@@ -29,16 +29,7 @@ from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY, TWITTER_LAUNCH, YEAR
 from .account import STRING_WIDTHS, Account, Label
 from .columns import sample_accounts
-from .draws import (
-    Draws,
-    LogNormalTable,
-    Lookup,
-    as_int,
-    isnan,
-    maximum,
-    minimum,
-    where,
-)
+from .draws import Draws, LogNormalTable
 from .names import bot_handles, display_names, human_handles
 
 #: The paper's inactivity horizon: last tweet older than 90 days.
@@ -72,40 +63,40 @@ _FOLLOWERS = LogNormalTable(4.6, 1.2)
 _FRIENDS = LogNormalTable(5.2, 1.0)
 #: ``exp(0.3 * years)`` by whole day of account age: an engaged human's
 #: tweet count grows with the account (``mean_log = 5 + 0.3 * years``).
-_ACTIVITY_GROWTH = Lookup(math.exp(0.3 * day * DAY / YEAR)
-                          for day in range(12 * 366))
+_ACTIVITY_GROWTH = np.array([math.exp(0.3 * day * DAY / YEAR)
+                             for day in range(12 * 366)])
 
 
-def created_at(draws: Draws, now: float, min_age: float, max_age: float,
+def created_at(draws: Draws, now: np.ndarray, min_age: float, max_age: float,
                latest_created: np.ndarray) -> np.ndarray:
     """One draw: creation ``min_age`` to ``max_age`` before now, never
     before Twitter's launch and never after ``latest_created``."""
-    created = maximum(TWITTER_LAUNCH, now - draws.uniform(min_age, max_age))
-    return minimum(created, latest_created)
+    created = np.maximum(TWITTER_LAUNCH, now - draws.uniform(min_age, max_age))
+    return np.minimum(created, latest_created)
 
 
-def recent_last_tweet(draws: Draws, now: float, created: np.ndarray,
-                      max_age: float) -> np.ndarray:
+def recent_last_tweet(draws: Draws, now: np.ndarray,
+                      created: np.ndarray, max_age: float) -> np.ndarray:
     """One draw: a last tweet within ``max_age`` of now (an *active* account)."""
-    return maximum(created, now - draws.uniform(0.0, max_age))
+    return np.maximum(created, now - draws.uniform(0.0, max_age))
 
 
-def stale_last_tweet(draws: Draws, now: float, created: np.ndarray,
+def stale_last_tweet(draws: Draws, now: np.ndarray, created: np.ndarray,
                      max_age: float) -> np.ndarray:
     """One draw: a last tweet strictly older than the inactivity horizon.
 
     NaN (never tweeted) where the account is too young to have a tweet
     older than the horizon.
     """
-    oldest = now - minimum(max_age, now - created)
+    oldest = now - np.minimum(max_age, now - created)
     newest = now - INACTIVITY_HORIZON * 1.01
-    return where(oldest < newest,
-                 oldest + (newest - oldest) * draws.random(), math.nan)
+    return np.where(oldest < newest,
+                    oldest + (newest - oldest) * draws.random(), math.nan)
 
 
 def _code(chosen: np.ndarray, draws: Draws, count: int) -> np.ndarray:
     """One draw: a text code in ``1..count`` where ``chosen``, else 0."""
-    return where(chosen, 1 + draws.choice(count), 0)
+    return np.where(chosen, 1 + draws.choice(count), 0)
 
 
 #: The parameters :meth:`Persona.sample` passes a sampler.
@@ -123,15 +114,17 @@ class Persona:
     returns the columns of a whole batch of accounts (see
     :mod:`repro.twitter.columns`), drawn only from ``draws``, each
     created no later than its ``latest_created`` (``inf`` where
-    uncapped).  A batch of one row hands the sampler Python scalars
-    instead of arrays.  Text columns are codes into the persona's
-    vocabularies: ``descriptions``, ``locations`` and ``urls`` (a url
-    may embed the handle as ``{}``); code 0 is the empty string.
+    uncapped).  Every argument is per row: ``draws`` hands out one
+    value per row, ``now`` is each row's observation instant and
+    ``latest_created`` its cap, all arrays, whatever the batch size.
+    Text columns are codes into the persona's vocabularies:
+    ``descriptions``, ``locations`` and ``urls`` (a url may embed the
+    handle as ``{}``); code 0 is the empty string.
     """
 
     name: str
     label: Label
-    sampler: Callable[[Draws, float, np.ndarray], Dict[str, object]]
+    sampler: Callable[[Draws, np.ndarray, np.ndarray], Dict[str, object]]
     descriptions: Tuple[str, ...] = ("",)
     locations: Tuple[str, ...] = ("",)
     urls: Tuple[str, ...] = ("",)
@@ -178,14 +171,14 @@ class Persona:
 # Genuine personas
 # ---------------------------------------------------------------------------
 
-def _sample_genuine_active(draws: Draws, now: float,
+def _sample_genuine_active(draws: Draws, now: np.ndarray,
                            latest_created: np.ndarray) -> dict:
     """An engaged human: balanced graph counts, steady original tweeting."""
     created = created_at(draws, now, 0.5 * YEAR, 7 * YEAR, latest_created)
     columns = human_handles(draws)
     columns.update(display_names(draws))
-    age_days = minimum(as_int((now - created) / DAY),
-                       len(_ACTIVITY_GROWTH) - 1)
+    age_days = np.minimum(((now - created) / DAY).astype(np.int64),
+                          len(_ACTIVITY_GROWTH) - 1)
     columns.update(
         created_at=created,
         tweets_per_day=draws.uniform(0.3, 6.0),
@@ -200,7 +193,7 @@ def _sample_genuine_active(draws: Draws, now: float,
         # lists them), so source alone must not separate the classes.
         api_source_ratio=draws.uniform(0.0, 0.45),
         statuses_count=draws.lognormal(_STATUSES, 20, 60000,
-                                       scale=_ACTIVITY_GROWTH.take(age_days)),
+                                       scale=_ACTIVITY_GROWTH[age_days]),
         description=_code(draws.chance(0.85), draws, len(BIO_SNIPPETS)),
         location=_code(draws.chance(0.7), draws, len(LOCATIONS)),
         url=draws.chance(0.25),
@@ -212,7 +205,7 @@ def _sample_genuine_active(draws: Draws, now: float,
     return columns
 
 
-def _sample_genuine_newbie(draws: Draws, now: float,
+def _sample_genuine_newbie(draws: Draws, now: np.ndarray,
                            latest_created: np.ndarray) -> dict:
     """A recently joined human: thin profile, few tweets, few followers.
 
@@ -247,7 +240,7 @@ def _sample_genuine_newbie(draws: Draws, now: float,
 # Inactive personas
 # ---------------------------------------------------------------------------
 
-def _sample_genuine_abandoned(draws: Draws, now: float,
+def _sample_genuine_abandoned(draws: Draws, now: np.ndarray,
                               latest_created: np.ndarray) -> dict:
     """A real user who tried Twitter and drifted away.
 
@@ -257,12 +250,12 @@ def _sample_genuine_abandoned(draws: Draws, now: float,
     columns = human_handles(draws)
     columns.update(display_names(draws))
     never_tweeted = draws.chance(0.3)
-    last_tweet = where(never_tweeted, math.nan,
+    last_tweet = np.where(never_tweeted, math.nan,
                           stale_last_tweet(draws, now, created, 5 * YEAR))
     columns.update(
         created_at=created,
         last_tweet_at=last_tweet,
-        statuses_count=where(isnan(last_tweet), 0,
+        statuses_count=np.where(np.isnan(last_tweet), 0,
                                 draws.integers(1, 300)),
         tweets_per_day=draws.uniform(0.05, 0.8),
         retweet_ratio=draws.uniform(0.1, 0.5),
@@ -281,7 +274,7 @@ def _sample_genuine_abandoned(draws: Draws, now: float,
     return columns
 
 
-def _sample_fake_egg_dormant(draws: Draws, now: float,
+def _sample_fake_egg_dormant(draws: Draws, now: np.ndarray,
                              latest_created: np.ndarray) -> dict:
     """A dormant mass-created fake: default egg avatar, empty profile,
     never tweeted (or one stale tweet), follows hundreds of accounts.
@@ -293,12 +286,12 @@ def _sample_fake_egg_dormant(draws: Draws, now: float,
     created = created_at(draws, now, 0.5 * YEAR, 3 * YEAR, latest_created)
     columns = bot_handles(draws)
     never_tweeted = draws.chance(0.8)
-    last_tweet = where(never_tweeted, math.nan,
+    last_tweet = np.where(never_tweeted, math.nan,
                           stale_last_tweet(draws, now, created, 2 * YEAR))
     columns.update(
         created_at=created,
         last_tweet_at=last_tweet,
-        statuses_count=where(isnan(last_tweet), 0,
+        statuses_count=np.where(np.isnan(last_tweet), 0,
                                 draws.integers(1, 5)),
         tweets_per_day=0.01,
         retweet_ratio=0.1,
@@ -319,7 +312,7 @@ def _sample_fake_egg_dormant(draws: Draws, now: float,
 # Fake personas
 # ---------------------------------------------------------------------------
 
-def _sample_fake_classic(draws: Draws, now: float,
+def _sample_fake_classic(draws: Draws, now: np.ndarray,
                          latest_created: np.ndarray) -> dict:
     """A purchased follower kept minimally alive by its operator.
 
@@ -341,7 +334,7 @@ def _sample_fake_classic(draws: Draws, now: float,
         duplicate_pool=draws.integers(1, 4),
         api_source_ratio=draws.uniform(0.6, 1.0),
         # Named after the first six characters of the handle, or unnamed.
-        name_kind=where(draws.chance(0.5), 6, 0),
+        name_kind=np.where(draws.chance(0.5), 6, 0),
         default_profile_image=draws.chance(0.6),
         followers_count=draws.integers(0, 30),
         friends_count=draws.integers(200, 3000),
@@ -351,7 +344,7 @@ def _sample_fake_classic(draws: Draws, now: float,
     return columns
 
 
-def _sample_fake_spammer(draws: Draws, now: float,
+def _sample_fake_spammer(draws: Draws, now: np.ndarray,
                          latest_created: np.ndarray) -> dict:
     """An active spam bot: floods links and duplicated promotional tweets.
 
@@ -364,16 +357,17 @@ def _sample_fake_spammer(draws: Draws, now: float,
     columns.update(
         created_at=created,
         tweets_per_day=draws.uniform(5.0, 60.0),
-        retweet_ratio=where(mostly_retweets, 0.95, draws.uniform(0.0, 0.2)),
-        link_ratio=where(mostly_retweets, draws.uniform(0.2, 0.5),
-                         draws.uniform(0.92, 1.0)),
+        retweet_ratio=np.where(mostly_retweets, 0.95,
+                               draws.uniform(0.0, 0.2)),
+        link_ratio=np.where(mostly_retweets, draws.uniform(0.2, 0.5),
+                            draws.uniform(0.92, 1.0)),
         spam_ratio=draws.uniform(0.4, 0.95),
         mention_ratio=draws.uniform(0.0, 0.3),
         hashtag_ratio=draws.uniform(0.2, 0.6),
         duplicate_pool=draws.integers(2, 8),
         api_source_ratio=draws.uniform(0.85, 1.0),
         name_kind=8,             # the first eight characters of the handle
-        description=where(draws.chance(0.7), 0, 1),
+        description=np.where(draws.chance(0.7), 0, 1),
         url=draws.chance(0.4),
         default_profile_image=draws.chance(0.45),
         followers_count=draws.integers(0, 80),

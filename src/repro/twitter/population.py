@@ -509,10 +509,6 @@ class FollowerPopulation:
     def _persona_codes(self, segments: np.ndarray,
                        uniforms: np.ndarray) -> np.ndarray:
         """Population-wide persona codes, one per (segment, slot-0 draw)."""
-        if len(segments) == 1:
-            index = int(segments[0])
-            return self._table_codes[index][[
-                self._persona_tables[index].index_of(float(uniforms[0]))]]
         codes = np.empty(len(segments), dtype=np.int64)
         for index in np.unique(segments).tolist():
             rows = np.flatnonzero(segments == index)
@@ -538,13 +534,14 @@ class FollowerPopulation:
         """Deterministically pick the persona of the follower at ``position``."""
         return self.personas_at([position])[0]
 
-    def follower_columns(self, positions, now: float) -> FollowerColumns:
+    def follower_columns(self, positions, now) -> FollowerColumns:
         """The followers at ``positions`` as seen at ``now``, in one pass.
 
-        Row ``i`` is the follower at ``positions[i]``: its key, its draw
-        matrix, its persona (slot 0 through its segment's table) and
-        its persona sampler's columns, with the follower's arrival as
-        the *latest possible creation time*: an account must exist
+        ``now`` is one instant, or one per position.  Row ``i`` is the
+        follower at ``positions[i]``: its key, its draw matrix, its
+        persona (slot 0 through its segment's table) and its persona
+        sampler's columns at its instant, with the follower's arrival
+        as the *latest possible creation time*: an account must exist
         before it can follow.
         """
         positions = np.asarray(positions, dtype=np.int64)
@@ -786,12 +783,14 @@ class SyntheticWorld:
             raise UnknownAccountError(user_id)
         return population, position
 
-    def _follower_batches(self, user_ids: np.ndarray, now: float
+    def _follower_batches(self, user_ids: np.ndarray, instants: np.ndarray
                           ) -> Iterator[Tuple[np.ndarray, FollowerColumns]]:
         """The resolvable followers among ``user_ids``, one batch per target.
 
-        Yields ``(indices into user_ids, columns)``.  Validity is asked
-        once per target (``arrived_at(now)``), not once per id.
+        ``instants[i]`` is the instant id ``i`` is read at.  Yields
+        ``(indices into user_ids, columns)``.  Validity is asked once
+        per target and distinct instant (``arrived_at``), not once per
+        id.
         """
         # Ordinal -1: not a follower id.
         ordinals = np.where((user_ids >> _NAMESPACE_SHIFT) == FOLLOWER_TAG,
@@ -801,35 +800,45 @@ class SyntheticWorld:
             if not 0 <= ordinal < len(self._populations):
                 continue
             population = self._populations[ordinal]
-            rows = np.nonzero((ordinals == ordinal) & (
-                positions < population.arrived_at(now)))[0]
+            rows = np.flatnonzero(ordinals == ordinal)
+            distinct, which = np.unique(instants[rows], return_inverse=True)
+            arrived = np.array([population.arrived_at(at)
+                                for at in distinct.tolist()], dtype=np.int64)
+            rows = rows[positions[rows] < arrived[which]]
             if len(rows):
-                yield rows, population.follower_columns(positions[rows], now)
+                yield rows, population.follower_columns(positions[rows],
+                                                        instants[rows])
 
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         """The user's recent tweets at ``now``, newest first."""
         return self.timelines([user_id], count, now)[0]
 
     def timelines(self, user_ids: Sequence[int], count: int,
-                  now: float) -> List[TimelineBlock]:
-        """:meth:`timeline` of every id at ``now``, in order, in array passes.
+                  now) -> List[TimelineBlock]:
+        """:meth:`timeline` of every id, in order, in array passes.
 
+        ``now`` is one instant per id, or one instant for them all: id
+        ``i`` gets exactly ``timeline(user_ids[i], count, now[i])``.
         Each target's followers among ``user_ids`` are generated as one
-        batch of columns, and their timelines drawn together
-        (:meth:`TimelineGenerator.timelines`); a target or ambient
-        account is drawn from its :class:`Account`.  An unknown id
-        raises :class:`UnknownAccountError`.
+        batch of columns, each row at its own instant, and their
+        timelines drawn together (:meth:`TimelineGenerator.timelines`);
+        a target or ambient account is drawn from its :class:`Account`
+        at its instant.  An id unknown at its instant (a follower not
+        yet arrived, too) raises :class:`UnknownAccountError`.
         """
         ids = _id_array(user_ids)
+        instants = np.broadcast_to(np.asarray(now, dtype=np.float64),
+                                   ids.shape)
         blocks: List[Optional[TimelineBlock]] = [None] * len(ids)
-        for rows, columns in self._follower_batches(ids, now):
+        for rows, columns in self._follower_batches(ids, instants):
             for row, block in zip(rows.tolist(), self._timelines.timelines(
                     columns.timeline_profiles(), count)):
                 blocks[row] = block
         for row, block in enumerate(blocks):
             if block is None:
                 blocks[row] = self._timelines.recent_tweets(
-                    self.account_by_id(int(user_ids[row]), now), count)
+                    self.account_by_id(int(user_ids[row]),
+                                       float(instants[row])), count)
         return blocks
 
     def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
@@ -868,7 +877,8 @@ class SyntheticWorld:
 
         ids = _id_array(user_ids)
         records = [None] * len(ids)
-        for rows, columns in self._follower_batches(ids, now):
+        for rows, columns in self._follower_batches(
+                ids, np.full(len(ids), float(now))):
             for row, record in zip(rows.tolist(), columns.profile_rows()):
                 records[row] = record
         others = (ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG

@@ -1,8 +1,8 @@
 """``TwitterApiClient.user_timelines`` against the per-id fetch it batches.
 
-The batch form reads the world once per observation instant, but each
-id must still be its own request, made exactly as a lone fetch makes
-it.  The oracle below is that lone fetch written out (cache check,
+The batch form reads the world in one call, each id at its own
+observation instant, but each id must still be its own request, made
+exactly as a lone fetch makes it.  The oracle below is that lone fetch written out (cache check,
 charge with retries, world read at the request's instant, cache fill);
 a batch and the oracle, run on twin clients, must leave the same call
 log, simulated clock, request and retry counters, fault count and
@@ -117,6 +117,23 @@ def test_batch_accounts_like_lone_fetches(pinned, cached, faults):
         assert "TransientServerError" in batch["results"]
     if cached:
         assert batch["cache"]["hits"] > 0
+
+
+def test_unpinned_crawl_reads_the_world_once():
+    """Every request of a live client completes at its own instant, yet
+    the world answers the crawl in one call."""
+    world = _world()
+    calls = []
+    read = world.timelines
+
+    def counted(user_ids, count, now):
+        calls.append(len(set(now)))
+        return read(user_ids, count, now)
+
+    world.timelines = counted
+    ids = _ids(world)
+    TwitterApiClient(world, SimClock(PAPER_EPOCH)).user_timelines(ids, 200)
+    assert calls == [len(ids)]
 
 
 def test_user_timeline_is_the_one_id_case():

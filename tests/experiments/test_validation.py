@@ -4,10 +4,13 @@ import pytest
 
 from repro.core import ConfigurationError, PAPER_EPOCH
 from repro.experiments import (
+    ValidationReport,
     validate_population,
     validate_world,
 )
-from repro.twitter import add_simple_target, build_world
+from repro.experiments.validation import _expected_composition
+from repro.twitter import (INACTIVITY_HORIZON, Label, add_simple_target,
+                           build_world)
 
 
 class TestValidatePopulation:
@@ -45,6 +48,37 @@ class TestValidatePopulation:
         report = validate_population(
             world.population("shaped"), PAPER_EPOCH, sample=1500)
         assert report.ok
+
+    def test_batch_read_equals_one_account_at_a_time(self):
+        """The sample is read in one batch; the report is the one a
+        loop of ``account_at`` builds."""
+        world = build_world(seed=56)
+        add_simple_target(world, "loopv", 1200, 0.5, 0.3, 0.2, tilt=0.7,
+                          fake_burst_fraction=0.6, fake_burst_position=0.9)
+        population = world.population("loopv")
+        report = validate_population(population, PAPER_EPOCH, sample=5000)
+        tolerance = report.composition_tolerance
+        expected = ValidationReport(handle="loopv", checked=1200,
+                                    composition_tolerance=tolerance)
+        counts = {label: 0 for label in Label}
+        previous = None
+        for position in range(1200):
+            account = population.account_at(position, PAPER_EPOCH)
+            counts[account.true_label] += 1
+            age = account.last_tweet_age(PAPER_EPOCH)
+            inactive = age is None or age > INACTIVITY_HORIZON
+            expected.label_mismatches += \
+                inactive != (account.true_label is Label.INACTIVE)
+            arrival = population.followed_at(position)
+            expected.ordering_violations += \
+                previous is not None and arrival < previous
+            previous = arrival
+            expected.causality_violations += \
+                account.created_at > arrival + 1e-6
+        shares = _expected_composition(population)
+        expected.composition_error = max(
+            abs(counts[label] / 1200 - shares[label]) for label in Label)
+        assert report == expected
 
 
 class TestValidateWorld:

@@ -9,7 +9,9 @@ counter-based stream, so all three must agree on every column and on
 ``duplicated``: for template (duplicate pool) personas, accounts that
 never tweeted, accounts with fewer statuses than the page, pages of 1
 and 200, ids of several targets, a target and an ambient id, repeated
-ids and more ids than one pass.
+ids and more ids than one pass.  A batch may read each id at its own
+instant, as an unpinned crawl does: it then equals a loop of
+``timeline(id, count, at)`` at those instants.
 """
 
 from __future__ import annotations
@@ -98,6 +100,53 @@ def test_blocks_own_compact_columns():
         for column in (block.created_at, block.tweet_id, block.flags,
                        block.body_key):
             assert column.base is None or column.base.size == len(block)
+
+
+#: Instants an unpinned crawl spreads its reads over.
+INSTANTS = (NOW, NOW + 0.5 * DAY, NOW + 3 * DAY)
+
+
+def _newcomer(world):
+    """A follower of "mixed" that arrives between NOW and NOW + 3 days."""
+    population = world.population("mixed")
+    position = population.arrived_at(NOW)
+    assert population.arrived_at(INSTANTS[-1]) > position
+    return population.follower_id_at(position)
+
+
+@pytest.mark.parametrize("count", [1, 200])
+def test_batch_at_per_row_instants_equals_one_id_loop(count):
+    world = _world()
+    ids = _sample(world)
+    instants = [INSTANTS[index % 3] for index in range(len(ids))]
+    # Repeated ids at different instants, the newcomer once it arrived,
+    # and the target and ambient ids at every instant.
+    reads = list(zip(ids, instants)) + [
+        (ids[5], NOW + 3 * DAY), (ids[5], NOW + 0.5 * DAY),
+        (_newcomer(world), NOW + 3 * DAY)] + [
+        (user_id, at) for user_id in (target_id(0), ambient_id(17))
+        for at in INSTANTS]
+    batch = world.timelines([user_id for user_id, __ in reads], count,
+                            [at for __, at in reads])
+    alone = [world.timeline(user_id, count, at) for user_id, at in reads]
+    assert [_columns(block) for block in batch] == \
+        [_columns(block) for block in alone]
+    # The instants matter: the same follower read apart differs.
+    assert _columns(alone[len(ids)]) != _columns(alone[len(ids) + 1])
+
+
+def test_follower_unknown_before_it_arrives():
+    """Read at an earlier instant, a newcomer raises in a batch exactly
+    as it does alone."""
+    world = _world()
+    newcomer = _newcomer(world)
+    known = _sample(world)[:3]
+    world.timelines(known + [newcomer], 200, [NOW] * 3 + [NOW + 3 * DAY])
+    with pytest.raises(UnknownAccountError):
+        world.timeline(newcomer, 200, NOW)
+    with pytest.raises(UnknownAccountError):
+        world.timelines(known + [newcomer, newcomer], 200,
+                        [NOW] * 3 + [NOW + 3 * DAY, NOW])
 
 
 def test_unknown_id_raises():

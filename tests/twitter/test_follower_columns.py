@@ -1,8 +1,7 @@
 """Follower columns: one generator, the same bytes everywhere.
 
 * a follower generated alone is the same row, byte for byte, as in a
-  batch (a one-row batch is drawn in Python floats, a larger one in
-  arrays);
+  batch, also when each row of the batch is read at its own instant;
 * the vectorised arrival instants equal the scalar
   :meth:`ArrivalSchedule.arrival_time` bit for bit;
 * no NumPy transcendental ufunc sits on the follower path, and a
@@ -48,19 +47,26 @@ def _rows(columns) -> np.ndarray:
     return np.array(columns.profile_rows(), dtype=ACCOUNT_DTYPE)
 
 
-@pytest.mark.parametrize("step, count", [(37, None), (1, 7)])
-def test_single_rows_equal_batch_rows(step, count):
+@pytest.mark.parametrize("step, count, mixed", [
+    (37, None, False), (1, 7, False), (37, None, True)],
+    ids=["37-None", "1-7", "37-None-mixed"])
+def test_single_rows_equal_batch_rows(step, count, mixed):
     """A spread batch has large persona groups; seven consecutive
-    positions have persona groups of one row (drawn in scalars too)."""
+    positions have persona groups of one row; a batch at mixed instants
+    reads each row at its own."""
     population = _world().population("tilted")
     now = NOW + 5 * DAY
     positions = list(range(0, population.arrived_at(now), step))[:count]
-    batch = _rows(population.follower_columns(positions, now))
-    alone = np.concatenate([_rows(population.follower_columns([p], now))
-                            for p in positions])
+    instants = [now + index % 4 * 0.3 * DAY * mixed
+                for index in range(len(positions))]
+    batch = _rows(population.follower_columns(
+        positions, instants if mixed else now))
+    alone = np.concatenate([_rows(population.follower_columns([p], at))
+                            for p, at in zip(positions, instants)])
     assert batch.tobytes() == alone.tobytes()
-    assert [population.account_at(p, now) for p in positions[:50]] == \
-        population.follower_columns(positions[:50], now).accounts()
+    assert [population.account_at(p, at)
+            for p, at in zip(positions[:50], instants)] == \
+        population.follower_columns(positions[:50], instants[:50]).accounts()
 
 
 # -- arrival instants: vectorised == scalar, bit for bit -----------------------
