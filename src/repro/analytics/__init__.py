@@ -30,11 +30,6 @@ from .statuspeople import (
     is_spam,
     spam_score,
 )
-from .webapp import (
-    AppSession,
-    DEFAULT_PERMISSIONS,
-    HostedCheckerApp,
-)
 from .twitteraudit import (
     RealScore,
     TA_MAX_POINTS,
@@ -46,12 +41,9 @@ from .twitteraudit import (
 
 __all__ = [
     "AnalysisOutcome",
-    "AppSession",
     "CommercialAnalytic",
     "Criteria",
-    "DEFAULT_PERMISSIONS",
     "EngineInfo",
-    "HostedCheckerApp",
     "DEEP_DIVE_CONFIG",
     "DEFAULT_CONFIG",
     "FakersConfig",

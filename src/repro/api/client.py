@@ -511,7 +511,8 @@ class TwitterApiClient:
         total = self._world.friend_count(uid, now)
         return self._ids_page(
             "friends/ids", uid, total,
-            lambda start, stop, at: self._world.friend_ids(uid, start, stop, at),
+            lambda start, stop, at: self._world.friend_ids(uid, start, stop,
+                                                           total),
             cursor, count)
 
     def _acq_hit(self, resource: str) -> None:

@@ -162,7 +162,6 @@ class CallLog:
         self._items: Dict[str, int] = {}
         self._total_failures = 0
         self._total_items = 0
-        self._total_waited = 0.0
 
     def record(self, call: ApiCall) -> None:
         """Append one completed call to the log."""
@@ -171,7 +170,6 @@ class CallLog:
         self._attempts[resource] = self._attempts.get(resource, 0) + 1
         self._items[resource] = self._items.get(resource, 0) + call.items
         self._total_items += call.items
-        self._total_waited += call.waited
         stats = self._by_resource.setdefault(resource, {
             "calls": 0, "items": 0, "waited": 0.0, "total_latency": 0.0,
             "failures": 0})
@@ -209,10 +207,6 @@ class CallLog:
             return self._total_items
         return self._items.get(resource, 0)
 
-    def total_waited(self) -> float:
-        """Total seconds spent waiting on rate limits."""
-        return self._total_waited
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-resource aggregates of the whole log.
 
@@ -237,4 +231,3 @@ class CallLog:
         self._items.clear()
         self._total_failures = 0
         self._total_items = 0
-        self._total_waited = 0.0

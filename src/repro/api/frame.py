@@ -116,13 +116,3 @@ class IdFrame(Sequence):
         ellipsis = ", ..." if self._length > 4 else ""
         return (f"IdFrame([{preview}{ellipsis}] len={self._length} "
                 f"blocks={len(self._blocks)})")
-
-    def nbytes(self) -> int:
-        """Total array storage in bytes (excludes Python object overhead)."""
-        return sum(block.nbytes for block in self._blocks)
-
-    def to_array(self) -> np.ndarray:
-        """Materialise the frame as a single contiguous int64 array."""
-        if not self._blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self._blocks)

@@ -24,16 +24,8 @@ been removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - Protocol is stdlib from 3.8 on
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object
-
-    def runtime_checkable(cls):
-        """Fallback no-op decorator when typing.Protocol is missing."""
-        return cls
+from typing import (Dict, Mapping, Optional, Protocol, Sequence, Tuple,
+                    runtime_checkable)
 
 from .core.errors import ConfigurationError
 
@@ -106,16 +98,6 @@ class AuditReport:
         if not 99.0 <= total <= 101.0:
             raise ConfigurationError(
                 f"percentages must sum to ~100, got {total!r}")
-
-    def as_fractions(self) -> Mapping[str, float]:
-        """The composition on a 0-1 scale, keyed like the paper's columns."""
-        result = {
-            "fake": self.fake_pct / 100.0,
-            "good": self.genuine_pct / 100.0,
-        }
-        if self.inactive_pct is not None:
-            result["inact"] = self.inactive_pct / 100.0
-        return result
 
 
 @dataclass(frozen=True)
@@ -228,16 +210,6 @@ def drain_steps(steps) -> AuditReport:
             next(steps)
         except StopIteration as stop:
             return stop.value
-
-
-def engine_infos(engines: Mapping[str, "Auditor"]) -> Dict[str, Mapping]:
-    """Structured metadata for a dict of engines, keyed by name.
-
-    Every engine exposes :meth:`info` returning an
-    :class:`repro.analytics.criteria.EngineInfo`; this flattens the lot
-    to plain dicts for report headers and status pages.
-    """
-    return {name: engine.info().as_dict() for name, engine in engines.items()}
 
 
 def build_engines(world, clock, detector=None, seed: int = 5, *,

@@ -71,10 +71,6 @@ class Stopwatch:
         self._clock = clock
         self._started_at: float = clock.now()
 
-    def restart(self) -> None:
-        """Reset the start mark to the current simulated time."""
-        self._started_at = self._clock.now()
-
     def elapsed(self) -> float:
-        """Return simulated seconds since the last (re)start."""
+        """Return simulated seconds since the stopwatch was created."""
         return self._clock.elapsed_since(self._started_at)

@@ -132,12 +132,6 @@ class StaleCursorError(InvalidCursorError, RetryableApiError):
         self.cursor = cursor
 
 
-class AuthorizationError(ApiError):
-    """Raised when a client without credentials calls a protected endpoint."""
-
-    status_code = 401
-
-
 class AnalyticsError(ReproError):
     """Base class for errors raised by the analytics engines."""
 

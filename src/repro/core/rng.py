@@ -46,55 +46,6 @@ def make_rng(seed: int, *path: object) -> random.Random:
     return random.Random(seed)
 
 
-def zipf_rank(rng: random.Random, n: int, exponent: float = 1.0) -> int:
-    """Draw a 1-based rank in ``[1, n]`` with Zipfian probability.
-
-    Uses inverse-CDF sampling over the exact normalised weights; ``n`` in
-    our workloads is at most a few million, for which the O(n) table is
-    built once per call site via :class:`ZipfTable` instead — this
-    function is the simple path for small ``n``.
-    """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1: {n!r}")
-    weights = [1.0 / (k ** exponent) for k in range(1, n + 1)]
-    total = sum(weights)
-    target = rng.random() * total
-    acc = 0.0
-    for k, w in enumerate(weights, start=1):
-        acc += w
-        if target <= acc:
-            return k
-    return n
-
-
-class ZipfTable:
-    """Precomputed inverse-CDF table for repeated Zipf draws over a fixed n."""
-
-    def __init__(self, n: int, exponent: float = 1.0) -> None:
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1: {n!r}")
-        self._n = n
-        cdf = []
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += 1.0 / (k ** exponent)
-            cdf.append(acc)
-        self._total = acc
-        self._cdf = cdf
-
-    def draw(self, rng: random.Random) -> int:
-        """Return a 1-based Zipf-distributed rank."""
-        target = rng.random() * self._total
-        lo, hi = 0, self._n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo + 1
-
-
 class WeightedTable:
     """A fixed weighted item list, laid out for repeated picks.
 

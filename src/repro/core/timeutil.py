@@ -59,8 +59,3 @@ def format_duration(seconds: float) -> str:
     if seconds < DAY:
         return f"{seconds / HOUR:.1f}h"
     return f"{seconds / DAY:.1f}d"
-
-
-def days_between(earlier: float, later: float) -> float:
-    """Return the (possibly fractional) number of days between two instants."""
-    return (later - earlier) / DAY

@@ -8,7 +8,6 @@ importable for targeted runs and for the benchmark suite.
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -41,21 +40,6 @@ class ExperimentSuiteResult:
     def report(self) -> str:
         """The full rendered report, section by section."""
         return "\n\n".join(self.report_parts)
-
-    def save(self, directory) -> "pathlib.Path":
-        """Write the combined report and one file per section.
-
-        Creates ``directory`` if needed; returns the path of the
-        combined ``report.txt``.
-        """
-        target = pathlib.Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        for key, rendered in zip(self.sections, self.report_parts):
-            (target / f"{key}.txt").write_text(rendered + "\n",
-                                               encoding="utf-8")
-        combined = target / "report.txt"
-        combined.write_text(self.report() + "\n", encoding="utf-8")
-        return combined
 
 
 def run_all(*, seed: int = 42,

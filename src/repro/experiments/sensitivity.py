@@ -45,11 +45,6 @@ class TiltSensitivityRow:
         """The measured FC - SB inactive gap, percentage points."""
         return self.fc_inactive - self.sb_inactive
 
-    @property
-    def fc_minus_sp(self) -> float:
-        """The measured FC - SP inactive gap, percentage points."""
-        return self.fc_inactive - self.sp_inactive
-
 
 def run_tilt_sensitivity(
         *,

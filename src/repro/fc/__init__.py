@@ -27,12 +27,6 @@ from .features import (
 )
 from .forest import RandomForest
 from .metrics import ConfusionMatrix, confusion
-from .optimizer import (
-    GreedyFeatureSelector,
-    SelectionStep,
-    affordable_features,
-    optimize_detector,
-)
 from .rulesets import (
     BASELINE_RULESETS,
     CamisaniCalzolariRules,
@@ -45,7 +39,6 @@ from .training import (
     TrainedDetector,
     TrainingReport,
     compare_approaches,
-    cross_validate,
     evaluate_detector,
     evaluate_ruleset,
     train_and_evaluate,
@@ -74,8 +67,6 @@ __all__ = [
     "FULL_FEATURE_SET",
     "GoldExample",
     "GoldStandard",
-    "GreedyFeatureSelector",
-    "SelectionStep",
     "PROFILE_FEATURE_SET",
     "RandomForest",
     "RuleSet",
@@ -84,17 +75,14 @@ __all__ = [
     "StateOfSearchSignals",
     "TrainedDetector",
     "TrainingReport",
-    "affordable_features",
     "batch_classifier",
     "build_gold_standard",
     "compare_approaches",
     "confusion",
-    "cross_validate",
     "default_detector",
     "evaluate_detector",
     "evaluate_ruleset",
     "feature_crawl_cost",
-    "optimize_detector",
     "rank_by_cost",
     "select_under_budget",
     "train_and_evaluate",

@@ -159,10 +159,6 @@ class BatchClassifier:
         """The attached feature cache (``None`` = caching off)."""
         return self._cache
 
-    def use_cache(self, cache: Optional[FeatureCache]) -> None:
-        """Attach (or detach, with ``None``) a feature cache."""
-        self._cache = cache
-
     def matrix(self, view: SampleBlock, now: float) -> np.ndarray:
         """The design matrix of ``view``, cached rows included."""
         with self._tracer.span("fc.batch_extract", self._clock,

@@ -25,7 +25,7 @@ from typing import List, Sequence
 from ..api.ratelimit import DEFAULT_POLICIES, RateLimitPolicy
 from ..core.errors import ConfigurationError
 from .dataset import GoldStandard
-from .features import CLASS_B, FeatureSet
+from .features import FeatureSet
 from .metrics import ConfusionMatrix
 from .training import TrainedDetector, evaluate_detector
 
@@ -38,11 +38,6 @@ class CrawlCost:
     lookup_requests: int
     timeline_requests: int
     seconds: float
-
-    @property
-    def total_requests(self) -> int:
-        """Lookup plus timeline requests."""
-        return self.lookup_requests + self.timeline_requests
 
 
 def _phase_seconds(requests: int, policy: RateLimitPolicy, latency: float,
@@ -139,8 +134,3 @@ def select_under_budget(candidates: Sequence[TrainedDetector],
     raise ConfigurationError(
         f"no candidate fits a {budget_seconds:.0f}s budget for "
         f"{accounts} accounts")
-
-
-def class_b_features_present(feature_set: FeatureSet) -> List[str]:
-    """Names of the timeline-cost features in a set (for reporting)."""
-    return [f.name for f in feature_set.features if f.cost_class == CLASS_B]

@@ -15,7 +15,7 @@ training never pays for tweet text).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,24 +110,6 @@ class GoldStandard:
         cut = max(1, min(len(indices) - 1,
                          int(round(len(indices) * train_fraction))))
         return self.subset(indices[:cut]), self.subset(indices[cut:])
-
-    def kfold(self, k: int = 5,
-              seed: int = 0) -> Iterator[Tuple["GoldStandard", "GoldStandard"]]:
-        """Yield (train, validation) folds for k-fold cross-validation."""
-        if not 2 <= k <= len(self._examples):
-            raise ConfigurationError(
-                f"k must be in [2, {len(self._examples)}]: {k!r}")
-        rng = make_rng(seed, "gold-kfold")
-        indices = list(range(len(self._examples)))
-        rng.shuffle(indices)
-        folds = [indices[i::k] for i in range(k)]
-        for held_out in range(k):
-            validation = folds[held_out]
-            training = [
-                index for fold_index, fold in enumerate(folds)
-                if fold_index != held_out for index in fold
-            ]
-            yield self.subset(training), self.subset(validation)
 
 
 def build_gold_standard(

@@ -62,12 +62,6 @@ class ConfusionMatrix:
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
     @property
-    def specificity(self) -> float:
-        """TN / (TN + FP)."""
-        denom = self.tn + self.fp
-        return self.tn / denom if denom else 0.0
-
-    @property
     def mcc(self) -> float:
         """Matthews correlation coefficient in [-1, 1]."""
         numerator = self.tp * self.tn - self.fp * self.fn

@@ -10,7 +10,7 @@ sets transfer well to fake-follower detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,20 +155,6 @@ def train_and_evaluate(
         matrix=matrix,
     )
     return detector, report
-
-
-def cross_validate(
-        gold: GoldStandard,
-        factory: Callable[[GoldStandard], TrainedDetector],
-        k: int = 5,
-        seed: int = 0,
-) -> List[ConfusionMatrix]:
-    """k-fold cross-validation of a detector-producing factory."""
-    matrices = []
-    for train, validation in gold.kfold(k=k, seed=seed):
-        detector = factory(train)
-        matrices.append(evaluate_detector(detector, validation))
-    return matrices
 
 
 def compare_approaches(gold: GoldStandard,

@@ -12,7 +12,6 @@ from .series import (
     RollingSeries,
     interval_arrivals,
     series_from_observations,
-    series_from_population,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "RollingSeries",
     "interval_arrivals",
     "series_from_observations",
-    "series_from_population",
 ]

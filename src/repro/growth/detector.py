@@ -124,7 +124,3 @@ class BurstDetector:
     def _is_burst(self, count: int, median: float, scale: float) -> bool:
         return ((count - median) / scale >= self._threshold
                 and count - median >= self._min_excess)
-
-    def purchased_follower_estimate(self, series: GrowthSeries) -> int:
-        """Rough size of the purchased block(s): summed burst excess."""
-        return int(round(sum(event.excess for event in self.detect(series))))

@@ -7,13 +7,9 @@ followers, the great majority of them has been later claimed to be
 fake".  That jump is a *growth anomaly* — a day (or hour) where the
 arrival rate departs wildly from the account's organic baseline.
 
-This module extracts daily-arrival series from the two sources an
-analyst realistically has:
-
-* a :class:`~repro.twitter.population.FollowerPopulation` (or any
-  arrival schedule) — the omniscient, simulation-side view;
-* a sequence of *dated follower-count observations* — what a real
-  monitor collects by polling ``users/show`` once a day.
+This module extracts daily-arrival series from what an analyst
+realistically has: a sequence of *dated follower-count observations*,
+which a real monitor collects by polling ``users/show`` once a day.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from typing import Deque, List, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
-from ..twitter.population import FollowerPopulation
 
 
 @dataclass(frozen=True)
@@ -58,26 +53,6 @@ class GrowthSeries:
     def total(self) -> int:
         """Total arrivals over the observed window."""
         return sum(self.arrivals)
-
-
-def series_from_population(population: FollowerPopulation,
-                           start_time: float, days: int) -> GrowthSeries:
-    """Daily arrivals of a (lazy) population over ``[start, start+days)``.
-
-    Uses the arrival schedule's exact inverse, so the series is the
-    ground truth of who arrived each day.  Departed burst members still
-    arrived, so a day on which the follower count shrinks records its
-    arrivals, not a negative delta.
-    """
-    if days < 1:
-        raise ConfigurationError(f"days must be >= 1: {days!r}")
-    counts: List[int] = []
-    previous = population.arrived_at(start_time)
-    for day in range(1, days + 1):
-        current = population.arrived_at(start_time + day * DAY)
-        counts.append(current - previous)
-        previous = current
-    return GrowthSeries(start_time=start_time, arrivals=tuple(counts))
 
 
 def series_from_observations(

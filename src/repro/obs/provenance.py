@@ -184,11 +184,6 @@ class AuditProvenance:
         """Accounts classified in this audit."""
         return len(self.user_ids)
 
-    def verdicts_by_user(self) -> Dict[int, str]:
-        """``{user_id: verdict label}`` of the whole sample."""
-        return {uid: self.labels[code]
-                for uid, code in zip(self.user_ids, self.codes)}
-
     def fired_matrix(self) -> np.ndarray:
         """The ``(rules, sample)`` boolean fire matrix, in rule order."""
         size = len(self.user_ids)
@@ -327,14 +322,6 @@ class DisagreementCell:
     count: int
     rules_a: Tuple[Tuple[RuleId, int], ...]
     rules_b: Tuple[Tuple[RuleId, int], ...]
-
-    @property
-    def separating_rules(self) -> Tuple[RuleId, ...]:
-        """Every rule implicated on either side, most-fired first."""
-        merged: Dict[RuleId, int] = {}
-        for rule, count in self.rules_a + self.rules_b:
-            merged[rule] = merged.get(rule, 0) + count
-        return tuple(sorted(merged, key=lambda r: (-merged[r], r)))
 
 
 @dataclass(frozen=True)

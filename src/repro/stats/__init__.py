@@ -1,6 +1,5 @@
-"""Sampling statistics: estimation, sampling, bias, inter-tool agreement."""
+"""Sampling statistics: estimation, sampling, bias."""
 
-from .agreement import AgreementMatrix, agreement_matrix, kendall_tau
 from .bias import (
     BiasReport,
     gradient_head_bias,
@@ -12,35 +11,26 @@ from .estimation import (
     Z_95,
     Z_99,
     achieved_margin,
-    finite_population_correction,
     required_sample_size,
-    required_sample_size_fpc,
     z_critical,
 )
 from .sampling import (
     head_sample,
-    head_then_subsample,
     systematic_sample,
     uniform_sample,
 )
 
 __all__ = [
-    "AgreementMatrix",
     "BiasReport",
     "ProportionEstimate",
     "Z_95",
     "Z_99",
     "achieved_margin",
-    "agreement_matrix",
-    "finite_population_correction",
     "gradient_head_bias",
     "head_sample",
     "head_sampling_bias",
-    "head_then_subsample",
-    "kendall_tau",
     "purchased_burst_rates",
     "required_sample_size",
-    "required_sample_size_fpc",
     "systematic_sample",
     "uniform_sample",
     "z_critical",

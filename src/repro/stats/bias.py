@@ -32,13 +32,6 @@ class BiasReport:
         """``head_rate - whole_rate`` (positive = head overestimates)."""
         return self.head_rate - self.whole_rate
 
-    @property
-    def relative_bias(self) -> float:
-        """Absolute bias normalised by the whole-population rate."""
-        if self.whole_rate == 0:
-            return float("inf") if self.head_rate > 0 else 0.0
-        return self.absolute_bias / self.whole_rate
-
 
 def head_sampling_bias(
         property_at: Callable[[int], bool],

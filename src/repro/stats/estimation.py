@@ -113,34 +113,6 @@ def required_sample_size(margin: float, confidence: float = 0.95,
     return math.ceil((z / margin) ** 2 * p * (1.0 - p))
 
 
-def finite_population_correction(n: int, population: int) -> float:
-    """FPC factor ``sqrt((N - n) / (N - 1))`` for without-replacement sampling."""
-    if population < 1:
-        raise ConfigurationError(f"population must be >= 1: {population!r}")
-    if not 1 <= n <= population:
-        raise ConfigurationError(
-            f"sample size must be in [1, {population}]: {n!r}")
-    if population == 1:
-        return 0.0
-    return math.sqrt((population - n) / (population - 1))
-
-
-def required_sample_size_fpc(margin: float, population: int,
-                             confidence: float = 0.95,
-                             p: float = 0.5) -> int:
-    """Sample size with finite-population correction.
-
-    For bases much larger than 9604 this converges to
-    :func:`required_sample_size`; for small bases it shrinks toward the
-    population itself (no point sampling 9604 from 2971 followers).
-    """
-    n0 = required_sample_size(margin, confidence, p)
-    if population < 1:
-        raise ConfigurationError(f"population must be >= 1: {population!r}")
-    corrected = math.ceil(n0 / (1.0 + (n0 - 1) / population))
-    return min(corrected, population)
-
-
 def achieved_margin(n: int, confidence: float = 0.95, p: float = 0.5) -> float:
     """Margin of error a sample of size ``n`` achieves (worst case p = 0.5).
 

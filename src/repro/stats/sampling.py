@@ -43,24 +43,6 @@ def head_sample(population_size: int, n: int) -> List[int]:
     return list(range(population_size - n, population_size))
 
 
-def head_then_subsample(rng: random.Random, population_size: int,
-                        head: int, n: int) -> List[int]:
-    """Random subsample of the newest ``head`` positions.
-
-    This is the scheme the surveyed analytics document: e.g.
-    StatusPeople assesses 700 records "across a follower base of up to
-    35K" — random *within the head*, but the head itself is still a
-    biased frame.
-    """
-    _validate(population_size, n)
-    head = min(head, population_size)
-    if n > head:
-        raise SamplingError(
-            f"cannot draw {n} from a head of {head}")
-    offset = population_size - head
-    return sorted(offset + pos for pos in rng.sample(range(head), n))
-
-
 def systematic_sample(population_size: int, n: int, start: int = 0) -> List[int]:
     """Every ``population_size / n``-th position, from offset ``start``."""
     _validate(population_size, n)

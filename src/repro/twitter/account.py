@@ -11,7 +11,7 @@ truth :class:`Label`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.errors import ConfigurationError
@@ -192,16 +192,3 @@ class Account:
         if self.last_tweet_at is None:
             return None
         return max(0.0, now - self.last_tweet_at)
-
-    def with_counts(self, *, followers_count: Optional[int] = None,
-                    friends_count: Optional[int] = None,
-                    statuses_count: Optional[int] = None) -> "Account":
-        """Return a copy with some counts replaced (snapshots are frozen)."""
-        updates = {}
-        if followers_count is not None:
-            updates["followers_count"] = followers_count
-        if friends_count is not None:
-            updates["friends_count"] = friends_count
-        if statuses_count is not None:
-            updates["statuses_count"] = statuses_count
-        return replace(self, **updates)

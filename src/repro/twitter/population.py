@@ -735,9 +735,14 @@ class SyntheticWorld:
         return self.account_by_id(user_id, now).friends_count
 
     def friend_ids(self, user_id: int, start: int, stop: int,
-                   now: float) -> Sequence[int]:
-        """Slice ``[start, stop)`` of the ambient accounts the user follows."""
-        count = min(self.friend_count(user_id, now), AMBIENT_POOL_SIZE)
+                   friends: int) -> Sequence[int]:
+        """Slice ``[start, stop)`` of the ambient accounts the user follows.
+
+        ``friends`` is the user's :meth:`friend_count`, which the caller
+        has already read: the list depends on nothing else, so the
+        account is not generated a second time.
+        """
+        count = min(friends, AMBIENT_POOL_SIZE)
         start = max(0, min(start, count))
         stop = max(start, min(stop, count))
         if stop == start:

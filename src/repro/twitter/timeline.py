@@ -30,7 +30,7 @@ from ..core.errors import ConfigurationError
 from ..core.ids import SNOWFLAKE_EPOCH_MS
 from ..core.timeutil import DAY
 from .account import Account
-from .draws import stream_rows
+from .draws import mix64, stream_rows
 from .streams import timeline_state
 from .tweet import HUMAN_SOURCES, SPAM_PHRASES, Tweet
 
@@ -95,14 +95,6 @@ _AUTOMATION_SOURCES = ("EasyBotDeck", "AutoTweeterPro", "MassFollowTool")
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(value: int) -> int:
-    """SplitMix64 finaliser: a fixed, well-spread hash of one integer."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
-
-
 def render_body(body_key: int) -> str:
     """The tweet body a body key stands for — a pure function of the key.
 
@@ -113,7 +105,7 @@ def render_body(body_key: int) -> str:
     to: ordinary words hold no spam phrase, and only the flagged
     fragments contain ``#``, ``@`` or a URL.
     """
-    word_hash = _mix64(body_key)
+    word_hash = mix64(body_key)
     if body_key & SPAM:
         parts = [f"{SPAM_PHRASES[word_hash % len(SPAM_PHRASES)]} "
                  f"{_SPAM_TAILS[(word_hash >> 8) % len(_SPAM_TAILS)]}"]
@@ -125,7 +117,7 @@ def render_body(body_key: int) -> str:
             words.append(_ORDINARY_WORDS[word_hash % len(_ORDINARY_WORDS)])
             word_hash //= len(_ORDINARY_WORDS)
         parts = [" ".join(words)]
-    extra_hash = _mix64(body_key ^ _MASK64)
+    extra_hash = mix64(body_key ^ _MASK64)
     if body_key & HASHTAG:
         parts.append("#" + _HASHTAG_WORDS[extra_hash % len(_HASHTAG_WORDS)])
     if body_key & MENTION:
@@ -143,7 +135,7 @@ def render_tweet(user_id: int, tweet_id: int, created_at: float, flags: int,
     The retweet source and the posting client are hashes of the tweet
     id, so rendering needs no random stream.
     """
-    tweet_hash = _mix64(tweet_id)
+    tweet_hash = mix64(tweet_id)
     text = render_body(body_key)
     if flags & RETWEET:
         text = f"RT @user{1 + tweet_hash % 99999}: {text}"

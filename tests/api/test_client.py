@@ -1,11 +1,14 @@
 """Unit tests for the simulated REST client."""
 
+import hashlib
+
 import pytest
 
 from repro.api import TwitterApiClient
 from repro.core import ConfigurationError, PAPER_EPOCH, SimClock
 from repro.core.errors import InvalidCursorError
 from repro.faults import FaultPlan, InjectorSpec
+from repro.twitter.population import FollowerPopulation
 
 
 @pytest.fixture
@@ -100,6 +103,41 @@ class TestFollowersIds:
         second = client.followers_ids(
             screen_name="smalltown", cursor=first.next_cursor)
         assert second.previous_cursor == -5000
+
+
+class TestFriendsIds:
+    # sha256 of every page's (ids, next_cursor, previous_cursor) below,
+    # as the listing read before the friend count was handed through.
+    PAGES_DIGEST = ("999c36b14c941d5d63a296a9f83cad57"
+                    "cec405495b36eca749b79b5aae9d1582")
+
+    def test_one_account_generated_per_page(self, client, small_world,
+                                             monkeypatch):
+        population = small_world.population("smalltown")
+        generated = []
+        account_at = FollowerPopulation.account_at
+
+        def counting_account_at(self, *args):
+            generated.append(args)
+            return account_at(self, *args)
+
+        monkeypatch.setattr(FollowerPopulation, "account_at",
+                            counting_account_at)
+        digest = hashlib.sha256()
+        pages = 0
+        for position in (0, 7, 4321, 11_999):
+            uid = population.follower_id_at(position)
+            cursor = -1
+            while cursor:
+                page = client.friends_ids(user_id=uid, cursor=cursor,
+                                          count=50)
+                pages += 1
+                digest.update(repr((page.ids, page.next_cursor,
+                                    page.previous_cursor)).encode())
+                cursor = page.next_cursor
+        assert pages == 23
+        assert len(generated) == pages
+        assert digest.hexdigest() == self.PAGES_DIGEST
 
 
 class TestIdsPageTypes:

@@ -64,7 +64,6 @@ class TestCallLog:
         assert log.count() == 3
         assert log.count("users/lookup") == 2
         assert log.total_items("users/lookup") == 150
-        assert log.total_waited() == 0.5
 
     def test_latency(self):
         call = ApiCall("x", 10.0, 12.5, 1.0, 0)
@@ -157,7 +156,6 @@ class TestCallLogIncrementalAggregation:
         assert log.count() == len(calls)
         assert log.failures() == sum(1 for c in calls if not c.ok)
         assert log.total_items() == sum(c.items for c in calls)
-        assert log.total_waited() == sum(c.waited for c in calls)
         for resource in {"users/lookup", "followers/ids"}:
             subset = log.calls(resource)
             assert log.count(resource) == len(subset)
@@ -193,7 +191,6 @@ class TestCallLogIncrementalAggregation:
         assert log.count() == 0
         assert log.failures() == 0
         assert log.total_items() == 0
-        assert log.total_waited() == 0.0
         assert log.summary() == {}
         assert log.count("users/lookup") == 0
         assert log.total_items("followers/ids") == 0

@@ -58,11 +58,3 @@ class TestStopwatch:
         watch = Stopwatch(clock)
         clock.advance(42.0)
         assert watch.elapsed() == 42.0
-
-    def test_restart_resets_the_mark(self):
-        clock = SimClock(0.0)
-        watch = Stopwatch(clock)
-        clock.advance(10.0)
-        watch.restart()
-        clock.advance(7.0)
-        assert watch.elapsed() == 7.0

@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from repro.core import (
     ConfigurationError,
     WeightedTable,
-    ZipfTable,
     derive_seed,
     make_rng,
     poisson_quantile,
-    zipf_rank,
 )
 
 from . import rng_oracle
@@ -49,31 +47,6 @@ class TestMakeRng:
 
     def test_path_changes_stream(self):
         assert make_rng(5, "x").random() != make_rng(5, "y").random()
-
-
-class TestZipf:
-    def test_rank_in_range(self):
-        rng = make_rng(2)
-        assert all(1 <= zipf_rank(rng, 20) <= 20 for _ in range(200))
-
-    def test_rank_one_most_frequent(self):
-        rng = make_rng(3)
-        draws = [zipf_rank(rng, 10) for _ in range(2000)]
-        counts = {k: draws.count(k) for k in (1, 10)}
-        assert counts[1] > counts[10]
-
-    def test_invalid_n(self):
-        with pytest.raises(ConfigurationError):
-            zipf_rank(make_rng(1), 0)
-
-    def test_table_matches_range(self):
-        table = ZipfTable(50)
-        rng = make_rng(4)
-        assert all(1 <= table.draw(rng) <= 50 for _ in range(500))
-
-    def test_table_invalid_n(self):
-        with pytest.raises(ConfigurationError):
-            ZipfTable(0)
 
 
 class TestDeriveSeedPayload:

@@ -10,7 +10,6 @@ from repro.core import (
     TWITTER_LAUNCH,
     WEEK,
     YEAR,
-    days_between,
     format_duration,
     isoformat,
     timestamp,
@@ -54,12 +53,3 @@ class TestFormatDuration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_duration(-1.0)
-
-
-class TestDaysBetween:
-    def test_whole_days(self):
-        assert days_between(0.0, 3 * DAY) == 3.0
-
-    def test_fractional_and_negative(self):
-        assert days_between(DAY, 0.0) == -1.0
-        assert days_between(0.0, DAY / 2) == 0.5

@@ -55,9 +55,3 @@ class TestRunAllSmoke:
         rows3, analysis = suite.sections["table3"]
         assert len(rows3) == len(_TABLE3_SUBSET)
         assert analysis.ta_sb_genuine_gap >= 0.0
-
-    def test_save_round_trip(self, suite, tmp_path):
-        combined = suite.save(tmp_path / "suite")
-        assert combined.exists()
-        assert (tmp_path / "suite" / "table3.txt").exists()
-        assert "Table III" in (tmp_path / "suite" / "table3.txt").read_text()

@@ -17,16 +17,3 @@ class TestExperimentSuiteResult:
         report = suite.report()
         assert "rendered table one" in report
         assert "rendered ordering" in report
-
-    def test_save_writes_per_section_files(self, tmp_path):
-        suite = self.build()
-        combined = suite.save(tmp_path / "out")
-        assert combined.read_text().count("rendered") == 2
-        assert (tmp_path / "out" / "table1.txt").read_text() \
-            == "rendered table one\n"
-        assert (tmp_path / "out" / "ordering.txt").exists()
-
-    def test_save_creates_nested_directories(self, tmp_path):
-        suite = self.build()
-        combined = suite.save(tmp_path / "a" / "b")
-        assert combined.exists()

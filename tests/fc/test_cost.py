@@ -11,7 +11,6 @@ from repro.fc import (
     select_under_budget,
     train_detector,
 )
-from repro.fc.cost import class_b_features_present
 
 
 class TestCrawlCost:
@@ -23,7 +22,6 @@ class TestCrawlCost:
     def test_class_b_adds_one_timeline_per_account(self):
         cost = feature_crawl_cost(FULL_FEATURE_SET, 9604)
         assert cost.timeline_requests == 9604
-        assert cost.total_requests == 97 + 9604
 
     def test_class_b_is_orders_of_magnitude_slower(self):
         fast = feature_crawl_cost(PROFILE_FEATURE_SET, 9604)
@@ -39,10 +37,6 @@ class TestCrawlCost:
     def test_negative_accounts_rejected(self):
         with pytest.raises(ConfigurationError):
             feature_crawl_cost(PROFILE_FEATURE_SET, -1)
-
-    def test_class_b_feature_listing(self):
-        assert class_b_features_present(PROFILE_FEATURE_SET) == []
-        assert "link_fraction" in class_b_features_present(FULL_FEATURE_SET)
 
 
 class TestCostAwareSelection:

@@ -58,17 +58,6 @@ class TestSplitting:
         with pytest.raises(ConfigurationError):
             gold.split(train_fraction=1.0)
 
-    def test_kfold_partitions_exactly(self, gold):
-        seen = []
-        for train, validation in gold.kfold(k=4, seed=2):
-            assert len(train) + len(validation) == len(gold)
-            seen.extend(e.user.user_id for e in validation.examples)
-        assert sorted(seen) == sorted(e.user.user_id for e in gold.examples)
-
-    def test_kfold_validated(self, gold):
-        with pytest.raises(ConfigurationError):
-            list(gold.kfold(k=1))
-
     def test_design_matrix_shape(self, gold):
         from repro.fc import PROFILE_FEATURE_SET
         matrix = gold.design_matrix(PROFILE_FEATURE_SET)

@@ -26,7 +26,6 @@ class TestConfusionMatrix:
         assert matrix.precision == pytest.approx(0.75)
         assert matrix.recall == pytest.approx(0.6)
         assert matrix.f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35)
-        assert matrix.specificity == pytest.approx(0.8)
 
     def test_degenerate_denominators(self):
         matrix = ConfusionMatrix(tp=0, fp=0, tn=5, fn=0)

@@ -8,7 +8,6 @@ from repro.fc import (
     FULL_FEATURE_SET,
     PROFILE_FEATURE_SET,
     compare_approaches,
-    cross_validate,
     evaluate_detector,
     evaluate_ruleset,
     train_and_evaluate,
@@ -46,13 +45,6 @@ class TestHeldOutEvaluation:
         assert report.test_size > 0
         assert report.accuracy > 0.9
         assert report.mcc > 0.8
-
-    def test_cross_validation_stable(self, gold):
-        matrices = cross_validate(
-            gold, lambda train: train_detector(train, model="tree", seed=3),
-            k=4, seed=3)
-        assert len(matrices) == 4
-        assert all(m.accuracy > 0.85 for m in matrices)
 
 
 class TestRulesVsML:

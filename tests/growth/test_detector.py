@@ -48,11 +48,6 @@ class TestBurstDetector:
         events = BurstDetector().detect(series(values))
         assert len(events) == 1
 
-    def test_purchase_estimate(self):
-        values = [100] * 10 + [10_100] + [100] * 10
-        estimate = BurstDetector().purchased_follower_estimate(series(values))
-        assert estimate == pytest.approx(10_000, abs=200)
-
     def test_needs_history(self):
         with pytest.raises(ConfigurationError):
             BurstDetector().detect(series([1, 2, 3]))

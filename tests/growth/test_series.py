@@ -10,9 +10,7 @@ from repro.growth import (
     RollingSeries,
     interval_arrivals,
     series_from_observations,
-    series_from_population,
 )
-from repro.twitter import add_simple_target, build_world
 
 
 class TestGrowthSeries:
@@ -33,49 +31,6 @@ class TestGrowthSeries:
         series = GrowthSeries(start_time=0.0, arrivals=(5, 7))
         assert len(series) == 2
         assert series.total() == 12
-
-
-class TestFromPopulation:
-    def test_trickle_counts_match_schedule(self, small_world):
-        population = small_world.population("smalltown")
-        series = series_from_population(population, PAPER_EPOCH, days=5)
-        assert len(series) == 5
-        # smalltown grows by 50/day post-reference.
-        assert all(count == 50 for count in series.arrivals)
-
-    def test_days_validated(self, small_world):
-        population = small_world.population("smalltown")
-        with pytest.raises(ConfigurationError):
-            series_from_population(population, PAPER_EPOCH, days=0)
-
-    def test_historical_burst_visible(self):
-        world = build_world(seed=44)
-        add_simple_target(
-            world, "bursty", 30_000, 0.2, 0.2, 0.6,
-            fake_burst_fraction=1.0, fake_burst_position=0.99,
-            created_years_before=1.0)
-        population = world.population("bursty")
-        # Observe the 30 days leading up to the reference instant: the
-        # burst (1% of the window before ref ~ 3.7 days back) is inside.
-        series = series_from_population(
-            population, PAPER_EPOCH - 30 * DAY, days=30)
-        assert max(series.arrivals) > 10 * sorted(series.arrivals)[15]
-
-
-    def test_shrinking_day_records_arrivals(self):
-        from repro.twitter import PostRefBurst
-
-        world = build_world(seed=44)
-        add_simple_target(
-            world, "eroding", 1000, 0.2, 0.2, 0.6, daily_new_followers=5.0,
-            post_ref_bursts=(PostRefBurst(0.5, 400, {"fake_classic": 1.0},
-                                          daily_attrition=0.1),))
-        population = world.population("eroding")
-        # Day 2 (from ref + 1.5 d) loses 40 buyers against 5 arrivals.
-        assert population.size_at(PAPER_EPOCH + 2 * DAY) < \
-            population.size_at(PAPER_EPOCH + DAY)
-        series = series_from_population(population, PAPER_EPOCH, days=4)
-        assert series.arrivals == (405, 5, 5, 5)
 
 
 class TestFromObservations:

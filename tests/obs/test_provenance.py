@@ -135,7 +135,6 @@ class TestCollector:
                          (11, 22))
         assert isinstance(record, AuditProvenance)
         assert record.sample_size == 2
-        assert record.verdicts_by_user() == {11: "fake", 22: "good"}
         assert record.fired_by_user() == {
             11: ("sp.r1", "sp.r2"), 22: ("sp.r2",)}
         assert len(collector) == 1
@@ -186,7 +185,6 @@ class TestDisagreement:
         assert (cell.verdict_a, cell.verdict_b) == ("fake", "genuine")
         assert cell.count == 1
         assert cell.rules_a == (("a.spam", 1),)
-        assert cell.separating_rules == ("a.spam",)
 
     def test_render_names_rules(self):
         rendered = build_disagreement("target", self._records()).render()

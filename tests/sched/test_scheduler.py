@@ -76,6 +76,15 @@ class TestSerialEquality:
 
 
 class TestScheduling:
+    def test_batch_prefills_the_engine_result_cache(self, batch_world):
+        scheduler = BatchAuditScheduler(
+            batch_world(), SimClock(PAPER_EPOCH), engines=("statuspeople",),
+            lane_slots=1)
+        scheduler.submit("alpha")
+        scheduler.run()
+        engine = scheduler.engine("statuspeople")
+        assert engine.audit(AuditRequest(target="alpha")).cached
+
     def test_caller_clock_advances_by_makespan(self, batch_world):
         clock = SimClock(PAPER_EPOCH)
         scheduler = BatchAuditScheduler(

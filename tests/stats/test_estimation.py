@@ -11,9 +11,7 @@ from repro.stats import (
     Z_95,
     Z_99,
     achieved_margin,
-    finite_population_correction,
     required_sample_size,
-    required_sample_size_fpc,
     z_critical,
 )
 
@@ -106,27 +104,3 @@ class TestSampleSize:
         assert achieved_margin(n) <= margin + 1e-12
         if n > 1:
             assert achieved_margin(n - 1) > margin
-
-
-class TestFinitePopulation:
-    def test_fpc_full_census_is_zero(self):
-        assert finite_population_correction(100, 100) == 0.0
-
-    def test_fpc_tiny_sample_near_one(self):
-        assert finite_population_correction(1, 10**6) == pytest.approx(1.0)
-
-    def test_fpc_validation(self):
-        with pytest.raises(ConfigurationError):
-            finite_population_correction(0, 10)
-        with pytest.raises(ConfigurationError):
-            finite_population_correction(11, 10)
-
-    def test_fpc_sample_size_capped_by_population(self):
-        assert required_sample_size_fpc(0.01, population=2971) <= 2971
-
-    def test_fpc_converges_to_infinite_case(self):
-        assert required_sample_size_fpc(0.01, population=10**9) \
-            == pytest.approx(9604, abs=2)
-
-    def test_fpc_shrinks_for_small_populations(self):
-        assert required_sample_size_fpc(0.01, population=20_000) < 9604

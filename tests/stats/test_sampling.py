@@ -7,7 +7,6 @@ from repro.core import make_rng
 from repro.core.errors import SamplingError
 from repro.stats import (
     head_sample,
-    head_then_subsample,
     systematic_sample,
     uniform_sample,
 )
@@ -53,21 +52,6 @@ class TestHeadSample:
             head_sample(10, 0)
         with pytest.raises(SamplingError):
             head_sample(10, 11)
-
-
-class TestHeadThenSubsample:
-    def test_stays_within_head(self):
-        positions = head_then_subsample(make_rng(3), 100_000, 35_000, 700)
-        assert len(positions) == 700
-        assert all(p >= 65_000 for p in positions)
-
-    def test_head_clamped_to_population(self):
-        positions = head_then_subsample(make_rng(3), 1000, 35_000, 700)
-        assert all(0 <= p < 1000 for p in positions)
-
-    def test_sample_larger_than_head_rejected(self):
-        with pytest.raises(SamplingError):
-            head_then_subsample(make_rng(3), 1000, 100, 200)
 
 
 class TestSystematicSample:

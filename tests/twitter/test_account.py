@@ -81,13 +81,6 @@ class TestDerivedObservables:
         assert not make_account(
             statuses_count=0, last_tweet_at=None).has_ever_tweeted()
 
-    def test_with_counts_returns_updated_copy(self):
-        account = make_account(followers_count=1)
-        updated = account.with_counts(followers_count=99, friends_count=7)
-        assert updated.followers_count == 99
-        assert updated.friends_count == 7
-        assert account.followers_count == 1  # original untouched
-
 
 class TestBehaviorProfile:
     def test_defaults_valid(self):

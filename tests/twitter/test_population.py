@@ -189,9 +189,9 @@ class TestSyntheticWorld:
     def test_friend_ids_resolve_to_ambient_accounts(self, world):
         pop = world.population("first")
         fid = pop.follower_id_at(3)
-        friends = world.friend_ids(fid, 0, 10, NOW)
-        count = min(world.friend_count(fid, NOW), 10)
-        assert len(friends) == count
+        total = world.friend_count(fid, NOW)
+        friends = world.friend_ids(fid, 0, 10, total)
+        assert len(friends) == min(total, 10)
         for friend in friends:
             account = world.account_by_id(friend, NOW)
             assert account.user_id == friend
