@@ -9,6 +9,7 @@ job diffs the full 200-tick CLI run against
 
 import dataclasses
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from repro.experiments.monitor_fleet import FleetSpec, run_monitor_fleet
 from repro.obs.live import snapshot_to_json
 
 GOLDEN = Path(__file__).parent / "golden" / "monitor_fleet_alerts.jsonl"
+#: sha256 of the CI smoke run's ``--snapshots-out`` file.
+SMOKE_SNAPSHOTS = (Path(__file__).parent / "golden"
+                   / "monitor_smoke_snapshots.sha256")
 
 #: The compressed incident scenario most tests below share: purchase
 #: on day 12, a six-day 503 storm from day 20, 40 monitored days.  The
@@ -38,6 +42,13 @@ DELTA_SPEC = FleetSpec(accounts=25, ticks=45, purchase_tick=12,
                        delta=True, reaudit_every=10)
 
 
+#: The host benchmark's ``fleet-monitor`` scenario: a thousand-target
+#: delta fleet with the purchase and the 503 storm inside 30 ticks.
+HOST_SPEC = FleetSpec(seed=1, accounts=1000, ticks=30, delta=True,
+                      reaudit_every=3, purchase_tick=20,
+                      storm_start_tick=8)
+
+
 @pytest.fixture(scope="module")
 def fleet_result():
     return run_monitor_fleet(SPEC)
@@ -54,6 +65,16 @@ def _alert_names(result):
 
 def _snapshots(result):
     return [snapshot_to_json(snapshot) for snapshot in result.snapshots]
+
+
+def _digest(result):
+    """sha256 of a run's snapshot lines, alert log and audit records."""
+    digest = hashlib.sha256()
+    for line in _snapshots(result):
+        digest.update(line.encode("utf-8") + b"\n")
+    digest.update(result.alerts.to_jsonl().encode("utf-8"))
+    digest.update(json.dumps(result.audits, sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
 
 
 class TestScenario:
@@ -121,6 +142,32 @@ class TestDeterminism:
         assert serial.alerts.to_jsonl() == fleet_result.alerts.to_jsonl()
         assert _snapshots(serial) == _snapshots(fleet_result)
         assert serial.audits == fleet_result.audits
+
+
+class TestPinnedDigests:
+    """Snapshots, alerts and audits pinned byte for byte.
+
+    The digests were read before the fleet's polling path was batched;
+    a drift in pane arithmetic or float summation order shows here even
+    where the alert log stays the same.
+    """
+
+    def test_host_benchmark_fleet(self):
+        assert _digest(run_monitor_fleet(HOST_SPEC)) == (
+            "2e388960354ab9ec2db60cb49dcf605075e22d2b5ff948c9d8d2115c0c28802a")
+
+    def test_delta_fleet(self, delta_result):
+        assert _digest(delta_result) == (
+            "374cf4964b3be43259cfdbb54a92b7095847354c3381ddda84297b1876a1fc39")
+
+    def test_smoke_run_snapshots_match_the_ci_golden(self, tmp_path):
+        """The CI ``fleet-smoke`` incident run, checked in-process."""
+        snapshots = tmp_path / "snapshots.jsonl"
+        assert main([
+            "monitor", "--ticks", "200", "--dashboard", "--cadence", "50",
+            "--snapshots-out", str(snapshots)]) == 0
+        assert hashlib.sha256(snapshots.read_bytes()).hexdigest() == \
+            SMOKE_SNAPSHOTS.read_text(encoding="utf-8").strip()
 
 
 class TestSpecValidation:
