@@ -255,17 +255,17 @@ def _build_world(spec: FleetSpec, start: float):
     return world
 
 
-def _build_live(spec: FleetSpec, populations, poll_clock: SimClock,
+def _build_live(spec: FleetSpec, world, poll_clock: SimClock,
                 start: float) -> LiveTelemetry:
     """The telemetry plane: streams, SLO rule, detector bridge.
 
-    The ``followers.fleet`` gauge sums the target ``populations`` at
-    the poll clock's current instant.
+    The ``followers.fleet`` gauge sums the follower counts of the
+    ``world``'s targets at the poll clock's current instant.
     """
     live = LiveTelemetry(origin=start, pane_width=DAY)
-    live.gauge_stream("followers.fleet", lambda: float(sum(
-        population.size_at(poll_clock.now())
-        for population in populations)))
+    ordinals = range(len(world.targets()))
+    live.gauge_stream("followers.fleet", lambda: float(
+        world.target_sizes(ordinals, poll_clock.now()).sum()))
     # Pre-create the SLO streams so evaluation never references a
     # stream that has not seen its first event yet.
     for name in ("polls.total", "polls.ok", "polls.failed"):
@@ -353,7 +353,7 @@ def run_monitor_fleet(spec: FleetSpec = FleetSpec(),
         # to this clock; ticks only ever advance it.
         poll_clock = SimClock(start)
         world = _build_world(spec, start)
-        live = _build_live(spec, world.targets(), poll_clock, start)
+        live = _build_live(spec, world, poll_clock, start)
         obs.attach_live(live)
         try:
             return _run_fleet(spec, world, live, poll_clock, start)
@@ -390,15 +390,16 @@ def _run_fleet(spec: FleetSpec, world, live: LiveTelemetry,
             poll_clock.advance_to(tick_time)
         events_before = len(live.alerts.events)
         counts = monitor.poll_fleet(spec.handles)
-        at = poll_clock.now()
-        for handle in spec.handles:
-            live.note("polls.total", at)
-            if handle in counts:
-                result.followers[handle] = counts[handle]
-                live.note("polls.ok", at)
-            else:
-                result.poll_failures += 1
-                live.note("polls.failed", at)
+        answered = [handle for handle in spec.handles if handle in counts]
+        result.followers.update(
+            (handle, counts[handle]) for handle in answered)
+        failed = len(spec.handles) - len(answered)
+        result.poll_failures += failed
+        at = live.clamp(poll_clock.now())
+        for name, polls in (("polls.total", len(spec.handles)),
+                            ("polls.ok", len(answered)),
+                            ("polls.failed", failed)):
+            live.value_stream(name).observe_many(at, [1.0] * polls)
         now = live.tick(poll_clock.now())
         burst_handles = sorted({
             event.name.split(":", 1)[1]

@@ -73,14 +73,16 @@ class BurstDetector:
 
     def baseline(self, series: GrowthSeries) -> Tuple[float, float]:
         """Robust (location, scale) of the organic arrival rate."""
-        return self._baseline(sorted(series.arrivals))
+        ordered = sorted(series.arrivals)
+        return self._baseline(ordered, _twice_median(ordered))
 
-    def _baseline(self, ordered: Sequence[int]) -> Tuple[float, float]:
+    @staticmethod
+    def _baseline(ordered: Sequence[int],
+                  twice_median: int) -> Tuple[float, float]:
         # Median and MAD, exact: the arrivals are integers, so twice
         # the median and four times the MAD are integers too, and
         # halving/quartering them is exact in float64 — bit for bit
         # what np.median over the float64 array returns.
-        twice_median = _twice_median(ordered)
         mad = _twice_median(sorted(
             [abs(2 * value - twice_median) for value in ordered])) / 4
         median = twice_median / 2
@@ -108,9 +110,13 @@ class BurstDetector:
         ``start_time`` on, ``ordered`` the same counts sorted, at least
         four.  Whether a day bursts is monotone in its count, so when
         the largest day does not burst no day does and the scan is
-        skipped.
+        skipped; when it does not even clear ``min_excess`` over the
+        median, the MAD is never computed.
         """
-        median, scale = self._baseline(ordered)
+        twice_median = _twice_median(ordered)
+        if ordered[-1] - twice_median / 2 < self._min_excess:
+            return []
+        median, scale = self._baseline(ordered, twice_median)
         if not self._is_burst(ordered[-1], median, scale):
             return []
         events = [

@@ -85,8 +85,10 @@ class GrowthMonitor:
         resolved accounts through ``users/lookup`` (100 profiles per
         request), a 100x reduction at fleet scale.  Handles not yet
         resolved to a user id fall back to ``users/show`` once (which
-        also records their reading); every reading feeds the live
-        detector bridge exactly as :meth:`poll` does.
+        also records their reading); each answered page feeds the live
+        detector bridge in one call
+        (:meth:`~repro.obs.live.LiveTelemetry.observe_page`), with the
+        same outcome as one :meth:`poll` reading per handle.
 
         Returns ``{handle: followers_count}`` for every answered
         handle.  Never raises for injected API faults: a fault on a
@@ -117,12 +119,12 @@ class GrowthMonitor:
                 rows = self._client.users_lookup_block(page).rows
             except RetryableApiError:
                 continue
-            for user_id, followers in zip(rows["user_id"].tolist(),
-                                          rows["followers_count"].tolist()):
-                handle = handle_of[user_id]
-                counts[handle] = followers
-                if live is not None:
-                    live.observe_followers(handle, now, followers)
+            answered = [handle_of[user_id]
+                        for user_id in rows["user_id"].tolist()]
+            followers = rows["followers_count"].tolist()
+            counts.update(zip(answered, followers))
+            if live is not None:
+                live.observe_page(now, answered, followers)
         return counts
 
     def observe(self, handle: str, days: int) -> GrowthSeries:

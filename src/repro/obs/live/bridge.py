@@ -19,7 +19,7 @@ re-runs the detector on every reading:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ...core.errors import ConfigurationError
 from ...core.timeutil import DAY
@@ -110,39 +110,71 @@ class DetectorBridge:
     def observe(self, handle: str, t: float, followers_count: int) -> bool:
         """Record one daily reading; returns whether a new alert fired.
 
-        Readings must be strictly chronological per handle: one at or
-        before the handle's previous reading raises
-        :class:`ConfigurationError` and leaves the handle's state as it
-        was.  Detection runs once ``min_history`` readings have
-        accumulated.
+        The one-reading case of :meth:`observe_page`.
         """
-        track = self._tracks.get(handle)
-        if track is None:
-            from ...growth.series import RollingSeries
-            track = _Track(handle, RollingSeries(self._max_history),
-                           WindowStream(f"followers:{handle}", WindowSpec(
-                               width=DAY, origin=self._origin)))
-            self._tracks[handle] = track
-        series = track.series
-        series.append(t, int(followers_count))
-        track.stream.observe(t, float(followers_count))
-        if len(series.readings) < self._min_history:
-            return False
-        return self._evaluate(track, t)
+        return self.observe_page(t, (handle,), (followers_count,))[0]
+
+    def observe_page(self, t: float, handles: Sequence[str],
+                     counts: Sequence[int]) -> List[bool]:
+        """Record ``counts[i]`` as ``handles[i]``'s reading at ``t``.
+
+        One page of readings taken at one instant, handled in order
+        exactly as one :meth:`observe` each; returns whether each
+        reading fired a new alert.  Readings must be strictly
+        chronological per handle: if any is at or before its handle's
+        previous reading (a handle named twice in the page included),
+        :class:`ConfigurationError` is raised before any reading is
+        recorded.  Detection runs once a handle has ``min_history``
+        readings.
+        """
+        if len(handles) != len(counts):
+            raise ConfigurationError(
+                f"{len(handles)} handles but {len(counts)} counts")
+        tracks = self._tracks
+        seen: Set[str] = set()
+        for handle in handles:
+            track = tracks.get(handle)
+            last_t = t if handle in seen else (
+                None if track is None else track.series.readings[-1][0])
+            if last_t is not None and not t > last_t:
+                raise ConfigurationError(
+                    f"reading of {handle!r} at {t!r} is not after the "
+                    f"previous reading at {last_t!r}")
+            seen.add(handle)
+        fired = []
+        for handle, count in zip(handles, counts):
+            track = tracks.get(handle)
+            if track is None:
+                track = tracks[handle] = self._track(handle)
+            series = track.series
+            series.append(t, int(count))
+            track.stream.observe(t, float(count))
+            fired.append(len(series.readings) >= self._min_history
+                         and self._evaluate(track, t))
+        return fired
+
+    def _track(self, handle: str) -> _Track:
+        from ...growth.series import RollingSeries
+        return _Track(handle, RollingSeries(self._max_history),
+                      WindowStream(f"followers:{handle}", WindowSpec(
+                          width=DAY, origin=self._origin)))
 
     def _evaluate(self, track: _Track, now: float) -> bool:
         series = track.series
         start = series.start_time
         bursts = self._detector.detect_arrivals(start, series.arrivals,
                                                 series.ordered)
-        burst_starts = {event.start_time for event in bursts}
         reported = track.reported
-        # History rolls off the front; forget reported days with it so
-        # the set stays bounded too.
-        reported.difference_update([
-            instant for instant in reported
-            if instant not in burst_starts
-            and not series.is_day_start(instant)])
+        if not (bursts or reported or self._alerts.is_active(track.alert)):
+            return False  # nothing to fire, forget or resolve
+        burst_starts = {event.start_time for event in bursts}
+        if reported:
+            # History rolls off the front; forget reported days with it
+            # so the set stays bounded too.
+            reported.difference_update([
+                instant for instant in reported
+                if instant not in burst_starts
+                and not series.is_day_start(instant)])
         fresh = [event for event in bursts
                  if event.start_time not in reported]
         if fresh:

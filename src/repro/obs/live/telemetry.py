@@ -16,7 +16,7 @@ of order; clamping keeps window accounting monotone and deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.errors import ConfigurationError
 from .bridge import DetectorBridge
@@ -204,7 +204,19 @@ class LiveTelemetry:
 
     def observe_followers(self, handle: str, t: float,
                           followers_count: int) -> bool:
-        """Bridge hook: one follower-count reading; True if it paged."""
+        """Bridge hook: one follower-count reading; True if it paged.
+
+        The one-reading case of :meth:`observe_page`.
+        """
+        return self.observe_page(t, (handle,), (followers_count,))[0]
+
+    def observe_page(self, t: float, handles: Sequence[str],
+                     counts: Sequence[int]) -> List[bool]:
+        """Bridge hook: one page of follower counts, all read at ``t``.
+
+        ``counts[i]`` is ``handles[i]``'s reading; returns, per reading,
+        whether it paged (see :meth:`DetectorBridge.observe_page`).
+        """
         if self.bridge is None:
-            return False
-        return self.bridge.observe(handle, self.clamp(t), followers_count)
+            return [False] * len(handles)
+        return self.bridge.observe_page(self.clamp(t), handles, counts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 from ...core.errors import ConfigurationError
 
@@ -124,6 +124,17 @@ class _PaneAccumulator:
         self.max = value if self.max is None else max(self.max, value)
         self.last = value
 
+    def add_many(self, values: List[float]) -> None:
+        """Fold non-empty ``values`` in, as :meth:`add` of each in turn."""
+        total = self.sum
+        for value in values:
+            total += value
+        self.sum = total
+        self.count += len(values)
+        self.min = min(values) if self.min is None else min(self.min, *values)
+        self.max = max(values) if self.max is None else max(self.max, *values)
+        self.last = values[-1]
+
     def freeze(self, spec: WindowSpec) -> WindowPoint:
         """The immutable snapshot of this pane."""
         start, end = spec.bounds(self.index)
@@ -149,7 +160,8 @@ class WindowStream:
             raise ConfigurationError("a window stream needs a name")
         self.name = name
         self.spec = spec
-        self._closed: Deque[WindowPoint] = deque(maxlen=spec.retain)
+        #: Closed panes, oldest first, frozen only when read.
+        self._closed: Deque[_PaneAccumulator] = deque(maxlen=spec.retain)
         self._open: Optional[_PaneAccumulator] = None
         self._total_count = 0
         self._total_sum = 0.0
@@ -164,6 +176,22 @@ class WindowStream:
         self._total_count += 1
         self._total_sum += float(value)
 
+    def observe_many(self, t: float, values: Iterable[float]) -> None:
+        """Record every one of ``values`` at instant ``t``, in order.
+
+        The same panes, counts and float sums, added in the same order,
+        as one :meth:`observe` per value; no values is a no-op.
+        """
+        values = [float(value) for value in values]
+        if not values:
+            return
+        self._roll_to(self.spec.index_of(t)).add_many(values)
+        self._total_count += len(values)
+        total = self._total_sum
+        for value in values:
+            total += value
+        self._total_sum = total
+
     def close_until(self, t: float) -> None:
         """Close every pane that ends at or before instant ``t``.
 
@@ -172,14 +200,14 @@ class WindowStream:
         """
         index = self.spec.index_of(t)
         if self._open is not None and self._open.index < index:
-            self._closed.append(self._open.freeze(self.spec))
+            self._closed.append(self._open)
             self._open = None
 
     def _roll_to(self, index: int) -> _PaneAccumulator:
         if self._open is None:
             self._open = _PaneAccumulator(index)
         elif index > self._open.index:
-            self._closed.append(self._open.freeze(self.spec))
+            self._closed.append(self._open)
             self._open = _PaneAccumulator(index)
         # index <= open.index: clamp into the open pane (see class doc).
         return self._open
@@ -196,17 +224,23 @@ class WindowStream:
         """Sum of every value absorbed over the stream's lifetime."""
         return self._total_sum
 
+    def _panes(self) -> List[_PaneAccumulator]:
+        """Closed panes (oldest first) plus the open pane, if any."""
+        panes = list(self._closed)
+        if self._open is not None:
+            panes.append(self._open)
+        return panes
+
     def points(self) -> Tuple[WindowPoint, ...]:
         """Closed panes (oldest first) plus the open pane, if any."""
-        out = tuple(self._closed)
-        if self._open is not None:
-            out += (self._open.freeze(self.spec),)
-        return out
+        return tuple(pane.freeze(self.spec) for pane in self._panes())
 
     def latest(self) -> Optional[WindowPoint]:
         """The most recent pane holding data, or ``None``."""
-        points = self.points()
-        return points[-1] if points else None
+        pane = self._open
+        if pane is None and self._closed:
+            pane = self._closed[-1]
+        return None if pane is None else pane.freeze(self.spec)
 
     def trailing(self, now: float, horizon: float) -> WindowAggregate:
         """Aggregate every pane overlapping ``(now - horizon, now]``.
@@ -223,18 +257,19 @@ class WindowStream:
         low: Optional[float] = None
         high: Optional[float] = None
         last: Optional[float] = None
-        for point in self.points():
-            if point.end <= cutoff:
+        panes = self._panes()
+        for pane in panes:
+            if self.spec.bounds(pane.index)[1] <= cutoff:
                 continue
-            count += point.count
-            total += point.sum
-            if point.min is not None:
-                low = point.min if low is None else min(low, point.min)
-            if point.max is not None:
-                high = point.max if high is None else max(high, point.max)
-            if point.last is not None:
-                last = point.last
-        return WindowAggregate(start=cutoff, end=now, panes=len(self.points()),
+            count += pane.count
+            total += pane.sum
+            if pane.min is not None:
+                low = pane.min if low is None else min(low, pane.min)
+            if pane.max is not None:
+                high = pane.max if high is None else max(high, pane.max)
+            if pane.last is not None:
+                last = pane.last
+        return WindowAggregate(start=cutoff, end=now, panes=len(panes),
                                count=count, sum=total,
                                min=low, max=high, last=last)
 

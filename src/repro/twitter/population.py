@@ -600,6 +600,10 @@ class SyntheticWorld:
         self._by_name: Dict[str, int] = {}
         self._persona_tables: _PersonaTables = {}
         self._timelines = TimelineGenerator(seed)
+        #: Each target's static row, by ordinal, packed on the first
+        #: lookup that names the target (``_packed`` marks which are).
+        self._target_rows: Optional[np.ndarray] = None
+        self._packed = np.zeros(0, dtype=bool)
 
     @property
     def ref_time(self) -> float:
@@ -654,23 +658,46 @@ class SyntheticWorld:
                        behavior=self._populations[ordinal].spec.behavior,
                        true_label=Label.GENUINE)
 
-    def _record(self, user_id: int, now: float) -> Optional[tuple]:
-        """The row of a target or ambient id, ``None`` if it is unknown.
+    def target_sizes(self, ordinals: Sequence[int], now: float) -> np.ndarray:
+        """Follower counts at ``now`` of the targets registered as
+        ``ordinals``: each one's :meth:`FollowerPopulation.size_at`, as
+        an int64 array."""
+        populations = self._populations
+        return np.array([populations[ordinal].size_at(now)
+                         for ordinal in ordinals], dtype=np.int64)
 
-        A target's row comes straight from its spec, with no
-        :class:`Account` in between.
+    def _target_block(self, ordinals: np.ndarray, now: float) -> np.ndarray:
+        """The rows of the targets registered as ``ordinals`` at ``now``.
+
+        A target's texts never change, so its row is packed once, on
+        the first lookup that names it (a text its column cannot
+        round-trip raises :class:`ConfigurationError` there).  Each
+        call takes the rows with one fancy index and fills the two
+        columns that move with ``now``: ``followers_count`` and
+        ``last_tweet_at``, two hours ago but never before the account
+        existed (NaN when it never tweeted).
         """
-        from .columnar.schema import account_record, profile_record
+        from .columnar.schema import ACCOUNT_DTYPE, profile_record
 
-        try:
-            if namespace_of(user_id) != TARGET_TAG:
-                return account_record(self.account_by_id(user_id, now))
-            ordinal = self._ordinal(user_id)
-        except UnknownAccountError:
-            return None
-        return profile_record(self._target_profile(ordinal, now),
-                              self._populations[ordinal].spec.behavior,
-                              Label.GENUINE)
+        missing = len(self._populations) - len(self._packed)
+        if missing:
+            grown = np.zeros(len(self._populations), dtype=ACCOUNT_DTYPE)
+            if self._target_rows is not None:
+                grown[:len(self._target_rows)] = self._target_rows
+            self._target_rows = grown
+            self._packed = np.concatenate(
+                (self._packed, np.zeros(missing, dtype=bool)))
+        for ordinal in np.unique(ordinals[~self._packed[ordinals]]).tolist():
+            self._target_rows[ordinal] = profile_record(
+                self._target_profile(ordinal, self._ref_time),
+                self._populations[ordinal].spec.behavior, Label.GENUINE)
+            self._packed[ordinal] = True
+        block = self._target_rows[ordinals]
+        block["followers_count"] = self.target_sizes(ordinals.tolist(), now)
+        block["last_tweet_at"] = np.where(
+            block["statuses_count"] > 0,
+            np.maximum(block["created_at"], now - 2 * HOUR), np.nan)
+        return block
 
     def _ordinal(self, user_id: int) -> int:
         """The registered target ordinal a target id names."""
@@ -872,23 +899,45 @@ class SyntheticWorld:
         The input the engines' criteria classify without materialising
         user objects: each target's resolvable followers are generated
         as one batch of columns and rendered to
-        :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` record
-        tuples, a target's row is built from its spec and an ambient
-        account's from its :class:`Account`, and one ``np.array`` call
-        packs them all.  Order, duplicates and the silent omission of
-        unknown ids match :meth:`user_objects`.
+        :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` rows, the
+        targets among ``user_ids`` are taken from their packed rows
+        with the two columns that move with ``now`` filled
+        (:meth:`_target_block`), and an ambient account's row is
+        packed from its :class:`Account`.  Order, duplicates and the
+        silent omission of unknown ids match :meth:`user_objects`.
         """
-        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock
+        from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, account_record
 
+        now = float(now)
         ids = _id_array(user_ids)
-        records = [None] * len(ids)
-        for rows, columns in self._follower_batches(
-                ids, np.full(len(ids), float(now))):
-            for row, record in zip(rows.tolist(), columns.profile_rows()):
-                records[row] = record
-        others = (ids >> _NAMESPACE_SHIFT) != FOLLOWER_TAG
-        for row in np.flatnonzero(others).tolist():
-            records[row] = self._record(int(ids[row]), now)
-        return UserRowBlock(np.array(
-            [record for record in records if record is not None],
-            dtype=ACCOUNT_DTYPE))
+        tags = ids >> _NAMESPACE_SHIFT
+        #: ``(indices into ids, their rows)``, one piece per source.
+        pieces = [
+            (where, np.array(columns.profile_rows(), dtype=ACCOUNT_DTYPE))
+            for where, columns in self._follower_batches(
+                ids, np.full(len(ids), now))]
+        ordinals = ids & ((1 << _NAMESPACE_SHIFT) - 1)
+        where = np.flatnonzero(
+            (tags == TARGET_TAG) & (ordinals < len(self._populations)))
+        if len(where):
+            pieces.append((where, self._target_block(ordinals[where], now)))
+        ambient, records = [], []
+        for row in np.flatnonzero(
+                (tags != FOLLOWER_TAG) & (tags != TARGET_TAG)).tolist():
+            try:
+                account = self.account_by_id(int(ids[row]), now)
+            except UnknownAccountError:
+                continue
+            ambient.append(row)
+            records.append(account_record(account))
+        if ambient:
+            pieces.append((np.array(ambient, dtype=np.int64),
+                           np.array(records, dtype=ACCOUNT_DTYPE)))
+        if len(pieces) == 1 and len(pieces[0][0]) == len(ids):
+            return UserRowBlock(pieces[0][1])
+        rows = np.empty(len(ids), dtype=ACCOUNT_DTYPE)
+        found = np.zeros(len(ids), dtype=bool)
+        for where, block in pieces:
+            rows[where] = block
+            found[where] = True
+        return UserRowBlock(rows[found])

@@ -94,3 +94,54 @@ class TestExactBaseline:
     def test_odd_and_even_lengths(self, values):
         assert BurstDetector().baseline(series(values)) \
             == numpy_baseline(values)
+
+
+def full_detection(values, threshold, min_excess):
+    """Every burst day through the full median/MAD computation, strongest
+    first: no early exit of any kind."""
+    median, scale = numpy_baseline(values)
+    events = [(day, count, median, (count - median) / scale)
+              for day, count in enumerate(values)
+              if (count - median) / scale >= threshold
+              and count - median >= min_excess]
+    return sorted(events, key=lambda event: event[3], reverse=True)
+
+
+class TestShortCircuit:
+    """``detect_arrivals`` skips the MAD when no day clears ``min_excess``;
+    its answer must be the full computation's."""
+
+    @staticmethod
+    def check(values, threshold, min_excess):
+        detector = BurstDetector(threshold=threshold, min_excess=min_excess)
+        events = detector.detect_arrivals(0.0, values, sorted(values))
+        assert [(event.day, event.arrivals, event.baseline, event.z_score)
+                for event in events] \
+            == full_detection(values, threshold, min_excess)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(0, 300),
+                                     st.integers(0, 20_000)),
+                           min_size=4, max_size=40),
+           threshold=st.sampled_from([0.5, 3.0, 6.0]),
+           excess=st.one_of(st.just(0), st.integers(0, 20_000),
+                            st.sampled_from(["tie", "tie-1", "tie+1"])))
+    def test_equals_the_full_computation(self, values, threshold, excess):
+        if isinstance(excess, str):
+            # Put min_excess exactly at (or one off) the largest day's
+            # excess over the median: the short-circuit's boundary.
+            top = max(values) - float(np.median(values))
+            excess = max(0, int(top) + {"tie": 0, "tie-1": -1,
+                                        "tie+1": 1}[excess])
+        self.check(values, threshold, excess)
+
+    @pytest.mark.parametrize("values,min_excess", [
+        ([10, 10, 10, 510], 500),       # the largest day ties min_excess
+        ([10, 10, 10, 509], 500),       # one short: skipped
+        ([0, 0, 0, 0], 0),              # min_excess 0 never skips
+        ([0, 0, 1, 1], 0),
+        ([100, 100, 600, 600], 500),    # even length, median between
+        ([7, 3, 5, 4], 1),
+    ])
+    def test_length_four_and_the_threshold_ties(self, values, min_excess):
+        self.check(values, 1.0, min_excess)

@@ -186,6 +186,149 @@ class TestBridgeAgainstOracle:
         assert log.to_jsonl() == oracle_log.to_jsonl()
 
 
+def _points(bridge):
+    """Every per-handle follower stream's panes and totals."""
+    return {handle: (stream.points(), stream.total_count, stream.total_sum)
+            for handle, stream in bridge.streams().items()}
+
+
+def _plane(**bridge_options):
+    live = LiveTelemetry(origin=PAPER_EPOCH, pane_width=DAY)
+    live.attach_bridge(DetectorBridge(live.alerts, origin=PAPER_EPOCH,
+                                      **bridge_options))
+    return live
+
+
+def _totals(live):
+    """Lifetime totals of every stream the plane's SLO rules can read."""
+    streams = dict(live.streams())
+    streams.update((stream.name, stream)
+                   for stream in live.bridge.streams().values())
+    return {name: (stream.total_count, stream.total_sum)
+            for name, stream in streams.items()}
+
+
+def _page_t(day):
+    return PAPER_EPOCH + day * DAY + 60.0
+
+
+#: One page: (seconds since the previous page, per handle of five the
+#: count change, or None when the page lost that handle's reading).
+_PAGE = st.tuples(
+    st.one_of(st.floats(0.6 * DAY, 1.4 * DAY), st.floats(1.5 * DAY, 3.4 * DAY),
+              st.floats(60.0, 0.49 * DAY)),
+    st.lists(st.one_of(st.none(), st.integers(80, 120),
+                       st.integers(-300, -1), st.integers(2_000, 20_000)),
+             min_size=5, max_size=5))
+
+
+class TestObservePage:
+    """``observe_page`` equals one reading at a time, on a twin plane and
+    against the rebuild-per-reading oracle."""
+
+    def run_twins(self, pages, min_history=5, max_history=256,
+                  min_excess=50):
+        options = dict(min_history=min_history, max_history=max_history,
+                       detector=BurstDetector(min_excess=min_excess))
+        paged, single = _plane(**options), _plane(**options)
+        oracle_log = AlertLog()
+        oracle = OracleBridge(oracle_log, min_excess=min_excess,
+                              min_history=min_history,
+                              max_history=max_history)
+        t = PAPER_EPOCH + 60.0
+        counts = [10_000] * 5
+        for gap, changes in pages:
+            t += gap
+            handles, readings = [], []
+            for index, change in enumerate(changes):
+                if change is None:
+                    continue  # this handle's reading was lost
+                counts[index] = max(0, counts[index] + change)
+                handles.append(f"h{index}")
+                readings.append(counts[index])
+            fired = paged.observe_page(t, handles, readings)
+            assert fired == [single.observe_followers(handle, t, count)
+                             for handle, count in zip(handles, readings)]
+            assert fired == [oracle.observe(handle, t, count)
+                             for handle, count in zip(handles, readings)]
+            for live in (paged, single):
+                live.tick(t)
+        assert paged.alerts.to_jsonl() == single.alerts.to_jsonl() \
+            == oracle_log.to_jsonl()
+        assert _points(paged.bridge) == _points(single.bridge)
+        assert _totals(paged) == _totals(single)
+        return paged
+
+    @settings(max_examples=100, deadline=None)
+    @given(pages=st.lists(_PAGE, min_size=1, max_size=60),
+           max_history=st.sampled_from([8, 12, 256]),
+           min_excess=st.sampled_from([0, 50, 5_000]))
+    def test_equals_one_reading_at_a_time(self, pages, max_history,
+                                          min_excess):
+        self.run_twins(pages, max_history=max_history,
+                       min_excess=min_excess)
+
+    def test_lost_pages_are_gap_normalised(self):
+        """Handle h0 misses two pages; its next reading spreads the
+        three days' growth instead of paging on a false burst."""
+        pages = [(DAY, [100] * 5) for __ in range(10)]
+        pages += [(DAY, [None] + [100] * 4), (DAY, [None] + [100] * 4),
+                  (DAY, [301] + [100] * 4)]
+        pages += [(DAY, [100] * 5) for __ in range(5)]
+        paged = self.run_twins(pages)
+        assert paged.alerts.events == ()
+        series = paged.bridge._tracks["h0"].series
+        assert series.arrivals[-8:-5] == [101, 100, 100]
+
+    def test_roll_off_at_a_small_max_history(self):
+        pages = [(DAY + (0.1 * DAY if day % 2 else 0.0),
+                  [5_000 if day % 9 == 4 else 100] * 5)
+                 for day in range(50)]
+        paged = self.run_twins(pages, max_history=8)
+        assert paged.alerts.counts()[0] >= 5
+        assert all(len(track.series.readings) == 8
+                   for track in paged.bridge._tracks.values())
+
+    @pytest.mark.parametrize("stale", ["equal", "earlier", "twice"])
+    def test_one_stale_reading_rejects_the_whole_page(self, stale):
+        """A page holding one stale reading raises and records none of
+        its readings, as a single stale reading does."""
+        paged, clean = _plane(), _plane()
+        handles = ["a", "b", "c"]
+        count = 1_000
+        for day in range(10):
+            count += 100
+            for live in (paged, clean):
+                live.observe_page(_page_t(day), handles, [count] * 3)
+        late_b = _page_t(9) + 0.5 * DAY  # b alone was read again
+        for live in (paged, clean):
+            live.observe_followers("b", late_b, count + 50)
+        before = (_points(paged.bridge), paged.alerts.to_jsonl())
+        page_t, page = {
+            "equal": (late_b, handles),            # b at its last instant
+            "earlier": (late_b - 0.25 * DAY, handles),  # b before it
+            "twice": (_page_t(10), ["a", "c", "c"]),  # c named twice
+        }[stale]
+        with pytest.raises(ConfigurationError, match="not after"):
+            paged.observe_page(page_t, page, [count + 9_000] * 3)
+        assert (_points(paged.bridge), paged.alerts.to_jsonl()) == before
+        for day in range(10, 13):
+            count += 100 if day != 11 else 5_000
+            for live in (paged, clean):
+                live.observe_page(_page_t(day), handles, [count] * 3)
+        assert paged.alerts.counts()[0] == 3
+        assert paged.alerts.to_jsonl() == clean.alerts.to_jsonl()
+        assert _points(paged.bridge) == _points(clean.bridge)
+
+    def test_page_and_counts_must_pair_up(self):
+        with pytest.raises(ConfigurationError):
+            _plane().observe_page(60.0, ["a", "b"], [1])
+
+    def test_without_a_bridge_nothing_pages(self):
+        assert LiveTelemetry().observe_page(60.0, ["a", "b"], [1, 2]) == \
+            [False, False]
+
+
 class TestTelemetryBridgeHook:
     def test_observe_followers_routes_through_the_bridge(self):
         live = LiveTelemetry()

@@ -1,6 +1,7 @@
 """Unit tests for the streaming window primitives (repro.obs.live)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ConfigurationError
 from repro.obs.live import (
@@ -108,6 +109,68 @@ class TestWindowStream:
             return stream.points()
 
         assert run() == run()
+
+
+def _state(stream):
+    """Everything a stream exposes, floats by their bits."""
+    def bits(value):
+        return None if value is None else float(value).hex()
+
+    return ([(p.index, p.start, p.end, p.count, bits(p.sum), bits(p.min),
+              bits(p.max), bits(p.last)) for p in stream.points()],
+            stream.total_count, bits(stream.total_sum))
+
+
+class TestObserveMany:
+    """``observe_many`` is a loop of ``observe`` at one instant."""
+
+    def twins(self, batches, width=10.0, retain=256):
+        one, many = (WindowStream("s", WindowSpec(width=width, retain=retain))
+                     for __ in range(2))
+        for t, values in batches:
+            for value in values:
+                one.observe(t, value)
+            many.observe_many(t, values)
+            assert _state(many) == _state(one)
+        return one, many
+
+    #: Values whose float sum depends on the order they are added in.
+    _VALUE = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0,
+                                        -0.0, 3.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-50.0, 200.0),
+                              st.lists(_VALUE, max_size=6)),
+                    max_size=25),
+           st.sampled_from([1, 3, 256]))
+    def test_equals_a_loop_of_observe(self, batches, retain):
+        self.twins(batches, retain=retain)
+
+    def test_count_sum_extrema_last_and_totals(self):
+        __, many = self.twins([(5.0, [1e16, 1.0, -1e16, 2.0, 0.5])])
+        (point,) = many.points()
+        assert (point.count, point.min, point.max, point.last) == \
+            (5, -1e16, 1e16, 0.5)
+        assert point.sum == ((((1e16 + 1.0) + -1e16) + 2.0) + 0.5)
+        assert many.total_count == 5 and many.total_sum == point.sum
+
+    def test_clamps_into_the_open_pane(self):
+        __, many = self.twins([(25.0, [1.0]), (3.0, [5.0, 7.0])])
+        (point,) = many.points()
+        assert (point.index, point.count, point.sum) == (2, 3, 13.0)
+
+    def test_rolls_to_a_new_pane(self):
+        __, many = self.twins([(5.0, [1.0, 2.0]), (12.0, [4.0, 8.0])])
+        assert [(p.index, p.count, p.sum) for p in many.points()] == \
+            [(0, 2, 3.0), (1, 2, 12.0)]
+
+    def test_empty_input_is_a_no_op(self):
+        one, many = self.twins([(5.0, [1.0]), (50.0, [])])
+        assert [p.index for p in many.points()] == [0]
+        fresh = WindowStream("s", WindowSpec(width=10.0))
+        fresh.observe_many(5.0, [])
+        assert fresh.points() == () and fresh.total_count == 0
 
 
 class TestGaugeStream:

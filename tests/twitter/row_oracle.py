@@ -1,8 +1,9 @@
 """Reference oracle for account rows: one field write at a time.
 
 The production path renders one record tuple per generated follower
-(:meth:`repro.twitter.columns.FollowerColumns.profile_rows`) and packs
-a whole ``users/lookup`` answer with a single ``np.array`` call.  This oracle
+(:meth:`repro.twitter.columns.FollowerColumns.profile_rows`), packs a
+batch of them with a single ``np.array`` call, and fills a target's row
+from the static row packed on its first lookup.  This oracle
 writes each field of each row separately, by name, the way the row
 packing was first written.  Tests check the bulk path against it byte
 for byte.

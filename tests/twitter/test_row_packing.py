@@ -1,9 +1,10 @@
 """Bulk ``users/lookup`` row packing against the per-field oracle.
 
-``SyntheticWorld.user_row_block`` packs a whole answer with one
-``np.array`` call over record tuples rendered from follower columns;
-``row_oracle`` writes every field of every row by name.  Both must
-produce the same bytes.  A text value a fixed-width column cannot
+``SyntheticWorld.user_row_block`` packs followers from record tuples
+rendered from their columns, and takes a target's row from the static
+row packed on its first lookup, filling only ``followers_count`` and
+``last_tweet_at``; ``row_oracle`` writes every field of every row by
+name.  Both must produce the same bytes.  A text value a fixed-width column cannot
 round-trip is refused: by ``UserRowBlock.from_users`` for user
 objects, and for generated rows when a persona's vocabulary is built.
 """
@@ -20,9 +21,11 @@ from repro.twitter.columnar.schema import STRING_WIDTHS, UserRowBlock
 from repro.twitter.personas import PERSONAS, Persona
 from repro.twitter.population import (
     AMBIENT_POOL_SIZE,
+    TargetSpec,
     ambient_id,
     follower_id,
     target_id,
+    uniform_segments,
 )
 
 from .row_oracle import pack_accounts
@@ -97,6 +100,123 @@ def test_empty_lookup_packs_no_rows():
     world = make_world(0)
     assert world.user_row_block([], PAPER_EPOCH).rows.tobytes() == \
         pack_accounts([]).tobytes()
+
+
+def add_quiet_target(world, name, created_at):
+    """A target that never tweeted, created at ``created_at``."""
+    world.add_target(TargetSpec(
+        screen_name=name, followers=50, segments=uniform_segments(0, 0, 1),
+        created_at=created_at, statuses_count=0, daily_new_followers=3))
+
+
+#: When the ``Newcomer`` target was created: an hour after the first
+#: instant of ``TARGET_INSTANTS``.
+NEWCOMER_CREATED = PAPER_EPOCH - 30 * DAY + 3600.0
+
+
+def target_world(seed):
+    """``make_world`` plus a never-tweeting target and one created an
+    hour after the first instant looked at, so ``last_tweet_at`` takes
+    its NaN and its ``created_at`` branches."""
+    world = make_world(seed)
+    add_quiet_target(world, "quiet", PAPER_EPOCH - 400 * DAY)
+    world.add_target(TargetSpec(
+        screen_name="Newcomer", followers=10,
+        segments=uniform_segments(0, 0, 1), created_at=NEWCOMER_CREATED,
+        statuses_count=1, display_name="Just Joined", description=""))
+    return world
+
+
+def assert_rows_match_oracle(world, ids, now):
+    block = world.user_row_block(ids, now)
+    assert block.rows.tobytes() == pack_accounts(
+        resolvable_accounts(world, ids, now)).tobytes()
+    return block
+
+
+#: Before the newcomer's creation (its ``last_tweet_at`` is clamped to
+#: ``created_at``), and around the tilted target's burst.
+TARGET_INSTANTS = [
+    PAPER_EPOCH - 30 * DAY,
+    PAPER_EPOCH + 1.5 * 3600.0,
+    PAPER_EPOCH + BURST_DAYS * DAY - 1.0,
+    PAPER_EPOCH + BURST_DAYS * DAY,
+    PAPER_EPOCH + (BURST_DAYS + 3) * DAY,
+]
+
+
+class TestTargetPages:
+    """Targets come from their packed rows with two columns filled per
+    lookup; every byte must equal the per-field oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_pages_of_targets_at_instants_around_a_burst(self, seed):
+        world = target_world(seed)
+        ids = [target_id(ordinal) for ordinal in (2, 0, 3, 1, 0)]
+        for now in TARGET_INSTANTS:
+            block = assert_rows_match_oracle(world, ids, now)
+            assert len(block) == 5
+        # The burst lands in the tilted target's count between the two
+        # instants that bracket it.
+        before, at = (world.user_row_block([target_id(0)], now).rows
+                      for now in TARGET_INSTANTS[2:4])
+        assert at["followers_count"][0] - before["followers_count"][0] >= 200
+
+    @pytest.mark.parametrize("now", TARGET_INSTANTS[:2])
+    def test_the_two_moving_columns(self, now):
+        world = target_world(0)
+        rows = world.user_row_block(
+            [target_id(ordinal) for ordinal in range(4)], now).rows
+        assert rows["last_tweet_at"][0] == now - 2 * 3600.0
+        assert rows["last_tweet_at"][2] != rows["last_tweet_at"][2]  # NaN
+        assert rows["last_tweet_at"][3] == max(NEWCOMER_CREATED,
+                                               now - 2 * 3600.0)
+        assert list(rows["followers_count"]) == [
+            population.size_at(now) for population in world.targets()]
+
+    def test_after_an_unfollow(self):
+        world = target_world(1)
+        steady = world.population("steady")
+        leaver = steady.follower_id_at(17)
+        at = PAPER_EPOCH + 0.5 * DAY
+        ids = [target_id(1), leaver, target_id(1)]
+        before = assert_rows_match_oracle(world, ids, at).rows
+        world.unfollow(leaver, target_id(1), at)
+        after = assert_rows_match_oracle(world, ids, at).rows
+        assert list(after["followers_count"][[0, 2]]) == \
+            [before["followers_count"][0] - 1] * 2
+        assert after[1].tobytes() == before[1].tobytes()  # still resolves
+
+    def test_a_target_added_after_the_first_lookup(self):
+        world = target_world(2)
+        now = PAPER_EPOCH + DAY
+        ids = [target_id(0), target_id(3), target_id(4)]
+        assert len(assert_rows_match_oracle(world, ids, now)) == 2
+        add_quiet_target(world, "latecomer", PAPER_EPOCH - 10 * DAY)
+        ids = [target_id(4), target_id(0), target_id(3), target_id(5)]
+        assert len(assert_rows_match_oracle(world, ids, now)) == 3
+
+    @pytest.mark.parametrize("instant", TARGET_INSTANTS)
+    def test_mixed_pages(self, instant):
+        """Targets, followers, ambient, unknown and duplicate ids."""
+        world = target_world(7)
+        tilted, steady = world.targets()[:2]
+        size = tilted.size_at(instant)
+        ids = [target_id(3), tilted.follower_id_at(size - 1),
+               ambient_id(11), target_id(0), target_id(99), 2**70,
+               steady.follower_id_at(4), target_id(2), ambient_id(11),
+               target_id(0), tilted.follower_id_at(size + 10), -5]
+        block = assert_rows_match_oracle(world, ids, instant)
+        assert len(block) == 8
+
+    def test_every_lookup_reads_the_same_packed_row(self):
+        """Filling the moving columns never writes the packed rows back."""
+        world = target_world(0)
+        ids = [target_id(0), target_id(2)]
+        first = world.user_row_block(ids, TARGET_INSTANTS[-1]).rows.copy()
+        world.user_row_block(ids, TARGET_INSTANTS[0])
+        again = world.user_row_block(ids, TARGET_INSTANTS[-1]).rows
+        assert again.tobytes() == first.tobytes()
 
 
 def make_user(**overrides):
