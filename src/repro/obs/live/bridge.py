@@ -145,19 +145,17 @@ class DetectorBridge:
         for handle, count in zip(handles, counts):
             track = tracks.get(handle)
             if track is None:
-                track = tracks[handle] = self._track(handle)
+                from ...growth.series import RollingSeries
+                track = tracks[handle] = _Track(
+                    handle, RollingSeries(self._max_history),
+                    WindowStream(f"followers:{handle}", WindowSpec(
+                        width=DAY, origin=self._origin)))
             series = track.series
             series.append(t, int(count))
             track.stream.observe(t, float(count))
             fired.append(len(series.readings) >= self._min_history
                          and self._evaluate(track, t))
         return fired
-
-    def _track(self, handle: str) -> _Track:
-        from ...growth.series import RollingSeries
-        return _Track(handle, RollingSeries(self._max_history),
-                      WindowStream(f"followers:{handle}", WindowSpec(
-                          width=DAY, origin=self._origin)))
 
     def _evaluate(self, track: _Track, now: float) -> bool:
         series = track.series
@@ -168,13 +166,12 @@ class DetectorBridge:
         if not (bursts or reported or self._alerts.is_active(track.alert)):
             return False  # nothing to fire, forget or resolve
         burst_starts = {event.start_time for event in bursts}
-        if reported:
-            # History rolls off the front; forget reported days with it
-            # so the set stays bounded too.
-            reported.difference_update([
-                instant for instant in reported
-                if instant not in burst_starts
-                and not series.is_day_start(instant)])
+        # History rolls off the front; forget reported days with it so
+        # the set stays bounded too.
+        reported.difference_update([
+            instant for instant in reported
+            if instant not in burst_starts
+            and not series.is_day_start(instant)])
         fresh = [event for event in bursts
                  if event.start_time not in reported]
         if fresh:

@@ -911,7 +911,7 @@ class SyntheticWorld:
         now = float(now)
         ids = _id_array(user_ids)
         tags = ids >> _NAMESPACE_SHIFT
-        #: ``(indices into ids, their rows)``, one piece per source.
+        # ``(indices into ids, their rows)``, one piece per source.
         pieces = [
             (where, np.array(columns.profile_rows(), dtype=ACCOUNT_DTYPE))
             for where, columns in self._follower_batches(

@@ -209,15 +209,6 @@ class TestTargetPages:
         block = assert_rows_match_oracle(world, ids, instant)
         assert len(block) == 8
 
-    def test_every_lookup_reads_the_same_packed_row(self):
-        """Filling the moving columns never writes the packed rows back."""
-        world = target_world(0)
-        ids = [target_id(0), target_id(2)]
-        first = world.user_row_block(ids, TARGET_INSTANTS[-1]).rows.copy()
-        world.user_row_block(ids, TARGET_INSTANTS[0])
-        again = world.user_row_block(ids, TARGET_INSTANTS[-1]).rows
-        assert again.tobytes() == first.tobytes()
-
 
 def make_user(**overrides):
     fields = dict(
