@@ -414,30 +414,79 @@ class TwitterApiClient:
         batch, read at the pinned observation instant or else at the
         request's completion.  Rows follow the input order; unknown ids
         are silently omitted, as the real endpoint does.  The profile
-        cache, when one serves, records the ids paid for.
+        cache, when one serves, records the ids paid for.  The one-batch
+        case of :meth:`users_lookup_batches`, raising when its retries
+        run out.
         """
         policy = self._limiter.policy("users/lookup")
         if not 1 <= len(user_ids) <= policy.elements_per_request:
             raise ConfigurationError(
                 f"users/lookup takes 1..{policy.elements_per_request} ids, "
                 f"got {len(user_ids)}")
-        completed = self._execute("users/lookup", len(user_ids))
-        now = (self._observe_at if self._observe_at is not None
-               else completed)
-        block = self._world.user_row_block(user_ids, now)
-        cache = self.profile_cache
-        if cache is not None:
-            cache.note_fetched(block.rows["user_id"].tolist())
+        block, failures = self.users_lookup_batches(user_ids)
+        if failures:
+            # Popped: this frame, which the raise puts in the error's
+            # traceback, keeps no reference to the error.
+            raise failures.pop()
         return block
 
     #: An alias kept only because ``hostbench/layers.py`` wraps this name.
     users_lookup = users_lookup_block
 
-    def cached_profiles(self, user_ids: Sequence[int]) -> UserRowBlock:
-        """Rows of profiles the :attr:`profile_cache` has already paid
-        for, read again at the pinned instant: no request, no
-        rate-limit token, no latency."""
-        return self._world.user_row_block(user_ids, self._observe_at)
+    def users_lookup_batches(self, user_ids: Sequence[int],
+                             fetched: Optional[Sequence[bool]] = None
+                             ) -> Tuple[UserRowBlock, List[RetryableApiError]]:
+        """:meth:`users_lookup_block` over ``user_ids``, read in one world call.
+
+        ``fetched[i]`` marks a profile the :attr:`profile_cache` has
+        already paid for: it is read at the pin with no request, no
+        rate-limit token and no latency.  The other ids are cut, in
+        order, into requests of at most 100, each made exactly as a
+        lone :meth:`users_lookup_block` makes it: charge, retries,
+        fault draws, live hooks.  Each answered request's ids are read
+        at its observation instant (the pin, or its completion for a
+        live client), and the world answers every read in one call.
+        Returns the rows in input order, unknown ids omitted, and the
+        :class:`RetryableApiError` of each request whose retries ran
+        out; that request's ids are dropped by position, so an id it
+        shares with an answered request keeps its other rows.  The
+        profile cache, when one serves, records the ids resolved.
+        """
+        pin = self._observe_at
+        size = self._limiter.policy("users/lookup").elements_per_request
+        instants = np.full(len(user_ids), np.nan if pin is None else pin)
+        if fetched is None:
+            misses = np.arange(len(user_ids))
+        else:
+            fetched = np.asarray(fetched, dtype=bool)
+            if pin is None and fetched.any():
+                raise ConfigurationError(
+                    "cached profiles are read at the pin: pin the client")
+            misses = np.flatnonzero(~fetched)
+        read = np.ones(len(user_ids), dtype=bool)
+        failures: List[RetryableApiError] = []
+        for start in range(0, len(misses), size):
+            batch = misses[start:start + size]
+            try:
+                completed = self._execute("users/lookup", len(batch))
+            except RetryableApiError as error:
+                read[batch] = False
+                # Without its traceback the kept error references no
+                # frame, so no cycle through this frame's locals holds
+                # the client and its world until a full collection.
+                failures.append(error.with_traceback(None))
+                continue
+            if pin is None:
+                instants[batch] = completed
+        if failures:
+            user_ids = [user_ids[index]
+                        for index in np.flatnonzero(read).tolist()]
+            instants = instants[read]
+        block = self._world.user_row_block(user_ids, instants)
+        cache = self.profile_cache
+        if cache is not None:
+            cache.note_fetched(block.rows["user_id"].tolist())
+        return block, failures
 
     # -- follower / friend listings ---------------------------------------------
 

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..core.errors import ConfigurationError, RetryableApiError
 from ..obs.runtime import get_observability
-from ..twitter.columnar.schema import ACCOUNT_DTYPE, UserRowBlock
+from ..twitter.columnar.schema import UserRowBlock
 from ..twitter.timeline import TimelineBlock
 from .client import DEFAULT_REQUEST_LATENCY, TwitterApiClient
 from .frame import IdFrame
@@ -206,55 +203,24 @@ class Crawler:
         span is marked degraded) and the rest still resolve.  While the
         client has a profile cache, profiles any engine of the batch
         already paid for are read again for free, and only the misses
-        are batched and charged.
+        are batched and charged; hits and misses are read in one world
+        call (:meth:`TwitterApiClient.users_lookup_batches`).
         """
         cache = self._client.profile_cache
         with self._tracer.span("crawl.lookup", self._client.clock,
                                requested=len(user_ids)) as span:
-            fetched, missing = ([], user_ids) if cache is None else \
-                cache.split_fetched(user_ids)
-            parts = self._lookup_batches(missing, span)
-            if fetched:
-                parts = chain([self._client.cached_profiles(fetched)], parts)
-            # Batches are copied into one block as they arrive, so a
-            # large sample never holds its batches and their merge at
-            # once.
-            rows = np.empty(len(user_ids), dtype=ACCOUNT_DTYPE)
-            filled = 0
-            for part in parts:
-                rows[filled:filled + len(part)] = part.rows
-                filled += len(part)
-            rows = rows[:filled]
-            if fetched:
-                # Hits came first: give each id its row at its input
-                # place (twice if listed twice).
-                at = {uid: row for row, uid
-                      in enumerate(rows["user_id"].tolist())}
-                rows = rows[[at[uid] for uid in user_ids if uid in at]]
-            span.set_attribute("resolved", filled)
+            fetched = None if cache is None else cache.fetched_mask(user_ids)
+            block, failures = self._client.users_lookup_batches(
+                user_ids, fetched)
+            if failures:
+                span.set_attribute("degraded", True)
+            span.set_attribute("resolved", len(block))
             if cache is not None:
-                span.set_attribute("cache_hits", len(fetched))
-        return UserRowBlock(rows)
+                span.set_attribute("cache_hits", sum(fetched))
+        return block
 
     #: An alias kept only because ``hostbench/layers.py`` wraps this name.
     lookup_users = lookup_users_block
-
-    def _lookup_batches(self, user_ids: Sequence[int], span):
-        """``users/lookup`` over batches of at most 100 of ``user_ids``.
-
-        Yields each batch's row block.  Batches are independent: one
-        whose retries run out is dropped (marking ``span`` degraded)
-        and the rest of the sample still resolves.
-        """
-        batch_size = self._client.policy("users/lookup").elements_per_request
-        for start in range(0, len(user_ids), batch_size):
-            try:
-                part = self._client.users_lookup_block(
-                    list(user_ids[start:start + batch_size]))
-            except RetryableApiError:
-                span.set_attribute("degraded", True)
-                continue
-            yield part
 
     def fetch_timelines(self, user_ids: Sequence[int],
                         per_user: int = TIMELINE_PAGE

@@ -108,20 +108,18 @@ class AcquisitionCache:
         self._miss()
         return None
 
-    def split_fetched(self, user_ids: Sequence[int]
-                      ) -> Tuple[List[int], List[int]]:
-        """``user_ids`` as ``(fetched, missing)``, each in input order.
+    def fetched_mask(self, user_ids: Sequence[int]) -> List[bool]:
+        """Per id of ``user_ids``, in input order, whether this batch
+        has paid for its profile.
 
         One hit or miss is counted per id, duplicates included.
         """
-        fetched: List[int] = []
-        missing: List[int] = []
         profiles = self._profiles
-        for uid in user_ids:
-            (fetched if uid in profiles else missing).append(uid)
-        self._hit(len(fetched))
-        self._miss(len(missing))
-        return fetched, missing
+        mask = [uid in profiles for uid in user_ids]
+        hits = sum(mask)
+        self._hit(hits)
+        self._miss(len(mask) - hits)
+        return mask
 
     def note_fetched(self, user_ids: Iterable[int]) -> None:
         """Record ``users/lookup`` profiles just paid for."""

@@ -65,6 +65,12 @@ _POSITION_MASK = (1 << _POSITION_BITS) - 1
 #: Size of the shared ambient pool backing ``friends/ids`` answers.
 AMBIENT_POOL_SIZE = 100_000
 
+#: Followers of one target that :meth:`SyntheticWorld.user_row_block`
+#: and :meth:`SyntheticWorld.timelines` generate together: enough to
+#: amortise each persona sampler's NumPy set-up, few enough that a
+#: pass's draw matrix and rendered rows stay under a megabyte each.
+FOLLOWER_PASS = 1024
+
 
 def target_id(ordinal: int) -> int:
     """Compose the user id of the ``ordinal``-th registered target."""
@@ -347,8 +353,8 @@ class TargetSpec:
                     f"{STRING_WIDTHS[field_name]}-character row column")
 
 
-#: Persona tables by mix: sorted ``(name, weight, Persona)`` triples.
-_PersonaTables = Dict[Tuple[Tuple[str, float, Persona], ...], WeightedTable]
+#: Persona tables by mix: sorted ``(name, weight, id(Persona))`` triples.
+_PersonaTables = Dict[Tuple[Tuple[str, float, int], ...], WeightedTable]
 
 
 def _persona_table(tables: _PersonaTables,
@@ -358,11 +364,13 @@ def _persona_table(tables: _PersonaTables,
     Sorted names keep the picks of the running-sum oracle
     ``weighted_choice(rng, sorted(mix), ...)`` in
     ``tests/core/rng_oracle.py``.  A mix already in ``tables`` reuses
-    its table; the key holds the registered :class:`Persona` objects,
-    so a re-registered name gets a new one.
+    its table.  The key names each registered :class:`Persona` by
+    identity, so a re-registered name gets a new table and no persona's
+    fields are hashed; an identity cannot be reused while its table,
+    which holds the persona, is in ``tables``.
     """
     names = sorted(mix)
-    key = tuple((name, mix[name], PERSONAS[name]) for name in names)
+    key = tuple((name, mix[name], id(PERSONAS[name])) for name in names)
     table = tables.get(key)
     if table is None:
         table = tables[key] = WeightedTable([PERSONAS[name] for name in names],
@@ -441,12 +449,14 @@ class FollowerPopulation:
                       for burst in bursts)
         self._persona_tables = tables
         # Every persona of the population once, and per table the
-        # population-wide code of each of its items.
-        self._personas: List[Persona] = list(dict.fromkeys(
-            persona for table in tables for persona in table.items))
-        codes = {persona: code for code, persona in enumerate(self._personas)}
+        # population-wide code of each of its items (by identity, as
+        # the tables are keyed).
+        distinct = {id(persona): persona
+                    for table in tables for persona in table.items}
+        self._personas: List[Persona] = list(distinct.values())
+        codes = {key: code for code, key in enumerate(distinct)}
         self._table_codes = [
-            np.array([codes[persona] for persona in table.items],
+            np.array([codes[id(persona)] for persona in table.items],
                      dtype=np.int64)
             for table in tables]
         self._key_base = follower_key_state(seed, ordinal)
@@ -658,22 +668,27 @@ class SyntheticWorld:
                        behavior=self._populations[ordinal].spec.behavior,
                        true_label=Label.GENUINE)
 
-    def target_sizes(self, ordinals: Sequence[int], now: float) -> np.ndarray:
-        """Follower counts at ``now`` of the targets registered as
-        ``ordinals``: each one's :meth:`FollowerPopulation.size_at`, as
-        an int64 array."""
+    def target_sizes(self, ordinals: Sequence[int], now) -> np.ndarray:
+        """Follower counts of the targets registered as ``ordinals``:
+        each one's :meth:`FollowerPopulation.size_at`, as an int64
+        array.  ``now`` is one instant, or one per ordinal."""
         populations = self._populations
-        return np.array([populations[ordinal].size_at(now)
-                         for ordinal in ordinals], dtype=np.int64)
+        instants = np.broadcast_to(np.asarray(now, dtype=np.float64),
+                                   (len(ordinals),)).tolist()
+        return np.array([populations[ordinal].size_at(at)
+                         for ordinal, at in zip(ordinals, instants)],
+                        dtype=np.int64)
 
-    def _target_block(self, ordinals: np.ndarray, now: float) -> np.ndarray:
-        """The rows of the targets registered as ``ordinals`` at ``now``.
+    def _target_block(self, ordinals: np.ndarray,
+                      instants: np.ndarray) -> np.ndarray:
+        """The rows of the targets registered as ``ordinals``, row ``i``
+        read at ``instants[i]``.
 
         A target's texts never change, so its row is packed once, on
         the first lookup that names it (a text its column cannot
         round-trip raises :class:`ConfigurationError` there).  Each
         call takes the rows with one fancy index and fills the two
-        columns that move with ``now``: ``followers_count`` and
+        columns that move with the instant: ``followers_count`` and
         ``last_tweet_at``, two hours ago but never before the account
         existed (NaN when it never tweeted).
         """
@@ -693,10 +708,11 @@ class SyntheticWorld:
                 self._populations[ordinal].spec.behavior, Label.GENUINE)
             self._packed[ordinal] = True
         block = self._target_rows[ordinals]
-        block["followers_count"] = self.target_sizes(ordinals.tolist(), now)
+        block["followers_count"] = self.target_sizes(ordinals.tolist(),
+                                                     instants)
         block["last_tweet_at"] = np.where(
             block["statuses_count"] > 0,
-            np.maximum(block["created_at"], now - 2 * HOUR), np.nan)
+            np.maximum(block["created_at"], instants - 2 * HOUR), np.nan)
         return block
 
     def _ordinal(self, user_id: int) -> int:
@@ -817,10 +833,11 @@ class SyntheticWorld:
 
     def _follower_batches(self, user_ids: np.ndarray, instants: np.ndarray
                           ) -> Iterator[Tuple[np.ndarray, FollowerColumns]]:
-        """The resolvable followers among ``user_ids``, one batch per target.
+        """The resolvable followers among ``user_ids``, in passes per target.
 
         ``instants[i]`` is the instant id ``i`` is read at.  Yields
-        ``(indices into user_ids, columns)``.  Validity is asked once
+        ``(indices into user_ids, columns)``, at most
+        :data:`FOLLOWER_PASS` rows at a time.  Validity is asked once
         per target and distinct instant (``arrived_at``), not once per
         id.
         """
@@ -837,9 +854,10 @@ class SyntheticWorld:
             arrived = np.array([population.arrived_at(at)
                                 for at in distinct.tolist()], dtype=np.int64)
             rows = rows[positions[rows] < arrived[which]]
-            if len(rows):
-                yield rows, population.follower_columns(positions[rows],
-                                                        instants[rows])
+            for start in range(0, len(rows), FOLLOWER_PASS):
+                part = rows[start:start + FOLLOWER_PASS]
+                yield part, population.follower_columns(positions[part],
+                                                        instants[part])
 
     def timeline(self, user_id: int, count: int, now: float) -> TimelineBlock:
         """The user's recent tweets at ``now``, newest first."""
@@ -851,9 +869,10 @@ class SyntheticWorld:
 
         ``now`` is one instant per id, or one instant for them all: id
         ``i`` gets exactly ``timeline(user_ids[i], count, now[i])``.
-        Each target's followers among ``user_ids`` are generated as one
-        batch of columns, each row at its own instant, and their
-        timelines drawn together (:meth:`TimelineGenerator.timelines`);
+        Each target's followers among ``user_ids`` are generated in
+        passes of columns (:data:`FOLLOWER_PASS` rows at most, each row
+        at its own instant), and each pass's timelines are drawn
+        together (:meth:`TimelineGenerator.timelines`);
         a target or ambient account is drawn from its :class:`Account`
         at its instant.  An id unknown at its instant (a follower not
         yet arrived, too) raises :class:`UnknownAccountError`.
@@ -873,71 +892,73 @@ class SyntheticWorld:
                                        float(instants[row])), count)
         return blocks
 
-    def user_objects(self, user_ids: Sequence[int], now: float) -> List["UserObject"]:
-        """Resolve ``user_ids`` to API user objects at ``now``, in order.
+    def user_objects(self, user_ids: Sequence[int], now) -> List["UserObject"]:
+        """Resolve ``user_ids`` to API user objects, in order.
 
-        Unknown/suspended ids are silently dropped, exactly as the real
-        ``users/lookup`` endpoint omits them from its response.  This is
-        the object oracle that :meth:`user_row_block` must match row for
-        row.
+        ``now`` is one instant, or one per id.  Unknown/suspended ids
+        are silently dropped, exactly as the real ``users/lookup``
+        endpoint omits them from its response.  This is the object
+        oracle that :meth:`user_row_block` must match row for row.
         """
         from ..api.endpoints import UserObject  # deferred: api imports this module
 
+        instants = np.broadcast_to(np.asarray(now, dtype=np.float64),
+                                   (len(user_ids),)).tolist()
         users: List[UserObject] = []
-        for user_id in user_ids:
+        for user_id, at in zip(user_ids, instants):
             try:
-                account = self.account_by_id(user_id, now)
+                account = self.account_by_id(user_id, at)
             except UnknownAccountError:
                 continue
             users.append(UserObject.from_account(account))
         return users
 
     def user_row_block(self, user_ids: Sequence[int],
-                       now: float) -> "UserRowBlock":
+                       now) -> "UserRowBlock":
         """``users/lookup`` as one structured-row block.
 
         The input the engines' criteria classify without materialising
-        user objects: each target's resolvable followers are generated
-        as one batch of columns and rendered to
+        user objects.  ``now`` is one instant per id, or one instant
+        for them all: the row of id ``i`` is the one a lookup of that
+        id alone at ``now[i]`` answers.  Each target's resolvable
+        followers are generated in passes of columns
+        (:data:`FOLLOWER_PASS` rows at most, each row at its own
+        instant) and rendered to
         :data:`~repro.twitter.columnar.schema.ACCOUNT_DTYPE` rows, the
         targets among ``user_ids`` are taken from their packed rows
-        with the two columns that move with ``now`` filled
+        with the two columns that move with the instant filled
         (:meth:`_target_block`), and an ambient account's row is
         packed from its :class:`Account`.  Order, duplicates and the
         silent omission of unknown ids match :meth:`user_objects`.
         """
         from .columnar.schema import ACCOUNT_DTYPE, UserRowBlock, account_record
 
-        now = float(now)
         ids = _id_array(user_ids)
+        instants = np.broadcast_to(np.asarray(now, dtype=np.float64),
+                                   ids.shape)
         tags = ids >> _NAMESPACE_SHIFT
-        # ``(indices into ids, their rows)``, one piece per source.
-        pieces = [
-            (where, np.array(columns.profile_rows(), dtype=ACCOUNT_DTYPE))
-            for where, columns in self._follower_batches(
-                ids, np.full(len(ids), now))]
+        rows = np.empty(len(ids), dtype=ACCOUNT_DTYPE)
+        found = np.zeros(len(ids), dtype=bool)
+        for where, columns in self._follower_batches(ids, instants):
+            rows[where] = np.array(columns.profile_rows(), dtype=ACCOUNT_DTYPE)
+            found[where] = True
         ordinals = ids & ((1 << _NAMESPACE_SHIFT) - 1)
         where = np.flatnonzero(
             (tags == TARGET_TAG) & (ordinals < len(self._populations)))
         if len(where):
-            pieces.append((where, self._target_block(ordinals[where], now)))
+            rows[where] = self._target_block(ordinals[where], instants[where])
+            found[where] = True
         ambient, records = [], []
         for row in np.flatnonzero(
                 (tags != FOLLOWER_TAG) & (tags != TARGET_TAG)).tolist():
             try:
-                account = self.account_by_id(int(ids[row]), now)
+                account = self.account_by_id(int(ids[row]),
+                                             float(instants[row]))
             except UnknownAccountError:
                 continue
             ambient.append(row)
             records.append(account_record(account))
         if ambient:
-            pieces.append((np.array(ambient, dtype=np.int64),
-                           np.array(records, dtype=ACCOUNT_DTYPE)))
-        if len(pieces) == 1 and len(pieces[0][0]) == len(ids):
-            return UserRowBlock(pieces[0][1])
-        rows = np.empty(len(ids), dtype=ACCOUNT_DTYPE)
-        found = np.zeros(len(ids), dtype=bool)
-        for where, block in pieces:
-            rows[where] = block
-            found[where] = True
-        return UserRowBlock(rows[found])
+            rows[ambient] = np.array(records, dtype=ACCOUNT_DTYPE)
+            found[ambient] = True
+        return UserRowBlock(rows if found.all() else rows[found])

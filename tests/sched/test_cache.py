@@ -18,10 +18,11 @@ class TestProfiles:
         assert cache.fetched_id(screen_name="ALICE") == 7
         assert cache.fetched_id(screen_name="nobody") is None
 
-    def test_split_counts_one_outcome_per_id_in_input_order(self):
+    def test_mask_counts_one_outcome_per_id_in_input_order(self):
         cache = AcquisitionCache()
         cache.note_fetched([3, 1])
-        assert cache.split_fetched([1, 2, 3, 2, 1]) == ([1, 3, 1], [2, 2])
+        assert cache.fetched_mask([1, 2, 3, 2, 1]) == [
+            True, False, True, False, True]
         assert (cache.hits, cache.misses) == (3, 2)
 
     def test_stores_no_profile(self):

@@ -108,6 +108,33 @@ class TestFollowerPopulation:
         assert all(x is y for x, y in zip(a, b))
         assert not {id(t) for t in a} & {id(t) for t in c}
 
+    def test_registering_a_fleet_hashes_no_persona(self, monkeypatch):
+        """Tables are keyed by persona identity, so registering targets
+        hashes no :class:`Persona`'s fields (a 1,000-target fleet once
+        hashed 90,032 of them)."""
+        from repro.twitter import fake_purchase_burst, personas
+
+        hashed = []
+        original = personas.Persona.__hash__
+
+        def counted(persona):
+            hashed.append(persona.name)
+            return original(persona)
+
+        monkeypatch.setattr(personas.Persona, "__hash__", counted)
+        fleet = build_world(seed=5)
+        for index in range(40):
+            add_simple_target(
+                fleet, f"t{index}", 500 + 37 * (index % 13),
+                0.25, 0.10, 0.65, daily_new_followers=10,
+                post_ref_bursts=[fake_purchase_burst(3.0, 100)]
+                if index == 7 else ())
+        assert hashed == []
+        tables = [fleet.population(f"t{index}")._persona_tables
+                  for index in (0, 7, 39)]
+        assert all(x is y for x, y in zip(tables[0], tables[2]))
+        assert tables[1][-1] not in tables[0]
+
     def test_re_registered_persona_gets_its_own_table(self, monkeypatch):
         from repro.twitter import personas
 

@@ -11,16 +11,22 @@ objects, and for generated rows when a persona's vocabulary is built.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import UserObject
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, UnknownAccountError
 from repro.twitter import add_simple_target, build_world, fake_purchase_burst
 from repro.twitter.account import Label
-from repro.twitter.columnar.schema import STRING_WIDTHS, UserRowBlock
+from repro.twitter.columnar.schema import (
+    ACCOUNT_DTYPE,
+    STRING_WIDTHS,
+    UserRowBlock,
+)
 from repro.twitter.personas import PERSONAS, Persona
 from repro.twitter.population import (
     AMBIENT_POOL_SIZE,
+    FOLLOWER_PASS,
     TargetSpec,
     ambient_id,
     follower_id,
@@ -208,6 +214,89 @@ class TestTargetPages:
                target_id(0), tilted.follower_id_at(size + 10), -5]
         block = assert_rows_match_oracle(world, ids, instant)
         assert len(block) == 8
+
+
+def one_instant_rows(world, ids, instants):
+    """The lookup of each id alone at its own instant, concatenated."""
+    return np.concatenate([np.empty(0, dtype=ACCOUNT_DTYPE)] + [
+        world.user_row_block([user_id], at).rows
+        for user_id, at in zip(ids, instants)])
+
+
+def assert_per_row_instants(world, ids, instants):
+    """One call at per-row instants equals a loop of one-instant calls."""
+    block = world.user_row_block(ids, instants)
+    assert block.rows.tobytes() == \
+        one_instant_rows(world, ids, instants).tobytes()
+    return block
+
+
+class TestPerRowInstants:
+    """``user_row_block`` reads id ``i`` at ``now[i]``."""
+
+    def test_a_follower_arriving_between_two_instants(self):
+        world = make_world(0)
+        tilted = world.targets()[0]
+        now = INSTANTS["trickle"]
+        size = tilted.size_at(now)
+        newcomer = tilted.follower_id_at(size)
+        ids = [newcomer, tilted.follower_id_at(size - 1), newcomer]
+        block = assert_per_row_instants(world, ids, [now, now, now + DAY])
+        assert list(block.rows["user_id"]) == ids[1:]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_targets_before_around_and_after_a_burst(self, seed):
+        world = target_world(seed)
+        ids = [target_id(ordinal) for ordinal in (0, 2, 0, 3, 0, 1)]
+        instants = TARGET_INSTANTS + [PAPER_EPOCH]
+        block = assert_per_row_instants(world, ids, instants)
+        counts = block.rows["followers_count"]
+        assert counts[4] - counts[2] >= 200        # the burst, in one call
+
+    def test_ambient_unknown_and_duplicate_ids(self):
+        world = target_world(7)
+        tilted, steady = world.targets()[:2]
+        size = tilted.size_at(TARGET_INSTANTS[0])
+        ids = [ambient_id(11), tilted.follower_id_at(size - 1), 2**70,
+               target_id(99), steady.follower_id_at(4), ambient_id(11),
+               tilted.follower_id_at(size - 1), target_id(3),
+               ambient_id(AMBIENT_POOL_SIZE), follower_id(9, 0),
+               steady.follower_id_at(4), -5]
+        instants = [TARGET_INSTANTS[index % len(TARGET_INSTANTS)]
+                    for index in range(len(ids))]
+        assert len(assert_per_row_instants(world, ids, instants)) == 7
+
+    @pytest.mark.parametrize("count", [1, FOLLOWER_PASS, FOLLOWER_PASS + 1])
+    def test_pass_boundaries_across_two_targets(self, count, monkeypatch):
+        """``count`` ids of each target, interleaved, read at three
+        instants after the reference one in turn (so every id
+        resolves); a target is drawn in passes of at most
+        ``FOLLOWER_PASS`` rows."""
+        world = make_world(1)
+        tilted, steady = world.targets()
+        ids = []
+        for index in range(count):
+            ids += [tilted.follower_id_at(index),
+                    steady.follower_id_at(index % 800)]
+        stamps = (INSTANTS["trickle"], INSTANTS["burst"],
+                  INSTANTS["burst"] + DAY)
+        instants = [stamps[index % 3] for index in range(len(ids))]
+        passes = {}
+        for population in (tilted, steady):
+            draw = population.follower_columns
+
+            def counted(positions, now, draw=draw,
+                        name=population.spec.screen_name):
+                passes.setdefault(name, []).append(len(positions))
+                return draw(positions, now)
+
+            monkeypatch.setattr(population, "follower_columns", counted)
+        assert len(world.user_row_block(ids, instants)) == len(ids)
+        full, rest = divmod(count, FOLLOWER_PASS)
+        assert passes == {name: [FOLLOWER_PASS] * full + [rest] * (rest > 0)
+                          for name in ("tilted", "steady")}
+        monkeypatch.undo()
+        assert_per_row_instants(world, ids, instants)
 
 
 def make_user(**overrides):
