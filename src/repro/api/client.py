@@ -594,10 +594,12 @@ class TwitterApiClient:
         passed through unrendered.  The one-id case of
         :meth:`user_timelines`, raising when its retries run out.
         """
-        timeline, = self.user_timelines([user_id], count)
-        if isinstance(timeline, RetryableApiError):
-            raise timeline
-        return timeline
+        results = self.user_timelines([user_id], count)
+        if isinstance(results[0], RetryableApiError):
+            # Popped: this frame, which the raise puts in the error's
+            # traceback, keeps no reference to the error.
+            raise results.pop()
+        return results[0]
 
     def user_timelines(self, user_ids: Sequence[int],
                        count: Optional[int] = None
@@ -650,7 +652,10 @@ class TwitterApiClient:
                 completed, fault = self._request("statuses/user_timeline",
                                                  page)
             except RetryableApiError as error:
-                results[index] = error
+                # Without its traceback the kept error references no
+                # frame, so no cycle through this frame's locals holds
+                # the client and its world until a full collection.
+                results[index] = error.with_traceback(None)
                 continue
             reads.append(index)
             instants.append(self._observe_at if self._observe_at is not None

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..audit import AuditRequest
 from ..core.clock import SimClock
 from ..core.errors import ConfigurationError
@@ -263,7 +265,7 @@ def _build_live(spec: FleetSpec, world, poll_clock: SimClock,
     ``world``'s targets at the poll clock's current instant.
     """
     live = LiveTelemetry(origin=start, pane_width=DAY)
-    ordinals = range(len(world.targets()))
+    ordinals = np.arange(len(world.targets()))
     live.gauge_stream("followers.fleet", lambda: float(
         world.target_sizes(ordinals, poll_clock.now()).sum()))
     # Pre-create the SLO streams so evaluation never references a

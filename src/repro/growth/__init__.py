@@ -10,6 +10,7 @@ from .monitor import GrowthMonitor, MonitorReport
 from .series import (
     GrowthSeries,
     RollingSeries,
+    RollingSeriesBlock,
     interval_arrivals,
     series_from_observations,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "GrowthSeries",
     "MonitorReport",
     "RollingSeries",
+    "RollingSeriesBlock",
     "interval_arrivals",
     "series_from_observations",
 ]

@@ -114,7 +114,7 @@ class BurstDetector:
         median, the MAD is never computed.
         """
         twice_median = _twice_median(ordered)
-        if ordered[-1] - twice_median / 2 < self._min_excess:
+        if not self.may_burst(ordered[-1], twice_median):
             return []
         median, scale = self._baseline(ordered, twice_median)
         if not self._is_burst(ordered[-1], median, scale):
@@ -126,6 +126,17 @@ class BurstDetector:
             for day, count in enumerate(arrivals)
             if self._is_burst(count, median, scale)]
         return sorted(events, key=lambda event: event.z_score, reverse=True)
+
+    def may_burst(self, top, twice_median):
+        """Whether a series whose largest day is ``top`` and whose
+        median is ``twice_median / 2`` can hold a burst day.
+
+        A burst day clears ``min_excess`` over the median, so a series
+        whose largest day does not has none (:meth:`detect_arrivals`
+        returns before the MAD).  Element-wise over arrays, so a caller
+        holding many series decides for all of them at once.
+        """
+        return top - twice_median / 2 >= self._min_excess
 
     def _is_burst(self, count: int, median: float, scale: float) -> bool:
         return ((count - median) / scale >= self._threshold

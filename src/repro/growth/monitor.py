@@ -69,12 +69,17 @@ class GrowthMonitor:
         Raises whatever the API raises (e.g. an injected fault), so a
         caller running under a fault plan can count failed polls.
         """
+        now, count = self._show(handle)
+        live = get_observability().live
+        if live is not None:
+            live.observe_followers(handle, now, count)
+        return now, count
+
+    def _show(self, handle: str) -> Tuple[float, int]:
+        """One ``users/show`` reading, noting the handle's user id."""
         now = self._clock.now()
         user = self._client.users_show(screen_name=handle)
         self._user_ids[handle.lower()] = user.user_id
-        live = get_observability().live
-        if live is not None:
-            live.observe_followers(handle, now, user.followers_count)
         return now, user.followers_count
 
     def poll_fleet(self, handles: Sequence[str]) -> Dict[str, int]:
@@ -84,9 +89,9 @@ class GrowthMonitor:
         ``users/show`` call per account per tick; this method batches
         resolved accounts through ``users/lookup`` (100 profiles per
         request), a 100x reduction at fleet scale.  Handles not yet
-        resolved to a user id fall back to ``users/show`` once (which
-        also records their reading); each answered page feeds the live
-        detector bridge in one call
+        resolved to a user id fall back to ``users/show`` once, each
+        read at its own instant.  Those readings, and then each
+        answered page, feed the live detector bridge in one call each
         (:meth:`~repro.obs.live.LiveTelemetry.observe_page`), with the
         same outcome as one :meth:`poll` reading per handle.
 
@@ -102,17 +107,22 @@ class GrowthMonitor:
         counts: Dict[str, int] = {}
         handle_of = {}
         pending: List[int] = []
+        shown: List[Tuple[str, float, int]] = []
         for handle in handles:
             user_id = self._user_ids.get(handle.lower())
             if user_id is None:
                 try:
-                    __, count = self.poll(handle)
+                    at, count = self._show(handle)
                 except RetryableApiError:
                     continue
                 counts[handle] = count
+                shown.append((handle, at, count))
                 continue
             handle_of[user_id] = handle
             pending.append(user_id)
+        if live is not None and shown:
+            answered, instants, followers = zip(*shown)
+            live.observe_page(instants, answered, followers)
         for start in range(0, len(pending), 100):
             page = pending[start:start + 100]
             try:

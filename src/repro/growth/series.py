@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Sequence, Tuple
 
+import numpy as np
+
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY
 
@@ -175,3 +177,168 @@ class RollingSeries:
         start = self.start_time
         day = round((instant - start) / DAY)
         return 0 <= day < len(self.arrivals) and start + day * DAY == instant
+
+
+#: Sorts after every daily count: pads a row of days past its last.
+_PAD = np.iinfo(np.int64).max
+
+
+def _spread(delta: np.ndarray, gaps: np.ndarray,
+            days: np.ndarray) -> np.ndarray:
+    """Interval arrivals ``delta`` spread over their ``gaps`` days.
+
+    Row ``i`` of the result holds its intervals' days in order, each
+    as :func:`interval_arrivals` splits it (the remainder on the
+    earliest days), then :data:`_PAD` up to the longest row.
+    """
+    spans = gaps.ravel()
+    base, remainder = np.divmod(delta.ravel(), np.maximum(spans, 1))
+    total = int(spans.sum())
+    # Each day's offset within its interval and within its row.
+    ends = np.cumsum(spans)
+    within = np.arange(total) - np.repeat(ends - spans, spans)
+    row_ends = np.cumsum(days)
+    column = np.arange(total) - np.repeat(row_ends - days, days)
+    arrivals = np.full((len(days), int(days.max())), _PAD, dtype=np.int64)
+    arrivals[np.repeat(np.arange(len(days)), days), column] = \
+        np.repeat(base, spans) + (within < np.repeat(remainder, spans))
+    return arrivals
+
+
+class RollingSeriesBlock:
+    """The :class:`RollingSeries` of many accounts, held as arrays.
+
+    Row ``i`` holds one account's latest ``max_readings`` readings,
+    oldest first from column 0, and nothing else: its daily arrivals
+    are those of its consecutive readings (:func:`interval_arrivals`).
+    :meth:`append_page` adds one reading to each of many rows with
+    array operations; :meth:`extremes` and :meth:`peaks` answer, for
+    many rows at once, what a burst detector's first test reads (the
+    largest day, the smallest, and twice the median) without building
+    any per-account series; :meth:`series` builds one row's
+    :class:`RollingSeries` for exact per-account work.  Columns double
+    as the rows' history grows, up to ``max_readings``, and rows double
+    as accounts are added, so the arrays hold what the rows hold.
+    """
+
+    def __init__(self, max_readings: int) -> None:
+        if max_readings < 2:
+            raise ConfigurationError(
+                f"max_readings must be >= 2: {max_readings!r}")
+        self.max_readings = max_readings
+        self._times = np.zeros((0, 0), dtype=np.float64)
+        self._counts = np.zeros((0, 0), dtype=np.int64)
+        #: Readings each row holds (rows past ``_rows`` are unused).
+        self._held = np.zeros(0, dtype=np.int64)
+        self._rows = 0
+
+    def add_rows(self, count: int) -> int:
+        """Add ``count`` empty rows; returns the first one's index."""
+        first = self._rows
+        self._rows += count
+        if self._rows > len(self._held):
+            size = max(self._rows, 2 * len(self._held))
+            self._times = self._grown(self._times, size, self._times.shape[1])
+            self._counts = self._grown(self._counts, size,
+                                       self._counts.shape[1])
+            held = np.zeros(size, dtype=np.int64)
+            held[:first] = self._held[:first]
+            self._held = held
+        return first
+
+    @staticmethod
+    def _grown(array: np.ndarray, rows: int, columns: int) -> np.ndarray:
+        grown = np.zeros((rows, columns), dtype=array.dtype)
+        grown[:array.shape[0], :array.shape[1]] = array
+        return grown
+
+    def held(self, rows: np.ndarray) -> np.ndarray:
+        """Readings each of ``rows`` holds."""
+        return self._held[rows]
+
+    def latest(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's latest reading instant (rows must hold one)."""
+        return self._times[rows, self._held[rows] - 1]
+
+    def append_page(self, rows: np.ndarray, instants: np.ndarray,
+                    counts: np.ndarray) -> None:
+        """Add ``counts[i]`` as row ``rows[i]``'s reading at ``instants[i]``.
+
+        The same readings as one :meth:`RollingSeries.append` per row.
+        ``rows`` must be distinct and each reading after its row's
+        latest; callers check (this changes state without checking).
+        A full row drops its oldest reading.
+        """
+        held = self._held[rows]
+        full = held == self.max_readings
+        if full.any():
+            rolled = rows[full]
+            for array in (self._times, self._counts):
+                array[rolled, :-1] = array[rolled, 1:]
+            held = held - full
+        width = int(held.max(initial=0)) + 1
+        if width > self._times.shape[1]:
+            columns = min(self.max_readings,
+                          max(width, 2 * self._times.shape[1], 8))
+            self._times = self._grown(self._times, len(self._held), columns)
+            self._counts = self._grown(self._counts, len(self._held),
+                                       columns)
+        self._times[rows, held] = instants
+        self._counts[rows, held] = counts
+        self._held[rows] = held + 1
+
+    def _intervals(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's held intervals: arrivals and days spanned, as
+        :func:`interval_arrivals` counts them (0 days past its last)."""
+        held = self._held[rows]
+        width = int(held.max())
+        times = self._times[rows, :width]
+        counts = self._counts[rows, :width]
+        delta = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+        gaps = np.maximum(
+            np.rint((times[:, 1:] - times[:, :-1]) / DAY), 1).astype(np.int64)
+        gaps[np.arange(1, width) >= held[:, None]] = 0
+        return delta, gaps
+
+    def extremes(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(top, low)``: each row's largest and smallest daily arrivals.
+
+        Read off the intervals without spreading them into days: an
+        interval's days hold its ``divmod`` base, and base + 1 when
+        there is a remainder.  Each row must hold two readings.
+        """
+        delta, gaps = self._intervals(rows)
+        base, remainder = np.divmod(delta, np.maximum(gaps, 1))
+        spanned = gaps > 0
+        return (np.where(spanned, base + (remainder > 0), -1).max(axis=1),
+                np.where(spanned, base, _PAD).min(axis=1))
+
+    def peaks(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(top, twice_median)`` of each row's daily arrivals.
+
+        ``top`` is the largest day and ``twice_median`` twice the
+        median, both exact integers, as ``max(ordered)`` and
+        ``ordered[m - 1] + ordered[m]`` (or ``2 * ordered[m]``) of the
+        row's :class:`RollingSeries`.  Each row must hold two readings.
+        The rows' days are laid out in one matrix, padded past each
+        row's last day, and sorted along the rows.
+        """
+        delta, gaps = self._intervals(rows)
+        days = gaps.sum(axis=1)
+        if (gaps <= 1).all():
+            arrivals = np.where(gaps > 0, delta, _PAD)
+        else:
+            arrivals = _spread(delta, gaps, days)
+        arrivals.sort(axis=1)
+        picked = np.arange(len(rows))
+        return arrivals[picked, days - 1], \
+            arrivals[picked, (days - 1) // 2] + arrivals[picked, days // 2]
+
+    def series(self, row: int) -> RollingSeries:
+        """Row ``row``'s readings as a :class:`RollingSeries`."""
+        series = RollingSeries(self.max_readings)
+        held = int(self._held[row])
+        for t, count in zip(self._times[row, :held].tolist(),
+                            self._counts[row, :held].tolist()):
+            series.append(t, count)
+        return series

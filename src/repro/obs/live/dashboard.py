@@ -22,6 +22,10 @@ from .telemetry import LiveTelemetry
 #: Decimal places snapshot floats are rounded to (canonical export).
 _ROUND = 6
 
+#: Leaf types :func:`_canonical` returns unchanged: a dict's values of
+#: these types are kept without a call (a fleet's per-handle counts).
+_PLAIN = (int, str)
+
 
 def _canonical(value):
     """Recursively round floats so snapshots serialise byte-stably."""
@@ -30,7 +34,8 @@ def _canonical(value):
     if isinstance(value, float):
         return round(value, _ROUND)
     if isinstance(value, dict):
-        return {str(key): _canonical(item) for key, item in value.items()}
+        return {str(key): item if type(item) in _PLAIN else _canonical(item)
+                for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     return value
@@ -76,14 +81,12 @@ class FleetDashboard:
         return self._frames
 
     def _panel_streams(self) -> List[Tuple[str, object]]:
-        streams = self._live.streams()
-        if self._live.bridge is not None:
-            streams.update((s.name, s)
-                           for s in self._live.bridge.streams().values())
         if self._panels is None:
-            return sorted(streams.items())
-        return [(name, streams[name]) for name in self._panels
-                if name in streams]
+            return sorted(self._live.all_streams().items())
+        found = [(name, self._live.find_stream(name))
+                 for name in self._panels]
+        return [(name, stream) for name, stream in found
+                if stream is not None]
 
     def snapshot(self, now: float,
                  fleet: Optional[Mapping[str, object]] = None

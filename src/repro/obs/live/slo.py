@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ...core.errors import ConfigurationError
 from .windows import WindowStream
@@ -205,6 +205,11 @@ class SloEvaluator:
         self._names[spec.name] = status
         return status
 
+    def stream_names(self) -> Set[str]:
+        """Every stream a rule reads."""
+        return {name for status in self._rules
+                for name in (status.spec.good_stream, status.spec.total_stream)}
+
     def statuses(self) -> Tuple[SloStatus, ...]:
         """Every registered rule's latest status, in registration order."""
         return tuple(self._rules)
@@ -220,7 +225,10 @@ class SloEvaluator:
 
     def evaluate(self, now: float,
                  streams: Mapping[str, WindowStream]) -> None:
-        """Re-evaluate every rule at instant ``now``."""
+        """Re-evaluate every rule at instant ``now``.
+
+        ``streams`` is asked only for the streams the rules name.
+        """
         for status in self._rules:
             spec = status.spec
             good = streams.get(spec.good_stream)

@@ -16,12 +16,18 @@ of order; clamping keeps window accounting monotone and deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ...core.errors import ConfigurationError
 from .bridge import DetectorBridge
 from .slo import AlertLog, SloEvaluator, SloSpec, SloStatus
 from .windows import CounterRateStream, GaugeStream, WindowSpec, WindowStream
+
+
+#: Name prefix of the detector bridge's per-handle follower streams.
+_FOLLOWERS = "followers:"
 
 
 class LiveTelemetry:
@@ -138,12 +144,28 @@ class LiveTelemetry:
             else:
                 stream.close_until(now)
         if self.bridge is not None:
-            for stream in self.bridge.streams().values():
-                stream.close_until(now)
-        self.slos.evaluate(now, self._all_streams())
+            self.bridge.close_until(now)
+        # Resolve only the streams the rules read: no bridge stream a
+        # rule does not name is built.
+        self.slos.evaluate(now, {name: self.find_stream(name)
+                                 for name in self.slos.stream_names()})
         return now
 
-    def _all_streams(self) -> Dict[str, WindowStream]:
+    def find_stream(self, name: str) -> Optional[WindowStream]:
+        """The stream called ``name``, or ``None``.
+
+        Registered streams and the bridge's per-handle
+        ``followers:<handle>`` streams alike (the bridge's win a name
+        clash); a bridge stream is built only when found.
+        """
+        if self.bridge is not None and name.startswith(_FOLLOWERS):
+            stream = self.bridge.stream(name[len(_FOLLOWERS):])
+            if stream is not None:
+                return stream
+        return self._streams.get(name)
+
+    def all_streams(self) -> Dict[str, WindowStream]:
+        """Registered streams and every bridge stream, keyed by name."""
         merged = dict(self._streams)
         if self.bridge is not None:
             merged.update(
@@ -210,13 +232,18 @@ class LiveTelemetry:
         """
         return self.observe_page(t, (handle,), (followers_count,))[0]
 
-    def observe_page(self, t: float, handles: Sequence[str],
+    def observe_page(self, t, handles: Sequence[str],
                      counts: Sequence[int]) -> List[bool]:
-        """Bridge hook: one page of follower counts, all read at ``t``.
+        """Bridge hook: one page of follower counts, read at ``t``.
 
-        ``counts[i]`` is ``handles[i]``'s reading; returns, per reading,
-        whether it paged (see :meth:`DetectorBridge.observe_page`).
+        ``counts[i]`` is ``handles[i]``'s reading and ``t`` one instant
+        or one per reading, each clamped as :meth:`clamp` does; returns,
+        per reading, whether it paged (see
+        :meth:`DetectorBridge.observe_page`).
         """
         if self.bridge is None:
             return [False] * len(handles)
-        return self.bridge.observe_page(self.clamp(t), handles, counts)
+        instants = np.asarray(t, dtype=np.float64)
+        return self.bridge.observe_page(
+            np.where(instants >= self._watermark, instants, self._watermark),
+            handles, counts)

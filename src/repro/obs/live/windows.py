@@ -23,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ...core.errors import ConfigurationError
 
 #: Upper bound on closed panes a stream may retain.
@@ -272,6 +274,126 @@ class WindowStream:
         return WindowAggregate(start=cutoff, end=now, panes=len(panes),
                                count=count, sum=total,
                                min=low, max=high, last=last)
+
+
+class PaneBlock:
+    """The panes of many :class:`WindowStream`\\ s of one spec, as arrays.
+
+    Row ``i`` is one stream, fed one value per :meth:`observe` call
+    with the same pane arithmetic, float sums and clamping as
+    :meth:`WindowStream.observe`, and closed with every other row by
+    one :meth:`close_until`.  A row keeps its newest ``retain + 1``
+    non-empty panes (the closed ring plus the open pane), oldest in
+    column 0, each as the six floats ``index, count, sum, min, max,
+    last``; whether its newest pane is still open; and its lifetime
+    totals.  :meth:`stream` builds the row's :class:`WindowStream` from
+    them when something reads it.  Columns double as rows gain panes,
+    up to ``retain + 1``, and rows double as streams are added.
+    """
+
+    def __init__(self, spec: WindowSpec) -> None:
+        self.spec = spec
+        self._rows = 0
+        #: ``(rows, columns, 6)``: each held pane's six fields.
+        self._data = np.zeros((0, 1, 6), dtype=np.float64)
+        #: Per row: panes held, whether the newest is open, totals.
+        self._panes = np.zeros(0, dtype=np.int64)
+        self._open = np.zeros(0, dtype=bool)
+        self._total_count = np.zeros(0, dtype=np.int64)
+        self._total_sum = np.zeros(0, dtype=np.float64)
+
+    def add_rows(self, count: int) -> int:
+        """Add ``count`` empty rows; returns the first one's index."""
+        first = self._rows
+        self._rows += count
+        if self._rows > len(self._panes):
+            self._resize(max(self._rows, 2 * len(self._panes)),
+                         self._data.shape[1])
+        return first
+
+    def _resize(self, rows: int, columns: int) -> None:
+        data = np.zeros((rows, columns, 6), dtype=np.float64)
+        data[:self._data.shape[0], :self._data.shape[1]] = self._data
+        self._data = data
+        for name in ("_panes", "_open", "_total_count", "_total_sum"):
+            array = getattr(self, name)
+            grown = np.zeros(rows, dtype=array.dtype)
+            grown[:len(array)] = array
+            setattr(self, name, grown)
+
+    def observe(self, rows: np.ndarray, instants: np.ndarray,
+                values: np.ndarray) -> None:
+        """Record ``values[i]`` into row ``rows[i]`` at ``instants[i]``.
+
+        ``rows`` must be distinct.  A row folds its value into its
+        newest pane while that pane is open and does not end before
+        the value's instant (an earlier one clamps into it); otherwise
+        the value opens a pane of its own.
+        """
+        spec = self.spec
+        self._total_count[rows] += 1
+        self._total_sum[rows] += values
+        index = np.floor((instants - spec.origin) / spec.width)
+        panes = self._panes[rows]
+        newest = np.maximum(panes - 1, 0)
+        fold = self._open[rows] & (self._data[rows, newest, 0] >= index)
+        if fold.any():
+            at = (rows[fold], newest[fold])
+            pane, value = self._data[at], values[fold]
+            pane[:, 1] += 1
+            pane[:, 2] += value
+            # ``min``/``max`` keep the held value unless the new one is
+            # strictly beyond it, as the builtins do.
+            pane[:, 3] = np.where(value < pane[:, 3], value, pane[:, 3])
+            pane[:, 4] = np.where(value > pane[:, 4], value, pane[:, 4])
+            pane[:, 5] = value
+            self._data[at] = pane
+        opened = ~fold
+        if opened.any():
+            rows, panes, value = rows[opened], panes[opened], values[opened]
+            full = panes == spec.retain + 1
+            if full.any():
+                shifted = rows[full]
+                self._data[shifted, :-1] = self._data[shifted, 1:]
+                panes = panes - full
+            width = int(panes.max()) + 1
+            if width > self._data.shape[1]:
+                self._resize(len(self._panes), min(
+                    spec.retain + 1, max(width, 2 * self._data.shape[1])))
+            self._data[rows, panes] = np.column_stack(
+                (index[opened], np.ones(len(rows)), 0.0 + value, value,
+                 value, value))
+            self._panes[rows] = panes + 1
+            self._open[rows] = True
+
+    def close_until(self, t: float) -> None:
+        """Close every row's pane that ends at or before instant ``t``."""
+        rows = self._rows
+        newest = self._data[np.arange(rows),
+                            np.maximum(self._panes[:rows] - 1, 0), 0]
+        self._open[:rows] &= newest >= self.spec.index_of(t)
+
+    def stream(self, row: int, name: str) -> WindowStream:
+        """Row ``row`` as a :class:`WindowStream` called ``name``.
+
+        The stream holds the panes and totals the row's values would
+        have left in a stream of its own; it is a snapshot, which
+        later values do not reach.
+        """
+        stream = WindowStream(name, self.spec)
+        accumulators = []
+        for index, count, total, low, high, last in \
+                self._data[row, :self._panes[row]].tolist():
+            pane = _PaneAccumulator(int(index))
+            pane.count, pane.sum = int(count), total
+            pane.min, pane.max, pane.last = low, high, last
+            accumulators.append(pane)
+        if accumulators and self._open[row]:
+            stream._open = accumulators.pop()
+        stream._closed.extend(accumulators)
+        stream._total_count = int(self._total_count[row])
+        stream._total_sum = float(self._total_sum[row])
+        return stream
 
 
 class GaugeStream(WindowStream):

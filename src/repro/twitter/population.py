@@ -614,6 +614,10 @@ class SyntheticWorld:
         #: lookup that names the target (``_packed`` marks which are).
         self._target_rows: Optional[np.ndarray] = None
         self._packed = np.zeros(0, dtype=bool)
+        #: Per target, its schedule's trickle columns (see
+        #: :meth:`_trickle_columns`), and the departure count they saw.
+        self._trickles: Optional[Tuple[np.ndarray, ...]] = None
+        self._trickles_seen = -1
 
     @property
     def ref_time(self) -> float:
@@ -650,34 +654,76 @@ class SyntheticWorld:
 
     # -- account resolution --------------------------------------------------
 
-    def _target_profile(self, ordinal: int, now: float) -> tuple:
-        """A target's profile at ``now``: its :class:`Account` fields up
-        to ``last_tweet_at``, in field order."""
-        population = self._populations[ordinal]
-        spec = population.spec
+    def _target_profile(self, ordinal: int, now: float,
+                        followers: int) -> tuple:
+        """A target's profile at ``now`` with ``followers`` followers:
+        its :class:`Account` fields up to ``last_tweet_at``, in field
+        order."""
+        spec = self._populations[ordinal].spec
         statuses = spec.statuses_count
         return (target_id(ordinal), spec.screen_name, spec.created_at,
                 spec.display_name or spec.screen_name, spec.description,
-                "", "", False, spec.verified, population.size_at(now),
+                "", "", False, spec.verified, followers,
                 spec.friends_count, statuses,
                 max(spec.created_at, now - 2 * HOUR) if statuses > 0
                 else None)
 
     def _target_account(self, ordinal: int, now: float) -> Account:
-        return Account(*self._target_profile(ordinal, now),
+        followers = int(self.target_sizes((ordinal,), now)[0])
+        return Account(*self._target_profile(ordinal, now, followers),
                        behavior=self._populations[ordinal].spec.behavior,
                        true_label=Label.GENUINE)
 
     def target_sizes(self, ordinals: Sequence[int], now) -> np.ndarray:
         """Follower counts of the targets registered as ``ordinals``:
         each one's :meth:`FollowerPopulation.size_at`, as an int64
-        array.  ``now`` is one instant, or one per ordinal."""
-        populations = self._populations
-        instants = np.broadcast_to(np.asarray(now, dtype=np.float64),
-                                   (len(ordinals),)).tolist()
-        return np.array([populations[ordinal].size_at(at)
-                         for ordinal, at in zip(ordinals, instants)],
-                        dtype=np.int64)
+        array.  ``now`` is one instant, or one per ordinal.
+
+        A schedule that only trickles counts by one formula from its
+        reference instant on (:meth:`ArrivalSchedule.trickle`), so
+        those counts are one array expression.  A target whose schedule
+        has bursts or departures, or a read before its schedule's
+        reference instant, asks its population.
+        """
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        instants = np.asarray(now, dtype=np.float64)
+        base, ref, daily, irregular = self._trickle_columns()
+        ref = ref[ordinals]
+        sizes = base[ordinals] + (
+            (instants - ref) / DAY * daily[ordinals]).astype(np.int64)
+        # ``not >=`` so that a NaN instant asks its population too.
+        slow = np.flatnonzero(irregular[ordinals] | ~(instants >= ref))
+        if len(slow):
+            populations = self._populations
+            at = np.broadcast_to(instants, ordinals.shape)[slow].tolist()
+            for row, ordinal, instant in zip(
+                    slow.tolist(), ordinals[slow].tolist(), at):
+                sizes[row] = populations[ordinal].size_at(instant)
+        return sizes
+
+    def _trickle_columns(self) -> Tuple[np.ndarray, ...]:
+        """Per target: base count, reference instant, daily trickle, and
+        whether its schedule has bursts or departures (zeros there).
+
+        Rebuilt when a target was added or any schedule recorded a
+        departure since the last build, whichever route it came by.
+        """
+        recorded = ArrivalSchedule.departures_recorded
+        columns = self._trickles
+        if columns is None or len(columns[0]) != len(self._populations) \
+                or self._trickles_seen != recorded:
+            trickles = [population.schedule.trickle()
+                        for population in self._populations]
+            plain = [trickle or (0, 0.0, 0.0) for trickle in trickles]
+            columns = self._trickles = (
+                np.array([base for base, __, __ in plain], dtype=np.int64),
+                np.array([ref for __, ref, __ in plain], dtype=np.float64),
+                np.array([daily for __, __, daily in plain],
+                         dtype=np.float64),
+                np.array([trickle is None for trickle in trickles],
+                         dtype=bool))
+            self._trickles_seen = recorded
+        return columns
 
     def _target_block(self, ordinals: np.ndarray,
                       instants: np.ndarray) -> np.ndarray:
@@ -704,12 +750,11 @@ class SyntheticWorld:
                 (self._packed, np.zeros(missing, dtype=bool)))
         for ordinal in np.unique(ordinals[~self._packed[ordinals]]).tolist():
             self._target_rows[ordinal] = profile_record(
-                self._target_profile(ordinal, self._ref_time),
+                self._target_profile(ordinal, self._ref_time, 0),
                 self._populations[ordinal].spec.behavior, Label.GENUINE)
             self._packed[ordinal] = True
         block = self._target_rows[ordinals]
-        block["followers_count"] = self.target_sizes(ordinals.tolist(),
-                                                     instants)
+        block["followers_count"] = self.target_sizes(ordinals, instants)
         block["last_tweet_at"] = np.where(
             block["statuses_count"] > 0,
             np.maximum(block["created_at"], instants - 2 * HOUR), np.nan)

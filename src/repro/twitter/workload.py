@@ -110,6 +110,10 @@ class ArrivalSchedule:
     queries as before, after one emptiness check.
     """
 
+    #: Explicit departures recorded by every schedule so far: a cached
+    #: :meth:`trickle` answer is stale once this moves.
+    departures_recorded = 0
+
     def __init__(self, segments: Sequence[SegmentWindow],
                  post_ref_daily: float = 0.0,
                  post_ref_bursts: Sequence[Tuple] = ()) -> None:
@@ -201,6 +205,19 @@ class ArrivalSchedule:
     def segments(self) -> Tuple[SegmentWindow, ...]:
         """The historical segments, in chronological order."""
         return self._segments
+
+    def trickle(self) -> Optional[Tuple[int, float, float]]:
+        """``(base_count, ref_time, post_ref_daily)`` of a schedule that
+        only trickles after its reference instant, ``None`` for one with
+        bursts or departures.
+
+        From ``ref_time`` on, such a schedule's :meth:`count_at` is
+        ``base_count + int((now - ref_time) / DAY * post_ref_daily)``,
+        which callers may evaluate for many schedules at once.
+        """
+        if self._tranche_at or self._leaving:
+            return None
+        return self._base_count, self._ref_time, self._post_ref_daily
 
     def _trickle_count(self, now: float) -> int:
         """Trickle arrivals by ``now`` (the :meth:`size_at` convention)."""
@@ -393,6 +410,7 @@ class ArrivalSchedule:
         self._gone_positions.insert(index, position)
         self._gone_at.insert(index, at)
         self._leaving = True
+        ArrivalSchedule.departures_recorded += 1
 
     def departed_at(self, now: float) -> int:
         """Followers that have left the list by ``now``: burst attrition

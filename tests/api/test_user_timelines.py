@@ -13,9 +13,11 @@ exhausts the retries of some requests.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.api import TwitterApiClient
+from repro.api import Crawler, TwitterApiClient
 from repro.core import DAY, PAPER_EPOCH, SimClock, UnknownAccountError
 from repro.core.errors import RetryableApiError
 from repro.faults.plan import FaultPlan, InjectorSpec
@@ -154,6 +156,39 @@ def test_exhausted_retries_raise_from_user_timeline():
                               retry=RetryPolicy(max_attempts=2))
     with pytest.raises(RetryableApiError):
         client.user_timeline(_ids(world)[0])
+
+
+def test_exhausted_retries_leave_no_world_in_cyclic_garbage():
+    """A kept error must not hold the client and its world in a cycle
+    through a frame of its traceback: dropping them frees the world by
+    reference counting, whether the crawl kept the errors or
+    ``user_timeline`` raised one."""
+    plan = FaultPlan(seed=1, injectors=(InjectorSpec(
+        kind="transient_503", probability=1.0, resources=(RESOURCE,)),))
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        world = _world()
+        ids = (_ids(world) * 3)[:50]
+        client = TwitterApiClient(world, SimClock(PAPER_EPOCH), faults=plan,
+                                  retry=RetryPolicy(max_attempts=2))
+        timelines = Crawler(client).fetch_timelines(ids)
+        assert all(len(timeline) == 0 for timeline in timelines.values())
+        with pytest.raises(RetryableApiError):
+            client.user_timeline(ids[0])
+        del world, client, timelines
+        gc.collect()
+        leaked = {type(obj).__name__ for obj in gc.garbage} \
+            & {"FollowerPopulation", "SyntheticWorld"}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not leaked
 
 
 def test_unknown_id_raises_and_caches_nothing():

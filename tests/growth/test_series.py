@@ -1,5 +1,6 @@
 """Unit tests for growth-series construction."""
 
+import numpy as np
 import pytest
 
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.growth import (
     GrowthSeries,
     RollingSeries,
+    RollingSeriesBlock,
     interval_arrivals,
     series_from_observations,
 )
@@ -121,3 +123,72 @@ class TestRollingSeries:
     def test_needs_two_readings(self):
         with pytest.raises(ConfigurationError):
             RollingSeries(1)
+
+
+#: One page: per row of four, ``None`` (no reading) or (seconds since
+#: that row's previous reading, count change); ``shared`` pages read
+#: every row at one instant.
+_BLOCK_PAGE = st.tuples(
+    st.booleans(),
+    st.lists(st.one_of(st.none(), st.tuples(
+        st.one_of(st.floats(0.6 * DAY, 1.4 * DAY),
+                  st.floats(1.5 * DAY, 4.4 * DAY),
+                  st.floats(60.0, 0.49 * DAY)),
+        st.one_of(st.integers(80, 120), st.integers(-300, -1),
+                  st.integers(2_000, 20_000), st.just(0)))),
+        min_size=4, max_size=4))
+
+
+class TestRollingSeriesBlock:
+    """Rows of a block equal one :class:`RollingSeries` each, and their
+    extremes and medians are those of its arrivals."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pages=st.lists(_BLOCK_PAGE, min_size=1, max_size=40),
+           max_readings=st.integers(2, 12))
+    def test_rows_equal_rolling_series(self, pages, max_readings):
+        block = RollingSeriesBlock(max_readings)
+        block.add_rows(1)
+        block.add_rows(3)  # rows grow past their first allocation
+        rolling = [RollingSeries(max_readings) for __ in range(4)]
+        clocks = [PAPER_EPOCH] * 4
+        counts = [1_000] * 4
+        for shared, steps in pages:
+            read = [row for row, step in enumerate(steps) if step is not None]
+            if not read:
+                continue
+            page_t = max(clocks[row] for row in read) + steps[read[0]][0]
+            for row in read:
+                gap, change = steps[row]
+                clocks[row] = page_t if shared else clocks[row] + gap
+                counts[row] = max(0, counts[row] + change)
+                rolling[row].append(clocks[row], counts[row])
+            rows = np.array(read, dtype=np.int64)
+            block.append_page(rows, np.array([clocks[row] for row in read]),
+                              np.array([counts[row] for row in read]))
+            assert block.held(rows).tolist() == [
+                len(rolling[row].readings) for row in read]
+            for row in read:
+                series = block.series(row)
+                assert list(series.readings) == list(rolling[row].readings)
+                assert series.arrivals == rolling[row].arrivals
+            ready = rows[block.held(rows) >= 2]
+            if len(ready):
+                top, low = block.extremes(ready)
+                assert top.tolist() == [max(rolling[row].arrivals)
+                                        for row in ready.tolist()]
+                assert low.tolist() == [min(rolling[row].arrivals)
+                                        for row in ready.tolist()]
+                top, twice_median = block.peaks(ready)
+                for row, peak, twice in zip(ready.tolist(), top.tolist(),
+                                            twice_median.tolist()):
+                    ordered = rolling[row].ordered
+                    middle = len(ordered) // 2
+                    assert peak == ordered[-1]
+                    assert twice == (ordered[middle - 1] + ordered[middle]
+                                     if len(ordered) % 2
+                                     == 0 else 2 * ordered[middle])
+
+    def test_needs_two_readings(self):
+        with pytest.raises(ConfigurationError):
+            RollingSeriesBlock(1)

@@ -7,8 +7,12 @@ in place.  This oracle evaluates the way the bridge is specified: on
 every reading it rebuilds the series from the whole held history with
 a spelled-out gap-normalisation loop, runs the median/MAD detector with
 ``np.median`` over the float64 arrivals, and prunes the reported days
-by intersecting with the set of every held day start.  Tests feed both
-the same readings and check the alert logs and return values match.
+by intersecting with the set of every held day start.  It also feeds
+each handle's follower-count window stream one reading at a time and
+closes every stream on each tick, as the bridge once did; production
+keeps those panes as arrays and builds a stream only when it is read.
+Tests feed both the same readings and check the alert logs, return
+values and streams match.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Deque, Dict, List, Set, Tuple
 import numpy as np
 
 from repro.core import DAY
-from repro.obs.live import AlertLog
+from repro.obs.live import AlertLog, WindowSpec, WindowStream
 
 _MAD_TO_SIGMA = 1.4826
 
@@ -67,8 +71,11 @@ class OracleBridge:
 
     def __init__(self, alerts: AlertLog, *, threshold: float = 6.0,
                  min_excess: int = 50, min_history: int = 8,
-                 max_history: int = 256) -> None:
+                 max_history: int = 256, origin: float = 0.0) -> None:
         self.alerts = alerts
+        self.spec = WindowSpec(width=DAY, origin=origin)
+        #: Each handle's follower-count stream, fed reading by reading.
+        self.streams: Dict[str, WindowStream] = {}
         self.threshold = threshold
         self.min_excess = min_excess
         self.min_history = min_history
@@ -76,12 +83,22 @@ class OracleBridge:
         self.readings: Dict[str, Deque[Tuple[float, int]]] = {}
         self.reported: Dict[str, Set[float]] = {}
 
+    def close_until(self, t: float) -> None:
+        """A tick: close every stream's panes ending at or before ``t``."""
+        for stream in self.streams.values():
+            stream.close_until(t)
+
     def observe(self, handle: str, t: float, followers_count: int) -> bool:
         """Record one reading; returns whether a new alert fired."""
         history = self.readings.setdefault(
             handle, deque(maxlen=self.max_history))
         reported = self.reported.setdefault(handle, set())
         history.append((t, int(followers_count)))
+        stream = self.streams.get(handle)
+        if stream is None:
+            stream = self.streams[handle] = WindowStream(
+                f"followers:{handle}", self.spec)
+        stream.observe(t, float(followers_count))
         if len(history) < self.min_history:
             return False
         readings = list(history)

@@ -329,6 +329,173 @@ class TestObservePage:
             [False, False]
 
 
+def _stream_views(streams, now):
+    """What a reader sees of each stream, floats by their bits."""
+    def bits(point):
+        return None if point is None else tuple(
+            value.hex() if isinstance(value, float) else value
+            for value in vars(point).values())
+    return {name: ([bits(point) for point in stream.points()],
+                   bits(stream.latest()),
+                   [bits(stream.trailing(now, horizon))
+                    for horizon in (0.5 * DAY, 3 * DAY, 400 * DAY)],
+                   stream.total_count, stream.total_sum.hex())
+            for name, stream in streams.items()}
+
+
+#: One page: (seconds since the previous page, whether each reading has
+#: its own instant, per handle of six the count change or None when the
+#: page lost it).
+_ARRAY_PAGE = st.tuples(
+    st.one_of(st.floats(0.6 * DAY, 1.4 * DAY), st.floats(1.5 * DAY, 3.4 * DAY),
+              st.floats(60.0, 0.49 * DAY)),
+    st.booleans(),
+    st.lists(st.one_of(st.none(), st.integers(80, 120),
+                       st.integers(-300, -1), st.integers(2_000, 20_000)),
+             min_size=6, max_size=6))
+
+
+class TestPagesAgainstTheOracle:
+    """A plane ingesting pages as arrays against the oracle fed one
+    reading at a time: fired flags, the alert log, and every handle's
+    follower stream as read (panes, latest, trailing windows, totals).
+    """
+
+    def run(self, pages, *, min_history=5, max_history=256, min_excess=50,
+            check_every_page=False):
+        live = _plane(min_history=min_history, max_history=max_history,
+                      detector=BurstDetector(min_excess=min_excess))
+        oracle_log = AlertLog()
+        oracle = OracleBridge(oracle_log, min_excess=min_excess,
+                              min_history=min_history,
+                              max_history=max_history, origin=PAPER_EPOCH)
+        t = PAPER_EPOCH + 60.0
+        counts = [10_000] * 6
+        for gap, staggered, changes in pages:
+            t += gap
+            handles, readings, instants = [], [], []
+            for index, change in enumerate(changes):
+                if change is None:
+                    continue  # this handle's reading was lost
+                counts[index] = max(0, counts[index] + change)
+                handles.append(f"h{index}")
+                readings.append(counts[index])
+                # Staggered pages read each handle a minute apart; the
+                # plane clamps each reading to its last tick.
+                instants.append(live.clamp(
+                    t + 60.0 * index if staggered else t))
+            page_t = instants if staggered else live.clamp(t)
+            fired = live.observe_page(page_t, handles, readings)
+            assert fired == [oracle.observe(handle, at, count)
+                             for handle, at, count
+                             in zip(handles, instants, readings)]
+            tick = t + 3600.0
+            live.tick(tick)
+            oracle.close_until(tick)
+            if check_every_page:
+                self.assert_streams_match(live, oracle, tick)
+        assert live.alerts.to_jsonl() == oracle_log.to_jsonl()
+        self.assert_streams_match(live, oracle, t + 3600.0)
+        return live
+
+    @staticmethod
+    def assert_streams_match(live, oracle, now):
+        built = {stream.name: stream
+                 for stream in live.bridge.streams().values()}
+        assert _stream_views(built, now) == _stream_views(
+            {stream.name: stream for stream in oracle.streams.values()}, now)
+        for handle, stream in oracle.streams.items():
+            assert live.find_stream(f"followers:{handle}").points() \
+                == stream.points()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pages=st.lists(_ARRAY_PAGE, min_size=1, max_size=50),
+           max_history=st.sampled_from([8, 12, 256]),
+           min_excess=st.sampled_from([0, 50, 5_000]))
+    def test_equals_one_reading_at_a_time(self, pages, max_history,
+                                          min_excess):
+        self.run(pages, max_history=max_history, min_excess=min_excess)
+
+    def test_multi_day_gaps_after_503_losses(self):
+        """A storm loses three days of pages for half the fleet; their
+        next readings spread the gap, and a purchase after it pages."""
+        calm = [(DAY, False, [100] * 6) for __ in range(10)]
+        storm = [(DAY, False, [None, None, None, 100, 100, 100])
+                 for __ in range(3)]
+        after = [(DAY, False, [401, 400, 400, 100, 100, 100])]
+        after += [(DAY, False, [100] * 6) for __ in range(4)]
+        after += [(DAY, True, [100, 9_000, 100, 100, 100, 100])]
+        after += [(DAY, False, [100] * 6) for __ in range(3)]
+        live = self.run(calm + storm + after, check_every_page=True)
+        assert [event.name for event in live.alerts.events
+                if event.kind == "fire"] == ["burst:h1"]
+        series = live.bridge._tracks["h0"].series
+        assert series.arrivals[9:13] == [101, 100, 100, 100]
+
+    def test_roll_off_at_max_history_8(self):
+        pages = [(DAY + (0.1 * DAY if day % 2 else 0.0), day % 3 == 0,
+                  [5_000 if day % 9 == 4 else 100] * 6)
+                 for day in range(40)]
+        live = self.run(pages, max_history=8, check_every_page=True)
+        assert live.alerts.counts()[0] >= 5
+        assert all(len(track.series.readings) == 8
+                   for track in live.bridge._tracks.values())
+
+    def test_a_day_exactly_min_excess_over_the_median_pages(self):
+        """The page-wide exit keeps a handle whose largest day is
+        exactly ``min_excess`` above its median (z = 5 over a steady
+        100-a-day baseline, past the 3.0 threshold)."""
+        live = _plane(detector=BurstDetector(threshold=3.0, min_excess=50))
+        handles = ["a", "b"]
+        for day in range(8):
+            live.observe_page(_page_t(day), handles,
+                              [1_000 + 100 * day] * 2)
+        assert live.observe_page(_page_t(8), handles,
+                                 [1_700 + 150, 1_700 + 149]) == [True, False]
+
+    def test_streams_past_the_retained_panes(self):
+        """Three hundred daily readings: each stream keeps its newest
+        256 panes, and whether the newest is open or closed by the last
+        tick decides whether a 257th shows."""
+        pages = [(DAY, day % 7 == 0, [100, 90, None if day % 5 else 300,
+                                      100, 100, 100])
+                 for day in range(300)]
+        live = self.run(pages)
+        # The last tick fell in the newest reading's pane: it is open.
+        assert sorted(len(stream.points())
+                      for stream in live.bridge.streams().values()) == \
+            [60] + [257] * 5
+        live.tick(live.watermark + DAY)
+        assert sorted(len(stream.points())
+                      for stream in live.bridge.streams().values()) == \
+            [60] + [256] * 5
+
+    @pytest.mark.parametrize("bad", ["stale", "duplicate"])
+    def test_a_bad_reading_in_a_staggered_page_records_nothing(self, bad):
+        live = _plane()
+        handles = ["a", "b", "c"]
+        for day in range(10):
+            live.observe_page(_page_t(day), handles, [1_000 + day] * 3)
+        before = (_stream_views(live.all_streams(), _page_t(10)),
+                  live.alerts.to_jsonl(),
+                  [list(track.series.readings)
+                   for track in live.bridge._tracks.values()])
+        page, instants = {
+            # c's instant is its last reading's.
+            "stale": (["a", "b", "c"],
+                      [_page_t(10), _page_t(10) + 60.0, _page_t(9)]),
+            # b twice, the second later than the first.
+            "duplicate": (["a", "b", "b"],
+                          [_page_t(10), _page_t(10), _page_t(10) + 60.0]),
+        }[bad]
+        with pytest.raises(ConfigurationError, match="not after"):
+            live.observe_page(instants, page, [9_000] * 3)
+        assert (_stream_views(live.all_streams(), _page_t(10)),
+                live.alerts.to_jsonl(),
+                [list(track.series.readings)
+                 for track in live.bridge._tracks.values()]) == before
+
+
 class TestTelemetryBridgeHook:
     def test_observe_followers_routes_through_the_bridge(self):
         live = LiveTelemetry()

@@ -1,5 +1,6 @@
 """Unit tests for the streaming window primitives (repro.obs.live)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from repro.obs.live import (
     WindowSpec,
     WindowStream,
 )
+from repro.obs.live.windows import PaneBlock
 
 
 class TestWindowSpec:
@@ -171,6 +173,85 @@ class TestObserveMany:
         fresh = WindowStream("s", WindowSpec(width=10.0))
         fresh.observe_many(5.0, [])
         assert fresh.points() == () and fresh.total_count == 0
+
+
+def _read(stream, now):
+    """What a reader sees of a stream: panes, latest, trailing windows
+    and totals, floats by their bits."""
+    def bits_of(point):
+        return None if point is None else tuple(
+            value.hex() if isinstance(value, float) else value
+            for value in vars(point).values())
+    return (_state(stream), bits_of(stream.latest()),
+            [bits_of(stream.trailing(now, horizon))
+             for horizon in (5.0, 25.0, 1e4)])
+
+
+class TestPaneBlock:
+    """Each row of a :class:`PaneBlock`, built on read, equals a stream
+    fed the row's values one :meth:`WindowStream.observe` at a time."""
+
+    #: One step: close every row at an instant, or a page of values,
+    #: one per row named (at most three), each at its own instant.
+    _STEP = st.one_of(
+        st.floats(-50.0, 400.0),
+        st.lists(st.tuples(st.integers(0, 2), st.floats(-50.0, 400.0),
+                           TestObserveMany._VALUE),
+                 max_size=3, unique_by=lambda reading: reading[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(_STEP, max_size=40),
+           retain=st.sampled_from([1, 2, 4, 256]))
+    def test_rows_built_on_read_equal_eager_streams(self, steps, retain):
+        spec = WindowSpec(width=10.0, origin=3.0, retain=retain)
+        block = PaneBlock(spec)
+        block.add_rows(1)
+        block.add_rows(2)
+        eager = [WindowStream(f"s{row}", spec) for row in range(3)]
+        now = 0.0
+        for step in steps:
+            if isinstance(step, float):
+                block.close_until(step)
+                for stream in eager:
+                    stream.close_until(step)
+                now = max(now, step)
+            elif step:
+                rows, instants, values = (np.array(column) for column
+                                          in zip(*step))
+                block.observe(rows, instants.astype(np.float64),
+                              values.astype(np.float64))
+                for row, t, value in step:
+                    eager[row].observe(t, value)
+                now = max(now, float(instants.max()))
+            for row, stream in enumerate(eager):
+                assert _read(block.stream(row, f"s{row}"), now) == \
+                    _read(stream, now)
+
+    def test_several_values_a_pane_and_more_panes_than_retained(self):
+        spec = WindowSpec(width=10.0, retain=3)
+        block, eager = PaneBlock(spec), WindowStream("s", spec)
+        block.add_rows(1)
+        for step in range(40):
+            t = 2.5 * step  # four values a pane, ten panes
+            block.observe(np.array([0]), np.array([t]), np.array([t / 7]))
+            eager.observe(t, t / 7)
+            if step % 6 == 5:
+                block.close_until(t + 10.0)
+                eager.close_until(t + 10.0)
+        built = block.stream(0, "s")
+        assert len(built.points()) == spec.retain + 1  # and the open pane
+        assert built.total_count == 40
+        assert _read(built, 100.0) == _read(eager, 100.0)
+
+
+    def test_ties_keep_the_held_extremum_as_the_builtins_do(self):
+        spec = WindowSpec(width=10.0)
+        block, eager = PaneBlock(spec), WindowStream("s", spec)
+        block.add_rows(1)
+        for t, value in ((1.0, 0.0), (2.0, -0.0), (3.0, -0.0), (4.0, 0.0)):
+            block.observe(np.array([0]), np.array([t]), np.array([value]))
+            eager.observe(t, value)
+            assert _read(block.stream(0, "s"), 5.0) == _read(eager, 5.0)
 
 
 class TestGaugeStream:
