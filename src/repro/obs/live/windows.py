@@ -335,7 +335,8 @@ class PaneBlock:
         self._total_sum[rows] += values
         index = np.floor((instants - spec.origin) / spec.width)
         panes = self._panes[rows]
-        newest = np.maximum(panes - 1, 0)
+        # A row without panes is never open, so its -1 reads nothing.
+        newest = panes - 1
         fold = self._open[rows] & (self._data[rows, newest, 0] >= index)
         if fold.any():
             at = (rows[fold], newest[fold])
@@ -348,23 +349,28 @@ class PaneBlock:
             pane[:, 4] = np.where(value > pane[:, 4], value, pane[:, 4])
             pane[:, 5] = value
             self._data[at] = pane
-        opened = ~fold
-        if opened.any():
-            rows, panes, value = rows[opened], panes[opened], values[opened]
-            full = panes == spec.retain + 1
-            if full.any():
-                shifted = rows[full]
-                self._data[shifted, :-1] = self._data[shifted, 1:]
-                panes = panes - full
-            width = int(panes.max()) + 1
-            if width > self._data.shape[1]:
-                self._resize(len(self._panes), min(
-                    spec.retain + 1, max(width, 2 * self._data.shape[1])))
-            self._data[rows, panes] = np.column_stack(
-                (index[opened], np.ones(len(rows)), 0.0 + value, value,
-                 value, value))
-            self._panes[rows] = panes + 1
-            self._open[rows] = True
+            opened = ~fold
+            rows, panes = rows[opened], panes[opened]
+            index, values = index[opened], values[opened]
+        if not len(rows):
+            return
+        full = panes == spec.retain + 1
+        if full.any():
+            shifted = rows[full]
+            self._data[shifted, :-1] = self._data[shifted, 1:]
+            panes = panes - full
+        width = int(panes.max()) + 1
+        if width > self._data.shape[1]:
+            self._resize(len(self._panes), min(
+                spec.retain + 1, max(width, 2 * self._data.shape[1])))
+        pane = np.empty((len(rows), 6))
+        pane[:, 0] = index
+        pane[:, 1] = 1.0
+        pane[:, 2] = 0.0 + values
+        pane[:, 3:] = values[:, None]
+        self._data[rows, panes] = pane
+        self._panes[rows] = panes + 1
+        self._open[rows] = True
 
     def close_until(self, t: float) -> None:
         """Close every row's pane that ends at or before instant ``t``."""
