@@ -335,7 +335,7 @@ class PaneBlock:
         self._total_sum[rows] += values
         index = np.floor((instants - spec.origin) / spec.width)
         panes = self._panes[rows]
-        # A row without panes is never open, so its -1 reads nothing.
+        # A row without panes is not open, so what its -1 reads is moot.
         newest = panes - 1
         fold = self._open[rows] & (self._data[rows, newest, 0] >= index)
         if fold.any():
@@ -375,8 +375,7 @@ class PaneBlock:
     def close_until(self, t: float) -> None:
         """Close every row's pane that ends at or before instant ``t``."""
         rows = self._rows
-        newest = self._data[np.arange(rows),
-                            np.maximum(self._panes[:rows] - 1, 0), 0]
+        newest = self._data[np.arange(rows), self._panes[:rows] - 1, 0]
         self._open[:rows] &= newest >= self.spec.index_of(t)
 
     def stream(self, row: int, name: str) -> WindowStream:
