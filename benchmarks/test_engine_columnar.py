@@ -8,12 +8,13 @@ parity first — a fast wrong answer is worthless — then its speedup
 floor, and writes the measured numbers to
 ``benchmarks/results/BENCH_<engine>_columnar.json``.
 
-The columnar side is ``classify_all`` on a
+The columnar side is ``classify_all`` on the gold standard's
 :class:`~repro.twitter.columnar.schema.UserRowBlock` (the shape
-acquisition hands the engines on a columnar world), with
+acquisition hands the engines), with
 :class:`~repro.api.columns.SampleBlock` construction timed
 inside; the scalar side is the per-account reference loop, one
-``classify`` call per user object materialised from the same rows.  Socialbakers' timelines have the production depth
+``classify`` call per user object materialised from the same rows.
+Socialbakers' timelines have the production depth
 (:data:`~repro.api.crawler.TIMELINE_PAGE`): the columnar side reads
 their flag and body-key columns, the scalar side walks the tweets,
 which the parity pass has already rendered (rendering is timed in
@@ -39,7 +40,6 @@ from repro.api.crawler import TIMELINE_PAGE
 from repro.fc import FC_SAMPLE_SIZE, build_gold_standard
 from repro.fc.rulesets import SocialbakersCriteria
 from repro.obs import measure_wallclock
-from repro.twitter.columnar.schema import UserRowBlock
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -62,7 +62,6 @@ def _bench_criteria(name, criteria, rows, timeline_depth, min_speedup,
     timelines = population.timelines() if criteria.needs_timeline else None
     now = population.now
     assert len(users) == rows
-    block_users = UserRowBlock.from_users(users)
 
     pairs = list(zip(users, timelines if timelines is not None
                      else [None] * rows))
@@ -72,12 +71,12 @@ def _bench_criteria(name, criteria, rows, timeline_depth, min_speedup,
                 for user, timeline in pairs]
 
     # Parity before speed: identical verdicts, account by account.
-    batch = criteria.classify_all(block_users, timelines, now)
+    batch = criteria.classify_all(users, timelines, now)
     assert [criteria.labels[code] for code in batch.codes] == per_account()
 
     scalar_seconds = measure_wallclock(per_account, REPEATS)
     batch_seconds = measure_wallclock(
-        lambda: criteria.classify_all(block_users, timelines, now), REPEATS)
+        lambda: criteria.classify_all(users, timelines, now), REPEATS)
     speedup = scalar_seconds / batch_seconds
 
     doc = {

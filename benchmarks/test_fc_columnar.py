@@ -49,6 +49,7 @@ def test_columnar_speedup_on_a_full_sample(detector, save_result):
         n_fake=rows - rows // 2, n_genuine=rows // 2, seed=11,
         timeline_depth=1)
     users = population.users()
+    objects = list(users)       # the oracle reads user objects
     now = population.now
     assert len(users) == rows
 
@@ -56,7 +57,7 @@ def test_columnar_speedup_on_a_full_sample(detector, save_result):
 
     def per_row():
         X = feature_oracle.extract_matrix(
-            detector.feature_set, users, None, now)
+            detector.feature_set, objects, None, now)
         return tree_oracle.predict(detector.model, X)
 
     # Parity before speed: the fast path must be numerically identical.

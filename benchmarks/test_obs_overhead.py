@@ -7,14 +7,19 @@ measures both factors on a serial Table III slice and asserts their
 product stays under 5% of the run's wall time — i.e. NULL_OBS adds no
 measurable overhead to the paper's core experiment.
 
-The live-telemetry bench applies the same events-times-cost method to
-the enabled streaming path: its hooks fire only when a plane is
-attached, so the budget is (stream events the run actually feeds) x
-(cost of one windowed observe).
+The live-telemetry bench times the enabled streaming path in place
+instead: it runs the same slice with a plane attached, adds up the CPU
+time (``process_time``) spent inside the plane's hooks, counting only
+the outermost of nested calls, and bounds it against the CPU time of
+the rest of the run, as the median of ``LIVE_RUNS`` runs.  Multiplying
+a microbenchmark's per-event cost by the event count and comparing it
+with one wall-time run drowned the ~0.1% being bounded in run-to-run
+noise (two identical runs differ by up to +-30% on a shared VM).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.core import DAY, SimClock
@@ -55,24 +60,37 @@ def _null_op_seconds() -> float:
     return _wall(burn) / NULL_OPS
 
 
-#: Iterations for timing one windowed stream observation.
-LIVE_OPS = 100_000
+#: Timed runs of the live-telemetry bench.
+LIVE_RUNS = 5
 
-#: Each live hook call routes one to four stream observations plus the
-#: hook dispatch itself; doubling the measured per-event cost gives a
-#: generous upper bound on the non-observe bookkeeping around it.
-LIVE_DISPATCH_MULTIPLIER = 2
+#: The plane's hooks the instrumented components call, timed in place.
+LIVE_HOOKS = ("note", "on_request", "on_audit", "on_rules", "on_batch_run",
+              "observe_followers", "observe_page", "tick")
 
 
-def _live_event_seconds() -> float:
-    """Best-case cost of one windowed observation on an event stream."""
-    live = LiveTelemetry(origin=0.0, pane_width=DAY)
+def _timed_hooks(monkeypatch, spent):
+    """Patch every :data:`LIVE_HOOKS` method to add its CPU time to
+    ``spent[name]``; a hook called inside another is not counted
+    again."""
+    depth = [0]
 
-    def burn():
-        for k in range(LIVE_OPS):
-            live.note("bench.live", k * 0.01)
+    def wrap(name, original):
+        def timed(*args, **kwargs):
+            if depth[0]:
+                return original(*args, **kwargs)
+            depth[0] += 1
+            started = time.process_time()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[name] = spent.get(name, 0.0) + (
+                    time.process_time() - started)
+                depth[0] -= 1
+        return timed
 
-    return _wall(burn) / LIVE_OPS
+    for name in LIVE_HOOKS:
+        monkeypatch.setattr(LiveTelemetry, name,
+                            wrap(name, getattr(LiveTelemetry, name)))
 
 
 def test_null_obs_overhead_is_under_5pct_of_serial_table3(
@@ -105,32 +123,41 @@ def test_null_obs_overhead_is_under_5pct_of_serial_table3(
 
 
 def test_live_telemetry_overhead_is_under_5pct_of_serial_table3(
-        detector, save_result):
+        detector, save_result, monkeypatch):
     kwargs = dict(seed=42, accounts=average_accounts()[:3],
                   detector=detector, max_followers=2_000,
                   truth_sample=500, mode="serial")
 
-    # The live budget of the run: attach a plane, count the stream
-    # events the instrumented hot paths actually feed...
-    with observed() as obs:
-        live = obs.attach_live(LiveTelemetry(origin=0.0, pane_width=DAY))
-        run_table3(**kwargs)
-        events = sum(stream.total_count
-                     for stream in live.streams().values())
-    assert events > 0  # the engines fed the plane
+    def live_run():
+        with observed() as obs:
+            live = obs.attach_live(LiveTelemetry(origin=0.0, pane_width=DAY))
+            run_table3(**kwargs)
+        return sum(stream.total_count for stream in live.streams().values())
 
-    # ...then time the identical run with telemetry fully off.
-    baseline = _wall(lambda: run_table3(**kwargs))
+    live_run()          # warm caches and imports, untimed
+    runs = []
+    for __ in range(LIVE_RUNS):
+        spent = {}
+        with monkeypatch.context() as patch:
+            _timed_hooks(patch, spent)
+            started = time.process_time()
+            events = live_run()
+            total = time.process_time() - started
+        assert events > 0  # the engines fed the plane
+        runs.append((total, sum(spent.values())))
 
-    per_event = _live_event_seconds()
-    overhead = per_event * events * LIVE_DISPATCH_MULTIPLIER
+    run_s = statistics.median(total for total, __ in runs)
+    live_s = statistics.median(plane for __, plane in runs)
+    overhead_pct = statistics.median(
+        100.0 * plane / (total - plane) for total, plane in runs)
     report = "\n".join([
         "Live-telemetry overhead on serial Table III (3 average accounts):",
-        f"  run wall time        {baseline * 1e3:10.1f} ms",
+        f"  run CPU time         {run_s * 1e3:10.1f} ms (median)",
         f"  stream events fed    {events:10d}",
-        f"  observe cost         {per_event * 1e9:10.1f} ns",
-        f"  est. live cost       {overhead * 1e6:10.1f} us "
-        f"({100.0 * overhead / baseline:.3f}% of run)",
+        f"  plane CPU time       {live_s * 1e3:10.1f} ms (median, "
+        "timed in place)",
+        f"  overhead             {overhead_pct:10.3f} % "
+        f"(median of {LIVE_RUNS} runs; limit 5%)",
     ])
     save_result("live_overhead", report)
-    assert overhead < 0.05 * baseline, report
+    assert overhead_pct < 5.0, report

@@ -11,7 +11,6 @@ from .criteria import (
     EngineInfo,
     SampleBlock,
     VerdictArray,
-    build_sample_block,
 )
 from .socialbakers import (
     SB_DAILY_QUOTA,
@@ -62,7 +61,6 @@ __all__ = [
     "Twitteraudit",
     "TwitterauditCriteria",
     "VerdictArray",
-    "build_sample_block",
     "is_inactive",
     "is_spam",
     "percentages",

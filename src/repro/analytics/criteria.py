@@ -14,15 +14,13 @@ that step:
   label-ordered ``counts()`` and engine-specific ``extras``
   (histograms etc.);
 * :class:`~repro.api.columns.SampleBlock` — the profile column view
-  of one sample, built once per classification by
-  :func:`build_sample_block`;
+  of one sample, built once per classification;
 * :class:`EngineInfo` — the uniform engine metadata block
   (``AuditEngine.info()``) that replaced the ad-hoc
   ``"criteria": "..."`` strings in report details.
 
-``Criteria``, ``VerdictArray``, ``SampleBlock`` and
-``build_sample_block`` are defined in :mod:`repro.api.columns` and
-re-exported here.
+``Criteria``, ``VerdictArray`` and ``SampleBlock`` are defined in
+:mod:`repro.api.columns` and re-exported here.
 
 Every mask pipeline reproduces the per-account rules' float operations
 exactly, so ``classify_block`` returns the verdicts a ``classify`` loop
@@ -34,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..api.columns import (Criteria, SampleBlock, VerdictArray,
-                           build_sample_block)
+from ..api.columns import Criteria, SampleBlock, VerdictArray
 
-__all__ = ["Criteria", "EngineInfo", "SampleBlock", "VerdictArray",
-           "build_sample_block"]
+__all__ = ["Criteria", "EngineInfo", "SampleBlock", "VerdictArray"]
+
+# hostbench/layers.py wraps this name; nothing in the package calls it.
+build_sample_block = SampleBlock
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ a time.  This module holds both views:
 * :class:`SampleBlock` -- the profile columns of one sample, taken
   from a structured-row
   :class:`~repro.twitter.columnar.schema.UserRowBlock` as field views
-  or from a plain list of user objects by one attribute sweep, plus the
+  (a plain list of user objects is packed into one first), plus the
   derived columns the rule sets and the FC features share;
 * :func:`timeline_stat_columns` -- the seven per-timeline fractions
   (spam phrases, repeated tweets, retweet and link ratios, ...);
@@ -34,7 +34,6 @@ one at a time (as the per-account rules in :mod:`repro.fc.rulesets` do).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -50,28 +49,20 @@ from ..twitter.timeline import (AUTOMATION, HASHTAG, LINK, MENTION, RETWEET,
 #: column comes from body keys instead).
 _FRACTION_BITS = (RETWEET, LINK, SPAM, MENTION, HASHTAG, AUTOMATION)
 
-#: One attribute sweep per user gathers every raw profile column.
-_PROFILE_FIELDS = operator.attrgetter(
-    "followers_count", "friends_count", "statuses_count", "created_at",
-    "last_status_at", "description", "location", "url", "name",
-    "default_profile_image", "screen_name")
-
-#: The view's raw profile columns as ``(column, row field, dtype)``, in
-#: the order :data:`_PROFILE_FIELDS` reads them.
-_COLUMNS = (
-    ("followers", "followers_count", np.int64),
-    ("friends", "friends_count", np.int64),
-    ("statuses", "statuses_count", np.int64),
-    ("created_at", "created_at", np.float64),
-    ("last_status_at", "last_tweet_at", np.float64),
-    ("descriptions", "description", object),
-    ("locations", "location", object),
-    ("urls", "url", object),
-    ("names", "name", object),
-    ("default_image", "default_profile_image", bool),
-    ("screen_names", "screen_name", object),
-)
-_COLUMN_NAMES = frozenset(column for column, __, __ in _COLUMNS)
+#: The row field of each raw profile column of the view.
+_FIELD_OF = {
+    "followers": "followers_count",
+    "friends": "friends_count",
+    "statuses": "statuses_count",
+    "created_at": "created_at",
+    "last_status_at": "last_tweet_at",
+    "descriptions": "description",
+    "locations": "location",
+    "urls": "url",
+    "names": "name",
+    "default_image": "default_profile_image",
+    "screen_names": "screen_name",
+}
 
 
 @dataclass
@@ -125,17 +116,16 @@ def timeline_stat_columns(timelines) -> TimelineStatColumns:
 class SampleBlock:
     """The profile columns of one sample, plus lazy derived columns.
 
-    ``users`` is a :class:`UserRowBlock` or a sequence of user objects;
+    ``users`` is a :class:`UserRowBlock`, or a sequence of user objects
+    packed into one at construction (:meth:`UserRowBlock.from_users`,
+    which refuses text its fixed-width columns would not round-trip);
     ``timelines``, when given, holds one timeline per user.  The raw
-    columns are NumPy arrays, one entry per user in sample order:
-    ``followers``, ``friends``, ``statuses`` (int64), ``created_at``,
-    ``last_status_at`` (float64, NaN for never-tweeted),
-    ``default_image`` (bool) and the text columns ``descriptions``,
-    ``locations``, ``urls``, ``names`` and ``screen_names``.  A row
-    block hands them over as field views of its rows (text as ``U``
-    arrays); a list of user objects is swept once, on the first column
-    read, into object arrays of the objects' own strings.  ``user_ids``
-    needs no sweep, so a view built only for its ids costs one pass.
+    columns are field views of the rows, one entry per user in sample
+    order: ``followers``, ``friends``, ``statuses`` (int64),
+    ``created_at``, ``last_status_at`` (float64, NaN for
+    never-tweeted), ``default_image`` (bool) and the ``U`` text columns
+    ``descriptions``, ``locations``, ``urls``, ``names`` and
+    ``screen_names``.
 
     Every derived column is computed once on first use and shared
     between rules and features.  All float math mirrors the user-object
@@ -146,22 +136,23 @@ class SampleBlock:
     """
 
     def __init__(self, users, timelines=None) -> None:
+        if not isinstance(users, UserRowBlock):
+            users = UserRowBlock.from_users(users)
         if timelines is not None and len(timelines) != len(users):
             raise ConfigurationError(
                 f"users and timelines length mismatch: {len(users)} "
                 f"users, {len(timelines)} timelines")
-        self._users = users
-        self._rows = users.rows if isinstance(users, UserRowBlock) else None
+        self._rows = users.rows
         self.timelines = timelines
         self._nonblank: Dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._users)
+        return len(self._rows)
 
     def __getattr__(self, name: str):
         # Reached only for names the instance does not hold yet: a raw
         # profile column is built on its first read, then kept.
-        if name not in _COLUMN_NAMES:
+        if name not in _FIELD_OF:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         column = self._column(name)
@@ -169,36 +160,18 @@ class SampleBlock:
         return column
 
     def _column(self, name: str) -> np.ndarray:
-        return self._profile[name]
-
-    @cached_property
-    def _profile(self) -> Dict[str, np.ndarray]:
-        """The raw columns: field views, or one attribute sweep."""
-        if self._rows is not None:
-            return {column: self._rows[field]
-                    for column, field, __ in _COLUMNS}
-        swept = [_PROFILE_FIELDS(user) for user in self._users]
-        values = zip(*swept) if swept else [()] * len(_COLUMNS)
-        profile = {}
-        for (column, __, dtype), raw in zip(_COLUMNS, values):
-            if column == "last_status_at":
-                raw = [np.nan if value is None else value for value in raw]
-            profile[column] = np.array(raw, dtype=dtype)
-        return profile
+        return self._rows[_FIELD_OF[name]]
 
     @cached_property
     def user_ids(self) -> List[int]:
         """The sample's user ids, in row order, as Python ints."""
-        if self._rows is not None:
-            return self._rows["user_id"].tolist()
-        return [user.user_id for user in self._users]
+        return self._rows["user_id"].tolist()
 
     def take(self, indices) -> "SampleBlock":
         """The view of the rows at ``indices``, in that order.
 
-        Nothing is swept or copied up front: the selection reads its
-        columns and non-blank masks through this view (see
-        :class:`_Selection`).
+        Nothing is copied up front: the selection reads its columns and
+        non-blank masks through this view (see :class:`_Selection`).
         """
         return _Selection(self, np.asarray(indices, dtype=np.intp))
 
@@ -218,20 +191,16 @@ class SampleBlock:
     def nonblank(self, column: str) -> np.ndarray:
         """``bool(text.strip())`` over the text column ``column``.
 
-        A row block's ``U`` field is stripped vectorized; ``str.strip``
-        and ``np.char.strip`` remove the same whitespace, so both
-        shapes agree exactly.
+        The ``U`` column is stripped vectorized; ``np.char.strip``
+        removes the same whitespace as ``str.strip``, so the mask is
+        exactly the per-object one.
         """
         if column not in self._nonblank:
             self._nonblank[column] = self._nonblank_column(column)
         return self._nonblank[column]
 
     def _nonblank_column(self, column: str) -> np.ndarray:
-        texts = getattr(self, column)
-        if texts.dtype.kind == "U":
-            return np.char.strip(texts) != ""
-        return np.array([bool(text.strip()) for text in texts.tolist()],
-                        dtype=bool)
+        return np.char.strip(getattr(self, column)) != ""
 
     @property
     def has_bio(self) -> np.ndarray:
@@ -278,18 +247,19 @@ class _Selection(SampleBlock):
 
     Each raw column is the parent's column indexed on its first read,
     and each non-blank mask indexes the parent's mask, so selecting
-    rows of a row block never copies its fixed-width text fields.  The
-    selection's users are its parent positions: they give its length
-    and map its rows to the parent's ``user_ids``.
+    rows of a row block never copies its fixed-width text fields.
     """
 
     def __init__(self, parent: SampleBlock, indices: np.ndarray) -> None:
-        positions = indices.tolist()
-        timelines = (None if parent.timelines is None
-                     else [parent.timelines[index] for index in positions])
-        super().__init__(positions, timelines)
         self._parent = parent
         self._indices = indices
+        self.timelines = (None if parent.timelines is None
+                          else [parent.timelines[index]
+                                for index in indices.tolist()])
+        self._nonblank: Dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._indices)
 
     def _column(self, name: str) -> np.ndarray:
         return getattr(self._parent, name)[self._indices]
@@ -301,12 +271,7 @@ class _Selection(SampleBlock):
     def user_ids(self) -> List[int]:
         """The selected rows' user ids, in selection order."""
         parent_ids = self._parent.user_ids
-        return [parent_ids[position] for position in self._users]
-
-
-def build_sample_block(users, timelines=None) -> SampleBlock:
-    """Build the :class:`SampleBlock` of one sample."""
-    return SampleBlock(users, timelines)
+        return [parent_ids[index] for index in self._indices.tolist()]
 
 
 @dataclass
@@ -374,8 +339,8 @@ class Criteria:
         ``sink`` optionally collects per-rule fire masks; attaching one
         never changes the verdicts.
         """
-        return self.classify_block(build_sample_block(users, timelines),
-                                   now, sink=sink)
+        return self.classify_block(SampleBlock(users, timelines), now,
+                                   sink=sink)
 
     def classify_block(self, block: SampleBlock, now: float,
                        sink=None) -> VerdictArray:

@@ -455,13 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="X",
                       help="allowed absolute hit-ratio drift "
                            "(default: 0.05)")
-    perf.add_argument("--wallclock", action="store_true",
-                      help="also measure real FC classification time "
-                           "(machine-local; diff skips it when only one "
-                           "side has it)")
-    perf.add_argument("--wallclock-tol-pct", type=float, default=200.0,
-                      metavar="PCT",
-                      help="allowed wallclock drift (default: 200%%)")
     perf.add_argument("--delta", action="store_true",
                       help="also measure watermarked delta re-audits: "
                            "API-call and makespan bills of a fleet "
@@ -629,8 +622,7 @@ def _run_perf(args, seed: int):
         workload = default_workload(
             seed=seed, targets=args.targets, lane_slots=args.slots,
             max_followers=args.max_followers)
-        doc, obs, __ = run_perf_workload(workload, wallclock=args.wallclock,
-                                         delta=args.delta)
+        doc, obs, __ = run_perf_workload(workload, delta=args.delta)
         write_perf_json(doc, args.out)
         lines = [render_phase_attribution(obs.tracer)]
         if args.timeline:
@@ -652,15 +644,12 @@ def _run_perf(args, seed: int):
             raise ConfigurationError(
                 f"baseline {args.baseline!r} has no workload section; "
                 f"re-record it or pass --current")
-        current, __, __ = run_perf_workload(workload,
-                                            wallclock=args.wallclock,
-                                            delta=args.delta)
+        current, __, __ = run_perf_workload(workload, delta=args.delta)
     tolerances = PerfTolerances(
         makespan_pct=args.makespan_tol_pct,
         phase_pct=args.phase_tol_pct,
         counter_pct=args.counter_tol_pct,
-        ratio_abs=args.ratio_tol,
-        wallclock_pct=args.wallclock_tol_pct)
+        ratio_abs=args.ratio_tol)
     breaches, compared = diff_perf(baseline, current, tolerances)
     rendered = render_perf_diff(breaches, compared, args.baseline)
     return rendered, (1 if breaches else 0)

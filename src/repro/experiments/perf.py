@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..audit import AuditRequest
 from ..core.clock import SimClock
 from ..core.errors import ConfigurationError
-from ..obs.perf import collect_perf, measure_wallclock
+from ..obs.perf import collect_perf
 from ..obs.runtime import Observability, observed
 from ..sched import BatchAuditScheduler
 from .testbed import PAPER_ACCOUNTS, PAPER_ACCOUNTS_BY_HANDLE, build_paper_world
@@ -28,14 +28,6 @@ from .testbed import PAPER_ACCOUNTS, PAPER_ACCOUNTS_BY_HANDLE, build_paper_world
 #: CI gate measured in seconds, large enough that every engine pages,
 #: samples and classifies real work.
 PERF_MAX_FOLLOWERS = 20_000
-
-#: Shape of the opt-in wallclock measurement (``--wallclock``): rows
-#: classified per timing and timings per median.  Module constants,
-#: *not* workload fields — the workload section must stay identical
-#: whether or not wallclock was recorded, or ``perf diff`` would
-#: refuse to compare the documents.
-WALLCLOCK_ROWS = 2_000
-WALLCLOCK_REPEATS = 3
 
 #: Shape of the opt-in delta measurement (``--delta``): a small fleet
 #: re-audited shortly after its watermarked baseline, with purchases
@@ -71,99 +63,6 @@ def default_workload(*, seed: int = 42,
         "lane_slots": int(lane_slots),
         "max_followers": int(max_followers),
     }
-
-
-def measure_fc_wallclock(*, rows: int = WALLCLOCK_ROWS,
-                         repeats: int = WALLCLOCK_REPEATS,
-                         seed: int = 0) -> Dict[str, object]:
-    """Real-time FC classification timing of the production path.
-
-    Classifies a ``rows``-strong generated population through the
-    :class:`~repro.fc.columnar.BatchClassifier` the FC engine audits
-    with, timed as the median of ``repeats`` monotonic runs.  These are
-    the only non-deterministic numbers a perf document can carry -- see
-    the ``wallclock`` measurement class in :mod:`repro.obs.perf`.
-    """
-    from ..fc.columnar import batch_classifier
-    from ..fc.dataset import build_gold_standard
-    from ..fc.engine import default_detector
-
-    detector = default_detector(seed)
-    population = build_gold_standard(
-        n_fake=rows - rows // 2, n_genuine=rows // 2, seed=seed + 101,
-        timeline_depth=1)
-    users = population.users()
-    timelines = population.timelines() if detector.needs_timeline else None
-    now = population.now
-    classifier = batch_classifier(detector)
-    return {
-        "fc_rows": int(rows),
-        "repeats": int(repeats),
-        "fc_batch_seconds": round(measure_wallclock(
-            lambda: classifier.predict(users, timelines, now), repeats), 6),
-    }
-
-
-def measure_engine_wallclock(*, rows: int = WALLCLOCK_ROWS,
-                             repeats: int = WALLCLOCK_REPEATS,
-                             seed: int = 0) -> Dict[str, object]:
-    """Per-engine criteria timings: per-account loop vs columnar masks.
-
-    One generated population classified by each rule-based engine's
-    criteria both ways, timed like :func:`measure_fc_wallclock`.  The
-    scalar side is the per-account reference loop (one ``classify``
-    call per user object); the batch side is ``classify_all`` on the
-    input the engines really receive from ``users/lookup``, a
-    :class:`~repro.twitter.columnar.schema.UserRowBlock` of structured
-    rows, so block construction (the
-    :class:`~repro.api.columns.SampleBlock` field views) is
-    timed inside it.  Object materialisation happens at acquisition
-    time and is timed in neither.  Socialbakers reads timelines, so
-    its rows carry production-depth
-    (:data:`~repro.api.crawler.TIMELINE_PAGE`) timelines: the columnar
-    side reads their flag columns, while the scalar side classifies the
-    same tweets pre-rendered (rendering is timed in neither, as
-    acquisition is not).  The other two classify profiles only.
-    """
-    from ..analytics.statuspeople import StatusPeopleCriteria
-    from ..analytics.twitteraudit import TwitterauditCriteria
-    from ..api.crawler import TIMELINE_PAGE
-    from ..fc.dataset import build_gold_standard
-    from ..fc.rulesets import SocialbakersCriteria
-    from ..twitter.columnar.schema import UserRowBlock
-
-    population = build_gold_standard(
-        n_fake=rows - rows // 2, n_genuine=rows // 2, seed=seed + 211,
-        timeline_depth=TIMELINE_PAGE)
-    users = population.users()
-    timelines = population.timelines()
-    rendered = [timeline.tweets() for timeline in timelines]
-    now = population.now
-    doc: Dict[str, object] = {
-        "engine_rows": int(rows),
-        "repeats": int(repeats),
-    }
-    block_users = UserRowBlock.from_users(users)
-    cases = (
-        ("sp", StatusPeopleCriteria(), None),
-        ("sb", SocialbakersCriteria(), timelines),
-        ("ta", TwitterauditCriteria(), None),
-    )
-    for prefix, criteria, tls in cases:
-        pairs = list(zip(users, rendered if tls is not None
-                         else [None] * len(users)))
-        scalar_seconds = round(measure_wallclock(
-            lambda c=criteria, p=pairs: [c.classify(user, timeline, now)
-                                         for user, timeline in p],
-            repeats), 6)
-        doc[f"{prefix}_scalar_seconds"] = scalar_seconds
-        batch_seconds = round(measure_wallclock(
-            lambda c=criteria, t=tls: c.classify_all(block_users, t, now),
-            repeats), 6)
-        doc[f"{prefix}_batch_seconds"] = batch_seconds
-        doc[f"{prefix}_batch_speedup"] = round(
-            scalar_seconds / batch_seconds, 6) if batch_seconds else 0.0
-    return doc
 
 
 def measure_delta(*, seed: int = 0,
@@ -265,7 +164,6 @@ def measure_delta(*, seed: int = 0,
 
 
 def run_perf_workload(workload: Dict[str, object], *,
-                      wallclock: bool = False,
                       delta: bool = False
                       ) -> Tuple[Dict[str, object], Observability, object]:
     """Execute one workload and return ``(perf_doc, obs, batch_report)``.
@@ -273,10 +171,9 @@ def run_perf_workload(workload: Dict[str, object], *,
     Runs under its own :class:`~repro.obs.runtime.Observability`
     (nesting restores whatever context the caller had), so a recording
     never mixes spans with an outer ``--trace-out`` run.  With
-    ``wallclock=True`` the document gains the opt-in real-time FC
-    section from :func:`measure_fc_wallclock`; with ``delta=True`` the
-    opt-in watermarked re-audit section from :func:`measure_delta`;
-    everything else in the document is unaffected.
+    ``delta=True`` the document gains the opt-in watermarked re-audit
+    section from :func:`measure_delta`; everything else in the document
+    is unaffected.
     """
     seed = int(workload["seed"])  # type: ignore[arg-type]
     targets = list(workload["targets"])  # type: ignore[call-overload]
@@ -295,10 +192,6 @@ def run_perf_workload(workload: Dict[str, object], *,
         scheduler.submit_batch(
             [AuditRequest(target=account.handle) for account in accounts])
         batch = scheduler.run()
-    measured = ({**measure_fc_wallclock(seed=seed),
-                 **measure_engine_wallclock(seed=seed)}
-                if wallclock else None)
     reaudit = measure_delta(seed=seed) if delta else None
-    doc = collect_perf(obs, batch, workload, wallclock=measured,
-                       delta=reaudit)
+    doc = collect_perf(obs, batch, workload, delta=reaudit)
     return doc, obs, batch

@@ -8,7 +8,7 @@ from .cost import (
     rank_by_cost,
     select_under_budget,
 )
-from .dataset import GoldExample, GoldStandard, build_gold_standard
+from .dataset import GoldStandard, build_gold_standard
 from .engine import (
     FC_INACTIVITY_HORIZON,
     FC_SAMPLE_SIZE,
@@ -65,7 +65,6 @@ __all__ = [
     "FeatureCache",
     "FeatureSet",
     "FULL_FEATURE_SET",
-    "GoldExample",
     "GoldStandard",
     "PROFILE_FEATURE_SET",
     "RandomForest",

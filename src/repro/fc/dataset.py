@@ -5,7 +5,9 @@ standard of Twitter accounts, where fake followers, inactive, and
 genuine accounts were a priori known" (paper, Section III) — built from
 verified human volunteers and fake followers *actually purchased* from
 sellers.  Our substrate equivalent samples accounts straight from the
-persona library, so labels are known a priori by construction, and
+persona library as one
+:class:`~repro.twitter.columnar.schema.UserRowBlock`, so labels are
+known a priori by construction (the rows' ``label`` column), and
 generates each account's recent timeline exactly as a crawler would
 retrieve it (a lazily rendered
 :class:`~repro.twitter.timeline.TimelineBlock`, so profile-only
@@ -14,19 +16,18 @@ training never pays for tweet text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..api.endpoints import UserObject
 from ..core.errors import ConfigurationError, TrainingError
 from ..core.rng import make_rng
 from ..core.timeutil import PAPER_EPOCH
-from ..twitter.account import Label
-from ..twitter.columns import sample_accounts
+from ..twitter.account import LABELS, Label
+from ..twitter.columnar.schema import ACCOUNT_DTYPE, UserRowBlock
+from ..twitter.columns import sample_keyed
 from ..twitter.personas import PERSONAS
-from ..twitter.timeline import TimelineGenerator, TimelineProfiles
+from ..twitter.timeline import TimelineGenerator
 from ..twitter.tweet import Tweet
 from .features import FeatureSet
 
@@ -34,29 +35,28 @@ from .features import FeatureSet
 ACTIVE_FAKE_PERSONAS = ("fake_classic", "fake_spammer")
 ACTIVE_GENUINE_PERSONAS = ("genuine_active", "genuine_newbie")
 INACTIVE_PERSONAS = ("genuine_abandoned", "fake_egg_dormant")
-
-
-@dataclass(frozen=True)
-class GoldExample:
-    """One labelled account with its retrievable timeline."""
-
-    user: UserObject
-    timeline: Sequence[Tweet]
-    label: Label
-
-    @property
-    def is_fake(self) -> int:
-        """Binary target for the fake-vs-genuine classifier (1 = fake)."""
-        return 1 if self.label is Label.FAKE else 0
+#: The ``label`` code of a fake account.
+_FAKE = LABELS.index(Label.FAKE)
 
 
 class GoldStandard:
-    """A labelled collection with feature extraction and splitting."""
+    """A labelled collection with feature extraction and splitting.
 
-    def __init__(self, examples: Sequence[GoldExample], now: float) -> None:
-        if not examples:
+    ``rows`` holds one account per example, whose ``label`` column is
+    its a-priori label, and ``timelines`` one retrievable timeline per
+    row.
+    """
+
+    def __init__(self, rows: UserRowBlock, timelines: Sequence,
+                 now: float) -> None:
+        if not len(rows):
             raise TrainingError("gold standard must be non-empty")
-        self._examples = tuple(examples)
+        if len(timelines) != len(rows):
+            raise ConfigurationError(
+                f"gold standard has {len(rows)} rows and "
+                f"{len(timelines)} timelines")
+        self._rows = rows
+        self._timelines = tuple(timelines)
         self._now = now
 
     @property
@@ -64,39 +64,37 @@ class GoldStandard:
         """Observation instant all examples were captured at."""
         return self._now
 
-    @property
-    def examples(self) -> Tuple[GoldExample, ...]:
-        """The labelled examples, in order."""
-        return self._examples
-
     def __len__(self) -> int:
-        return len(self._examples)
+        return len(self._rows)
 
     def labels(self) -> np.ndarray:
         """Binary labels (1 = fake)."""
-        return np.array([e.is_fake for e in self._examples], dtype=np.int64)
+        return (self._rows.rows["label"] == _FAKE).astype(np.int64)
 
     def three_way_labels(self) -> List[Label]:
         """Ground-truth labels in the paper's three-way taxonomy."""
-        return [e.label for e in self._examples]
+        return [LABELS[code] for code in self._rows.rows["label"].tolist()]
 
-    def users(self) -> List[UserObject]:
-        """The examples' public profile objects."""
-        return [e.user for e in self._examples]
+    def users(self) -> UserRowBlock:
+        """The examples' profiles, one row each."""
+        return self._rows
 
     def timelines(self) -> List[Sequence[Tweet]]:
         """The examples' retrievable timelines."""
-        return [e.timeline for e in self._examples]
+        return list(self._timelines)
 
     def design_matrix(self, feature_set: FeatureSet) -> np.ndarray:
         """Extract the feature matrix for all examples."""
         return feature_set.extract_matrix(
-            self.users(), self.timelines(), self._now)
+            self._rows, self._timelines, self._now)
 
     def subset(self, indices: Sequence[int]) -> "GoldStandard":
         """A new gold standard containing only the given indices."""
+        indices = np.asarray(indices, dtype=np.intp)
         return GoldStandard(
-            [self._examples[i] for i in indices], self._now)
+            UserRowBlock(self._rows.rows[indices]),
+            [self._timelines[index] for index in indices.tolist()],
+            self._now)
 
     def split(self, train_fraction: float = 0.7,
               seed: int = 0) -> Tuple["GoldStandard", "GoldStandard"]:
@@ -105,7 +103,7 @@ class GoldStandard:
             raise ConfigurationError(
                 f"train_fraction must be in (0, 1): {train_fraction!r}")
         rng = make_rng(seed, "gold-split")
-        indices = list(range(len(self._examples)))
+        indices = list(range(len(self)))
         rng.shuffle(indices)
         cut = max(1, min(len(indices) - 1,
                          int(round(len(indices) * train_fraction))))
@@ -133,28 +131,29 @@ def build_gold_standard(
     if n_inactive < 0:
         raise ConfigurationError(f"n_inactive must be >= 0: {n_inactive!r}")
     rng = make_rng(seed, "gold")
-    timelines = TimelineGenerator(seed)
-    examples: List[GoldExample] = []
+    generator = TimelineGenerator(seed)
+    records: list = []
+    timelines: list = []
 
     def add(count: int, persona_names: Sequence[str]) -> None:
         personas = [PERSONAS[persona_names[index % len(persona_names)]]
                     for index in range(count)]
         keys = [rng.getrandbits(64) for __ in range(count)]
-        user_ids = [(7 << 56) | (len(examples) + 1 + index)
+        user_ids = [(7 << 56) | (len(records) + 1 + index)
                     for index in range(count)]
-        accounts = sample_accounts(personas, keys, user_ids, now)
-        for persona, account, timeline in zip(
-                personas, accounts, timelines.timelines(
-                    TimelineProfiles.of(accounts), timeline_depth)):
-            examples.append(GoldExample(
-                user=UserObject.from_account(account),
-                timeline=timeline,
-                label=persona.label,
-            ))
+        columns = sample_keyed(personas, keys, user_ids, now)
+        records.extend(columns.profile_rows())
+        timelines.extend(generator.timelines(columns.timeline_profiles(),
+                                             timeline_depth))
 
     add(n_fake, ACTIVE_FAKE_PERSONAS)
     add(n_genuine, ACTIVE_GENUINE_PERSONAS)
     if n_inactive:
         add(n_inactive, INACTIVE_PERSONAS)
-    rng.shuffle(examples)
-    return GoldStandard(examples, now)
+    # random.shuffle draws only from the length and the rng state, so
+    # shuffling positions permutes the examples as shuffling them would.
+    order = list(range(len(records)))
+    rng.shuffle(order)
+    rows = np.array(records, dtype=ACCOUNT_DTYPE)[order]
+    return GoldStandard(UserRowBlock(rows),
+                        [timelines[index] for index in order], now)

@@ -269,8 +269,8 @@ class FeatureSet:
     def extract_block(self, view: SampleBlock, now: float) -> np.ndarray:
         """The design matrix: one float64 row per user, column by column.
 
-        Every class-A column reads the view's profile columns (one
-        attribute sweep, or none for a row block); class-B columns read
+        Every class-A column reads the view's profile columns (field
+        views of its rows); class-B columns read
         the timelines' flag and body-key columns
         (:func:`repro.api.columns.timeline_stat_columns`).
         """

@@ -28,21 +28,18 @@ from .metrics import Histogram
 
 #: Format version of ``BENCH_perf.json``.  Bump on shape changes; the
 #: differ treats a version mismatch as an automatic breach.  The
-#: optional ``wallclock`` and ``delta`` sections are additive —
-#: documents with and without them share the schema (see
-#: :func:`diff_perf`'s skip rule).
+#: optional ``delta`` section is additive — documents with and without
+#: it share the schema (see :func:`diff_perf`'s skip rule).
 PERF_SCHEMA = 1
 
 
 def measure_wallclock(fn: Callable[[], object], repeats: int = 5) -> float:
     """Median of ``repeats`` monotonic timings of ``fn()``, in seconds.
 
-    The **wallclock** measurement class: unlike every other number in a
-    perf document these are real, machine-local timings — not
-    byte-stable, not comparable across hosts, useful only as
-    order-of-magnitude regression tripwires under a generous tolerance
-    (:attr:`PerfTolerances.wallclock_pct`).  The median of an odd ``k``
-    (the upper middle for even ``k``) shrugs off one slow outlier run.
+    Real, machine-local timings for the wall-clock benchmarks — not
+    byte-stable and not comparable across hosts, so no perf document
+    carries them.  The median of an odd ``k`` (the upper middle for
+    even ``k``) shrugs off one slow outlier run.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1: {repeats!r}")
@@ -79,7 +76,6 @@ def _family_sum(registry, name: str, **match: object) -> float:
 
 
 def collect_perf(obs, report, workload: Dict[str, object], *,
-                 wallclock: Optional[Dict[str, object]] = None,
                  delta: Optional[Dict[str, object]] = None
                  ) -> Dict[str, object]:
     """Assemble the canonical perf document from one observed batch run.
@@ -88,19 +84,14 @@ def collect_perf(obs, report, workload: Dict[str, object], *,
     executed under, ``report`` the scheduler's
     :class:`~repro.sched.report.BatchReport`, and ``workload`` the
     parameters that produced it (recorded verbatim so ``perf diff``
-    can re-run the identical workload later).  ``wallclock`` — when
-    provided — is stored as an additional ``wallclock`` section of
-    real-time measurements; it is the only part of the document that
-    is *not* byte-stable across machines (see
-    :func:`measure_wallclock`), and the differ treats its keys as
-    optional on either side.  ``delta`` — when provided — is the
+    can re-run the identical workload later).  ``delta`` — when
+    provided — is the
     **delta** measurement class (see
     :func:`repro.experiments.perf.measure_delta`): the API-call and
     makespan bills of a watermarked fleet re-audit sweep against a
     full one.  Every number in it comes off the simulated clock, so
     the whole section is deterministic and gates at the counter
-    tolerance; its keys are optional on either side like the other
-    opt-in classes.
+    tolerance; its keys are optional on either side.
     """
     attributions = attribute_all(obs.tracer)
     totals = phase_totals(attributions)
@@ -149,8 +140,6 @@ def collect_perf(obs, report, workload: Dict[str, object], *,
             "idle_seconds": _round(path["idle_seconds"]),  # type: ignore[arg-type]
         },
     }
-    if wallclock is not None:
-        doc["wallclock"] = dict(wallclock)
     if delta is not None:
         doc["delta"] = dict(delta)
     return doc
@@ -192,17 +181,13 @@ class PerfTolerances:
 
     Timing classes are relative (percent of the baseline value); hit
     ratios compare absolutely.  A baseline value of zero tolerates
-    only zero (any appearance of a new cost is a breach).  The
-    ``wallclock`` class is deliberately loose: real timings swing with
-    machine load, so only order-of-magnitude regressions should trip
-    the gate.
+    only zero (any appearance of a new cost is a breach).
     """
 
     makespan_pct: float = 5.0
     phase_pct: float = 10.0
     counter_pct: float = 10.0
     ratio_abs: float = 0.05
-    wallclock_pct: float = 200.0
 
 
 @dataclass(frozen=True)
@@ -236,8 +221,6 @@ def _flatten(doc: Dict[str, object], prefix: str = ""
 def _tolerance_for(key: str, tolerances: PerfTolerances
                    ) -> Tuple[str, float]:
     """The tolerance class of one flattened key: (kind, limit)."""
-    if key.startswith("wallclock."):
-        return "pct", tolerances.wallclock_pct
     if key.startswith("delta."):
         # Entirely simulated-clock numbers (even the makespans), so
         # the whole class is deterministic and gates like a counter.
@@ -261,11 +244,10 @@ def diff_perf(baseline: Dict[str, object], current: Dict[str, object],
     itself a breach.  Every other numeric leaf is compared under its
     tolerance class; non-numeric leaves (critical-path lane names)
     must be equal.  Missing or extra leaves always breach — except
-    ``wallclock.*`` and ``delta.*`` leaves, which are opt-in
-    measurement classes: a baseline recorded with ``--wallclock`` or
-    ``--delta`` must still gate a current document recorded without
-    them (and vice versa), so a leaf of either class present on only
-    one side is skipped, not breached.
+    ``delta.*`` leaves, an opt-in measurement class: a baseline
+    recorded with ``--delta`` must still gate a current document
+    recorded without it (and vice versa), so a leaf of that class
+    present on only one side is skipped, not breached.
     """
     if tolerances is None:
         tolerances = PerfTolerances()
@@ -274,7 +256,7 @@ def diff_perf(baseline: Dict[str, object], current: Dict[str, object],
     breaches: List[PerfBreach] = []
     compared = 0
     for key in sorted(set(base_flat) | set(cur_flat)):
-        optional = key.startswith(("wallclock.", "delta."))
+        optional = key.startswith("delta.")
         if key not in cur_flat:
             if optional:
                 continue

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from .api.endpoints import UserObject
 from .audit import AuditReport
 from .core.errors import ConfigurationError
-from .fc.dataset import GoldExample, GoldStandard
-from .twitter.account import BehaviorProfile, Label
+from .fc.dataset import GoldStandard
+from .twitter.account import LABELS, BehaviorProfile, Label
+from .twitter.columnar.schema import UserRowBlock
 from .twitter.population import (
     FollowerSegmentSpec,
     PostRefBurst,
@@ -284,12 +285,12 @@ def gold_standard_to_dict(gold: GoldStandard) -> Dict[str, Any]:
         "now": gold.now,
         "examples": [
             {
-                "user": _user_to_dict(example.user),
-                "timeline": [_tweet_to_dict(tweet)
-                             for tweet in example.timeline],
-                "label": example.label.value,
+                "user": _user_to_dict(user),
+                "timeline": [_tweet_to_dict(tweet) for tweet in timeline],
+                "label": label.value,
             }
-            for example in gold.examples
+            for user, timeline, label in zip(
+                gold.users(), gold.timelines(), gold.three_way_labels())
         ],
     }
 
@@ -297,15 +298,14 @@ def gold_standard_to_dict(gold: GoldStandard) -> Dict[str, Any]:
 def gold_standard_from_dict(payload: Dict[str, Any]) -> GoldStandard:
     """Rebuild a gold standard serialized by :func:`gold_standard_to_dict`."""
     _require_version(payload, "gold_standard")
-    examples: List[GoldExample] = []
-    for item in payload["examples"]:
-        examples.append(GoldExample(
-            user=_user_from_dict(item["user"]),
-            timeline=tuple(_tweet_from_dict(tweet)
-                           for tweet in item["timeline"]),
-            label=Label(item["label"]),
-        ))
-    return GoldStandard(examples, payload["now"])
+    items = payload["examples"]
+    users = UserRowBlock.from_users(
+        [_user_from_dict(item["user"]) for item in items])
+    users.rows["label"] = [LABELS.index(Label(item["label"]))
+                           for item in items]
+    timelines = [tuple(_tweet_from_dict(tweet) for tweet in item["timeline"])
+                 for item in items]
+    return GoldStandard(users, timelines, payload["now"])
 
 
 # ---------------------------------------------------------------------------

@@ -215,19 +215,20 @@ def sample_columns(bits: np.ndarray, uniforms: np.ndarray,
     return FollowerColumns(user_ids, groups)
 
 
-def sample_accounts(personas: Sequence, keys: Sequence[int],
-                    user_ids: Sequence[int], now: float) -> List[Account]:
-    """Accounts of ``personas[i]`` keyed by ``keys[i]``, for object callers.
+def sample_keyed(personas: Sequence, keys: Sequence[int],
+                 user_ids: Sequence[int], now: float) -> FollowerColumns:
+    """Columns of ``personas[i]`` keyed by ``keys[i]``, uncapped.
 
     The FC gold standard and the ambient pool draw each key from their
-    own stream (``rng.getrandbits(64)``) and build accounts here,
-    uncapped, through the same column samplers as every follower.
+    own stream (``rng.getrandbits(64)``) and sample here, through the
+    same column samplers as every follower; object callers take
+    :meth:`FollowerColumns.accounts`.
     """
     distinct = list(dict.fromkeys(personas))
     picks = np.array([distinct.index(persona) for persona in personas],
                      dtype=np.int64)
     caps = np.full(len(keys), np.inf)
     bits, uniforms = draw_matrix(np.array(keys, dtype=np.uint64))
-    columns = sample_columns(bits, uniforms, distinct, picks, now, caps,
-                             np.array(user_ids, dtype=np.int64))
-    return columns.accounts()
+    return sample_columns(bits, uniforms, distinct, picks, now, caps,
+                          np.array(user_ids, dtype=np.int64))
+

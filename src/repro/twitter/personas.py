@@ -28,7 +28,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..core.timeutil import DAY, TWITTER_LAUNCH, YEAR
 from .account import STRING_WIDTHS, Account, Label
-from .columns import sample_accounts
+from .columns import sample_keyed
 from .draws import Draws, LogNormalTable
 from .names import bot_handles, display_names, human_handles
 
@@ -163,8 +163,8 @@ class Persona:
         ``rng.getrandbits(64)`` and the account comes from the same
         column sampler as every follower, uncapped.
         """
-        return sample_accounts([self], [rng.getrandbits(64)], [user_id],
-                               now)[0]
+        return sample_keyed([self], [rng.getrandbits(64)], [user_id],
+                            now).accounts()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
+    SampleBlock,
     StatusPeopleCriteria,
     TwitterauditCriteria,
-    build_sample_block,
 )
 from repro.api import UserObject
 from repro.core import ConfigurationError, DAY, PAPER_EPOCH, YEAR
@@ -86,7 +86,7 @@ def assert_matches_oracle(verdicts, oracle):
 class TestMaskPipelineEdges:
     def test_empty_sample(self, name, criteria, timelined):
         timelines = [] if timelined else None
-        block = build_sample_block([], timelines)
+        block = SampleBlock([], timelines)
         assert len(block) == 0
         verdicts = criteria.classify_block(block, NOW)
         assert len(verdicts) == 0
@@ -142,3 +142,52 @@ class TestMaskPipelineEdges:
                 == oracle.fires[rule], rule
         assert with_sink.codes.tolist() == \
             criteria.classify_all(MIXED, timelines, NOW).codes.tolist()
+
+
+#: Every raw profile column of a :class:`SampleBlock`.
+PROFILE_COLUMNS = ("followers", "friends", "statuses", "created_at",
+                   "last_status_at", "descriptions", "locations", "urls",
+                   "names", "default_image", "screen_names")
+TEXT_COLUMNS = ("descriptions", "locations", "urls", "names",
+                "screen_names")
+#: MIXED plus blank-but-not-empty text.
+SAMPLE = MIXED + [make_user(user_id=9, description=" \t", location="\n",
+                            name=" ", url="  x ")]
+
+
+def assert_same_view(view, reference):
+    assert len(view) == len(reference)
+    assert view.user_ids == reference.user_ids
+    for column in PROFILE_COLUMNS:
+        ours, theirs = getattr(view, column), getattr(reference, column)
+        assert ours.dtype == theirs.dtype, column
+        assert ours.tobytes() == theirs.tobytes(), column
+    for column in TEXT_COLUMNS:
+        assert view.nonblank(column).tolist() == \
+            reference.nonblank(column).tolist(), column
+
+
+class TestSampleBlock:
+    def test_a_plain_list_reads_as_its_row_block(self):
+        timelines = [[] for __ in SAMPLE]
+        assert_same_view(SampleBlock(SAMPLE, timelines),
+                         SampleBlock(UserRowBlock.from_users(SAMPLE)))
+        assert SampleBlock(SAMPLE).nonblank("descriptions").tolist() == \
+            [bool(user.description.strip()) for user in SAMPLE]
+
+    def test_take_of_a_take_reads_through(self):
+        timelines = [[f"t{user.user_id}"] for user in SAMPLE]
+        block = SampleBlock(SAMPLE, timelines)
+        block.nonblank("locations")     # a parent mask cached first
+        inner = block.take([8, 1, 3, 1, 0]).take([2, 0, 3])
+        chosen = [SAMPLE[index] for index in (3, 8, 1)]
+        assert_same_view(inner, SampleBlock(chosen))
+        assert inner.timelines == [timelines[index] for index in (3, 8, 1)]
+        assert len(block.take([]).take([])) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(description="bio\x00"), dict(name="n" * 100)],
+        ids=["trailing-nul", "too-long"])
+    def test_lossy_text_is_refused_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError, match="cannot round-trip"):
+            SampleBlock(MIXED + [make_user(user_id=99, **overrides)])

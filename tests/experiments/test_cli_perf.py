@@ -110,55 +110,3 @@ class TestPerfDiff:
         stub.write_text('{"schema": 1}', encoding="utf-8")
         with pytest.raises(ConfigurationError, match="no workload"):
             main(["perf", "diff", str(stub)])
-
-
-class TestPerfWallclock:
-    @pytest.fixture(autouse=True)
-    def fast_wallclock(self, monkeypatch):
-        # The real measurement trains a detector and times thousands of
-        # classifications; a canned section keeps the CLI test instant
-        # and deterministic.
-        import repro.experiments.perf as perf_mod
-        monkeypatch.setattr(
-            perf_mod, "measure_fc_wallclock",
-            lambda **kwargs: {"fc_rows": 2000, "repeats": 3,
-                              "fc_scalar_seconds": 1.5,
-                              "fc_batch_seconds": 0.15,
-                              "fc_batch_speedup": 10.0})
-
-    def test_record_with_wallclock_adds_the_section(self, tmp_path):
-        out = tmp_path / "wc.json"
-        assert main(["perf", "record", "--out", str(out), "--wallclock",
-                     "--targets", *SMALL, "--max-followers", "2000"]) == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["wallclock"]["fc_batch_speedup"] == 10.0
-
-    def test_record_without_the_flag_stays_wallclock_free(self, baseline):
-        doc = json.loads(baseline.read_text(encoding="utf-8"))
-        assert "wallclock" not in doc
-
-    def test_diff_tolerates_a_wallclock_only_baseline(self, baseline,
-                                                      tmp_path, capsys):
-        # Baseline recorded with --wallclock, gate re-run without it:
-        # the machine-local leaves are skipped, not breached.
-        doc = json.loads(baseline.read_text(encoding="utf-8"))
-        doc["wallclock"] = {"fc_scalar_seconds": 1.5}
-        enriched = tmp_path / "enriched.json"
-        enriched.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["perf", "diff", str(enriched),
-                     "--current", str(baseline)]) == 0
-        assert "all within tolerance" in capsys.readouterr().out
-
-    def test_wallclock_tolerance_flag_reaches_the_gate(self, baseline,
-                                                       tmp_path):
-        doc = json.loads(baseline.read_text(encoding="utf-8"))
-        doc["wallclock"] = {"fc_scalar_seconds": 1.0}
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(doc), encoding="utf-8")
-        doc["wallclock"] = {"fc_scalar_seconds": 1.4}
-        current = tmp_path / "cur.json"
-        current.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["perf", "diff", str(base),
-                     "--current", str(current)]) == 0  # +40% under 200%
-        assert main(["perf", "diff", str(base), "--current", str(current),
-                     "--wallclock-tol-pct", "10"]) == 1

@@ -247,13 +247,9 @@ class TestExtractionOracle:
     def test_both_feature_sets_match_the_oracle(self, sample):
         people = [user for user, __ in sample]
         tweets = [timeline for __, timeline in sample]
-        for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
-            assert np.array_equal(
-                feature_set.extract_matrix(people, tweets, NOW),
-                feature_oracle.extract_matrix(
-                    feature_set, people, tweets, NOW))
-        # Row blocks: every lossy user is refused, alone and in the
-        # sample; the clean users (maybe none) pack and match the oracle.
+        # A plain list is packed into rows, so every lossy user is
+        # refused, alone and in the sample; the clean users (maybe none)
+        # match the oracle as a list and as a row block.
         for user in filter(lossy, people):
             with pytest.raises(ConfigurationError):
                 UserRowBlock.from_users([user])
@@ -261,15 +257,17 @@ class TestExtractionOracle:
                  if not lossy(user)]
         if len(clean) < len(people):
             with pytest.raises(ConfigurationError):
-                UserRowBlock.from_users(people)
+                FULL_FEATURE_SET.extract_matrix(people, tweets, NOW)
         kept = [people[index] for index in clean]
         kept_tweets = [tweets[index] for index in clean]
         block = UserRowBlock.from_users(kept)
         for feature_set in (PROFILE_FEATURE_SET, FULL_FEATURE_SET):
+            expected = feature_oracle.extract_matrix(
+                feature_set, kept, kept_tweets, NOW)
             assert np.array_equal(
-                feature_set.extract_matrix(block, kept_tweets, NOW),
-                feature_oracle.extract_matrix(
-                    feature_set, kept, kept_tweets, NOW))
+                feature_set.extract_matrix(kept, kept_tweets, NOW), expected)
+            assert np.array_equal(
+                feature_set.extract_matrix(block, kept_tweets, NOW), expected)
 
     def test_edge_accounts_match_the_oracle(self):
         edge = [make_user(followers_count=0, friends_count=7),

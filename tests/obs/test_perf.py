@@ -232,7 +232,7 @@ class TestCollectPerf:
 
 
 class TestWallclockClass:
-    """The opt-in, machine-local ``wallclock`` measurement class."""
+    """``measure_wallclock``, the timer of the wall-clock benchmarks."""
 
     def test_measure_wallclock_returns_the_median(self):
         from repro.obs import measure_wallclock
@@ -244,56 +244,3 @@ class TestWallclockClass:
         from repro.obs import measure_wallclock
         with pytest.raises(ConfigurationError, match="repeats"):
             measure_wallclock(lambda: None, repeats=0)
-
-    def test_collect_perf_omits_the_section_by_default(self):
-        # The default document must stay byte-identical to pre-wallclock
-        # baselines; the section appears only when measurements are
-        # handed in.
-        assert "wallclock" not in sample_doc()
-        with_section = dict(sample_doc())
-        with_section["wallclock"] = {"fc_scalar_seconds": 1.0}
-        assert "wallclock" in with_section
-
-    def test_one_sided_wallclock_leaves_are_skipped(self):
-        # A baseline recorded with --wallclock must still gate a
-        # current recorded without it: the machine-local leaves are
-        # skipped, never breached, and not counted as compared.
-        base = sample_doc()
-        base["wallclock"] = {"fc_rows": 2000, "fc_scalar_seconds": 1.5,
-                             "fc_batch_seconds": 0.1}
-        __, plain_compared = diff_perf(sample_doc(), sample_doc())
-        breaches, compared = diff_perf(base, sample_doc())
-        assert breaches == []
-        assert compared == plain_compared
-        breaches, __ = diff_perf(sample_doc(), base)
-        assert breaches == []
-
-    def test_two_sided_wallclock_uses_the_generous_tolerance(self):
-        base = sample_doc()
-        base["wallclock"] = {"fc_scalar_seconds": 1.0}
-        current = copy.deepcopy(base)
-        current["wallclock"]["fc_scalar_seconds"] = 2.5  # +150%: fine
-        breaches, __ = diff_perf(base, current)
-        assert breaches == []
-        current["wallclock"]["fc_scalar_seconds"] = 4.0  # +300%: breach
-        breaches, __ = diff_perf(base, current)
-        assert breach_keys(breaches) == ["wallclock.fc_scalar_seconds"]
-
-    def test_wallclock_tolerance_is_configurable(self):
-        base = sample_doc()
-        base["wallclock"] = {"fc_scalar_seconds": 1.0}
-        current = copy.deepcopy(base)
-        current["wallclock"]["fc_scalar_seconds"] = 1.2
-        tight = PerfTolerances(wallclock_pct=10.0)
-        breaches, __ = diff_perf(base, current, tight)
-        assert breach_keys(breaches) == ["wallclock.fc_scalar_seconds"]
-
-    def test_measure_fc_wallclock_reports_both_paths(self):
-        # FC has one prediction path now: only the production timing
-        # is reported (the per-row oracle lives in the test suite).
-        from repro.experiments.perf import measure_fc_wallclock
-        doc = measure_fc_wallclock(rows=60, repeats=1)
-        assert doc["fc_rows"] == 60
-        assert doc["fc_batch_seconds"] > 0.0
-        assert "fc_scalar_seconds" not in doc
-        assert "fc_batch_speedup" not in doc

@@ -171,8 +171,9 @@ class TestGoldStandardRoundTrip:
         assert len(rebuilt) == len(gold)
         assert rebuilt.now == gold.now
         assert rebuilt.three_way_labels() == gold.three_way_labels()
-        assert rebuilt.users() == gold.users()
+        assert list(rebuilt.users()) == list(gold.users())
         assert rebuilt.timelines() == gold.timelines()
+        assert gold_standard_to_dict(rebuilt) == gold_standard_to_dict(gold)
 
     def test_rebuilt_gold_trains_identical_detector(self):
         from repro.fc import PROFILE_FEATURE_SET

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import PAPER_EPOCH, ConfigurationError
-from repro.twitter.columns import sample_accounts
+from repro.twitter.columns import sample_keyed
 from repro.twitter.names import digit_fraction
 from repro.twitter.personas import PERSONAS
 
@@ -45,8 +45,8 @@ BUILTIN = sorted(persona_oracle.SAMPLERS)
 def _columns_side(name):
     rng = random.Random(f"columns-{name}")
     keys = [rng.getrandbits(64) for __ in range(N)]
-    return sample_accounts([PERSONAS[name]] * N, keys,
-                           list(range(1, N + 1)), NOW)
+    return sample_keyed([PERSONAS[name]] * N, keys,
+                        list(range(1, N + 1)), NOW).accounts()
 
 
 def _oracle_side(name):
