@@ -9,9 +9,7 @@ from .detector import BurstDetector, BurstEvent
 from .monitor import GrowthMonitor, MonitorReport
 from .series import (
     GrowthSeries,
-    RollingSeries,
     RollingSeriesBlock,
-    interval_arrivals,
     series_from_observations,
 )
 
@@ -21,8 +19,6 @@ __all__ = [
     "GrowthMonitor",
     "GrowthSeries",
     "MonitorReport",
-    "RollingSeries",
     "RollingSeriesBlock",
-    "interval_arrivals",
     "series_from_observations",
 ]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.timeutil import DAY
 from .series import GrowthSeries
 
 #: Consistency constant turning a MAD into a Gaussian-comparable sigma.
@@ -94,25 +93,17 @@ class BurstDetector:
         return median, scale
 
     def detect(self, series: GrowthSeries) -> List[BurstEvent]:
-        """Return all burst days, strongest first."""
+        """Return all burst days, strongest first.
+
+        Whether a day bursts is monotone in its count, so when the
+        largest day does not burst no day does and the scan is skipped;
+        when it does not even clear ``min_excess`` over the median, the
+        MAD is never computed.
+        """
         if len(series) < 4:
             raise ConfigurationError(
                 "burst detection needs at least 4 days of history")
-        return self.detect_arrivals(series.start_time, series.arrivals,
-                                    sorted(series.arrivals))
-
-    def detect_arrivals(self, start_time: float, arrivals: Iterable[int],
-                        ordered: Sequence[int]) -> List[BurstEvent]:
-        """:meth:`detect` over a raw daily series and its sorted copy.
-
-        For callers that keep a series up to date incrementally (the
-        live detector bridge): ``arrivals`` are the daily counts from
-        ``start_time`` on, ``ordered`` the same counts sorted, at least
-        four.  Whether a day bursts is monotone in its count, so when
-        the largest day does not burst no day does and the scan is
-        skipped; when it does not even clear ``min_excess`` over the
-        median, the MAD is never computed.
-        """
+        ordered = sorted(series.arrivals)
         twice_median = _twice_median(ordered)
         if not self.may_burst(ordered[-1], twice_median):
             return []
@@ -120,10 +111,10 @@ class BurstDetector:
         if not self._is_burst(ordered[-1], median, scale):
             return []
         events = [
-            BurstEvent(day=day, start_time=start_time + day * DAY,
+            BurstEvent(day=day, start_time=series.day_start(day),
                        arrivals=count, baseline=median,
                        z_score=(count - median) / scale)
-            for day, count in enumerate(arrivals)
+            for day, count in enumerate(series.arrivals)
             if self._is_burst(count, median, scale)]
         return sorted(events, key=lambda event: event.z_score, reverse=True)
 
@@ -132,8 +123,8 @@ class BurstDetector:
         median is ``twice_median / 2`` can hold a burst day.
 
         A burst day clears ``min_excess`` over the median, so a series
-        whose largest day does not has none (:meth:`detect_arrivals`
-        returns before the MAD).  Element-wise over arrays, so a caller
+        whose largest day does not has none (:meth:`detect` returns
+        before the MAD).  Element-wise over arrays, so a caller
         holding many series decides for all of them at once.
         """
         return top - twice_median / 2 >= self._min_excess

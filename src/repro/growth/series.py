@@ -14,10 +14,8 @@ which a real monitor collects by polling ``users/show`` once a day.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,10 +54,15 @@ class GrowthSeries:
         """Total arrivals over the observed window."""
         return sum(self.arrivals)
 
+    def is_day_start(self, instant: float) -> bool:
+        """Whether ``instant`` is exactly the start of one of the days."""
+        day = round((instant - self.start_time) / DAY)
+        return (0 <= day < len(self.arrivals)
+                and self.start_time + day * DAY == instant)
+
 
 def series_from_observations(
-        observations: Sequence[Tuple[float, int]],
-        *, clip_negative: bool = True) -> GrowthSeries:
+        observations: Sequence[Tuple[float, int]]) -> GrowthSeries:
     """Build a growth series from dated follower-count readings.
 
     ``observations`` are ``(timestamp, followers_count)`` pairs, at
@@ -75,122 +78,52 @@ def series_from_observations(
     spreads the count, with the remainder going to the earliest days.
 
     A follower *counter* conflates arrivals with departures: a day of
-    net churn shows a decrease.  With ``clip_negative`` (the default,
-    what a real monitor must do) such intervals are recorded as zero
-    arrivals; pass ``clip_negative=False`` to insist on a
-    churn-free series and get an error instead.
+    net churn shows a decrease, recorded as zero arrivals.  The series
+    is the one-row case of :class:`RollingSeriesBlock`'s intervals.
     """
     if len(observations) < 2:
         raise ConfigurationError("need at least two observations")
-    times = [t for t, __ in observations]
-    if times != sorted(times) or len(set(times)) != len(times):
+    times = np.array([t for t, __ in observations], dtype=np.float64)
+    if not (times[1:] > times[:-1]).all():
         raise ConfigurationError("observations must be strictly chronological")
-    deltas: List[int] = []
-    for (before_t, before), (after_t, after) in zip(
-            observations, observations[1:]):
-        deltas.extend(interval_arrivals(before_t, before, after_t, after,
-                                        clip_negative=clip_negative))
-    return GrowthSeries(start_time=times[0], arrivals=tuple(deltas))
-
-
-def interval_arrivals(before_t: float, before: int, after_t: float,
-                      after: int, *, clip_negative: bool = True) -> List[int]:
-    """The daily arrivals between two consecutive follower-count readings.
-
-    The single gap-normalisation step behind
-    :func:`series_from_observations` and the live detector bridge: a
-    decrease is clipped to zero arrivals (or rejected without
-    ``clip_negative``), and the interval's arrivals are split over the
-    ``round(gap / DAY)`` days it spans (at least one), the ``divmod``
-    remainder going to the earliest days.
-    """
-    if after < before:
-        if not clip_negative:
-            raise ConfigurationError(
-                "follower counts decreased (churn); pass "
-                "clip_negative=True to record such days as zero")
-        delta = 0
-    else:
-        delta = after - before
-    gap_days = max(1, int(round((after_t - before_t) / DAY)))
-    base, remainder = divmod(delta, gap_days)
-    return [base + 1] * remainder + [base] * (gap_days - remainder)
-
-
-class RollingSeries:
-    """The daily series of the latest ``max_readings`` readings, kept live.
-
-    A live monitor appends one follower-count reading at a time; this
-    keeps :func:`series_from_observations` of the held readings up to
-    date without rebuilding it.  Each new reading extends the arrivals
-    by its interval's days (:func:`interval_arrivals`); once the window
-    is full, the oldest reading rolls off and takes its interval's days
-    with it.  ``ordered`` holds the same arrivals sorted, for the
-    detector's median.
-    """
-
-    def __init__(self, max_readings: int) -> None:
-        if max_readings < 2:
-            raise ConfigurationError(
-                f"max_readings must be >= 2: {max_readings!r}")
-        self.readings: Deque[Tuple[float, int]] = deque(maxlen=max_readings)
-        self.arrivals: List[int] = []
-        self.ordered: List[int] = []
-        #: Days each held interval contributed, oldest first.
-        self._spans: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-    @property
-    def start_time(self) -> float:
-        """The instant day 0 begins: the oldest held reading's time."""
-        return self.readings[0][0]
-
-    def append(self, t: float, count: int) -> None:
-        """Add a reading, strictly later than the latest held one.
-
-        Raises :class:`ConfigurationError`, changing nothing, for a
-        reading at or before the latest one.
-        """
-        readings = self.readings
-        if readings:
-            last_t, last = readings[-1]
-            if not t > last_t:
-                raise ConfigurationError(
-                    f"reading at {t!r} is not after the previous "
-                    f"reading at {last_t!r}")
-            days = interval_arrivals(last_t, last, t, count)
-            if len(readings) == readings.maxlen:
-                rolled = self._spans.pop(0)
-                for value in self.arrivals[:rolled]:
-                    del self.ordered[bisect_left(self.ordered, value)]
-                del self.arrivals[:rolled]
-            self._spans.append(len(days))
-            self.arrivals.extend(days)
-            for value in days:
-                insort(self.ordered, value)
-        readings.append((t, count))
-
-    def is_day_start(self, instant: float) -> bool:
-        """Whether ``instant`` is exactly the start of a held day."""
-        start = self.start_time
-        day = round((instant - start) / DAY)
-        return 0 <= day < len(self.arrivals) and start + day * DAY == instant
+    counts = np.array([count for __, count in observations], dtype=np.int64)
+    return _series(observations[0][0],
+                   *_intervals(times[None], counts[None]))
 
 
 #: Sorts after every daily count: pads a row of days past its last.
 _PAD = np.iinfo(np.int64).max
 
 
-def _spread(delta: np.ndarray, gaps: np.ndarray,
-            days: np.ndarray) -> np.ndarray:
-    """Interval arrivals ``delta`` spread over their ``gaps`` days.
+def _intervals(times: np.ndarray, counts: np.ndarray,
+               held: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The interval rule: each row's consecutive readings as intervals.
 
-    Row ``i`` of the result holds its intervals' days in order, each
-    as :func:`interval_arrivals` splits it (the remainder on the
-    earliest days), then :data:`_PAD` up to the longest row.
+    ``times`` and ``counts`` hold one row of readings each, oldest
+    first.  Returns each interval's arrivals (a decrease counts as none)
+    and the days it spans, ``round(gap / DAY)`` and at least one; with
+    ``held``, intervals past a row's ``held[i]`` readings span 0 days.
     """
+    delta = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+    gaps = np.maximum(
+        np.rint((times[:, 1:] - times[:, :-1]) / DAY), 1).astype(np.int64)
+    if held is not None:
+        gaps[np.arange(1, times.shape[1]) >= held[:, None]] = 0
+    return delta, gaps
+
+
+def _days(delta: np.ndarray,
+          gaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(arrivals, days)``: intervals spread into each row's days.
+
+    Row ``i`` of ``arrivals`` holds its ``days[i]`` days in order, each
+    interval split by ``divmod`` over its days with the remainder on the
+    earliest, then :data:`_PAD` up to the longest row.
+    """
+    days = gaps.sum(axis=1)
+    if (gaps <= 1).all():
+        return np.where(gaps > 0, delta, _PAD), days
     spans = gaps.ravel()
     base, remainder = np.divmod(delta.ravel(), np.maximum(spans, 1))
     total = int(spans.sum())
@@ -202,21 +135,29 @@ def _spread(delta: np.ndarray, gaps: np.ndarray,
     arrivals = np.full((len(days), int(days.max())), _PAD, dtype=np.int64)
     arrivals[np.repeat(np.arange(len(days)), days), column] = \
         np.repeat(base, spans) + (within < np.repeat(remainder, spans))
-    return arrivals
+    return arrivals, days
+
+
+def _series(start_time: float, delta: np.ndarray,
+            gaps: np.ndarray) -> GrowthSeries:
+    """The :class:`GrowthSeries` of one row's intervals."""
+    arrivals, __ = _days(delta, gaps)
+    return GrowthSeries(start_time=start_time,
+                        arrivals=tuple(arrivals[0].tolist()))
 
 
 class RollingSeriesBlock:
-    """The :class:`RollingSeries` of many accounts, held as arrays.
+    """The latest ``max_readings`` follower-count readings of many accounts.
 
-    Row ``i`` holds one account's latest ``max_readings`` readings,
-    oldest first from column 0, and nothing else: its daily arrivals
-    are those of its consecutive readings (:func:`interval_arrivals`).
-    :meth:`append_page` adds one reading to each of many rows with
-    array operations; :meth:`extremes` and :meth:`peaks` answer, for
-    many rows at once, what a burst detector's first test reads (the
-    largest day, the smallest, and twice the median) without building
-    any per-account series; :meth:`series` builds one row's
-    :class:`RollingSeries` for exact per-account work.  Columns double
+    Row ``i`` holds one account's readings, oldest first from column 0,
+    and nothing else: its daily arrivals are those of its consecutive
+    readings, by the interval rule that :func:`series_from_observations`
+    applies to one row.  :meth:`append_page` adds one reading to each of
+    many rows with array operations; :meth:`extremes` and :meth:`peaks`
+    answer, for many rows at once, what a burst detector's first test
+    reads (the largest day, the smallest, and twice the median) without
+    building any per-account series; :meth:`growth` builds one row's
+    :class:`GrowthSeries` for exact per-account work.  Columns double
     as the rows' history grows, up to ``max_readings``, and rows double
     as accounts are added, so the arrays hold what the rows hold.
     """
@@ -264,7 +205,6 @@ class RollingSeriesBlock:
                     counts: np.ndarray) -> None:
         """Add ``counts[i]`` as row ``rows[i]``'s reading at ``instants[i]``.
 
-        The same readings as one :meth:`RollingSeries.append` per row.
         ``rows`` must be distinct and each reading after its row's
         latest; callers check (this changes state without checking).
         A full row drops its oldest reading.
@@ -288,17 +228,12 @@ class RollingSeriesBlock:
         self._held[rows] = held + 1
 
     def _intervals(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each row's held intervals: arrivals and days spanned, as
-        :func:`interval_arrivals` counts them (0 days past its last)."""
+        """Each row's held intervals: arrivals and days spanned
+        (0 days past its last)."""
         held = self._held[rows]
         width = int(held.max())
-        times = self._times[rows, :width]
-        counts = self._counts[rows, :width]
-        delta = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
-        gaps = np.maximum(
-            np.rint((times[:, 1:] - times[:, :-1]) / DAY), 1).astype(np.int64)
-        gaps[np.arange(1, width) >= held[:, None]] = 0
-        return delta, gaps
+        return _intervals(self._times[rows, :width],
+                          self._counts[rows, :width], held)
 
     def extremes(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(top, low)``: each row's largest and smallest daily arrivals.
@@ -319,26 +254,19 @@ class RollingSeriesBlock:
         ``top`` is the largest day and ``twice_median`` twice the
         median, both exact integers, as ``max(ordered)`` and
         ``ordered[m - 1] + ordered[m]`` (or ``2 * ordered[m]``) of the
-        row's :class:`RollingSeries`.  Each row must hold two readings.
-        The rows' days are laid out in one matrix, padded past each
-        row's last day, and sorted along the rows.
+        row's sorted days.  Each row must hold two readings.  The rows'
+        days are laid out in one matrix, padded past each row's last
+        day, and sorted along the rows.
         """
-        delta, gaps = self._intervals(rows)
-        days = gaps.sum(axis=1)
-        if (gaps <= 1).all():
-            arrivals = np.where(gaps > 0, delta, _PAD)
-        else:
-            arrivals = _spread(delta, gaps, days)
+        arrivals, days = _days(*self._intervals(rows))
         arrivals.sort(axis=1)
         picked = np.arange(len(rows))
         return arrivals[picked, days - 1], \
             arrivals[picked, (days - 1) // 2] + arrivals[picked, days // 2]
 
-    def series(self, row: int) -> RollingSeries:
-        """Row ``row``'s readings as a :class:`RollingSeries`."""
-        series = RollingSeries(self.max_readings)
+    def growth(self, row: int) -> GrowthSeries:
+        """Row ``row``'s daily arrivals; it must hold two readings."""
         held = int(self._held[row])
-        for t, count in zip(self._times[row, :held].tolist(),
-                            self._counts[row, :held].tolist()):
-            series.append(t, count)
-        return series
+        return _series(float(self._times[row, 0]),
+                       *_intervals(self._times[row:row + 1, :held],
+                                   self._counts[row:row + 1, :held]))

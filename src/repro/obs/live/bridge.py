@@ -24,8 +24,7 @@ reported days, run the exact per-handle detector.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -36,20 +35,10 @@ from .windows import PaneBlock, WindowSpec, WindowStream
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...growth.detector import BurstDetector
-    from ...growth.series import RollingSeries
 
 # repro.growth sits above the API client, which itself imports
 # repro.obs — so the bridge resolves the detector machinery lazily
 # (first use) rather than at import time.
-
-
-class _Track(NamedTuple):
-    """One handle's detection state, built from the bridge's rows."""
-
-    #: The handle's held readings as a RollingSeries.
-    series: "RollingSeries"
-    #: Start instants of the burst days already alerted on.
-    reported: Set[float]
 
 
 class DetectorBridge:
@@ -106,13 +95,6 @@ class DetectorBridge:
     def detector(self) -> "BurstDetector":
         """The detector instance evaluating each handle's series."""
         return self._detector
-
-    @property
-    def _tracks(self) -> Dict[str, _Track]:
-        """Every handle's series and reported days, built on each read."""
-        return {handle: _Track(self._series.series(row),
-                               self._reported.get(row, set()))
-                for handle, row in self._rows.items()}
 
     def stream(self, handle: str) -> Optional[WindowStream]:
         """The follower-count window stream of ``handle``, if any.
@@ -225,10 +207,8 @@ class DetectorBridge:
 
     def _evaluate(self, row: int, handle: str, now: float) -> bool:
         """The exact detector over one handle's series, and its alerts."""
-        series = self._series.series(row)
-        start = series.start_time
-        bursts = self._detector.detect_arrivals(start, series.arrivals,
-                                                series.ordered)
+        series = self._series.growth(row)
+        bursts = self._detector.detect(series)
         alert = f"burst:{handle}"
         reported = self._reported.get(row, set())
         if not (bursts or reported or self._alerts.is_active(alert)):
@@ -255,7 +235,7 @@ class DetectorBridge:
         # The latest completed day is burst-free: the spike is over.
         latest = len(series) - 1
         if self._alerts.is_active(alert) \
-                and start + latest * DAY not in burst_starts:
+                and series.day_start(latest) not in burst_starts:
             self._alerts.resolve(now, alert, day=latest)
         if not (reported or self._alerts.is_active(alert)):
             self._reported.pop(row, None)

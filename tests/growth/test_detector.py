@@ -108,13 +108,13 @@ def full_detection(values, threshold, min_excess):
 
 
 class TestShortCircuit:
-    """``detect_arrivals`` skips the MAD when no day clears ``min_excess``;
-    its answer must be the full computation's."""
+    """``detect`` skips the MAD when no day clears ``min_excess``; its
+    answer must be the full computation's."""
 
     @staticmethod
     def check(values, threshold, min_excess):
         detector = BurstDetector(threshold=threshold, min_excess=min_excess)
-        events = detector.detect_arrivals(0.0, values, sorted(values))
+        events = detector.detect(series(values))
         assert [(event.day, event.arrivals, event.baseline, event.z_score)
                 for event in events] \
             == full_detection(values, threshold, min_excess)

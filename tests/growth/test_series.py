@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.growth import (
     GrowthSeries,
-    RollingSeries,
     RollingSeriesBlock,
-    interval_arrivals,
     series_from_observations,
 )
+
+from ..obs.bridge_oracle import rebuild_arrivals
 
 
 class TestGrowthSeries:
@@ -28,11 +28,27 @@ class TestGrowthSeries:
         assert series.day_start(2) == 100.0 + 2 * DAY
         with pytest.raises(ConfigurationError):
             series.day_start(3)
+        assert all(series.is_day_start(series.day_start(day))
+                   for day in range(3))
+        assert not series.is_day_start(100.0 + 1.0)
+        assert not series.is_day_start(100.0 - DAY)
+        assert not series.is_day_start(100.0 + 3 * DAY)
 
     def test_total_and_len(self):
         series = GrowthSeries(start_time=0.0, arrivals=(5, 7))
         assert len(series) == 2
         assert series.total() == 12
+
+
+#: One reading after another: (seconds since the previous reading, a
+#: daily, multi-day or sub-day gap; count change, organic, a decrease,
+#: a burst or none).
+_STEP = st.tuples(
+    st.one_of(st.floats(0.6 * DAY, 1.4 * DAY),
+              st.floats(1.5 * DAY, 4.4 * DAY),
+              st.floats(60.0, 0.49 * DAY)),
+    st.one_of(st.integers(80, 120), st.integers(-300, -1),
+              st.integers(2_000, 20_000), st.just(0)))
 
 
 class TestFromObservations:
@@ -57,100 +73,63 @@ class TestFromObservations:
             [(0.0, 100), (DAY, 90), (2 * DAY, 150)])
         assert series.arrivals == (0, 60)
 
-    def test_strict_mode_rejects_decreases(self):
-        with pytest.raises(ConfigurationError):
-            series_from_observations(
-                [(0.0, 100), (DAY, 90)], clip_negative=False)
-
     def test_gap_spreads_arrivals_remainder_first(self):
         series = series_from_observations(
             [(0.0, 100), (3 * DAY + 600.0, 111), (4 * DAY, 111)])
         assert series.arrivals == (4, 4, 3, 0)
 
-
-class TestIntervalArrivals:
-    def test_one_day(self):
-        assert interval_arrivals(0.0, 100, DAY, 130) == [30]
-
-    def test_sub_day_gap_counts_as_one_day(self):
-        assert interval_arrivals(0.0, 100, 0.3 * DAY, 130) == [30]
-
-    def test_decrease_clips_or_raises(self):
-        assert interval_arrivals(0.0, 100, 2 * DAY, 90) == [0, 0]
-        with pytest.raises(ConfigurationError):
-            interval_arrivals(0.0, 100, DAY, 90, clip_negative=False)
-
-
-class TestRollingSeries:
-    @settings(max_examples=100, deadline=None)
-    @given(steps=st.lists(
-        st.tuples(st.floats(60.0, 4.4 * DAY), st.integers(-50, 5000)),
-        min_size=1, max_size=40),
-        max_readings=st.integers(2, 12))
-    def test_equals_a_rebuild_of_the_held_readings(self, steps,
-                                                   max_readings):
-        rolling = RollingSeries(max_readings)
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(_STEP, min_size=1, max_size=40))
+    def test_equals_the_oracle(self, steps):
+        """Sub-day gaps, multi-day gaps and decreases, day for day as
+        the spelled-out interval loop of the bridge's oracle."""
         t, count = PAPER_EPOCH, 1000
         readings = [(t, count)]
-        rolling.append(t, count)
         for gap, change in steps:
             t, count = t + gap, max(0, count + change)
             readings.append((t, count))
-            rolling.append(t, count)
-            held = readings[-max_readings:]
-            assert list(rolling.readings) == held
-            rebuilt = series_from_observations(held)
-            assert rolling.start_time == rebuilt.start_time
-            assert tuple(rolling.arrivals) == rebuilt.arrivals
-            assert len(rolling) == len(rebuilt)
-            assert rolling.ordered == sorted(rebuilt.arrivals)
-            assert all(rolling.is_day_start(rebuilt.day_start(day))
-                       for day in range(len(rebuilt)))
-            assert not rolling.is_day_start(rebuilt.day_start(0) + 1.0)
-            assert not rolling.is_day_start(
-                rebuilt.start_time + len(rebuilt) * DAY)
-
-    def test_rejects_a_reading_out_of_order_unchanged(self):
-        rolling = RollingSeries(4)
-        rolling.append(0.0, 100)
-        rolling.append(DAY, 150)
-        for stale in (DAY, 0.5 * DAY):
-            with pytest.raises(ConfigurationError):
-                rolling.append(stale, 200)
-        assert list(rolling.readings) == [(0.0, 100), (DAY, 150)]
-        assert list(rolling.arrivals) == [50]
-
-    def test_needs_two_readings(self):
-        with pytest.raises(ConfigurationError):
-            RollingSeries(1)
+        series = series_from_observations(readings)
+        assert series.start_time == PAPER_EPOCH
+        assert series.arrivals == tuple(rebuild_arrivals(readings))
 
 
-#: One page: per row of four, ``None`` (no reading) or (seconds since
-#: that row's previous reading, count change); ``shared`` pages read
-#: every row at one instant.
+class TestIntervalArrivals:
+    """One interval's days, as the series of its two readings."""
+
+    @staticmethod
+    def days(gap, before, after):
+        return list(series_from_observations(
+            [(0.0, before), (gap, after)]).arrivals)
+
+    def test_one_day(self):
+        assert self.days(DAY, 100, 130) == [30]
+
+    def test_sub_day_gap_counts_as_one_day(self):
+        assert self.days(0.3 * DAY, 100, 130) == [30]
+
+    def test_multi_day_decrease_clips_to_zero(self):
+        assert self.days(2 * DAY, 100, 90) == [0, 0]
+
+
+#: One page: per row of four, ``None`` (no reading) or a :data:`_STEP`;
+#: ``shared`` pages read every row at one instant.
 _BLOCK_PAGE = st.tuples(
     st.booleans(),
-    st.lists(st.one_of(st.none(), st.tuples(
-        st.one_of(st.floats(0.6 * DAY, 1.4 * DAY),
-                  st.floats(1.5 * DAY, 4.4 * DAY),
-                  st.floats(60.0, 0.49 * DAY)),
-        st.one_of(st.integers(80, 120), st.integers(-300, -1),
-                  st.integers(2_000, 20_000), st.just(0)))),
-        min_size=4, max_size=4))
+    st.lists(st.one_of(st.none(), _STEP), min_size=4, max_size=4))
 
 
 class TestRollingSeriesBlock:
-    """Rows of a block equal one :class:`RollingSeries` each, and their
-    extremes and medians are those of its arrivals."""
+    """Each row's days, extremes and median are those the oracle
+    rebuilds from the row's latest ``max_readings`` readings."""
 
     @settings(max_examples=100, deadline=None)
     @given(pages=st.lists(_BLOCK_PAGE, min_size=1, max_size=40),
            max_readings=st.integers(2, 12))
-    def test_rows_equal_rolling_series(self, pages, max_readings):
+    def test_rows_equal_the_oracle(self, pages, max_readings):
         block = RollingSeriesBlock(max_readings)
         block.add_rows(1)
         block.add_rows(3)  # rows grow past their first allocation
-        rolling = [RollingSeries(max_readings) for __ in range(4)]
+        readings = [[] for __ in range(4)]
         clocks = [PAPER_EPOCH] * 4
         counts = [1_000] * 4
         for shared, steps in pages:
@@ -162,32 +141,32 @@ class TestRollingSeriesBlock:
                 gap, change = steps[row]
                 clocks[row] = page_t if shared else clocks[row] + gap
                 counts[row] = max(0, counts[row] + change)
-                rolling[row].append(clocks[row], counts[row])
+                readings[row].append((clocks[row], counts[row]))
             rows = np.array(read, dtype=np.int64)
             block.append_page(rows, np.array([clocks[row] for row in read]),
                               np.array([counts[row] for row in read]))
+            held = {row: readings[row][-max_readings:] for row in read}
             assert block.held(rows).tolist() == [
-                len(rolling[row].readings) for row in read]
-            for row in read:
-                series = block.series(row)
-                assert list(series.readings) == list(rolling[row].readings)
-                assert series.arrivals == rolling[row].arrivals
+                len(held[row]) for row in read]
+            assert block.latest(rows).tolist() == [
+                held[row][-1][0] for row in read]
             ready = rows[block.held(rows) >= 2]
-            if len(ready):
-                top, low = block.extremes(ready)
-                assert top.tolist() == [max(rolling[row].arrivals)
-                                        for row in ready.tolist()]
-                assert low.tolist() == [min(rolling[row].arrivals)
-                                        for row in ready.tolist()]
-                top, twice_median = block.peaks(ready)
-                for row, peak, twice in zip(ready.tolist(), top.tolist(),
-                                            twice_median.tolist()):
-                    ordered = rolling[row].ordered
-                    middle = len(ordered) // 2
-                    assert peak == ordered[-1]
-                    assert twice == (ordered[middle - 1] + ordered[middle]
-                                     if len(ordered) % 2
-                                     == 0 else 2 * ordered[middle])
+            if not len(ready):
+                continue
+            days = {row: rebuild_arrivals(held[row])
+                    for row in ready.tolist()}
+            for row in ready.tolist():
+                series = block.growth(row)
+                assert series.start_time == held[row][0][0]
+                assert list(series.arrivals) == days[row]
+            top, low = block.extremes(ready)
+            assert top.tolist() == [max(days[row]) for row in ready.tolist()]
+            assert low.tolist() == [min(days[row]) for row in ready.tolist()]
+            top, twice_median = block.peaks(ready)
+            for row, peak, twice in zip(ready.tolist(), top.tolist(),
+                                        twice_median.tolist()):
+                assert peak == max(days[row])
+                assert twice == 2 * np.median(days[row])
 
     def test_needs_two_readings(self):
         with pytest.raises(ConfigurationError):

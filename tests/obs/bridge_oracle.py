@@ -1,7 +1,8 @@
 """Reference oracle for the detector bridge: rebuild on every reading.
 
-Production keeps each handle's daily arrival series up to date as
-readings land (``repro.growth.series.RollingSeries``), takes the median
+Production keeps each handle's readings as a row of arrays
+(``repro.growth.series.RollingSeriesBlock``), lays out a row's daily
+arrivals only when the row needs the exact detector, takes the median
 over the integer arrivals exactly, and prunes its reported burst days
 in place.  This oracle evaluates the way the bridge is specified: on
 every reading it rebuilds the series from the whole held history with

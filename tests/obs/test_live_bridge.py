@@ -1,5 +1,6 @@
 """Unit tests for the detector bridge (follower streams -> burst alerts)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,22 @@ def _feed_organic(bridge, handle, days, per_day=100, start_count=1000):
         count += per_day + (day % 3)  # small deterministic jitter
         bridge.observe(handle, day * DAY + 60.0, count)
     return count
+
+
+def _held(bridge, handle):
+    """How many readings the bridge holds for ``handle``."""
+    return int(bridge._series.held(np.array([bridge._rows[handle]]))[0])
+
+
+def _growth(bridge, handle):
+    """The daily series of ``handle``'s held readings."""
+    return bridge._series.growth(bridge._rows[handle])
+
+
+def _held_series(bridge):
+    """Every handle's held-reading count and daily series."""
+    return {handle: (_held(bridge, handle), _growth(bridge, handle))
+            for handle in bridge._rows}
 
 
 class TestDetectorBridge:
@@ -78,10 +95,9 @@ class TestDetectorBridge:
     def test_history_and_reported_sets_stay_bounded(self):
         bridge = DetectorBridge(AlertLog(), min_history=5, max_history=16)
         _feed_organic(bridge, "t", 100)
-        track = bridge._tracks["t"]
-        assert len(track.series.readings) == 16
-        assert len(track.series) == 15  # one day per daily interval
-        assert len(track.reported) <= 16
+        assert _held(bridge, "t") == 16
+        assert len(_growth(bridge, "t")) == 15  # one day per interval
+        assert len(bridge._reported.get(bridge._rows["t"], ())) <= 16
 
     def test_follower_streams_mirror_readings(self):
         bridge = DetectorBridge(AlertLog(), origin=0.0)
@@ -277,8 +293,7 @@ class TestObservePage:
         pages += [(DAY, [100] * 5) for __ in range(5)]
         paged = self.run_twins(pages)
         assert paged.alerts.events == ()
-        series = paged.bridge._tracks["h0"].series
-        assert series.arrivals[-8:-5] == [101, 100, 100]
+        assert _growth(paged.bridge, "h0").arrivals[-8:-5] == (101, 100, 100)
 
     def test_roll_off_at_a_small_max_history(self):
         pages = [(DAY + (0.1 * DAY if day % 2 else 0.0),
@@ -286,8 +301,8 @@ class TestObservePage:
                  for day in range(50)]
         paged = self.run_twins(pages, max_history=8)
         assert paged.alerts.counts()[0] >= 5
-        assert all(len(track.series.readings) == 8
-                   for track in paged.bridge._tracks.values())
+        assert all(_held(paged.bridge, handle) == 8
+                   for handle in paged.bridge._rows)
 
     @pytest.mark.parametrize("stale", ["equal", "earlier", "twice"])
     def test_one_stale_reading_rejects_the_whole_page(self, stale):
@@ -429,8 +444,8 @@ class TestPagesAgainstTheOracle:
         live = self.run(calm + storm + after, check_every_page=True)
         assert [event.name for event in live.alerts.events
                 if event.kind == "fire"] == ["burst:h1"]
-        series = live.bridge._tracks["h0"].series
-        assert series.arrivals[9:13] == [101, 100, 100, 100]
+        assert _growth(live.bridge, "h0").arrivals[9:13] == \
+            (101, 100, 100, 100)
 
     def test_roll_off_at_max_history_8(self):
         pages = [(DAY + (0.1 * DAY if day % 2 else 0.0), day % 3 == 0,
@@ -438,8 +453,8 @@ class TestPagesAgainstTheOracle:
                  for day in range(40)]
         live = self.run(pages, max_history=8, check_every_page=True)
         assert live.alerts.counts()[0] >= 5
-        assert all(len(track.series.readings) == 8
-                   for track in live.bridge._tracks.values())
+        assert all(_held(live.bridge, handle) == 8
+                   for handle in live.bridge._rows)
 
     def test_a_day_exactly_min_excess_over_the_median_pages(self):
         """The page-wide exit keeps a handle whose largest day is
@@ -478,8 +493,7 @@ class TestPagesAgainstTheOracle:
             live.observe_page(_page_t(day), handles, [1_000 + day] * 3)
         before = (_stream_views(live.all_streams(), _page_t(10)),
                   live.alerts.to_jsonl(),
-                  [list(track.series.readings)
-                   for track in live.bridge._tracks.values()])
+                  _held_series(live.bridge))
         page, instants = {
             # c's instant is its last reading's.
             "stale": (["a", "b", "c"],
@@ -492,8 +506,7 @@ class TestPagesAgainstTheOracle:
             live.observe_page(instants, page, [9_000] * 3)
         assert (_stream_views(live.all_streams(), _page_t(10)),
                 live.alerts.to_jsonl(),
-                [list(track.series.readings)
-                 for track in live.bridge._tracks.values()]) == before
+                _held_series(live.bridge)) == before
 
 
 class TestTelemetryBridgeHook:
